@@ -1,6 +1,6 @@
 //! Quantization microbenchmarks: PQ encode, ADC table construction, ADC
-//! lookups, and scalar quantization — the in-memory costs of the
-//! storage-based indexes.
+//! lookups (one code at a time and four at a time), and scalar
+//! quantization — the in-memory costs of the storage-based indexes.
 
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
 use sann_datagen::EmbeddingModel;
@@ -24,7 +24,7 @@ fn bench_pq(c: &mut Criterion) {
     c.bench_function("pq/adc_single", |b| {
         b.iter(|| table.distance(black_box(&code)))
     });
-    c.bench_function("pq/adc_scan_1k", |b| {
+    c.bench_function("pq/adc_scan_1k_m96/single", |b| {
         b.iter(|| {
             let mut best = f32::INFINITY;
             for i in 0..1_000 {
@@ -34,6 +34,14 @@ fn bench_pq(c: &mut Criterion) {
                 }
             }
             best
+        })
+    });
+    let scanned = &codes[..1_000 * pq.m()];
+    let mut dists = vec![0.0f32; 1_000];
+    c.bench_function("pq/adc_scan_1k_m96/batched", |b| {
+        b.iter(|| {
+            table.distance_rows(black_box(scanned), &mut dists);
+            dists.iter().copied().fold(f32::INFINITY, f32::min)
         })
     });
 }

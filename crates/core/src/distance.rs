@@ -1,8 +1,27 @@
 //! Distance metrics and their kernels.
 //!
-//! All kernels operate on plain `&[f32]` slices and are written with 4-way
-//! manual unrolling so that the compiler auto-vectorizes them; this is the
-//! hot path of every index in the workspace.
+//! All kernels operate on plain `&[f32]` slices; this is the hot path of
+//! every index in the workspace.
+//!
+//! The single-pair kernels ([`l2_squared`], [`dot`]) keep four partial sums
+//! `s0..s3` (lane `l` takes elements `4i + l`) plus a tail sum, and return
+//! `s0 + s1 + s2 + s3 + tail`. Four lanes fill one 128-bit register, but
+//! every add waits for the previous add of its lane, so a 768-d distance is
+//! a chain of 192 dependent adds: the kernel is bound by add latency, not
+//! by throughput.
+//!
+//! The batched kernels ([`l2_squared_x4`], [`dot_x4`], and the forms built
+//! on them) score one query against four rows per call. Each row keeps its
+//! own four lanes and tail and the same final sum, so every value is
+//! **bit-identical** to the single-pair kernel; the speed comes only from
+//! four independent add chains in flight at once. Rows are walked in
+//! blocks of [`BLOCK`] elements — eight chunks of one row, then of the
+//! next — which keeps the inner loop a plain two-slice zip the compiler
+//! vectorizes, and short enough that out-of-order execution overlaps the
+//! four chains. Results must not depend on the host, so there is no
+//! `target_feature` dispatch and no fused multiply-add.
+
+use crate::vector::Dataset;
 
 /// A vector distance metric.
 ///
@@ -32,12 +51,63 @@ impl Metric {
     /// Panics (in debug builds) if the slices have different lengths.
     #[inline]
     pub fn distance(&self, a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len(), "distance between mismatched dims");
         match self {
             Metric::L2 => l2_squared(a, b),
             Metric::InnerProduct => -dot(a, b),
             Metric::Cosine => cosine_distance(a, b),
         }
+    }
+
+    /// Distances from `query` to four rows, each bit-identical to
+    /// [`Metric::distance`]. Cosine distance has no batched kernel (it
+    /// needs each row's own norm) and scores the four pairs one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is shorter than `query`, and (in debug builds) if
+    /// one is longer.
+    #[inline]
+    pub fn distance_x4(&self, query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+        match self {
+            Metric::L2 => l2_squared_x4(query, rows),
+            Metric::InnerProduct => dot_x4(query, rows).map(|d| -d),
+            Metric::Cosine => rows.map(|row| cosine_distance(query, row)),
+        }
+    }
+
+    /// Distances from `query` to every row of the row-major matrix `rows`
+    /// (`query.len()` elements per row), written to `out` in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query` is empty or `rows` does not hold exactly
+    /// `out.len()` rows.
+    pub fn distance_rows(&self, query: &[f32], rows: &[f32], out: &mut [f32]) {
+        assert_eq!(rows.len(), out.len() * query.len(), "row count mismatch");
+        let rows = rows.chunks_exact(query.len());
+        match self {
+            // Hoisted so the ADC-table shape (8-d rows, where the dispatch
+            // on `self` shows) runs the bare kernel.
+            Metric::L2 => by_fours(rows, out, |group| l2_squared_x4(query, group)),
+            _ => by_fours(rows, out, |group| self.distance_x4(query, group)),
+        }
+    }
+
+    /// Distances from `query` to the rows `ids` of `data` — a graph node's
+    /// neighbours, a posting list — replacing the contents of `out`, in
+    /// `ids` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range.
+    pub fn distance_gather(&self, query: &[f32], data: &Dataset, ids: &[u32], out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(ids.len(), 0.0);
+        // A u32 id always fits in usize on the 32/64-bit targets supported.
+        let rows = ids
+            .iter()
+            .map(|&id| data.row(usize::try_from(id).unwrap_or(usize::MAX)));
+        by_fours(rows, out, |group| self.distance_x4(query, group));
     }
 
     /// A short lowercase name, as used in configuration files and reports.
@@ -96,6 +166,7 @@ impl std::fmt::Display for Metric {
 /// ```
 #[inline]
 pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
+    debug_assert_eq!(a.len(), b.len(), "distance between mismatched dims");
     let n = a.len().min(b.len());
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
     let chunks = n / 4;
@@ -128,6 +199,7 @@ pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
 /// ```
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    debug_assert_eq!(a.len(), b.len(), "dot product of mismatched dims");
     let n = a.len().min(b.len());
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
     let chunks = n / 4;
@@ -143,6 +215,130 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         tail += a[j] * b[j];
     }
     s0 + s1 + s2 + s3 + tail
+}
+
+/// Elements of each row the batched kernels consume before moving to the
+/// next row: eight 4-lane chunks.
+pub const BLOCK: usize = 32;
+
+/// One row's running sums inside a batched kernel: the same four lanes and
+/// tail as the single-pair kernels.
+#[derive(Clone, Copy, Default)]
+struct Lanes {
+    s: [f32; 4],
+    tail: f32,
+}
+
+impl Lanes {
+    /// Adds `term(q[j], r[j])` for one block. Only the last block of a row
+    /// can leave a remainder, so the tail sees the same elements in the
+    /// same order as in the single-pair kernels.
+    #[inline(always)]
+    fn feed(&mut self, q: &[f32], r: &[f32], term: impl Fn(f32, f32) -> f32) {
+        let (qc, rc) = (q.chunks_exact(4), r.chunks_exact(4));
+        let (qt, rt) = (qc.remainder(), rc.remainder());
+        for (qv, rv) in qc.zip(rc) {
+            for ((s, &x), &y) in self.s.iter_mut().zip(qv).zip(rv) {
+                *s += term(x, y);
+            }
+        }
+        for (&x, &y) in qt.iter().zip(rt) {
+            self.tail += term(x, y);
+        }
+    }
+
+    #[inline(always)]
+    fn sum(self) -> f32 {
+        let Lanes {
+            s: [s0, s1, s2, s3],
+            tail,
+        } = self;
+        s0 + s1 + s2 + s3 + tail
+    }
+}
+
+/// `sum_j term(query[j], row[j])` for four rows, block by block.
+#[inline(always)]
+fn sum_x4(query: &[f32], rows: [&[f32]; 4], term: impl Fn(f32, f32) -> f32 + Copy) -> [f32; 4] {
+    // Cutting every row to the query's length makes a short row panic
+    // instead of silently shortening its sum.
+    let [r0, r1, r2, r3] = rows.map(|row| {
+        debug_assert_eq!(row.len(), query.len(), "distance between mismatched dims");
+        row.split_at(query.len()).0
+    });
+    let mut lanes = [Lanes::default(); 4];
+    let blocks = query
+        .chunks(BLOCK)
+        .zip(r0.chunks(BLOCK))
+        .zip(r1.chunks(BLOCK))
+        .zip(r2.chunks(BLOCK))
+        .zip(r3.chunks(BLOCK));
+    for ((((qb, b0), b1), b2), b3) in blocks {
+        for (row, block) in lanes.iter_mut().zip([b0, b1, b2, b3]) {
+            row.feed(qb, block, term);
+        }
+    }
+    lanes.map(Lanes::sum)
+}
+
+/// Squared Euclidean distances from `query` to four rows; each value is
+/// bit-identical to [`l2_squared`]`(query, row)`.
+///
+/// # Panics
+///
+/// Panics if a row is shorter than `query`, and (in debug builds) if one is
+/// longer.
+///
+/// # Examples
+///
+/// ```
+/// use sann_core::distance::l2_squared_x4;
+/// let d = l2_squared_x4(&[0.0, 0.0], [&[3.0, 4.0], &[1.0, 0.0], &[0.0, 0.0], &[0.0, 2.0]]);
+/// assert_eq!(d, [25.0, 1.0, 0.0, 4.0]);
+/// ```
+#[inline]
+pub fn l2_squared_x4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    sum_x4(query, rows, |x, y| {
+        let d = x - y;
+        d * d
+    })
+}
+
+/// Dot products of `query` with four rows; each value is bit-identical to
+/// [`dot`]`(query, row)`.
+///
+/// # Panics
+///
+/// Panics if a row is shorter than `query`, and (in debug builds) if one is
+/// longer.
+#[inline]
+pub fn dot_x4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    sum_x4(query, rows, |x, y| x * y)
+}
+
+/// Drives a four-at-a-time `kernel` over `items`, writing one result per
+/// item to `out`. A final group of one to three items is padded by
+/// repeating its last item and the surplus results are dropped: on data
+/// already in cache the repeats cost less than leaving the batched kernel
+/// for latency-bound single-pair calls.
+#[inline(always)]
+pub fn by_fours<T: Copy>(
+    mut items: impl Iterator<Item = T>,
+    out: &mut [f32],
+    kernel: impl Fn([T; 4]) -> [f32; 4],
+) {
+    for slots in out.chunks_mut(4) {
+        let Some(a) = items.next() else {
+            debug_assert!(false, "fewer items than output slots");
+            return;
+        };
+        let b = items.next().unwrap_or(a);
+        let c = items.next().unwrap_or(b);
+        let d = items.next().unwrap_or(c);
+        for (slot, dist) in slots.iter_mut().zip(kernel([a, b, c, d])) {
+            *slot = dist;
+        }
+    }
 }
 
 /// Euclidean norm of `v`.
@@ -210,6 +406,77 @@ mod tests {
             let naive = naive_dot(&a, &b);
             assert!((fast - naive).abs() < 1e-3 * naive.abs().max(1.0));
         }
+    }
+
+    /// Every dimension below 40 (all tail lengths, with and without a full
+    /// block) plus the embedding sizes and their odd neighbours.
+    fn identity_dims() -> impl Iterator<Item = usize> {
+        (1..=40).chain([96, 128, 767, 768, 1536])
+    }
+
+    fn random_rows(rows: usize, dim: usize, seed: u64) -> Dataset {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let flat = (0..rows * dim).map(|_| rng.next_f32() - 0.5).collect();
+        Dataset::from_flat(flat, dim).unwrap()
+    }
+
+    fn bits(dists: &[f32]) -> Vec<u32> {
+        dists.iter().map(|d| d.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_forms_are_bit_identical_to_single_pairs() {
+        // Group sizes 0..=9 cover the empty call, every padded remainder
+        // (1, 2, 3 rows) alone and after full groups, and full groups only.
+        for dim in identity_dims() {
+            let data = random_rows(9, dim, dim as u64);
+            let query = random_rows(1, dim, 1_000 + dim as u64);
+            let query = query.row(0);
+            for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                for group in 0..=9usize {
+                    // Not in storage order, so a gather cannot pass by
+                    // scoring rows 0..group.
+                    let ids: Vec<u32> = (0..group).map(|i| ((i * 4 + 2) % 9) as u32).collect();
+                    let want: Vec<f32> = ids
+                        .iter()
+                        .map(|&id| metric.distance(query, data.row(id as usize)))
+                        .collect();
+                    let mut got = vec![f32::NAN; 3];
+                    metric.distance_gather(query, &data, &ids, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "gather {metric} {dim}-d x{group}");
+
+                    let flat = &data.as_flat()[..group * dim];
+                    let want: Vec<f32> = flat
+                        .chunks_exact(dim)
+                        .map(|row| metric.distance(query, row))
+                        .collect();
+                    let mut got = vec![f32::NAN; group];
+                    metric.distance_rows(query, flat, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "rows {metric} {dim}-d x{group}");
+                }
+                let rows = [data.row(8), data.row(0), data.row(8), data.row(3)];
+                assert_eq!(
+                    bits(&metric.distance_x4(query, rows)),
+                    bits(&rows.map(|row| metric.distance(query, row))),
+                    "x4 {metric} {dim}-d"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn batched_kernel_rejects_a_short_row() {
+        let q = [1.0f32; 8];
+        let short = [1.0f32; 7];
+        l2_squared_x4(&q, [&q, &q, &short, &q]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "mismatched dims")]
+    fn single_kernel_rejects_mismatched_lengths_in_debug() {
+        l2_squared(&[1.0, 2.0, 3.0], &[1.0, 2.0]);
     }
 
     #[test]

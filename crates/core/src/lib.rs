@@ -11,6 +11,7 @@
 //!   reproducible across crates without threading generator generics
 //!   everywhere,
 //! * [`sync`] — poison-free lock wrappers over [`std::sync`],
+//! * [`par`] — scoped-thread data-parallel helpers for builds,
 //! * [`buf`] — little-endian byte encoding/decoding for snapshots and
 //!   canonical metric fingerprints,
 //! * [`check`] — a seeded property-test harness used by the workspace's
@@ -38,6 +39,7 @@ pub mod check;
 pub mod distance;
 pub mod error;
 pub mod hash;
+pub mod par;
 pub mod recall;
 pub mod rng;
 pub mod stats;

@@ -1,7 +1,7 @@
 //! Exact k-nearest-neighbor ground truth via parallel brute force.
 
 use sann_core::buf::{ByteReader, ByteWriter};
-use sann_core::{Dataset, Error, Metric, Result, TopK};
+use sann_core::{par, Dataset, Error, Metric, Result, TopK};
 
 /// Exact nearest neighbors for a query set, used to score recall@k.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,29 +20,18 @@ impl GroundTruth {
     pub fn bruteforce(base: &Dataset, queries: &Dataset, metric: Metric, k: usize) -> GroundTruth {
         assert_eq!(base.dim(), queries.dim(), "dimension mismatch");
         assert!(k > 0, "k must be positive");
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let n_queries = queries.len();
-        let mut ids = vec![Vec::new(); n_queries];
+        let mut ids = vec![Vec::new(); queries.len()];
 
-        // Chunk query ids across worker threads; each worker scans the whole
-        // base set for its chunk of queries.
-        let chunk = n_queries.div_ceil(threads.max(1));
-        std::thread::scope(|scope| {
-            for (t, out_chunk) in ids.chunks_mut(chunk.max(1)).enumerate() {
-                let base = &base;
-                let queries = &queries;
-                scope.spawn(move || {
-                    for (i, out) in out_chunk.iter_mut().enumerate() {
-                        let q = queries.row(t * chunk + i);
-                        let mut topk = TopK::new(k);
-                        for (id, row) in base.iter().enumerate() {
-                            topk.push(id as u32, metric.distance(q, row));
-                        }
-                        *out = topk.into_sorted_vec().into_iter().map(|n| n.id).collect();
-                    }
-                });
+        // Each worker scans the whole base set for its run of queries.
+        par::par_chunks_mut(&mut ids, 1, par::default_threads(), |first, out_chunk| {
+            let mut dists = vec![0.0f32; base.len()];
+            for (i, out) in out_chunk.iter_mut().enumerate() {
+                metric.distance_rows(queries.row(first + i), base.as_flat(), &mut dists);
+                let mut topk = TopK::new(k);
+                for (id, &d) in dists.iter().enumerate() {
+                    topk.push(id as u32, d);
+                }
+                *out = topk.into_sorted_vec().into_iter().map(|n| n.id).collect();
             }
         });
 

@@ -22,7 +22,10 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            // ~0.19 µs per 768-d L2 distance (AVX2-class throughput).
+            // ~0.19 µs per 768-d L2 distance (AVX2-class throughput). The
+            // model's, not this host's: the batched kernels measure
+            // 0.11-0.15 ns/dim (DESIGN.md §14), the single-pair kernel
+            // 0.55. The constant feeds simulated output and stays put.
             dist_us_per_dim: 0.00025,
             // ~0.1 µs per 48-byte PQ code.
             pq_us_per_byte: 0.002,

@@ -10,6 +10,7 @@
 //! into a candidate list of length `L` (`search_list`). `W = 1` degenerates
 //! to classic best-first search; the paper's §VI studies both parameters.
 
+use crate::batch::Batch;
 use crate::layout::DiskLayout;
 use crate::paged::PagedLayout;
 use crate::trace::{CpuOp, IoReq, QueryTrace, SearchOutput};
@@ -331,6 +332,8 @@ impl VectorIndex for DiskAnnIndex {
 
         // Exact distances of every fetched (visited) node, for final rerank.
         let mut exact = TopK::new(l.max(k));
+        let mut exact_dists = Vec::new();
+        let mut batch = Batch::default();
 
         // What is already in memory from earlier (possibly speculative)
         // fetches. Paged layout tracks whole pages — the co-location win;
@@ -400,8 +403,9 @@ impl VectorIndex for DiskAnnIndex {
             // The fetched records contain the full vectors (exact rerank) and
             // the adjacency lists (expansion via PQ).
             let mut pq_lookups = 0u64;
-            for &id in &frontier {
-                let exact_d = self.metric.distance(query, self.data.row(id as usize));
+            self.metric
+                .distance_gather(query, &self.data, &frontier, &mut exact_dists);
+            for (&id, &exact_d) in frontier.iter().zip(&exact_dists) {
                 exact.push(id, exact_d);
                 // Replace the candidate's PQ estimate with the exact distance
                 // so subsequent frontier picks rank against sharp values.
@@ -417,12 +421,10 @@ impl VectorIndex for DiskAnnIndex {
                         },
                     );
                 }
-                for &nb in self.graph.neighbors(id) {
-                    if std::mem::replace(&mut seen[nb as usize], true) {
-                        continue;
-                    }
-                    let d = table.distance_at(&self.codes, nb as usize);
-                    pq_lookups += 1;
+                batch.take_unseen(self.graph.neighbors(id), &mut seen);
+                table.distance_gather(&self.codes, &batch.ids, &mut batch.dists);
+                pq_lookups += batch.ids.len() as u64;
+                for (nb, d) in batch.scored() {
                     insert_candidate(
                         &mut cands,
                         Candidate {
@@ -526,6 +528,129 @@ mod tests {
             total += recall_at_k(gt.neighbors(i), &out.ids(), 10);
         }
         total / queries.len() as f64
+    }
+
+    /// The search as it was before the batched kernels: one exact distance
+    /// and one PQ lookup at a time, in frontier and adjacency order.
+    fn search_per_pair(
+        ix: &DiskAnnIndex,
+        query: &[f32],
+        k: usize,
+        params: &SearchParams,
+    ) -> SearchOutput {
+        let dim = ix.data.dim();
+        let l = params.search_list.max(k);
+        let w = params.beam_width.max(1);
+        let strat = params.io;
+        let mut trace = QueryTrace::new();
+        let table = ix.pq.distance_table(query);
+        trace.push_compute(ix.pq.ksub() as u64, dim as u32);
+        let mut seen = vec![false; ix.data.len()];
+        let start = ix.graph.medoid();
+        seen[start as usize] = true;
+        let mut cands = vec![Candidate {
+            id: start,
+            pq_dist: table.distance_at(&ix.codes, start as usize),
+            visited: false,
+        }];
+        trace.push_pq_lookup(1, ix.pq.m() as u32);
+        let mut exact = TopK::new(l.max(k));
+        let mut fetched = FetchedSet::new(ix, strat);
+        loop {
+            let mut frontier: Vec<u32> = Vec::new();
+            for c in cands.iter_mut().take(l) {
+                if !c.visited {
+                    c.visited = true;
+                    frontier.push(c.id);
+                    if frontier.len() == w {
+                        break;
+                    }
+                }
+            }
+            if frontier.is_empty() {
+                break;
+            }
+            let mut reqs = Vec::new();
+            for &id in &frontier {
+                fetched.demand(ix, u64::from(id), &mut reqs).unwrap();
+            }
+            let mut prefetch: Vec<IoReq> = Vec::new();
+            if strat.look_ahead && cands.len() >= l {
+                for c in cands.iter().take(l / 2).filter(|c| !c.visited).take(w) {
+                    fetched
+                        .speculate(ix, u64::from(c.id), &mut prefetch)
+                        .unwrap();
+                }
+            }
+            let mut inflight = if strat.pipelined {
+                std::mem::take(&mut reqs)
+            } else {
+                Vec::new()
+            };
+            inflight.append(&mut prefetch);
+            trace.push_read(reqs);
+            let mut pq_lookups = 0u64;
+            for &id in &frontier {
+                let exact_d = ix.metric.distance(query, ix.data.row(id as usize));
+                exact.push(id, exact_d);
+                if let Some(pos) = cands.iter().position(|c| c.id == id) {
+                    cands.remove(pos);
+                    let at = cands.partition_point(|x| x.pq_dist <= exact_d);
+                    let visited = Candidate {
+                        id,
+                        pq_dist: exact_d,
+                        visited: true,
+                    };
+                    cands.insert(at, visited);
+                }
+                for &nb in ix.graph.neighbors(id) {
+                    if std::mem::replace(&mut seen[nb as usize], true) {
+                        continue;
+                    }
+                    let unvisited = Candidate {
+                        id: nb,
+                        pq_dist: table.distance_at(&ix.codes, nb as usize),
+                        visited: false,
+                    };
+                    pq_lookups += 1;
+                    insert_candidate(&mut cands, unvisited, l);
+                }
+            }
+            let compute = CpuOp::Compute {
+                count: frontier.len() as u64,
+                dim: dim as u32,
+            };
+            let lookup = CpuOp::PqLookup {
+                count: pq_lookups,
+                m: ix.pq.m() as u32,
+            };
+            if inflight.is_empty() {
+                trace.push_compute(frontier.len() as u64, dim as u32);
+                trace.push_pq_lookup(pq_lookups, ix.pq.m() as u32);
+            } else {
+                trace.push_overlapped(inflight, vec![compute, lookup]);
+            }
+        }
+        let mut neighbors = exact.into_sorted_vec();
+        neighbors.truncate(k);
+        SearchOutput { neighbors, trace }
+    }
+
+    #[test]
+    fn search_matches_per_pair_reference() {
+        // Every I/O strategy: the reads a hop issues depend on the order
+        // candidates were ranked in, so this also pins the read order.
+        let (_, queries, _, index) = build_small();
+        for io in IoStrategy::all() {
+            let params = SearchParams {
+                io,
+                ..SearchParams::default().with_search_list(40)
+            };
+            for q in queries.iter().take(10) {
+                let got = index.search(q, 10, &params).unwrap();
+                crate::batch::assert_identical(&got, &search_per_pair(&index, q, 10, &params));
+            }
+        }
     }
 
     #[test]

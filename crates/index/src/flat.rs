@@ -69,9 +69,12 @@ impl VectorIndex for FlatIndex {
         if k == 0 {
             return Err(Error::invalid_parameter("k", "must be positive"));
         }
+        let mut dists = vec![0.0f32; self.data.len()];
+        self.metric
+            .distance_rows(query, self.data.as_flat(), &mut dists);
         let mut topk = TopK::new(k);
-        for (id, row) in self.data.iter().enumerate() {
-            topk.push(id as u32, self.metric.distance(query, row));
+        for (id, &d) in dists.iter().enumerate() {
+            topk.push(id as u32, d);
         }
         let mut trace = QueryTrace::new();
         trace.push_compute(self.data.len() as u64, self.data.dim() as u32);
@@ -94,6 +97,28 @@ impl VectorIndex for FlatIndex {
 mod tests {
     use super::*;
     use sann_datagen::EmbeddingModel;
+
+    #[test]
+    fn search_matches_per_pair_reference() {
+        // 101 rows: full groups of four and a one-row remainder.
+        let data = EmbeddingModel::new(24, 2, 5).generate(101);
+        for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+            let index = FlatIndex::build(&data, metric);
+            let q = data.row(40);
+            let got = index.search(q, 7, &SearchParams::default()).unwrap();
+            let mut topk = TopK::new(7);
+            for (id, row) in data.iter().enumerate() {
+                topk.push(id as u32, metric.distance(q, row));
+            }
+            let mut trace = QueryTrace::new();
+            trace.push_compute(101, 24);
+            let want = SearchOutput {
+                neighbors: topk.into_sorted_vec(),
+                trace,
+            };
+            crate::batch::assert_identical(&got, &want);
+        }
+    }
 
     #[test]
     fn finds_self() {

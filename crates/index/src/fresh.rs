@@ -10,6 +10,7 @@
 //! reads of the placement search and the *writes* of the dirtied node
 //! records, so the execution engine can replay realistic read-write mixes.
 
+use crate::batch::Batch;
 use crate::layout::DiskLayout;
 use crate::trace::{QueryTrace, SearchOutput, TraceStep};
 use crate::vamana::{robust_prune, VamanaConfig, VamanaGraph};
@@ -157,7 +158,16 @@ impl FreshDiskAnnIndex {
         self.codes.extend_from_slice(&self.pq.encode(vector));
 
         let alpha = self.config.graph.alpha;
-        let out = robust_prune(&self.data, self.metric, id, visited, alpha, self.r);
+        let mut batch = Batch::default();
+        let out = robust_prune(
+            &self.data,
+            self.metric,
+            id,
+            visited,
+            alpha,
+            self.r,
+            &mut batch,
+        );
         trace.push_compute((out.len() * self.r) as u64, self.data.dim() as u32);
         self.adj.push(out.clone());
 
@@ -170,15 +180,18 @@ impl FreshDiskAnnIndex {
             if !adj.contains(&id) {
                 adj.push(id);
                 if adj.len() > self.r + self.r / 2 {
-                    let nv = self.data.row(nb as usize);
-                    let cands: Vec<Neighbor> = adj
-                        .iter()
-                        .map(|&x| {
-                            Neighbor::new(x, self.metric.distance(nv, self.data.row(x as usize)))
-                        })
-                        .collect();
-                    self.adj[nb as usize] =
-                        robust_prune(&self.data, self.metric, nb, cands, alpha, self.r);
+                    batch.set(adj);
+                    batch.score(self.metric, self.data.row(nb as usize), &self.data);
+                    let cands = batch.neighbors();
+                    self.adj[nb as usize] = robust_prune(
+                        &self.data,
+                        self.metric,
+                        nb,
+                        cands,
+                        alpha,
+                        self.r,
+                        &mut batch,
+                    );
                 }
                 writes.extend(layout.node_reqs(nb as u64, sann_obs::IoProvenance::GraphAdjacency)?);
             }
@@ -223,6 +236,7 @@ impl FreshDiskAnnIndex {
     /// re-pruned. Returns the number of nodes repaired.
     pub fn consolidate(&mut self) -> usize {
         let alpha = self.config.graph.alpha;
+        let mut batch = Batch::default();
         let mut repaired = 0usize;
         for p in 0..self.adj.len() {
             if self.deleted[p] {
@@ -232,26 +246,30 @@ impl FreshDiskAnnIndex {
             if !has_dead {
                 continue;
             }
-            let pv = self.data.row(p);
-            let mut cands: Vec<Neighbor> = Vec::new();
+            // Live neighbours stay candidates; a tombstone is replaced by
+            // its own live out-neighbours.
+            batch.ids.clear();
             for &n in &self.adj[p] {
                 if self.deleted[n as usize] {
-                    for &nn in &self.adj[n as usize] {
-                        if !self.deleted[nn as usize] && nn as usize != p {
-                            cands.push(Neighbor::new(
-                                nn,
-                                self.metric.distance(pv, self.data.row(nn as usize)),
-                            ));
-                        }
-                    }
+                    let rerouted = self.adj[n as usize]
+                        .iter()
+                        .filter(|&&nn| !self.deleted[nn as usize] && nn as usize != p);
+                    batch.ids.extend(rerouted);
                 } else {
-                    cands.push(Neighbor::new(
-                        n,
-                        self.metric.distance(pv, self.data.row(n as usize)),
-                    ));
+                    batch.ids.push(n);
                 }
             }
-            self.adj[p] = robust_prune(&self.data, self.metric, p as u32, cands, alpha, self.r);
+            batch.score(self.metric, self.data.row(p), &self.data);
+            let cands = batch.neighbors();
+            self.adj[p] = robust_prune(
+                &self.data,
+                self.metric,
+                p as u32,
+                cands,
+                alpha,
+                self.r,
+                &mut batch,
+            );
             repaired += 1;
         }
         // Make sure the medoid survives.
@@ -281,6 +299,8 @@ impl FreshDiskAnnIndex {
         let table = self.pq.distance_table(query);
         let mut cands: Vec<(f32, u32, bool)> =
             vec![(table.distance_at(&self.codes, start as usize), start, false)];
+        let mut exact_dists = Vec::new();
+        let mut batch = Batch::default();
         loop {
             let mut frontier = Vec::with_capacity(w);
             for c in cands.iter_mut().take(l) {
@@ -300,16 +320,13 @@ impl FreshDiskAnnIndex {
                 reqs.extend(layout.node_reqs(id as u64, sann_obs::IoProvenance::GraphAdjacency)?);
             }
             steps.push(TraceStep::Read { reqs });
-            for &id in &frontier {
-                visited.push(Neighbor::new(
-                    id,
-                    self.metric.distance(query, self.data.row(id as usize)),
-                ));
-                for &nb in &self.adj[id as usize] {
-                    if std::mem::replace(&mut seen[nb as usize], true) {
-                        continue;
-                    }
-                    let d = table.distance_at(&self.codes, nb as usize);
+            self.metric
+                .distance_gather(query, &self.data, &frontier, &mut exact_dists);
+            for (&id, &exact_d) in frontier.iter().zip(&exact_dists) {
+                visited.push(Neighbor::new(id, exact_d));
+                batch.take_unseen(&self.adj[id as usize], &mut seen);
+                table.distance_gather(&self.codes, &batch.ids, &mut batch.dists);
+                for (nb, d) in batch.scored() {
                     let pos = cands.partition_point(|x| x.0 <= d);
                     cands.insert(pos, (d, nb, false));
                     if cands.len() > l + l / 2 + 1 {
@@ -363,6 +380,8 @@ impl VectorIndex for FreshDiskAnnIndex {
             vec![(table.distance_at(&self.codes, start as usize), start, false)];
         trace.push_pq_lookup(1, self.pq.m() as u32);
         let mut exact = TopK::new(l.max(k));
+        let mut exact_dists = Vec::new();
+        let mut batch = Batch::default();
 
         loop {
             let mut frontier = Vec::with_capacity(w);
@@ -384,18 +403,17 @@ impl VectorIndex for FreshDiskAnnIndex {
             }
             trace.push_read(reqs);
             let mut lookups = 0u64;
-            for &id in &frontier {
-                let exact_d = self.metric.distance(query, self.data.row(id as usize));
+            self.metric
+                .distance_gather(query, &self.data, &frontier, &mut exact_dists);
+            for (&id, &exact_d) in frontier.iter().zip(&exact_dists) {
                 // Tombstoned nodes route but never land in results.
                 if !self.deleted[id as usize] {
                     exact.push(id, exact_d);
                 }
-                for &nb in &self.adj[id as usize] {
-                    if std::mem::replace(&mut seen[nb as usize], true) {
-                        continue;
-                    }
-                    let d = table.distance_at(&self.codes, nb as usize);
-                    lookups += 1;
+                batch.take_unseen(&self.adj[id as usize], &mut seen);
+                table.distance_gather(&self.codes, &batch.ids, &mut batch.dists);
+                lookups += batch.ids.len() as u64;
+                for (nb, d) in batch.scored() {
                     let pos = cands.partition_point(|x| x.0 <= d);
                     cands.insert(pos, (d, nb, false));
                     if cands.len() > l + l / 2 + 1 {
@@ -446,6 +464,85 @@ mod tests {
         let queries = model.generate_queries(25);
         let index = FreshDiskAnnIndex::build(&base, Metric::L2, config()).unwrap();
         (base, queries, index)
+    }
+
+    /// The search as it was before the batched kernels: one exact distance
+    /// and one PQ lookup at a time.
+    fn search_per_pair(
+        ix: &FreshDiskAnnIndex,
+        query: &[f32],
+        k: usize,
+        params: &SearchParams,
+    ) -> SearchOutput {
+        let l = params.search_list.max(k);
+        let w = params.beam_width.max(1);
+        let layout = ix.layout();
+        let mut trace = QueryTrace::new();
+        let table = ix.pq.distance_table(query);
+        trace.push_compute(ix.pq.ksub() as u64, ix.data.dim() as u32);
+        let mut seen = vec![false; ix.adj.len()];
+        seen[ix.medoid as usize] = true;
+        let start = table.distance_at(&ix.codes, ix.medoid as usize);
+        let mut cands: Vec<(f32, u32, bool)> = vec![(start, ix.medoid, false)];
+        trace.push_pq_lookup(1, ix.pq.m() as u32);
+        let mut exact = TopK::new(l.max(k));
+        loop {
+            let mut frontier = Vec::new();
+            for c in cands.iter_mut().take(l).filter(|c| !c.2).take(w) {
+                c.2 = true;
+                frontier.push(c.1);
+            }
+            if frontier.is_empty() {
+                break;
+            }
+            let mut reqs = Vec::new();
+            for &id in &frontier {
+                let prov = sann_obs::IoProvenance::GraphAdjacency;
+                reqs.extend(layout.node_reqs(id as u64, prov).unwrap());
+            }
+            trace.push_read(reqs);
+            let mut lookups = 0u64;
+            for &id in &frontier {
+                let exact_d = ix.metric.distance(query, ix.data.row(id as usize));
+                if !ix.deleted[id as usize] {
+                    exact.push(id, exact_d);
+                }
+                for &nb in &ix.adj[id as usize] {
+                    if std::mem::replace(&mut seen[nb as usize], true) {
+                        continue;
+                    }
+                    let d = table.distance_at(&ix.codes, nb as usize);
+                    lookups += 1;
+                    let pos = cands.partition_point(|x| x.0 <= d);
+                    cands.insert(pos, (d, nb, false));
+                    cands.truncate(l + l / 2 + 1);
+                }
+            }
+            trace.push_compute(frontier.len() as u64, ix.data.dim() as u32);
+            trace.push_pq_lookup(lookups, ix.pq.m() as u32);
+        }
+        let mut neighbors = exact.into_sorted_vec();
+        neighbors.truncate(k);
+        SearchOutput { neighbors, trace }
+    }
+
+    #[test]
+    fn search_matches_per_pair_reference() {
+        // After inserts and a delete, so the mutated adjacency and the
+        // tombstone filter are on the path too.
+        let (_, queries, mut index) = build_small(1_000);
+        for row in EmbeddingModel::new(64, 8, 555)
+            .generate_stream(10, 7)
+            .iter()
+        {
+            index.insert(row).unwrap();
+        }
+        index.delete(3).unwrap();
+        let params = SearchParams::default().with_search_list(40);
+        for q in queries.iter() {
+            let got = index.search(q, 10, &params).unwrap();
+            crate::batch::assert_identical(&got, &search_per_pair(&index, q, 10, &params));
+        }
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! approach); set [`HnswConfig::threads`] to 1 for a fully deterministic
 //! graph.
 
+use crate::batch::Batch;
 use crate::trace::{QueryTrace, SearchOutput};
-use crate::{par, SearchParams, VectorIndex};
+use crate::{SearchParams, VectorIndex};
+use sann_core::par;
 use sann_core::rng::SplitMix64;
 use sann_core::sync::{Mutex, RwLock};
 use sann_core::{Dataset, Error, Metric, Neighbor, Result, TopK};
@@ -96,13 +98,13 @@ impl Builder<'_> {
     }
 
     /// Greedy single-entry descent at `level`.
-    fn greedy(&self, q: &[f32], mut ep: u32, level: usize) -> u32 {
+    fn greedy(&self, q: &[f32], mut ep: u32, level: usize, batch: &mut Batch) -> u32 {
         let mut best = self.dist(q, ep);
         loop {
             let mut improved = false;
-            let neighbors = self.links[ep as usize][level].lock().clone();
-            for n in neighbors {
-                let d = self.dist(q, n);
+            batch.set(&self.links[ep as usize][level].lock());
+            batch.score(self.metric, q, self.data);
+            for (n, d) in batch.scored() {
                 if d < best {
                     best = d;
                     ep = n;
@@ -117,7 +119,14 @@ impl Builder<'_> {
 
     /// `ef`-bounded best-first search at `level`, returning candidates
     /// closest-first.
-    fn search_layer(&self, q: &[f32], ep: u32, level: usize, ef: usize) -> Vec<Neighbor> {
+    fn search_layer(
+        &self,
+        q: &[f32],
+        ep: u32,
+        level: usize,
+        ef: usize,
+        batch: &mut Batch,
+    ) -> Vec<Neighbor> {
         let mut visited = vec![false; self.data.len()];
         visited[ep as usize] = true;
         let d0 = self.dist(q, ep);
@@ -130,12 +139,9 @@ impl Builder<'_> {
             if cand.dist > best.bound() {
                 break;
             }
-            let neighbors = self.links[cand.id as usize][level].lock().clone();
-            for n in neighbors {
-                if std::mem::replace(&mut visited[n as usize], true) {
-                    continue;
-                }
-                let d = self.dist(q, n);
+            batch.take_unseen(&self.links[cand.id as usize][level].lock(), &mut visited);
+            batch.score(self.metric, q, self.data);
+            for (n, d) in batch.scored() {
                 if d < best.bound() || !best.is_full() {
                     best.push(n, d);
                     frontier.push(std::cmp::Reverse(Neighbor::new(n, d)));
@@ -147,18 +153,18 @@ impl Builder<'_> {
 
     /// Neighbor-selection heuristic (keep a candidate only if it is closer
     /// to the query than to every already-kept candidate).
-    fn select_neighbors(&self, candidates: &[Neighbor], m: usize) -> Vec<u32> {
-        let mut kept: Vec<Neighbor> = Vec::with_capacity(m);
+    fn select_neighbors(&self, candidates: &[Neighbor], m: usize, batch: &mut Batch) -> Vec<u32> {
+        let mut kept: Vec<u32> = Vec::with_capacity(m);
         for &c in candidates {
             if kept.len() >= m {
                 break;
             }
             let cv = self.data.row(c.id as usize);
-            let dominated = kept
-                .iter()
-                .any(|r| self.metric.distance(cv, self.data.row(r.id as usize)) < c.dist);
+            self.metric
+                .distance_gather(cv, self.data, &kept, &mut batch.dists);
+            let dominated = batch.dists.iter().any(|&d| d < c.dist);
             if !dominated {
-                kept.push(c);
+                kept.push(c.id);
             }
         }
         // Fall back to plain nearest if the heuristic pruned too aggressively.
@@ -167,28 +173,29 @@ impl Builder<'_> {
                 if kept.len() >= m {
                     break;
                 }
-                if !kept.iter().any(|r| r.id == c.id) {
-                    kept.push(c);
+                if !kept.contains(&c.id) {
+                    kept.push(c.id);
                 }
             }
         }
-        kept.into_iter().map(|n| n.id).collect()
+        kept
     }
 
     fn insert(&self, id: u32) {
         let q = self.data.row(id as usize);
         let node_level = self.levels[id as usize];
         let (mut ep, top) = *self.entry.read();
+        let mut batch = Batch::default();
 
         // Descend through layers above the node's level.
         for l in (node_level + 1..=top).rev() {
-            ep = self.greedy(q, ep, l);
+            ep = self.greedy(q, ep, l, &mut batch);
         }
 
         // Connect on each shared layer.
         for l in (0..=node_level.min(top)).rev() {
-            let found = self.search_layer(q, ep, l, self.ef);
-            let selected = self.select_neighbors(&found, self.max_degree(l));
+            let found = self.search_layer(q, ep, l, self.ef, &mut batch);
+            let selected = self.select_neighbors(&found, self.max_degree(l), &mut batch);
             ep = found.first().map(|n| n.id).unwrap_or(ep);
             *self.links[id as usize][l].lock() = selected.clone();
             for n in selected {
@@ -199,13 +206,11 @@ impl Builder<'_> {
                 let cap = self.max_degree(l);
                 if adj.len() > cap {
                     // Re-prune the overflowing node with the same heuristic.
-                    let nv = self.data.row(n as usize);
-                    let mut cands: Vec<Neighbor> = adj
-                        .iter()
-                        .map(|&x| Neighbor::new(x, self.dist(nv, x)))
-                        .collect();
+                    batch.set(&adj);
+                    batch.score(self.metric, self.data.row(n as usize), self.data);
+                    let mut cands = batch.neighbors();
                     cands.sort_unstable();
-                    *adj = self.select_neighbors(&cands, cap);
+                    *adj = self.select_neighbors(&cands, cap, &mut batch);
                 }
             }
         }
@@ -320,22 +325,35 @@ impl HnswIndex {
     /// search at layer 0. This is the engine behind both full-precision
     /// search ([`HnswIndex::search`]) and quantized search
     /// ([`crate::hnsw_sq::HnswSqIndex`]).
+    ///
+    /// `dist(ids, out)` replaces the contents of `out` with the distance of
+    /// every id, in order. It is handed a node's unvisited neighbours
+    /// together so an oracle over plain vectors can use the batched
+    /// kernels; the ids of successive calls, concatenated, are exactly the
+    /// sequence a one-id-at-a-time search would ask for.
     pub(crate) fn search_graph<F>(&self, mut dist: F, ef: usize) -> Vec<Neighbor>
     where
-        F: FnMut(u32) -> f32,
+        F: FnMut(&[u32], &mut Vec<f32>),
     {
+        let mut batch = Batch::default();
+        let dist_one = |dist: &mut F, id: u32, batch: &mut Batch| {
+            dist(&[id], &mut batch.dists);
+            batch.dists[0]
+        };
+
         // Greedy descent through upper layers.
         let mut ep = self.entry;
         for l in (1..=self.max_level).rev() {
-            let mut best = dist(ep);
+            let mut best = dist_one(&mut dist, ep, &mut batch);
             loop {
                 let mut improved = false;
                 let adj = self.links[ep as usize]
                     .get(l)
                     .map(Vec::as_slice)
                     .unwrap_or(&[]);
-                for &n in adj {
-                    let d = dist(n);
+                batch.set(adj);
+                dist(&batch.ids, &mut batch.dists);
+                for (n, d) in batch.scored() {
                     if d < best {
                         best = d;
                         ep = n;
@@ -351,7 +369,7 @@ impl HnswIndex {
         // ef-bounded best-first at layer 0.
         let mut visited = vec![false; self.data.len()];
         visited[ep as usize] = true;
-        let d0 = dist(ep);
+        let d0 = dist_one(&mut dist, ep, &mut batch);
         let mut frontier: BinaryHeap<std::cmp::Reverse<Neighbor>> = BinaryHeap::new();
         frontier.push(std::cmp::Reverse(Neighbor::new(ep, d0)));
         let mut best = TopK::new(ef);
@@ -360,11 +378,9 @@ impl HnswIndex {
             if cand.dist > best.bound() {
                 break;
             }
-            for &n in &self.links[cand.id as usize][0] {
-                if std::mem::replace(&mut visited[n as usize], true) {
-                    continue;
-                }
-                let d = dist(n);
+            batch.take_unseen(&self.links[cand.id as usize][0], &mut visited);
+            dist(&batch.ids, &mut batch.dists);
+            for (n, d) in batch.scored() {
                 if d < best.bound() || !best.is_full() {
                     best.push(n, d);
                     frontier.push(std::cmp::Reverse(Neighbor::new(n, d)));
@@ -485,9 +501,9 @@ impl VectorIndex for HnswIndex {
         let ef = params.ef_search.max(k);
         let mut dists = 0u64;
         let mut found = self.search_graph(
-            |id| {
-                dists += 1;
-                self.metric.distance(query, self.data.row(id as usize))
+            |ids, out| {
+                dists += ids.len() as u64;
+                self.metric.distance_gather(query, &self.data, ids, out);
             },
             ef,
         );
@@ -527,6 +543,63 @@ impl VectorIndex for HnswIndex {
 }
 
 #[cfg(test)]
+impl HnswIndex {
+    /// The one-id-at-a-time graph search [`HnswIndex::search_graph`]
+    /// replaced, kept as the reference the batched search is tested
+    /// against: same neighbours, same sequence of oracle calls.
+    pub(crate) fn search_graph_per_pair<F>(&self, mut dist: F, ef: usize) -> Vec<Neighbor>
+    where
+        F: FnMut(u32) -> f32,
+    {
+        let mut ep = self.entry;
+        for l in (1..=self.max_level).rev() {
+            let mut best = dist(ep);
+            loop {
+                let mut improved = false;
+                let adj = self.links[ep as usize]
+                    .get(l)
+                    .map(Vec::as_slice)
+                    .unwrap_or(&[]);
+                for &n in adj {
+                    let d = dist(n);
+                    if d < best {
+                        best = d;
+                        ep = n;
+                        improved = true;
+                    }
+                }
+                if !improved {
+                    break;
+                }
+            }
+        }
+        let mut visited = vec![false; self.data.len()];
+        visited[ep as usize] = true;
+        let d0 = dist(ep);
+        let mut frontier: BinaryHeap<std::cmp::Reverse<Neighbor>> = BinaryHeap::new();
+        frontier.push(std::cmp::Reverse(Neighbor::new(ep, d0)));
+        let mut best = TopK::new(ef);
+        best.push(ep, d0);
+        while let Some(std::cmp::Reverse(cand)) = frontier.pop() {
+            if cand.dist > best.bound() {
+                break;
+            }
+            for &n in &self.links[cand.id as usize][0] {
+                if std::mem::replace(&mut visited[n as usize], true) {
+                    continue;
+                }
+                let d = dist(n);
+                if d < best.bound() || !best.is_full() {
+                    best.push(n, d);
+                    frontier.push(std::cmp::Reverse(Neighbor::new(n, d)));
+                }
+            }
+        }
+        best.into_sorted_vec()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use sann_core::recall::recall_at_k;
@@ -560,6 +633,65 @@ mod tests {
         let (_, queries, gt, index) = build_small(0);
         let recall = mean_recall(&index, &queries, &gt, 64);
         assert!(recall > 0.95, "recall {recall} too low");
+    }
+
+    #[test]
+    fn search_matches_per_pair_reference() {
+        let (_, queries, _, index) = build_small(0);
+        for ef in [10, 64] {
+            for q in queries.iter() {
+                let got = index
+                    .search(q, 10, &SearchParams::default().with_ef_search(ef))
+                    .unwrap();
+                let mut dists = 0u64;
+                let mut neighbors = index.search_graph_per_pair(
+                    |id| {
+                        dists += 1;
+                        index.metric.distance(q, index.data.row(id as usize))
+                    },
+                    ef,
+                );
+                neighbors.truncate(10);
+                let mut trace = QueryTrace::new();
+                trace.push_compute(dists, index.data.dim() as u32);
+                crate::batch::assert_identical(&got, &SearchOutput { neighbors, trace });
+            }
+        }
+    }
+
+    #[test]
+    fn build_matches_per_pair_selection() {
+        // The batched heuristic against its definition: a candidate is kept
+        // iff no already-kept one is closer to it than the query is.
+        let base = EmbeddingModel::new(48, 8, 31).generate(200);
+        let builder = Builder {
+            data: &base,
+            metric: Metric::L2,
+            m: 16,
+            ef: 200,
+            levels: vec![0; base.len()],
+            links: Vec::new(),
+            entry: RwLock::new((0, 0)),
+        };
+        let q = base.row(0);
+        let mut candidates: Vec<Neighbor> = (1..120u32)
+            .map(|id| Neighbor::new(id, builder.dist(q, id)))
+            .collect();
+        candidates.sort_unstable();
+        let mut kept: Vec<Neighbor> = Vec::new();
+        for &c in &candidates {
+            if kept.len() >= 16 {
+                break;
+            }
+            let cv = base.row(c.id as usize);
+            if !kept.iter().any(|r| builder.dist(cv, r.id) < c.dist) {
+                kept.push(c);
+            }
+        }
+        // The fallback only appends; the heuristic's picks come first.
+        let got = builder.select_neighbors(&candidates, 16, &mut Batch::default());
+        let want: Vec<u32> = kept.iter().map(|n| n.id).collect();
+        assert_eq!(got[..want.len()], want[..]);
     }
 
     #[test]

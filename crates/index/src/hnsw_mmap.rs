@@ -138,14 +138,16 @@ impl VectorIndex for MmapHnswIndex {
         let data = self.inner.data();
         let metric = self.metric();
         let mut found = self.inner.search_graph(
-            |id| {
+            |ids, out| {
                 // A page fault blocks the traversal: each missed page is a
-                // dependent 4 KiB read before the distance can be computed.
-                let faults = self.touch_row(id);
+                // dependent 4 KiB read before the distance can be computed,
+                // so the trace still takes the rows one by one, in id order.
                 let mut t = trace.borrow_mut();
-                t.push_read(faults);
-                t.push_compute(1, data.dim() as u32);
-                metric.distance(query, data.row(id as usize))
+                for &id in ids {
+                    t.push_read(self.touch_row(id));
+                    t.push_compute(1, data.dim() as u32);
+                }
+                metric.distance_gather(query, data, ids, out);
             },
             ef,
         );
@@ -215,6 +217,35 @@ mod tests {
                 .io_count();
         }
         assert_eq!(warm_reads, 0, "warm cache must not fault");
+    }
+
+    #[test]
+    fn search_matches_per_pair_reference() {
+        // A cache that thrashes, so which rows fault depends on the order
+        // rows are touched in: the batched oracle must touch them in exactly
+        // the order the one-id-at-a-time search did.
+        let (base, queries) = world();
+        let cache = base.len() as u64 * base.row_bytes() as u64 / 20;
+        let index = MmapHnswIndex::build(&base, Metric::L2, HnswConfig::default(), cache).unwrap();
+        let params = SearchParams::default().with_ef_search(40);
+        let got: Vec<SearchOutput> = queries
+            .iter()
+            .map(|q| index.search(q, 10, &params).unwrap())
+            .collect();
+        index.drop_caches();
+        for (q, got) in queries.iter().zip(&got) {
+            let mut trace = QueryTrace::new();
+            let mut neighbors = index.inner.search_graph_per_pair(
+                |id| {
+                    trace.push_read(index.touch_row(id));
+                    trace.push_compute(1, base.dim() as u32);
+                    Metric::L2.distance(q, base.row(id as usize))
+                },
+                40,
+            );
+            neighbors.truncate(10);
+            crate::batch::assert_identical(got, &SearchOutput { neighbors, trace });
+        }
     }
 
     #[test]

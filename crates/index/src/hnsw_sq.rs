@@ -106,9 +106,10 @@ impl VectorIndex for HnswSqIndex {
         let ef = params.ef_search.max(k);
         let mut dists = 0u64;
         let mut found = self.inner.search_graph(
-            |id| {
-                dists += 1;
-                self.sq.distance(query, self.code(id))
+            |ids, out| {
+                dists += ids.len() as u64;
+                out.clear();
+                out.extend(ids.iter().map(|&id| self.sq.distance(query, self.code(id))));
             },
             ef,
         );
@@ -165,6 +166,30 @@ mod tests {
             total += recall_at_k(gt.neighbors(i), &out.ids(), 10);
         }
         total / queries.len() as f64
+    }
+
+    #[test]
+    fn search_matches_per_pair_reference() {
+        let model = EmbeddingModel::new(48, 8, 91);
+        let sq = HnswSqIndex::build(&model.generate(1_000), Metric::L2, HnswConfig::default());
+        let sq = sq.unwrap();
+        for q in model.generate_queries(20).iter() {
+            let got = sq
+                .search(q, 10, &SearchParams::default().with_ef_search(48))
+                .unwrap();
+            let mut dists = 0u64;
+            let mut neighbors = sq.inner.search_graph_per_pair(
+                |id| {
+                    dists += 1;
+                    sq.sq.distance(q, sq.code(id))
+                },
+                48,
+            );
+            neighbors.truncate(10);
+            let mut trace = QueryTrace::new();
+            trace.push_compute(dists, sq.inner.dim() as u32);
+            crate::batch::assert_identical(&got, &SearchOutput { neighbors, trace });
+        }
     }
 
     #[test]

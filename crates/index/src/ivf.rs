@@ -155,11 +155,15 @@ impl VectorIndex for IvfIndex {
         // Stage 2: scan the selected posting lists.
         let mut topk = TopK::new(k);
         let mut scanned = 0u64;
+        let mut dists = Vec::new();
         for &c in &probes {
-            for &id in &self.lists[c as usize] {
-                topk.push(id, self.metric.distance(query, self.data.row(id as usize)));
+            let list = &self.lists[c as usize];
+            self.metric
+                .distance_gather(query, &self.data, list, &mut dists);
+            for (&id, &d) in list.iter().zip(&dists) {
+                topk.push(id, d);
             }
-            scanned += self.lists[c as usize].len() as u64;
+            scanned += list.len() as u64;
         }
         trace.push_compute(scanned, self.data.dim() as u32);
         Ok(SearchOutput {
@@ -339,6 +343,7 @@ impl VectorIndex for IvfPqIndex {
         trace.push_compute(self.pq.ksub() as u64, self.dim as u32);
 
         let mut topk = TopK::new(k);
+        let mut dists = Vec::new();
         for &c in &probes {
             let c = c as usize;
             // Read the posting list from the device (sequential requests).
@@ -349,8 +354,10 @@ impl VectorIndex for IvfPqIndex {
                 sann_obs::IoProvenance::PqCodes,
             ));
             let list = &self.lists[c];
-            for (i, &id) in list.iter().enumerate() {
-                topk.push(id, table.distance_at(&self.codes[c], i));
+            dists.resize(list.len(), 0.0);
+            table.distance_rows(&self.codes[c], &mut dists);
+            for (&id, &d) in list.iter().zip(&dists) {
+                topk.push(id, d);
             }
             trace.push_pq_lookup(list.len() as u64, self.pq.m() as u32);
         }
@@ -401,6 +408,76 @@ mod tests {
         let queries = model.generate_queries(30);
         let gt = GroundTruth::bruteforce(&base, &queries, Metric::L2, 10);
         (base, queries, gt)
+    }
+
+    /// The probe ranking, one centroid at a time.
+    fn probes_per_pair(kmeans: &KMeansModel, q: &[f32], nprobe: usize) -> Vec<u32> {
+        let mut topk = TopK::new(nprobe);
+        for (c, row) in kmeans.centroids.iter().enumerate() {
+            topk.push(c as u32, sann_core::distance::l2_squared(q, row));
+        }
+        topk.into_sorted_vec().into_iter().map(|n| n.id).collect()
+    }
+
+    #[test]
+    fn ivf_search_matches_per_pair_reference() {
+        let (base, queries, _) = setup();
+        let index =
+            IvfIndex::build(&base, Metric::L2, IvfConfig::default().with_nlist(50)).unwrap();
+        for q in queries.iter() {
+            let got = index
+                .search(q, 10, &SearchParams::default().with_nprobe(7))
+                .unwrap();
+            let mut trace = QueryTrace::new();
+            trace.push_compute(50, 48);
+            let mut topk = TopK::new(10);
+            let mut scanned = 0u64;
+            for c in probes_per_pair(&index.kmeans, q, 7) {
+                for &id in &index.lists[c as usize] {
+                    topk.push(id, Metric::L2.distance(q, base.row(id as usize)));
+                    scanned += 1;
+                }
+            }
+            trace.push_compute(scanned, 48);
+            let want = SearchOutput {
+                neighbors: topk.into_sorted_vec(),
+                trace,
+            };
+            crate::batch::assert_identical(&got, &want);
+        }
+    }
+
+    #[test]
+    fn ivf_pq_search_matches_per_pair_reference() {
+        let (base, queries, _) = setup();
+        let index = IvfPqIndex::build(&base, IvfConfig::default().with_nlist(50), 8, 32).unwrap();
+        for q in queries.iter() {
+            let got = index
+                .search(q, 10, &SearchParams::default().with_nprobe(7))
+                .unwrap();
+            let mut trace = QueryTrace::new();
+            trace.push_compute(50, 48);
+            let table = index.pq.distance_table(q);
+            trace.push_compute(32, 48);
+            let mut topk = TopK::new(10);
+            for c in probes_per_pair(&index.kmeans, q, 7) {
+                let c = c as usize;
+                trace.push_read(range_reqs(
+                    index.list_offsets[c],
+                    index.list_bytes[c],
+                    sann_obs::IoProvenance::PqCodes,
+                ));
+                for (i, &id) in index.lists[c].iter().enumerate() {
+                    topk.push(id, table.distance_at(&index.codes[c], i));
+                }
+                trace.push_pq_lookup(index.lists[c].len() as u64, 8);
+            }
+            let want = SearchOutput {
+                neighbors: topk.into_sorted_vec(),
+                trace,
+            };
+            crate::batch::assert_identical(&got, &want);
+        }
     }
 
     #[test]

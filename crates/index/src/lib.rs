@@ -34,6 +34,7 @@
 //! # Ok::<(), sann_core::Error>(())
 //! ```
 
+mod batch;
 pub mod diskann;
 pub mod flat;
 pub mod fresh;
@@ -43,7 +44,6 @@ pub mod hnsw_sq;
 pub mod ivf;
 pub mod layout;
 pub mod paged;
-pub mod par;
 pub mod persist;
 pub mod spann;
 pub mod trace;

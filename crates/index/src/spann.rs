@@ -20,7 +20,6 @@ use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::layout::{range_reqs, SECTOR_BYTES};
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
-use sann_core::distance::l2_squared;
 use sann_core::{Dataset, Error, Metric, Result, TopK};
 use sann_quant::KMeans;
 
@@ -114,9 +113,13 @@ impl SpannIndex {
         // squared L2, so the slack applies to the squared threshold.
         let slack = (1.0 + config.epsilon) * (1.0 + config.epsilon);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
+        let mut to_centroids = vec![0.0f32; nlist];
         for (id, row) in data.iter().enumerate() {
-            let mut dists: Vec<(f32, usize)> = (0..nlist)
-                .map(|c| (l2_squared(row, centroids.row(c)), c))
+            Metric::L2.distance_rows(row, centroids.as_flat(), &mut to_centroids);
+            let mut dists: Vec<(f32, usize)> = to_centroids
+                .iter()
+                .enumerate()
+                .map(|(c, &d)| (d, c))
                 .collect();
             dists.sort_by(|a, b| a.0.total_cmp(&b.0));
             let nearest = dists[0].0;
@@ -222,6 +225,7 @@ impl VectorIndex for SpannIndex {
         let prune = (1.0 + self.config.query_epsilon) * (1.0 + self.config.query_epsilon);
         let mut topk = TopK::new(k);
         let mut scanned = 0u64;
+        let mut dists = Vec::new();
         for cand in &centroid_out.neighbors {
             if cand.dist > nearest * prune {
                 continue;
@@ -236,10 +240,13 @@ impl VectorIndex for SpannIndex {
                 self.list_bytes[c],
                 sann_obs::IoProvenance::IvfPostingList,
             ));
-            for &id in &self.lists[c] {
-                topk.push(id, self.metric.distance(query, self.data.row(id as usize)));
+            let list = &self.lists[c];
+            self.metric
+                .distance_gather(query, &self.data, list, &mut dists);
+            for (&id, &d) in list.iter().zip(&dists) {
+                topk.push(id, d);
             }
-            scanned += self.lists[c].len() as u64;
+            scanned += list.len() as u64;
         }
         trace.push_compute(scanned, self.data.dim() as u32);
 
@@ -283,6 +290,66 @@ mod tests {
             total += recall_at_k(gt.neighbors(i), &out.ids(), 10);
         }
         total / queries.len() as f64
+    }
+
+    #[test]
+    fn search_matches_per_pair_reference() {
+        let (base, queries, _, index) = build_small();
+        for q in queries.iter() {
+            let got = index
+                .search(q, 10, &SearchParams::default().with_nprobe(8))
+                .unwrap();
+            // Stage 1 is an HNSW search, pinned by that module's own test.
+            let stage1 = index
+                .centroid_index
+                .search(q, 8, &SearchParams::default().with_ef_search(32))
+                .unwrap();
+            let mut trace = QueryTrace::new();
+            trace.steps.extend(stage1.trace.steps);
+            let slack = (1.0 + index.config.query_epsilon) * (1.0 + index.config.query_epsilon);
+            let mut topk = TopK::new(10);
+            let mut scanned = 0u64;
+            for cand in &stage1.neighbors {
+                let c = cand.id as usize;
+                if cand.dist > stage1.neighbors[0].dist * slack || index.lists[c].is_empty() {
+                    continue;
+                }
+                trace.push_read(range_reqs(
+                    index.list_offsets[c],
+                    index.list_bytes[c],
+                    sann_obs::IoProvenance::IvfPostingList,
+                ));
+                for &id in &index.lists[c] {
+                    topk.push(id, Metric::L2.distance(q, base.row(id as usize)));
+                    scanned += 1;
+                }
+            }
+            trace.push_compute(scanned, 64);
+            let want = SearchOutput {
+                neighbors: topk.into_sorted_vec(),
+                trace,
+            };
+            crate::batch::assert_identical(&got, &want);
+        }
+    }
+
+    #[test]
+    fn closure_assignment_matches_per_pair_reference() {
+        // Every vector sits in the list of its nearest centroid, found one
+        // centroid at a time.
+        let (base, _, _, index) = build_small();
+        for (id, row) in base.iter().enumerate().step_by(37) {
+            let mut nearest = 0usize;
+            let mut nearest_d = f32::INFINITY;
+            for (c, centroid) in index.centroids.iter().enumerate() {
+                let d = sann_core::distance::l2_squared(row, centroid);
+                if d < nearest_d {
+                    nearest_d = d;
+                    nearest = c;
+                }
+            }
+            assert!(index.lists[nearest].contains(&(id as u32)), "vector {id}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! `alpha > 1` the graph keeps a few long-range edges, which is what bounds
 //! the number of hops (and therefore round trips to storage) per search.
 
-use crate::par;
+use crate::batch::Batch;
+use sann_core::par;
 use sann_core::rng::SplitMix64;
 use sann_core::sync::Mutex;
 use sann_core::{Dataset, Error, Metric, Neighbor, Result, TopK};
@@ -213,6 +214,7 @@ impl VamanaGraph {
         l: usize,
     ) -> (Vec<Neighbor>, u64) {
         let mut dists = 0u64;
+        let mut batch = Batch::default();
         let mut visited = vec![false; self.adj.len()];
         let start = self.medoid;
         visited[start as usize] = true;
@@ -226,12 +228,10 @@ impl VamanaGraph {
             if cand.dist > best.bound() {
                 break;
             }
-            for &nb in &self.adj[cand.id as usize] {
-                if std::mem::replace(&mut visited[nb as usize], true) {
-                    continue;
-                }
-                let d = metric.distance(query, data.row(nb as usize));
-                dists += 1;
+            batch.take_unseen(&self.adj[cand.id as usize], &mut visited);
+            batch.score(metric, query, data);
+            dists += batch.ids.len() as u64;
+            for (nb, d) in batch.scored() {
                 if d < best.bound() || !best.is_full() {
                     best.push(nb, d);
                     frontier.push(std::cmp::Reverse(Neighbor::new(nb, d)));
@@ -257,7 +257,7 @@ impl GraphBuilder<'_> {
     }
 
     /// Best-first search from the medoid collecting every visited node.
-    fn search_visited(&self, query: &[f32]) -> Vec<Neighbor> {
+    fn search_visited(&self, query: &[f32], batch: &mut Batch) -> Vec<Neighbor> {
         let mut visited_set = vec![false; self.adj.len()];
         let start = self.medoid;
         visited_set[start as usize] = true;
@@ -272,12 +272,9 @@ impl GraphBuilder<'_> {
                 break;
             }
             all_visited.push(cand);
-            let nbrs = self.adj[cand.id as usize].lock().clone();
-            for nb in nbrs {
-                if std::mem::replace(&mut visited_set[nb as usize], true) {
-                    continue;
-                }
-                let d = self.dist(query, nb);
+            batch.take_unseen(&self.adj[cand.id as usize].lock(), &mut visited_set);
+            batch.score(self.metric, query, self.data);
+            for (nb, d) in batch.scored() {
                 if d < best.bound() || !best.is_full() {
                     best.push(nb, d);
                     frontier.push(std::cmp::Reverse(Neighbor::new(nb, d)));
@@ -287,20 +284,32 @@ impl GraphBuilder<'_> {
         all_visited
     }
 
-    fn robust_prune(&self, p: u32, candidates: Vec<Neighbor>, alpha: f32) -> Vec<u32> {
-        robust_prune(self.data, self.metric, p, candidates, alpha, self.r)
+    /// The out-neighbours `ids` of `node` with their distances from it.
+    fn scored_neighbors(&self, node: u32, ids: &[u32], batch: &mut Batch) -> Vec<Neighbor> {
+        batch.set(ids);
+        batch.score(self.metric, self.data.row(node as usize), self.data);
+        batch.neighbors()
+    }
+
+    fn robust_prune(
+        &self,
+        p: u32,
+        candidates: Vec<Neighbor>,
+        alpha: f32,
+        batch: &mut Batch,
+    ) -> Vec<u32> {
+        robust_prune(self.data, self.metric, p, candidates, alpha, self.r, batch)
     }
 
     /// One refinement step for node `id` (DiskANN Algorithm 1 body).
     fn refine(&self, id: u32, alpha: f32) {
         let q = self.data.row(id as usize);
-        let mut visited = self.search_visited(q);
+        let mut batch = Batch::default();
+        let mut visited = self.search_visited(q, &mut batch);
         // Merge current out-neighbors into the candidate pool.
         let current = self.adj[id as usize].lock().clone();
-        for nb in current {
-            visited.push(Neighbor::new(nb, self.dist(q, nb)));
-        }
-        let new_out = self.robust_prune(id, visited, alpha);
+        visited.extend(self.scored_neighbors(id, &current, &mut batch));
+        let new_out = self.robust_prune(id, visited, alpha, &mut batch);
         *self.adj[id as usize].lock() = new_out.clone();
 
         // Insert back-edges. Overflowing nodes are allowed r/2 slack before
@@ -313,13 +322,9 @@ impl GraphBuilder<'_> {
             }
             adj.push(id);
             if adj.len() > self.r + self.r / 2 {
-                let nv = self.data.row(nb as usize);
-                let cands: Vec<Neighbor> = adj
-                    .iter()
-                    .map(|&x| Neighbor::new(x, self.dist(nv, x)))
-                    .collect();
+                let cands = self.scored_neighbors(nb, &adj, &mut batch);
                 drop(adj);
-                let pruned = self.robust_prune(nb, cands, alpha);
+                let pruned = self.robust_prune(nb, cands, alpha, &mut batch);
                 *self.adj[nb as usize].lock() = pruned;
             }
         }
@@ -327,18 +332,15 @@ impl GraphBuilder<'_> {
 
     /// Restores the strict degree bound after the slack-tolerant passes.
     fn enforce_degree_bound(&self, alpha: f32, threads: usize) {
-        crate::par::par_ranges(self.adj.len(), threads, |start, end| {
+        par::par_ranges(self.adj.len(), threads, |start, end| {
+            let mut batch = Batch::default();
             for id in start..end {
                 let adj = self.adj[id].lock().clone();
                 if adj.len() <= self.r {
                     continue;
                 }
-                let v = self.data.row(id);
-                let cands: Vec<Neighbor> = adj
-                    .iter()
-                    .map(|&x| Neighbor::new(x, self.dist(v, x)))
-                    .collect();
-                let pruned = self.robust_prune(id as u32, cands, alpha);
+                let cands = self.scored_neighbors(id as u32, &adj, &mut batch);
+                let pruned = self.robust_prune(id as u32, cands, alpha, &mut batch);
                 *self.adj[id].lock() = pruned;
             }
         });
@@ -356,6 +358,7 @@ pub(crate) fn robust_prune(
     mut candidates: Vec<Neighbor>,
     alpha: f32,
     r: usize,
+    batch: &mut Batch,
 ) -> Vec<u32> {
     candidates.retain(|c| c.id != p);
     candidates.sort_unstable();
@@ -364,29 +367,31 @@ pub(crate) fn robust_prune(
     let mut seen = std::collections::BTreeSet::new();
     candidates.retain(|c| seen.insert(c.id));
 
-    let mut kept: Vec<Neighbor> = Vec::with_capacity(r);
-    let mut removed = vec![false; candidates.len()];
-    for i in 0..candidates.len() {
-        if removed[i] {
-            continue;
-        }
-        let pstar = candidates[i];
-        kept.push(pstar);
+    // `candidates[next..]` is the pool still in the running, closest first.
+    let mut kept: Vec<u32> = Vec::with_capacity(r);
+    let mut next = 0;
+    while let Some(&pstar) = candidates.get(next) {
+        next += 1;
+        kept.push(pstar.id);
         if kept.len() >= r {
             break;
         }
-        let pv = data.row(pstar.id as usize);
-        for (j, cand) in candidates.iter().enumerate().skip(i + 1) {
-            if removed[j] {
+        batch.ids.clear();
+        batch.ids.extend(candidates[next..].iter().map(|c| c.id));
+        batch.score(metric, data.row(pstar.id as usize), data);
+        // Drop every pool member `pstar` occludes; the rest keep their order.
+        let mut live = next;
+        for (j, &d_between) in (next..candidates.len()).zip(&batch.dists) {
+            let cand = candidates[j];
+            if alpha * d_between <= cand.dist {
                 continue;
             }
-            let d_between = metric.distance(pv, data.row(cand.id as usize));
-            if alpha * d_between <= cand.dist {
-                removed[j] = true;
-            }
+            candidates[live] = cand;
+            live += 1;
         }
+        candidates.truncate(live);
     }
-    kept.into_iter().map(|n| n.id).collect()
+    kept
 }
 
 /// The vector closest to the dataset mean (sampled scan for very large sets).
@@ -402,10 +407,11 @@ fn find_medoid(data: &Dataset) -> u32 {
     for x in centroid.iter_mut() {
         *x *= inv;
     }
+    let mut dists = vec![0.0f32; data.len()];
+    Metric::L2.distance_rows(&centroid, data.as_flat(), &mut dists);
     let mut best = 0u32;
     let mut best_d = f32::INFINITY;
-    for (i, row) in data.iter().enumerate() {
-        let d = sann_core::distance::l2_squared(&centroid, row);
+    for (i, &d) in dists.iter().enumerate() {
         if d < best_d {
             best_d = d;
             best = i as u32;
@@ -443,6 +449,110 @@ mod tests {
             total += recall_at_k(gt.neighbors(i), &ids, 10);
         }
         total / queries.len() as f64
+    }
+
+    /// Robust prune as it was before the batched kernels: removal flags,
+    /// one distance at a time.
+    fn robust_prune_per_pair(
+        data: &Dataset,
+        p: u32,
+        mut candidates: Vec<Neighbor>,
+        alpha: f32,
+        r: usize,
+    ) -> Vec<u32> {
+        candidates.retain(|c| c.id != p);
+        candidates.sort_unstable();
+        let mut seen = std::collections::BTreeSet::new();
+        candidates.retain(|c| seen.insert(c.id));
+        let mut kept = Vec::new();
+        let mut removed = vec![false; candidates.len()];
+        for i in 0..candidates.len() {
+            if removed[i] {
+                continue;
+            }
+            kept.push(candidates[i].id);
+            if kept.len() >= r {
+                break;
+            }
+            let pv = data.row(candidates[i].id as usize);
+            for j in i + 1..candidates.len() {
+                let cand = candidates[j];
+                let d_between = Metric::L2.distance(pv, data.row(cand.id as usize));
+                if !removed[j] && alpha * d_between <= cand.dist {
+                    removed[j] = true;
+                }
+            }
+        }
+        kept
+    }
+
+    #[test]
+    fn robust_prune_matches_per_pair_reference() {
+        let data = EmbeddingModel::new(32, 6, 9).generate(400);
+        let mut batch = Batch::default();
+        for (p, alpha, r) in [
+            (0u32, 1.0f32, 8usize),
+            (17, 1.2, 16),
+            (399, 1.2, 500),
+            (5, 2.0, 3),
+        ] {
+            // Duplicates and `p` itself are in the pool, as in a build.
+            let pool: Vec<Neighbor> = (0..300u32)
+                .map(|i| (i * 7 + p) % 400)
+                .map(|id| {
+                    Neighbor::new(
+                        id,
+                        Metric::L2.distance(data.row(p as usize), data.row(id as usize)),
+                    )
+                })
+                .collect();
+            let got = robust_prune(&data, Metric::L2, p, pool.clone(), alpha, r, &mut batch);
+            assert_eq!(got, robust_prune_per_pair(&data, p, pool, alpha, r));
+        }
+    }
+
+    #[test]
+    fn greedy_search_matches_per_pair_reference() {
+        let (base, queries, _, graph) = build_small(VamanaConfig {
+            r: 16,
+            l_build: 40,
+            ..VamanaConfig::default()
+        });
+        for q in queries.iter() {
+            let (got, got_dists) = graph.greedy_search(&base, Metric::L2, q, 30);
+            let mut dists = 0u64;
+            let mut dist = |id: u32| {
+                dists += 1;
+                Metric::L2.distance(q, base.row(id as usize))
+            };
+            let mut visited = vec![false; graph.len()];
+            visited[graph.medoid() as usize] = true;
+            let d0 = dist(graph.medoid());
+            let mut best = TopK::new(30);
+            best.push(graph.medoid(), d0);
+            let mut frontier =
+                BinaryHeap::from([std::cmp::Reverse(Neighbor::new(graph.medoid(), d0))]);
+            while let Some(std::cmp::Reverse(cand)) = frontier.pop() {
+                if cand.dist > best.bound() {
+                    break;
+                }
+                for &nb in graph.neighbors(cand.id) {
+                    if std::mem::replace(&mut visited[nb as usize], true) {
+                        continue;
+                    }
+                    let d = dist(nb);
+                    if d < best.bound() || !best.is_full() {
+                        best.push(nb, d);
+                        frontier.push(std::cmp::Reverse(Neighbor::new(nb, d)));
+                    }
+                }
+            }
+            let key = |ns: Vec<Neighbor>| -> Vec<(u32, u32)> {
+                ns.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            };
+            assert_eq!(key(got), key(best.into_sorted_vec()));
+            assert_eq!(got_dists, dists);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use sann_core::distance::l2_squared;
 use sann_core::rng::SplitMix64;
-use sann_core::{Dataset, Error, Result};
+use sann_core::{par, Dataset, Error, Metric, Result};
 
 /// K-means trainer configuration.
 ///
@@ -96,7 +96,6 @@ impl KMeans {
             data.clone()
         };
 
-        let dim = train.dim();
         let mut centroids = kmeanspp_init(&train, self.k, &mut rng);
         let mut assignments = vec![0u32; train.len()];
         for _ in 0..self.max_iters {
@@ -105,7 +104,6 @@ impl KMeans {
             if changed == 0 {
                 break;
             }
-            let _ = dim;
         }
 
         // Final assignment over the full dataset.
@@ -131,19 +129,17 @@ pub struct KMeansModel {
 impl KMeansModel {
     /// Id of the centroid closest to `v`.
     pub fn nearest(&self, v: &[f32]) -> u32 {
-        nearest_centroid(
-            v,
-            self.centroids.as_flat(),
-            self.centroids.len(),
-            self.centroids.dim(),
-        )
+        let mut dists = vec![0.0; self.centroids.len()];
+        nearest_centroid(v, self.centroids.as_flat(), &mut dists)
     }
 
     /// Ids of the `n` centroids closest to `v`, closest first.
     pub fn nearest_n(&self, v: &[f32], n: usize) -> Vec<u32> {
+        let mut dists = vec![0.0; self.centroids.len()];
+        Metric::L2.distance_rows(v, self.centroids.as_flat(), &mut dists);
         let mut topk = sann_core::TopK::new(n.max(1).min(self.centroids.len()));
-        for (c, row) in self.centroids.iter().enumerate() {
-            topk.push(c as u32, l2_squared(v, row));
+        for (c, &d) in dists.iter().enumerate() {
+            topk.push(c as u32, d);
         }
         topk.into_sorted_vec().into_iter().map(|nb| nb.id).collect()
     }
@@ -194,11 +190,13 @@ impl KMeansModel {
     }
 }
 
-fn nearest_centroid(v: &[f32], centroids: &[f32], k: usize, dim: usize) -> u32 {
+/// Index of the row of the row-major `centroids` closest to `v` (the first
+/// of equals); `dists` is one scratch slot per centroid.
+pub(crate) fn nearest_centroid(v: &[f32], centroids: &[f32], dists: &mut [f32]) -> u32 {
+    Metric::L2.distance_rows(v, centroids, dists);
     let mut best = 0u32;
     let mut best_d = f32::INFINITY;
-    for c in 0..k {
-        let d = l2_squared(v, &centroids[c * dim..(c + 1) * dim]);
+    for (c, &d) in dists.iter().enumerate() {
         if d < best_d {
             best_d = d;
             best = c as u32;
@@ -214,10 +212,9 @@ fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut SplitMix64) -> Vec<f32> {
     let first = rng.next_bounded(data.len() as u64) as usize;
     centroids.extend_from_slice(data.row(first));
 
-    let mut min_dist: Vec<f32> = data
-        .iter()
-        .map(|row| l2_squared(row, data.row(first)))
-        .collect();
+    let mut min_dist = vec![0.0f32; data.len()];
+    Metric::L2.distance_rows(data.row(first), data.as_flat(), &mut min_dist);
+    let mut dists = vec![0.0f32; data.len()];
     for _ in 1..k {
         let total: f64 = min_dist.iter().map(|&d| d as f64).sum();
         let next = if total <= 0.0 {
@@ -235,13 +232,11 @@ fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut SplitMix64) -> Vec<f32> {
             }
             chosen
         };
-        let start = centroids.len();
         centroids.extend_from_slice(data.row(next));
-        let new_c = centroids[start..].to_vec();
-        for (i, row) in data.iter().enumerate() {
-            let d = l2_squared(row, &new_c);
-            if d < min_dist[i] {
-                min_dist[i] = d;
+        Metric::L2.distance_rows(data.row(next), data.as_flat(), &mut dists);
+        for (min, &d) in min_dist.iter_mut().zip(&dists) {
+            if d < *min {
+                *min = d;
             }
         }
     }
@@ -251,30 +246,20 @@ fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut SplitMix64) -> Vec<f32> {
 /// Assigns every row to its nearest centroid in parallel; returns the number
 /// of rows whose assignment changed.
 fn assign_parallel(data: &Dataset, centroids: &[f32], k: usize, assignments: &mut [u32]) -> usize {
-    let dim = data.dim();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let chunk = data.len().div_ceil(threads.max(1)).max(1);
     let changed = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for (t, out_chunk) in assignments.chunks_mut(chunk).enumerate() {
-            let changed = &changed;
-            scope.spawn(move || {
-                let mut local_changed = 0usize;
-                for (i, slot) in out_chunk.iter_mut().enumerate() {
-                    let row = data.row(t * chunk + i);
-                    let best = nearest_centroid(row, centroids, k, dim);
-                    if *slot != best {
-                        *slot = best;
-                        local_changed += 1;
-                    }
-                }
-                changed.fetch_add(local_changed, std::sync::atomic::Ordering::Relaxed);
-            });
+    par::par_chunks_mut(assignments, 1, par::default_threads(), |first, chunk| {
+        let mut dists = vec![0.0; k];
+        let mut local_changed = 0usize;
+        for (i, slot) in chunk.iter_mut().enumerate() {
+            let best = nearest_centroid(data.row(first + i), centroids, &mut dists);
+            if *slot != best {
+                *slot = best;
+                local_changed += 1;
+            }
         }
+        changed.fetch_add(local_changed, std::sync::atomic::Ordering::Relaxed);
     });
-    changed.load(std::sync::atomic::Ordering::Relaxed)
+    changed.into_inner()
 }
 
 fn recompute_centroids(
@@ -376,6 +361,27 @@ mod tests {
         let near = model.nearest_n(&[10.0, 10.0], 2);
         assert_eq!(near.len(), 2);
         assert_eq!(near[0], model.nearest(&[10.0, 10.0]));
+    }
+
+    #[test]
+    fn nearest_matches_single_pair_scan() {
+        // 7 centroids: one full group of four and a padded remainder.
+        let data = two_blobs(40);
+        let model = KMeans::new(7).with_seed(3).fit(&data).unwrap();
+        for (row, &assigned) in data.iter().zip(&model.assignments) {
+            let mut best = 0usize;
+            let mut best_d = f32::INFINITY;
+            for (c, centroid) in model.centroids.iter().enumerate() {
+                let d = l2_squared(row, centroid);
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            assert_eq!(model.nearest(row) as usize, best);
+            assert_eq!(assigned as usize, best);
+            assert_eq!(model.nearest_n(row, 3)[0] as usize, best);
+        }
     }
 
     #[test]

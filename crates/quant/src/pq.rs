@@ -9,9 +9,9 @@
 //! DiskANN keeps exactly this representation in memory to rank candidates
 //! while full-precision vectors stay on disk (§II-B of the paper).
 
-use crate::kmeans::KMeans;
-use sann_core::distance::l2_squared;
-use sann_core::{Dataset, Error, Result};
+use crate::kmeans::{nearest_centroid, KMeans};
+use sann_core::distance::by_fours;
+use sann_core::{par, Dataset, Error, Metric, Result};
 
 /// A trained product quantizer.
 #[derive(Debug, Clone)]
@@ -103,48 +103,47 @@ impl ProductQuantizer {
         &self.codebooks[sub * stride..(sub + 1) * stride]
     }
 
+    /// Each sub-vector of `v` paired with its sub-space's codebook.
+    fn subspaces<'a>(&'a self, v: &'a [f32]) -> impl Iterator<Item = (&'a [f32], &'a [f32])> {
+        v.chunks_exact(self.sub_dim)
+            .zip(self.codebooks.chunks_exact(self.ksub * self.sub_dim))
+    }
+
     /// Encodes a vector to its `m`-byte code.
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != self.dim()`.
     pub fn encode(&self, v: &[f32]) -> Vec<u8> {
-        assert_eq!(v.len(), self.dim, "encode dimension mismatch");
-        let mut code = Vec::with_capacity(self.m);
-        for sub in 0..self.m {
-            let sv = &v[sub * self.sub_dim..(sub + 1) * self.sub_dim];
-            let book = self.codebook(sub);
-            let mut best = 0u8;
-            let mut best_d = f32::INFINITY;
-            for c in 0..self.ksub {
-                let d = l2_squared(sv, &book[c * self.sub_dim..(c + 1) * self.sub_dim]);
-                if d < best_d {
-                    best_d = d;
-                    best = c as u8;
-                }
-            }
-            code.push(best);
-        }
+        let mut code = vec![0u8; self.m];
+        self.encode_row(v, &mut code, &mut vec![0.0; self.ksub]);
         code
+    }
+
+    /// Writes the code of `v` to `code`; `dists` is `ksub` scratch slots.
+    fn encode_row(&self, v: &[f32], code: &mut [u8], dists: &mut [f32]) {
+        assert_eq!(v.len(), self.dim, "encode dimension mismatch");
+        for (slot, (sv, book)) in code.iter_mut().zip(self.subspaces(v)) {
+            // ksub <= 256, so the nearest sub-centroid's index fits a byte.
+            *slot = nearest_centroid(sv, book, dists) as u8;
+        }
     }
 
     /// Encodes every row of a dataset, returning a flat `n × m` code matrix.
     /// Encoding is parallelized across all cores.
     pub fn encode_all(&self, data: &Dataset) -> Vec<u8> {
         let mut codes = vec![0u8; data.len() * self.m];
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let chunk_rows = data.len().div_ceil(threads.max(1)).max(1);
-        std::thread::scope(|scope| {
-            for (t, out) in codes.chunks_mut(chunk_rows * self.m).enumerate() {
-                scope.spawn(move || {
-                    for (i, slot) in out.chunks_mut(self.m).enumerate() {
-                        slot.copy_from_slice(&self.encode(data.row(t * chunk_rows + i)));
-                    }
-                });
-            }
-        });
+        par::par_chunks_mut(
+            &mut codes,
+            self.m,
+            par::default_threads(),
+            |first, chunk| {
+                let mut dists = vec![0.0; self.ksub];
+                for (i, code) in chunk.chunks_mut(self.m).enumerate() {
+                    self.encode_row(data.row(first + i), code, &mut dists);
+                }
+            },
+        );
         codes
     }
 
@@ -212,22 +211,12 @@ impl ProductQuantizer {
     /// Panics if `query.len() != self.dim()`.
     pub fn distance_table(&self, query: &[f32]) -> DistanceTable {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut table = Vec::with_capacity(self.m * self.ksub);
-        for sub in 0..self.m {
-            let qv = &query[sub * self.sub_dim..(sub + 1) * self.sub_dim];
-            let book = self.codebook(sub);
-            for c in 0..self.ksub {
-                table.push(l2_squared(
-                    qv,
-                    &book[c * self.sub_dim..(c + 1) * self.sub_dim],
-                ));
-            }
+        let mut table = DistanceTable::zeroed(self.m, self.ksub);
+        let rows = table.table.chunks_exact_mut(self.ksub);
+        for (row, (qv, book)) in rows.zip(self.subspaces(query)) {
+            Metric::L2.distance_rows(qv, book, row);
         }
-        DistanceTable {
-            table,
-            m: self.m,
-            ksub: self.ksub,
-        }
+        table
     }
 }
 
@@ -240,9 +229,27 @@ pub struct DistanceTable {
     ksub: usize,
 }
 
+/// The table entry for code byte `c` in one sub-space's row of `ksub`
+/// partial distances. Only a corrupt code holds a byte beyond `ksub`; it
+/// scores `+inf`, so the vector never ranks.
+#[inline(always)]
+fn entry(row: &[f32], c: u8) -> f32 {
+    debug_assert!(usize::from(c) < row.len(), "code byte {c} beyond ksub");
+    row.get(usize::from(c)).copied().unwrap_or(f32::INFINITY)
+}
+
 impl DistanceTable {
+    fn zeroed(m: usize, ksub: usize) -> DistanceTable {
+        DistanceTable {
+            table: vec![0.0; m * ksub],
+            m,
+            ksub,
+        }
+    }
+
     /// Approximate squared L2 distance between the table's query and an
-    /// encoded vector.
+    /// encoded vector: the sum of the code's `m` table entries, in
+    /// sub-space order.
     ///
     /// # Panics
     ///
@@ -251,22 +258,81 @@ impl DistanceTable {
     pub fn distance(&self, code: &[u8]) -> f32 {
         debug_assert_eq!(code.len(), self.m);
         let mut d = 0.0f32;
-        for (sub, &c) in code.iter().enumerate() {
-            d += self.table[sub * self.ksub + c as usize];
+        for (row, &c) in self.table.chunks_exact(self.ksub).zip(code) {
+            d += entry(row, c);
+        }
+        d
+    }
+
+    /// Distances of four codes, each bit-identical to
+    /// [`DistanceTable::distance`]: every code keeps its own running sum in
+    /// sub-space order, and the four sums advance together so their add
+    /// chains overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if a code's length differs from the
+    /// quantizer's `m`.
+    #[inline]
+    pub fn distance_x4(&self, codes: [&[u8]; 4]) -> [f32; 4] {
+        debug_assert!(codes.iter().all(|code| code.len() == self.m));
+        let [c0, c1, c2, c3] = codes;
+        let mut d = [0.0f32; 4];
+        let rows = self.table.chunks_exact(self.ksub);
+        for ((((row, &a), &b), &c), &e) in rows.zip(c0).zip(c1).zip(c2).zip(c3) {
+            for (sum, byte) in d.iter_mut().zip([a, b, c, e]) {
+                *sum += entry(row, byte);
+            }
         }
         d
     }
 
     /// Distance of the `i`-th code in a flat code matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` holds fewer than `i + 1` codes.
     #[inline]
     pub fn distance_at(&self, codes: &[u8], i: usize) -> f32 {
-        self.distance(&codes[i * self.m..(i + 1) * self.m])
+        self.distance(self.code_at(codes, i))
+    }
+
+    /// Distances of every code in the flat code matrix `codes` — a posting
+    /// list — written to `out` in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` does not hold exactly `out.len()` codes.
+    pub fn distance_rows(&self, codes: &[u8], out: &mut [f32]) {
+        assert_eq!(codes.len(), out.len() * self.m, "code count mismatch");
+        by_fours(codes.chunks_exact(self.m), out, |group| {
+            self.distance_x4(group)
+        });
+    }
+
+    /// Distances of the codes `ids` of the flat code matrix `codes` — a
+    /// graph node's neighbours — replacing the contents of `out`, in `ids`
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range.
+    pub fn distance_gather(&self, codes: &[u8], ids: &[u32], out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(ids.len(), 0.0);
+        let picked = ids.iter().map(|&id| self.code_at(codes, id as usize));
+        by_fours(picked, out, |group| self.distance_x4(group));
+    }
+
+    fn code_at<'a>(&self, codes: &'a [u8], i: usize) -> &'a [u8] {
+        &codes[i * self.m..(i + 1) * self.m]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sann_core::distance::l2_squared;
     use sann_datagen::EmbeddingModel;
 
     fn train_small() -> (Dataset, ProductQuantizer) {
@@ -334,6 +400,71 @@ mod tests {
         true_dists.sort_by(|a, b| a.0.total_cmp(&b.0));
         let top20: Vec<usize> = true_dists.iter().take(20).map(|&(_, i)| i).collect();
         assert!(top20.contains(&pq_best.unwrap()));
+    }
+
+    #[test]
+    fn batched_adc_is_bit_identical_to_single_lookups() {
+        // m = 4 and m = 5 sub-spaces: the running sums must match for any
+        // code length, and group sizes 0..=9 take every padded remainder.
+        for (dim, m) in [(32, 4), (40, 5)] {
+            let data = EmbeddingModel::new(dim, 4, 11).generate(300);
+            let pq = ProductQuantizer::train(&data, m, 16, 1).unwrap();
+            let codes = pq.encode_all(&data);
+            let table = pq.distance_table(data.row(17));
+            let bits = |dists: &[f32]| dists.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            for group in 0..=9usize {
+                let ids: Vec<u32> = (0..group).map(|i| (i * 37 + 5) as u32 % 300).collect();
+                let want: Vec<f32> = ids
+                    .iter()
+                    .map(|&id| table.distance_at(&codes, id as usize))
+                    .collect();
+                let mut got = vec![f32::NAN; 2];
+                table.distance_gather(&codes, &ids, &mut got);
+                assert_eq!(bits(&got), bits(&want), "gather m={m} x{group}");
+
+                let list = &codes[..group * m];
+                let want: Vec<f32> = list.chunks_exact(m).map(|c| table.distance(c)).collect();
+                let mut got = vec![f32::NAN; group];
+                table.distance_rows(list, &mut got);
+                assert_eq!(bits(&got), bits(&want), "rows m={m} x{group}");
+            }
+            let four = [7usize, 0, 299, 7].map(|i| &codes[i * m..(i + 1) * m]);
+            assert_eq!(
+                bits(&table.distance_x4(four)),
+                bits(&four.map(|c| table.distance(c)))
+            );
+        }
+    }
+
+    #[test]
+    fn table_and_codes_match_single_pair_kernels() {
+        // The batched build paths against the per-pair definition: entry
+        // (sub, c) is the distance to sub-centroid c, and a code byte is the
+        // first nearest sub-centroid.
+        let (data, pq) = train_small();
+        let q = data.row(3);
+        let table = pq.distance_table(q);
+        let code = pq.encode(q);
+        for sub in 0..pq.m() {
+            let qv = &q[sub * pq.sub_dim..(sub + 1) * pq.sub_dim];
+            let dists: Vec<f32> = pq
+                .codebook(sub)
+                .chunks_exact(pq.sub_dim)
+                .map(|c| l2_squared(qv, c))
+                .collect();
+            let row = &table.table[sub * pq.ksub..(sub + 1) * pq.ksub];
+            assert!(row
+                .iter()
+                .zip(&dists)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let mut best = 0;
+            for (c, &d) in dists.iter().enumerate() {
+                if d < dists[best] {
+                    best = c;
+                }
+            }
+            assert_eq!(code[sub] as usize, best);
+        }
     }
 
     #[test]

@@ -306,15 +306,21 @@ pub fn fn_extents(toks: &[Tok<'_>]) -> Vec<FnExtent> {
         let _ = name;
         // Scan forward for the body `{`, skipping the signature. Generic
         // bounds and where clauses contain no braces; a `;` first means a
-        // trait method declaration with no body.
+        // trait method declaration with no body — unless it sits inside
+        // brackets, where it belongs to an array type such as `[f32; 4]`.
         let mut j = i + 2;
         let mut body_open = None;
+        let mut brackets = 0usize;
         while let Some(t) = toks.get(j) {
             if t.is_punct('{') {
                 body_open = Some(j);
                 break;
             }
-            if t.is_punct(';') {
+            if t.is_punct('[') {
+                brackets += 1;
+            } else if t.is_punct(']') {
+                brackets = brackets.saturating_sub(1);
+            } else if t.is_punct(';') && brackets == 0 {
                 break;
             }
             j += 1;
@@ -505,6 +511,15 @@ mod tests {
         let exts = fn_extents(&toks);
         assert_eq!(exts.len(), 1);
         assert_eq!(toks[exts[0].name].text, "with_default");
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_hide_the_body() {
+        let toks = lex("fn x4(q: &[f32], rows: [&[f32]; 4]) -> [f32; 4] { body(); }");
+        let exts = fn_extents(&toks);
+        assert_eq!(exts.len(), 1);
+        assert_eq!(toks[exts[0].name].text, "x4");
+        assert_eq!(toks[exts[0].body_open + 1].text, "body");
     }
 
     #[test]

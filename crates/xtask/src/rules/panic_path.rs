@@ -56,12 +56,14 @@ pub fn check(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                 // out-of-range index. Heuristic: `[` directly after a value
                 // token (ident, `)`, `]`) is an index or slice expression;
                 // after `#`, `=`, `(`, `,`, `&`, … it is an attribute,
-                // array literal, or type, which cannot panic.
+                // array literal, or type, and after `let` an array pattern,
+                // none of which can panic.
                 let indexes_value = i > 0
                     && (ctx.toks[i - 1].kind == TokKind::Ident
                         || ctx.toks[i - 1].is_punct(')')
                         || ctx.toks[i - 1].is_punct(']'))
                     && !ctx.toks[i - 1].is_ident("mut")
+                    && !ctx.toks[i - 1].is_ident("let")
                     && !ctx.toks[i - 1].is_ident("return");
                 if indexes_value {
                     out.push(
