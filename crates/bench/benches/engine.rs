@@ -38,6 +38,40 @@ fn bench_runs(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_storage_heavy(c: &mut Criterion) {
+    // Almost no CPU and 8-read beams over 128 distinct pages: the run's cost
+    // is the per-I/O path (cache probe, tracer fold, device schedule, event
+    // push/pop), so it is reported per simulated device read.
+    let segs = (0..16u64)
+        .flat_map(|hop| {
+            let beam = (0..8).map(|i| IoReq::new((hop * 8 + i) * 4096, 4096));
+            [Segment::cpu(5.0), Segment::io(beam.collect())]
+        })
+        .collect();
+    let plan = QueryPlan::new(segs);
+    let config = RunConfig {
+        cores: 20,
+        concurrency: 16,
+        duration_us: 1e6,
+        ..RunConfig::default()
+    };
+    let reads = Executor::new(config)
+        .run(std::slice::from_ref(&plan))
+        .io_stats
+        .reads;
+    let mut group = c.benchmark_group("engine");
+    let stats = group.bench_function("run_1s_conc16_storage", |b| {
+        b.iter(|| black_box(Executor::new(config).run(std::slice::from_ref(&plan))))
+    });
+    group.finish();
+    println!(
+        "{:<40} {:>12.1} ns per simulated I/O (min {:.1}, {reads} reads per run)",
+        "engine/run_1s_conc16_storage",
+        stats.mean_ns / reads as f64,
+        stats.min_ns / reads as f64
+    );
+}
+
 fn bench_cpu_only_throughput(c: &mut Criterion) {
     // Pure-CPU plan: measures raw event-loop throughput without the device.
     let plan = QueryPlan::new(vec![Segment::cpu(50.0)]);
@@ -60,6 +94,6 @@ criterion_group!(
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_runs, bench_cpu_only_throughput
+    targets = bench_runs, bench_storage_heavy, bench_cpu_only_throughput
 );
 criterion_main!(benches);

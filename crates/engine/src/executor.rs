@@ -9,7 +9,7 @@ use sann_obs::{
     Trace, TraceLevel, TraceSink, Tracer,
 };
 use sann_ssdsim::{
-    DeviceSim, FaultInjector, FaultProfile, IoTracer, PageCache, SsdModel, HEDGE_TAG, NO_OWNER,
+    DeviceSim, FaultInjector, FaultProfile, IoTracer, PageCache, SsdModel, HEDGE_TAG,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -338,8 +338,14 @@ struct Simulation<'a> {
     config: &'a RunConfig,
     plans: &'a [QueryPlan],
     duration_ns: u64,
+    /// Outstanding events as `(time, push ordinal, slot in event_slab)`.
+    /// The ordinal is unique, so the slot never decides an ordering.
     events: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    event_payload: Vec<EventKind>,
+    /// Payloads of the outstanding events. A popped event's slot goes on
+    /// `free_events` and is reused, so the slab's length is the most events
+    /// ever outstanding at once, whatever the number dispatched.
+    event_slab: Vec<EventKind>,
+    free_events: Vec<usize>,
     seq: u64,
     free_cores: usize,
     ready: VecDeque<(usize, u64)>,
@@ -423,7 +429,8 @@ impl<'a> Simulation<'a> {
             plans,
             duration_ns: us_to_ns(config.duration_us),
             events: BinaryHeap::new(),
-            event_payload: Vec::new(),
+            event_slab: Vec::new(),
+            free_events: Vec::new(),
             seq: 0,
             free_cores: config.cores,
             ready: VecDeque::new(),
@@ -433,9 +440,10 @@ impl<'a> Simulation<'a> {
             admission: VecDeque::new(),
             issued_per_client: vec![0; config.concurrency],
             issue_counter: 0,
-            device: DeviceSim::new(config.ssd),
+            device: DeviceSim::new(config.ssd)
+                .with_timelines(config.duration_us, TELEMETRY_BUCKET_US),
             cache: PageCache::new(config.cache_bytes),
-            tracer: IoTracer::new(),
+            tracer: IoTracer::new(config.duration_us),
             busy_ns: 0,
             completed_in_window: 0,
             query_read_bytes: 0,
@@ -468,26 +476,50 @@ impl<'a> Simulation<'a> {
     }
 
     fn push_event(&mut self, at_ns: u64, kind: EventKind) {
-        let idx = self.event_payload.len();
-        self.event_payload.push(kind);
-        self.events.push(Reverse((at_ns, self.seq, idx)));
+        let slot = match self.free_events.pop() {
+            Some(slot) => {
+                if let Some(cell) = self.event_slab.get_mut(slot) {
+                    *cell = kind;
+                }
+                slot
+            }
+            None => {
+                self.event_slab.push(kind);
+                self.event_slab.len() - 1
+            }
+        };
+        self.events.push(Reverse((at_ns, self.seq, slot)));
         self.seq += 1;
     }
 
     fn run(mut self) -> TracedRun {
+        self.run_events();
+        self.finish()
+    }
+
+    /// Most events ever outstanding at once.
+    #[cfg(test)]
+    fn events_high_water(&self) -> usize {
+        self.event_slab.len()
+    }
+
+    /// Issues every client's first query and drains the event heap.
+    fn run_events(&mut self) {
         for client in 0..self.config.concurrency {
             self.issue_query(client, 0);
         }
         self.dispatch(0);
 
-        while let Some(Reverse((t, _, idx))) = self.events.pop() {
+        while let Some(Reverse((t, _, slot))) = self.events.pop() {
+            let kind = self.event_slab[slot];
+            self.free_events.push(slot);
             assert!(
                 t >= self.clock_ns,
                 "event queue regressed: popped t={t} ns behind clock {} ns",
                 self.clock_ns
             );
             self.clock_ns = t;
-            match self.event_payload[idx] {
+            match kind {
                 EventKind::Subtask { query } => {
                     self.free_cores += 1;
                     self.on_subtask_done(query, t);
@@ -536,8 +568,11 @@ impl<'a> Simulation<'a> {
             }
             self.dispatch(t);
         }
+    }
 
-        // Conservation audit: every byte the block-layer tracer logged must
+    /// Audits the drained run and assembles its metrics.
+    fn finish(mut self) -> TracedRun {
+        // Conservation audit: every byte the block-layer tracer counted must
         // have been scheduled on the device exactly once, and vice versa —
         // cache hits bypass both, misses go through both. A mismatch means
         // a code path recorded traffic without simulating it (or simulated
@@ -650,18 +685,14 @@ impl<'a> Simulation<'a> {
         let telemetry = crate::metrics::DeviceTelemetry {
             mean_queue_depth: self.device.mean_queue_depth(),
             utilization: self.device.utilization(self.config.duration_us),
-            queue_depth_timeline: self
-                .device
-                .queue_depth_timeline(self.config.duration_us, TELEMETRY_BUCKET_US),
-            utilization_timeline: self
-                .device
-                .utilization_timeline(self.config.duration_us, TELEMETRY_BUCKET_US),
+            queue_depth_timeline: self.device.queue_depth_timeline(),
+            utilization_timeline: self.device.utilization_timeline(),
         };
         let metrics = RunMetrics::assemble(
             self.completed_in_window as f64 / duration_s,
             &self.registry,
             self.busy_ns as f64 / (self.duration_ns as f64 * self.config.cores as f64),
-            self.tracer,
+            &self.tracer,
             self.config.duration_us,
             self.completed_in_window,
             self.query_read_bytes,
@@ -726,6 +757,14 @@ impl<'a> Simulation<'a> {
         if self.injector.is_some() {
             self.fstats.ios_planned += self.plans[plan].io_count();
         }
+        // A recycled slot hands its request-state buffer on, so a query under
+        // a fault profile does not reallocate it on its first beam.
+        let slot = self.free_slots.pop();
+        let mut reqs_state = match slot {
+            Some(slot) => std::mem::take(&mut self.queries[slot].reqs_state),
+            None => Vec::new(),
+        };
+        reqs_state.clear();
         let q = ActiveQuery {
             plan,
             seg: 0,
@@ -744,9 +783,9 @@ impl<'a> Simulation<'a> {
             deadline_ns,
             degraded: false,
             beam_seq: 0,
-            reqs_state: Vec::new(),
+            reqs_state,
         };
-        let slot = if let Some(slot) = self.free_slots.pop() {
+        let slot = if let Some(slot) = slot {
             self.queries[slot] = q;
             slot
         } else {
@@ -925,21 +964,18 @@ impl<'a> Simulation<'a> {
                     let q = &self.queries[query];
                     (q.plan, q.seg)
                 };
-                // The per-beam clone releases the borrow on `self.plans` so
-                // the issue path can take `&mut self`; a beam is at most
-                // `beam_width` requests (≤ 8 in every profile), so the copy
-                // is a few dozen bytes, not a per-distance allocation.
-                let (reqs, is_write, overlap) = match &self.plans[plan_idx].segments()[seg_idx] {
-                    // sann-lint: allow(hot-alloc) -- tiny per-beam copy releases the plans borrow
-                    Segment::Io { reqs } => (reqs.clone(), false, None),
-                    // sann-lint: allow(hot-alloc) -- tiny per-beam copy releases the plans borrow
-                    Segment::Write { reqs } => (reqs.clone(), true, None),
+                // Copying the `&'a` slice out of `self` lets the beam stay
+                // borrowed from the plans while the issue path takes
+                // `&mut self`.
+                let plans: &'a [QueryPlan] = self.plans;
+                let (reqs, is_write, overlap) = match &plans[plan_idx].segments()[seg_idx] {
+                    Segment::Io { reqs } => (reqs.as_slice(), false, None),
+                    Segment::Write { reqs } => (reqs.as_slice(), true, None),
                     Segment::Overlapped {
                         total_us,
                         fanout,
                         reqs,
-                        // sann-lint: allow(hot-alloc) -- tiny per-beam copy releases the plans borrow
-                    } => (reqs.clone(), false, Some((*total_us, *fanout))),
+                    } => (reqs.as_slice(), false, Some((*total_us, *fanout))),
                     // Phase-machine invariant: advance() sets IoSubmit only
                     // on Io/Write/Overlapped segments with requests, so this
                     // arm cannot be reached.
@@ -953,9 +989,9 @@ impl<'a> Simulation<'a> {
                     // Reads under an active fault profile take the
                     // resilient path: per-request retry/hedge/deadline
                     // state machine. Writes stay on the clean path.
-                    self.issue_beam_faulted(query, t, &reqs)
+                    self.issue_beam_faulted(query, t, reqs)
                 } else {
-                    self.issue_clean_beam(query, t, &reqs, is_write)
+                    self.issue_clean_beam(query, t, reqs, is_write)
                 };
                 if let Some((total_us, fanout)) = overlap {
                     self.begin_overlap_cpu(query, t, total_us, fanout, pending);
@@ -1017,9 +1053,6 @@ impl<'a> Simulation<'a> {
             let q = &self.queries[query];
             (q.uid, q.span)
         };
-        // Block-layer events carry the owning query's root span so
-        // exported timelines can nest device traffic under queries.
-        let owner = span.index().map_or(NO_OWNER, |i| i as u64);
         let record_io = self.obs.level().io();
         let mut pending = 0usize;
         for r in reqs {
@@ -1027,14 +1060,8 @@ impl<'a> Simulation<'a> {
             let done_ns = if is_write {
                 // Writes bypass the page cache (write-through /
                 // direct I/O semantics).
-                self.tracer.record_write_tagged(
-                    t_us,
-                    r.offset,
-                    r.len,
-                    r.needed,
-                    r.provenance,
-                    owner,
-                );
+                self.tracer
+                    .record_write_tagged(t_us, r.offset, r.len, r.needed, r.provenance);
                 self.writes_device += 1;
                 let done_us = self.device.schedule_write(t_us, r.len);
                 us_to_ns(done_us)
@@ -1050,14 +1077,8 @@ impl<'a> Simulation<'a> {
                     self.prov_cache_hit_bytes[r.provenance.index()] += u64::from(r.len);
                     continue; // page-cache hit: no device traffic
                 }
-                self.tracer.record_read_tagged(
-                    t_us,
-                    r.offset,
-                    r.len,
-                    r.needed,
-                    r.provenance,
-                    owner,
-                );
+                self.tracer
+                    .record_read_tagged(t_us, r.offset, r.len, r.needed, r.provenance);
                 self.reads_device += 1;
                 let done_us = self.device.schedule(t_us, r.len);
                 us_to_ns(done_us)
@@ -1201,7 +1222,7 @@ impl<'a> Simulation<'a> {
     /// flight. Failed attempts still consume device time and block-layer
     /// trace records — the host only learns of the error at completion.
     fn start_fault_attempt(&mut self, query: usize, req_idx: usize, hedged: bool, t: u64) {
-        let (uid, span, beam, offset, len, needed, provenance, attempt) = {
+        let (uid, beam, offset, len, needed, provenance, attempt) = {
             let q = &mut self.queries[query];
             let r = &mut q.reqs_state[req_idx];
             let attempt = r.attempts;
@@ -1218,7 +1239,6 @@ impl<'a> Simulation<'a> {
             r.inflight += 1;
             (
                 q.uid,
-                q.span,
                 q.beam_seq,
                 r.offset,
                 r.len,
@@ -1251,9 +1271,8 @@ impl<'a> Simulation<'a> {
             self.fstats.retries += 1;
         }
         self.fstats.gc_stall_ns += us_to_ns(fault.gc_stall_us);
-        let owner = span.index().map_or(NO_OWNER, |i| i as u64);
         self.tracer
-            .record_read_tagged(t_us, offset, len, needed, provenance, owner);
+            .record_read_tagged(t_us, offset, len, needed, provenance);
         self.reads_device += 1;
         let done_us = self.device.schedule_faulted(t_us, len, fault.extra_us);
         self.push_event(
@@ -2137,5 +2156,82 @@ mod tests {
             0,
             "cache-hit phases are instantaneous in simulated time"
         );
+    }
+
+    /// What a run keeps in memory follows what is outstanding at once, not
+    /// how long it runs: ten times the simulated duration dispatches ten
+    /// times the events through the same number of event slots, query
+    /// slots, heat-map pages and histogram sizes.
+    #[test]
+    fn retained_state_is_independent_of_run_length() {
+        const BEAM: usize = 4;
+        const FANOUT: usize = 3;
+        let beam = |at: u64| (0..BEAM as u64).map(move |i| IoReq::new((at + i) * 4096, 4096));
+        let plans = [QueryPlan::new(vec![
+            Segment::delay(5.0),
+            Segment::cpu_parallel(30.0, FANOUT),
+            Segment::io(beam(0).collect()),
+            Segment::overlapped(20.0, FANOUT, beam(8).collect()),
+            Segment::write(vec![IoReq::new(1 << 30, 4096)]),
+            Segment::cpu(10.0),
+        ])];
+        let clean = RunConfig {
+            cores: 4,
+            concurrency: 8,
+            cache_bytes: 4 * 4096,
+            ..RunConfig::default()
+        };
+        let faulted = RunConfig {
+            faults: FaultConfig {
+                profile: FaultProfile::flaky(),
+                hedge_after_us: 80.0,
+                ..FaultConfig::default()
+            },
+            ..clean
+        };
+        for base in [clean, faulted] {
+            let measure = |duration_us: f64| {
+                let config = RunConfig {
+                    duration_us,
+                    ..base
+                };
+                let mut sim = Simulation::new(&config, &plans, TraceLevel::Off);
+                sim.run_events();
+                let retained = (
+                    sim.events_high_water(),
+                    sim.queries.len(),
+                    sim.tracer.page_heat().len(),
+                    sim.tracer.stats().size_histogram.len(),
+                );
+                let dispatched = sim.seq;
+                assert!(sim.finish().metrics.completed > 0);
+                (retained, dispatched)
+            };
+            let (short, short_dispatched) = measure(1e6);
+            let (long, long_dispatched) = measure(10e6);
+            assert!(long_dispatched > 9 * short_dispatched);
+            let (events_high_water, query_slots, ..) = long;
+            assert_eq!(query_slots, base.concurrency);
+            if base.faults.profile.active() {
+                // Hedge timers and the completions of cancelled attempts
+                // stay queued until their time comes, so the mark moves
+                // with the fault draws — a little, not with the run.
+                assert_eq!((short.1, short.2, short.3), (long.1, long.2, long.3));
+                assert!(
+                    events_high_water < 2 * short.0,
+                    "{} event slots after 1 s, {events_high_water} after 10 s",
+                    short.0
+                );
+                continue;
+            }
+            assert_eq!(short, long, "retained state grew with the run");
+            // A clean query has at most one beam plus one fan of subtasks
+            // outstanding (the overlapped segment), or its delay timer.
+            assert!(
+                events_high_water <= base.concurrency * (BEAM + FANOUT + 1),
+                "{events_high_water} event slots for {} clients",
+                base.concurrency
+            );
+        }
     }
 }

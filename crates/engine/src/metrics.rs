@@ -165,7 +165,7 @@ impl RunMetrics {
         qps: f64,
         registry: &Registry,
         cpu_utilization: f64,
-        tracer: IoTracer,
+        tracer: &IoTracer,
         duration_us: f64,
         completed: u64,
         logical_read_bytes: u64,
@@ -175,8 +175,7 @@ impl RunMetrics {
         prov_cache_hit_bytes: [u64; IoProvenance::COUNT],
         device: DeviceTelemetry,
     ) -> RunMetrics {
-        let io_stats = tracer.stats();
-        let hot_page_skew = tracer.hot_page_skew();
+        let io_stats = tracer.stats().clone();
         let latencies_us = registry.latencies_us();
         let issued = latencies_us.len().max(1) as f64;
         RunMetrics {
@@ -189,8 +188,8 @@ impl RunMetrics {
             read_bytes_per_query: logical_read_bytes as f64 / issued,
             ios_per_query: logical_io_count as f64 / issued,
             device_read_bytes: io_stats.read_bytes,
-            mean_bandwidth_mib: tracer.mean_read_bandwidth(duration_us),
-            bandwidth_timeline_mib: tracer.bandwidth_timeline(duration_us),
+            mean_bandwidth_mib: tracer.mean_read_bandwidth(),
+            bandwidth_timeline_mib: tracer.bandwidth_timeline(),
             io_stats,
             phase_breakdown: registry.breakdown().clone(),
             fault,
@@ -198,7 +197,7 @@ impl RunMetrics {
             prov_cache_hits,
             prov_cache_hit_bytes,
             device,
-            hot_page_skew,
+            hot_page_skew: tracer.hot_page_skew(),
         }
     }
 
@@ -305,7 +304,7 @@ mod tests {
             10.0,
             &reg,
             0.5,
-            IoTracer::new(),
+            &IoTracer::new(1e6),
             1e6,
             10,
             2048,
@@ -333,7 +332,7 @@ mod tests {
             0.0,
             &Registry::new(),
             1.7,
-            IoTracer::new(),
+            &IoTracer::new(1e6),
             1e6,
             0,
             0,
@@ -352,7 +351,7 @@ mod tests {
             0.0,
             &Registry::new(),
             0.0,
-            IoTracer::new(),
+            &IoTracer::new(1e6),
             1e6,
             0,
             0,
@@ -378,7 +377,7 @@ mod tests {
                 qps,
                 &reg,
                 0.1,
-                IoTracer::new(),
+                &IoTracer::new(1e6),
                 1e6,
                 2,
                 8192,
@@ -411,7 +410,7 @@ mod tests {
             2.0,
             &reg,
             0.1,
-            IoTracer::new(),
+            &IoTracer::new(1e6),
             1e6,
             2,
             2 << 20,
@@ -451,7 +450,7 @@ mod tests {
                 1.0,
                 &reg,
                 0.1,
-                IoTracer::new(),
+                &IoTracer::new(1e6),
                 1e6,
                 2,
                 0,

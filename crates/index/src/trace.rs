@@ -28,7 +28,7 @@ pub struct IoReq {
     /// 3332 of the 4096 bytes).
     pub needed: u32,
     /// What the bytes are (graph adjacency, posting list, ...). Threaded
-    /// through the engine into `ssdsim::IoEvent` and the obs `IoSpan` so
+    /// through the engine into `ssdsim::IoTracer` and the obs `IoSpan` so
     /// per-run I/O breaks down by what each read fetched.
     pub provenance: sann_obs::IoProvenance,
 }

@@ -79,6 +79,12 @@ impl Timeline {
         self.counts[i] += 1;
     }
 
+    /// Forgets every sample; the windows stay.
+    pub fn clear(&mut self) {
+        self.sums.fill(0.0);
+        self.counts.fill(0);
+    }
+
     /// Per-window sums, in window order.
     pub fn sums(&self) -> &[f64] {
         &self.sums

@@ -13,8 +13,9 @@
 //!   charges to the submitting core — which is what caps single-core IOPS.
 //!
 //! [`DeviceSim`] applies the model to a stream of timed requests;
-//! [`trace::IoTracer`] records every request at the block layer (the
-//! bpftrace `block_rq_issue` analog); [`calibrate`] re-runs the paper's fio
+//! [`trace::IoTracer`] folds every request issued at the block layer (the
+//! bpftrace `block_rq_issue` analog) into the paper's I/O statistics without
+//! keeping a log; [`calibrate`] re-runs the paper's fio
 //! workloads against the model and prints the achieved envelope;
 //! [`pagecache::PageCache`] models the OS page cache the paper flushes
 //! before each run.
@@ -33,10 +34,11 @@ pub mod calibrate;
 pub mod faults;
 pub mod model;
 pub mod pagecache;
+mod pagemap;
 pub mod trace;
 
 pub use calibrate::{CalibrationReport, Calibrator};
 pub use faults::{FaultInjector, FaultProfile, ReadFault, HEDGE_TAG};
 pub use model::{DeviceSim, SsdModel};
 pub use pagecache::PageCache;
-pub use trace::{IoEvent, IoStats, IoTracer, NO_OWNER};
+pub use trace::{IoStats, IoTracer};

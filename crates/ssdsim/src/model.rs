@@ -1,6 +1,7 @@
 //! The SSD service model.
 
 use sann_core::cast;
+use sann_obs::Timeline;
 use std::collections::BinaryHeap;
 
 /// Parameters describing an SSD's performance envelope.
@@ -101,14 +102,23 @@ pub struct DeviceSim {
     completed: u64,
     /// Total bytes transferred.
     bytes: u64,
-    /// Queue-depth samples: (arrival ns, flash units busy at arrival),
-    /// one per scheduled request — DES event granularity.
-    qd_samples: Vec<(u64, u32)>,
-    /// Media-occupancy samples: (media start ns, media busy ns) per
-    /// request, for the utilization timeline.
-    busy_samples: Vec<(u64, u64)>,
+    /// Flash units busy at arrival, summed over every scheduled request
+    /// (one sample per request — DES event granularity).
+    queue_depth_sum: u64,
     /// Total media-busy nanoseconds accumulated across all units.
     busy_ns_total: u64,
+    /// The windowed series, when [`DeviceSim::with_timelines`] set a window.
+    timelines: Option<Timelines>,
+}
+
+/// Per-window folds of the two telemetry samples each request yields.
+#[derive(Debug, Clone)]
+struct Timelines {
+    /// (arrival, flash units busy at arrival).
+    queue_depth: Timeline,
+    /// (media start, media busy µs): occupancy is billed to the window the
+    /// media stage starts in.
+    media_busy: Timeline,
 }
 
 const NS_PER_US: f64 = 1_000.0;
@@ -126,10 +136,23 @@ impl DeviceSim {
             bus_free_ns: 0,
             completed: 0,
             bytes: 0,
-            qd_samples: Vec::new(),
-            busy_samples: Vec::new(),
+            queue_depth_sum: 0,
             busy_ns_total: 0,
+            timelines: None,
         }
+    }
+
+    /// Also folds queue depth and media occupancy into `bucket_us`-wide
+    /// windows over `[0, duration_us)` as requests are scheduled, for
+    /// [`DeviceSim::queue_depth_timeline`] and
+    /// [`DeviceSim::utilization_timeline`]. A non-positive span leaves both
+    /// series empty.
+    pub fn with_timelines(mut self, duration_us: f64, bucket_us: f64) -> DeviceSim {
+        self.timelines = Timeline::new(duration_us, bucket_us).map(|tl| Timelines {
+            queue_depth: tl.clone(),
+            media_busy: tl,
+        });
+        self
     }
 
     /// The model in use.
@@ -168,8 +191,7 @@ impl DeviceSim {
             .iter()
             .filter(|std::cmp::Reverse(t)| *t > arrival_ns)
             .count();
-        self.qd_samples
-            .push((arrival_ns, cast::u32_from_usize(busy_units)));
+        self.queue_depth_sum += cast::u64_from_usize(busy_units);
         // Media stage on the earliest-free unit. The constructor guarantees
         // at least one flash unit; if that invariant ever broke, treating
         // the unit as immediately free keeps the completion path panic-free
@@ -184,9 +206,18 @@ impl DeviceSim {
         let media_start = arrival_ns.max(unit_free);
         let media_done = media_start + cast::u64_from_f64(media_us * NS_PER_US);
         self.units.push(std::cmp::Reverse(media_done));
-        self.busy_samples
-            .push((media_start, media_done - media_start));
-        self.busy_ns_total += media_done - media_start;
+        let busy_ns = media_done - media_start;
+        self.busy_ns_total += busy_ns;
+        if let Some(tl) = &mut self.timelines {
+            tl.queue_depth.record(
+                cast::f64_from_u64(arrival_ns) / NS_PER_US,
+                cast::f64_from_usize(busy_units),
+            );
+            tl.media_busy.record(
+                cast::f64_from_u64(media_start) / NS_PER_US,
+                cast::f64_from_u64(busy_ns) / NS_PER_US,
+            );
+        }
         // Bus stage, FIFO.
         let transfer_ns =
             cast::u64_from_f64((f64::from(len) / self.model.device_bw * NS_PER_US).ceil());
@@ -212,11 +243,10 @@ impl DeviceSim {
     /// units were already busy when each request arrived (0 with no
     /// traffic).
     pub fn mean_queue_depth(&self) -> f64 {
-        if self.qd_samples.is_empty() {
+        if self.completed == 0 {
             return 0.0;
         }
-        let sum: u64 = self.qd_samples.iter().map(|&(_, d)| u64::from(d)).sum();
-        sum as f64 / cast::f64_from_usize(self.qd_samples.len())
+        cast::f64_from_u64(self.queue_depth_sum) / cast::f64_from_u64(self.completed)
     }
 
     /// Mean device utilization over `duration_us`: media-busy time summed
@@ -230,38 +260,40 @@ impl DeviceSim {
         cast::f64_from_u64(self.busy_ns_total) / unit_time_ns
     }
 
-    /// Windowed mean queue depth (one value per `bucket_us` window; empty
-    /// for a non-positive duration).
-    pub fn queue_depth_timeline(&self, duration_us: f64, bucket_us: f64) -> Vec<f64> {
-        let Some(mut tl) = sann_obs::Timeline::new(duration_us, bucket_us) else {
-            return Vec::new();
-        };
-        for &(t_ns, depth) in &self.qd_samples {
-            tl.record(cast::f64_from_u64(t_ns) / NS_PER_US, f64::from(depth));
-        }
-        tl.means()
+    /// Windowed mean queue depth, one value per window (empty unless
+    /// [`DeviceSim::with_timelines`] set one).
+    pub fn queue_depth_timeline(&self) -> Vec<f64> {
+        self.timelines
+            .as_ref()
+            .map(|tl| tl.queue_depth.means())
+            .unwrap_or_default()
     }
 
-    /// Windowed device utilization (busy fraction of total unit-time per
-    /// `bucket_us` window; empty for a non-positive duration). Each
+    /// Windowed device utilization: busy fraction of total unit-time per
+    /// window (empty unless [`DeviceSim::with_timelines`] set one). Each
     /// request's media occupancy is billed to the window it starts in.
-    pub fn utilization_timeline(&self, duration_us: f64, bucket_us: f64) -> Vec<f64> {
-        let Some(mut tl) = sann_obs::Timeline::new(duration_us, bucket_us) else {
-            return Vec::new();
-        };
-        for &(t_ns, busy_ns) in &self.busy_samples {
-            tl.record(
-                cast::f64_from_u64(t_ns) / NS_PER_US,
-                cast::f64_from_u64(busy_ns) / NS_PER_US,
-            );
-        }
+    pub fn utilization_timeline(&self) -> Vec<f64> {
         let units = cast::f64_from_usize(self.model.units.max(1));
-        tl.fractions_of_window().iter().map(|f| f / units).collect()
+        self.timelines
+            .as_ref()
+            .map(|tl| {
+                let fractions = tl.media_busy.fractions_of_window();
+                fractions.iter().map(|f| f / units).collect()
+            })
+            .unwrap_or_default()
     }
 
-    /// Resets the device to idle (keeps the model).
+    /// Resets the device to idle (keeps the model and the timeline windows).
     pub fn reset(&mut self) {
-        *self = DeviceSim::new(self.model);
+        let timelines = self.timelines.take().map(|mut tl| {
+            tl.queue_depth.clear();
+            tl.media_busy.clear();
+            tl
+        });
+        *self = DeviceSim {
+            timelines,
+            ..DeviceSim::new(self.model)
+        };
     }
 }
 
@@ -394,12 +426,13 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut dev = DeviceSim::new(SsdModel::samsung_990_pro());
+        let mut dev = DeviceSim::new(SsdModel::samsung_990_pro()).with_timelines(1e6, 1e6);
         dev.schedule(0.0, 4096);
         dev.reset();
         assert_eq!(dev.completed(), 0);
         assert_eq!(dev.mean_queue_depth(), 0.0);
         assert_eq!(dev.utilization(1e6), 0.0);
+        assert_eq!(dev.utilization_timeline(), vec![0.0], "windows survive");
         let done = dev.schedule(0.0, 4096);
         assert!(done < 100.0);
     }
@@ -407,7 +440,7 @@ mod tests {
     #[test]
     fn queue_depth_samples_at_arrival() {
         let m = SsdModel::samsung_990_pro();
-        let mut dev = DeviceSim::new(m);
+        let mut dev = DeviceSim::new(m).with_timelines(1e6, 1e6);
         // First arrival sees an idle device; the next 63 each see one more
         // busy unit.
         for _ in 0..64 {
@@ -415,7 +448,7 @@ mod tests {
         }
         // 0 + 1 + ... + 63 over 64 samples = 31.5.
         assert!((dev.mean_queue_depth() - 31.5).abs() < 1e-9);
-        let tl = dev.queue_depth_timeline(1e6, 1e6);
+        let tl = dev.queue_depth_timeline();
         assert_eq!(tl.len(), 1);
         assert!((tl[0] - 31.5).abs() < 1e-9);
     }
@@ -426,20 +459,24 @@ mod tests {
         assert_eq!(dev.mean_queue_depth(), 0.0);
         assert_eq!(dev.utilization(1e6), 0.0);
         assert_eq!(dev.utilization(0.0), 0.0, "zero duration guarded");
-        assert!(dev.queue_depth_timeline(0.0, 1e6).is_empty());
-        assert!(dev.utilization_timeline(-1.0, 1e6).is_empty());
+        assert!(dev.queue_depth_timeline().is_empty());
+        assert!(dev.utilization_timeline().is_empty());
+        let mut unwindowed = DeviceSim::new(dev.model).with_timelines(-1.0, 1e6);
+        unwindowed.schedule(0.0, 4096);
+        assert!(unwindowed.queue_depth_timeline().is_empty());
+        assert!(unwindowed.utilization_timeline().is_empty());
     }
 
     #[test]
     fn utilization_tracks_media_occupancy() {
         let m = SsdModel::samsung_990_pro();
-        let mut dev = DeviceSim::new(m);
+        let mut dev = DeviceSim::new(m).with_timelines(4800.0, 4800.0);
         // One read occupies one of 64 units for base_latency_us out of a
         // 4800 µs window: utilization = 48 / (64 * 4800).
         dev.schedule(0.0, 4096);
         let expect = m.base_latency_us / (64.0 * 4800.0);
         assert!((dev.utilization(4800.0) - expect).abs() < 1e-9);
-        let tl = dev.utilization_timeline(4800.0, 4800.0);
+        let tl = dev.utilization_timeline();
         assert_eq!(tl.len(), 1);
         assert!((tl[0] - expect).abs() < 1e-9);
         // Saturating all units for the whole window approaches 1.0.
@@ -459,5 +496,165 @@ mod tests {
         }
         let util = busy.utilization(horizon);
         assert!(util > 0.9, "saturated device reads {util}");
+    }
+
+    /// The pre-streaming telemetry, verbatim: one queue-depth and one
+    /// media-occupancy sample kept per request, every figure derived
+    /// afterwards by walking them. The behavioural reference; the
+    /// scheduling arithmetic is the device's own.
+    struct LoggedDevice {
+        model: SsdModel,
+        units: BinaryHeap<std::cmp::Reverse<u64>>,
+        bus_free_ns: u64,
+        qd_samples: Vec<(u64, u32)>,
+        busy_samples: Vec<(u64, u64)>,
+    }
+
+    impl LoggedDevice {
+        fn new(model: SsdModel) -> LoggedDevice {
+            LoggedDevice {
+                model,
+                units: (0..model.units.max(1))
+                    .map(|_| std::cmp::Reverse(0))
+                    .collect(),
+                bus_free_ns: 0,
+                qd_samples: Vec::new(),
+                busy_samples: Vec::new(),
+            }
+        }
+
+        fn schedule_op(&mut self, arrival_us: f64, len: u32, media_us: f64) -> f64 {
+            let arrival_ns = (arrival_us * NS_PER_US).round().max(0.0) as u64;
+            let busy_units = self
+                .units
+                .iter()
+                .filter(|std::cmp::Reverse(t)| *t > arrival_ns)
+                .count();
+            self.qd_samples.push((arrival_ns, busy_units as u32));
+            let unit_free = self.units.pop().unwrap().0;
+            let media_start = arrival_ns.max(unit_free);
+            let media_done = media_start + (media_us * NS_PER_US) as u64;
+            self.units.push(std::cmp::Reverse(media_done));
+            self.busy_samples
+                .push((media_start, media_done - media_start));
+            let transfer_ns = (f64::from(len) / self.model.device_bw * NS_PER_US).ceil() as u64;
+            let done = media_done.max(self.bus_free_ns) + transfer_ns;
+            self.bus_free_ns = done;
+            done as f64 / NS_PER_US
+        }
+
+        fn mean_queue_depth(&self) -> f64 {
+            if self.qd_samples.is_empty() {
+                return 0.0;
+            }
+            let sum: u64 = self.qd_samples.iter().map(|&(_, d)| u64::from(d)).sum();
+            sum as f64 / self.qd_samples.len() as f64
+        }
+
+        fn utilization(&self, duration_us: f64) -> f64 {
+            if duration_us <= 0.0 {
+                return 0.0;
+            }
+            let busy: u64 = self.busy_samples.iter().map(|&(_, b)| b).sum();
+            busy as f64 / (self.model.units.max(1) as f64 * duration_us * NS_PER_US)
+        }
+
+        fn queue_depth_timeline(&self, duration_us: f64, bucket_us: f64) -> Vec<f64> {
+            let Some(mut tl) = Timeline::new(duration_us, bucket_us) else {
+                return Vec::new();
+            };
+            for &(t_ns, depth) in &self.qd_samples {
+                tl.record(t_ns as f64 / NS_PER_US, f64::from(depth));
+            }
+            tl.means()
+        }
+
+        fn utilization_timeline(&self, duration_us: f64, bucket_us: f64) -> Vec<f64> {
+            let Some(mut tl) = Timeline::new(duration_us, bucket_us) else {
+                return Vec::new();
+            };
+            for &(t_ns, busy_ns) in &self.busy_samples {
+                tl.record(t_ns as f64 / NS_PER_US, busy_ns as f64 / NS_PER_US);
+            }
+            let units = self.model.units.max(1) as f64;
+            tl.fractions_of_window().iter().map(|f| f / units).collect()
+        }
+    }
+
+    /// Scalars and both windowed series equal the sample-log walks bit for
+    /// bit over random streams of reads, writes and fault-inflated reads
+    /// that run past a horizon ending in a partial bucket.
+    #[test]
+    fn streaming_telemetry_matches_the_sample_logs() {
+        use sann_core::rng::SplitMix64;
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for (seed, model, duration_us, bucket_us) in [
+            (1u64, SsdModel::samsung_990_pro(), 2.5e6, 1e6),
+            (2, SsdModel::sata_ssd(), 3e6, 1e6),
+            (3, SsdModel::samsung_990_pro(), 0.3e6, 0.07e6),
+        ] {
+            let mut rng = SplitMix64::new(seed);
+            let mut fast = DeviceSim::new(model).with_timelines(duration_us, bucket_us);
+            let mut slow = LoggedDevice::new(model);
+            let mut arrival_us = 0.0;
+            for i in 0..20_000u64 {
+                arrival_us += rng.next_bounded(800) as f64 * 0.5;
+                let at = if i % 2_000 == 1_999 {
+                    duration_us
+                } else {
+                    arrival_us
+                };
+                let len = [0u32, 4096, 4096, 16_384, 131_072][rng.next_bounded(5) as usize];
+                let (done, media_us) = match rng.next_bounded(4) {
+                    0 => (fast.schedule_write(at, len), model.write_latency_us),
+                    1 => {
+                        let extra = rng.next_bounded(2_000) as f64 * 0.37;
+                        (
+                            fast.schedule_faulted(at, len, extra),
+                            model.base_latency_us + extra,
+                        )
+                    }
+                    _ => (fast.schedule(at, len), model.base_latency_us),
+                };
+                let expect = slow.schedule_op(at, len, media_us);
+                assert_eq!(done.to_bits(), expect.to_bits(), "request {i} diverged");
+            }
+            assert!(arrival_us > duration_us, "the stream must pass the horizon");
+            assert_eq!(
+                fast.mean_queue_depth().to_bits(),
+                slow.mean_queue_depth().to_bits()
+            );
+            assert_eq!(
+                fast.utilization(duration_us).to_bits(),
+                slow.utilization(duration_us).to_bits()
+            );
+            assert_eq!(
+                bits(fast.queue_depth_timeline()),
+                bits(slow.queue_depth_timeline(duration_us, bucket_us))
+            );
+            assert_eq!(
+                bits(fast.utilization_timeline()),
+                bits(slow.utilization_timeline(duration_us, bucket_us))
+            );
+        }
+    }
+
+    /// What the device keeps does not grow with the requests it served.
+    #[test]
+    fn retained_state_is_independent_of_requests_served() {
+        let retained = |requests: u64| {
+            let mut dev = DeviceSim::new(SsdModel::samsung_990_pro()).with_timelines(5e6, 1e6);
+            for i in 0..requests {
+                dev.schedule(i as f64 * 3.0, 4096);
+            }
+            let tl = dev.timelines.as_ref().unwrap();
+            (
+                dev.units.len(),
+                tl.queue_depth.n_buckets(),
+                tl.media_busy.n_buckets(),
+            )
+        };
+        assert_eq!(retained(1_000), retained(100_000));
+        assert_eq!(retained(1_000), (64, 5, 5));
     }
 }

@@ -1,7 +1,7 @@
 //! An LRU page cache over 4 KiB pages — the OS page cache the paper flushes
 //! (`sync; echo 1 > /proc/sys/vm/drop_caches`) before each run (§III-B).
 
-use std::collections::BTreeMap;
+use crate::pagemap::PageMap;
 
 /// Page size (matches the device sector and the x86 page).
 pub const PAGE_BYTES: u64 = 4096;
@@ -12,24 +12,39 @@ pub const PAGE_BYTES: u64 = 4096;
 /// fetched from the device; the execution engine only sends misses to the
 /// [`crate::DeviceSim`].
 ///
-/// Recency is tracked with two mirrored maps — page → stamp and
-/// stamp → page — so a hit, a miss, and an eviction are each O(log n).
-/// Stamps come from a monotone access clock and are therefore unique, which
-/// makes `by_stamp.first_key_value()` *exactly* the page a full
-/// `min_by_key(stamp)` scan over the old single-map design would have
-/// picked: eviction order is unchanged, only its cost (previously
-/// O(capacity) per miss — quadratic over a GiB-sized cache warm-up, the
-/// configurations Fig. 5 sweeps).
+/// Recency is a doubly-linked list threaded through a slab of slots, most
+/// recent at the head, plus one page → slot index: a hit is one lookup and
+/// an O(1) splice to the head, a miss at capacity reuses the tail's slot.
+/// Every access moves its page to the head, so the list is always in
+/// descending order of last access and the tail is *exactly* the page a
+/// full scan for the oldest access would pick (the tests keep that scan as
+/// their reference).
 #[derive(Debug)]
 pub struct PageCache {
     capacity_pages: usize,
-    /// page id -> LRU stamp.
-    pages: BTreeMap<u64, u64>,
-    /// LRU stamp -> page id (mirror of `pages`; smallest stamp = LRU victim).
-    by_stamp: BTreeMap<u64, u64>,
-    clock: u64,
+    /// page id -> its slot in `slots`.
+    index: PageMap<usize>,
+    /// One slot per cached page; grows to `capacity_pages`, then evictions
+    /// recycle slots in place.
+    slots: Vec<Slot>,
+    /// Most recently used slot (`NIL` when empty).
+    head: usize,
+    /// Least recently used slot — the next victim (`NIL` when empty).
+    tail: usize,
     hits: u64,
     misses: u64,
+}
+
+/// "No slot": past the end of any slab, so `slots.get(NIL)` is `None`.
+const NIL: usize = usize::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: u64,
+    /// Neighbour towards the head (more recent).
+    prev: usize,
+    /// Neighbour towards the tail (less recent).
+    next: usize,
 }
 
 impl PageCache {
@@ -39,9 +54,10 @@ impl PageCache {
     pub fn new(capacity_bytes: u64) -> PageCache {
         PageCache {
             capacity_pages: (capacity_bytes / PAGE_BYTES) as usize,
-            pages: BTreeMap::new(),
-            by_stamp: BTreeMap::new(),
-            clock: 0,
+            index: PageMap::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
         }
@@ -57,41 +73,84 @@ impl PageCache {
         let last = (offset + len as u64 - 1) / PAGE_BYTES;
         let mut missed = 0;
         for page in first..=last {
-            self.clock += 1;
             if self.capacity_pages == 0 {
                 self.misses += 1;
                 missed += 1;
                 continue;
             }
-            if let Some(stamp) = self.pages.get_mut(&page) {
-                self.by_stamp.remove(stamp);
-                *stamp = self.clock;
-                self.by_stamp.insert(self.clock, page);
+            if let Some(slot) = self.index.get(page) {
                 self.hits += 1;
-            } else {
-                self.misses += 1;
-                missed += 1;
-                if self.pages.len() >= self.capacity_pages {
-                    // Evict the least recently used page: the smallest stamp.
-                    if let Some((_, victim)) = self.by_stamp.pop_first() {
-                        self.pages.remove(&victim);
-                    }
+                if slot != self.head {
+                    self.unlink(slot);
+                    self.push_front(slot);
                 }
-                self.pages.insert(page, self.clock);
-                self.by_stamp.insert(self.clock, page);
+                continue;
             }
+            self.misses += 1;
+            missed += 1;
+            let slot = if self.slots.len() < self.capacity_pages {
+                self.slots.push(Slot {
+                    page,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.slots.len() - 1
+            } else {
+                // Evict the least recently used page and take over its slot.
+                let victim = self.tail;
+                self.unlink(victim);
+                if let Some(s) = self.slots.get_mut(victim) {
+                    self.index.remove(s.page);
+                    s.page = page;
+                }
+                victim
+            };
+            if let Some(held) = self.index.entry(page) {
+                *held = slot;
+            }
+            self.push_front(slot);
         }
         missed
     }
 
+    /// Takes `slot` out of the recency list (its own links go stale).
+    fn unlink(&mut self, slot: usize) {
+        let Some(&Slot { prev, next, .. }) = self.slots.get(slot) else {
+            debug_assert!(false, "unlink of a slot outside the slab");
+            return;
+        };
+        match self.slots.get_mut(prev) {
+            Some(p) => p.next = next,
+            None => self.head = next,
+        }
+        match self.slots.get_mut(next) {
+            Some(n) => n.prev = prev,
+            None => self.tail = prev,
+        }
+    }
+
+    /// Links an unlinked `slot` in as the most recently used.
+    fn push_front(&mut self, slot: usize) {
+        let old_head = self.head;
+        if let Some(s) = self.slots.get_mut(slot) {
+            s.prev = NIL;
+            s.next = old_head;
+        }
+        match self.slots.get_mut(old_head) {
+            Some(h) => h.prev = slot,
+            None => self.tail = slot,
+        }
+        self.head = slot;
+    }
+
     /// Number of pages currently cached.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.index.len()
     }
 
     /// Whether the cache holds no pages.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.index.len() == 0
     }
 
     /// Cache hits so far (page granularity).
@@ -107,8 +166,10 @@ impl PageCache {
     /// Drops every cached page — the paper's
     /// `echo 1 > /proc/sys/vm/drop_caches` between runs. Counters survive.
     pub fn drop_caches(&mut self) {
-        self.pages.clear();
-        self.by_stamp.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 }
 
@@ -116,6 +177,7 @@ impl PageCache {
 mod tests {
     use super::*;
     use sann_core::rng::SplitMix64;
+    use std::collections::BTreeMap;
 
     #[test]
     fn first_access_misses_second_hits() {
@@ -170,8 +232,9 @@ mod tests {
         assert_eq!(c.hits() + c.misses(), 0);
     }
 
-    /// The pre-fix eviction policy, verbatim: a full `min_by_key` scan over
-    /// the page → stamp map. Used as the behavioural reference.
+    /// The original eviction policy, verbatim: stamp every access from a
+    /// monotone clock and evict by a full `min_by_key` scan over the
+    /// page → stamp map. Used as the behavioural reference.
     struct ScanLru {
         capacity_pages: usize,
         pages: BTreeMap<u64, u64>,
@@ -223,18 +286,71 @@ mod tests {
         }
     }
 
-    /// Every access returns the same miss count, and the cached page set is
-    /// identical after every step — i.e. the two-map design evicts in
-    /// exactly the order the O(capacity) scan did.
+    impl ScanLru {
+        fn drop_caches(&mut self) {
+            self.pages.clear();
+        }
+
+        /// Cached pages, most recently used first.
+        fn recency_order(&self) -> Vec<u64> {
+            let mut by_stamp: Vec<(u64, u64)> = self.pages.iter().map(|(&p, &s)| (s, p)).collect();
+            by_stamp.sort_unstable_by(|a, b| b.cmp(a));
+            by_stamp.into_iter().map(|(_, p)| p).collect()
+        }
+    }
+
+    impl PageCache {
+        /// Cached pages, most recently used first, by walking the list.
+        fn recency_order(&self) -> Vec<u64> {
+            let mut order = Vec::new();
+            let mut at = self.head;
+            while let Some(s) = self.slots.get(at) {
+                order.push(s.page);
+                at = s.next;
+                assert!(order.len() <= self.slots.len(), "recency list has a cycle");
+            }
+            order
+        }
+
+        /// The list, the slab and the index describe the same set: every
+        /// slot is on the list exactly once, links agree in both
+        /// directions, and the index points each page at its slot.
+        fn assert_consistent(&self) {
+            assert_eq!(self.index.len(), self.slots.len());
+            assert!(self.slots.len() <= self.capacity_pages);
+            let (mut at, mut before, mut seen) = (self.head, NIL, 0);
+            while let Some(s) = self.slots.get(at) {
+                assert_eq!(s.prev, before, "back link of slot {at}");
+                assert_eq!(self.index.get(s.page), Some(at));
+                seen += 1;
+                assert!(seen <= self.slots.len(), "recency list has a cycle");
+                (before, at) = (at, s.next);
+            }
+            assert_eq!(at, NIL, "list must end at NIL, not a dangling slot");
+            assert_eq!(self.tail, before);
+            assert_eq!(seen, self.slots.len(), "a slot fell off the list");
+        }
+    }
+
+    /// Every access returns the same miss count, and the cached pages *in
+    /// recency order* are identical after every step — i.e. the list evicts
+    /// in exactly the order the O(capacity) scan did. Ranges span up to
+    /// four pages (so one request can evict pages it inserted itself at
+    /// small capacities), capacities include 0 and 1, and the caches are
+    /// dropped mid-stream.
     #[test]
     fn eviction_order_matches_the_old_scan() {
         let mut rng = SplitMix64::new(0x9A6E);
-        for capacity_pages in [1u64, 2, 3, 7, 16] {
+        for capacity_pages in [0u64, 1, 2, 3, 7, 16] {
             let mut fast = PageCache::new(capacity_pages * PAGE_BYTES);
             let mut slow = ScanLru::new(capacity_pages * PAGE_BYTES);
-            for _ in 0..4_000 {
+            for step in 0..4_000 {
+                if step % 1_000 == 999 {
+                    fast.drop_caches();
+                    slow.drop_caches();
+                }
                 let page = rng.next_bounded(40);
-                let span_pages = 1 + rng.next_bounded(3) as u32;
+                let span_pages = 1 + rng.next_bounded(4) as u32;
                 let offset = page * PAGE_BYTES + rng.next_bounded(PAGE_BYTES);
                 let len = span_pages * PAGE_BYTES as u32;
                 assert_eq!(
@@ -243,9 +359,11 @@ mod tests {
                     "miss count diverged at capacity {capacity_pages}"
                 );
                 assert_eq!(
-                    fast.pages, slow.pages,
-                    "cached set diverged at capacity {capacity_pages}"
+                    fast.recency_order(),
+                    slow.recency_order(),
+                    "recency order diverged at capacity {capacity_pages}"
                 );
+                assert_eq!(fast.len(), slow.pages.len());
             }
             assert_eq!(fast.hits(), slow.hits);
             assert_eq!(fast.misses(), slow.misses);
@@ -256,7 +374,7 @@ mod tests {
     /// full occupancy under miss pressure. With the old O(capacity)
     /// `min_by_key` eviction this workload costs ~capacity × misses
     /// (≈ 3.4 × 10^10 comparisons) and does not finish in test time; with
-    /// O(log n) eviction it is a few hundred thousand map operations.
+    /// O(1) eviction it is a few hundred thousand list splices.
     #[test]
     fn large_cache_under_miss_pressure_is_not_quadratic() {
         let capacity_pages: u64 = 262_144; // 1 GiB of 4 KiB pages
@@ -274,18 +392,25 @@ mod tests {
         assert_eq!(c.access((extra - 1) * PAGE_BYTES, PAGE_BYTES as u32), 1);
     }
 
-    /// The two maps stay perfect mirrors of each other across a mixed
-    /// hit/miss/evict workload.
+    /// List, slab and index stay consistent across a mixed hit/miss/evict
+    /// workload with multi-page ranges and a mid-stream flush.
     #[test]
-    fn stamp_mirror_stays_consistent() {
+    fn list_and_index_stay_consistent() {
         let mut rng = SplitMix64::new(77);
-        let mut c = PageCache::new(8 * PAGE_BYTES);
-        for _ in 0..2_000 {
-            c.access(rng.next_bounded(20) * PAGE_BYTES, PAGE_BYTES as u32);
-            assert_eq!(c.pages.len(), c.by_stamp.len());
-            assert!(c.pages.len() <= 8);
-            for (page, stamp) in &c.pages {
-                assert_eq!(c.by_stamp.get(stamp), Some(page));
+        for capacity_pages in [1u64, 2, 8] {
+            let mut c = PageCache::new(capacity_pages * PAGE_BYTES);
+            for step in 0..2_000 {
+                if step == 1_200 {
+                    c.drop_caches();
+                    c.assert_consistent();
+                    assert!(c.is_empty());
+                }
+                let span_pages = 1 + rng.next_bounded(3) as u32;
+                c.access(
+                    rng.next_bounded(20) * PAGE_BYTES,
+                    span_pages * PAGE_BYTES as u32,
+                );
+                c.assert_consistent();
             }
         }
     }

@@ -1,7 +1,11 @@
-//! Block-layer I/O tracing — the simulator's analog of the paper's bpftrace
-//! probe on `block_rq_issue` (§III-A): for every request issued to the
-//! device it records the timestamp, operation, offset, and size.
+//! Block-layer I/O accounting — the simulator's analog of the paper's
+//! bpftrace probe on `block_rq_issue` (§III-A). The probe sees every
+//! request issued to the device (timestamp, operation, offset, size); the
+//! tracer folds each one into its aggregates as it is recorded and keeps no
+//! per-request log, so its memory follows the distinct request sizes and
+//! pages touched, not the number of requests.
 
+use crate::pagemap::PageMap;
 use sann_core::cast;
 use sann_obs::{IoProvenance, Timeline};
 use std::collections::BTreeMap;
@@ -15,66 +19,47 @@ pub enum IoOp {
     Write,
 }
 
-/// Owner tag for an [`IoEvent`] recorded outside any span (background
-/// writes, warmup traffic, callers that predate span tracing).
-pub const NO_OWNER: u64 = u64::MAX;
+const MIB: f64 = 1_048_576.0;
 
-/// One traced block request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IoEvent {
-    /// Issue timestamp, µs since experiment start.
-    pub time_us: f64,
-    /// Operation type.
-    pub op: IoOp,
-    /// Device byte offset.
-    pub offset: u64,
-    /// Request size in bytes.
-    pub len: u32,
-    /// Payload bytes the issuer actually needs out of this request
-    /// (`len` minus sector padding; equals `len` for untagged callers).
-    pub needed: u32,
-    /// What the bytes are — threaded down from the index layer's
-    /// [`IoReq`](sann_obs::IoProvenance) tags so block-level accounting
-    /// can break down by what each read fetched.
-    pub provenance: IoProvenance,
-    /// The span that issued this request (a `sann-obs` span id), or
-    /// [`NO_OWNER`]. Lets exported timelines nest block I/O under the
-    /// owning query.
-    pub owner: u64,
-}
-
-/// Collects [`IoEvent`]s and derives the paper's I/O statistics.
-#[derive(Debug, Clone, Default)]
+/// Folds block requests into the paper's I/O statistics as they are issued.
+///
+/// Every exported number is an integer sum, or an `f64` sum whose operands
+/// are added in issue order, so the result equals a post-hoc walk over a
+/// request log bit for bit (the tests keep that walk as their reference).
+#[derive(Debug, Clone)]
 pub struct IoTracer {
-    events: Vec<IoEvent>,
+    duration_us: f64,
+    stats: IoStats,
+    /// Read bytes per 1 s window of `[0, duration_us)`; `None` when the
+    /// horizon is not positive.
+    read_bytes_per_s: Option<Timeline>,
+    /// Device reads per 4 KiB page (page index = byte offset / 4096).
+    page_heat: PageMap<u64>,
 }
 
 impl IoTracer {
-    /// Creates an empty tracer.
-    pub fn new() -> IoTracer {
-        IoTracer::default()
+    /// Creates an empty tracer for a run of `duration_us` simulated
+    /// microseconds — the horizon of the bandwidth series.
+    pub fn new(duration_us: f64) -> IoTracer {
+        IoTracer {
+            duration_us,
+            stats: IoStats::default(),
+            // The trailing-partial-bucket width lives in `sann_obs::Timeline`,
+            // shared with the iostat queue-depth/utilization series.
+            read_bytes_per_s: Timeline::new(duration_us, 1e6),
+            page_heat: PageMap::new(),
+        }
     }
 
-    /// Records a read issue with no owning span.
+    /// Records an untagged read issue (default provenance, every byte
+    /// needed).
     pub fn record_read(&mut self, time_us: f64, offset: u64, len: u32) {
-        self.record_read_owned(time_us, offset, len, NO_OWNER);
+        self.record_read_tagged(time_us, offset, len, len, IoProvenance::default());
     }
 
-    /// Records a write issue with no owning span.
+    /// Records an untagged write issue.
     pub fn record_write(&mut self, time_us: f64, offset: u64, len: u32) {
-        self.record_write_owned(time_us, offset, len, NO_OWNER);
-    }
-
-    /// Records a read issue tagged with the owning span (untagged
-    /// provenance, every byte needed).
-    pub fn record_read_owned(&mut self, time_us: f64, offset: u64, len: u32, owner: u64) {
-        self.record_read_tagged(time_us, offset, len, len, IoProvenance::default(), owner);
-    }
-
-    /// Records a write issue tagged with the owning span (untagged
-    /// provenance, every byte needed).
-    pub fn record_write_owned(&mut self, time_us: f64, offset: u64, len: u32, owner: u64) {
-        self.record_write_tagged(time_us, offset, len, len, IoProvenance::default(), owner);
+        self.record_write_tagged(time_us, offset, len, len, IoProvenance::default());
     }
 
     /// Records a fully tagged read issue: provenance plus the payload
@@ -86,17 +71,8 @@ impl IoTracer {
         len: u32,
         needed: u32,
         provenance: IoProvenance,
-        owner: u64,
     ) {
-        self.events.push(IoEvent {
-            time_us,
-            op: IoOp::Read,
-            offset,
-            len,
-            needed,
-            provenance,
-            owner,
-        });
+        self.fold(IoOp::Read, time_us, offset, len, needed, provenance);
     }
 
     /// Records a fully tagged write issue.
@@ -107,149 +83,102 @@ impl IoTracer {
         len: u32,
         needed: u32,
         provenance: IoProvenance,
-        owner: u64,
     ) {
-        self.events.push(IoEvent {
-            time_us,
-            op: IoOp::Write,
-            offset,
-            len,
-            needed,
-            provenance,
-            owner,
-        });
+        self.fold(IoOp::Write, time_us, offset, len, needed, provenance);
     }
 
-    /// All events in issue order.
-    pub fn events(&self) -> &[IoEvent] {
-        &self.events
-    }
-
-    /// Number of events recorded.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Derives summary statistics.
-    pub fn stats(&self) -> IoStats {
-        let mut size_histogram = BTreeMap::new();
-        let mut read_bytes = 0u64;
-        let mut write_bytes = 0u64;
-        let mut reads = 0u64;
-        let mut writes = 0u64;
-        let mut needed_read_bytes = 0u64;
-        let mut prov_reads = [0u64; IoProvenance::COUNT];
-        let mut prov_read_bytes = [0u64; IoProvenance::COUNT];
-        for e in &self.events {
-            *size_histogram.entry(e.len).or_insert(0u64) += 1;
-            match e.op {
-                IoOp::Read => {
-                    reads += 1;
-                    read_bytes += e.len as u64;
-                    needed_read_bytes += u64::from(e.needed);
-                    prov_reads[e.provenance.index()] += 1;
-                    prov_read_bytes[e.provenance.index()] += u64::from(e.len);
-                }
-                IoOp::Write => {
-                    writes += 1;
-                    write_bytes += e.len as u64;
-                }
+    fn fold(
+        &mut self,
+        op: IoOp,
+        time_us: f64,
+        offset: u64,
+        len: u32,
+        needed: u32,
+        provenance: IoProvenance,
+    ) {
+        let s = &mut self.stats;
+        *s.size_histogram.entry(len).or_insert(0) += 1;
+        if op == IoOp::Write {
+            s.writes += 1;
+            s.write_bytes += u64::from(len);
+            return;
+        }
+        s.reads += 1;
+        s.read_bytes += u64::from(len);
+        s.needed_read_bytes += u64::from(needed);
+        if let (Some(n), Some(bytes)) = (
+            s.prov_reads.get_mut(provenance.index()),
+            s.prov_read_bytes.get_mut(provenance.index()),
+        ) {
+            *n += 1;
+            *bytes += u64::from(len);
+        }
+        // Requests issued at or past the horizon belong to the run's totals
+        // but to no bandwidth window.
+        if let Some(tl) = &mut self.read_bytes_per_s {
+            if time_us >= 0.0 && time_us < self.duration_us {
+                tl.record(time_us, f64::from(len));
             }
         }
-        IoStats {
-            reads,
-            writes,
-            read_bytes,
-            write_bytes,
-            needed_read_bytes,
-            prov_reads,
-            prov_read_bytes,
-            size_histogram,
+        let first = offset / 4096;
+        let last = (offset + u64::from(len.max(1)) - 1) / 4096;
+        for page in first..=last {
+            if let Some(reads) = self.page_heat.entry(page) {
+                *reads += 1;
+            }
         }
+    }
+
+    /// The summary statistics so far.
+    pub fn stats(&self) -> &IoStats {
+        &self.stats
     }
 
     /// Per-second read bandwidth series in MiB/s — the series plotted in the
-    /// paper's Fig. 5. `duration_us` fixes the number of buckets (a trailing
-    /// partial second is scaled by its actual width).
-    pub fn bandwidth_timeline(&self, duration_us: f64) -> Vec<f64> {
-        // The trailing-partial-bucket width lives in `sann_obs::Timeline`,
-        // shared with the iostat queue-depth/utilization series.
-        let Some(mut tl) = Timeline::new(duration_us, 1e6) else {
-            return Vec::new();
-        };
-        for e in &self.events {
-            if e.op != IoOp::Read || e.time_us < 0.0 || e.time_us >= duration_us {
-                continue;
-            }
-            tl.record(e.time_us, e.len as f64);
-        }
-        tl.rates_per_s()
-            .iter()
-            .map(|b| b / (1 << 20) as f64)
-            .collect()
+    /// paper's Fig. 5. The run's duration fixes the number of buckets (a
+    /// trailing partial second is scaled by its actual width); empty for a
+    /// non-positive duration.
+    pub fn bandwidth_timeline(&self) -> Vec<f64> {
+        self.read_bytes_per_s
+            .as_ref()
+            .map(|tl| tl.rates_per_s().iter().map(|b| b / MIB).collect())
+            .unwrap_or_default()
     }
 
-    /// Per-4-KiB-page device-read access counts (page index = byte offset
-    /// / 4096; a 128 KiB request touches 32 pages). The raw heat map
-    /// behind the hot-page-skew metric.
+    /// Per-4-KiB-page device-read access counts (a 128 KiB request touches
+    /// 32 pages), copied out in page order. The raw heat map behind the
+    /// hot-page-skew metric.
     pub fn page_heat(&self) -> BTreeMap<u64, u64> {
-        let mut heat = BTreeMap::new();
-        for e in &self.events {
-            if e.op != IoOp::Read {
-                continue;
-            }
-            let first = e.offset / 4096;
-            let last = (e.offset + u64::from(e.len.max(1)) - 1) / 4096;
-            for page in first..=last {
-                *heat.entry(page).or_insert(0u64) += 1;
-            }
-        }
-        heat
+        self.page_heat.iter().collect()
     }
 
     /// Hot-page skew: the fraction of page accesses served by the hottest
     /// 10 % of touched pages (0.1 = perfectly uniform, → 1.0 = a few pages
     /// absorb everything). 0.0 when no reads were traced.
     pub fn hot_page_skew(&self) -> f64 {
-        let heat = self.page_heat();
-        if heat.is_empty() {
+        if self.page_heat.len() == 0 {
             return 0.0;
         }
-        let mut counts: Vec<u64> = heat.values().copied().collect();
+        let mut counts: Vec<u64> = self.page_heat.iter().map(|(_, reads)| reads).collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let total: u64 = counts.iter().sum();
         let top = counts.len().div_ceil(10);
-        let hot: u64 = counts[..top].iter().sum();
+        let hot: u64 = counts.iter().take(top).sum();
         cast::f64_from_u64(hot) / cast::f64_from_u64(total)
     }
 
-    /// Mean read bandwidth in MiB/s over `duration_us`.
-    pub fn mean_read_bandwidth(&self, duration_us: f64) -> f64 {
-        if duration_us <= 0.0 {
+    /// Mean read bandwidth in MiB/s over the run's duration (0.0 for a
+    /// non-positive duration).
+    pub fn mean_read_bandwidth(&self) -> f64 {
+        if self.duration_us <= 0.0 {
             return 0.0;
         }
-        let bytes: u64 = self
-            .events
-            .iter()
-            .filter(|e| e.op == IoOp::Read)
-            .map(|e| e.len as u64)
-            .sum();
-        bytes as f64 / (1 << 20) as f64 / (duration_us / 1e6)
-    }
-
-    /// Clears all recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
+        cast::f64_from_u64(self.stats.read_bytes) / MIB / (self.duration_us / 1e6)
     }
 }
 
 /// Summary statistics of a trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IoStats {
     /// Number of read requests.
     pub reads: u64,
@@ -309,9 +238,10 @@ impl IoStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sann_core::rng::SplitMix64;
 
-    fn sample_tracer() -> IoTracer {
-        let mut t = IoTracer::new();
+    fn sample_tracer(duration_us: f64) -> IoTracer {
+        let mut t = IoTracer::new(duration_us);
         t.record_read(100.0, 0, 4096);
         t.record_read(1_500_000.0, 4096, 4096);
         t.record_read(1_600_000.0, 8192, 8192);
@@ -321,7 +251,8 @@ mod tests {
 
     #[test]
     fn stats_aggregate_correctly() {
-        let stats = sample_tracer().stats();
+        let t = sample_tracer(3e6);
+        let stats = t.stats();
         assert_eq!(stats.reads, 3);
         assert_eq!(stats.writes, 1);
         assert_eq!(stats.read_bytes, 4096 + 4096 + 8192);
@@ -332,26 +263,25 @@ mod tests {
 
     #[test]
     fn size_fraction_matches() {
-        let stats = sample_tracer().stats();
-        assert!((stats.size_fraction(4096) - 0.75).abs() < 1e-12);
-        assert_eq!(stats.size_fraction(1234), 0.0);
+        let t = sample_tracer(3e6);
+        assert!((t.stats().size_fraction(4096) - 0.75).abs() < 1e-12);
+        assert_eq!(t.stats().size_fraction(1234), 0.0);
     }
 
     #[test]
     fn timeline_buckets_by_second() {
-        let t = sample_tracer();
-        let tl = t.bandwidth_timeline(3e6);
+        let tl = sample_tracer(3e6).bandwidth_timeline();
         assert_eq!(tl.len(), 3);
-        assert!((tl[0] - 4096.0 / (1 << 20) as f64).abs() < 1e-9);
-        assert!((tl[1] - (4096.0 + 8192.0) / (1 << 20) as f64).abs() < 1e-9);
+        assert!((tl[0] - 4096.0 / MIB).abs() < 1e-9);
+        assert!((tl[1] - (4096.0 + 8192.0) / MIB).abs() < 1e-9);
         assert_eq!(tl[2], 0.0, "writes are excluded from read bandwidth");
     }
 
     #[test]
     fn timeline_partial_last_bucket_scales() {
-        let mut t = IoTracer::new();
+        let mut t = IoTracer::new(0.5e6);
         t.record_read(0.0, 0, 1 << 20); // 1 MiB in the first half-second
-        let tl = t.bandwidth_timeline(0.5e6);
+        let tl = t.bandwidth_timeline();
         assert_eq!(tl.len(), 1);
         assert!(
             (tl[0] - 2.0).abs() < 1e-9,
@@ -362,39 +292,15 @@ mod tests {
 
     #[test]
     fn mean_bandwidth() {
-        let t = sample_tracer();
-        let mean = t.mean_read_bandwidth(2e6);
-        let expect = (4096.0 + 4096.0 + 8192.0) / (1 << 20) as f64 / 2.0;
+        let mean = sample_tracer(2e6).mean_read_bandwidth();
+        let expect = (4096.0 + 4096.0 + 8192.0) / MIB / 2.0;
         assert!((mean - expect).abs() < 1e-9);
-        assert_eq!(t.mean_read_bandwidth(0.0), 0.0);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut t = sample_tracer();
-        assert!(!t.is_empty());
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
-    }
-
-    #[test]
-    fn owner_tags_flow_through() {
-        let mut t = IoTracer::new();
-        t.record_read(0.0, 0, 4096);
-        t.record_read_owned(1.0, 4096, 4096, 17);
-        t.record_write_owned(2.0, 8192, 512, 17);
-        assert_eq!(t.events()[0].owner, NO_OWNER);
-        assert_eq!(t.events()[1].owner, 17);
-        assert_eq!(t.events()[2].owner, 17);
-        // Owner tags are metadata: aggregate stats are unchanged.
-        assert_eq!(t.stats().reads, 2);
     }
 
     #[test]
     fn size_log_histogram_uses_shared_buckets() {
-        let stats = sample_tracer().stats();
-        let h = stats.size_log_histogram();
+        let t = sample_tracer(3e6);
+        let h = t.stats().size_log_histogram();
         assert_eq!(h.count(), 4);
         // All three 4096-byte requests share the bucket whose floor is
         // 4096 under the scheme defined once in sann-obs.
@@ -408,32 +314,33 @@ mod tests {
     #[test]
     fn zero_event_size_fraction_is_zero() {
         // Satellite guard: an empty trace must not divide by zero.
-        let stats = IoTracer::new().stats();
-        assert_eq!(stats.size_fraction(4096), 0.0);
-        assert_eq!(stats.reads, 0);
-        assert_eq!(stats.read_amplification(), 0.0);
+        let t = IoTracer::new(1e6);
+        assert_eq!(t.stats().size_fraction(4096), 0.0);
+        assert_eq!(t.stats().reads, 0);
+        assert_eq!(t.stats().read_amplification(), 0.0);
     }
 
     #[test]
     fn zero_duration_bandwidth_is_guarded() {
         // Satellite guard: zero / negative duration yields 0.0 and an
         // empty timeline instead of a NaN or a panic.
-        let t = sample_tracer();
-        assert_eq!(t.mean_read_bandwidth(0.0), 0.0);
-        assert_eq!(t.mean_read_bandwidth(-5.0), 0.0);
-        assert!(t.bandwidth_timeline(0.0).is_empty());
-        assert!(t.bandwidth_timeline(-1.0).is_empty());
+        for duration_us in [0.0, -5.0] {
+            let t = sample_tracer(duration_us);
+            assert_eq!(t.mean_read_bandwidth(), 0.0);
+            assert!(t.bandwidth_timeline().is_empty());
+            assert_eq!(t.stats().reads, 3, "totals do not need a horizon");
+        }
         // And an empty tracer over a real window reads 0 MiB/s.
-        assert_eq!(IoTracer::new().mean_read_bandwidth(1e6), 0.0);
+        assert_eq!(IoTracer::new(1e6).mean_read_bandwidth(), 0.0);
     }
 
     #[test]
     fn provenance_tags_aggregate_per_tag() {
-        let mut t = IoTracer::new();
-        t.record_read_tagged(0.0, 0, 4096, 3332, IoProvenance::GraphAdjacency, 1);
-        t.record_read_tagged(1.0, 4096, 4096, 3332, IoProvenance::GraphAdjacency, 1);
-        t.record_read_tagged(2.0, 8192, 8192, 6000, IoProvenance::PqCodes, 2);
-        t.record_write_tagged(3.0, 0, 4096, 4096, IoProvenance::GraphAdjacency, 1);
+        let mut t = IoTracer::new(1e6);
+        t.record_read_tagged(0.0, 0, 4096, 3332, IoProvenance::GraphAdjacency);
+        t.record_read_tagged(1.0, 4096, 4096, 3332, IoProvenance::GraphAdjacency);
+        t.record_read_tagged(2.0, 8192, 8192, 6000, IoProvenance::PqCodes);
+        t.record_write_tagged(3.0, 0, 4096, 4096, IoProvenance::GraphAdjacency);
         let stats = t.stats();
         assert_eq!(stats.prov_reads[IoProvenance::GraphAdjacency.index()], 2);
         assert_eq!(stats.prov_reads[IoProvenance::PqCodes.index()], 1);
@@ -453,7 +360,8 @@ mod tests {
 
     #[test]
     fn untagged_reads_default_to_metadata_with_full_need() {
-        let stats = sample_tracer().stats();
+        let t = sample_tracer(3e6);
+        let stats = t.stats();
         assert_eq!(
             stats.prov_reads[IoProvenance::Metadata.index()],
             stats.reads
@@ -464,7 +372,7 @@ mod tests {
 
     #[test]
     fn page_heat_counts_every_touched_page() {
-        let mut t = IoTracer::new();
+        let mut t = IoTracer::new(1e6);
         t.record_read(0.0, 0, 4096);
         t.record_read(1.0, 0, 4096);
         t.record_read(2.0, 8192, 8192); // pages 2 and 3
@@ -479,13 +387,13 @@ mod tests {
     #[test]
     fn hot_page_skew_separates_uniform_from_skewed() {
         // Uniform: 20 pages touched once each → top 10% holds 2/20.
-        let mut uniform = IoTracer::new();
+        let mut uniform = IoTracer::new(1e6);
         for i in 0..20u64 {
             uniform.record_read(i as f64, i * 4096, 4096);
         }
         assert!((uniform.hot_page_skew() - 0.1).abs() < 1e-12);
         // Skewed: one page absorbs most accesses.
-        let mut skewed = IoTracer::new();
+        let mut skewed = IoTracer::new(1e6);
         for i in 0..20u64 {
             skewed.record_read(i as f64, 0, 4096);
         }
@@ -494,14 +402,207 @@ mod tests {
         }
         assert!(skewed.hot_page_skew() > 0.7);
         // Empty trace: no skew, not NaN.
-        assert_eq!(IoTracer::new().hot_page_skew(), 0.0);
+        assert_eq!(IoTracer::new(1e6).hot_page_skew(), 0.0);
     }
 
     #[test]
     fn out_of_window_events_are_ignored_by_timeline() {
-        let mut t = IoTracer::new();
+        let mut t = IoTracer::new(1e6);
         t.record_read(5e6, 0, 4096);
-        let tl = t.bandwidth_timeline(1e6);
-        assert_eq!(tl, vec![0.0]);
+        assert_eq!(t.bandwidth_timeline(), vec![0.0]);
+        assert_eq!(t.stats().reads, 1, "but still counted in the totals");
+    }
+
+    /// One logged block request, as the pre-streaming tracer kept it.
+    #[derive(Clone, Copy)]
+    struct IoEvent {
+        time_us: f64,
+        op: IoOp,
+        offset: u64,
+        len: u32,
+        needed: u32,
+        provenance: IoProvenance,
+    }
+
+    /// The pre-streaming tracer, verbatim: keep every request, derive each
+    /// statistic afterwards by walking the log. The behavioural reference.
+    #[derive(Default)]
+    struct LogTracer {
+        events: Vec<IoEvent>,
+    }
+
+    impl LogTracer {
+        fn stats(&self) -> IoStats {
+            let mut size_histogram = BTreeMap::new();
+            let mut read_bytes = 0u64;
+            let mut write_bytes = 0u64;
+            let mut reads = 0u64;
+            let mut writes = 0u64;
+            let mut needed_read_bytes = 0u64;
+            let mut prov_reads = [0u64; IoProvenance::COUNT];
+            let mut prov_read_bytes = [0u64; IoProvenance::COUNT];
+            for e in &self.events {
+                *size_histogram.entry(e.len).or_insert(0u64) += 1;
+                match e.op {
+                    IoOp::Read => {
+                        reads += 1;
+                        read_bytes += e.len as u64;
+                        needed_read_bytes += u64::from(e.needed);
+                        prov_reads[e.provenance.index()] += 1;
+                        prov_read_bytes[e.provenance.index()] += u64::from(e.len);
+                    }
+                    IoOp::Write => {
+                        writes += 1;
+                        write_bytes += e.len as u64;
+                    }
+                }
+            }
+            IoStats {
+                reads,
+                writes,
+                read_bytes,
+                write_bytes,
+                needed_read_bytes,
+                prov_reads,
+                prov_read_bytes,
+                size_histogram,
+            }
+        }
+
+        fn bandwidth_timeline(&self, duration_us: f64) -> Vec<f64> {
+            let Some(mut tl) = Timeline::new(duration_us, 1e6) else {
+                return Vec::new();
+            };
+            for e in &self.events {
+                if e.op != IoOp::Read || e.time_us < 0.0 || e.time_us >= duration_us {
+                    continue;
+                }
+                tl.record(e.time_us, e.len as f64);
+            }
+            tl.rates_per_s()
+                .iter()
+                .map(|b| b / (1 << 20) as f64)
+                .collect()
+        }
+
+        fn page_heat(&self) -> BTreeMap<u64, u64> {
+            let mut heat = BTreeMap::new();
+            for e in &self.events {
+                if e.op != IoOp::Read {
+                    continue;
+                }
+                let first = e.offset / 4096;
+                let last = (e.offset + u64::from(e.len.max(1)) - 1) / 4096;
+                for page in first..=last {
+                    *heat.entry(page).or_insert(0u64) += 1;
+                }
+            }
+            heat
+        }
+
+        fn hot_page_skew(&self) -> f64 {
+            let heat = self.page_heat();
+            if heat.is_empty() {
+                return 0.0;
+            }
+            let mut counts: Vec<u64> = heat.values().copied().collect();
+            counts.sort_unstable_by(|a, b| b.cmp(a));
+            let total: u64 = counts.iter().sum();
+            let top = counts.len().div_ceil(10);
+            let hot: u64 = counts[..top].iter().sum();
+            hot as f64 / total as f64
+        }
+
+        fn mean_read_bandwidth(&self, duration_us: f64) -> f64 {
+            if duration_us <= 0.0 {
+                return 0.0;
+            }
+            let bytes: u64 = self
+                .events
+                .iter()
+                .filter(|e| e.op == IoOp::Read)
+                .map(|e| e.len as u64)
+                .sum();
+            bytes as f64 / (1 << 20) as f64 / (duration_us / 1e6)
+        }
+    }
+
+    /// The streaming folds equal the post-hoc walks bit for bit over random
+    /// request streams: reads and writes, multi-page and zero-length
+    /// requests, every provenance tag, and arrivals before, at and past a
+    /// horizon that ends in a partial bucket.
+    #[test]
+    fn streaming_folds_match_the_logged_walks() {
+        for (seed, duration_us) in [(1u64, 2.5e6), (2, 3e6), (3, 0.4e6), (4, 0.0)] {
+            let mut rng = SplitMix64::new(seed);
+            let mut fast = IoTracer::new(duration_us);
+            let mut slow = LogTracer::default();
+            let mut time_us = 0.0;
+            for i in 0..5_000u64 {
+                // Issue order is time order, as in the DES; every 500th
+                // request lands exactly on the horizon.
+                time_us += rng.next_bounded(1_500) as f64 + 0.25;
+                let t = if i % 500 == 499 { duration_us } else { time_us };
+                let e = IoEvent {
+                    time_us: t,
+                    op: if rng.next_bounded(5) == 0 {
+                        IoOp::Write
+                    } else {
+                        IoOp::Read
+                    },
+                    offset: rng.next_bounded(300) * 4096 + rng.next_bounded(4096),
+                    len: [0u32, 512, 4096, 4096, 4096, 12_288, 131_072]
+                        [rng.next_bounded(7) as usize],
+                    needed: rng.next_bounded(4097) as u32,
+                    provenance: IoProvenance::ALL[rng.next_bounded(5) as usize],
+                };
+                slow.events.push(e);
+                match e.op {
+                    IoOp::Read => {
+                        fast.record_read_tagged(e.time_us, e.offset, e.len, e.needed, e.provenance)
+                    }
+                    IoOp::Write => {
+                        fast.record_write_tagged(e.time_us, e.offset, e.len, e.needed, e.provenance)
+                    }
+                }
+            }
+            assert!(time_us > 3e6, "the stream must run past every horizon");
+            assert_eq!(fast.stats(), &slow.stats());
+            assert_eq!(fast.page_heat(), slow.page_heat());
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(fast.bandwidth_timeline()),
+                bits(slow.bandwidth_timeline(duration_us))
+            );
+            assert_eq!(
+                fast.mean_read_bandwidth().to_bits(),
+                slow.mean_read_bandwidth(duration_us).to_bits()
+            );
+            assert_eq!(
+                fast.hot_page_skew().to_bits(),
+                slow.hot_page_skew().to_bits()
+            );
+        }
+    }
+
+    /// What the tracer keeps follows the distinct pages and sizes it saw,
+    /// not the requests it folded.
+    #[test]
+    fn retained_state_is_independent_of_requests_folded() {
+        let retained = |requests: u64| {
+            let mut t = IoTracer::new(5e6);
+            for i in 0..requests {
+                t.record_read(
+                    i as f64 * 3.0,
+                    (i % 300) * 4096,
+                    [4096, 8192][(i % 2) as usize],
+                );
+            }
+            assert_eq!(t.stats().reads, requests);
+            let windows = t.read_bytes_per_s.as_ref().unwrap().n_buckets();
+            (t.page_heat.len(), t.stats.size_histogram.len(), windows)
+        };
+        assert_eq!(retained(1_000), retained(100_000));
+        assert_eq!(retained(1_000), (301, 2, 5));
     }
 }

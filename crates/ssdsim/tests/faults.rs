@@ -77,7 +77,7 @@ fn injected_latency_only_delays_never_drops() {
     let model = SsdModel::samsung_990_pro();
     let inj = FaultInjector::new(FaultProfile::flaky(), 7, model.base_latency_us);
     let mut dev = DeviceSim::new(model);
-    let mut tracer = IoTracer::new();
+    let mut tracer = IoTracer::new(1e6);
     let n = 400u64;
     let mut issued_bytes = 0u64;
     for i in 0..n {
