@@ -3,8 +3,9 @@
 //! simulated-run cost at low and high concurrency.
 
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
-use sann_engine::{Executor, QueryPlan, RunConfig, Segment};
+use sann_engine::{Executor, FaultConfig, FaultProfile, QueryPlan, RunConfig, Segment};
 use sann_index::IoReq;
+use sann_vdb::DbProfile;
 
 fn diskann_like_plan() -> QueryPlan {
     let mut segs = Vec::new();
@@ -49,27 +50,40 @@ fn bench_storage_heavy(c: &mut Criterion) {
         })
         .collect();
     let plan = QueryPlan::new(segs);
-    let config = RunConfig {
-        cores: 20,
-        concurrency: 16,
-        duration_us: 1e6,
-        ..RunConfig::default()
-    };
-    let reads = Executor::new(config)
-        .run(std::slice::from_ref(&plan))
-        .io_stats
-        .reads;
-    let mut group = c.benchmark_group("engine");
-    let stats = group.bench_function("run_1s_conc16_storage", |b| {
-        b.iter(|| black_box(Executor::new(config).run(std::slice::from_ref(&plan))))
-    });
-    group.finish();
-    println!(
-        "{:<40} {:>12.1} ns per simulated I/O (min {:.1}, {reads} reads per run)",
-        "engine/run_1s_conc16_storage",
-        stats.mean_ns / reads as f64,
-        stats.min_ns / reads as f64
-    );
+    // The same replay under both fault policies the executor's one read
+    // lifecycle serves: the healthy device (the degenerate policy) and a
+    // flaky one with Milvus' retry/hedge settings.
+    let rows = [
+        ("run_1s_conc16_storage", FaultConfig::default()),
+        (
+            "run_1s_conc16_storage_flaky",
+            DbProfile::milvus().fault_config(FaultProfile::flaky()),
+        ),
+    ];
+    for (name, faults) in rows {
+        let config = RunConfig {
+            cores: 20,
+            concurrency: 16,
+            duration_us: 1e6,
+            faults,
+            ..RunConfig::default()
+        };
+        let reads = Executor::new(config)
+            .run(std::slice::from_ref(&plan))
+            .io_stats
+            .reads;
+        let mut group = c.benchmark_group("engine");
+        let stats = group.bench_function(name, |b| {
+            b.iter(|| black_box(Executor::new(config).run(std::slice::from_ref(&plan))))
+        });
+        group.finish();
+        println!(
+            "{:<40} {:>12.1} ns per simulated I/O (min {:.1}, {reads} reads per run)",
+            format!("engine/{name}"),
+            stats.mean_ns / reads as f64,
+            stats.min_ns / reads as f64
+        );
+    }
 }
 
 fn bench_cpu_only_throughput(c: &mut Criterion) {

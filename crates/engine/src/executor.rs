@@ -63,7 +63,8 @@ pub(crate) fn ns_to_us(t: u64) -> f64 {
 /// transient error.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Maximum retries after the first attempt (0 = fail fast).
+    /// Maximum retries after the first attempt (0 = fail fast; at most
+    /// 250 — [`Executor::new`] rejects a larger budget).
     pub max_retries: u32,
     /// Backoff before the first retry, µs.
     pub backoff_us: f64,
@@ -81,15 +82,24 @@ impl Default for RetryPolicy {
     }
 }
 
+/// Largest accepted [`RetryPolicy::max_retries`]: a read's attempts
+/// (primary, retries and one hedge) are numbered in a `u8`, the width of
+/// [`IoSpan::attempt`].
+const MAX_RETRIES: u32 = 250;
+
 /// Seed of the fault stream when none is supplied (decorrelated from the
 /// data/tuning seeds by construction — the injector folds it further).
 pub const DEFAULT_FAULT_SEED: u64 = 0x5EED_FA17;
 
 /// Fault-injection plus resilience configuration of one run.
 ///
-/// Under the `none` profile the executor keeps its fault-free fast path —
-/// no RNG draws, no extra events — so output is byte-identical to a build
-/// without the fault layer, whatever the retry/hedge/deadline settings say.
+/// Every read goes through the executor's one lifecycle (issue → attempt →
+/// done → resolve | retry | hedge | abandon); the policy here only says
+/// what that lifecycle may do. The `none` profile is the degenerate policy:
+/// nothing fails, so nothing retries, and the executor resolves hedging
+/// and the deadline to "off" — no RNG draws, no extra events — so output is
+/// byte-identical to a build without the fault layer, whatever the
+/// retry/hedge/deadline settings say.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// The device-misbehavior envelope to inject.
@@ -156,41 +166,37 @@ impl Default for RunConfig {
     }
 }
 
+/// Names one read of one beam of one query. `uid`/`beam` guard against
+/// the slot having been reused or the query having moved on (stale events
+/// are dropped silently); `req` is the read's index in the beam, at full
+/// width — a beam may hold more requests than any narrower integer counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReadRef {
+    query: usize,
+    uid: u64,
+    beam: u32,
+    req: usize,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     /// A CPU subtask of the query finished (frees its core).
     Subtask { query: usize },
-    /// One request of the query's current beam completed.
-    Io { query: usize },
     /// A core-free delay elapsed.
     Delay { query: usize },
-    /// Fault mode: one read attempt reached its device completion time.
-    /// `uid`/`beam` guard against the slot having been reused or the
-    /// query having moved on (stale events are dropped silently).
-    FaultIo {
-        query: usize,
-        uid: u64,
-        beam: u32,
-        req: u16,
+    /// One write of the query's current batch completed.
+    WriteDone { query: usize },
+    /// One read attempt reached its device completion time.
+    ReadDone {
+        read: ReadRef,
         attempt: u8,
         hedged: bool,
         failed: bool,
-        start_ns: u64,
     },
-    /// Fault mode: a retry backoff elapsed.
-    FaultRetry {
-        query: usize,
-        uid: u64,
-        beam: u32,
-        req: u16,
-    },
-    /// Fault mode: a hedge timer fired.
-    FaultHedge {
-        query: usize,
-        uid: u64,
-        beam: u32,
-        req: u16,
-    },
+    /// A retry backoff elapsed.
+    Retry { read: ReadRef },
+    /// A hedge timer fired.
+    Hedge { read: ReadRef },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,36 +214,38 @@ enum Phase {
     Overlap,
 }
 
-/// Per-read state of the current beam (fault mode only). A read is
-/// *settled* once it is either resolved (data arrived, possibly after
-/// retries/hedging) or abandoned (retry budget or deadline exhausted);
-/// the beam completes when every read settles.
+/// One device attempt of a read, while it is in flight.
+#[derive(Debug, Clone, Copy, Default)]
+struct Attempt {
+    /// Ordinal among the read's attempts; keys the injector's RNG stream.
+    ordinal: u8,
+    hedged: bool,
+    start_ns: u64,
+}
+
+/// Per-read state of the current beam. A read is *settled* once it is
+/// either resolved (data arrived, possibly after retries/hedging) or
+/// abandoned (retry budget or deadline exhausted); the beam completes when
+/// every read settles. What the read fetches stays in the plan
+/// ([`ActiveQuery::beam`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct ReqState {
-    offset: u64,
-    len: u32,
-    /// Payload bytes of the fetch (for read-amplification accounting).
-    needed: u32,
-    /// What the read fetches, carried so retries/hedges of the same read
-    /// keep the tag the planner assigned.
-    provenance: IoProvenance,
-    /// Attempts started so far (primary + retries + hedges); also the
-    /// next attempt's ordinal, which keys the injector's RNG stream.
+    /// Attempts started so far (primary + retries + hedge); also the next
+    /// attempt's ordinal.
     attempts: u8,
     /// Non-hedged attempts started (what the retry budget counts).
     tries: u8,
-    /// In-flight attempts: (ordinal, hedged, start_ns). At most two — one
-    /// primary-or-retry plus one hedge.
-    flight: [(u8, bool, u64); 2],
+    /// In-flight attempts. At most two — one primary-or-retry plus one
+    /// hedge.
+    flight: [Attempt; 2],
     inflight: u8,
-    resolved: bool,
-    abandoned: bool,
+    settled: bool,
     /// A retry backoff event is scheduled (nothing in flight meanwhile).
     retry_pending: bool,
 }
 
 #[derive(Debug)]
-struct ActiveQuery {
+struct ActiveQuery<'a> {
     plan: usize,
     seg: usize,
     phase: Phase,
@@ -258,13 +266,15 @@ struct ActiveQuery {
     attr_since_ns: u64,
     /// Nanoseconds billed to each phase so far.
     phase_ns: [u64; ObsPhase::COUNT],
-    /// Fault mode: absolute IO deadline (`u64::MAX` when none).
+    /// Absolute IO deadline (`u64::MAX` when none).
     deadline_ns: u64,
-    /// Fault mode: at least one planned read was abandoned.
+    /// At least one planned read was abandoned.
     degraded: bool,
-    /// Fault mode: read-beam ordinal; guards stale fault events.
+    /// Read-beam ordinal; guards stale read events.
     beam_seq: u32,
-    /// Fault mode: per-read state of the current beam (empty otherwise).
+    /// The read beam last issued, borrowed from the plan, and the state of
+    /// each of its reads.
+    beam: &'a [IoReq],
     reqs_state: Vec<ReqState>,
 }
 
@@ -282,12 +292,17 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` or `concurrency` is zero, or `duration_us` is not
-    /// positive.
+    /// Panics if `cores` or `concurrency` is zero, `duration_us` is not
+    /// positive, or the retry budget exceeds 250.
     pub fn new(config: RunConfig) -> Executor {
         assert!(config.cores > 0, "cores must be positive");
         assert!(config.concurrency > 0, "concurrency must be positive");
         assert!(config.duration_us > 0.0, "duration must be positive");
+        assert!(
+            config.faults.retry.max_retries <= MAX_RETRIES,
+            "max_retries must be at most {MAX_RETRIES}, got {}",
+            config.faults.retry.max_retries
+        );
         Executor { config }
     }
 
@@ -349,7 +364,7 @@ struct Simulation<'a> {
     seq: u64,
     free_cores: usize,
     ready: VecDeque<(usize, u64)>,
-    queries: Vec<ActiveQuery>,
+    queries: Vec<ActiveQuery<'a>>,
     free_slots: Vec<usize>,
     active_count: usize,
     /// Queries waiting for admission: (client, enqueue time).
@@ -368,6 +383,8 @@ struct Simulation<'a> {
     /// segments trailing the last I/O segment are the rerank pass —
     /// mirroring `sann_index::QueryTrace::step_phases`).
     seg_phases: Vec<Vec<ObsPhase>>,
+    /// Reads each plan calls for ([`QueryPlan::io_count`], taken once).
+    plan_reads: Vec<u64>,
     obs: Tracer,
     registry: Registry,
     // Cheap scalar counters, flushed into the registry at the end of the
@@ -385,10 +402,18 @@ struct Simulation<'a> {
     admission_waits: u64,
     queue_wait_hist: LogHistogram,
     beam_width_hist: LogHistogram,
-    /// Fault injection: `Some` iff the configured profile is active. The
-    /// `None` case keeps the pre-fault fast path byte-identical.
-    injector: Option<FaultInjector>,
-    /// Fault/resilience counters (stay all-zero without an injector).
+    /// Draws every read attempt's fault outcome (always clean, and without
+    /// touching its RNG, under an inactive profile).
+    injector: FaultInjector,
+    /// Whether the profile can perturb a read. No read is routed by this:
+    /// it resolves the policy below, decides what `finish` reports, and
+    /// places the `IoSpan` of an attempt.
+    faulty: bool,
+    /// Resolved hedge delay, ns (0 = no hedging).
+    hedge_ns: u64,
+    /// Resolved per-query IO deadline budget, ns (`u64::MAX` = none).
+    deadline_budget_ns: u64,
+    /// Fault/resilience counters.
     fstats: FaultStats,
 }
 
@@ -424,6 +449,18 @@ impl<'a> Simulation<'a> {
                     .collect()
             })
             .collect();
+        // A healthy device is the degenerate policy: nothing fails so
+        // nothing retries, and hedging and deadlines are resolved to "off"
+        // here, whatever the configuration says (a database's policy keeps
+        // its non-zero hedge and deadline under the `none` profile) — that
+        // is what keeps a healthy run byte-identical regardless of policy.
+        let faults = &config.faults;
+        let faulty = faults.profile.active();
+        let (hedge_us, deadline_us) = if faulty {
+            (faults.hedge_after_us.max(0.0), faults.io_deadline_us)
+        } else {
+            (0.0, 0.0)
+        };
         Simulation {
             config,
             plans,
@@ -450,6 +487,7 @@ impl<'a> Simulation<'a> {
             query_io_count: 0,
             clock_ns: 0,
             seg_phases,
+            plan_reads: plans.iter().map(QueryPlan::io_count).collect(),
             obs: Tracer::new(level),
             registry: Registry::new(),
             beams: 0,
@@ -462,14 +500,13 @@ impl<'a> Simulation<'a> {
             admission_waits: 0,
             queue_wait_hist: LogHistogram::new(),
             beam_width_hist: LogHistogram::new(),
-            injector: if config.faults.profile.active() {
-                Some(FaultInjector::new(
-                    config.faults.profile,
-                    config.faults.seed,
-                    config.ssd.base_latency_us,
-                ))
+            injector: FaultInjector::new(faults.profile, faults.seed, config.ssd.base_latency_us),
+            faulty,
+            hedge_ns: us_to_ns(hedge_us),
+            deadline_budget_ns: if deadline_us > 0.0 {
+                us_to_ns(deadline_us)
             } else {
-                None
+                u64::MAX
             },
             fstats: FaultStats::default(),
         }
@@ -524,47 +561,19 @@ impl<'a> Simulation<'a> {
                     self.free_cores += 1;
                     self.on_subtask_done(query, t);
                 }
-                EventKind::Io { query } => {
-                    self.on_io_done(query, t);
-                }
                 EventKind::Delay { query } => {
-                    self.queries[query].seg += 1;
+                    self.q(query).seg += 1;
                     self.advance(query, t);
                 }
-                EventKind::FaultIo {
-                    query,
-                    uid,
-                    beam,
-                    req,
+                EventKind::WriteDone { query } => self.request_settled(query, t),
+                EventKind::ReadDone {
+                    read,
                     attempt,
                     hedged,
                     failed,
-                    start_ns,
-                } => {
-                    self.on_fault_io(
-                        query,
-                        uid,
-                        beam,
-                        req as usize,
-                        attempt,
-                        hedged,
-                        failed,
-                        start_ns,
-                        t,
-                    );
-                }
-                EventKind::FaultRetry {
-                    query,
-                    uid,
-                    beam,
-                    req,
-                } => self.on_fault_retry(query, uid, beam, req as usize, t),
-                EventKind::FaultHedge {
-                    query,
-                    uid,
-                    beam,
-                    req,
-                } => self.on_fault_hedge(query, uid, beam, req as usize, t),
+                } => self.on_read_done(read, attempt, hedged, failed, t),
+                EventKind::Retry { read } => self.on_retry(read, t),
+                EventKind::Hedge { read } => self.on_hedge(read, t),
             }
             self.dispatch(t);
         }
@@ -635,23 +644,24 @@ impl<'a> Simulation<'a> {
         self.registry
             .hist_merge("engine.beam_width", &self.beam_width_hist);
 
-        if self.injector.is_some() {
-            // Fault conservation audit: every planned read of every
-            // activated query must have been settled exactly once — served
-            // (device or cache) or honestly abandoned. A mismatch means a
-            // retry/hedge path dropped or double-counted a read, which
-            // would corrupt the degraded-recall accounting.
-            assert_eq!(
-                self.fstats.ios_planned,
-                self.fstats.ios_completed + self.fstats.ios_abandoned,
-                "fault conservation violated: {} planned reads vs {} completed + {} abandoned",
-                self.fstats.ios_planned,
-                self.fstats.ios_completed,
-                self.fstats.ios_abandoned
-            );
-            // Flushed only under an active profile so fault-free runs keep
-            // their registry (and its exported form) byte-identical to a
-            // build without the fault layer.
+        // Read conservation audit: every planned read of every activated
+        // query must have been settled exactly once — served (device or
+        // cache) or honestly abandoned. A mismatch means the read lifecycle
+        // dropped or double-counted a read, which would corrupt the
+        // degraded-recall accounting.
+        assert_eq!(
+            self.fstats.ios_planned,
+            self.fstats.ios_completed + self.fstats.ios_abandoned,
+            "read conservation violated: {} planned reads vs {} completed + {} abandoned",
+            self.fstats.ios_planned,
+            self.fstats.ios_completed,
+            self.fstats.ios_abandoned
+        );
+        // The fault ledger is counted on every run but reported only under
+        // an active profile, so a healthy run keeps its metrics and its
+        // registry (and their exported forms) byte-identical to a build
+        // without the fault layer.
+        if self.faulty {
             let f = &self.fstats;
             self.registry
                 .counter_add("engine.faults_injected", f.injected_errors);
@@ -676,6 +686,8 @@ impl<'a> Simulation<'a> {
                 .counter_add("engine.ios_completed", f.ios_completed);
             self.registry
                 .counter_add("engine.ios_abandoned", f.ios_abandoned);
+        } else {
+            self.fstats = FaultStats::default();
         }
 
         let duration_s = self.config.duration_us / 1e6;
@@ -749,16 +761,9 @@ impl<'a> Simulation<'a> {
         }
         let mut phase_ns = [0u64; ObsPhase::COUNT];
         phase_ns[ObsPhase::QueueWait.index()] = wait_ns;
-        let deadline_ns = if self.injector.is_some() && self.config.faults.io_deadline_us > 0.0 {
-            t.saturating_add(us_to_ns(self.config.faults.io_deadline_us))
-        } else {
-            u64::MAX
-        };
-        if self.injector.is_some() {
-            self.fstats.ios_planned += self.plans[plan].io_count();
-        }
-        // A recycled slot hands its request-state buffer on, so a query under
-        // a fault profile does not reallocate it on its first beam.
+        self.fstats.ios_planned += self.plan_reads[plan];
+        // A recycled slot hands its request-state buffer on, so a query does
+        // not reallocate it on its first beam.
         let slot = self.free_slots.pop();
         let mut reqs_state = match slot {
             Some(slot) => std::mem::take(&mut self.queries[slot].reqs_state),
@@ -780,9 +785,10 @@ impl<'a> Simulation<'a> {
             attr_phase: ObsPhase::QueueWait,
             attr_since_ns: t,
             phase_ns,
-            deadline_ns,
+            deadline_ns: t.saturating_add(self.deadline_budget_ns),
             degraded: false,
             beam_seq: 0,
+            beam: &[],
             reqs_state,
         };
         let slot = if let Some(slot) = slot {
@@ -816,142 +822,145 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// The query in slot `query`. Slots are named only by events and
+    /// ready-queue entries this simulation created, so the index is always
+    /// in range.
+    #[inline]
+    fn q(&mut self, query: usize) -> &mut ActiveQuery<'a> {
+        &mut self.queries[query]
+    }
+
     /// Moves the query to its next segment (current one already complete).
     fn advance(&mut self, query: usize, t: u64) {
         loop {
-            let (plan_idx, seg_idx) = {
-                let q = &self.queries[query];
-                (q.plan, q.seg)
+            let (plan_idx, seg_idx, past_deadline) = {
+                let q = self.q(query);
+                (q.plan, q.seg, t >= q.deadline_ns)
             };
-            match self.plans[plan_idx].segments().get(seg_idx) {
-                None => {
-                    self.complete(query, t);
+            let plans: &'a [QueryPlan] = self.plans;
+            let Some(seg) = plans.get(plan_idx).and_then(|p| p.segments().get(seg_idx)) else {
+                self.complete(query, t);
+                return;
+            };
+            match seg {
+                Segment::Cpu { total_us, fanout } if *total_us > 0.0 => {
+                    let labels = self.seg_phases.get(plan_idx);
+                    let label = labels.and_then(|l| l.get(seg_idx).copied());
+                    let label = label.unwrap_or(ObsPhase::Compute);
+                    self.start_cpu(query, t, label, Phase::Cpu, *total_us, *fanout);
                     return;
                 }
-                Some(Segment::Cpu { total_us, fanout }) => {
-                    if *total_us <= 0.0 {
-                        self.queries[query].seg += 1;
-                        continue;
-                    }
-                    let label = self.seg_phases[plan_idx][seg_idx];
-                    self.set_phase(query, label, t);
-                    let fanout = (*fanout).max(1);
-                    let sub_ns = us_to_ns_ceil(total_us / cast::f64_from_usize(fanout));
-                    {
-                        let q = &mut self.queries[query];
-                        q.phase = Phase::Cpu;
-                        q.remaining_subtasks = fanout;
-                    }
-                    for _ in 0..fanout {
-                        self.ready.push_back((query, sub_ns));
-                    }
-                    return;
-                }
-                Some(Segment::Delay { us }) => {
-                    if *us <= 0.0 {
-                        self.queries[query].seg += 1;
-                        continue;
-                    }
+                Segment::Delay { us } if *us > 0.0 => {
                     self.set_phase(query, ObsPhase::Delay, t);
-                    let at = t + us_to_ns(*us);
-                    self.push_event(at, EventKind::Delay { query });
+                    self.push_event(t + us_to_ns(*us), EventKind::Delay { query });
                     return;
                 }
-                Some(Segment::Io { reqs }) | Some(Segment::Write { reqs }) => {
-                    if reqs.is_empty() {
-                        self.queries[query].seg += 1;
-                        continue;
-                    }
-                    if self.injector.is_some()
-                        && matches!(self.plans[plan_idx].segments()[seg_idx], Segment::Io { .. })
-                        && t >= self.queries[query].deadline_ns
-                    {
-                        // Past the per-query IO deadline: skip the whole
-                        // beam unread and degrade to a partial result.
-                        let n = cast::u64_from_usize(reqs.len());
-                        self.fstats.deadline_skips += n;
-                        self.fstats.ios_abandoned += n;
-                        self.queries[query].degraded = true;
-                        self.queries[query].seg += 1;
-                        continue;
-                    }
-                    self.set_phase(query, ObsPhase::BeamIssue, t);
-                    // Submission runs on a core first; the requests are
-                    // issued when it completes.
-                    let submit_ns =
-                        us_to_ns(cast::f64_from_usize(reqs.len()) * self.config.ssd.submit_cpu_us);
-                    {
-                        let q = &mut self.queries[query];
-                        q.phase = Phase::IoSubmit;
-                        q.remaining_subtasks = 1;
-                    }
-                    self.ready.push_back((query, submit_ns.max(1)));
+                Segment::Io { reqs } if past_deadline && !reqs.is_empty() => {
+                    self.skip_beam(query, reqs.len());
+                }
+                Segment::Io { reqs } | Segment::Write { reqs } if !reqs.is_empty() => {
+                    self.start_submit(query, t, reqs.len());
                     return;
                 }
-                Some(Segment::Overlapped {
+                Segment::Overlapped {
                     total_us,
                     fanout,
                     reqs,
-                }) => {
-                    if reqs.is_empty() && *total_us <= 0.0 {
-                        self.queries[query].seg += 1;
-                        continue;
+                } => {
+                    if !reqs.is_empty() {
+                        if !past_deadline {
+                            // Same submission model as a blocking beam: the
+                            // requests go out once the submission subtask
+                            // completes, and only then does the overlapped
+                            // CPU start.
+                            self.start_submit(query, t, reqs.len());
+                            return;
+                        }
+                        // The reads (speculative or next-hop fetches) are
+                        // abandoned, but the CPU still runs — the distances
+                        // it computes are for data already in memory.
+                        self.skip_beam(query, reqs.len());
                     }
-                    let deadline_skip = self.injector.is_some()
-                        && !reqs.is_empty()
-                        && t >= self.queries[query].deadline_ns;
-                    if deadline_skip {
-                        // Past the per-query IO deadline: abandon the reads
-                        // (they were speculative or next-hop fetches), but
-                        // still run the CPU — the distances it computes are
-                        // for data already in memory.
-                        let n = cast::u64_from_usize(reqs.len());
-                        self.fstats.deadline_skips += n;
-                        self.fstats.ios_abandoned += n;
-                        self.queries[query].degraded = true;
-                    }
-                    if reqs.is_empty() || deadline_skip {
-                        // Degenerate to a plain CPU segment.
-                        if *total_us <= 0.0 {
-                            self.queries[query].seg += 1;
-                            continue;
-                        }
-                        self.set_phase(query, ObsPhase::Compute, t);
-                        let fanout = (*fanout).max(1);
-                        let sub_ns = us_to_ns_ceil(total_us / cast::f64_from_usize(fanout));
-                        {
-                            let q = &mut self.queries[query];
-                            q.phase = Phase::Cpu;
-                            q.remaining_subtasks = fanout;
-                        }
-                        for _ in 0..fanout {
-                            self.ready.push_back((query, sub_ns));
-                        }
+                    // Without reads the segment is a plain CPU one.
+                    if *total_us > 0.0 {
+                        self.start_cpu(query, t, ObsPhase::Compute, Phase::Cpu, *total_us, *fanout);
                         return;
                     }
-                    self.set_phase(query, ObsPhase::BeamIssue, t);
-                    // Same submission model as a blocking beam: the requests
-                    // go out once the submission subtask completes, and only
-                    // then does the overlapped CPU start.
-                    let submit_ns =
-                        us_to_ns(cast::f64_from_usize(reqs.len()) * self.config.ssd.submit_cpu_us);
-                    {
-                        let q = &mut self.queries[query];
-                        q.phase = Phase::IoSubmit;
-                        q.remaining_subtasks = 1;
-                    }
-                    self.ready.push_back((query, submit_ns.max(1)));
-                    return;
                 }
+                // A segment with no work in it.
+                _ => {}
             }
+            self.q(query).seg += 1;
+        }
+    }
+
+    /// Queues `total_us` of CPU work as `fanout` equal subtasks, billed to
+    /// `label`; the query's `phase` says what their completion means.
+    fn start_cpu(
+        &mut self,
+        query: usize,
+        t: u64,
+        label: ObsPhase,
+        phase: Phase,
+        total_us: f64,
+        fanout: usize,
+    ) {
+        self.set_phase(query, label, t);
+        let fanout = fanout.max(1);
+        let sub_ns = us_to_ns_ceil(total_us / cast::f64_from_usize(fanout));
+        let q = self.q(query);
+        q.phase = phase;
+        q.remaining_subtasks = fanout;
+        for _ in 0..fanout {
+            self.ready.push_back((query, sub_ns));
+        }
+    }
+
+    /// Queues the submission subtask of a beam of `n_reqs` requests:
+    /// submission runs on a core first, the requests are issued when it
+    /// completes.
+    fn start_submit(&mut self, query: usize, t: u64, n_reqs: usize) {
+        self.set_phase(query, ObsPhase::BeamIssue, t);
+        let submit_ns = us_to_ns(cast::f64_from_usize(n_reqs) * self.config.ssd.submit_cpu_us);
+        let q = self.q(query);
+        q.phase = Phase::IoSubmit;
+        q.remaining_subtasks = 1;
+        self.ready.push_back((query, submit_ns.max(1)));
+    }
+
+    /// Past the per-query IO deadline: a beam of `n_reqs` reads is skipped
+    /// unread and the query degrades to a partial result.
+    fn skip_beam(&mut self, query: usize, n_reqs: usize) {
+        let n = cast::u64_from_usize(n_reqs);
+        self.fstats.deadline_skips += n;
+        self.fstats.ios_abandoned += n;
+        self.q(query).degraded = true;
+    }
+
+    /// Blocks the query on the `pending` requests of the beam it just
+    /// issued. Service time is flash-service when the device is involved;
+    /// a beam fully absorbed by the page cache is a zero-duration cache-hit
+    /// phase instead.
+    fn wait_for_beam(&mut self, query: usize, t: u64, pending: usize) {
+        let label = if pending == 0 {
+            ObsPhase::CacheHit
+        } else {
+            ObsPhase::FlashService
+        };
+        self.set_phase(query, label, t);
+        let q = self.q(query);
+        q.phase = Phase::IoWait;
+        q.pending_ios = pending;
+        if pending == 0 {
+            q.seg += 1;
+            self.advance(query, t);
         }
     }
 
     fn on_subtask_done(&mut self, query: usize, t: u64) {
-        let phase = self.queries[query].phase;
-        match phase {
+        let q = self.q(query);
+        match q.phase {
             Phase::Cpu => {
-                let q = &mut self.queries[query];
                 q.remaining_subtasks -= 1;
                 if q.remaining_subtasks == 0 {
                     q.seg += 1;
@@ -959,23 +968,20 @@ impl<'a> Simulation<'a> {
                 }
             }
             Phase::IoSubmit => {
-                // Issue the beam now.
-                let (plan_idx, seg_idx) = {
-                    let q = &self.queries[query];
-                    (q.plan, q.seg)
-                };
-                // Copying the `&'a` slice out of `self` lets the beam stay
-                // borrowed from the plans while the issue path takes
-                // `&mut self`.
+                // Issue the beam now. Copying the `&'a` slice out of `self`
+                // lets the beam stay borrowed from the plans while the issue
+                // path takes `&mut self`.
+                let (plan_idx, seg_idx) = (q.plan, q.seg);
                 let plans: &'a [QueryPlan] = self.plans;
-                let (reqs, is_write, overlap) = match &plans[plan_idx].segments()[seg_idx] {
-                    Segment::Io { reqs } => (reqs.as_slice(), false, None),
-                    Segment::Write { reqs } => (reqs.as_slice(), true, None),
-                    Segment::Overlapped {
+                let seg = plans.get(plan_idx).and_then(|p| p.segments().get(seg_idx));
+                let (reqs, is_write, overlap_cpu) = match seg {
+                    Some(Segment::Io { reqs }) => (reqs.as_slice(), false, None),
+                    Some(Segment::Write { reqs }) => (reqs.as_slice(), true, None),
+                    Some(Segment::Overlapped {
                         total_us,
                         fanout,
                         reqs,
-                    } => (reqs.as_slice(), false, Some((*total_us, *fanout))),
+                    }) => (reqs.as_slice(), false, Some((*total_us, *fanout))),
                     // Phase-machine invariant: advance() sets IoSubmit only
                     // on Io/Write/Overlapped segments with requests, so this
                     // arm cannot be reached.
@@ -985,54 +991,47 @@ impl<'a> Simulation<'a> {
                 self.beams += 1;
                 self.beam_width_hist
                     .record(cast::u64_from_usize(reqs.len()));
-                let pending = if !is_write && self.injector.is_some() {
-                    // Reads under an active fault profile take the
-                    // resilient path: per-request retry/hedge/deadline
-                    // state machine. Writes stay on the clean path.
-                    self.issue_beam_faulted(query, t, reqs)
+                let pending = if is_write {
+                    self.issue_writes(query, t, reqs)
                 } else {
-                    self.issue_clean_beam(query, t, reqs, is_write)
+                    self.issue_beam(query, t, reqs)
                 };
-                if let Some((total_us, fanout)) = overlap {
-                    self.begin_overlap_cpu(query, t, total_us, fanout, pending);
-                    return;
-                }
-                // Service time is flash-service when the device is
-                // involved; a beam fully absorbed by the page cache is a
-                // zero-duration cache-hit phase instead.
                 if pending == 0 {
                     self.beams_cache_absorbed += 1;
-                    self.set_phase(query, ObsPhase::CacheHit, t);
-                    let q = &mut self.queries[query];
-                    q.phase = Phase::IoWait;
-                    q.pending_ios = 0;
-                    q.seg += 1;
-                    self.advance(query, t);
-                } else {
-                    self.set_phase(query, ObsPhase::FlashService, t);
-                    let q = &mut self.queries[query];
-                    q.phase = Phase::IoWait;
-                    q.pending_ios = pending;
+                }
+                match overlap_cpu {
+                    // The CPU half of an overlapped segment starts once its
+                    // reads are out. Its time is billed to compute — overlap
+                    // is the whole point — and only a tail where reads
+                    // outlive the CPU shows up as flash service.
+                    Some((total_us, fanout)) if total_us > 0.0 => {
+                        self.q(query).pending_ios = pending;
+                        self.start_cpu(
+                            query,
+                            t,
+                            ObsPhase::Compute,
+                            Phase::Overlap,
+                            total_us,
+                            fanout,
+                        );
+                    }
+                    // Nothing to overlap with: a blocking beam.
+                    _ => self.wait_for_beam(query, t, pending),
                 }
             }
             Phase::Overlap => {
-                let done = {
-                    let q = &mut self.queries[query];
-                    q.remaining_subtasks -= 1;
-                    q.remaining_subtasks == 0
-                };
-                if !done {
+                q.remaining_subtasks -= 1;
+                if q.remaining_subtasks > 0 {
                     return;
                 }
-                if self.queries[query].pending_ios == 0 {
-                    let q = &mut self.queries[query];
+                if q.pending_ios == 0 {
                     q.seg += 1;
                     self.advance(query, t);
                 } else {
                     // The overlapped CPU is done but reads are still in
                     // flight: only this exposed tail counts as flash
                     // service — the covered portion was billed to compute.
-                    self.queries[query].phase = Phase::IoWait;
+                    q.phase = Phase::IoWait;
                     self.set_phase(query, ObsPhase::FlashService, t);
                 }
             }
@@ -1044,451 +1043,288 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Issues one beam of requests on the clean (fault-free) path: cache
-    /// hits are absorbed on the spot, misses are scheduled on the device.
-    /// Returns the number of requests left in flight; the caller decides
-    /// how the query waits for them.
-    fn issue_clean_beam(&mut self, query: usize, t: u64, reqs: &[IoReq], is_write: bool) -> usize {
-        let (uid, span) = {
-            let q = &self.queries[query];
-            (q.uid, q.span)
-        };
-        let record_io = self.obs.level().io();
-        let mut pending = 0usize;
-        for r in reqs {
-            let t_us = ns_to_us(t);
-            let done_ns = if is_write {
-                // Writes bypass the page cache (write-through /
-                // direct I/O semantics).
-                self.tracer
-                    .record_write_tagged(t_us, r.offset, r.len, r.needed, r.provenance);
-                self.writes_device += 1;
-                let done_us = self.device.schedule_write(t_us, r.len);
-                us_to_ns(done_us)
-            } else {
-                self.query_io_count += 1;
-                self.query_read_bytes += r.len as u64;
-                let missed = self.cache.access(r.offset, r.len);
-                if missed == 0 {
-                    self.reads_cache_hit += 1;
-                    // sann-lint: allow(panic-path) -- provenance.index() < COUNT by construction
-                    self.prov_cache_hits[r.provenance.index()] += 1;
-                    // sann-lint: allow(panic-path) -- provenance.index() < COUNT by construction
-                    self.prov_cache_hit_bytes[r.provenance.index()] += u64::from(r.len);
-                    continue; // page-cache hit: no device traffic
-                }
-                self.tracer
-                    .record_read_tagged(t_us, r.offset, r.len, r.needed, r.provenance);
-                self.reads_device += 1;
-                let done_us = self.device.schedule(t_us, r.len);
-                us_to_ns(done_us)
-            };
-            self.push_event(done_ns, EventKind::Io { query });
-            if record_io {
-                self.obs.io_span(IoSpan {
-                    owner: span,
-                    query: uid,
-                    start_ns: t,
-                    end_ns: done_ns,
-                    offset: r.offset,
-                    len: r.len,
-                    write: is_write,
-                    provenance: r.provenance,
-                    attempt: 0,
-                    hedged: false,
-                    outcome: IoOutcome::Ok,
-                });
-            }
-            pending += 1;
-        }
-        pending
-    }
-
-    /// Starts the CPU half of an [`Segment::Overlapped`] segment after its
-    /// reads were issued (`pending` of them reached the device). The CPU
-    /// time is billed to compute — overlap is the whole point — and only a
-    /// tail where reads outlive the CPU shows up as flash service.
-    fn begin_overlap_cpu(
+    /// Records one device attempt of request `r` in the trace.
+    fn io_span(
         &mut self,
         query: usize,
-        t: u64,
-        total_us: f64,
-        fanout: usize,
-        pending: usize,
+        r: &IoReq,
+        write: bool,
+        attempt: Attempt,
+        end_ns: u64,
+        outcome: IoOutcome,
     ) {
-        if pending == 0 {
-            self.beams_cache_absorbed += 1;
-        }
-        if total_us <= 0.0 {
-            // Nothing to overlap with: behave exactly like a blocking beam.
-            if pending == 0 {
-                self.set_phase(query, ObsPhase::CacheHit, t);
-                let q = &mut self.queries[query];
-                q.phase = Phase::IoWait;
-                q.pending_ios = 0;
-                q.seg += 1;
-                self.advance(query, t);
-            } else {
-                self.set_phase(query, ObsPhase::FlashService, t);
-                let q = &mut self.queries[query];
-                q.phase = Phase::IoWait;
-                q.pending_ios = pending;
-            }
+        if !self.obs.level().io() {
             return;
         }
-        self.set_phase(query, ObsPhase::Compute, t);
-        let fanout = fanout.max(1);
-        let sub_ns = us_to_ns_ceil(total_us / cast::f64_from_usize(fanout));
-        {
-            let q = &mut self.queries[query];
-            q.phase = Phase::Overlap;
-            q.remaining_subtasks = fanout;
-            q.pending_ios = pending;
-        }
-        for _ in 0..fanout {
-            self.ready.push_back((query, sub_ns));
-        }
-    }
-
-    fn on_io_done(&mut self, query: usize, t: u64) {
-        let q = &mut self.queries[query];
-        debug_assert!(q.live && matches!(q.phase, Phase::IoWait | Phase::Overlap));
-        q.pending_ios -= 1;
-        if q.pending_ios == 0 {
-            if q.phase == Phase::Overlap && q.remaining_subtasks > 0 {
-                // Reads finished under cover of the overlapped CPU; the
-                // segment completes when the CPU does.
-                return;
-            }
-            q.seg += 1;
-            self.advance(query, t);
-        }
-    }
-
-    /// Fault-mode issuance of a read beam: each request gets its own
-    /// retry/hedge state; the beam completes when every request settles
-    /// (resolved or abandoned). Returns the number of requests left in
-    /// flight; the caller decides how the query waits for them.
-    fn issue_beam_faulted(&mut self, query: usize, t: u64, reqs: &[IoReq]) -> usize {
-        let (uid, beam) = {
-            let q = &mut self.queries[query];
-            q.beam_seq += 1;
-            q.reqs_state.clear();
-            q.reqs_state.extend(reqs.iter().map(|r| ReqState {
-                offset: r.offset,
-                len: r.len,
-                needed: r.needed,
-                provenance: r.provenance,
-                ..ReqState::default()
-            }));
-            (q.uid, q.beam_seq)
+        let (owner, uid) = {
+            let q = self.q(query);
+            (q.span, q.uid)
         };
-        let hedge_ns = us_to_ns(self.config.faults.hedge_after_us.max(0.0));
+        self.obs.io_span(IoSpan {
+            owner,
+            query: uid,
+            start_ns: attempt.start_ns,
+            end_ns,
+            offset: r.offset,
+            len: r.len,
+            write,
+            provenance: r.provenance,
+            attempt: attempt.ordinal,
+            hedged: attempt.hedged,
+            outcome,
+        });
+    }
+
+    /// Issues one batch of writes. Writes bypass the page cache (write-
+    /// through / direct I/O semantics) and the fault layer, so each is one
+    /// device operation that settles when it completes. Returns the number
+    /// in flight.
+    fn issue_writes(&mut self, query: usize, t: u64, reqs: &[IoReq]) -> usize {
+        let t_us = ns_to_us(t);
+        let first = Attempt {
+            start_ns: t,
+            ..Attempt::default()
+        };
+        for r in reqs {
+            self.tracer
+                .record_write_tagged(t_us, r.offset, r.len, r.needed, r.provenance);
+            self.writes_device += 1;
+            let done_ns = us_to_ns(self.device.schedule_write(t_us, r.len));
+            self.push_event(done_ns, EventKind::WriteDone { query });
+            self.io_span(query, r, true, first, done_ns, IoOutcome::Ok);
+        }
+        reqs.len()
+    }
+
+    /// Issues one beam of reads: page-cache hits are served on the spot
+    /// (without touching the device, so they cannot fail or spike), every
+    /// miss starts its first device attempt and, when the policy hedges,
+    /// its hedge timer. The beam completes when every read settles.
+    /// Returns the number of reads left in flight; the caller decides how
+    /// the query waits for them.
+    fn issue_beam(&mut self, query: usize, t: u64, reqs: &'a [IoReq]) -> usize {
+        let q = self.q(query);
+        q.beam_seq += 1;
+        q.beam = reqs;
+        q.reqs_state.clear();
+        q.reqs_state.resize(reqs.len(), ReqState::default());
+        let (uid, beam) = (q.uid, q.beam_seq);
         let mut pending = 0usize;
-        for (i, r) in reqs.iter().enumerate() {
+        for (req, r) in reqs.iter().enumerate() {
             self.query_io_count += 1;
-            self.query_read_bytes += r.len as u64;
-            let missed = self.cache.access(r.offset, r.len);
-            if missed == 0 {
-                // Page-cache hit: served without touching the (faulty)
-                // device, so it cannot fail or spike.
+            self.query_read_bytes += u64::from(r.len);
+            if self.cache.access(r.offset, r.len) == 0 {
                 self.reads_cache_hit += 1;
+                // sann-lint: allow(panic-path) -- provenance.index() < COUNT by construction
                 self.prov_cache_hits[r.provenance.index()] += 1;
+                // sann-lint: allow(panic-path) -- provenance.index() < COUNT by construction
                 self.prov_cache_hit_bytes[r.provenance.index()] += u64::from(r.len);
                 self.fstats.ios_completed += 1;
-                self.queries[query].reqs_state[i].resolved = true;
                 continue;
             }
-            self.start_fault_attempt(query, i, false, t);
-            if hedge_ns > 0 {
-                self.push_event(
-                    t + hedge_ns,
-                    EventKind::FaultHedge {
-                        query,
-                        uid,
-                        beam,
-                        req: i as u16,
-                    },
-                );
-            }
-            pending += 1;
-        }
-        pending
-    }
-
-    /// Starts one device attempt for a fault-mode read: draws the attempt's
-    /// fault outcome from its identity-keyed RNG stream, schedules the
-    /// (possibly inflated) device service, and registers the attempt as in
-    /// flight. Failed attempts still consume device time and block-layer
-    /// trace records — the host only learns of the error at completion.
-    fn start_fault_attempt(&mut self, query: usize, req_idx: usize, hedged: bool, t: u64) {
-        let (uid, beam, offset, len, needed, provenance, attempt) = {
-            let q = &mut self.queries[query];
-            let r = &mut q.reqs_state[req_idx];
-            let attempt = r.attempts;
-            r.attempts += 1;
-            if !hedged {
-                r.tries += 1;
-            }
-            debug_assert!(
-                (r.inflight as usize) < r.flight.len(),
-                "more than {} attempts in flight",
-                r.flight.len()
-            );
-            r.flight[r.inflight as usize] = (attempt, hedged, t);
-            r.inflight += 1;
-            (
-                q.uid,
-                q.beam_seq,
-                r.offset,
-                r.len,
-                r.needed,
-                r.provenance,
-                attempt,
-            )
-        };
-        let tag = if hedged {
-            HEDGE_TAG | attempt as u64
-        } else {
-            attempt as u64
-        };
-        let t_us = ns_to_us(t);
-        // The dispatcher only routes beams here when an injector is armed;
-        // if that ever broke, dropping the attempt (debug builds assert) is
-        // safer than panicking in the middle of a sweep.
-        let Some(injector) = self.injector.as_ref() else {
-            debug_assert!(false, "fault path without injector");
-            return;
-        };
-        let fault = injector.draw(uid, req_idx as u64, tag, t_us);
-        if fault.spiked {
-            self.fstats.latency_spikes += 1;
-        }
-        if fault.error {
-            self.fstats.injected_errors += 1;
-        }
-        if !hedged && attempt > 0 {
-            self.fstats.retries += 1;
-        }
-        self.fstats.gc_stall_ns += us_to_ns(fault.gc_stall_us);
-        self.tracer
-            .record_read_tagged(t_us, offset, len, needed, provenance);
-        self.reads_device += 1;
-        let done_us = self.device.schedule_faulted(t_us, len, fault.extra_us);
-        self.push_event(
-            us_to_ns(done_us),
-            EventKind::FaultIo {
+            let read = ReadRef {
                 query,
                 uid,
                 beam,
-                req: req_idx as u16,
-                attempt,
+                req,
+            };
+            self.start_attempt(read, false, t);
+            if self.hedge_ns > 0 {
+                self.push_event(t + self.hedge_ns, EventKind::Hedge { read });
+            }
+            pending += 1;
+        }
+        pending
+    }
+
+    /// Starts one device attempt of a read — the only place reads reach
+    /// the device. Draws the attempt's fault outcome from its identity-
+    /// keyed RNG stream, schedules the (possibly inflated) device service,
+    /// and registers the attempt as in flight. Failed attempts still
+    /// consume device time and block-layer trace records — the host only
+    /// learns of the error at completion.
+    fn start_attempt(&mut self, read: ReadRef, hedged: bool, t: u64) {
+        let q = self.q(read.query);
+        let beam: &'a [IoReq] = q.beam;
+        // Every caller names a read of the beam in flight; if that ever
+        // broke, dropping the attempt (debug builds assert) is safer than
+        // panicking in the middle of a sweep.
+        let (Some(io), Some(r)) = (beam.get(read.req), q.reqs_state.get_mut(read.req)) else {
+            debug_assert!(false, "attempt for a read outside the beam");
+            return;
+        };
+        let attempt = Attempt {
+            ordinal: r.attempts,
+            hedged,
+            start_ns: t,
+        };
+        let Some(slot) = r.flight.get_mut(usize::from(r.inflight)) else {
+            debug_assert!(false, "more than {} attempts in flight", r.flight.len());
+            return;
+        };
+        *slot = attempt;
+        r.inflight += 1;
+        r.attempts += 1;
+        if !hedged {
+            r.tries += 1;
+        }
+        let tag = u64::from(attempt.ordinal) | if hedged { HEDGE_TAG } else { 0 };
+        let t_us = ns_to_us(t);
+        let fault = self
+            .injector
+            .draw(read.uid, cast::u64_from_usize(read.req), tag, t_us);
+        self.fstats.latency_spikes += u64::from(fault.spiked);
+        self.fstats.injected_errors += u64::from(fault.error);
+        self.fstats.retries += u64::from(!hedged && attempt.ordinal > 0);
+        self.fstats.gc_stall_ns += us_to_ns(fault.gc_stall_us);
+        self.tracer
+            .record_read_tagged(t_us, io.offset, io.len, io.needed, io.provenance);
+        self.reads_device += 1;
+        let done_ns = us_to_ns(self.device.schedule_faulted(t_us, io.len, fault.extra_us));
+        self.push_event(
+            done_ns,
+            EventKind::ReadDone {
+                read,
+                attempt: attempt.ordinal,
                 hedged,
                 failed: fault.error,
-                start_ns: t,
             },
         );
+        if !self.faulty {
+            // A healthy read's outcome is known the moment it is scheduled,
+            // so its span is recorded in issue order; an attempt that can
+            // fail or lose a hedge race is recorded when it ends.
+            self.io_span(read.query, io, false, attempt, done_ns, IoOutcome::Ok);
+        }
     }
 
-    /// True when a fault event still refers to the query state it was
-    /// scheduled against (same occupant, same read beam, still waiting).
-    fn fault_event_is_current(&self, query: usize, uid: u64, beam: u32) -> bool {
-        self.queries.get(query).is_some_and(|q| {
-            q.live
-                && q.uid == uid
-                && q.beam_seq == beam
-                && matches!(q.phase, Phase::IoWait | Phase::Overlap)
-        })
+    /// The read an event refers to, if the query is still waiting on it:
+    /// same occupant of the slot, same beam, not yet settled. Anything else
+    /// is a stale event — a hedge-race loser, a timer its read outran — and
+    /// is dropped.
+    fn open_read(&mut self, read: ReadRef) -> Option<(&mut ReqState, &'a IoReq)> {
+        let q = self.queries.get_mut(read.query)?;
+        let current = q.live
+            && q.uid == read.uid
+            && q.beam_seq == read.beam
+            && matches!(q.phase, Phase::IoWait | Phase::Overlap);
+        if !current {
+            return None;
+        }
+        let beam: &'a [IoReq] = q.beam;
+        let (r, io) = (q.reqs_state.get_mut(read.req)?, beam.get(read.req)?);
+        (!r.settled).then_some((r, io))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_fault_io(
-        &mut self,
-        query: usize,
-        uid: u64,
-        beam: u32,
-        req: usize,
-        attempt: u8,
-        hedged: bool,
-        failed: bool,
-        start_ns: u64,
-        t: u64,
-    ) {
-        if !self.fault_event_is_current(query, uid, beam) {
+    fn on_read_done(&mut self, read: ReadRef, attempt: u8, hedged: bool, failed: bool, t: u64) {
+        let Some((r, io)) = self.open_read(read) else {
             return;
-        }
-        {
-            let r = &self.queries[query].reqs_state[req];
-            if r.resolved || r.abandoned {
-                // A hedge-race loser arriving after the request settled;
-                // its span was already emitted at resolution time.
-                return;
-            }
-        }
-        // Remove this attempt from the in-flight set.
-        let (offset, len, provenance, inflight_left) = {
-            let q = &mut self.queries[query];
-            let r = &mut q.reqs_state[req];
-            let n = r.inflight as usize;
-            // Every completion event corresponds to an attempt this state
-            // machine put in flight; an unknown one would mean a duplicated
-            // event, and dropping it beats panicking mid-run.
-            let Some(pos) = r.flight[..n]
-                .iter()
-                .position(|&(a, h, _)| a == attempt && h == hedged)
-            else {
-                debug_assert!(false, "completion for an attempt not in flight");
-                return;
-            };
-            r.flight[pos] = r.flight[n - 1];
-            r.inflight -= 1;
-            (r.offset, r.len, r.provenance, r.inflight)
         };
-        let span = self.queries[query].span;
-        if self.obs.level().io() {
-            self.obs.io_span(IoSpan {
-                owner: span,
-                query: uid,
-                start_ns,
-                end_ns: t,
-                offset,
-                len,
-                write: false,
-                provenance,
-                attempt,
-                hedged,
-                outcome: if failed {
-                    IoOutcome::Error
-                } else {
-                    IoOutcome::Ok
-                },
-            });
+        // Remove this attempt from the in-flight set. Every completion
+        // event corresponds to an attempt this state machine put in flight;
+        // an unknown one would mean a duplicated event, and dropping it
+        // beats panicking mid-run.
+        let n = usize::from(r.inflight);
+        let mut inflight = r.flight.iter().take(n);
+        let Some(pos) = inflight.position(|a| a.ordinal == attempt && a.hedged == hedged) else {
+            debug_assert!(false, "completion for an attempt not in flight");
+            return;
+        };
+        let done = r.flight[pos];
+        r.flight[pos] = r.flight[n - 1];
+        r.inflight -= 1;
+        let inflight_left = r.inflight;
+        if self.faulty {
+            let outcome = if failed {
+                IoOutcome::Error
+            } else {
+                IoOutcome::Ok
+            };
+            self.io_span(read.query, io, false, done, t, outcome);
         }
-        if failed {
-            if inflight_left > 0 {
-                // A sibling attempt may still succeed; wait for it.
-                return;
-            }
-            self.decide_retry_or_abandon(query, uid, beam, req, t);
-        } else {
-            self.resolve_fault_req(query, req, t);
+        if !failed {
+            self.resolve(read, io, t);
+        } else if inflight_left == 0 {
+            self.retry_or_abandon(read, t);
         }
+        // Otherwise a sibling attempt may still succeed; wait for it.
     }
 
-    /// Marks a fault-mode read as served. Any sibling attempt still in
-    /// flight lost the race and is cancelled exactly once, here: the host
-    /// stops waiting now, while the device finishes the wasted work
-    /// unobserved (its completion event is dropped as stale).
-    fn resolve_fault_req(&mut self, query: usize, req: usize, t: u64) {
-        let (span, uid) = {
-            let q = &self.queries[query];
-            (q.span, q.uid)
+    /// Marks a read as served. Any sibling attempt still in flight lost the
+    /// race and is cancelled exactly once, here: the host stops waiting
+    /// now, while the device finishes the wasted work unobserved (its
+    /// completion event is dropped as stale).
+    fn resolve(&mut self, read: ReadRef, io: &IoReq, t: u64) {
+        let Some(r) = self.q(read.query).reqs_state.get_mut(read.req) else {
+            return;
         };
-        let (losers, n_losers, offset, len, provenance) = {
-            let q = &mut self.queries[query];
-            let r = &mut q.reqs_state[req];
-            r.resolved = true;
-            let n = r.inflight as usize;
-            let losers = r.flight;
-            r.inflight = 0;
-            (losers, n, r.offset, r.len, r.provenance)
-        };
-        for &(a, h, s) in &losers[..n_losers] {
+        r.settled = true;
+        let (losers, n_losers) = (r.flight, usize::from(r.inflight));
+        for &loser in losers.iter().take(n_losers) {
             self.fstats.hedges_cancelled += 1;
-            if self.obs.level().io() {
-                self.obs.io_span(IoSpan {
-                    owner: span,
-                    query: uid,
-                    start_ns: s,
-                    end_ns: t,
-                    offset,
-                    len,
-                    write: false,
-                    provenance,
-                    attempt: a,
-                    hedged: h,
-                    outcome: IoOutcome::Cancelled,
-                });
-            }
+            self.io_span(read.query, io, false, loser, t, IoOutcome::Cancelled);
         }
         self.fstats.ios_completed += 1;
-        self.fault_req_settled(query, t);
+        self.request_settled(read.query, t);
     }
 
     /// A failed read with nothing left in flight: retry if the budget and
     /// the deadline allow, otherwise abandon it.
-    fn decide_retry_or_abandon(&mut self, query: usize, uid: u64, beam: u32, req: usize, t: u64) {
-        let deadline = self.queries[query].deadline_ns;
-        let tries = self.queries[query].reqs_state[req].tries;
+    fn retry_or_abandon(&mut self, read: ReadRef, t: u64) {
         let policy = self.config.faults.retry;
-        if t >= deadline {
-            self.abandon_fault_req(query, req, t, true);
-        } else if (tries as u32) < 1 + policy.max_retries {
-            let backoff_us = policy.backoff_us * policy.backoff_mult.powi(tries as i32 - 1);
-            self.queries[query].reqs_state[req].retry_pending = true;
-            self.push_event(
-                t + us_to_ns(backoff_us.max(0.0)).max(1),
-                EventKind::FaultRetry {
-                    query,
-                    uid,
-                    beam,
-                    req: req as u16,
-                },
-            );
+        let q = self.q(read.query);
+        let past_deadline = t >= q.deadline_ns;
+        let Some(r) = q.reqs_state.get_mut(read.req) else {
+            return;
+        };
+        if past_deadline || u32::from(r.tries) > policy.max_retries {
+            self.abandon(read, t, past_deadline);
+            return;
+        }
+        let backoff_us = policy.backoff_us * policy.backoff_mult.powi(i32::from(r.tries) - 1);
+        r.retry_pending = true;
+        self.push_event(
+            t + us_to_ns(backoff_us.max(0.0)).max(1),
+            EventKind::Retry { read },
+        );
+    }
+
+    fn on_retry(&mut self, read: ReadRef, t: u64) {
+        let Some((r, _)) = self.open_read(read) else {
+            return;
+        };
+        if !r.retry_pending {
+            return;
+        }
+        debug_assert_eq!(r.inflight, 0, "retry scheduled with attempts in flight");
+        r.retry_pending = false;
+        if t >= self.q(read.query).deadline_ns {
+            self.abandon(read, t, true);
         } else {
-            self.abandon_fault_req(query, req, t, false);
+            self.start_attempt(read, false, t);
         }
     }
 
-    fn on_fault_retry(&mut self, query: usize, uid: u64, beam: u32, req: usize, t: u64) {
-        if !self.fault_event_is_current(query, uid, beam) {
+    fn on_hedge(&mut self, read: ReadRef, t: u64) {
+        let Some((r, _)) = self.open_read(read) else {
             return;
+        };
+        // Hedge only a read still waiting on its primary/retry attempt:
+        // not between retries, not already hedged, not past the deadline.
+        let waiting = r.inflight > 0 && usize::from(r.inflight) < r.flight.len();
+        if waiting && t < self.q(read.query).deadline_ns {
+            self.fstats.hedges_issued += 1;
+            self.start_attempt(read, true, t);
         }
-        {
-            let r = &mut self.queries[query].reqs_state[req];
-            if r.resolved || r.abandoned || !r.retry_pending {
-                return;
-            }
-            debug_assert_eq!(r.inflight, 0, "retry scheduled with attempts in flight");
-            r.retry_pending = false;
-        }
-        if t >= self.queries[query].deadline_ns {
-            self.abandon_fault_req(query, req, t, true);
-            return;
-        }
-        self.start_fault_attempt(query, req, false, t);
     }
 
-    fn on_fault_hedge(&mut self, query: usize, uid: u64, beam: u32, req: usize, t: u64) {
-        if !self.fault_event_is_current(query, uid, beam) {
-            return;
-        }
-        {
-            let r = &self.queries[query].reqs_state[req];
-            // Hedge only a read still waiting on its primary/retry attempt:
-            // not already settled, not between retries, not already hedged.
-            if r.resolved
-                || r.abandoned
-                || r.inflight == 0
-                || (r.inflight as usize) >= r.flight.len()
-            {
-                return;
-            }
-        }
-        if t >= self.queries[query].deadline_ns {
-            return;
-        }
-        self.fstats.hedges_issued += 1;
-        self.start_fault_attempt(query, req, true, t);
-    }
-
-    /// Gives up on a fault-mode read: the query degrades to a partial
-    /// top-k and the loss is accounted (deadline vs retry exhaustion).
-    fn abandon_fault_req(&mut self, query: usize, req: usize, t: u64, deadline_hit: bool) {
-        {
-            let q = &mut self.queries[query];
-            q.reqs_state[req].abandoned = true;
-            q.degraded = true;
+    /// Gives up on a read: the query degrades to a partial top-k and the
+    /// loss is accounted (deadline vs retry exhaustion).
+    fn abandon(&mut self, read: ReadRef, t: u64, deadline_hit: bool) {
+        let q = self.q(read.query);
+        q.degraded = true;
+        if let Some(r) = q.reqs_state.get_mut(read.req) {
+            r.settled = true;
         }
         self.fstats.ios_abandoned += 1;
         if deadline_hit {
@@ -1496,13 +1332,15 @@ impl<'a> Simulation<'a> {
         } else {
             self.fstats.retry_exhausted += 1;
         }
-        self.fault_req_settled(query, t);
+        self.request_settled(read.query, t);
     }
 
-    /// One fault-mode read settled (served or abandoned); the beam — and
-    /// with it the segment — completes when the last one does.
-    fn fault_req_settled(&mut self, query: usize, t: u64) {
-        let q = &mut self.queries[query];
+    /// One request of the beam settled — a read served or abandoned, a
+    /// write completed; the beam — and with it the segment — completes
+    /// when the last one does.
+    fn request_settled(&mut self, query: usize, t: u64) {
+        let q = self.q(query);
+        debug_assert!(q.live && matches!(q.phase, Phase::IoWait | Phase::Overlap));
         q.pending_ios -= 1;
         if q.pending_ios == 0 {
             if q.phase == Phase::Overlap && q.remaining_subtasks > 0 {

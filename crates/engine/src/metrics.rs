@@ -24,7 +24,8 @@ pub struct DeviceTelemetry {
 /// Fault-injection and resilience accounting for one run.
 ///
 /// All-zero on a fault-free run ([`FaultStats::is_clean`]): the executor
-/// only tracks these under an active fault profile, so the `none` profile
+/// counts on every run — its read-conservation audit needs the ledger — but
+/// reports it only under an active fault profile, so the `none` profile
 /// stays byte-identical to a build without the fault layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
@@ -206,7 +207,7 @@ impl RunMetrics {
     /// Two runs are *bit-identical* iff their canonical byte strings are
     /// equal — floats are encoded by their exact bit patterns, so this is
     /// strictly stronger than comparing rounded report values. The
-    /// determinism audit (`sann-xtask lint --determinism`) runs the same
+    /// determinism audit (`sann-xtask determinism`) runs the same
     /// sweep twice and diffs these strings byte for byte.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut buf = ByteWriter::new();

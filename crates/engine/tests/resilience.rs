@@ -247,9 +247,27 @@ fn faulted_runs_are_byte_deterministic() {
 
 #[test]
 fn none_profile_is_byte_identical_regardless_of_policy() {
+    use sann_obs::export::{chrome_trace, jsonl};
+    use sann_obs::TraceLevel;
     // Aggressive retry/hedge/deadline settings are inert without an
-    // active profile: the executor keeps its fault-free fast path.
-    let config = base_config(FaultConfig::default());
+    // active profile: a healthy device is the degenerate policy of the one
+    // read lifecycle, so no hedge timer, deadline skip or fault counter may
+    // show — in the metrics, the registry or the exported I/O-level trace.
+    // The plan takes every route through that lifecycle: a blocking beam,
+    // an overlapped one, a write batch, and (the second beam re-reads the
+    // first one's pages) page-cache hits.
+    let plan = QueryPlan::new(vec![
+        Segment::cpu(20.0),
+        Segment::io(vec![IoReq::new(0, 4096), IoReq::new(8192, 4096)]),
+        Segment::overlapped(15.0, 2, vec![IoReq::new(1 << 20, 4096)]),
+        Segment::write(vec![IoReq::new(1 << 30, 4096)]),
+        Segment::io(vec![IoReq::new(0, 4096), IoReq::new(8192, 4096)]),
+        Segment::cpu(10.0),
+    ]);
+    let config = RunConfig {
+        cache_bytes: 1 << 20,
+        ..base_config(FaultConfig::default())
+    };
     let aggressive = RunConfig {
         faults: FaultConfig {
             profile: FaultProfile::none(),
@@ -264,10 +282,94 @@ fn none_profile_is_byte_identical_regardless_of_policy() {
         },
         ..config
     };
-    let plain = Executor::new(config).run(&[storage_plan()]);
-    let inert = Executor::new(aggressive).run(&[storage_plan()]);
-    assert_eq!(plain.canonical_bytes(), inert.canonical_bytes());
-    assert!(plain.fault.is_clean());
+    let plain = Executor::new(config).run_traced(std::slice::from_ref(&plan), TraceLevel::Io);
+    let inert = Executor::new(aggressive).run_traced(&[plan], TraceLevel::Io);
+    assert!(plain.metrics.io_stats.writes > 0, "the plan must write");
+    assert!(
+        plain.registry.counter("engine.reads_cache_hit") > 0,
+        "the plan must hit the page cache"
+    );
+    assert_eq!(
+        plain.metrics.canonical_bytes(),
+        inert.metrics.canonical_bytes()
+    );
+    assert_eq!(
+        plain.registry.canonical_bytes(),
+        inert.registry.canonical_bytes()
+    );
+    assert_eq!(chrome_trace(&plain.trace), chrome_trace(&inert.trace));
+    assert_eq!(jsonl(&plain.trace), jsonl(&inert.trace));
+    assert!(plain.metrics.fault.is_clean());
+    assert_eq!(plain.registry.counter("engine.ios_planned"), 0);
+}
+
+/// A beam wider than a 16-bit request index: every completion must still
+/// find its own read, under both policies, or the query never finishes.
+#[test]
+fn beam_wider_than_u16_drains_under_both_policies() {
+    const BEAM: u64 = 70_000;
+    let plan = QueryPlan::new(vec![Segment::io(
+        (0..BEAM).map(|i| IoReq::new(i * 4096, 4096)).collect(),
+    )]);
+    for profile in [FaultProfile::none(), FaultProfile::flaky()] {
+        let config = RunConfig {
+            cores: 2,
+            concurrency: 1,
+            duration_us: 0.05e6,
+            faults: FaultConfig {
+                profile,
+                ..FaultConfig::default()
+            },
+            ..RunConfig::default()
+        };
+        // `run` audits I/O and read conservation once the events drain.
+        let m = Executor::new(config).run(std::slice::from_ref(&plan));
+        assert!(
+            m.io_stats.reads >= BEAM,
+            "{}: every read of the beam reaches the device",
+            profile.name
+        );
+        let f = &m.fault;
+        assert_eq!(f.ios_planned, f.ios_completed + f.ios_abandoned);
+        assert_eq!(f.ios_planned > 0, profile.active());
+    }
+}
+
+#[test]
+#[should_panic(expected = "max_retries must be at most 250")]
+fn retry_budget_beyond_the_attempt_ordinal_is_rejected() {
+    let faults = FaultConfig {
+        retry: RetryPolicy {
+            max_retries: 300,
+            ..RetryPolicy::default()
+        },
+        ..FaultConfig::default()
+    };
+    Executor::new(base_config(faults));
+}
+
+#[test]
+fn largest_retry_budget_exhausts_without_overflow() {
+    // Every attempt fails and every read is hedged once, so each read
+    // numbers 1 primary + 250 retries + 1 hedge attempts — the most the
+    // attempt ordinal has to hold — before it is abandoned.
+    let faults = FaultConfig {
+        profile: always_failing(),
+        retry: RetryPolicy {
+            max_retries: 250,
+            backoff_us: 1.0,
+            backoff_mult: 1.0,
+        },
+        hedge_after_us: 10.0,
+        ..FaultConfig::default()
+    };
+    let m = Executor::new(base_config(faults)).run(&[storage_plan()]);
+    let f = &m.fault;
+    assert!(f.retry_exhausted > 0);
+    assert_eq!(f.ios_planned, f.ios_abandoned);
+    assert_eq!(f.retry_exhausted, f.ios_abandoned);
+    assert_eq!(f.retries, f.ios_abandoned * 250);
+    assert_eq!(f.hedges_issued, f.ios_abandoned);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! Two formats, both produced with integer-only timestamp formatting so
 //! identical-seed runs export byte-identical files (the
-//! `sann-xtask lint --determinism` audit diffs them byte for byte):
+//! `sann-xtask determinism` audit diffs them byte for byte):
 //!
 //! * [`chrome_trace`] — the Chrome Trace Event JSON array format, loadable
 //!   in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`. Query

@@ -24,7 +24,7 @@
 //! * [`export`] — two deterministic exporters: Chrome/Perfetto
 //!   `trace.json` ([`export::chrome_trace`]) and line-oriented JSONL
 //!   ([`export::jsonl`]). Byte-identical across identical-seed runs; the
-//!   `sann-xtask lint --determinism` audit diffs them byte for byte.
+//!   `sann-xtask determinism` audit diffs them byte for byte.
 //! * [`provenance`] — the [`IoProvenance`] tag every index-layer read
 //!   request carries (graph adjacency, vector block, posting list, PQ
 //!   codes, metadata), threaded through the engine and device model so
@@ -36,8 +36,8 @@
 //!
 //! All timestamps are `u64` nanoseconds of *simulated* time — this crate
 //! never reads the wall clock, uses no randomness, and iterates only
-//! ordered containers, so it passes `sann-xtask lint` with zero
-//! allow-markers.
+//! ordered containers, so it passes the determinism rules of
+//! `sann-xtask analyze` with zero allow-markers.
 //!
 //! # Examples
 //!

@@ -17,9 +17,9 @@ use sann_core::rng::SplitMix64;
 
 /// A named device-misbehavior envelope.
 ///
-/// `none()` disables every perturbation; the engine keeps its fault-free
-/// fast path in that case, so a `none` run is byte-identical to a build
-/// without the fault layer at all.
+/// `none()` disables every perturbation: every draw is clean and takes no
+/// random number, so a `none` run is byte-identical to a build without the
+/// fault layer at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Short name used by `--fault-profile` and reports.
@@ -118,8 +118,8 @@ impl FaultProfile {
         FaultProfile::all().into_iter().find(|p| p.name == name)
     }
 
-    /// Whether the profile can perturb any request. `false` means the
-    /// engine may keep its fault-free fast path.
+    /// Whether the profile can perturb any request. `false` means every
+    /// [`FaultInjector::draw`] returns [`ReadFault::clean`].
     pub fn active(&self) -> bool {
         self.read_error_prob > 0.0
             || self.spike_prob > 0.0
@@ -170,6 +170,9 @@ pub const HEDGE_TAG: u64 = 0x8000_0000;
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     profile: FaultProfile,
+    /// [`FaultProfile::active`] of `profile`, taken once: `draw` runs per
+    /// read attempt.
+    active: bool,
     /// Root RNG; children are split off per (uid, req, attempt), never
     /// advanced in place, so outcomes are order-independent.
     base: SplitMix64,
@@ -184,6 +187,7 @@ impl FaultInjector {
     pub fn new(profile: FaultProfile, seed: u64, base_media_us: f64) -> FaultInjector {
         FaultInjector {
             profile,
+            active: profile.active(),
             base: SplitMix64::new(seed ^ 0xFA17_5EED_D15C_0BAD),
             base_media_us,
         }
@@ -218,8 +222,9 @@ impl FaultInjector {
     /// * `attempt` — retry ordinal (0 = first try); hedged duplicates pass
     ///   `HEDGE_TAG | attempt` so they draw from a disjoint stream,
     /// * `arrival_us` — when the attempt reaches the device (GC phase).
+    #[inline]
     pub fn draw(&self, uid: u64, req: u64, attempt: u64, arrival_us: f64) -> ReadFault {
-        if !self.profile.active() {
+        if !self.active {
             return ReadFault::clean();
         }
         let mut rng = self.base.split(uid).split(req).split(attempt);

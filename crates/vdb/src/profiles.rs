@@ -184,8 +184,8 @@ impl DbProfile {
     /// The engine fault configuration for this database under an injected
     /// SSD fault profile: the profile decides *what the device does*, the
     /// database decides *how it reacts* (retry budget, backoff, hedging,
-    /// deadline). With [`FaultProfile::none`] the result is inert and the
-    /// engine keeps its fault-free fast path.
+    /// deadline). With [`FaultProfile::none`] the result is inert: nothing
+    /// fails, and the engine resolves the hedge and the deadline to "off".
     pub fn fault_config(&self, profile: FaultProfile) -> FaultConfig {
         FaultConfig {
             profile,

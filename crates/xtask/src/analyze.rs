@@ -487,7 +487,7 @@ fn scan_file(
 ) -> Result<(), String> {
     let source = std::fs::read_to_string(&job.path)
         .map_err(|e| format!("read {}: {e}", job.path.display()))?;
-    scan_source_inner(
+    scan_source(
         opts,
         &job.path,
         &job.rel,
@@ -500,10 +500,9 @@ fn scan_file(
     Ok(())
 }
 
-/// Scans one in-memory source file — also the engine behind the legacy
-/// [`crate::lint::scan_source`].
+/// Scans one in-memory source file.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_source_inner(
+fn scan_source(
     opts: &Options,
     file: &Path,
     rel: &str,
@@ -593,5 +592,166 @@ pub fn workspace_root() -> PathBuf {
         if !dir.pop() {
             return cwd;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Scans one source string under the determinism family alone.
+    fn scan_str(source: &str) -> Analysis {
+        let mut opts = Options::new(".");
+        opts.families = vec![Family::Determinism];
+        let mut analysis = Analysis {
+            files: 1,
+            ..Analysis::default()
+        };
+        scan_source(
+            &opts,
+            Path::new("test.rs"),
+            "test.rs",
+            "fixture",
+            Tree::Src,
+            source,
+            &[],
+            &mut analysis,
+        );
+        analysis
+    }
+
+    #[test]
+    fn flags_each_determinism_rule_by_name() {
+        let cases = [
+            ("let t = std::time::Instant::now();", "wall-clock"),
+            ("let t = SystemTime::now();", "wall-clock"),
+            ("let mut rng = thread_rng();", "unseeded-rng"),
+            ("let x: f64 = rand::random();", "unseeded-rng"),
+            (
+                "let m: HashMap<u32, u32> = HashMap::new();",
+                "unordered-container",
+            ),
+            ("use std::collections::HashSet;", "unordered-container"),
+            (
+                "v.sort_by(|a, b| a.partial_cmp(b).unwrap());",
+                "nan-unsafe-sort",
+            ),
+        ];
+        for (source, rule) in cases {
+            let analysis = scan_str(source);
+            assert_eq!(analysis.violations.len(), 1, "{source}");
+            assert_eq!(analysis.violations[0].rule, rule, "{source}");
+            assert!(!analysis.ok());
+        }
+    }
+
+    #[test]
+    fn multiline_nan_sort_is_caught() {
+        let source = "v.sort_by(|a, b| {\n    a.partial_cmp(b)\n        .unwrap()\n});\n";
+        let analysis = scan_str(source);
+        assert_eq!(analysis.violations.len(), 1);
+        assert_eq!(analysis.violations[0].rule, "nan-unsafe-sort");
+        assert_eq!(analysis.violations[0].line, 1);
+    }
+
+    #[test]
+    fn total_cmp_sort_is_clean() {
+        let analysis = scan_str("v.sort_by(f32::total_cmp);\nv.sort_by(|a, b| a.0.cmp(&b.0));\n");
+        assert!(analysis.ok());
+    }
+
+    #[test]
+    fn comments_and_strings_do_not_trip_rules() {
+        let source = r##"
+// A doc mention of HashMap and Instant::now is fine.
+/* block comment: thread_rng() */
+/// Uses a `HashMap` internally? No: BTreeMap.
+fn f() {
+    let s = "HashMap::new() SystemTime thread_rng";
+    let raw = r"Instant::now()";
+    let raw2 = r#"OsRng "quoted" HashSet"#;
+    let c = 'H';
+    let _ = (s, raw, raw2, c);
+}
+"##;
+        let analysis = scan_str(source);
+        assert!(analysis.ok(), "violations: {:?}", analysis.violations);
+    }
+
+    #[test]
+    fn one_finding_per_rule_per_line() {
+        let analysis = scan_str("let m: HashMap<u32, u32> = HashMap::new();");
+        assert_eq!(analysis.violations.len(), 1);
+    }
+
+    #[test]
+    fn marker_on_same_line_suppresses() {
+        let source =
+            "let t = Instant::now(); // sann-lint: allow(wall-clock) -- progress timer only\n";
+        let analysis = scan_str(source);
+        assert!(analysis.ok());
+        assert_eq!(analysis.allowed.len(), 1);
+        assert_eq!(
+            analysis.allowed[0].allowed.as_deref(),
+            Some("progress timer only")
+        );
+    }
+
+    #[test]
+    fn marker_on_line_above_suppresses() {
+        let source = "// sann-lint: allow(unordered-container) -- test-only scratch map\nlet m = HashMap::new();\n";
+        let analysis = scan_str(source);
+        assert!(analysis.ok());
+        assert_eq!(analysis.allowed.len(), 1);
+    }
+
+    #[test]
+    fn marker_for_wrong_rule_does_not_suppress() {
+        let source = "// sann-lint: allow(wall-clock) -- mismatched\nlet m = HashMap::new();\n";
+        let analysis = scan_str(source);
+        assert_eq!(analysis.violations.len(), 1);
+        assert_eq!(analysis.violations[0].rule, "unordered-container");
+    }
+
+    #[test]
+    fn markers_for_unselected_families_are_recognized() {
+        // The marker namespace is the full registry: a cast-safety marker in
+        // product code must not be a bad-marker error under
+        // `--rules determinism`.
+        let source =
+            "// sann-lint: allow(cast-truncation) -- lossless by construction\nlet x = y as u64;\n";
+        let analysis = scan_str(source);
+        assert!(analysis.ok(), "{:?}", analysis.marker_errors);
+    }
+
+    #[test]
+    fn malformed_markers_are_errors() {
+        for bad in [
+            "// sann-lint: allow(wall-clock)\nlet t = 1;\n", // missing reason
+            "// sann-lint: allow(no-such-rule) -- why\n",
+            "// sann-lint: deny(wall-clock) -- why\n",
+        ] {
+            let analysis = scan_str(bad);
+            assert!(!analysis.marker_errors.is_empty(), "{bad}");
+            assert!(!analysis.ok());
+        }
+    }
+
+    #[test]
+    fn text_report_counts_findings_and_markers_per_rule() {
+        let source = "let t = Instant::now();\nlet m = HashMap::new(); // sann-lint: allow(unordered-container) -- scratch\n";
+        let rendered = scan_str(source).render_text();
+        let row = |rule: &str| {
+            let line = rendered.lines().find(|l| l.trim_start().starts_with(rule));
+            let line = line.unwrap_or_else(|| panic!("no {rule} row in:\n{rendered}"));
+            line.split_whitespace()
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        // Columns: rule, findings, baseline, allowed, policy.
+        assert_eq!(row("wall-clock")[1..], ["1", "-", "0", "deny"]);
+        assert_eq!(row("unordered-container")[1..], ["0", "-", "1", "deny"]);
+        assert!(rendered.contains("error[wall-clock]: test.rs:1:"));
+        assert!(rendered.contains("analyze: FAIL"));
     }
 }

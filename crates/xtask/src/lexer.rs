@@ -1,8 +1,8 @@
 //! A hand-rolled, std-only Rust lexer producing a token stream with spans.
 //!
 //! The analyzer's rules ([`crate::rules`]) all operate on this token stream
-//! instead of the line-regex scanning the original `lint` used, which means
-//! they are immune to the classic false-positive/negative classes:
+//! instead of matching patterns against source lines, which means they are
+//! immune to the classic false-positive/negative classes:
 //!
 //! * prose in `//`/`/* */`/doc comments never produces tokens;
 //! * string literals — including raw strings `r#"…"#` with any number of

@@ -12,20 +12,17 @@
 //!   panic-path and cast-safety audits ratcheted against
 //!   [`baseline`]-recorded counts, and hot-loop hygiene for functions marked
 //!   `#[sann::hot]` or listed in the hot-path manifest. Results render as a
-//!   human table or SARIF 2.1 ([`sarif`]). The legacy [`lint`] surface is an
-//!   alias for the determinism family;
+//!   human table or SARIF 2.1 ([`sarif`]);
 //! * **dynamically** — [`determinism`] runs a small end-to-end sweep twice
 //!   with the same seed and diffs the canonical metric encodings byte for
 //!   byte, validating every query trace on the way — and double-runs the
 //!   analyzer itself, demanding byte-stable output.
 //!
-//! Run it as `cargo run -p sann-xtask -- analyze` (or `-- lint
-//! [--determinism]`).
+//! Run it as `cargo run -p sann-xtask -- analyze` and `-- determinism`.
 
 pub mod analyze;
 pub mod baseline;
 pub mod determinism;
 pub mod lexer;
-pub mod lint;
 pub mod rules;
 pub mod sarif;

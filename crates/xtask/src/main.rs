@@ -3,22 +3,22 @@
 //! ```text
 //! sann-xtask analyze [--root DIR] [--rules FAMILY,...] [--format text|sarif]
 //!                    [--baseline FILE] [--hotpaths FILE] [--update-baseline]
-//! sann-xtask lint    [--root DIR] [--determinism]
+//! sann-xtask determinism
 //! ```
 //!
-//! `lint` is an alias of `analyze --rules determinism` with the legacy
-//! report rendering; `--determinism` additionally runs the runtime
-//! double-run audit.
+//! `analyze` is the static checker (`--rules determinism` selects the
+//! determinism deny-set alone); `determinism` is the runtime double-run
+//! audit.
 
 use sann_xtask::analyze::{self, Format, Options};
 use sann_xtask::rules::Family;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: sann-xtask <analyze|lint> [options]\n\
+const USAGE: &str = "usage: sann-xtask <analyze|determinism> [options]\n\
     analyze [--root DIR] [--rules FAMILY,...] [--format text|sarif]\n\
     \x20       [--baseline FILE] [--hotpaths FILE] [--update-baseline]\n\
-    lint    [--root DIR] [--determinism]";
+    determinism";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,7 +28,7 @@ fn main() -> ExitCode {
     };
     match cmd {
         "analyze" => run_analyze(rest),
-        "lint" => run_lint(rest),
+        "determinism" => run_determinism(rest),
         other => {
             eprintln!("unknown subcommand {other}\n{USAGE}");
             ExitCode::FAILURE
@@ -126,51 +126,21 @@ fn run_analyze(rest: &[String]) -> ExitCode {
     }
 }
 
-fn run_lint(rest: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut determinism = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return flag_needs("--root", "a directory"),
-            },
-            "--determinism" => determinism = true,
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let scan = match &root {
-        // An explicit root is a fixture tree: scan every .rs file in it.
-        Some(dir) => sann_xtask::lint::scan_tree(dir),
-        None => sann_xtask::lint::scan_workspace(&analyze::workspace_root()),
-    };
-    let report = match scan {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("sann-xtask: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render());
-    if !report.ok() {
+fn run_determinism(rest: &[String]) -> ExitCode {
+    if let Some(other) = rest.first() {
+        eprintln!("unknown flag {other}\n{USAGE}");
         return ExitCode::FAILURE;
     }
-
-    if determinism {
-        match sann_xtask::determinism::run() {
-            Ok(summary) => println!("{summary}"),
-            Err(e) => {
-                eprintln!("determinism: FAIL — {e}");
-                return ExitCode::FAILURE;
-            }
+    match sann_xtask::determinism::run() {
+        Ok(summary) => {
+            println!("{summary}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("determinism: FAIL — {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
 fn flag_needs(flag: &str, what: &str) -> ExitCode {

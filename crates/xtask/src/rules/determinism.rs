@@ -1,13 +1,9 @@
-//! The four original determinism rules, migrated from the line scanner to
-//! the token stream.
+//! The four determinism rules, on the token stream.
 //!
-//! Semantics match the legacy `sann-xtask lint` byte for byte on clean code:
-//! one finding per (rule, line) even when a line hits a pattern twice, the
-//! same rule names, and the same marker suppression. What changed is the
-//! false-positive surface — string literals, raw strings, nested comments,
-//! and lifetimes can no longer trip a rule — and the false-negative one:
-//! `sort_by(…partial_cmp…unwrap…)` is now matched over the call's real
-//! argument extent (bracket-matched) instead of a 3-line window.
+//! One finding per (rule, line) even when a line hits a pattern twice.
+//! String literals, raw strings, nested comments, and lifetimes cannot trip
+//! a rule, and `sort_by(…partial_cmp…unwrap…)` is matched over the call's
+//! real argument extent (bracket-matched), however many lines it spans.
 
 use super::{is_path2, matching_close, Finding, RuleCtx};
 use crate::lexer::TokKind;
@@ -77,8 +73,7 @@ pub fn check(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Deduplicates findings per (rule, line), preserving the legacy lint's
-/// one-finding-per-line accounting.
+/// Deduplicates findings per (rule, line).
 struct PerLine<'a> {
     out: &'a mut Vec<Finding>,
 }

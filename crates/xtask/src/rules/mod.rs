@@ -10,8 +10,8 @@
 //!   findings don't block but regressions do (panic paths, bare casts,
 //!   hot-loop hygiene).
 //!
-//! Suppression uses the same `sann-lint: allow(<rule>) -- <reason>` markers
-//! the determinism lint always had, on the finding's line or the line above.
+//! Suppression uses `sann-lint: allow(<rule>) -- <reason>` markers on the
+//! finding's line or the line above.
 
 pub mod cast_safety;
 pub mod determinism;
@@ -35,7 +35,8 @@ pub enum Severity {
 /// Rule families, selectable with `analyze --rules <family,...>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// The four original `sann-xtask lint` rules.
+    /// The determinism deny-set: wall-clock, unseeded-rng,
+    /// unordered-container, nan-unsafe-sort.
     Determinism,
     /// Crate-dependency layering against the declared DAG.
     Layering,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, clippy (warnings are errors), the
-# workspace determinism lint, and the test suite. CI runs exactly this.
+# workspace analyzer, and the test suite. CI runs exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,10 +10,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> sann-xtask lint"
-cargo run -q -p sann-xtask -- lint
-
-echo "==> sann-xtask analyze (layering, panic-path, cast-safety, hot-loop; ratcheted)"
+echo "==> sann-xtask analyze (determinism, layering, panic-path, cast-safety, hot-loop; ratcheted)"
 # Fails on any deny-rule violation, any ratchet regression against
 # analyze-baseline.toml, and any unaudited (reason-less) allow marker.
 cargo run -q -p sann-xtask -- analyze

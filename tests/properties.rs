@@ -269,7 +269,7 @@ fn storage_index_reads_are_page_aligned() {
 
 /// Identically-seeded builds and runs are bit-identical end to end: the
 /// traces match step for step and the executor's metrics match byte for
-/// byte (the invariant `sann-xtask lint --determinism` audits at scale).
+/// byte (the invariant `sann-xtask determinism` audits at scale).
 #[test]
 fn identically_seeded_runs_are_byte_identical() {
     use sann::core::rng::SplitMix64;
