@@ -16,8 +16,8 @@
 //!
 //! Cold prep is parallel: [`BenchContext::prefetch`] fans independent
 //! (dataset × index family) builds out over `--prep-threads` workers. The
-//! builds themselves are single-threaded and deterministic, so the artifacts
-//! are byte-identical at any thread count.
+//! builds themselves are deterministic — a seed fixes an artifact's bytes —
+//! so the artifacts are byte-identical at any thread count.
 
 use crate::cache::{self, ArtifactCache, CacheStats};
 use sann_core::buf::{ByteReader, ByteWriter};
@@ -305,9 +305,8 @@ impl BenchContext {
             self.datasets.insert(d.spec.name.clone(), d);
         }
         // Phase 2: index builds, deduped per (dataset, family) exactly like
-        // the lazy path, then fanned out. Each build is single-threaded
-        // (deterministic), so artifacts are byte-identical at any
-        // `prep_threads`.
+        // the lazy path, then fanned out. Each build is deterministic, so
+        // artifacts are byte-identical at any `prep_threads`.
         let mut jobs: Vec<(String, &'static str, Setup)> = Vec::new();
         for spec in &specs {
             for &kind in kinds {

@@ -1,33 +1,10 @@
-//! Minimal data-parallel helpers built on std scoped threads.
+//! Minimal data-parallel helper built on std scoped threads.
 //!
 //! The workspace deliberately avoids a work-stealing runtime dependency;
-//! builds only need "run this closure over id ranges on all cores" and
-//! "fill this row-major output on all cores".
-
-/// Runs `f(start, end)` over `[0, n)` split into one contiguous range per
-/// worker thread. `f` must be safe to run concurrently on disjoint ranges.
-pub fn par_ranges<F>(n: usize, threads: usize, f: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n == 0 {
-        f(0, n);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let f = &f;
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start >= end {
-                continue;
-            }
-            scope.spawn(move || f(start, end));
-        }
-    });
-}
+//! the only parallel shape it needs is "fill this row-major output on all
+//! cores", for work whose rows are independent (k-means assignment, PQ
+//! encoding, ground truth, Vamana's closing degree-bound pass). Graph
+//! construction itself is sequential: see `sann_index::hnsw` / `vamana`.
 
 /// Splits `out` — `stride` elements per row — into one contiguous run of
 /// rows per worker thread and runs `f(first_row, rows)` on each. What a row
@@ -66,33 +43,6 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn covers_every_index_exactly_once() {
-        let n = 1000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        par_ranges(n, 7, |start, end| {
-            for h in &hits[start..end] {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn zero_items_is_fine() {
-        par_ranges(0, 4, |s, e| assert_eq!(s, e));
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        let count = AtomicU64::new(0);
-        par_ranges(10, 1, |s, e| {
-            count.fetch_add((e - s) as u64, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 10);
-    }
 
     #[test]
     fn chunks_mut_hands_every_row_its_index() {
@@ -109,14 +59,5 @@ mod tests {
         par_chunks_mut(&mut [0u8; 0], 4, 4, |first, rows| {
             assert_eq!((first, rows.len()), (0, 0));
         });
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let count = AtomicU64::new(0);
-        par_ranges(3, 16, |s, e| {
-            count.fetch_add((e - s) as u64, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 3);
     }
 }

@@ -1,12 +1,11 @@
-//! Poison-free lock wrappers over [`std::sync`].
+//! A poison-free lock wrapper over [`std::sync`].
 //!
-//! The workspace's parallel index builds only ever hold locks across pure
-//! computation; a panic inside a critical section already aborts the build
-//! via the scoped-thread join. Lock poisoning therefore carries no extra
-//! information here, and propagating `PoisonError` through every build loop
-//! would bury the algorithms in plumbing. These wrappers panic on poison
-//! (mirroring the `parking_lot` API shape) so call sites stay `lock()`,
-//! `read()`, `write()`.
+//! The one lock left in the workspace guards mmap-HNSW's page cache behind
+//! `&self`, and is only ever held across pure computation. Lock poisoning
+//! carries no extra information there, and propagating `PoisonError`
+//! through the search path would bury it in plumbing. The wrapper panics on
+//! poison (mirroring the `parking_lot` API shape) so call sites stay
+//! `lock()`.
 
 use std::sync::{self, LockResult};
 
@@ -36,32 +35,6 @@ impl<T> Mutex<T> {
     }
 }
 
-/// A readers-writer lock that panics if a previous holder panicked.
-#[derive(Debug, Default)]
-pub struct RwLock<T>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a lock owning `value`.
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Acquires shared read access.
-    pub fn read(&self) -> sync::RwLockReadGuard<'_, T> {
-        unpoison(self.0.read())
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
-        unpoison(self.0.write())
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        unpoison(self.0.into_inner())
-    }
-}
-
 fn unpoison<G>(result: LockResult<G>) -> G {
     match result {
         Ok(guard) => guard,
@@ -79,14 +52,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(l.into_inner(), vec![1, 2, 3]);
     }
 
     #[test]

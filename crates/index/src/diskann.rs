@@ -82,30 +82,11 @@ impl DiskAnnIndex {
     /// Propagates graph and PQ training errors; rejects a `pq_m` that does
     /// not divide the dataset dimensionality.
     pub fn build(data: &Dataset, metric: Metric, config: DiskAnnConfig) -> Result<DiskAnnIndex> {
-        let dim = data.dim();
-        let pq_m = if config.pq_m == 0 {
-            // Default compression: one byte per 8 dimensions, but always a
-            // divisor of dim.
-            let target = (dim / 8).max(1);
-            (1..=target)
-                .rev()
-                .find(|&m| dim.is_multiple_of(m))
-                .unwrap_or(1)
-        } else {
-            config.pq_m
-        };
-        if !dim.is_multiple_of(pq_m) {
-            return Err(Error::invalid_parameter(
-                "pq_m",
-                format!("{pq_m} must divide dim {dim}"),
-            ));
-        }
+        let (pq_m, ksub) = pq_shape(data, config.pq_m, config.pq_ksub)?;
         let graph = VamanaGraph::build(data, metric, config.graph)?;
-        let ksub = config.pq_ksub.min(data.len().max(2) - 1).clamp(2, 256);
         let pq = sann_quant::ProductQuantizer::train(data, pq_m, ksub, config.graph.seed ^ 0xD1)?;
         let codes = pq.encode_all(data);
-        // Node record: full vector + degree + R neighbor slots.
-        let node_bytes = (dim * 4 + 4 + graph.r() * 4) as u64;
+        let node_bytes = node_record_bytes(data.dim(), graph.r());
         let layout = DiskLayout::new(data.len() as u64, node_bytes, config.base_offset);
         let paged = PagedLayout::new(&graph, node_bytes, config.base_offset);
         Ok(DiskAnnIndex {
@@ -169,7 +150,7 @@ impl DiskAnnIndex {
             return Err(Error::Corrupt("diskann: component shape mismatch".into()));
         }
         let codes = r.take(len)?.to_vec();
-        let node_bytes = (data.dim() * 4 + 4 + graph.r() * 4) as u64;
+        let node_bytes = node_record_bytes(data.dim(), graph.r());
         let layout = DiskLayout::new(data.len() as u64, node_bytes, base_offset);
         let paged = PagedLayout::new(&graph, node_bytes, base_offset);
         Ok(DiskAnnIndex {
@@ -182,6 +163,40 @@ impl DiskAnnIndex {
             paged,
         })
     }
+}
+
+/// The default PQ code length: one byte per 8 dimensions, rounded down to a
+/// divisor of `dim`.
+pub fn default_pq_m(dim: usize) -> usize {
+    let target = (dim / 8).max(1);
+    (1..=target)
+        .rev()
+        .find(|&m| dim.is_multiple_of(m))
+        .unwrap_or(1)
+}
+
+/// The PQ shape `(m, ksub)` of a DiskANN-family build over `data`: `pq_m`
+/// of 0 selects [`default_pq_m`], and `pq_ksub` is clamped to what the
+/// dataset can train.
+///
+/// # Errors
+///
+/// Rejects a `pq_m` that does not divide the dataset dimensionality.
+pub(crate) fn pq_shape(data: &Dataset, pq_m: usize, pq_ksub: usize) -> Result<(usize, usize)> {
+    let dim = data.dim();
+    let m = if pq_m == 0 { default_pq_m(dim) } else { pq_m };
+    if !dim.is_multiple_of(m) {
+        return Err(Error::invalid_parameter(
+            "pq_m",
+            format!("{m} must divide dim {dim}"),
+        ));
+    }
+    Ok((m, pq_ksub.min(data.len().max(2) - 1).clamp(2, 256)))
+}
+
+/// Bytes of one node record: full vector + degree + `r` neighbor slots.
+pub(crate) fn node_record_bytes(dim: usize, r: usize) -> u64 {
+    (dim * 4 + 4 + r * 4) as u64
 }
 
 /// Candidate list entry during beam search.

@@ -11,12 +11,13 @@
 //! records, so the execution engine can replay realistic read-write mixes.
 
 use crate::batch::Batch;
+use crate::diskann::{node_record_bytes, pq_shape};
 use crate::layout::DiskLayout;
-use crate::trace::{QueryTrace, SearchOutput, TraceStep};
+use crate::trace::{IoReq, QueryTrace, SearchOutput};
 use crate::vamana::{robust_prune, VamanaConfig, VamanaGraph};
 use crate::{SearchParams, VectorIndex};
 use sann_core::{Dataset, Error, Metric, Neighbor, Result, TopK};
-use sann_quant::ProductQuantizer;
+use sann_quant::{DistanceTable, ProductQuantizer};
 
 /// Build-time configuration for [`FreshDiskAnnIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,30 +78,18 @@ impl FreshDiskAnnIndex {
     ///
     /// # Errors
     ///
-    /// Propagates graph and PQ build errors.
+    /// Propagates graph and PQ build errors; rejects a `pq_m` that does not
+    /// divide the dataset dimensionality.
     pub fn build(data: &Dataset, metric: Metric, config: FreshConfig) -> Result<FreshDiskAnnIndex> {
-        let dim = data.dim();
-        let pq_m = if config.pq_m == 0 {
-            let target = (dim / 8).max(1);
-            (1..=target)
-                .rev()
-                .find(|&m| dim.is_multiple_of(m))
-                .unwrap_or(1)
-        } else {
-            config.pq_m
-        };
+        let (pq_m, ksub) = pq_shape(data, config.pq_m, config.pq_ksub)?;
         let graph = VamanaGraph::build(data, metric, config.graph)?;
-        let ksub = config
-            .pq_ksub
-            .min(data.len().saturating_sub(1))
-            .clamp(2, 256);
         let pq = ProductQuantizer::train(data, pq_m, ksub, config.graph.seed ^ 0xF8E5)?;
         let codes = pq.encode_all(data);
         let r = graph.r();
         let adj = (0..data.len() as u32)
             .map(|i| graph.neighbors(i).to_vec())
             .collect();
-        let node_bytes = (dim * 4 + 4 + r * 4) as u64;
+        let node_bytes = node_record_bytes(data.dim(), r);
         Ok(FreshDiskAnnIndex {
             data: data.clone(),
             metric,
@@ -147,9 +136,16 @@ impl FreshDiskAnnIndex {
             });
         }
         let mut trace = QueryTrace::new();
-        // Placement search: beam over the graph, reads as in a query.
-        let (visited, read_steps) = self.placement_search(vector)?;
-        trace.steps.extend(read_steps);
+        // Placement search: beam over the graph, reads as in a query; every
+        // fetched node joins the pruning pool with its exact distance.
+        let mut visited: Vec<Neighbor> = Vec::new();
+        let table = self.pq.distance_table(vector);
+        let l = self.config.l_insert.max(8);
+        self.beam(vector, &table, l, 4, |reqs, frontier, exact, _| {
+            trace.push_read(reqs);
+            let fetched = frontier.iter().zip(exact);
+            visited.extend(fetched.map(|(&id, &d)| Neighbor::new(id, d)));
+        })?;
 
         let id = self.data.len() as u32;
         self.data.push(vector)?;
@@ -180,9 +176,7 @@ impl FreshDiskAnnIndex {
             if !adj.contains(&id) {
                 adj.push(id);
                 if adj.len() > self.r + self.r / 2 {
-                    batch.set(adj);
-                    batch.score(self.metric, self.data.row(nb as usize), &self.data);
-                    let cands = batch.neighbors();
+                    let cands = batch.neighbors_of(self.metric, &self.data, nb, adj);
                     self.adj[nb as usize] = robust_prune(
                         &self.data,
                         self.metric,
@@ -281,25 +275,33 @@ impl FreshDiskAnnIndex {
         repaired
     }
 
-    /// Beam placement search used by inserts: returns the visited set (with
-    /// distances) and the read steps performed.
+    /// The beam search behind both queries and insert placement. Each hop
+    /// takes the `w` closest unfetched candidates within the top `l` (by PQ
+    /// distance), reads their node records, scores the fetched vectors
+    /// exactly and expands their unseen neighbours into the candidate list
+    /// by PQ lookup. `hop(reqs, frontier, exact, lookups)` is told, once per
+    /// hop, the reads issued, the nodes fetched with their exact distances,
+    /// and the PQ lookups spent; what to trace and what to keep is the
+    /// caller's business.
     ///
     /// # Errors
     ///
     /// Propagates layout errors for out-of-range graph edges.
-    fn placement_search(&self, query: &[f32]) -> Result<(Vec<Neighbor>, Vec<TraceStep>)> {
-        let l = self.config.l_insert.max(8);
-        let w = 4usize;
+    fn beam(
+        &self,
+        query: &[f32],
+        table: &DistanceTable,
+        l: usize,
+        w: usize,
+        mut hop: impl FnMut(Vec<IoReq>, &[u32], &[f32], u64),
+    ) -> Result<()> {
         let layout = self.layout();
-        let mut steps = Vec::new();
         let mut seen = vec![false; self.adj.len()];
-        let mut visited: Vec<Neighbor> = Vec::new();
         let start = self.medoid;
         seen[start as usize] = true;
-        let table = self.pq.distance_table(query);
         let mut cands: Vec<(f32, u32, bool)> =
             vec![(table.distance_at(&self.codes, start as usize), start, false)];
-        let mut exact_dists = Vec::new();
+        let mut exact = Vec::new();
         let mut batch = Batch::default();
         loop {
             let mut frontier = Vec::with_capacity(w);
@@ -313,19 +315,19 @@ impl FreshDiskAnnIndex {
                 }
             }
             if frontier.is_empty() {
-                break;
+                return Ok(());
             }
             let mut reqs = Vec::new();
             for &id in &frontier {
                 reqs.extend(layout.node_reqs(id as u64, sann_obs::IoProvenance::GraphAdjacency)?);
             }
-            steps.push(TraceStep::Read { reqs });
             self.metric
-                .distance_gather(query, &self.data, &frontier, &mut exact_dists);
-            for (&id, &exact_d) in frontier.iter().zip(&exact_dists) {
-                visited.push(Neighbor::new(id, exact_d));
+                .distance_gather(query, &self.data, &frontier, &mut exact);
+            let mut lookups = 0u64;
+            for &id in &frontier {
                 batch.take_unseen(&self.adj[id as usize], &mut seen);
                 table.distance_gather(&self.codes, &batch.ids, &mut batch.dists);
+                lookups += batch.ids.len() as u64;
                 for (nb, d) in batch.scored() {
                     let pos = cands.partition_point(|x| x.0 <= d);
                     cands.insert(pos, (d, nb, false));
@@ -334,8 +336,8 @@ impl FreshDiskAnnIndex {
                     }
                 }
             }
+            hop(reqs, &frontier, &exact, lookups);
         }
-        Ok((visited, steps))
     }
 }
 
@@ -368,62 +370,23 @@ impl VectorIndex for FreshDiskAnnIndex {
         }
         let l = params.search_list.max(k);
         let w = params.beam_width.max(1);
-        let layout = self.layout();
+        let (dim, m) = (self.data.dim() as u32, self.pq.m() as u32);
         let mut trace = QueryTrace::new();
         let table = self.pq.distance_table(query);
-        trace.push_compute(self.pq.ksub() as u64, self.data.dim() as u32);
-
-        let mut seen = vec![false; self.adj.len()];
-        let start = self.medoid;
-        seen[start as usize] = true;
-        let mut cands: Vec<(f32, u32, bool)> =
-            vec![(table.distance_at(&self.codes, start as usize), start, false)];
-        trace.push_pq_lookup(1, self.pq.m() as u32);
-        let mut exact = TopK::new(l.max(k));
-        let mut exact_dists = Vec::new();
-        let mut batch = Batch::default();
-
-        loop {
-            let mut frontier = Vec::with_capacity(w);
-            for c in cands.iter_mut().take(l) {
-                if !c.2 {
-                    c.2 = true;
-                    frontier.push(c.1);
-                    if frontier.len() == w {
-                        break;
-                    }
-                }
-            }
-            if frontier.is_empty() {
-                break;
-            }
-            let mut reqs = Vec::new();
-            for &id in &frontier {
-                reqs.extend(layout.node_reqs(id as u64, sann_obs::IoProvenance::GraphAdjacency)?);
-            }
+        trace.push_compute(self.pq.ksub() as u64, dim);
+        trace.push_pq_lookup(1, m);
+        let mut exact = TopK::new(l);
+        self.beam(query, &table, l, w, |reqs, frontier, dists, lookups| {
             trace.push_read(reqs);
-            let mut lookups = 0u64;
-            self.metric
-                .distance_gather(query, &self.data, &frontier, &mut exact_dists);
-            for (&id, &exact_d) in frontier.iter().zip(&exact_dists) {
+            for (&id, &d) in frontier.iter().zip(dists) {
                 // Tombstoned nodes route but never land in results.
                 if !self.deleted[id as usize] {
-                    exact.push(id, exact_d);
-                }
-                batch.take_unseen(&self.adj[id as usize], &mut seen);
-                table.distance_gather(&self.codes, &batch.ids, &mut batch.dists);
-                lookups += batch.ids.len() as u64;
-                for (nb, d) in batch.scored() {
-                    let pos = cands.partition_point(|x| x.0 <= d);
-                    cands.insert(pos, (d, nb, false));
-                    if cands.len() > l + l / 2 + 1 {
-                        cands.truncate(l + l / 2 + 1);
-                    }
+                    exact.push(id, d);
                 }
             }
-            trace.push_compute(frontier.len() as u64, self.data.dim() as u32);
-            trace.push_pq_lookup(lookups, self.pq.m() as u32);
-        }
+            trace.push_compute(frontier.len() as u64, dim);
+            trace.push_pq_lookup(lookups, m);
+        })?;
 
         let mut neighbors = exact.into_sorted_vec();
         neighbors.truncate(k);

@@ -10,18 +10,15 @@
 //! * neighbor selection by the pruning heuristic (Algorithm 4 of the paper),
 //! * degree caps `M` on upper layers and `2M` on layer 0.
 //!
-//! Builds are parallel (scoped threads + per-node locks, the hnswlib
-//! approach); set [`HnswConfig::threads`] to 1 for a fully deterministic
-//! graph.
+//! A build inserts the nodes one after another, in id order, into plain
+//! adjacency lists: a seed fixes the graph on any machine. Parallelism
+//! belongs one level up, across whole builds (DESIGN.md §9).
 
-use crate::batch::Batch;
+use crate::batch::{best_first, greedy_descend, Batch};
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
-use sann_core::par;
 use sann_core::rng::SplitMix64;
-use sann_core::sync::{Mutex, RwLock};
-use sann_core::{Dataset, Error, Metric, Neighbor, Result, TopK};
-use std::collections::BinaryHeap;
+use sann_core::{Dataset, Error, Metric, Neighbor, Result};
 
 /// Build-time configuration for [`HnswIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +29,6 @@ pub struct HnswConfig {
     pub ef_construction: usize,
     /// RNG seed for level assignment.
     pub seed: u64,
-    /// Build threads; 0 means all cores, 1 means deterministic.
-    pub threads: usize,
 }
 
 impl Default for HnswConfig {
@@ -43,10 +38,14 @@ impl Default for HnswConfig {
             m: 16,
             ef_construction: 200,
             seed: 0x45_4653,
-            threads: 0,
         }
     }
 }
+
+/// The word of the persisted frame that once carried a build-thread count.
+/// Every artifact ever written by a deterministic build has 1 here, so 1 is
+/// what is written and the only value read back.
+const RESERVED_WORD: u32 = 1;
 
 /// A built HNSW index.
 pub struct HnswIndex {
@@ -71,84 +70,34 @@ impl std::fmt::Debug for HnswIndex {
     }
 }
 
+/// Neighbors of `id` at `level`; none when the node does not reach it.
+fn links_at(links: &[Vec<Vec<u32>>], id: u32, level: usize) -> &[u32] {
+    links[id as usize]
+        .get(level)
+        .map(Vec::as_slice)
+        .unwrap_or(&[])
+}
+
 /// Mutable graph state during construction.
 struct Builder<'a> {
     data: &'a Dataset,
     metric: Metric,
     m: usize,
     ef: usize,
-    levels: Vec<usize>,
-    /// Per node, per level adjacency under its own lock.
-    links: Vec<Vec<Mutex<Vec<u32>>>>,
-    /// (entry node, top level) — updated as taller nodes are inserted.
-    entry: RwLock<(u32, usize)>,
+    /// `links[node][level]`, one (initially empty) list per level the node
+    /// was assigned.
+    links: Vec<Vec<Vec<u32>>>,
+    /// Entry node and its top level — replaced as taller nodes are inserted.
+    entry: (u32, usize),
 }
 
 impl Builder<'_> {
-    fn dist(&self, a: &[f32], id: u32) -> f32 {
-        self.metric.distance(a, self.data.row(id as usize))
-    }
-
     fn max_degree(&self, level: usize) -> usize {
         if level == 0 {
             self.m * 2
         } else {
             self.m
         }
-    }
-
-    /// Greedy single-entry descent at `level`.
-    fn greedy(&self, q: &[f32], mut ep: u32, level: usize, batch: &mut Batch) -> u32 {
-        let mut best = self.dist(q, ep);
-        loop {
-            let mut improved = false;
-            batch.set(&self.links[ep as usize][level].lock());
-            batch.score(self.metric, q, self.data);
-            for (n, d) in batch.scored() {
-                if d < best {
-                    best = d;
-                    ep = n;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return ep;
-            }
-        }
-    }
-
-    /// `ef`-bounded best-first search at `level`, returning candidates
-    /// closest-first.
-    fn search_layer(
-        &self,
-        q: &[f32],
-        ep: u32,
-        level: usize,
-        ef: usize,
-        batch: &mut Batch,
-    ) -> Vec<Neighbor> {
-        let mut visited = vec![false; self.data.len()];
-        visited[ep as usize] = true;
-        let d0 = self.dist(q, ep);
-        // Min-heap of frontier candidates via Reverse ordering on Neighbor.
-        let mut frontier: BinaryHeap<std::cmp::Reverse<Neighbor>> = BinaryHeap::new();
-        frontier.push(std::cmp::Reverse(Neighbor::new(ep, d0)));
-        let mut best = TopK::new(ef);
-        best.push(ep, d0);
-        while let Some(std::cmp::Reverse(cand)) = frontier.pop() {
-            if cand.dist > best.bound() {
-                break;
-            }
-            batch.take_unseen(&self.links[cand.id as usize][level].lock(), &mut visited);
-            batch.score(self.metric, q, self.data);
-            for (n, d) in batch.scored() {
-                if d < best.bound() || !best.is_full() {
-                    best.push(n, d);
-                    frontier.push(std::cmp::Reverse(Neighbor::new(n, d)));
-                }
-            }
-        }
-        best.into_sorted_vec()
     }
 
     /// Neighbor-selection heuristic (keep a candidate only if it is closer
@@ -181,46 +130,55 @@ impl Builder<'_> {
         kept
     }
 
-    fn insert(&self, id: u32) {
-        let q = self.data.row(id as usize);
-        let node_level = self.levels[id as usize];
-        let (mut ep, top) = *self.entry.read();
+    fn insert(&mut self, id: u32) {
+        let (data, metric) = (self.data, self.metric);
+        let q = data.row(id as usize);
+        let node_level = self.links[id as usize].len() - 1;
+        let (mut ep, top) = self.entry;
         let mut batch = Batch::default();
 
         // Descend through layers above the node's level.
         for l in (node_level + 1..=top).rev() {
-            ep = self.greedy(q, ep, l, &mut batch);
+            ep = greedy_descend(
+                ep,
+                |n| links_at(&self.links, n, l),
+                |ids, out| metric.distance_gather(q, data, ids, out),
+                &mut batch,
+            );
         }
 
         // Connect on each shared layer.
         for l in (0..=node_level.min(top)).rev() {
-            let found = self.search_layer(q, ep, l, self.ef, &mut batch);
-            let selected = self.select_neighbors(&found, self.max_degree(l), &mut batch);
+            let found = best_first(
+                data.len(),
+                ep,
+                self.ef,
+                |n| links_at(&self.links, n, l),
+                |ids, out| metric.distance_gather(q, data, ids, out),
+                |_| {},
+                &mut batch,
+            );
+            let cap = self.max_degree(l);
+            let selected = self.select_neighbors(&found, cap, &mut batch);
             ep = found.first().map(|n| n.id).unwrap_or(ep);
-            *self.links[id as usize][l].lock() = selected.clone();
+            self.links[id as usize][l] = selected.clone();
             for n in selected {
-                let mut adj = self.links[n as usize][l].lock();
+                let adj = &mut self.links[n as usize][l];
                 if !adj.contains(&id) {
                     adj.push(id);
                 }
-                let cap = self.max_degree(l);
                 if adj.len() > cap {
                     // Re-prune the overflowing node with the same heuristic.
-                    batch.set(&adj);
-                    batch.score(self.metric, self.data.row(n as usize), self.data);
-                    let mut cands = batch.neighbors();
+                    let mut cands = batch.neighbors_of(metric, data, n, adj);
                     cands.sort_unstable();
-                    *adj = self.select_neighbors(&cands, cap, &mut batch);
+                    self.links[n as usize][l] = self.select_neighbors(&cands, cap, &mut batch);
                 }
             }
         }
 
         // Become the entry point if taller than the current one.
         if node_level > top {
-            let mut entry = self.entry.write();
-            if node_level > entry.1 {
-                *entry = (id, node_level);
-            }
+            self.entry = (id, node_level);
         }
     }
 }
@@ -249,42 +207,23 @@ impl HnswIndex {
             })
             .collect();
 
-        let links: Vec<Vec<Mutex<Vec<u32>>>> = levels
-            .iter()
-            .map(|&l| (0..=l).map(|_| Mutex::new(Vec::new())).collect())
-            .collect();
-
-        let builder = Builder {
+        let mut builder = Builder {
             data,
             metric,
             m: config.m,
             ef: config.ef_construction.max(config.m),
-            levels,
+            links: levels.iter().map(|&l| vec![Vec::new(); l + 1]).collect(),
+            // Node 0 is the first entry, at its own level.
+            entry: (0, levels[0]),
+        };
+        for id in 1..n as u32 {
+            builder.insert(id);
+        }
+        let Builder {
             links,
-            entry: RwLock::new((0, 0)),
-        };
-        // Seed the entry point with node 0 at its own level.
-        *builder.entry.write() = (0, builder.levels[0]);
-
-        let threads = if config.threads == 0 {
-            par::default_threads()
-        } else {
-            config.threads
-        };
-        // Node 0 is already the entry; insert the rest. Parallel ranges each
-        // insert their ids in order, which matches hnswlib's behaviour.
-        par::par_ranges(n - 1, threads, |start, end| {
-            for i in start..end {
-                builder.insert((i + 1) as u32);
-            }
-        });
-
-        let (entry, max_level) = *builder.entry.read();
-        let links: Vec<Vec<Vec<u32>>> = builder
-            .links
-            .into_iter()
-            .map(|per_level| per_level.into_iter().map(|m| m.into_inner()).collect())
-            .collect();
+            entry: (entry, max_level),
+            ..
+        } = builder;
         Ok(HnswIndex {
             data: data.clone(),
             metric,
@@ -336,58 +275,19 @@ impl HnswIndex {
         F: FnMut(&[u32], &mut Vec<f32>),
     {
         let mut batch = Batch::default();
-        let dist_one = |dist: &mut F, id: u32, batch: &mut Batch| {
-            dist(&[id], &mut batch.dists);
-            batch.dists[0]
-        };
-
-        // Greedy descent through upper layers.
         let mut ep = self.entry;
         for l in (1..=self.max_level).rev() {
-            let mut best = dist_one(&mut dist, ep, &mut batch);
-            loop {
-                let mut improved = false;
-                let adj = self.links[ep as usize]
-                    .get(l)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                batch.set(adj);
-                dist(&batch.ids, &mut batch.dists);
-                for (n, d) in batch.scored() {
-                    if d < best {
-                        best = d;
-                        ep = n;
-                        improved = true;
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
+            ep = greedy_descend(ep, |n| links_at(&self.links, n, l), &mut dist, &mut batch);
         }
-
-        // ef-bounded best-first at layer 0.
-        let mut visited = vec![false; self.data.len()];
-        visited[ep as usize] = true;
-        let d0 = dist_one(&mut dist, ep, &mut batch);
-        let mut frontier: BinaryHeap<std::cmp::Reverse<Neighbor>> = BinaryHeap::new();
-        frontier.push(std::cmp::Reverse(Neighbor::new(ep, d0)));
-        let mut best = TopK::new(ef);
-        best.push(ep, d0);
-        while let Some(std::cmp::Reverse(cand)) = frontier.pop() {
-            if cand.dist > best.bound() {
-                break;
-            }
-            batch.take_unseen(&self.links[cand.id as usize][0], &mut visited);
-            dist(&batch.ids, &mut batch.dists);
-            for (n, d) in batch.scored() {
-                if d < best.bound() || !best.is_full() {
-                    best.push(n, d);
-                    frontier.push(std::cmp::Reverse(Neighbor::new(n, d)));
-                }
-            }
-        }
-        best.into_sorted_vec()
+        best_first(
+            self.data.len(),
+            ep,
+            ef,
+            |n| links_at(&self.links, n, 0),
+            dist,
+            |_| {},
+            &mut batch,
+        )
     }
 
     pub(crate) fn persist_payload(&self, w: &mut sann_core::buf::ByteWriter) {
@@ -395,7 +295,7 @@ impl HnswIndex {
         w.put_u32_le(self.config.m as u32);
         w.put_u32_le(self.config.ef_construction as u32);
         w.put_u64_le(self.config.seed);
-        w.put_u32_le(self.config.threads as u32);
+        w.put_u32_le(RESERVED_WORD);
         w.put_u32_le(self.entry);
         w.put_u32_le(self.max_level as u32);
         self.data.encode_into(w);
@@ -417,8 +317,10 @@ impl HnswIndex {
             m: r.get_u32_le()? as usize,
             ef_construction: r.get_u32_le()? as usize,
             seed: r.get_u64_le()?,
-            threads: r.get_u32_le()? as usize,
         };
+        if r.get_u32_le()? != RESERVED_WORD {
+            return Err(Error::Corrupt("hnsw: reserved word is not 1".into()));
+        }
         let entry = r.get_u32_le()?;
         let max_level = r.get_u32_le()? as usize;
         let data = Dataset::decode_from(r)?;
@@ -551,6 +453,8 @@ impl HnswIndex {
     where
         F: FnMut(u32) -> f32,
     {
+        use sann_core::TopK;
+        use std::collections::BinaryHeap;
         let mut ep = self.entry;
         for l in (1..=self.max_level).rev() {
             let mut best = dist(ep);
@@ -605,16 +509,12 @@ mod tests {
     use sann_core::recall::recall_at_k;
     use sann_datagen::{EmbeddingModel, GroundTruth};
 
-    fn build_small(threads: usize) -> (Dataset, Dataset, GroundTruth, HnswIndex) {
+    fn build_small() -> (Dataset, Dataset, GroundTruth, HnswIndex) {
         let model = EmbeddingModel::new(48, 8, 31);
         let base = model.generate(2_000);
         let queries = model.generate_queries(30);
         let gt = GroundTruth::bruteforce(&base, &queries, Metric::L2, 10);
-        let config = HnswConfig {
-            threads,
-            ..HnswConfig::default()
-        };
-        let index = HnswIndex::build(&base, Metric::L2, config).unwrap();
+        let index = HnswIndex::build(&base, Metric::L2, HnswConfig::default()).unwrap();
         (base, queries, gt, index)
     }
 
@@ -630,14 +530,14 @@ mod tests {
 
     #[test]
     fn reaches_high_recall() {
-        let (_, queries, gt, index) = build_small(0);
+        let (_, queries, gt, index) = build_small();
         let recall = mean_recall(&index, &queries, &gt, 64);
         assert!(recall > 0.95, "recall {recall} too low");
     }
 
     #[test]
     fn search_matches_per_pair_reference() {
-        let (_, queries, _, index) = build_small(0);
+        let (_, queries, _, index) = build_small();
         for ef in [10, 64] {
             for q in queries.iter() {
                 let got = index
@@ -669,13 +569,13 @@ mod tests {
             metric: Metric::L2,
             m: 16,
             ef: 200,
-            levels: vec![0; base.len()],
             links: Vec::new(),
-            entry: RwLock::new((0, 0)),
+            entry: (0, 0),
         };
+        let dist = |a: &[f32], id: u32| Metric::L2.distance(a, base.row(id as usize));
         let q = base.row(0);
         let mut candidates: Vec<Neighbor> = (1..120u32)
-            .map(|id| Neighbor::new(id, builder.dist(q, id)))
+            .map(|id| Neighbor::new(id, dist(q, id)))
             .collect();
         candidates.sort_unstable();
         let mut kept: Vec<Neighbor> = Vec::new();
@@ -684,7 +584,7 @@ mod tests {
                 break;
             }
             let cv = base.row(c.id as usize);
-            if !kept.iter().any(|r| builder.dist(cv, r.id) < c.dist) {
+            if !kept.iter().any(|r| dist(cv, r.id) < c.dist) {
                 kept.push(c);
             }
         }
@@ -695,16 +595,16 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_single_threaded_build() {
-        let (_, _, _, a) = build_small(1);
-        let (_, _, _, b) = build_small(1);
+    fn deterministic_build() {
+        let (_, _, _, a) = build_small();
+        let (_, _, _, b) = build_small();
         assert_eq!(a.links, b.links);
         assert_eq!(a.entry_point(), b.entry_point());
     }
 
     #[test]
     fn higher_ef_does_not_hurt_recall_much() {
-        let (_, queries, gt, index) = build_small(0);
+        let (_, queries, gt, index) = build_small();
         let low = mean_recall(&index, &queries, &gt, 10);
         let high = mean_recall(&index, &queries, &gt, 128);
         assert!(
@@ -716,7 +616,7 @@ mod tests {
 
     #[test]
     fn degree_caps_hold() {
-        let (_, _, _, index) = build_small(0);
+        let (_, _, _, index) = build_small();
         let m = index.config().m;
         for id in 0..index.len() as u32 {
             assert!(
@@ -734,7 +634,7 @@ mod tests {
 
     #[test]
     fn finds_self_exactly() {
-        let (base, _, _, index) = build_small(0);
+        let (base, _, _, index) = build_small();
         for i in (0..base.len()).step_by(211) {
             let out = index
                 .search(base.row(i), 1, &SearchParams::default())
@@ -745,7 +645,7 @@ mod tests {
 
     #[test]
     fn trace_scales_with_ef() {
-        let (_, queries, _, index) = build_small(0);
+        let (_, queries, _, index) = build_small();
         let small = index
             .search(
                 queries.row(0),
@@ -766,7 +666,7 @@ mod tests {
 
     #[test]
     fn search_visits_tiny_fraction_of_dataset() {
-        let (base, queries, _, index) = build_small(0);
+        let (base, queries, _, index) = build_small();
         let out = index
             .search(
                 queries.row(0),
@@ -803,6 +703,22 @@ mod tests {
         assert!(index
             .search(&[0.0; 8], 0, &SearchParams::default())
             .is_err());
+    }
+
+    #[test]
+    fn descent_stops_at_a_node_below_the_level() {
+        // Node 1 is listed at level 1 but only reaches level 0 — nothing a
+        // build produces, but nothing `from_persist` rules out either.
+        let index = HnswIndex {
+            data: Dataset::from_rows(vec![vec![0.0], vec![4.0], vec![5.0]]).unwrap(),
+            metric: Metric::L2,
+            links: vec![vec![vec![1], vec![1]], vec![vec![0, 2]], vec![vec![1]]],
+            entry: 0,
+            max_level: 1,
+            config: HnswConfig::default(),
+        };
+        let out = index.search(&[5.0], 2, &SearchParams::default()).unwrap();
+        assert_eq!(out.ids(), [2, 1]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod spann;
 pub mod trace;
 pub mod vamana;
 
-pub use diskann::{DiskAnnConfig, DiskAnnIndex};
+pub use diskann::{default_pq_m, DiskAnnConfig, DiskAnnIndex};
 pub use flat::FlatIndex;
 pub use fresh::{FreshConfig, FreshDiskAnnIndex};
 pub use hnsw::{HnswConfig, HnswIndex};

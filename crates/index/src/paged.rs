@@ -206,7 +206,6 @@ mod tests {
             VamanaConfig {
                 r: 16,
                 l_build: 40,
-                threads: 1,
                 ..VamanaConfig::default()
             },
         )

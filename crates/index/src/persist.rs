@@ -133,22 +133,22 @@ mod tests {
     #[test]
     fn hnsw_round_trips() {
         let (base, queries) = data();
-        let config = HnswConfig {
-            threads: 1,
-            ..HnswConfig::default()
-        };
-        let index = HnswIndex::build(&base, Metric::L2, config).unwrap();
+        let index = HnswIndex::build(&base, Metric::L2, HnswConfig::default()).unwrap();
         assert_round_trip(&index, &queries);
+
+        // The word after the seed is reserved: anything but the 1 every
+        // artifact carries is corrupt (a cache miss), not a build knob.
+        let mut bytes = index.persist_encode().unwrap();
+        let reserved = 4 + 4 + (4 + "hnsw".len()) + 1 + 4 + 4 + 8;
+        assert_eq!(bytes[reserved..reserved + 4], 1u32.to_le_bytes());
+        bytes[reserved] = 2;
+        assert!(matches!(decode(&bytes), Err(Error::Corrupt(_))));
     }
 
     #[test]
     fn hnsw_sq_round_trips() {
         let (base, queries) = data();
-        let config = HnswConfig {
-            threads: 1,
-            ..HnswConfig::default()
-        };
-        let index = HnswSqIndex::build(&base, Metric::L2, config).unwrap();
+        let index = HnswSqIndex::build(&base, Metric::L2, HnswConfig::default()).unwrap();
         assert_round_trip(&index, &queries);
     }
 
@@ -158,7 +158,6 @@ mod tests {
         let config = DiskAnnConfig {
             graph: VamanaConfig {
                 r: 16,
-                threads: 1,
                 ..VamanaConfig::default()
             },
             pq_m: 8,

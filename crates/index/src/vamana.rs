@@ -6,13 +6,16 @@
 //! neighbor is `alpha`× closer to the candidate than the node itself. With
 //! `alpha > 1` the graph keeps a few long-range edges, which is what bounds
 //! the number of hops (and therefore round trips to storage) per search.
+//!
+//! A build refines the nodes one after another, in the seeded order, over
+//! plain adjacency lists: a seed fixes the graph on any machine. Only the
+//! closing degree-bound pass, where every node prunes its own list against
+//! the data alone, is fanned out over threads.
 
-use crate::batch::Batch;
+use crate::batch::{best_first, Batch};
 use sann_core::par;
 use sann_core::rng::SplitMix64;
-use sann_core::sync::Mutex;
-use sann_core::{Dataset, Error, Metric, Neighbor, Result, TopK};
-use std::collections::BinaryHeap;
+use sann_core::{Dataset, Error, Metric, Neighbor, Result};
 
 /// Build-time configuration for [`VamanaGraph`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,7 +29,8 @@ pub struct VamanaConfig {
     pub alpha: f32,
     /// RNG seed for the initial random graph and insertion order.
     pub seed: u64,
-    /// Build threads; 0 means all cores, 1 means deterministic.
+    /// Worker threads of the closing degree-bound pass; 0 means all cores.
+    /// Speed only: the graph does not depend on it.
     pub threads: usize,
 }
 
@@ -75,7 +79,7 @@ impl VamanaGraph {
         let mut rng = SplitMix64::new(config.seed);
 
         // Random initial graph.
-        let adj: Vec<Mutex<Vec<u32>>> = (0..n)
+        let adj: Vec<Vec<u32>> = (0..n)
             .map(|i| {
                 let mut nbrs = Vec::with_capacity(r);
                 while nbrs.len() < r && n > 1 {
@@ -84,11 +88,11 @@ impl VamanaGraph {
                         nbrs.push(cand);
                     }
                 }
-                Mutex::new(nbrs)
+                nbrs
             })
             .collect();
 
-        let builder = GraphBuilder {
+        let mut builder = GraphBuilder {
             data,
             metric,
             adj,
@@ -100,23 +104,23 @@ impl VamanaGraph {
         // Random insertion order, shared by both passes.
         let mut order: Vec<u32> = (0..n as u32).collect();
         rng.shuffle(&mut order);
-
+        for alpha in [1.0f32, config.alpha] {
+            for &id in &order {
+                builder.refine(id, alpha);
+            }
+        }
         let threads = if config.threads == 0 {
             par::default_threads()
         } else {
             config.threads
         };
-        for alpha in [1.0f32, config.alpha] {
-            par::par_ranges(n, threads, |start, end| {
-                for &id in &order[start..end] {
-                    builder.refine(id, alpha);
-                }
-            });
-        }
         builder.enforce_degree_bound(config.alpha, threads);
 
-        let adj = builder.adj.into_iter().map(|m| m.into_inner()).collect();
-        Ok(VamanaGraph { adj, medoid, r })
+        Ok(VamanaGraph {
+            adj: builder.adj,
+            medoid,
+            r,
+        })
     }
 
     /// Entry point for searches (the dataset medoid).
@@ -214,134 +218,86 @@ impl VamanaGraph {
         l: usize,
     ) -> (Vec<Neighbor>, u64) {
         let mut dists = 0u64;
-        let mut batch = Batch::default();
-        let mut visited = vec![false; self.adj.len()];
-        let start = self.medoid;
-        visited[start as usize] = true;
-        let d0 = metric.distance(query, data.row(start as usize));
-        dists += 1;
-        let mut best = TopK::new(l);
-        best.push(start, d0);
-        let mut frontier: BinaryHeap<std::cmp::Reverse<Neighbor>> = BinaryHeap::new();
-        frontier.push(std::cmp::Reverse(Neighbor::new(start, d0)));
-        while let Some(std::cmp::Reverse(cand)) = frontier.pop() {
-            if cand.dist > best.bound() {
-                break;
-            }
-            batch.take_unseen(&self.adj[cand.id as usize], &mut visited);
-            batch.score(metric, query, data);
-            dists += batch.ids.len() as u64;
-            for (nb, d) in batch.scored() {
-                if d < best.bound() || !best.is_full() {
-                    best.push(nb, d);
-                    frontier.push(std::cmp::Reverse(Neighbor::new(nb, d)));
-                }
-            }
-        }
-        (best.into_sorted_vec(), dists)
+        let found = best_first(
+            self.adj.len(),
+            self.medoid,
+            l,
+            |n| self.neighbors(n),
+            |ids, out| {
+                dists += ids.len() as u64;
+                metric.distance_gather(query, data, ids, out);
+            },
+            |_| {},
+            &mut Batch::default(),
+        );
+        (found, dists)
     }
 }
 
 struct GraphBuilder<'a> {
     data: &'a Dataset,
     metric: Metric,
-    adj: Vec<Mutex<Vec<u32>>>,
+    adj: Vec<Vec<u32>>,
     medoid: u32,
     r: usize,
     l_build: usize,
 }
 
 impl GraphBuilder<'_> {
-    fn dist(&self, a: &[f32], id: u32) -> f32 {
-        self.metric.distance(a, self.data.row(id as usize))
-    }
-
-    /// Best-first search from the medoid collecting every visited node.
+    /// Best-first search from the medoid collecting every expanded node.
     fn search_visited(&self, query: &[f32], batch: &mut Batch) -> Vec<Neighbor> {
-        let mut visited_set = vec![false; self.adj.len()];
-        let start = self.medoid;
-        visited_set[start as usize] = true;
-        let d0 = self.dist(query, start);
-        let mut best = TopK::new(self.l_build);
-        best.push(start, d0);
-        let mut frontier: BinaryHeap<std::cmp::Reverse<Neighbor>> = BinaryHeap::new();
-        frontier.push(std::cmp::Reverse(Neighbor::new(start, d0)));
-        let mut all_visited = Vec::with_capacity(self.l_build * 4);
-        while let Some(std::cmp::Reverse(cand)) = frontier.pop() {
-            if cand.dist > best.bound() {
-                break;
-            }
-            all_visited.push(cand);
-            batch.take_unseen(&self.adj[cand.id as usize].lock(), &mut visited_set);
-            batch.score(self.metric, query, self.data);
-            for (nb, d) in batch.scored() {
-                if d < best.bound() || !best.is_full() {
-                    best.push(nb, d);
-                    frontier.push(std::cmp::Reverse(Neighbor::new(nb, d)));
-                }
-            }
-        }
-        all_visited
-    }
-
-    /// The out-neighbours `ids` of `node` with their distances from it.
-    fn scored_neighbors(&self, node: u32, ids: &[u32], batch: &mut Batch) -> Vec<Neighbor> {
-        batch.set(ids);
-        batch.score(self.metric, self.data.row(node as usize), self.data);
-        batch.neighbors()
-    }
-
-    fn robust_prune(
-        &self,
-        p: u32,
-        candidates: Vec<Neighbor>,
-        alpha: f32,
-        batch: &mut Batch,
-    ) -> Vec<u32> {
-        robust_prune(self.data, self.metric, p, candidates, alpha, self.r, batch)
+        let mut expanded = Vec::with_capacity(self.l_build * 4);
+        best_first(
+            self.adj.len(),
+            self.medoid,
+            self.l_build,
+            |n| &self.adj[n as usize],
+            |ids, out| self.metric.distance_gather(query, self.data, ids, out),
+            |cand| expanded.push(cand),
+            batch,
+        );
+        expanded
     }
 
     /// One refinement step for node `id` (DiskANN Algorithm 1 body).
-    fn refine(&self, id: u32, alpha: f32) {
-        let q = self.data.row(id as usize);
+    fn refine(&mut self, id: u32, alpha: f32) {
+        let (data, metric, r) = (self.data, self.metric, self.r);
         let mut batch = Batch::default();
-        let mut visited = self.search_visited(q, &mut batch);
+        let mut pool = self.search_visited(data.row(id as usize), &mut batch);
         // Merge current out-neighbors into the candidate pool.
-        let current = self.adj[id as usize].lock().clone();
-        visited.extend(self.scored_neighbors(id, &current, &mut batch));
-        let new_out = self.robust_prune(id, visited, alpha, &mut batch);
-        *self.adj[id as usize].lock() = new_out.clone();
+        let current = &self.adj[id as usize];
+        pool.extend(batch.neighbors_of(metric, data, id, current));
+        let new_out = robust_prune(data, metric, id, pool, alpha, r, &mut batch);
+        self.adj[id as usize] = new_out.clone();
 
         // Insert back-edges. Overflowing nodes are allowed r/2 slack before
         // being re-pruned (amortizes the O(R·|C|) prune; the final build
         // pass in `VamanaGraph::build` restores the strict bound).
         for nb in new_out {
-            let mut adj = self.adj[nb as usize].lock();
+            let adj = &mut self.adj[nb as usize];
             if adj.contains(&id) {
                 continue;
             }
             adj.push(id);
-            if adj.len() > self.r + self.r / 2 {
-                let cands = self.scored_neighbors(nb, &adj, &mut batch);
-                drop(adj);
-                let pruned = self.robust_prune(nb, cands, alpha, &mut batch);
-                *self.adj[nb as usize].lock() = pruned;
+            if adj.len() > r + r / 2 {
+                let cands = batch.neighbors_of(metric, data, nb, adj);
+                *adj = robust_prune(data, metric, nb, cands, alpha, r, &mut batch);
             }
         }
     }
 
     /// Restores the strict degree bound after the slack-tolerant passes.
-    fn enforce_degree_bound(&self, alpha: f32, threads: usize) {
-        par::par_ranges(self.adj.len(), threads, |start, end| {
+    /// Each node prunes its own list against the data alone, so how the
+    /// nodes are split over `threads` cannot change the graph.
+    fn enforce_degree_bound(&mut self, alpha: f32, threads: usize) {
+        let (data, metric, r) = (self.data, self.metric, self.r);
+        par::par_chunks_mut(&mut self.adj, 1, threads, |first, lists| {
             let mut batch = Batch::default();
-            for id in start..end {
-                let adj = self.adj[id].lock().clone();
-                if adj.len() <= self.r {
-                    continue;
+            for (id, adj) in (first as u32..).zip(lists) {
+                if adj.len() > r {
+                    let cands = batch.neighbors_of(metric, data, id, adj);
+                    *adj = robust_prune(data, metric, id, cands, alpha, r, &mut batch);
                 }
-                let cands = self.scored_neighbors(id as u32, &adj, &mut batch);
-                let pruned = self.robust_prune(id as u32, cands, alpha, &mut batch);
-                *self.adj[id].lock() = pruned;
             }
         });
     }
@@ -424,7 +380,9 @@ fn find_medoid(data: &Dataset) -> u32 {
 mod tests {
     use super::*;
     use sann_core::recall::recall_at_k;
+    use sann_core::TopK;
     use sann_datagen::{EmbeddingModel, GroundTruth};
+    use std::collections::BinaryHeap;
 
     fn build_small(config: VamanaConfig) -> (Dataset, Dataset, GroundTruth, VamanaGraph) {
         let model = EmbeddingModel::new(48, 8, 77);
@@ -587,13 +545,11 @@ mod tests {
         let plain = VamanaConfig {
             alpha: 1.0,
             r: 32,
-            threads: 1,
             ..VamanaConfig::default()
         };
         let slack = VamanaConfig {
             alpha: 1.3,
             r: 32,
-            threads: 1,
             ..VamanaConfig::default()
         };
         let (base, queries, gt, g_plain) = build_small(plain);
@@ -624,14 +580,26 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_single_threaded() {
-        let config = VamanaConfig {
-            threads: 1,
-            ..VamanaConfig::default()
+    fn thread_count_does_not_change_the_graph() {
+        use crate::{DiskAnnConfig, DiskAnnIndex, VectorIndex};
+        let base = EmbeddingModel::new(48, 8, 77).generate(2_000);
+        let build = |threads: usize| {
+            let config = DiskAnnConfig {
+                graph: VamanaConfig {
+                    r: 24,
+                    threads,
+                    ..VamanaConfig::default()
+                },
+                pq_ksub: 32,
+                ..DiskAnnConfig::default()
+            };
+            let index = DiskAnnIndex::build(&base, Metric::L2, config).unwrap();
+            (index.graph().clone(), index.persist_encode().unwrap())
         };
-        let (_, _, _, a) = build_small(config);
-        let (_, _, _, b) = build_small(config);
-        assert_eq!(a, b);
+        let want = build(1);
+        for threads in [2, 8, 0] {
+            assert!(build(threads) == want, "threads={threads}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@ use crate::profiles::DbProfile;
 use sann_core::{Dataset, Metric, Result};
 use sann_datagen::{DatasetSpec, GroundTruth};
 use sann_index::{
-    DiskAnnConfig, DiskAnnIndex, HnswConfig, HnswIndex, HnswSqIndex, IoStrategy, IvfConfig,
-    IvfIndex, IvfPqIndex, SearchParams, VamanaConfig, VectorIndex,
+    default_pq_m, DiskAnnConfig, DiskAnnIndex, HnswConfig, HnswIndex, HnswSqIndex, IoStrategy,
+    IvfConfig, IvfIndex, IvfPqIndex, SearchParams, VamanaConfig, VectorIndex,
 };
 
 /// One of the paper's seven (database × index) configurations.
@@ -176,11 +176,10 @@ impl Setup {
                     ..IvfConfig::default()
                 },
             )?),
-            // Graph builds run single-threaded: multi-threaded insertion
-            // orders race, and byte-identical artifacts across runs (and
-            // across prep-thread counts) are what make the artifact cache
-            // and the determinism audit sound. Parallelism is recovered one
-            // level up, across whole (dataset × index) builds.
+            // A graph build inserts its nodes in order, so a seed fixes the
+            // artifact bytes on any machine — what the artifact cache and
+            // the determinism audit rely on. Parallelism is one level up,
+            // across whole (dataset × index) builds.
             SetupKind::MilvusHnsw | SetupKind::QdrantHnsw | SetupKind::WeaviateHnsw => {
                 Box::new(HnswIndex::build(
                     base,
@@ -189,7 +188,6 @@ impl Setup {
                         m: p.m,
                         ef_construction: p.ef_construction,
                         seed: self.seed,
-                        threads: 1,
                     },
                 )?)
             }
@@ -202,7 +200,6 @@ impl Setup {
                     m: p.m,
                     ef_construction: p.ef_construction,
                     seed: self.seed,
-                    threads: 1,
                 },
             )?),
             SetupKind::MilvusDiskann => Box::new(DiskAnnIndex::build(
@@ -212,7 +209,6 @@ impl Setup {
                     graph: VamanaConfig {
                         r: p.r,
                         seed: self.seed,
-                        threads: 1,
                         ..VamanaConfig::default()
                     },
                     ..DiskAnnConfig::default()
@@ -225,7 +221,7 @@ impl Setup {
                     seed: self.seed,
                     ..IvfConfig::default()
                 },
-                pq_m_for(base.dim()),
+                default_pq_m(base.dim()),
                 256.min(base.len().saturating_sub(1)).max(2),
             )?),
         })
@@ -401,15 +397,6 @@ pub fn calibrated_plan_builder(
     }
     let fanout = builder.io_fanout() * (io.round().max(1.0) as usize);
     builder.with_work_multiplier(work).with_io_fanout(fanout)
-}
-
-/// PQ sub-space count used by the LanceDB-IVF setup: one byte per 8 dims.
-fn pq_m_for(dim: usize) -> usize {
-    let target = (dim / 8).max(1);
-    (1..=target)
-        .rev()
-        .find(|&m| dim.is_multiple_of(m))
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -267,38 +267,52 @@ fn storage_index_reads_are_page_aligned() {
     }
 }
 
-/// Identically-seeded builds and runs are bit-identical end to end: the
-/// traces match step for step and the executor's metrics match byte for
-/// byte (the invariant `sann-xtask determinism` audits at scale).
+/// Identically-seeded builds and runs are bit-identical end to end, for
+/// every graph family at its default configuration: the persisted bytes and
+/// the traces match step for step, and the executor's metrics match byte
+/// for byte (the invariant `sann-xtask determinism` audits at scale).
 #[test]
 fn identically_seeded_runs_are_byte_identical() {
     use sann::core::rng::SplitMix64;
     use sann::engine::{Executor, QueryPlan, RunConfig, Segment};
-    use sann::index::{DiskAnnConfig, DiskAnnIndex, IoReq, SearchParams, VectorIndex};
+    use sann::index::{
+        DiskAnnConfig, DiskAnnIndex, FreshConfig, FreshDiskAnnIndex, HnswConfig, HnswIndex,
+        HnswSqIndex, IoReq, SearchParams, VectorIndex,
+    };
 
     let build_traces = || {
         let mut rng = SplitMix64::new(42);
-        let data = Dataset::from_rows(
-            (0..300)
-                .map(|_| (0..48).map(|_| rng.next_f32()).collect())
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let index = DiskAnnIndex::build(&data, Metric::L2, DiskAnnConfig::default()).unwrap();
-        (0..8)
-            .map(|i| {
-                index
-                    .search(data.row(i * 7), 5, &SearchParams::default())
-                    .unwrap()
-                    .trace
-            })
-            .collect::<Vec<_>>()
+        let mut row = || (0..48).map(|_| rng.next_f32()).collect::<Vec<f32>>();
+        let data = Dataset::from_rows((0..300).map(|_| row()).collect::<Vec<_>>()).unwrap();
+        let mut fresh =
+            FreshDiskAnnIndex::build(&data, Metric::L2, FreshConfig::default()).unwrap();
+        for _ in 0..4 {
+            fresh.insert(&row()).unwrap();
+        }
+        let hnsw = HnswConfig::default();
+        let families: [Box<dyn VectorIndex>; 4] = [
+            Box::new(DiskAnnIndex::build(&data, Metric::L2, DiskAnnConfig::default()).unwrap()),
+            Box::new(HnswIndex::build(&data, Metric::L2, hnsw).unwrap()),
+            Box::new(HnswSqIndex::build(&data, Metric::L2, hnsw).unwrap()),
+            Box::new(fresh),
+        ];
+        families.map(|index| {
+            let traces = (0..8)
+                .map(|i| {
+                    index
+                        .search(data.row(i * 7), 5, &SearchParams::default())
+                        .unwrap()
+                        .trace
+                })
+                .collect::<Vec<_>>();
+            (index.persist_encode(), traces)
+        })
     };
     let a = build_traces();
     let b = build_traces();
     assert_eq!(
         a, b,
-        "identically-seeded builds must produce identical traces"
+        "identically-seeded builds must produce identical bytes and traces"
     );
 
     let plan = QueryPlan::new(vec![
