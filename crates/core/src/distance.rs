@@ -18,8 +18,21 @@
 //! blocks of [`BLOCK`] elements — eight chunks of one row, then of the
 //! next — which keeps the inner loop a plain two-slice zip the compiler
 //! vectorizes, and short enough that out-of-order execution overlaps the
-//! four chains. Results must not depend on the host, so there is no
-//! `target_feature` dispatch and no fused multiply-add.
+//! four chains.
+//!
+//! Both run *along* a row and end it with a horizontal reduction of its
+//! four lanes, which on a row of eight elements is most of the work. The
+//! column kernel ([`l2_squared_cols`]) takes rows stored column-major, a
+//! tile of [`COL_TILE`] rows after the other, and runs *across* them: one
+//! register holds the same lane of four neighbouring rows, so a row's
+//! lanes, tail and final sum are what they were — the same bits — and the
+//! reduction is three vertical adds shared by four rows. It is for rows a
+//! caller owns and always scans whole (a PQ codebook, k-means centroids);
+//! anything addressed row by row stays row-major. [`cols_from_rows`] and
+//! [`cols_row`] are the only other code that knows the layout.
+//!
+//! Results must not depend on the host, so there is no `target_feature`
+//! dispatch and no fused multiply-add.
 
 use crate::vector::Dataset;
 
@@ -86,8 +99,9 @@ impl Metric {
         assert_eq!(rows.len(), out.len() * query.len(), "row count mismatch");
         let rows = rows.chunks_exact(query.len());
         match self {
-            // Hoisted so the ADC-table shape (8-d rows, where the dispatch
-            // on `self` shows) runs the bare kernel.
+            // Hoisted so short rows (the 8-d sub-vectors k-means++ scans
+            // while a PQ trains), where the dispatch on `self` shows, run
+            // the bare kernel.
             Metric::L2 => by_fours(rows, out, |group| l2_squared_x4(query, group)),
             _ => by_fours(rows, out, |group| self.distance_x4(query, group)),
         }
@@ -316,6 +330,146 @@ pub fn dot_x4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
     sum_x4(query, rows, |x, y| x * y)
 }
 
+/// Rows [`l2_squared_cols`] scores together, and the unit of its layout.
+/// Each row owns four lanes, so a tile's lanes are `COL_TILE` registers of
+/// four rows each; eight is what fits the sixteen of baseline SSE2 beside
+/// the query and two temporaries.
+pub const COL_TILE: usize = 8;
+
+/// One value per row of a tile: a column of it, or one of its sums.
+type Tile = [f32; COL_TILE];
+
+/// Floats the column layout of `n` rows of `dim` elements takes: whole
+/// tiles, the last one padded.
+pub fn cols_len(n: usize, dim: usize) -> usize {
+    n.div_ceil(COL_TILE) * COL_TILE * dim
+}
+
+/// Appends the row-major `rows` (`dim` elements each) to `cols` in the
+/// layout [`l2_squared_cols`] scans: tiles of [`COL_TILE`] consecutive rows,
+/// each tile column-major — element `j` of row `c` is at
+/// `(c / COL_TILE) * COL_TILE * dim + j * COL_TILE + c % COL_TILE` — and the
+/// rows missing from the last tile zero. A tile is contiguous, so a scan
+/// reads memory front to back whatever `dim` and the row count are.
+///
+/// # Panics
+///
+/// Panics if `dim` is zero or `rows` is not whole rows.
+pub fn cols_from_rows(rows: &[f32], dim: usize, cols: &mut Vec<f32>) {
+    assert!(dim > 0, "dimension must be positive");
+    assert_eq!(rows.len() % dim, 0, "row count mismatch");
+    let start = cols.len();
+    cols.resize(start + cols_len(rows.len() / dim, dim), 0.0);
+    let tiles = cols.split_at_mut(start).1.chunks_exact_mut(COL_TILE * dim);
+    for (tile, rows) in tiles.zip(rows.chunks(COL_TILE * dim)) {
+        for (c, row) in rows.chunks_exact(dim).enumerate() {
+            for (x, col) in row.iter().zip(tile.chunks_exact_mut(COL_TILE)) {
+                col[c] = *x;
+            }
+        }
+    }
+}
+
+/// Row `c` of a column layout of `dim`-element rows, element by element.
+///
+/// # Panics
+///
+/// Panics if `cols` has no tile holding row `c`.
+pub fn cols_row(cols: &[f32], dim: usize, c: usize) -> impl Iterator<Item = f32> + '_ {
+    let tile = &cols[c / COL_TILE * COL_TILE * dim..][..COL_TILE * dim];
+    tile.iter().skip(c % COL_TILE).step_by(COL_TILE).copied()
+}
+
+/// Adds `(q - x)^2` to the sum of every row of a tile, for one column.
+#[inline(always)]
+fn feed_col(sums: &mut Tile, q: f32, col: &Tile) {
+    for (s, &x) in sums.iter_mut().zip(col) {
+        let d = q - x;
+        *s += d * d;
+    }
+}
+
+/// Distances from `query` to the rows of one tile. The query is walked four
+/// elements at a time, so the lane an element feeds is fixed in the code and
+/// the sums stay in registers.
+#[inline(always)]
+fn cols_tile(query: &[f32], tile: &[f32]) -> Tile {
+    let mut lanes = [[0.0f32; COL_TILE]; 4];
+    let mut tail = [0.0f32; COL_TILE];
+    let mut columns = tile.as_chunks::<COL_TILE>().0.iter();
+    let quads = query.chunks_exact(4);
+    let rest = quads.remainder();
+    for quad in quads {
+        for ((lane, &q), col) in lanes.iter_mut().zip(quad).zip(&mut columns) {
+            feed_col(lane, q, col);
+        }
+    }
+    for (&q, col) in rest.iter().zip(columns) {
+        feed_col(&mut tail, q, col);
+    }
+    let [s0, s1, s2, s3] = lanes;
+    let mut out = [0.0f32; COL_TILE];
+    let sums = s0.iter().zip(s1).zip(s2).zip(s3).zip(tail);
+    for (slot, ((((a, b), c), d), t)) in out.iter_mut().zip(sums) {
+        *slot = a + b + c + d + t;
+    }
+    out
+}
+
+/// [`cols_tile`] for the padded last tile. Out of line: inlined a second
+/// time into [`l2_squared_cols`], the tile loop spills its sums and the
+/// last tile takes twice as long.
+#[inline(never)]
+fn cols_last_tile(query: &[f32], tile: &[f32]) -> Tile {
+    cols_tile(query, tile)
+}
+
+/// Squared Euclidean distances from `query` to the `out.len()` rows stored
+/// in `cols` in the column layout of [`cols_from_rows`], written to `out` in
+/// row order; each value is bit-identical to [`l2_squared`]`(query, row)`.
+///
+/// Where the row-major kernels run along a row and then reduce its four
+/// lanes horizontally, this one runs across rows: four neighbouring rows
+/// fill one register, every row still owns lanes `j % 4` and a tail, and
+/// the `s0 + s1 + s2 + s3 + tail` reduction is three vertical adds. On rows
+/// of a few elements — the 8-element sub-vectors of a PQ codebook — the
+/// horizontal reduction is most of the row-major cost.
+///
+/// # Panics
+///
+/// Panics if `query` is empty or `cols` is not the layout of exactly
+/// `out.len()` rows of `query.len()` elements.
+///
+/// # Examples
+///
+/// ```
+/// use sann_core::distance::{cols_from_rows, l2_squared_cols};
+/// let mut cols = Vec::new();
+/// cols_from_rows(&[3.0, 4.0, 1.0, 0.0, 0.0, 2.0], 2, &mut cols);
+/// let mut out = [0.0; 3];
+/// l2_squared_cols(&[0.0, 0.0], &cols, &mut out);
+/// assert_eq!(out, [25.0, 1.0, 4.0]);
+/// ```
+pub fn l2_squared_cols(query: &[f32], cols: &[f32], out: &mut [f32]) {
+    assert!(!query.is_empty(), "empty query");
+    assert_eq!(
+        cols.len(),
+        cols_len(out.len(), query.len()),
+        "row count mismatch"
+    );
+    let mut tiles = cols.chunks_exact(COL_TILE * query.len());
+    let (full, rest) = out.as_chunks_mut::<COL_TILE>();
+    for (slots, tile) in full.iter_mut().zip(&mut tiles) {
+        *slots = cols_tile(query, tile);
+    }
+    if let Some(tile) = tiles.next() {
+        // The padding's sums are computed and dropped.
+        for (slot, dist) in rest.iter_mut().zip(cols_last_tile(query, tile)) {
+            *slot = dist;
+        }
+    }
+}
+
 /// Drives a four-at-a-time `kernel` over `items`, writing one result per
 /// item to `out`. A final group of one to three items is padded by
 /// repeating its last item and the surplus results are dropped: on data
@@ -462,6 +616,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn column_kernel_is_bit_identical_to_single_pairs() {
+        // Row counts: none, a padded tile alone, exactly one tile, and a
+        // padded tile after one and after two full ones.
+        let counts = [0, 1, COL_TILE - 1, COL_TILE, COL_TILE + 1, 2 * COL_TILE + 3];
+        for dim in (1..=40).chain([96, 768]) {
+            let data = random_rows(2 * COL_TILE + 3, dim, dim as u64);
+            let query = random_rows(1, dim, 2_000 + dim as u64);
+            let query = query.row(0);
+            for n in counts {
+                let rows = &data.as_flat()[..n * dim];
+                let mut cols = Vec::new();
+                cols_from_rows(rows, dim, &mut cols);
+                assert_eq!(cols.len(), cols_len(n, dim));
+                let want: Vec<f32> = data.iter().take(n).map(|r| l2_squared(query, r)).collect();
+                let mut got = vec![f32::NAN; n];
+                l2_squared_cols(query, &cols, &mut got);
+                assert_eq!(bits(&got), bits(&want), "cols {dim}-d x{n}");
+                // The layout gives every row back, and appends.
+                for (c, row) in rows.chunks_exact(dim).enumerate() {
+                    assert!(cols_row(&cols, dim, c).eq(row.iter().copied()));
+                }
+                cols_from_rows(rows, dim, &mut cols);
+                assert_eq!(cols[..cols_len(n, dim)], cols[cols_len(n, dim)..]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row count mismatch")]
+    fn column_kernel_rejects_a_missing_tile() {
+        l2_squared_cols(&[0.0; 3], &[0.0; 3 * COL_TILE], &mut [0.0; COL_TILE + 1]);
     }
 
     #[test]

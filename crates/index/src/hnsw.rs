@@ -100,6 +100,29 @@ impl Builder<'_> {
         }
     }
 
+    /// Whether some node of `kept` is closer to the candidate `c` than the
+    /// query is. `kept` is scored four nodes at a time and the scan stops at
+    /// the first group that holds such a node: only the answer is used, and
+    /// a dominator is usually among the first kept (the nearest ones).
+    fn dominated(&self, c: Neighbor, kept: &[u32], batch: &mut Batch) -> bool {
+        #[cfg(not(test))]
+        let group = 4;
+        // The check this replaced, kept as its reference: score all of
+        // `kept` as one group, then ask.
+        #[cfg(test)]
+        let group = if tests::FULL_SCAN.get() {
+            usize::MAX
+        } else {
+            4
+        };
+        let cv = self.data.row(c.id as usize);
+        kept.chunks(group).any(|group| {
+            self.metric
+                .distance_gather(cv, self.data, group, &mut batch.dists);
+            batch.dists.iter().any(|&d| d < c.dist)
+        })
+    }
+
     /// Neighbor-selection heuristic (keep a candidate only if it is closer
     /// to the query than to every already-kept candidate).
     fn select_neighbors(&self, candidates: &[Neighbor], m: usize, batch: &mut Batch) -> Vec<u32> {
@@ -108,11 +131,7 @@ impl Builder<'_> {
             if kept.len() >= m {
                 break;
             }
-            let cv = self.data.row(c.id as usize);
-            self.metric
-                .distance_gather(cv, self.data, &kept, &mut batch.dists);
-            let dominated = batch.dists.iter().any(|&d| d < c.dist);
-            if !dominated {
+            if !self.dominated(c, &kept, batch) {
                 kept.push(c.id);
             }
         }
@@ -509,6 +528,13 @@ mod tests {
     use sann_core::recall::recall_at_k;
     use sann_datagen::{EmbeddingModel, GroundTruth};
 
+    thread_local! {
+        /// Set by a test to build with the full-scan form of
+        /// [`Builder::dominated`].
+        pub(super) static FULL_SCAN: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
     fn build_small() -> (Dataset, Dataset, GroundTruth, HnswIndex) {
         let model = EmbeddingModel::new(48, 8, 31);
         let base = model.generate(2_000);
@@ -592,6 +618,22 @@ mod tests {
         let got = builder.select_neighbors(&candidates, 16, &mut Batch::default());
         let want: Vec<u32> = kept.iter().map(|n| n.id).collect();
         assert_eq!(got[..want.len()], want[..]);
+    }
+
+    #[test]
+    fn early_exit_selection_persists_the_same_bytes() {
+        // Layer 0 keeps up to 32 neighbours, so the early exit skips up to
+        // seven groups per candidate; the graph must not notice.
+        let base = EmbeddingModel::new(48, 8, 31).generate(1_500);
+        let build = || HnswIndex::build(&base, Metric::L2, HnswConfig::default()).unwrap();
+        let early = build().persist_encode().unwrap();
+        FULL_SCAN.set(true);
+        let full = build().persist_encode().unwrap();
+        FULL_SCAN.set(false);
+        assert!(
+            early == full,
+            "early-exit build differs from full-scan build"
+        );
     }
 
     #[test]

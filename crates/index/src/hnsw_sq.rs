@@ -10,6 +10,7 @@
 use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
+use sann_core::distance::by_fours;
 use sann_core::{Dataset, Error, Metric, Result};
 use sann_quant::ScalarQuantizer;
 
@@ -109,7 +110,9 @@ impl VectorIndex for HnswSqIndex {
             |ids, out| {
                 dists += ids.len() as u64;
                 out.clear();
-                out.extend(ids.iter().map(|&id| self.sq.distance(query, self.code(id))));
+                out.resize(ids.len(), 0.0);
+                let codes = ids.iter().map(|&id| self.code(id));
+                by_fours(codes, out, |four| self.sq.distance_x4(query, four));
             },
             ef,
         );

@@ -128,6 +128,21 @@ mod tests {
         let (base, queries) = data();
         let index = IvfPqIndex::build(&base, IvfConfig::default().with_nlist(16), 8, 32).unwrap();
         assert_round_trip(&index, &queries);
+
+        // A codebook entry that is not finite is corrupt: it would turn
+        // every ADC table into NaNs. The frame ends with the 16 code blocks
+        // (a u64 length, then 8 bytes per member), and the codebooks
+        // (8 x 32 sub-centroids of 4 floats) sit right before them, after
+        // the quantizer's shape.
+        let mut bytes = index.persist_encode().unwrap();
+        let entry = bytes.len() - (16 * 8 + base.len() * 8) - 8 * 32 * 4 * 4;
+        let shape: Vec<u8> = [32u32, 8, 32]
+            .iter()
+            .flat_map(|x| x.to_le_bytes())
+            .collect();
+        assert_eq!(bytes[entry - 12..entry], shape);
+        bytes[entry..entry + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        assert!(matches!(decode(&bytes), Err(Error::Corrupt(_))));
     }
 
     #[test]

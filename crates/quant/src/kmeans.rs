@@ -1,6 +1,6 @@
 //! Lloyd's k-means with k-means++ seeding and parallel assignment.
 
-use sann_core::distance::l2_squared;
+use sann_core::distance::{cols_from_rows, l2_squared, l2_squared_cols};
 use sann_core::rng::SplitMix64;
 use sann_core::{par, Dataset, Error, Metric, Result};
 
@@ -130,7 +130,8 @@ impl KMeansModel {
     /// Id of the centroid closest to `v`.
     pub fn nearest(&self, v: &[f32]) -> u32 {
         let mut dists = vec![0.0; self.centroids.len()];
-        nearest_centroid(v, self.centroids.as_flat(), &mut dists)
+        Metric::L2.distance_rows(v, self.centroids.as_flat(), &mut dists);
+        first_smallest(&dists)
     }
 
     /// Ids of the `n` centroids closest to `v`, closest first.
@@ -190,10 +191,8 @@ impl KMeansModel {
     }
 }
 
-/// Index of the row of the row-major `centroids` closest to `v` (the first
-/// of equals); `dists` is one scratch slot per centroid.
-pub(crate) fn nearest_centroid(v: &[f32], centroids: &[f32], dists: &mut [f32]) -> u32 {
-    Metric::L2.distance_rows(v, centroids, dists);
+/// Index of the smallest distance (the first of equals).
+fn first_smallest(dists: &[f32]) -> u32 {
     let mut best = 0u32;
     let mut best_d = f32::INFINITY;
     for (c, &d) in dists.iter().enumerate() {
@@ -203,6 +202,14 @@ pub(crate) fn nearest_centroid(v: &[f32], centroids: &[f32], dists: &mut [f32]) 
         }
     }
     best
+}
+
+/// Index of the centroid closest to `v` (the first of equals) among the
+/// `dists.len()` stored in `cols` in the column layout of
+/// [`cols_from_rows`]; `dists` is scratch.
+pub(crate) fn nearest_centroid(v: &[f32], cols: &[f32], dists: &mut [f32]) -> u32 {
+    l2_squared_cols(v, cols, dists);
+    first_smallest(dists)
 }
 
 /// k-means++ seeding (Arthur & Vassilvitskii, SODA 2007).
@@ -246,6 +253,11 @@ fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut SplitMix64) -> Vec<f32> {
 /// Assigns every row to its nearest centroid in parallel; returns the number
 /// of rows whose assignment changed.
 fn assign_parallel(data: &Dataset, centroids: &[f32], k: usize, assignments: &mut [u32]) -> usize {
+    // Every row scans all k centroids, so they are laid out once, here, the
+    // way the scan reads them.
+    let mut cols = Vec::new();
+    cols_from_rows(centroids, data.dim(), &mut cols);
+    let centroids = &cols;
     let changed = std::sync::atomic::AtomicUsize::new(0);
     par::par_chunks_mut(assignments, 1, par::default_threads(), |first, chunk| {
         let mut dists = vec![0.0; k];
@@ -365,22 +377,26 @@ mod tests {
 
     #[test]
     fn nearest_matches_single_pair_scan() {
-        // 7 centroids: one full group of four and a padded remainder.
+        // 7 centroids: a padded group of the row kernel and a padded tile of
+        // the column kernel; 9: a padded tile after a full one; 16: full
+        // tiles only.
         let data = two_blobs(40);
-        let model = KMeans::new(7).with_seed(3).fit(&data).unwrap();
-        for (row, &assigned) in data.iter().zip(&model.assignments) {
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for (c, centroid) in model.centroids.iter().enumerate() {
-                let d = l2_squared(row, centroid);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
+        for k in [7, 9, 16] {
+            let model = KMeans::new(k).with_seed(3).fit(&data).unwrap();
+            for (row, &assigned) in data.iter().zip(&model.assignments) {
+                let mut best = 0usize;
+                let mut best_d = f32::INFINITY;
+                for (c, centroid) in model.centroids.iter().enumerate() {
+                    let d = l2_squared(row, centroid);
+                    if d < best_d {
+                        best_d = d;
+                        best = c;
+                    }
                 }
+                assert_eq!(model.nearest(row) as usize, best);
+                assert_eq!(assigned as usize, best);
+                assert_eq!(model.nearest_n(row, 3)[0] as usize, best);
             }
-            assert_eq!(model.nearest(row) as usize, best);
-            assert_eq!(assigned as usize, best);
-            assert_eq!(model.nearest_n(row, 3)[0] as usize, best);
         }
     }
 

@@ -10,8 +10,8 @@
 //! while full-precision vectors stay on disk (§II-B of the paper).
 
 use crate::kmeans::{nearest_centroid, KMeans};
-use sann_core::distance::by_fours;
-use sann_core::{par, Dataset, Error, Metric, Result};
+use sann_core::distance::{by_fours, cols_from_rows, cols_len, cols_row, l2_squared_cols};
+use sann_core::{par, Dataset, Error, Result};
 
 /// A trained product quantizer.
 #[derive(Debug, Clone)]
@@ -20,7 +20,10 @@ pub struct ProductQuantizer {
     m: usize,
     ksub: usize,
     sub_dim: usize,
-    /// `m` codebooks, each `ksub × sub_dim`, flattened.
+    /// `m` codebooks, each the `ksub` sub-centroids in the column layout
+    /// `l2_squared_cols` scans (`cols_from_rows`). This is the only copy;
+    /// the persisted form is row-major (`ksub × sub_dim`) and the codec
+    /// converts.
     codebooks: Vec<f32>,
 }
 
@@ -53,7 +56,7 @@ impl ProductQuantizer {
             ));
         }
         let sub_dim = dim / m;
-        let mut codebooks = Vec::with_capacity(m * ksub * sub_dim);
+        let mut codebooks = Vec::with_capacity(m * cols_len(ksub, sub_dim));
         for sub in 0..m {
             // Slice out the sub-vectors for this subspace.
             let mut subdata = Dataset::with_dim(sub_dim);
@@ -67,7 +70,7 @@ impl ProductQuantizer {
                 .with_sample_limit(50_000)
                 .with_max_iters(15)
                 .fit(&subdata)?;
-            codebooks.extend_from_slice(model.centroids.as_flat());
+            cols_from_rows(model.centroids.as_flat(), sub_dim, &mut codebooks);
         }
         Ok(ProductQuantizer {
             dim,
@@ -98,15 +101,15 @@ impl ProductQuantizer {
         self.m
     }
 
-    fn codebook(&self, sub: usize) -> &[f32] {
-        let stride = self.ksub * self.sub_dim;
-        &self.codebooks[sub * stride..(sub + 1) * stride]
+    /// The codebooks, one sub-space after the other.
+    fn books(&self) -> impl Iterator<Item = &[f32]> {
+        self.codebooks
+            .chunks_exact(cols_len(self.ksub, self.sub_dim))
     }
 
     /// Each sub-vector of `v` paired with its sub-space's codebook.
     fn subspaces<'a>(&'a self, v: &'a [f32]) -> impl Iterator<Item = (&'a [f32], &'a [f32])> {
-        v.chunks_exact(self.sub_dim)
-            .zip(self.codebooks.chunks_exact(self.ksub * self.sub_dim))
+        v.chunks_exact(self.sub_dim).zip(self.books())
     }
 
     /// Encodes a vector to its `m`-byte code.
@@ -151,25 +154,32 @@ impl ProductQuantizer {
     ///
     /// # Panics
     ///
-    /// Panics if `code.len() != self.m()`.
+    /// Panics if `code.len() != self.m()` or a code byte is not below
+    /// `self.ksub()`.
     pub fn decode(&self, code: &[u8]) -> Vec<f32> {
         assert_eq!(code.len(), self.m, "decode length mismatch");
         let mut v = Vec::with_capacity(self.dim);
-        for (sub, &c) in code.iter().enumerate() {
-            let book = self.codebook(sub);
-            v.extend_from_slice(&book[c as usize * self.sub_dim..(c as usize + 1) * self.sub_dim]);
+        for (book, &c) in self.books().zip(code) {
+            // The padding of a last tile is not a sub-centroid.
+            assert!(usize::from(c) < self.ksub, "code byte {c} beyond ksub");
+            v.extend(cols_row(book, self.sub_dim, usize::from(c)));
         }
         v
     }
 
     /// Appends the canonical little-endian encoding of the trained quantizer
-    /// (shape, then the flattened codebooks) to `buf`.
+    /// (shape, then the codebooks flattened `m × ksub × sub_dim`, one
+    /// sub-centroid after the other) to `buf`.
     pub fn encode_into(&self, buf: &mut sann_core::buf::ByteWriter) {
         buf.put_u32_le(self.dim as u32);
         buf.put_u32_le(self.m as u32);
         buf.put_u32_le(self.ksub as u32);
-        for &x in &self.codebooks {
-            buf.put_f32_le(x);
+        for book in self.books() {
+            for c in 0..self.ksub {
+                for x in cols_row(book, self.sub_dim, c) {
+                    buf.put_f32_le(x);
+                }
+            }
         }
     }
 
@@ -178,7 +188,9 @@ impl ProductQuantizer {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corrupt`] on truncation or an inconsistent shape.
+    /// Returns [`Error::Corrupt`] on truncation, an inconsistent shape, or a
+    /// codebook entry that is not finite (it would make every ADC table a
+    /// NaN table, and a candidate list ordered by NaN is not ordered).
     pub fn decode_from(r: &mut sann_core::buf::ByteReader<'_>) -> Result<ProductQuantizer> {
         let dim = r.get_u32_le()? as usize;
         let m = r.get_u32_le()? as usize;
@@ -191,9 +203,19 @@ impl ProductQuantizer {
         if r.remaining() < total * 4 {
             return Err(Error::Corrupt("pq: truncated codebooks".into()));
         }
-        let mut codebooks = Vec::with_capacity(total);
-        for _ in 0..total {
-            codebooks.push(r.get_f32_le()?);
+        let bytes = r.take(total * 4)?;
+        let mut codebooks = Vec::with_capacity(m * cols_len(ksub, sub_dim));
+        let mut rows = Vec::with_capacity(ksub * sub_dim);
+        for book in bytes.chunks_exact(ksub * sub_dim * 4) {
+            rows.clear();
+            rows.extend(
+                book.chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            );
+            if !rows.iter().all(|x| x.is_finite()) {
+                return Err(Error::Corrupt("pq: non-finite codebook entry".into()));
+            }
+            cols_from_rows(&rows, sub_dim, &mut codebooks);
         }
         Ok(ProductQuantizer {
             dim,
@@ -214,7 +236,7 @@ impl ProductQuantizer {
         let mut table = DistanceTable::zeroed(self.m, self.ksub);
         let rows = table.table.chunks_exact_mut(self.ksub);
         for (row, (qv, book)) in rows.zip(self.subspaces(query)) {
-            Metric::L2.distance_rows(qv, book, row);
+            l2_squared_cols(qv, book, row);
         }
         table
     }
@@ -436,35 +458,61 @@ mod tests {
         }
     }
 
+    /// The codebooks as persisted: `m × ksub` sub-centroids of `sub_dim`
+    /// elements, one after the other.
+    fn persisted_centroids(pq: &ProductQuantizer) -> Vec<f32> {
+        let mut w = sann_core::buf::ByteWriter::new();
+        pq.encode_into(&mut w);
+        let floats = w.as_slice()[12..].chunks_exact(4);
+        floats
+            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn table_and_codes_match_single_pair_kernels() {
-        // The batched build paths against the per-pair definition: entry
-        // (sub, c) is the distance to sub-centroid c, and a code byte is the
-        // first nearest sub-centroid.
-        let (data, pq) = train_small();
-        let q = data.row(3);
-        let table = pq.distance_table(q);
-        let code = pq.encode(q);
-        for sub in 0..pq.m() {
-            let qv = &q[sub * pq.sub_dim..(sub + 1) * pq.sub_dim];
-            let dists: Vec<f32> = pq
-                .codebook(sub)
-                .chunks_exact(pq.sub_dim)
-                .map(|c| l2_squared(qv, c))
-                .collect();
-            let row = &table.table[sub * pq.ksub..(sub + 1) * pq.ksub];
-            assert!(row
-                .iter()
-                .zip(&dists)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-            let mut best = 0;
-            for (c, &d) in dists.iter().enumerate() {
-                if d < dists[best] {
-                    best = c;
+        // The column-major build paths against the per-pair definition over
+        // the persisted (row-major) sub-centroids: entry (sub, c) is the
+        // distance to sub-centroid c, a code byte is the first nearest
+        // sub-centroid, and decoding a code gathers those sub-centroids.
+        // ksub = 16 is two full tiles, 20 a padded one after them, 5 a padded
+        // one alone.
+        for ksub in [16, 20, 5] {
+            let data = EmbeddingModel::new(32, 4, 11).generate(600);
+            let pq = ProductQuantizer::train(&data, 4, ksub, 1).unwrap();
+            let centroids = persisted_centroids(&pq);
+            assert_eq!(centroids.len(), 4 * ksub * 8);
+            for q in [data.row(3), data.row(599)] {
+                let table = pq.distance_table(q);
+                let code = pq.encode(q);
+                let mut decoded = Vec::new();
+                for (sub, book) in centroids.chunks_exact(ksub * 8).enumerate() {
+                    let qv = &q[sub * 8..(sub + 1) * 8];
+                    let dists: Vec<f32> = book.chunks_exact(8).map(|c| l2_squared(qv, c)).collect();
+                    let row = &table.table[sub * ksub..(sub + 1) * ksub];
+                    assert!(row
+                        .iter()
+                        .zip(&dists)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()));
+                    let mut best = 0;
+                    for (c, &d) in dists.iter().enumerate() {
+                        if d < dists[best] {
+                            best = c;
+                        }
+                    }
+                    assert_eq!(code[sub] as usize, best, "ksub={ksub} sub={sub}");
+                    decoded.extend_from_slice(&book[best * 8..(best + 1) * 8]);
                 }
+                assert_eq!(pq.decode(&code), decoded);
             }
-            assert_eq!(code[sub] as usize, best);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond ksub")]
+    fn decode_rejects_a_code_byte_beyond_ksub() {
+        let (_, pq) = train_small();
+        pq.decode(&[0, 16, 0, 0]);
     }
 
     #[test]
@@ -513,6 +561,14 @@ mod tests {
         bad[4..8].copy_from_slice(&3u32.to_le_bytes()); // m=3 does not divide dim=32
         let mut r = sann_core::buf::ByteReader::new(&bad, "test");
         assert!(ProductQuantizer::decode_from(&mut r).is_err());
+        // A codebook entry that is not a number, first and last.
+        for (at, x) in [(12, f32::NAN), (bytes.len() - 4, f32::NEG_INFINITY)] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&x.to_le_bytes());
+            let mut r = sann_core::buf::ByteReader::new(&bad, "test");
+            let err = ProductQuantizer::decode_from(&mut r).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err}");
+        }
     }
 
     #[test]

@@ -129,6 +129,24 @@ impl ScalarQuantizer {
         }
         d
     }
+
+    /// Distances from `query` to four codes, each bit-identical to
+    /// [`ScalarQuantizer::distance`]: every code keeps its own running sum
+    /// in dimension order, and the four sums advance together so their add
+    /// chains overlap.
+    #[inline]
+    pub fn distance_x4(&self, query: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
+        let [c0, c1, c2, c3] = codes;
+        let mut d = [0.0f32; 4];
+        let dims = query.iter().zip(&self.min).zip(&self.scale);
+        for ((((((&q, &mn), &s), &a), &b), &c), &e) in dims.zip(c0).zip(c1).zip(c2).zip(c3) {
+            for (sum, byte) in d.iter_mut().zip([a, b, c, e]) {
+                let diff = q - (mn + f32::from(byte) * s);
+                *sum += diff * diff;
+            }
+        }
+        d
+    }
 }
 
 #[cfg(test)]
@@ -174,6 +192,28 @@ mod tests {
             let approx = sq.distance(q, &sq.encode(row));
             let true_d = l2_squared(q, row);
             assert!((approx - true_d).abs() < 0.05 * (true_d + 0.1));
+        }
+    }
+
+    #[test]
+    fn batched_distance_is_bit_identical_to_single_codes() {
+        // Group sizes 0..=9 through `by_fours`: the empty call, every padded
+        // remainder alone and after full groups, and full groups only.
+        let data = EmbeddingModel::new(37, 2, 4).generate(9);
+        let sq = ScalarQuantizer::train(&data).unwrap();
+        let codes: Vec<Vec<u8>> = data.iter().map(|row| sq.encode(row)).collect();
+        let q = EmbeddingModel::new(37, 2, 5).generate(1);
+        let q = q.row(0);
+        for group in 0..=9usize {
+            let picked = (0..group).map(|i| codes[(i * 4 + 2) % 9].as_slice());
+            let want: Vec<u32> = picked
+                .clone()
+                .map(|c| sq.distance(q, c).to_bits())
+                .collect();
+            let mut got = vec![f32::NAN; group];
+            sann_core::distance::by_fours(picked, &mut got, |four| sq.distance_x4(q, four));
+            let got: Vec<u32> = got.iter().map(|d| d.to_bits()).collect();
+            assert_eq!(got, want, "x{group}");
         }
     }
 
