@@ -94,12 +94,12 @@ pub const DEFAULT_FAULT_SEED: u64 = 0x5EED_FA17;
 /// Fault-injection plus resilience configuration of one run.
 ///
 /// Every read goes through the executor's one lifecycle (issue → attempt →
-/// done → resolve | retry | hedge | abandon); the policy here only says
-/// what that lifecycle may do. The `none` profile is the degenerate policy:
-/// nothing fails, so nothing retries, and the executor resolves hedging
-/// and the deadline to "off" — no RNG draws, no extra events — so output is
-/// byte-identical to a build without the fault layer, whatever the
-/// retry/hedge/deadline settings say.
+/// sealed | done → resolve | retry | hedge | abandon); the policy here only
+/// says what that lifecycle may do. The `none` profile is the degenerate
+/// policy: nothing fails, so nothing retries, and the executor resolves
+/// hedging and the deadline to "off" — no RNG draws, no extra events — so
+/// output is byte-identical to a build without the fault layer, whatever
+/// the retry/hedge/deadline settings say.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// The device-misbehavior envelope to inject.
@@ -184,9 +184,14 @@ enum EventKind {
     Subtask { query: usize },
     /// A core-free delay elapsed.
     Delay { query: usize },
-    /// One write of the query's current batch completed.
-    WriteDone { query: usize },
-    /// One read attempt reached its device completion time.
+    /// The `n` writes of the query's current batch have all completed.
+    WritesDone { query: usize, n: usize },
+    /// The `n` sealed reads of the query's current beam have all completed
+    /// (see [`Simulation::seals`]). Like `WritesDone` it names no read: the
+    /// query cannot leave a beam it still counts in `pending_ios`, so the
+    /// event is never stale.
+    SealedDone { query: usize, n: usize },
+    /// One open read attempt reached its device completion time.
     ReadDone {
         read: ReadRef,
         attempt: u8,
@@ -197,6 +202,26 @@ enum EventKind {
     Retry { read: ReadRef },
     /// A hedge timer fired.
     Hedge { read: ReadRef },
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by a test to replay with [`force_open`] on.
+    static FORCE_OPEN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether this is a test's reference replay, in which nothing is settled
+/// at issue: every read attempt, sealed or not, goes through the open
+/// lifecycle (request state, its own completion event, its hedge timer) and
+/// every write has its own completion event — the executor as it was before
+/// sealing, which the tests hold the default against. Spans stay where the
+/// default puts them. Constant `false` outside the crate's unit tests.
+#[inline]
+fn force_open() -> bool {
+    #[cfg(test)]
+    return FORCE_OPEN.get();
+    #[cfg(not(test))]
+    false
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,7 +239,7 @@ enum Phase {
     Overlap,
 }
 
-/// One device attempt of a read, while it is in flight.
+/// One device attempt of a read.
 #[derive(Debug, Clone, Copy, Default)]
 struct Attempt {
     /// Ordinal among the read's attempts; keys the injector's RNG stream.
@@ -223,11 +248,12 @@ struct Attempt {
     start_ns: u64,
 }
 
-/// Per-read state of the current beam. A read is *settled* once it is
-/// either resolved (data arrived, possibly after retries/hedging) or
-/// abandoned (retry budget or deadline exhausted); the beam completes when
-/// every read settles. What the read fetches stays in the plan
-/// ([`ActiveQuery::beam`]).
+/// Per-read state of the current beam, kept only once one of its reads has
+/// an open attempt (a sealed read never looks at its entry). A read is
+/// *settled* once it is either resolved (data arrived, possibly after
+/// retries/hedging) or abandoned (retry budget or deadline exhausted); the
+/// beam completes when every read settles. What the read fetches stays in
+/// the plan ([`ActiveQuery::beam`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct ReqState {
     /// Attempts started so far (primary + retries + hedge); also the next
@@ -273,7 +299,8 @@ struct ActiveQuery<'a> {
     /// Read-beam ordinal; guards stale read events.
     beam_seq: u32,
     /// The read beam last issued, borrowed from the plan, and the state of
-    /// each of its reads.
+    /// each of its reads — empty until the beam's first open attempt sizes
+    /// it, so for a fully sealed beam throughout.
     beam: &'a [IoReq],
     reqs_state: Vec<ReqState>,
 }
@@ -378,7 +405,13 @@ struct Simulation<'a> {
     completed_in_window: u64,
     query_read_bytes: u64,
     query_io_count: u64,
+    /// Time of the event last popped, stale ones included: what the
+    /// monotonic-clock check compares against.
     clock_ns: u64,
+    /// When the last query completed — the end of the run as its trace
+    /// reports it. No event finds a target after that, but a cancelled hedge
+    /// timer may still pop milliseconds later, and must not date the trace.
+    finished_ns: u64,
     /// Observability: per-segment phase labels for each plan (CPU
     /// segments trailing the last I/O segment are the rerank pass —
     /// mirroring `sann_index::QueryTrace::step_phases`).
@@ -406,8 +439,7 @@ struct Simulation<'a> {
     /// touching its RNG, under an inactive profile).
     injector: FaultInjector,
     /// Whether the profile can perturb a read. No read is routed by this:
-    /// it resolves the policy below, decides what `finish` reports, and
-    /// places the `IoSpan` of an attempt.
+    /// it resolves the policy below and decides what `finish` reports.
     faulty: bool,
     /// Resolved hedge delay, ns (0 = no hedging).
     hedge_ns: u64,
@@ -486,6 +518,7 @@ impl<'a> Simulation<'a> {
             query_read_bytes: 0,
             query_io_count: 0,
             clock_ns: 0,
+            finished_ns: 0,
             seg_phases,
             plan_reads: plans.iter().map(QueryPlan::io_count).collect(),
             obs: Tracer::new(level),
@@ -565,7 +598,11 @@ impl<'a> Simulation<'a> {
                     self.q(query).seg += 1;
                     self.advance(query, t);
                 }
-                EventKind::WriteDone { query } => self.request_settled(query, t),
+                EventKind::WritesDone { query, n } => self.request_settled(query, n, t),
+                EventKind::SealedDone { query, n } => {
+                    self.fstats.ios_completed += cast::u64_from_usize(n);
+                    self.request_settled(query, n, t);
+                }
                 EventKind::ReadDone {
                     read,
                     attempt,
@@ -716,7 +753,7 @@ impl<'a> Simulation<'a> {
         );
         TracedRun {
             metrics,
-            trace: self.obs.finish(self.clock_ns),
+            trace: self.obs.finish(self.finished_ns),
             registry: self.registry,
         }
     }
@@ -1077,39 +1114,51 @@ impl<'a> Simulation<'a> {
 
     /// Issues one batch of writes. Writes bypass the page cache (write-
     /// through / direct I/O semantics) and the fault layer, so each is one
-    /// device operation that settles when it completes. Returns the number
-    /// in flight.
+    /// device operation whose completion time is known when it is
+    /// scheduled, and one event at the latest of them settles the batch.
+    /// Returns the number in flight.
     fn issue_writes(&mut self, query: usize, t: u64, reqs: &[IoReq]) -> usize {
         let t_us = ns_to_us(t);
         let first = Attempt {
             start_ns: t,
             ..Attempt::default()
         };
+        let mut batch_done_ns = 0;
         for r in reqs {
             self.tracer
                 .record_write_tagged(t_us, r.offset, r.len, r.needed, r.provenance);
             self.writes_device += 1;
             let done_ns = us_to_ns(self.device.schedule_write(t_us, r.len));
-            self.push_event(done_ns, EventKind::WriteDone { query });
             self.io_span(query, r, true, first, done_ns, IoOutcome::Ok);
+            batch_done_ns = batch_done_ns.max(done_ns);
+            if force_open() {
+                self.push_event(done_ns, EventKind::WritesDone { query, n: 1 });
+            }
+        }
+        if !force_open() {
+            let n = reqs.len();
+            self.push_event(batch_done_ns, EventKind::WritesDone { query, n });
         }
         reqs.len()
     }
 
     /// Issues one beam of reads: page-cache hits are served on the spot
-    /// (without touching the device, so they cannot fail or spike), every
-    /// miss starts its first device attempt and, when the policy hedges,
-    /// its hedge timer. The beam completes when every read settles.
-    /// Returns the number of reads left in flight; the caller decides how
-    /// the query waits for them.
+    /// (without touching the device, so they cannot fail or spike) and every
+    /// miss starts its first device attempt. An attempt that seals is only
+    /// counted — one event, pushed after the loop at the latest of their
+    /// completion times, settles all the sealed reads of the beam; an open
+    /// one has its completion event and, when the policy hedges, its hedge
+    /// timer. The beam completes when every read settles. Returns the number
+    /// of reads left in flight; the caller decides how the query waits for
+    /// them.
     fn issue_beam(&mut self, query: usize, t: u64, reqs: &'a [IoReq]) -> usize {
         let q = self.q(query);
         q.beam_seq += 1;
         q.beam = reqs;
         q.reqs_state.clear();
-        q.reqs_state.resize(reqs.len(), ReqState::default());
         let (uid, beam) = (q.uid, q.beam_seq);
         let mut pending = 0usize;
+        let (mut sealed, mut sealed_done_ns) = (0usize, 0u64);
         for (req, r) in reqs.iter().enumerate() {
             self.query_io_count += 1;
             self.query_read_bytes += u64::from(r.len);
@@ -1128,46 +1177,68 @@ impl<'a> Simulation<'a> {
                 beam,
                 req,
             };
-            self.start_attempt(read, false, t);
-            if self.hedge_ns > 0 {
+            pending += 1;
+            if let Some(done_ns) = self.start_attempt(read, false, t) {
+                // The bus is FIFO, so the last sealed read is also the
+                // latest; the beam's time does not lean on that.
+                sealed += 1;
+                sealed_done_ns = sealed_done_ns.max(done_ns);
+            } else if self.hedge_ns > 0 {
                 self.push_event(t + self.hedge_ns, EventKind::Hedge { read });
             }
-            pending += 1;
+        }
+        // Pushed here, not later: every event of this call then has a
+        // sequence number in one contiguous range, so the beam's completion
+        // keeps the order against every other query's events that its last
+        // read's own completion event would have had.
+        if sealed > 0 {
+            let done = EventKind::SealedDone { query, n: sealed };
+            self.push_event(sealed_done_ns, done);
         }
         pending
     }
 
+    /// Whether an attempt's resolution is certain the moment it is
+    /// scheduled, given when the device will complete it and whether the
+    /// injector drew an error for it: it is the read's first attempt (a
+    /// retry or a hedge is part of a history that is still being written),
+    /// it will not fail, and it lands no later than its hedge timer would
+    /// fire. On the tie the completion wins, as the event pushed first.
+    /// Nothing else can happen to such a read — `resolve` serves data even
+    /// past the query's deadline — so it is *sealed*: decided per attempt,
+    /// from the draw and the schedule, under every profile alike.
+    fn seals(&self, attempt: Attempt, done_ns: u64, failed: bool) -> bool {
+        attempt.ordinal == 0
+            && !failed
+            && (self.hedge_ns == 0 || done_ns <= attempt.start_ns + self.hedge_ns)
+    }
+
     /// Starts one device attempt of a read — the only place reads reach
     /// the device. Draws the attempt's fault outcome from its identity-
-    /// keyed RNG stream, schedules the (possibly inflated) device service,
-    /// and registers the attempt as in flight. Failed attempts still
-    /// consume device time and block-layer trace records — the host only
-    /// learns of the error at completion.
-    fn start_attempt(&mut self, read: ReadRef, hedged: bool, t: u64) {
+    /// keyed RNG stream and schedules the (possibly inflated) device
+    /// service. An attempt that seals ([`Simulation::seals`]) is finished
+    /// with here: its span is recorded and its completion time returned for
+    /// `issue_beam` to fold into the beam's one event. Any other is *open*:
+    /// it is registered as in flight, sizing the beam's request state if it
+    /// is the first to need it, and completes through `on_read_done`.
+    /// Failed attempts still consume device time and block-layer trace
+    /// records — the host only learns of the error at completion.
+    fn start_attempt(&mut self, read: ReadRef, hedged: bool, t: u64) -> Option<u64> {
         let q = self.q(read.query);
         let beam: &'a [IoReq] = q.beam;
         // Every caller names a read of the beam in flight; if that ever
         // broke, dropping the attempt (debug builds assert) is safer than
         // panicking in the middle of a sweep.
-        let (Some(io), Some(r)) = (beam.get(read.req), q.reqs_state.get_mut(read.req)) else {
+        let Some(io) = beam.get(read.req) else {
             debug_assert!(false, "attempt for a read outside the beam");
-            return;
+            return None;
         };
         let attempt = Attempt {
-            ordinal: r.attempts,
+            // No request state yet means no open attempt yet, of any read.
+            ordinal: q.reqs_state.get(read.req).map_or(0, |r| r.attempts),
             hedged,
             start_ns: t,
         };
-        let Some(slot) = r.flight.get_mut(usize::from(r.inflight)) else {
-            debug_assert!(false, "more than {} attempts in flight", r.flight.len());
-            return;
-        };
-        *slot = attempt;
-        r.inflight += 1;
-        r.attempts += 1;
-        if !hedged {
-            r.tries += 1;
-        }
         let tag = u64::from(attempt.ordinal) | if hedged { HEDGE_TAG } else { 0 };
         let t_us = ns_to_us(t);
         let fault = self
@@ -1181,6 +1252,33 @@ impl<'a> Simulation<'a> {
             .record_read_tagged(t_us, io.offset, io.len, io.needed, io.provenance);
         self.reads_device += 1;
         let done_ns = us_to_ns(self.device.schedule_faulted(t_us, io.len, fault.extra_us));
+        // A span is recorded when its outcome is known: now for a sealed
+        // attempt, when it ends (completion, error or cancellation) for an
+        // open one.
+        if self.seals(attempt, done_ns, fault.error) {
+            self.io_span(read.query, io, false, attempt, done_ns, IoOutcome::Ok);
+            if !force_open() {
+                return Some(done_ns);
+            }
+        }
+        let q = self.q(read.query);
+        if q.reqs_state.is_empty() {
+            q.reqs_state.resize(beam.len(), ReqState::default());
+        }
+        let Some(r) = q.reqs_state.get_mut(read.req) else {
+            debug_assert!(false, "attempt for a read outside the beam");
+            return None;
+        };
+        let Some(slot) = r.flight.get_mut(usize::from(r.inflight)) else {
+            debug_assert!(false, "more than {} attempts in flight", r.flight.len());
+            return None;
+        };
+        *slot = attempt;
+        r.inflight += 1;
+        r.attempts += 1;
+        if !hedged {
+            r.tries += 1;
+        }
         self.push_event(
             done_ns,
             EventKind::ReadDone {
@@ -1190,12 +1288,7 @@ impl<'a> Simulation<'a> {
                 failed: fault.error,
             },
         );
-        if !self.faulty {
-            // A healthy read's outcome is known the moment it is scheduled,
-            // so its span is recorded in issue order; an attempt that can
-            // fail or lose a hedge race is recorded when it ends.
-            self.io_span(read.query, io, false, attempt, done_ns, IoOutcome::Ok);
-        }
+        None
     }
 
     /// The read an event refers to, if the query is still waiting on it:
@@ -1234,7 +1327,9 @@ impl<'a> Simulation<'a> {
         r.flight[pos] = r.flight[n - 1];
         r.inflight -= 1;
         let inflight_left = r.inflight;
-        if self.faulty {
+        // Only a reference run (`force_open`) brings a sealed attempt this
+        // far, its span already recorded.
+        if !(force_open() && self.seals(done, t, failed)) {
             let outcome = if failed {
                 IoOutcome::Error
             } else {
@@ -1265,7 +1360,7 @@ impl<'a> Simulation<'a> {
             self.io_span(read.query, io, false, loser, t, IoOutcome::Cancelled);
         }
         self.fstats.ios_completed += 1;
-        self.request_settled(read.query, t);
+        self.request_settled(read.query, 1, t);
     }
 
     /// A failed read with nothing left in flight: retry if the budget and
@@ -1301,7 +1396,8 @@ impl<'a> Simulation<'a> {
         if t >= self.q(read.query).deadline_ns {
             self.abandon(read, t, true);
         } else {
-            self.start_attempt(read, false, t);
+            let sealed = self.start_attempt(read, false, t);
+            debug_assert!(sealed.is_none(), "a retry is never sealed");
         }
     }
 
@@ -1314,7 +1410,8 @@ impl<'a> Simulation<'a> {
         let waiting = r.inflight > 0 && usize::from(r.inflight) < r.flight.len();
         if waiting && t < self.q(read.query).deadline_ns {
             self.fstats.hedges_issued += 1;
-            self.start_attempt(read, true, t);
+            let sealed = self.start_attempt(read, true, t);
+            debug_assert!(sealed.is_none(), "a hedge is never sealed");
         }
     }
 
@@ -1332,16 +1429,22 @@ impl<'a> Simulation<'a> {
         } else {
             self.fstats.retry_exhausted += 1;
         }
-        self.request_settled(read.query, t);
+        self.request_settled(read.query, 1, t);
     }
 
-    /// One request of the beam settled — a read served or abandoned, a
-    /// write completed; the beam — and with it the segment — completes
-    /// when the last one does.
-    fn request_settled(&mut self, query: usize, t: u64) {
+    /// `n` requests of the beam settled — reads served or abandoned, writes
+    /// completed; the beam — and with it the segment — completes when the
+    /// last one does. Every caller acts for a beam the query is still
+    /// waiting on (an event naming a read has been through `open_read`; one
+    /// naming only the query counts requests the query cannot leave
+    /// behind), so a stale call is a bug.
+    fn request_settled(&mut self, query: usize, n: usize, t: u64) {
         let q = self.q(query);
-        debug_assert!(q.live && matches!(q.phase, Phase::IoWait | Phase::Overlap));
-        q.pending_ios -= 1;
+        debug_assert!(
+            q.live && matches!(q.phase, Phase::IoWait | Phase::Overlap) && n <= q.pending_ios,
+            "{n} requests settled for a query not waiting on them"
+        );
+        q.pending_ios -= n;
         if q.pending_ios == 0 {
             if q.phase == Phase::Overlap && q.remaining_subtasks > 0 {
                 // Settled under cover of the overlapped CPU; the segment
@@ -1374,6 +1477,7 @@ impl<'a> Simulation<'a> {
         }
         self.obs.end_span(phase_span, t);
         self.obs.end_span(span, t);
+        self.finished_ns = t;
         let latency_ns = t - started;
         // Phase-attribution audit (the observability analog of the I/O
         // conservation check): the in-latency phases partition
@@ -2063,13 +2167,469 @@ mod tests {
                 continue;
             }
             assert_eq!(short, long, "retained state grew with the run");
-            // A clean query has at most one beam plus one fan of subtasks
-            // outstanding (the overlapped segment), or its delay timer.
+            // A clean query has at most its beam's one event plus one fan of
+            // subtasks outstanding (the overlapped segment), or its delay
+            // timer — however wide the beam.
             assert!(
-                events_high_water <= base.concurrency * (BEAM + FANOUT + 1),
+                events_high_water <= base.concurrency * (FANOUT + 1),
                 "{events_high_water} event slots for {} clients",
                 base.concurrency
             );
+        }
+    }
+
+    // ------------------------------------------------------------ sealing
+
+    /// What a drained replay pushed and did, read off the simulation before
+    /// `finish` folds it away.
+    struct Drained {
+        /// Events pushed (`seq`).
+        events: u64,
+        /// Queries issued; every one of them ran to completion.
+        queries: u64,
+        hedges_issued: u64,
+        /// Time of the last event popped / of the last query completion.
+        clock_ns: u64,
+        finished_ns: u64,
+        run: TracedRun,
+    }
+
+    /// Drains a replay — with every attempt forced open ([`force_open`]:
+    /// the lifecycle as it was before sealing, the reference for the
+    /// default) when `open` is set, and with the hedge delay overridden in
+    /// integer ns when `hedge_ns` is given (so a test can place it on an
+    /// exact tie).
+    fn drain(
+        config: &RunConfig,
+        plans: &[QueryPlan],
+        level: TraceLevel,
+        open: bool,
+        hedge_ns: Option<u64>,
+    ) -> Drained {
+        FORCE_OPEN.set(open);
+        let mut sim = Simulation::new(config, plans, level);
+        if let Some(ns) = hedge_ns {
+            sim.hedge_ns = ns;
+        }
+        sim.run_events();
+        FORCE_OPEN.set(false);
+        Drained {
+            events: sim.seq,
+            queries: sim.issue_counter,
+            hedges_issued: sim.fstats.hedges_issued,
+            clock_ns: sim.clock_ns,
+            finished_ns: sim.finished_ns,
+            run: sim.finish(),
+        }
+    }
+
+    fn reads(at: u64, n: u64) -> Vec<IoReq> {
+        (at..at + n).map(|i| IoReq::new(i * 4096, 4096)).collect()
+    }
+
+    /// One search hop: compute, a beam of eight reads, compute.
+    fn hop_plan() -> QueryPlan {
+        QueryPlan::new(vec![
+            Segment::cpu(20.0),
+            Segment::io(reads(0, 8)),
+            Segment::cpu(10.0),
+        ])
+    }
+
+    /// A device that is slow and spiky but never fails a read.
+    fn spiky_error_free() -> FaultProfile {
+        FaultProfile {
+            spike_prob: 0.3,
+            spike_min_us: 100.0,
+            spike_max_us: 400.0,
+            throttle_factor: 1.6,
+            ..FaultProfile::none()
+        }
+    }
+
+    /// The reference test: sealing changes what the executor pays, never
+    /// what it computes. Every profile, every kind of plan, alone and under
+    /// contention (where events of different queries tie on the clock and
+    /// the sealed-beam event must sort where the beam's last completion
+    /// did), under a hedge delay no healthy read beats (every read open,
+    /// with a deadline some spiked reads outlive) and under Milvus' 5 ms
+    /// (nearly every read sealed): metrics, registry and both trace exports
+    /// are byte-equal to the all-open lifecycle.
+    #[test]
+    fn sealed_and_open_lifecycles_agree_byte_for_byte() {
+        use sann_obs::export::{chrome_trace, jsonl};
+        let plans: [(&str, u64, QueryPlan); 5] = [
+            (
+                "blocking",
+                0,
+                QueryPlan::new(vec![
+                    Segment::cpu(20.0),
+                    Segment::io(reads(0, 8)),
+                    Segment::cpu(5.0),
+                    Segment::io(reads(64, 4)),
+                    Segment::cpu(10.0),
+                ]),
+            ),
+            (
+                "overlapped",
+                0,
+                QueryPlan::new(vec![
+                    Segment::cpu(20.0),
+                    Segment::io(reads(0, 4)),
+                    Segment::overlapped(15.0, 2, reads(64, 4)),
+                    Segment::cpu(10.0),
+                ]),
+            ),
+            (
+                // Wider beams (the speculative reads ride along), each under
+                // the previous hop's compute: one covered, one with a tail.
+                "look-ahead + pipelined",
+                0,
+                QueryPlan::new(vec![
+                    Segment::cpu(10.0),
+                    Segment::overlapped(120.0, 1, reads(0, 12)),
+                    Segment::overlapped(2.0, 1, reads(64, 12)),
+                    Segment::overlapped(30.0, 4, reads(128, 12)),
+                    Segment::cpu(10.0),
+                ]),
+            ),
+            (
+                "write",
+                0,
+                QueryPlan::new(vec![
+                    Segment::cpu(10.0),
+                    Segment::io(reads(0, 4)),
+                    Segment::write(reads(1 << 18, 3)),
+                    Segment::io(reads(64, 2)),
+                    Segment::cpu(5.0),
+                ]),
+            ),
+            (
+                // The second beam re-reads half of the first one's pages, so
+                // one beam mixes cache hits with device reads.
+                "page-cached",
+                1 << 20,
+                QueryPlan::new(vec![
+                    Segment::cpu(10.0),
+                    Segment::io(reads(0, 4)),
+                    Segment::io(reads(2, 4)),
+                    Segment::cpu(5.0),
+                ]),
+            ),
+        ];
+        let retry = RetryPolicy {
+            max_retries: 3,
+            backoff_us: 100.0,
+            backoff_mult: 2.0,
+        };
+        let (mut sealed_somewhere, mut hedged_somewhere) = (false, false);
+        for profile in FaultProfile::all() {
+            for (name, cache_bytes, plan) in &plans {
+                for clients in [1, 16] {
+                    for (hedge_after_us, io_deadline_us) in [(20.0, 1_500.0), (5_000.0, 0.0)] {
+                        let config = RunConfig {
+                            cores: 4,
+                            concurrency: clients,
+                            duration_us: 0.03e6,
+                            cache_bytes: *cache_bytes,
+                            faults: FaultConfig {
+                                profile,
+                                retry,
+                                io_deadline_us,
+                                hedge_after_us,
+                                ..FaultConfig::default()
+                            },
+                            ..RunConfig::default()
+                        };
+                        let plans = std::slice::from_ref(plan);
+                        let what = format!(
+                            "{} / {name} / c{clients} / hedge {hedge_after_us}",
+                            profile.name
+                        );
+                        let sealed = Executor::new(config).run_traced(plans, TraceLevel::Io);
+                        let open = drain(&config, plans, TraceLevel::Io, true, None).run;
+                        assert!(sealed.metrics.completed > 0, "{what}");
+                        assert!(
+                            sealed.metrics.canonical_bytes() == open.metrics.canonical_bytes(),
+                            "{what}: metrics differ"
+                        );
+                        assert!(
+                            sealed.registry.canonical_bytes() == open.registry.canonical_bytes(),
+                            "{what}: registries differ"
+                        );
+                        assert!(
+                            chrome_trace(&sealed.trace) == chrome_trace(&open.trace),
+                            "{what}: Chrome exports differ"
+                        );
+                        assert!(
+                            jsonl(&sealed.trace) == jsonl(&open.trace),
+                            "{what}: JSONL exports differ"
+                        );
+                        sealed.trace.validate().unwrap();
+                        hedged_somewhere |= sealed.metrics.fault.hedges_issued > 0;
+                        sealed_somewhere |= profile.active()
+                            && sealed.metrics.fault.hedges_issued == 0
+                            && sealed.metrics.fault.latency_spikes > 0;
+                    }
+                }
+            }
+        }
+        assert!(
+            hedged_somewhere && sealed_somewhere,
+            "the sweep must reach both sides"
+        );
+    }
+
+    /// `seq` counts the events pushed. A healthy hop of eight reads costs
+    /// its two CPU subtasks, its submission and one event for the beam,
+    /// where the open lifecycle pays one per read.
+    #[test]
+    fn healthy_beam_costs_one_event_however_wide() {
+        let plans = [hop_plan()];
+        let config = RunConfig {
+            cores: 4,
+            concurrency: 16,
+            duration_us: 0.05e6,
+            ..RunConfig::default()
+        };
+        let sealed = drain(&config, &plans, TraceLevel::Off, false, None);
+        assert!(sealed.queries > 100);
+        assert_eq!(sealed.events, 4 * sealed.queries);
+        let open = drain(&config, &plans, TraceLevel::Off, true, None);
+        assert_eq!(open.events, 11 * open.queries);
+        assert_eq!(
+            sealed.run.metrics.canonical_bytes(),
+            open.run.metrics.canonical_bytes()
+        );
+    }
+
+    /// Sealing is decided per attempt from the draw and the schedule, not
+    /// from the profile: a throttled, spiking device that never fails a
+    /// read costs the healthy four events per query as long as no hedge
+    /// could start before a read lands, and stops doing so — in the same
+    /// code, on the same profile — when the hedge delay is one a spiked
+    /// read outlives.
+    #[test]
+    fn faulted_reads_seal_unless_a_hedge_could_start_first() {
+        let plans = [hop_plan()];
+        let config = |hedge_after_us: f64| RunConfig {
+            cores: 4,
+            concurrency: 16,
+            duration_us: 0.05e6,
+            faults: FaultConfig {
+                profile: spiky_error_free(),
+                hedge_after_us,
+                ..FaultConfig::default()
+            },
+            ..RunConfig::default()
+        };
+        // Longer than the worst spike plus any queueing behind one.
+        let patient = drain(&config(5_000.0), &plans, TraceLevel::Off, false, None);
+        assert!(patient.run.metrics.fault.latency_spikes > 0);
+        assert_eq!(patient.hedges_issued, 0);
+        assert_eq!(patient.events, 4 * patient.queries);
+        let open = drain(&config(5_000.0), &plans, TraceLevel::Off, true, None);
+        assert_eq!(
+            open.events,
+            19 * open.queries,
+            "completion + timer per read"
+        );
+        // Shorter than a spike: the spiked reads stay open and are hedged.
+        let eager = drain(&config(100.0), &plans, TraceLevel::Off, false, None);
+        assert!(eager.hedges_issued > 0);
+        assert!(eager.events > 4 * eager.queries);
+    }
+
+    /// Trap (a): the beam's event sits at the latest of its sealed reads.
+    /// On the query's track that is where the beam — here the whole query —
+    /// ends.
+    #[test]
+    fn sealed_beam_lands_with_its_latest_read() {
+        let plans = [QueryPlan::new(vec![Segment::io(reads(0, 8))])];
+        let config = RunConfig {
+            cores: 4,
+            concurrency: 4,
+            duration_us: 0.02e6,
+            faults: FaultConfig {
+                profile: spiky_error_free(),
+                ..FaultConfig::default()
+            },
+            ..RunConfig::default()
+        };
+        let run = Executor::new(config).run_traced(&plans, TraceLevel::Io);
+        assert!(run.metrics.fault.latency_spikes > 0);
+        let roots = run
+            .trace
+            .spans
+            .iter()
+            .filter(|s| matches!(s.name, SpanName::Query { .. }));
+        for root in roots {
+            let beam = run.trace.io.iter().filter(|io| io.query == root.query);
+            assert_eq!(beam.clone().count(), 8);
+            assert_eq!(beam.map(|io| io.end_ns).max(), Some(root.end_ns));
+        }
+    }
+
+    /// Traps (c) and (d), on the predicate itself.
+    #[test]
+    fn only_a_first_attempt_that_beats_its_hedge_timer_seals() {
+        let config = RunConfig::default();
+        let plans = [cpu_plan(1.0)];
+        let mut sim = Simulation::new(&config, &plans, TraceLevel::Off);
+        let first = Attempt {
+            start_ns: 50,
+            ..Attempt::default()
+        };
+        assert!(
+            sim.seals(first, u64::MAX, false),
+            "no hedging, no timer to beat"
+        );
+        assert!(!sim.seals(first, 60, true), "a failing attempt is retried");
+        sim.hedge_ns = 100;
+        assert!(sim.seals(first, 149, false));
+        assert!(
+            sim.seals(first, 150, false),
+            "on the tie the completion wins"
+        );
+        assert!(
+            !sim.seals(first, 151, false),
+            "one ns later the hedge fires"
+        );
+        let retry = Attempt {
+            ordinal: 1,
+            ..first
+        };
+        let hedge = Attempt {
+            ordinal: 1,
+            hedged: true,
+            ..first
+        };
+        assert!(!sim.seals(retry, 60, false), "a retry stays open");
+        assert!(!sim.seals(hedge, 60, false), "a hedge stays open");
+    }
+
+    /// Trap (c), end to end: with the hedge delay set to the ns on a healthy
+    /// read's latency the read is sealed and no hedge is issued — in the
+    /// open lifecycle too, where the completion beats the timer by push
+    /// order; one ns less and every read is hedged just before it lands.
+    #[test]
+    fn hedge_delay_on_the_tie_is_sealed_one_ns_short_is_hedged() {
+        let plans = [QueryPlan::new(vec![
+            Segment::cpu(5.0),
+            Segment::io(reads(0, 1)),
+        ])];
+        let config = RunConfig {
+            cores: 1,
+            concurrency: 1,
+            duration_us: 2_000.0,
+            ..RunConfig::default()
+        };
+        let probe = Executor::new(config).run_traced(&plans, TraceLevel::Io);
+        let latency = probe.trace.io.iter().map(|io| io.end_ns - io.start_ns);
+        let (fastest, slowest) = (latency.clone().min().unwrap(), latency.max().unwrap());
+        for (hedge_ns, hedged) in [(slowest, false), (fastest - 1, true)] {
+            let sealed = drain(&config, &plans, TraceLevel::Off, false, Some(hedge_ns));
+            let open = drain(&config, &plans, TraceLevel::Off, true, Some(hedge_ns));
+            assert!(sealed.queries > 10);
+            for side in [&sealed, &open] {
+                let expect = if hedged { side.queries } else { 0 };
+                assert_eq!(side.hedges_issued, expect, "hedge after {hedge_ns} ns");
+            }
+            // cpu + submission + the sealed beam.
+            assert_eq!(sealed.events == 3 * sealed.queries, !hedged);
+            assert_eq!(
+                sealed.run.metrics.canonical_bytes(),
+                open.run.metrics.canonical_bytes()
+            );
+        }
+    }
+
+    /// Trap (e): a sealed read that lands after its query's IO deadline is
+    /// still served — the deadline stops retries, hedges and beams not yet
+    /// issued, never data that arrives.
+    #[test]
+    fn sealed_read_resolves_past_the_deadline() {
+        // The first beam goes out before the 1 µs deadline passes and lands
+        // long after it; the second is skipped.
+        let plans = [QueryPlan::new(vec![
+            Segment::io(reads(0, 2)),
+            Segment::cpu(5.0),
+            Segment::io(reads(64, 1)),
+        ])];
+        let config = RunConfig {
+            cores: 2,
+            concurrency: 4,
+            duration_us: 0.01e6,
+            faults: FaultConfig {
+                profile: spiky_error_free(),
+                io_deadline_us: 1.0,
+                ..FaultConfig::default()
+            },
+            ..RunConfig::default()
+        };
+        let sealed = drain(&config, &plans, TraceLevel::Off, false, None);
+        let f = sealed.run.metrics.fault;
+        assert_eq!(sealed.events, 3 * sealed.queries, "submission, beam, cpu");
+        assert_eq!(f.ios_completed, 2 * sealed.queries);
+        assert_eq!(f.ios_abandoned, sealed.queries);
+        assert_eq!(f.deadline_skips, sealed.queries);
+        let open = drain(&config, &plans, TraceLevel::Off, true, None);
+        assert_eq!(
+            sealed.run.metrics.canonical_bytes(),
+            open.run.metrics.canonical_bytes()
+        );
+    }
+
+    /// Trap (f): a sealed-beam or write-batch event names no read because it
+    /// cannot be stale; one that finds its query elsewhere is a bug, caught
+    /// in every debug-built test run rather than dropped.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not waiting on them")]
+    fn batch_event_for_a_query_not_waiting_is_a_bug() {
+        let config = RunConfig::default();
+        let plans = [cpu_plan(10.0)];
+        let mut sim = Simulation::new(&config, &plans, TraceLevel::Off);
+        // Pops first: query 0 is by then running its CPU segment.
+        sim.push_event(0, EventKind::SealedDone { query: 0, n: 1 });
+        sim.run_events();
+    }
+
+    /// A cancelled hedge timer pops long after the last query completed; it
+    /// advances the event clock, not the end of the trace.
+    #[test]
+    fn dead_timer_does_not_date_the_trace() {
+        let plans = [hop_plan()];
+        for profile in [FaultProfile::flaky(), FaultProfile::aging()] {
+            let config = RunConfig {
+                cores: 4,
+                concurrency: 8,
+                duration_us: 0.02e6,
+                faults: FaultConfig {
+                    profile,
+                    hedge_after_us: 5_000.0,
+                    ..FaultConfig::default()
+                },
+                ..RunConfig::default()
+            };
+            let drained = drain(&config, &plans, TraceLevel::Io, false, None);
+            let trace = &drained.run.trace;
+            let last_span = trace.spans.iter().map(|s| s.end_ns).max().unwrap();
+            let last_io = trace.io.iter().map(|io| io.end_ns).max().unwrap();
+            assert_eq!(trace.end_ns, last_span.max(last_io), "{}", profile.name);
+            assert_eq!(trace.end_ns, drained.finished_ns);
+            trace.validate().unwrap();
+            if profile.read_error_prob > 0.0 {
+                // A read that failed once is open, so it armed a timer; the
+                // retry served it within a few hundred µs and the timer
+                // popped, dead, milliseconds after the run was over.
+                assert!(
+                    drained.clock_ns > drained.finished_ns + 1_000_000,
+                    "clock {} vs end {}",
+                    drained.clock_ns,
+                    drained.finished_ns
+                );
+            }
         }
     }
 }
