@@ -23,6 +23,7 @@
 //! `results/`.
 
 pub mod cache;
+pub mod cli;
 pub mod context;
 pub mod explore;
 pub mod ext_filter;
