@@ -14,20 +14,23 @@
 //!   (`--cache-dir`, on by default for the CLI), so a warm `vdbbench` run
 //!   skips prep entirely.
 //!
-//! Cold prep is parallel: [`BenchContext::prefetch`] fans independent
-//! (dataset × index family) builds out over `--prep-threads` workers. The
-//! builds themselves are deterministic — a seed fixes an artifact's bytes —
-//! so the artifacts are byte-identical at any thread count.
+//! There is one prep path: [`BenchContext::dataset`] and
+//! [`BenchContext::setup`] are the one-job case of
+//! [`BenchContext::prefetch`], which fans independent (dataset × index
+//! family) builds out over `--prep-threads` workers. The builds themselves
+//! are deterministic — a seed fixes an artifact's bytes — so the artifacts
+//! are byte-identical at any thread count.
 
 use crate::cache::{self, ArtifactCache, CacheStats};
 use sann_core::buf::{ByteReader, ByteWriter};
-use sann_core::{Error, Metric, Result};
+use sann_core::{Dataset, Error, Metric, Result};
 use sann_datagen::{catalog, DatasetSpec, GroundTruth};
 use sann_engine::{Executor, FaultProfile, QueryPlan, RunConfig, RunMetrics, TracedRun};
-use sann_index::VectorIndex;
+use sann_index::{QueryTrace, SearchParams, VectorIndex};
 use sann_obs::TraceLevel;
 use sann_vdb::{Setup, SetupKind};
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Recall target the paper tunes every setup to (recall@10 ≥ 0.9).
@@ -45,18 +48,19 @@ pub struct PreparedDataset {
     /// The spec (already scaled).
     pub spec: DatasetSpec,
     /// Base vectors.
-    pub base: sann_core::Dataset,
+    pub base: Dataset,
     /// Query vectors.
-    pub queries: sann_core::Dataset,
+    pub queries: Dataset,
     /// Exact top-K of each query.
     pub truth: GroundTruth,
     /// Prefix of `queries` used for knob tuning.
-    pub tune_queries: sann_core::Dataset,
+    pub tune_queries: Dataset,
     /// Ground truth of the tuning prefix.
     pub tune_truth: GroundTruth,
 }
 
 /// A built index with its tuned setup and achieved recall.
+#[derive(Clone)]
 pub struct PreparedSetup {
     /// Tuned setup (knob set by [`Setup::tune`]).
     pub setup: Setup,
@@ -81,11 +85,11 @@ pub struct BenchContext {
     /// Restrict to one dataset by name (e.g. `cohere-s`), or run all four.
     pub only_dataset: Option<String>,
     /// Directory for CSV outputs.
-    pub results_dir: std::path::PathBuf,
+    pub results_dir: PathBuf,
     /// Where to write exported traces (`--trace-out`); `None` disables
     /// export. The Chrome/Perfetto JSON goes to this path and the JSONL
     /// sibling next to it with a `.jsonl` extension.
-    pub trace_out: Option<std::path::PathBuf>,
+    pub trace_out: Option<PathBuf>,
     /// Span-tracing verbosity (`--trace-level {off,run,query,io}`).
     pub trace_level: TraceLevel,
     /// Injected SSD fault profile (`--fault-profile
@@ -101,13 +105,19 @@ pub struct BenchContext {
     /// Persistent artifact cache; `None` (the [`BenchContext::new`] default)
     /// keeps everything in memory, which is what tests want. The CLI enables
     /// it at `.sann-cache` unless `--no-cache` is passed.
-    disk: Option<ArtifactCache>,
-    datasets: BTreeMap<String, PreparedDataset>,
+    pub(crate) disk: Option<ArtifactCache>,
+    datasets: BTreeMap<String, Arc<PreparedDataset>>,
     indexes: BTreeMap<(String, &'static str), Arc<dyn VectorIndex>>,
     setups: BTreeMap<(String, SetupKind), PreparedSetup>,
     plans: BTreeMap<(String, SetupKind), Arc<Vec<QueryPlan>>>,
     runs: BTreeMap<(String, SetupKind, usize), RunMetrics>,
 }
+
+/// The global flags, as `vdbbench help` shows them ([`BenchContext::from_args`]
+/// is the grammar).
+pub const GLOBAL_FLAGS: &str = "[--scale X] [--cores N] [--duration-secs S] [--dataset NAME] \
+    [--results DIR] [--cache-dir DIR] [--no-cache] [--prep-threads N] [--trace-out PATH] \
+    [--trace-level off|run|query|io] [--fault-profile none|aging|gc-heavy|flaky]";
 
 impl BenchContext {
     /// Creates a context with paper-default settings at the given scale.
@@ -117,7 +127,7 @@ impl BenchContext {
             cores: 20,
             duration_us: 5e6,
             only_dataset: None,
-            results_dir: std::path::PathBuf::from("results"),
+            results_dir: PathBuf::from("results"),
             trace_out: None,
             trace_level: TraceLevel::Off,
             fault_profile: FaultProfile::none(),
@@ -131,12 +141,10 @@ impl BenchContext {
         }
     }
 
-    /// Parses harness flags (`--scale X`, `--cores N`, `--duration-secs S`,
-    /// `--dataset NAME`, `--results DIR`, `--cache-dir DIR`, `--no-cache`,
-    /// `--prep-threads N`, `--trace-out PATH`,
-    /// `--trace-level {off,run,query,io}`,
-    /// `--fault-profile {none,aging,gc-heavy,flaky}`). Unrecognized flags
-    /// are returned for the caller (subcommand) to interpret.
+    /// Parses the global harness flags ([`GLOBAL_FLAGS`]) wherever they
+    /// appear and validates every value. The remaining words — the
+    /// subcommand and its own flags — are returned in order for
+    /// [`crate::cli`] to interpret.
     ///
     /// The artifact cache defaults to `.sann-cache`; `--no-cache` disables it
     /// and `--cache-dir` moves it (last flag wins). `--prep-threads` defaults
@@ -144,85 +152,49 @@ impl BenchContext {
     ///
     /// # Errors
     ///
-    /// Returns [`sann_core::Error::InvalidParameter`] on malformed values.
+    /// Returns [`sann_core::Error::InvalidParameter`] on a missing, malformed
+    /// or out-of-range value, and on a `--dataset` the catalog does not have.
     pub fn from_args(args: &[String]) -> Result<(BenchContext, Vec<String>)> {
         let mut ctx = BenchContext::new(0.002);
         ctx.prep_threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
-        let mut cache_dir = Some(std::path::PathBuf::from(".sann-cache"));
+        let mut cache_dir = Some(PathBuf::from(".sann-cache"));
         let mut rest = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            let mut take = |name: &'static str| -> Result<String> {
-                it.next().cloned().ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", format!("{name} needs a value"))
-                })
-            };
-            match arg.as_str() {
-                "--scale" => {
-                    ctx.scale = parse_f64("--scale", &take("--scale")?)?;
-                }
-                "--cores" => {
-                    ctx.cores = parse_f64("--cores", &take("--cores")?)? as usize;
-                }
-                "--duration-secs" => {
-                    ctx.duration_us =
-                        parse_f64("--duration-secs", &take("--duration-secs")?)? * 1e6;
-                }
-                "--dataset" => {
-                    ctx.only_dataset = Some(take("--dataset")?);
-                }
-                "--results" => {
-                    ctx.results_dir = std::path::PathBuf::from(take("--results")?);
-                }
-                "--cache-dir" => {
-                    cache_dir = Some(std::path::PathBuf::from(take("--cache-dir")?));
-                }
-                "--no-cache" => {
-                    cache_dir = None;
-                }
-                "--prep-threads" => {
-                    let threads = parse_f64("--prep-threads", &take("--prep-threads")?)? as usize;
-                    ctx.prep_threads = threads.max(1);
-                }
-                "--trace-out" => {
-                    ctx.trace_out = Some(std::path::PathBuf::from(take("--trace-out")?));
-                }
+            let flag = arg.as_str();
+            let mut value = || flag_value(flag, it.next());
+            match flag {
+                "--scale" => ctx.scale = positive_f64(flag, value()?)?,
+                "--cores" => ctx.cores = positive_usize(flag, value()?)?,
+                "--duration-secs" => ctx.duration_us = positive_f64(flag, value()?)? * 1e6,
+                "--dataset" => ctx.only_dataset = Some(value()?.clone()),
+                "--results" => ctx.results_dir = PathBuf::from(value()?),
+                "--cache-dir" => cache_dir = Some(PathBuf::from(value()?)),
+                "--no-cache" => cache_dir = None,
+                "--prep-threads" => ctx.prep_threads = positive_usize(flag, value()?)?,
+                "--trace-out" => ctx.trace_out = Some(PathBuf::from(value()?)),
                 "--trace-level" => {
-                    let value = take("--trace-level")?;
-                    ctx.trace_level = TraceLevel::parse(&value).ok_or_else(|| {
-                        sann_core::Error::invalid_parameter(
-                            "args",
-                            format!("bad value for --trace-level: `{value}` (off|run|query|io)"),
-                        )
-                    })?;
+                    let value = value()?;
+                    ctx.trace_level = TraceLevel::parse(value)
+                        .ok_or_else(|| bad_value(flag, value, "off|run|query|io"))?;
                 }
                 "--fault-profile" => {
-                    let value = take("--fault-profile")?;
-                    ctx.fault_profile = FaultProfile::parse(&value).ok_or_else(|| {
-                        sann_core::Error::invalid_parameter(
-                            "args",
-                            format!(
-                                "bad value for --fault-profile: `{value}` \
-                                 (none|aging|gc-heavy|flaky)"
-                            ),
-                        )
-                    })?;
+                    let value = value()?;
+                    ctx.fault_profile = FaultProfile::parse(value)
+                        .ok_or_else(|| bad_value(flag, value, "none|aging|gc-heavy|flaky"))?;
                 }
-                other => rest.push(other.to_owned()),
+                _ => rest.push(arg.clone()),
             }
         }
+        // A `--dataset` the catalog lacks fails here, not as an empty table.
+        ctx.first_spec()?;
         ctx.disk = cache_dir.map(ArtifactCache::new);
         Ok((ctx, rest))
     }
 
     /// Enables the persistent artifact cache rooted at `dir`.
-    pub fn enable_cache(&mut self, dir: impl Into<std::path::PathBuf>) {
+    pub fn enable_cache(&mut self, dir: impl Into<PathBuf>) {
         self.disk = Some(ArtifactCache::new(dir));
-    }
-
-    /// Disables the persistent artifact cache (in-memory caching only).
-    pub fn disable_cache(&mut self) {
-        self.disk = None;
     }
 
     /// Hit/miss counters of the artifact cache, or `None` when disabled.
@@ -233,36 +205,41 @@ impl BenchContext {
     /// The dataset specs this run covers (all four, or the `--dataset` one),
     /// scaled.
     pub fn dataset_specs(&self) -> Vec<DatasetSpec> {
+        self.dataset_specs_ending("")
+    }
+
+    /// [`dataset_specs`](BenchContext::dataset_specs) narrowed to one size
+    /// class of the catalog: `"-s"` for the small variants, `"-l"` for the
+    /// large ones.
+    pub fn dataset_specs_ending(&self, suffix: &str) -> Vec<DatasetSpec> {
         catalog::all()
             .into_iter()
-            .filter(|s| {
-                self.only_dataset
-                    .as_deref()
-                    .map(|o| o == s.name)
-                    .unwrap_or(true)
-            })
+            .filter(|s| self.only_dataset.as_deref().is_none_or(|o| o == s.name))
+            .filter(|s| s.name.ends_with(suffix))
             .map(|s| s.scaled(self.scale))
             .collect()
     }
 
+    /// The first dataset this run covers: what the single-dataset
+    /// subcommands (`trace`, `iostat`, `explore`) run on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`sann_core::Error::InvalidParameter`] when `--dataset` names
+    /// nothing in the catalog.
+    pub fn first_spec(&self) -> Result<DatasetSpec> {
+        self.dataset_specs().into_iter().next().ok_or_else(|| {
+            let known: Vec<String> = catalog::all().into_iter().map(|s| s.name).collect();
+            let asked = self.only_dataset.as_deref().unwrap_or_default();
+            let msg = format!("no dataset matches `{asked}` ({})", known.join("|"));
+            Error::invalid_parameter("args", msg)
+        })
+    }
+
     /// Generates (or returns cached) base/queries/ground-truth for a spec.
-    pub fn dataset(&mut self, spec: &DatasetSpec) -> &PreparedDataset {
-        if !self.datasets.contains_key(&spec.name) {
-            let prepared = match self.load_dataset(spec) {
-                Some(d) => d,
-                None => {
-                    eprintln!(
-                        "[prep] generating {} ({} x {}-d) + ground truth",
-                        spec.name, spec.n_base, spec.dim
-                    );
-                    let d = generate_dataset(spec);
-                    self.store_dataset(&d);
-                    d
-                }
-            };
-            self.datasets.insert(spec.name.clone(), prepared);
-        }
-        &self.datasets[&spec.name]
+    pub fn dataset(&mut self, spec: &DatasetSpec) -> Arc<PreparedDataset> {
+        self.prepare_datasets(std::slice::from_ref(spec));
+        Arc::clone(&self.datasets[&spec.name])
     }
 
     /// Prepares every (dataset × setup kind) this run will need, fanning cold
@@ -270,80 +247,90 @@ impl BenchContext {
     /// threads. Warm artifacts load from the disk cache instead. Tuning stays
     /// lazy (it is cheap relative to builds and per-kind, not per-family).
     ///
-    /// Calling this is optional — [`BenchContext::setup`] prepares the same
-    /// state serially on demand — but it is where the prep parallelism lives,
-    /// so the CLI calls it before every multi-setup subcommand.
+    /// Calling this is optional — [`BenchContext::setup`] runs the same path
+    /// for its one (dataset, kind) on demand — but it is where the prep
+    /// parallelism lives, so the CLI calls it before every multi-setup
+    /// subcommand.
     ///
     /// # Errors
     ///
     /// Propagates the first build error.
     pub fn prefetch(&mut self, kinds: &[SetupKind]) -> Result<()> {
         let specs = self.dataset_specs();
-        // Phase 1: datasets. Disk hits load serially (cheap); cold
-        // generations fan out. Progress lines print before the fan-out so
-        // their order is independent of scheduling.
-        let mut cold_specs = Vec::new();
-        for spec in &specs {
+        self.prepare_indexes(&specs, kinds)
+    }
+
+    /// Prep phase 1: datasets. Disk hits load serially (cheap); cold
+    /// generations fan out. Progress lines print before the fan-out so
+    /// their order is independent of scheduling.
+    fn prepare_datasets(&mut self, specs: &[DatasetSpec]) {
+        let mut cold = Vec::new();
+        for spec in specs {
             if self.datasets.contains_key(&spec.name) {
                 continue;
             }
-            match self.load_dataset(spec) {
-                Some(d) => {
-                    self.datasets.insert(spec.name.clone(), d);
-                }
-                None => cold_specs.push(spec.clone()),
+            let key = cache::dataset_key(spec, K, TUNE_QUERIES);
+            if let Some(d) = self.load("dataset", key, &spec.name, |p| decode_dataset(spec, p)) {
+                self.datasets.insert(spec.name.clone(), Arc::new(d));
+                continue;
             }
-        }
-        for spec in &cold_specs {
             eprintln!(
                 "[prep] generating {} ({} x {}-d) + ground truth",
                 spec.name, spec.n_base, spec.dim
             );
+            cold.push(spec.clone());
         }
-        for d in parallel_map(self.prep_threads, &cold_specs, generate_dataset) {
-            self.store_dataset(&d);
-            self.datasets.insert(d.spec.name.clone(), d);
+        for d in parallel_map(self.prep_threads, &cold, generate_dataset) {
+            if let Some(disk) = &mut self.disk {
+                let key = cache::dataset_key(&d.spec, K, TUNE_QUERIES);
+                disk.store("dataset", key, &encode_dataset(&d));
+            }
+            self.datasets.insert(d.spec.name.clone(), Arc::new(d));
         }
-        // Phase 2: index builds, deduped per (dataset, family) exactly like
-        // the lazy path, then fanned out. Each build is deterministic, so
-        // artifacts are byte-identical at any `prep_threads`.
-        let mut jobs: Vec<(String, &'static str, Setup)> = Vec::new();
-        for spec in &specs {
+    }
+
+    /// Prep phase 2 (after phase 1 for the same specs): index builds, one
+    /// per (dataset, family) however many setups share it, fanned out. Each
+    /// build is deterministic, so artifacts are byte-identical at any
+    /// `prep_threads`.
+    fn prepare_indexes(&mut self, specs: &[DatasetSpec], kinds: &[SetupKind]) -> Result<()> {
+        self.prepare_datasets(specs);
+        let mut jobs: Vec<(&DatasetSpec, &'static str, Setup)> = Vec::new();
+        for spec in specs {
             for &kind in kinds {
                 let family = index_family(kind);
                 if self.indexes.contains_key(&(spec.name.clone(), family))
-                    || jobs.iter().any(|(n, f, _)| n == &spec.name && *f == family)
+                    || jobs
+                        .iter()
+                        .any(|(s, f, _)| s.name == spec.name && *f == family)
                 {
                     continue;
                 }
                 let setup = Setup::new(kind, self.datasets[&spec.name].base.len());
-                if let Some(index) = self.load_index(spec, family, setup.seed) {
-                    self.indexes.insert((spec.name.clone(), family), index);
+                let key = index_key(spec, family, setup.seed);
+                let owner = format!("{family} on {}", spec.name);
+                if let Some(index) = self.load("index", key, &owner, sann_index::persist::decode) {
+                    self.indexes
+                        .insert((spec.name.clone(), family), Arc::from(index));
                     continue;
                 }
                 eprintln!("[prep] building {family} index on {}", spec.name);
-                jobs.push((spec.name.clone(), family, setup));
+                jobs.push((spec, family, setup));
             }
         }
         let datasets = &self.datasets;
-        let built = parallel_map(self.prep_threads, &jobs, |(name, _, setup)| {
-            setup.build_index(&datasets[name].base, Metric::L2)
+        let built = parallel_map(self.prep_threads, &jobs, |(spec, _, setup)| {
+            setup.build_index(&datasets[&spec.name].base, Metric::L2)
         });
-        for ((name, family, setup), result) in jobs.iter().zip(built) {
+        for ((spec, family, setup), result) in jobs.into_iter().zip(built) {
             let index = result?;
-            if let Some(bytes) = index.persist_encode() {
-                let spec = &self.datasets[name].spec;
-                let key = cache::index_key(
-                    cache::dataset_key(spec, K, TUNE_QUERIES),
-                    family,
-                    setup.seed,
-                );
-                if let Some(disk) = &mut self.disk {
-                    disk.store("index", key, &bytes);
+            if let Some(disk) = &mut self.disk {
+                if let Some(bytes) = index.persist_encode() {
+                    disk.store("index", index_key(spec, family, setup.seed), &bytes);
                 }
             }
             self.indexes
-                .insert((name.clone(), family), Arc::from(index));
+                .insert((spec.name.clone(), family), Arc::from(index));
         }
         Ok(())
     }
@@ -357,54 +344,23 @@ impl BenchContext {
     pub fn setup(&mut self, spec: &DatasetSpec, kind: SetupKind) -> Result<&PreparedSetup> {
         let key = (spec.name.clone(), kind);
         if !self.setups.contains_key(&key) {
-            self.dataset(spec); // ensure dataset exists
-            let mut setup = Setup::new(kind, self.datasets[&spec.name].base.len());
+            self.prepare_indexes(std::slice::from_ref(spec), &[kind])?;
+            let data = Arc::clone(&self.datasets[&spec.name]);
+            let mut setup = Setup::new(kind, data.base.len());
             let family = index_family(kind);
-            let index_key = (spec.name.clone(), family);
-            if !self.indexes.contains_key(&index_key) {
-                let built = match self.load_index(spec, family, setup.seed) {
-                    Some(index) => index,
-                    None => {
-                        eprintln!("[prep] building {} index on {}", family, spec.name);
-                        let index =
-                            setup.build_index(&self.datasets[&spec.name].base, Metric::L2)?;
-                        if let Some(bytes) = index.persist_encode() {
-                            let ikey = cache::index_key(
-                                cache::dataset_key(spec, K, TUNE_QUERIES),
-                                family,
-                                setup.seed,
-                            );
-                            if let Some(disk) = &mut self.disk {
-                                disk.store("index", ikey, &bytes);
-                            }
-                        }
-                        Arc::from(index)
-                    }
-                };
-                self.indexes.insert(index_key.clone(), built);
-            }
-            let index = Arc::clone(&self.indexes[&index_key]);
+            let index = Arc::clone(&self.indexes[&(spec.name.clone(), family)]);
             let tkey = cache::tuned_key(
-                cache::index_key(
-                    cache::dataset_key(spec, K, TUNE_QUERIES),
-                    family,
-                    setup.seed,
-                ),
+                index_key(spec, family, setup.seed),
                 kind.name(),
                 RECALL_TARGET,
             );
-            let cached_tune = self
-                .disk
-                .as_mut()
-                .and_then(|disk| disk.load("tuned", tkey))
-                .and_then(|payload| decode_tuned(&payload).ok());
-            let recall = match cached_tune {
+            let owner = format!("{} on {}", kind.name(), spec.name);
+            let recall = match self.load("tuned", tkey, &owner, decode_tuned) {
                 Some((knob, recall)) => {
                     setup.apply_knob(knob);
                     recall
                 }
                 None => {
-                    let data = &self.datasets[&spec.name];
                     setup.tune(
                         index.as_ref(),
                         &data.tune_queries,
@@ -437,60 +393,27 @@ impl BenchContext {
         Ok(&self.setups[&key])
     }
 
-    /// Loads a prepared dataset from the disk cache, or `None` on a miss.
-    fn load_dataset(&mut self, spec: &DatasetSpec) -> Option<PreparedDataset> {
-        let disk = self.disk.as_mut()?;
-        let payload = disk.load("dataset", cache::dataset_key(spec, K, TUNE_QUERIES))?;
-        match decode_dataset(spec, &payload) {
-            Ok(d) => Some(d),
-            Err(err) => {
-                eprintln!(
-                    "[cache] ignoring stale dataset artifact for {}: {err}",
-                    spec.name
-                );
-                None
-            }
-        }
-    }
-
-    /// Stores a prepared dataset in the disk cache (no-op when disabled).
-    fn store_dataset(&mut self, d: &PreparedDataset) {
-        if let Some(disk) = &mut self.disk {
-            disk.store(
-                "dataset",
-                cache::dataset_key(&d.spec, K, TUNE_QUERIES),
-                &encode_dataset(d),
-            );
-        }
-    }
-
-    /// Loads a built index from the disk cache, or `None` on a miss.
-    fn load_index(
+    /// Loads and decodes one artifact of `owner` from the disk cache. A
+    /// disabled cache, a miss and a payload that no longer decodes (reported)
+    /// all read as `None`: the caller rebuilds and re-stores.
+    fn load<T>(
         &mut self,
-        spec: &DatasetSpec,
-        family: &str,
-        build_seed: u64,
-    ) -> Option<Arc<dyn VectorIndex>> {
-        let key = cache::index_key(
-            cache::dataset_key(spec, K, TUNE_QUERIES),
-            family,
-            build_seed,
-        );
-        let disk = self.disk.as_mut()?;
-        let payload = disk.load("index", key)?;
-        match sann_index::persist::decode(&payload) {
-            Ok(index) => Some(Arc::from(index)),
-            Err(err) => {
-                eprintln!(
-                    "[cache] ignoring stale {family} index artifact for {}: {err}",
-                    spec.name
-                );
-                None
-            }
-        }
+        label: &str,
+        key: u64,
+        owner: &str,
+        decode: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Option<T> {
+        let payload = self.disk.as_mut()?.load(label, key)?;
+        decode(&payload)
+            .inspect_err(|err| {
+                eprintln!("[cache] ignoring stale {label} artifact for {owner}: {err}")
+            })
+            .ok()
     }
 
-    /// Returns the prepared dataset and setup together (both cached).
+    /// Returns the prepared dataset and setup together (both cached), as
+    /// owned handles so callers can keep using the context while holding
+    /// them.
     ///
     /// # Errors
     ///
@@ -499,11 +422,9 @@ impl BenchContext {
         &mut self,
         spec: &DatasetSpec,
         kind: SetupKind,
-    ) -> Result<(&PreparedDataset, &PreparedSetup)> {
-        self.setup(spec, kind)?;
-        let data = &self.datasets[&spec.name];
-        let prepared = &self.setups[&(spec.name.clone(), kind)];
-        Ok((data, prepared))
+    ) -> Result<(Arc<PreparedDataset>, PreparedSetup)> {
+        let prepared = self.setup(spec, kind)?.clone();
+        Ok((self.dataset(spec), prepared))
     }
 
     /// The plan compiler for a setup on a dataset: delegates to
@@ -556,28 +477,22 @@ impl BenchContext {
         let key = (spec.name.clone(), kind, concurrency);
         if !self.runs.contains_key(&key) {
             let plans = self.plans(spec, kind)?;
-            let metrics = self
-                .run(kind, &plans, concurrency)
-                .expect("client support checked above");
+            let metrics = self.run(kind, &plans, concurrency)?;
             self.runs.insert(key.clone(), metrics);
         }
         Ok(Some(self.runs[&key].clone()))
     }
 
-    /// Runs arbitrary plans at a concurrency level under the setup's profile
-    /// (uncached — for parameter sweeps). Returns `None` when the profile
-    /// does not support the concurrency.
-    pub fn run(
-        &self,
-        kind: SetupKind,
-        plans: &[QueryPlan],
-        concurrency: usize,
-    ) -> Option<RunMetrics> {
+    /// The executor for a setup's profile at a concurrency level: the one
+    /// place the harness settings, the DB profile and the fault profile meet
+    /// in a [`RunConfig`].
+    fn executor(&self, kind: SetupKind, concurrency: usize) -> Result<Executor> {
         let profile = kind.profile();
         if !profile.supports_clients(concurrency) {
-            return None;
+            let msg = format!("{} does not support {concurrency} clients", kind.name());
+            return Err(Error::invalid_parameter("clients", msg));
         }
-        let config = RunConfig {
+        Ok(Executor::new(RunConfig {
             cores: self.cores,
             concurrency,
             duration_us: self.duration_us,
@@ -585,34 +500,39 @@ impl BenchContext {
             cache_bytes: profile.cache_bytes,
             faults: profile.fault_config(self.fault_profile),
             ..RunConfig::default()
-        };
-        Some(Executor::new(config).run(plans))
+        }))
+    }
+
+    /// Runs arbitrary plans at a concurrency level under the setup's profile
+    /// (uncached — for parameter sweeps).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`sann_core::Error::InvalidParameter`] when the profile does
+    /// not support the concurrency.
+    pub fn run(
+        &self,
+        kind: SetupKind,
+        plans: &[QueryPlan],
+        concurrency: usize,
+    ) -> Result<RunMetrics> {
+        Ok(self.executor(kind, concurrency)?.run(plans))
     }
 
     /// Like [`BenchContext::run`] but keeps the full observability output:
     /// the span trace at `level` plus the counter/histogram registry.
-    /// Returns `None` when the profile does not support the concurrency.
+    ///
+    /// # Errors
+    ///
+    /// As [`BenchContext::run`].
     pub fn run_traced(
         &self,
         kind: SetupKind,
         plans: &[QueryPlan],
         concurrency: usize,
         level: TraceLevel,
-    ) -> Option<TracedRun> {
-        let profile = kind.profile();
-        if !profile.supports_clients(concurrency) {
-            return None;
-        }
-        let config = RunConfig {
-            cores: self.cores,
-            concurrency,
-            duration_us: self.duration_us,
-            max_concurrent: profile.max_concurrent,
-            cache_bytes: profile.cache_bytes,
-            faults: profile.fault_config(self.fault_profile),
-            ..RunConfig::default()
-        };
-        Some(Executor::new(config).run_traced(plans, level))
+    ) -> Result<TracedRun> {
+        Ok(self.executor(kind, concurrency)?.run_traced(plans, level))
     }
 
     /// Writes a CSV file under the results directory.
@@ -627,6 +547,29 @@ impl BenchContext {
     }
 }
 
+/// Searches every query once and returns mean recall@`k` together with the
+/// traces: a sweep point needs both, and each `search` call yields both.
+///
+/// # Errors
+///
+/// Propagates the first search error.
+pub fn search_all(
+    index: &dyn VectorIndex,
+    queries: &Dataset,
+    truth: &GroundTruth,
+    k: usize,
+    params: &SearchParams,
+) -> Result<(f64, Vec<QueryTrace>)> {
+    let mut ids = Vec::with_capacity(queries.len());
+    let mut traces = Vec::with_capacity(queries.len());
+    for q in queries.iter() {
+        let out = index.search(q, k, params)?;
+        ids.push(out.ids());
+        traces.push(out.trace);
+    }
+    Ok((truth.mean_recall(&ids), traces))
+}
+
 /// The index-structure family a setup builds (setups in the same family
 /// share one build).
 fn index_family(kind: SetupKind) -> &'static str {
@@ -637,6 +580,16 @@ fn index_family(kind: SetupKind) -> &'static str {
         SetupKind::LancedbHnsw => "hnsw-sq",
         SetupKind::MilvusHnsw | SetupKind::QdrantHnsw | SetupKind::WeaviateHnsw => "hnsw",
     }
+}
+
+/// Cache key of a built index: its dataset's key (which folds in `K` and the
+/// tuning-prefix length), the family, and the build seed.
+fn index_key(spec: &DatasetSpec, family: &str, build_seed: u64) -> u64 {
+    cache::index_key(
+        cache::dataset_key(spec, K, TUNE_QUERIES),
+        family,
+        build_seed,
+    )
 }
 
 /// Generates a dataset bundle plus both ground truths. Pure function of the
@@ -670,8 +623,8 @@ fn encode_dataset(d: &PreparedDataset) -> Vec<u8> {
 /// Inverse of [`encode_dataset`].
 fn decode_dataset(spec: &DatasetSpec, payload: &[u8]) -> Result<PreparedDataset> {
     let mut r = ByteReader::new(payload, "dataset-artifact");
-    let base = sann_core::Dataset::decode_from(&mut r)?;
-    let queries = sann_core::Dataset::decode_from(&mut r)?;
+    let base = Dataset::decode_from(&mut r)?;
+    let queries = Dataset::decode_from(&mut r)?;
     let truth = GroundTruth::decode_from(&mut r)?;
     let tune_truth = GroundTruth::decode_from(&mut r)?;
     if r.remaining() != 0 {
@@ -746,10 +699,31 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-fn parse_f64(name: &'static str, value: &str) -> Result<f64> {
-    value
+/// The value after `flag`, or the "needs a value" error.
+pub(crate) fn flag_value<'a>(flag: &str, next: Option<&'a String>) -> Result<&'a String> {
+    next.ok_or_else(|| Error::invalid_parameter("args", format!("{flag} needs a value")))
+}
+
+/// The error for a flag value that does not parse or is out of range.
+pub(crate) fn bad_value(flag: &str, value: &str, expects: &str) -> Error {
+    let msg = format!("bad value for {flag}: `{value}` ({expects})");
+    Error::invalid_parameter("args", msg)
+}
+
+/// A finite number greater than zero (`--scale`, `--duration-secs`).
+fn positive_f64(flag: &str, value: &str) -> Result<f64> {
+    let parsed = value
         .parse()
-        .map_err(|_| sann_core::Error::invalid_parameter("args", format!("bad value for {name}")))
+        .ok()
+        .filter(|x: &f64| x.is_finite() && *x > 0.0);
+    parsed.ok_or_else(|| bad_value(flag, value, "a positive number"))
+}
+
+/// A whole number greater than zero (`--cores`, `--prep-threads`,
+/// `--clients`): the executor needs at least one core and one client.
+pub(crate) fn positive_usize(flag: &str, value: &str) -> Result<usize> {
+    let parsed = value.parse().ok().filter(|n: &usize| *n > 0);
+    parsed.ok_or_else(|| bad_value(flag, value, "a positive integer"))
 }
 
 #[cfg(test)]
@@ -760,90 +734,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sann-ctx-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn parses_flags_and_passes_rest() {
-        let args: Vec<String> = [
-            "--scale",
-            "0.01",
-            "--cores",
-            "8",
-            "fig2",
-            "--dataset",
-            "cohere-s",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (ctx, rest) = BenchContext::from_args(&args).unwrap();
-        assert_eq!(ctx.scale, 0.01);
-        assert_eq!(ctx.cores, 8);
-        assert_eq!(ctx.only_dataset.as_deref(), Some("cohere-s"));
-        assert_eq!(rest, vec!["fig2"]);
-    }
-
-    #[test]
-    fn parses_cache_flags() {
-        let (ctx, _) = BenchContext::from_args(&[]).unwrap();
-        assert_eq!(
-            ctx.disk.as_ref().map(|c| c.dir().to_path_buf()),
-            Some(std::path::PathBuf::from(".sann-cache")),
-            "cache defaults on for the CLI"
-        );
-        assert!(ctx.prep_threads >= 1);
-        let args: Vec<String> = ["--cache-dir", "/tmp/alt", "--prep-threads", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (ctx, _) = BenchContext::from_args(&args).unwrap();
-        assert_eq!(
-            ctx.disk.as_ref().map(|c| c.dir().to_path_buf()),
-            Some(std::path::PathBuf::from("/tmp/alt"))
-        );
-        assert_eq!(ctx.prep_threads, 3);
-        let args: Vec<String> = vec!["--no-cache".into()];
-        let (ctx, _) = BenchContext::from_args(&args).unwrap();
-        assert!(ctx.disk.is_none());
-        assert!(ctx.cache_stats().is_none());
-    }
-
-    #[test]
-    fn parses_trace_flags() {
-        let args: Vec<String> = ["--trace-out", "run.json", "--trace-level", "query"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (ctx, rest) = BenchContext::from_args(&args).unwrap();
-        assert_eq!(
-            ctx.trace_out.as_deref(),
-            Some(std::path::Path::new("run.json"))
-        );
-        assert_eq!(ctx.trace_level, TraceLevel::Query);
-        assert!(rest.is_empty());
-        let bad: Vec<String> = ["--trace-level", "verbose"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(BenchContext::from_args(&bad).is_err());
-    }
-
-    #[test]
-    fn parses_fault_profile_flag() {
-        let args: Vec<String> = ["--fault-profile", "gc-heavy"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (ctx, rest) = BenchContext::from_args(&args).unwrap();
-        assert_eq!(ctx.fault_profile, FaultProfile::gc_heavy());
-        assert!(rest.is_empty());
-        let bad: Vec<String> = ["--fault-profile", "catastrophic"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(BenchContext::from_args(&bad).is_err());
-        let (ctx, _) = BenchContext::from_args(&[]).unwrap();
-        assert_eq!(ctx.fault_profile, FaultProfile::none(), "defaults clean");
     }
 
     #[test]
@@ -870,17 +760,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(m.canonical_bytes(), n.canonical_bytes());
-    }
-
-    #[test]
-    fn rejects_malformed_values() {
-        let args: Vec<String> = ["--scale", "banana"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(BenchContext::from_args(&args).is_err());
-        let args: Vec<String> = vec!["--scale".into()];
-        assert!(BenchContext::from_args(&args).is_err());
     }
 
     #[test]

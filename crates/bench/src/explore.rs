@@ -12,21 +12,15 @@
 //! written under `--results` — is byte-identical across identical
 //! invocations.
 
-use crate::context::{BenchContext, K};
+use crate::cli::SubFlags;
+use crate::context::{search_all, BenchContext, K};
 use crate::report::{num, Table};
 use sann_core::{cast, Result};
-use sann_engine::{QueryPlan, RunMetrics};
+use sann_datagen::DatasetSpec;
+use sann_engine::RunMetrics;
 use sann_index::{IoStrategy, TraceStep};
 use sann_obs::Phase;
 use sann_vdb::SetupKind;
-
-/// Default setup to sweep: the storage-resident headline index (the only
-/// setup whose search path consults the on-disk graph, hence the only one
-/// the design space perturbs).
-const DEFAULT_SETUP: SetupKind = SetupKind::MilvusDiskann;
-
-/// Default closed-loop clients.
-const DEFAULT_CLIENTS: usize = 8;
 
 /// One point of the design space, fully measured.
 pub struct SweepRow {
@@ -56,93 +50,58 @@ impl SweepRow {
     }
 }
 
-/// Measures every strategy in [`IoStrategy::all`] on the first matching
-/// dataset: traces and recall at the setup's tuned knobs, compiled and
-/// executed under the setup's DB profile at `clients` closed-loop clients.
+/// Measures every strategy in [`IoStrategy::all`] on `spec`: one pass over
+/// the query set at the setup's tuned knobs yields both recall and traces,
+/// which are compiled and executed under the setup's DB profile at
+/// `clients` closed-loop clients.
 ///
 /// # Errors
 ///
 /// Propagates build/tune/search errors, and rejects concurrencies the
 /// setup's profile does not support.
-pub fn sweep(ctx: &mut BenchContext, kind: SetupKind, clients: usize) -> Result<Vec<SweepRow>> {
-    let spec = ctx
-        .dataset_specs()
-        .into_iter()
-        .next()
-        .ok_or_else(|| sann_core::Error::invalid_parameter("args", "no dataset matches"))?;
-    let builder = ctx.plan_builder_for(&spec, kind);
-    // Collect per-strategy traces/recall/plans under one borrow of the
-    // prepared state, then run the (owned) plans afterwards.
-    let mut staged: Vec<(IoStrategy, f64, f64, f64, f64, Vec<QueryPlan>)> = Vec::new();
-    {
-        let (data, prepared) = ctx.dataset_and_setup(&spec, kind)?;
-        let n = data.queries.len().max(1) as f64;
-        for strat in IoStrategy::all() {
-            let params = prepared.setup.params.search_params().with_io(strat);
-            let traces =
-                prepared
-                    .setup
-                    .traces_with(prepared.index.as_ref(), &data.queries, K, &params)?;
-            let recall = prepared.setup.recall_with(
-                prepared.index.as_ref(),
-                &data.queries,
-                &data.truth,
-                K,
-                &params,
-            )?;
-            let ios = traces.iter().map(|t| t.io_count()).sum::<u64>();
-            let bytes = traces.iter().map(|t| t.read_bytes()).sum::<u64>();
-            let overlapped = traces
-                .iter()
-                .flat_map(|t| &t.steps)
-                .filter(|s| matches!(s, TraceStep::Overlapped { .. }))
-                .count();
-            staged.push((
-                strat,
-                recall,
-                cast::f64_from_u64(ios) / n,
-                cast::f64_from_u64(bytes) / n,
-                overlapped as f64 / n,
-                builder.build_all(&traces),
-            ));
-        }
-    }
-    let mut rows = Vec::with_capacity(staged.len());
-    for (strat, recall, trace_ios, trace_bytes, overlap_steps, plans) in staged {
-        let metrics = ctx.run(kind, &plans, clients).ok_or_else(|| {
-            sann_core::Error::invalid_parameter(
-                "args",
-                format!("{} does not support {clients} clients", kind.name()),
-            )
-        })?;
+pub fn sweep(
+    ctx: &mut BenchContext,
+    spec: &DatasetSpec,
+    kind: SetupKind,
+    clients: usize,
+) -> Result<Vec<SweepRow>> {
+    let builder = ctx.plan_builder_for(spec, kind);
+    let (data, prepared) = ctx.dataset_and_setup(spec, kind)?;
+    let n = data.queries.len().max(1) as f64;
+    let mut rows = Vec::new();
+    for strat in IoStrategy::all() {
+        let params = prepared.setup.params.search_params().with_io(strat);
+        let index = prepared.index.as_ref();
+        let (recall, traces) = search_all(index, &data.queries, &data.truth, K, &params)?;
+        let ios = traces.iter().map(|t| t.io_count()).sum::<u64>();
+        let bytes = traces.iter().map(|t| t.read_bytes()).sum::<u64>();
+        let overlapped = traces
+            .iter()
+            .flat_map(|t| &t.steps)
+            .filter(|s| matches!(s, TraceStep::Overlapped { .. }))
+            .count();
         rows.push(SweepRow {
             strat,
             recall,
-            trace_ios,
-            trace_bytes,
-            overlap_steps,
-            metrics,
+            trace_ios: cast::f64_from_u64(ios) / n,
+            trace_bytes: cast::f64_from_u64(bytes) / n,
+            overlap_steps: overlapped as f64 / n,
+            metrics: ctx.run(kind, &builder.build_all(&traces), clients)?,
         });
     }
     Ok(rows)
 }
 
-/// Runs the subcommand. `rest` holds flags `from_args` did not consume:
-/// `--setup NAME` and `--clients N`.
+/// Runs the subcommand on `flags.setup` at `flags.clients` clients.
 ///
 /// # Errors
 ///
-/// Returns [`sann_core::Error::InvalidParameter`] on malformed flags and
+/// Rejects a client count the setup's profile does not support and
 /// propagates build/search/filesystem errors.
-pub fn run(ctx: &mut BenchContext, rest: &[String]) -> Result<String> {
-    let (kind, clients) = parse_flags(rest)?;
-    let spec_name = ctx
-        .dataset_specs()
-        .into_iter()
-        .next()
-        .map(|s| s.name)
-        .unwrap_or_default();
-    let rows = sweep(ctx, kind, clients)?;
+pub fn run(ctx: &mut BenchContext, flags: &SubFlags) -> Result<String> {
+    let (kind, clients) = (flags.setup, flags.clients);
+    let spec = ctx.first_spec()?;
+    let rows = sweep(ctx, &spec, kind, clients)?;
 
     let mut table = Table::new([
         "strategy",
@@ -196,9 +155,10 @@ pub fn run(ctx: &mut BenchContext, rest: &[String]) -> Result<String> {
     ctx.write_csv("explore_phases.csv", &phases.to_csv())?;
 
     let mut out = format!(
-        "I/O design-space sweep: {} on {spec_name} at {clients} clients\n\
+        "I/O design-space sweep: {} on {} at {clients} clients\n\
          (layout x prefetch x pipelining; tuned knobs held fixed)\n\n",
         kind.name(),
+        spec.name,
     );
     out.push_str(&table.to_text());
     out.push_str("\nPer-query phase attribution (mean µs):\n");
@@ -206,50 +166,10 @@ pub fn run(ctx: &mut BenchContext, rest: &[String]) -> Result<String> {
     Ok(out)
 }
 
-fn parse_flags(rest: &[String]) -> Result<(SetupKind, usize)> {
-    let mut kind = DEFAULT_SETUP;
-    let mut clients = DEFAULT_CLIENTS;
-    let mut it = rest.iter().skip_while(|a| a.as_str() != "explore").skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--setup" => {
-                let name = it.next().ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", "--setup needs a value")
-                })?;
-                kind = SetupKind::parse(name).ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", format!("unknown setup `{name}`"))
-                })?;
-            }
-            "--clients" => {
-                let value = it.next().ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", "--clients needs a value")
-                })?;
-                clients = value.parse().map_err(|_| {
-                    sann_core::Error::invalid_parameter(
-                        "args",
-                        format!("bad value for --clients: `{value}`"),
-                    )
-                })?;
-            }
-            other => {
-                return Err(sann_core::Error::invalid_parameter(
-                    "args",
-                    format!("unknown explore flag `{other}`"),
-                ));
-            }
-        }
-    }
-    Ok((kind, clients))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sann_index::LayoutKind;
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
 
     fn test_ctx() -> BenchContext {
         let mut ctx = BenchContext::new(0.001);
@@ -258,29 +178,16 @@ mod tests {
         ctx
     }
 
-    #[test]
-    fn flags_parse_with_defaults() {
-        let (kind, clients) = parse_flags(&strings(&["explore"])).unwrap();
-        assert_eq!(kind, DEFAULT_SETUP);
-        assert_eq!(clients, DEFAULT_CLIENTS);
-        let (kind, clients) = parse_flags(&strings(&[
-            "explore",
-            "--setup",
-            "milvus-ivf",
-            "--clients",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(kind, SetupKind::MilvusIvf);
-        assert_eq!(clients, 4);
-        assert!(parse_flags(&strings(&["explore", "--bogus"])).is_err());
-        assert!(parse_flags(&strings(&["explore", "--clients", "many"])).is_err());
+    /// The full sweep of the default setup at four clients.
+    fn sweep4(ctx: &mut BenchContext) -> Vec<SweepRow> {
+        let spec = ctx.first_spec().unwrap();
+        sweep(ctx, &spec, SubFlags::default().setup, 4).unwrap()
     }
 
     #[test]
     fn sweep_covers_all_strategies_and_holds_recall() {
         let mut ctx = test_ctx();
-        let rows = sweep(&mut ctx, DEFAULT_SETUP, 4).unwrap();
+        let rows = sweep4(&mut ctx);
         assert_eq!(rows.len(), 8, "the full 2x2x2 design space");
         let baseline = &rows[0];
         assert_eq!(baseline.strat, IoStrategy::default(), "baseline first");
@@ -301,7 +208,7 @@ mod tests {
         // The acceptance criterion: paged + look-ahead + pipelined reaches
         // baseline recall with measurably fewer device reads per query.
         let mut ctx = test_ctx();
-        let rows = sweep(&mut ctx, DEFAULT_SETUP, 4).unwrap();
+        let rows = sweep4(&mut ctx);
         let baseline = rows
             .iter()
             .find(|r| r.strat == IoStrategy::default())
@@ -330,7 +237,7 @@ mod tests {
         let mut ctx = test_ctx();
         let dir = std::env::temp_dir().join(format!("sann-explore-{}", std::process::id()));
         ctx.results_dir = dir.clone();
-        let text = run(&mut ctx, &strings(&["explore", "--clients", "4"])).unwrap();
+        let text = run(&mut ctx, &SubFlags::with_clients(4)).unwrap();
         for label in ["naive", "paged+la+pipe", "flash_service_us"] {
             assert!(text.contains(label), "report must mention {label}");
         }
@@ -340,7 +247,7 @@ mod tests {
         }
         let mut again = test_ctx();
         again.results_dir = dir.clone();
-        let text2 = run(&mut again, &strings(&["explore", "--clients", "4"])).unwrap();
+        let text2 = run(&mut again, &SubFlags::with_clients(4)).unwrap();
         assert_eq!(text, text2, "explore must be byte-identical across runs");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -348,7 +255,7 @@ mod tests {
     #[test]
     fn pipelined_rows_shift_time_from_flash_service_to_overlap() {
         let mut ctx = test_ctx();
-        let rows = sweep(&mut ctx, DEFAULT_SETUP, 4).unwrap();
+        let rows = sweep4(&mut ctx);
         let phased = rows
             .iter()
             .find(|r| r.strat == IoStrategy::default())

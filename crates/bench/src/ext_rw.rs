@@ -10,6 +10,7 @@
 //! placement-search reads and dirtied-node-record writes are replayed
 //! against the shared device.
 
+use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::report::{num, Table};
 use sann_core::{Metric, Result};
@@ -29,10 +30,12 @@ const INSERT_PLANS: usize = 100;
 /// Collects real insert plans: build a mutable index on the base set, insert
 /// a fresh stream, and compile each insert's reads + writes under the Milvus
 /// profile.
-fn insert_plans(ctx: &BenchContext, spec: &sann_datagen::DatasetSpec) -> Result<Vec<QueryPlan>> {
-    let bundle = spec.generate();
+fn insert_plans(
+    ctx: &mut BenchContext,
+    spec: &sann_datagen::DatasetSpec,
+) -> Result<Vec<QueryPlan>> {
     let mut index = FreshDiskAnnIndex::build(
-        &bundle.base,
+        &ctx.dataset(spec).base,
         Metric::L2,
         FreshConfig {
             graph: VamanaConfig {
@@ -63,7 +66,7 @@ fn insert_plans(ctx: &BenchContext, spec: &sann_datagen::DatasetSpec) -> Result<
 /// # Errors
 ///
 /// Propagates build/search errors.
-pub fn run(ctx: &mut BenchContext) -> Result<String> {
+pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     let mut table = Table::new([
         "dataset",
         "writers",
@@ -73,11 +76,7 @@ pub fn run(ctx: &mut BenchContext) -> Result<String> {
         "write_MiB/s",
     ]);
     // The small datasets suffice to show the interference effect.
-    for spec in ctx
-        .dataset_specs()
-        .into_iter()
-        .filter(|s| s.name.ends_with("-s"))
-    {
+    for spec in ctx.dataset_specs_ending("-s") {
         let search_plans = ctx.plans(&spec, SetupKind::MilvusDiskann)?;
         eprintln!("[prep] collecting real insert traces on {}", spec.name);
         let inserts = insert_plans(ctx, &spec)?;
@@ -98,9 +97,7 @@ pub fn run(ctx: &mut BenchContext) -> Result<String> {
                     wi += 1;
                 }
             }
-            let m = ctx
-                .run(SetupKind::MilvusDiskann, &plans, SEARCH_CLIENTS + writers)
-                .expect("no client cap");
+            let m = ctx.run(SetupKind::MilvusDiskann, &plans, SEARCH_CLIENTS + writers)?;
             table.row([
                 spec.name.clone(),
                 writers.to_string(),
@@ -132,7 +129,7 @@ mod tests {
         ctx.duration_us = 0.3e6;
         ctx.results_dir = std::env::temp_dir().join("sann-extrw-test");
         let spec = ctx.dataset_specs().remove(0);
-        let inserts = insert_plans(&ctx, &spec).unwrap();
+        let inserts = insert_plans(&mut ctx, &spec).unwrap();
         assert_eq!(inserts.len(), INSERT_PLANS);
         let sample = &inserts[0];
         assert!(sample.io_count() > 0, "placement search reads");

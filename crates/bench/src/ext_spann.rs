@@ -8,18 +8,22 @@
 //! tuned to recall@10 ≥ 0.9 on the same dataset, then compared on I/O shape,
 //! latency, throughput, and space.
 
+use crate::cli::SubFlags;
 use crate::context::{BenchContext, K, RECALL_TARGET};
 use crate::report::{num, Table};
 use sann_core::{Metric, Result};
 use sann_index::{SearchParams, SpannConfig, SpannIndex, VectorIndex};
 use sann_vdb::SetupKind;
 
+/// Queries whose traces feed the I/O-shape columns.
+const SHAPE_QUERIES: usize = 64;
+
 /// Runs the DiskANN-vs-SPANN comparison on each dataset's small variant.
 ///
 /// # Errors
 ///
 /// Propagates build/search errors.
-pub fn run(ctx: &mut BenchContext) -> Result<String> {
+pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     let mut table = Table::new([
         "dataset",
         "index",
@@ -31,33 +35,12 @@ pub fn run(ctx: &mut BenchContext) -> Result<String> {
         "p99_us_c64",
         "space_amp",
     ]);
-    for spec in ctx
-        .dataset_specs()
-        .into_iter()
-        .filter(|s| s.name.ends_with("-s"))
-    {
+    let kind = SetupKind::MilvusDiskann;
+    for spec in ctx.dataset_specs_ending("-s") {
         // DiskANN side: reuse the tuned setup.
-        let diskann_plans = ctx.plans(&spec, SetupKind::MilvusDiskann)?;
-        let (data, prepared) = ctx.dataset_and_setup(&spec, SetupKind::MilvusDiskann)?;
-        let d_recall = prepared.recall;
-        let d_metrics_input: Vec<(u64, u64, u64)> = data
-            .queries
-            .iter()
-            .take(64)
-            .map(|q| {
-                let out = prepared
-                    .index
-                    .search(q, K, &prepared.setup.params.search_params())
-                    .expect("diskann search");
-                (
-                    out.trace.io_count(),
-                    out.trace.read_bytes(),
-                    out.trace.hops(),
-                )
-            })
-            .collect();
-        let d_raw = (data.base.len() * data.base.row_bytes()) as u64;
-        let d_space = prepared.index.storage_bytes() as f64 / d_raw as f64;
+        let builder = ctx.plan_builder_for(&spec, kind);
+        let (data, prepared) = ctx.dataset_and_setup(&spec, kind)?;
+        let raw_bytes = (data.base.len() * data.base.row_bytes()) as u64;
 
         // SPANN side: build + tune nprobe on the same data.
         eprintln!("[prep] building spann index on {}", spec.name);
@@ -73,46 +56,36 @@ pub fn run(ctx: &mut BenchContext) -> Result<String> {
             }
             nprobe *= 2;
         }
-        let s_params = SearchParams::default().with_nprobe(nprobe);
-        let s_metrics_input: Vec<(u64, u64, u64)> = data
-            .queries
-            .iter()
-            .take(64)
-            .map(|q| {
-                let out = spann.search(q, K, &s_params).expect("spann search");
-                (
-                    out.trace.io_count(),
-                    out.trace.read_bytes(),
-                    out.trace.hops(),
-                )
-            })
-            .collect();
-        let s_space = spann.storage_bytes() as f64 / d_raw as f64;
 
-        // Engine runs at 64 clients: DiskANN cached; SPANN compiled with the
-        // same Milvus profile for an apples-to-apples run.
-        let d_run = ctx
-            .run(SetupKind::MilvusDiskann, &diskann_plans, 64)
-            .expect("no client cap");
-        let builder = ctx.plan_builder_for(&spec, SetupKind::MilvusDiskann);
-        let (data, _) = ctx.dataset_and_setup(&spec, SetupKind::MilvusDiskann)?;
-        let mut s_traces = Vec::with_capacity(data.queries.len());
-        for q in data.queries.iter() {
-            s_traces.push(spann.search(q, K, &s_params)?.trace);
-        }
-        let s_plans = builder.build_all(&s_traces);
-        let s_run = ctx
-            .run(SetupKind::MilvusDiskann, &s_plans, 64)
-            .expect("no client cap");
-
-        for (name, recall, inputs, run, space) in [
-            ("diskann", d_recall, &d_metrics_input, &d_run, d_space),
-            ("spann", s_recall, &s_metrics_input, &s_run, s_space),
-        ] {
-            let n = inputs.len().max(1) as f64;
-            let ios: u64 = inputs.iter().map(|x| x.0).sum();
-            let bytes: u64 = inputs.iter().map(|x| x.1).sum();
-            let hops: u64 = inputs.iter().map(|x| x.2).sum();
+        // Both indexes are measured the same way: one pass over the query
+        // set, whose traces give the I/O shape (first `SHAPE_QUERIES`) and,
+        // compiled under the same Milvus profile for an apples-to-apples
+        // run, the engine metrics at 64 clients.
+        let sides: [(&str, f64, &dyn VectorIndex, SearchParams); 2] = [
+            (
+                "diskann",
+                prepared.recall,
+                prepared.index.as_ref(),
+                prepared.setup.params.search_params(),
+            ),
+            (
+                "spann",
+                s_recall,
+                &spann,
+                SearchParams::default().with_nprobe(nprobe),
+            ),
+        ];
+        for (name, recall, index, params) in sides {
+            let traces = prepared
+                .setup
+                .traces_with(index, &data.queries, K, &params)?;
+            let run = ctx.run(kind, &builder.build_all(&traces), 64)?;
+            let shape = &traces[..traces.len().min(SHAPE_QUERIES)];
+            let n = shape.len().max(1) as f64;
+            let ios: u64 = shape.iter().map(|t| t.io_count()).sum();
+            let bytes: u64 = shape.iter().map(|t| t.read_bytes()).sum();
+            let hops: u64 = shape.iter().map(|t| t.hops()).sum();
+            let space = index.storage_bytes() as f64 / raw_bytes as f64;
             table.row([
                 spec.name.clone(),
                 name.to_owned(),
@@ -134,21 +107,4 @@ pub fn run(ctx: &mut BenchContext) -> Result<String> {
     );
     out.push_str(&table.to_text());
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spann_vs_diskann_io_shapes_differ() {
-        let mut ctx = BenchContext::new(0.001);
-        ctx.only_dataset = Some("cohere-s".into());
-        ctx.duration_us = 0.3e6;
-        ctx.results_dir = std::env::temp_dir().join("sann-extspann-test");
-        let text = run(&mut ctx).unwrap();
-        assert!(text.contains("spann"));
-        assert!(text.contains("diskann"));
-        std::fs::remove_dir_all(&ctx.results_dir).ok();
-    }
 }

@@ -1,70 +1,61 @@
 //! Figures 2, 3, and 4: throughput, P99 tail latency, and CPU usage of all
 //! seven setups as query concurrency grows from 1 to 256 (§IV).
 
+use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::report::{num, Table};
 use sann_core::Result;
 use sann_datagen::workload::CONCURRENCY_LADDER;
+use sann_engine::RunMetrics;
 use sann_vdb::SetupKind;
 
-/// Which of the three figures to render from the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Figure {
-    /// Fig. 2: throughput (QPS).
-    Throughput,
-    /// Fig. 3: P99 tail latency (µs).
-    P99Latency,
-    /// Fig. 4: global CPU usage (%), large datasets only in the paper.
-    CpuUsage,
-}
-
-impl Figure {
-    fn title(&self) -> &'static str {
-        match self {
-            Figure::Throughput => "Figure 2: throughput (QPS) vs query threads",
-            Figure::P99Latency => "Figure 3: P99 tail latency (us) vs query threads",
-            Figure::CpuUsage => "Figure 4: global CPU usage (%) vs query threads",
-        }
-    }
-
-    fn file(&self) -> &'static str {
-        match self {
-            Figure::Throughput => "fig2.csv",
-            Figure::P99Latency => "fig3.csv",
-            Figure::CpuUsage => "fig4.csv",
-        }
-    }
-
-    fn cell(&self, m: &sann_engine::RunMetrics) -> String {
-        match self {
-            Figure::Throughput => num(m.qps),
-            Figure::P99Latency => num(m.p99_latency_us),
-            Figure::CpuUsage => format!("{:.1}", m.cpu_utilization * 100.0),
-        }
-    }
-}
-
-/// Runs the concurrency sweep and renders one of the figures.
+/// Fig. 2: throughput (QPS).
 ///
 /// # Errors
 ///
 /// Propagates build/search errors.
-pub fn run(ctx: &mut BenchContext, figure: Figure) -> Result<String> {
-    let specs = match figure {
-        // The paper's Fig. 4 only shows the two large datasets.
-        Figure::CpuUsage => ctx
-            .dataset_specs()
-            .into_iter()
-            .filter(|s| s.name.ends_with("-l"))
-            .collect::<Vec<_>>(),
-        _ => ctx.dataset_specs(),
-    };
+pub fn fig2(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
+    let title = "Figure 2: throughput (QPS) vs query threads";
+    render(ctx, "", "fig2.csv", title, |m| num(m.qps))
+}
 
+/// Fig. 3: P99 tail latency (µs).
+///
+/// # Errors
+///
+/// Propagates build/search errors.
+pub fn fig3(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
+    let title = "Figure 3: P99 tail latency (us) vs query threads";
+    render(ctx, "", "fig3.csv", title, |m| num(m.p99_latency_us))
+}
+
+/// Fig. 4: global CPU usage (%); the paper shows the two large datasets
+/// only.
+///
+/// # Errors
+///
+/// Propagates build/search errors.
+pub fn fig4(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
+    let title = "Figure 4: global CPU usage (%) vs query threads";
+    render(ctx, "-l", "fig4.csv", title, |m| {
+        format!("{:.1}", m.cpu_utilization * 100.0)
+    })
+}
+
+/// Runs the concurrency sweep (cached across the three figures) over the
+/// datasets whose name ends in `suffix` and renders one metric of it.
+fn render(
+    ctx: &mut BenchContext,
+    suffix: &str,
+    file: &str,
+    title: &str,
+    cell: fn(&RunMetrics) -> String,
+) -> Result<String> {
     let mut header = vec!["dataset".to_owned(), "setup".to_owned()];
     header.extend(CONCURRENCY_LADDER.iter().map(|c| format!("c{c}")));
     let mut table = Table::new(header);
 
-    for spec in &specs {
+    for spec in &ctx.dataset_specs_ending(suffix) {
         for kind in SetupKind::all() {
             let mut cells = vec![spec.name.clone(), kind.name().to_owned()];
             for &concurrency in CONCURRENCY_LADDER {
@@ -72,35 +63,15 @@ pub fn run(ctx: &mut BenchContext, figure: Figure) -> Result<String> {
                     // LanceDB-HNSW beyond its client limit: the paper shows
                     // no point (out-of-memory).
                     None => cells.push("oom".to_owned()),
-                    Some(m) => cells.push(figure.cell(&m)),
+                    Some(m) => cells.push(cell(&m)),
                 }
             }
             table.row(cells);
         }
     }
-    ctx.write_csv(figure.file(), &table.to_csv())?;
-    let mut out = format!("{}\n", figure.title());
+    ctx.write_csv(file, &table.to_csv())?;
+    let mut out = format!("{title}\n");
     out.push_str("(storage-based setups: milvus-diskann, lancedb-ivf)\n");
     out.push_str(&table.to_text());
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// One small end-to-end smoke of the sweep (single dataset, tiny scale).
-    #[test]
-    fn sweep_produces_all_setup_rows() {
-        let mut ctx = BenchContext::new(0.001);
-        ctx.only_dataset = Some("openai-s".into());
-        ctx.duration_us = 0.5e6;
-        ctx.results_dir = std::env::temp_dir().join("sann-fig2-test");
-        let text = run(&mut ctx, Figure::Throughput).unwrap();
-        for kind in SetupKind::all() {
-            assert!(text.contains(kind.name()), "missing {}", kind.name());
-        }
-        assert!(text.contains("oom"), "lancedb-hnsw must oom at 256");
-        std::fs::remove_dir_all(&ctx.results_dir).ok();
-    }
 }

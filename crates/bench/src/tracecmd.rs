@@ -8,28 +8,21 @@
 //! identical across identical-seed invocations — `sann-xtask
 //! determinism` audits exactly that.
 
+use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::report::{self, num};
 use sann_core::Result;
 use sann_obs::export::{chrome_trace, jsonl};
 use sann_obs::TraceLevel;
-use sann_vdb::SetupKind;
 
-/// Default setup to trace: the paper's storage-resident headline index.
-const DEFAULT_SETUP: SetupKind = SetupKind::MilvusDiskann;
-
-/// Default closed-loop clients for the traced run.
-const DEFAULT_CLIENTS: usize = 8;
-
-/// Runs the subcommand. `rest` holds flags `from_args` did not consume:
-/// `--setup NAME` and `--clients N`.
+/// Runs the subcommand on `flags.setup` at `flags.clients` clients.
 ///
 /// # Errors
 ///
-/// Returns [`sann_core::Error::InvalidParameter`] on malformed flags and
+/// Rejects a client count the setup's profile does not support and
 /// propagates build/search/filesystem errors.
-pub fn run(ctx: &mut BenchContext, rest: &[String]) -> Result<String> {
-    let (kind, clients) = parse_flags(rest)?;
+pub fn run(ctx: &mut BenchContext, flags: &SubFlags) -> Result<String> {
+    let (kind, clients) = (flags.setup, flags.clients);
     // `trace` is pointless at `off`; default to the full ladder unless the
     // user pinned a level explicitly.
     let level = if ctx.trace_level == TraceLevel::Off {
@@ -37,20 +30,9 @@ pub fn run(ctx: &mut BenchContext, rest: &[String]) -> Result<String> {
     } else {
         ctx.trace_level
     };
-    let spec = ctx
-        .dataset_specs()
-        .into_iter()
-        .next()
-        .ok_or_else(|| sann_core::Error::invalid_parameter("args", "no dataset matches"))?;
+    let spec = ctx.first_spec()?;
     let plans = ctx.plans(&spec, kind)?;
-    let traced = ctx
-        .run_traced(kind, &plans, clients, level)
-        .ok_or_else(|| {
-            sann_core::Error::invalid_parameter(
-                "args",
-                format!("{} does not support {clients} clients", kind.name()),
-            )
-        })?;
+    let traced = ctx.run_traced(kind, &plans, clients, level)?;
     traced
         .trace
         .validate()
@@ -88,68 +70,9 @@ pub fn run(ctx: &mut BenchContext, rest: &[String]) -> Result<String> {
     Ok(out)
 }
 
-fn parse_flags(rest: &[String]) -> Result<(SetupKind, usize)> {
-    let mut kind = DEFAULT_SETUP;
-    let mut clients = DEFAULT_CLIENTS;
-    let mut it = rest.iter().skip_while(|a| a.as_str() != "trace").skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--setup" => {
-                let name = it.next().ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", "--setup needs a value")
-                })?;
-                kind = SetupKind::parse(name).ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", format!("unknown setup `{name}`"))
-                })?;
-            }
-            "--clients" => {
-                let value = it.next().ok_or_else(|| {
-                    sann_core::Error::invalid_parameter("args", "--clients needs a value")
-                })?;
-                clients = value.parse().map_err(|_| {
-                    sann_core::Error::invalid_parameter(
-                        "args",
-                        format!("bad value for --clients: `{value}`"),
-                    )
-                })?;
-            }
-            other => {
-                return Err(sann_core::Error::invalid_parameter(
-                    "args",
-                    format!("unknown trace flag `{other}`"),
-                ));
-            }
-        }
-    }
-    Ok((kind, clients))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn flags_parse_with_defaults() {
-        let (kind, clients) = parse_flags(&strings(&["trace"])).unwrap();
-        assert_eq!(kind, DEFAULT_SETUP);
-        assert_eq!(clients, DEFAULT_CLIENTS);
-        let (kind, clients) = parse_flags(&strings(&[
-            "trace",
-            "--setup",
-            "qdrant-hnsw",
-            "--clients",
-            "4",
-        ]))
-        .unwrap();
-        assert_eq!(kind, SetupKind::QdrantHnsw);
-        assert_eq!(clients, 4);
-        assert!(parse_flags(&strings(&["trace", "--setup", "pinecone"])).is_err());
-        assert!(parse_flags(&strings(&["trace", "--bogus"])).is_err());
-    }
 
     #[test]
     fn traced_run_exports_and_reports_breakdown() {
@@ -158,7 +81,7 @@ mod tests {
         ctx.duration_us = 0.2e6;
         let dir = std::env::temp_dir().join("sann-tracecmd-test");
         ctx.trace_out = Some(dir.join("run.json"));
-        let text = run(&mut ctx, &strings(&["trace", "--clients", "4"])).unwrap();
+        let text = run(&mut ctx, &SubFlags::with_clients(4)).unwrap();
         assert!(text.contains("Latency breakdown"));
         assert!(text.contains("flash_service"));
         let json = std::fs::read_to_string(dir.join("run.json")).unwrap();

@@ -29,6 +29,7 @@
 //! baseline byte for byte. A cache that changes any simulated number is a
 //! correctness bug, not an optimization.
 
+use sann_bench::cli::SubFlags;
 use sann_bench::BenchContext;
 use sann_engine::{FaultProfile, RunMetrics};
 use sann_obs::export::{chrome_trace, jsonl};
@@ -218,8 +219,8 @@ fn sweep(
             .plans(&spec, kind)
             .map_err(|e| format!("plans {kind:?}: {e}"))?;
         let concurrency = *CONCURRENCIES.last().expect("sweep non-empty");
-        let Some(traced) = ctx.run_traced(kind, &plans, concurrency, TraceLevel::Io) else {
-            continue;
+        let Ok(traced) = ctx.run_traced(kind, &plans, concurrency, TraceLevel::Io) else {
+            continue; // profile rejects this concurrency, as above
         };
         traced
             .trace
@@ -246,11 +247,8 @@ fn sweep(
     let results_dir =
         std::env::temp_dir().join(format!("sann-determinism-iostat-{}", std::process::id()));
     ctx.results_dir.clone_from(&results_dir);
-    let args: Vec<String> = ["iostat", "--clients", "4"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let report = sann_bench::iostat::run(&mut ctx, &args).map_err(|e| format!("iostat: {e}"))?;
+    let flags = SubFlags::with_clients(4);
+    let report = sann_bench::iostat::run(&mut ctx, &flags).map_err(|e| format!("iostat: {e}"))?;
     cells.push(Cell {
         label: format!("{}/iostat/report", spec.name),
         bytes: report.into_bytes(),
@@ -271,11 +269,7 @@ fn sweep(
     // The explore report — the I/O design-space sweep over layout ×
     // prefetch × pipelining — folds in the same way: eight strategies'
     // traces, plans, and simulated runs, all replayed byte-for-byte.
-    let args: Vec<String> = ["explore", "--clients", "4"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let report = sann_bench::explore::run(&mut ctx, &args).map_err(|e| format!("explore: {e}"))?;
+    let report = sann_bench::explore::run(&mut ctx, &flags).map_err(|e| format!("explore: {e}"))?;
     cells.push(Cell {
         label: format!("{}/explore/report", spec.name),
         bytes: report.into_bytes(),

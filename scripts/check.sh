@@ -23,13 +23,9 @@ diff "$sarif_tmp/a.sarif" "$sarif_tmp/b.sarif"
 rm -rf "$sarif_tmp"
 
 echo "==> cargo test"
+# Includes every golden: the trace exporter and fault histograms
+# (sann-engine) and vdbbench all / iostat / explore (sann-bench).
 cargo test -q --workspace
-
-echo "==> trace exporter golden files"
-cargo test -q -p sann-engine --test trace_golden
-
-echo "==> fault-injection histogram golden files"
-cargo test -q -p sann-engine --test fault_golden
 
 echo "==> observability overhead gate (BENCH_obs.json)"
 # Asserts span tracing at level `run` and provenance tagging each cost
@@ -37,39 +33,26 @@ echo "==> observability overhead gate (BENCH_obs.json)"
 # numbers at the workspace root.
 cargo bench -q -p sann-bench --bench obs_overhead
 
-echo "==> vdbbench cold/warm artifact-cache invariance"
+echo "==> vdbbench all, cold then warm, against the golden"
+# The real binary at the golden's tiny fixed scale: every subcommand, cold
+# (building and caching all prep) and then warm (replaying it), must print
+# and write exactly crates/bench/tests/golden/all/, and the warm run must
+# find every artifact in the cache.
 cargo build -q --release -p sann-bench
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-bin="target/release/vdbbench"
-"$bin" --cache-dir "$tmp/cache" --results "$tmp/cold" table2 >"$tmp/cold.out" 2>"$tmp/cold.err"
-"$bin" --cache-dir "$tmp/cache" --results "$tmp/warm" table2 >"$tmp/warm.out" 2>"$tmp/warm.err"
-diff -r "$tmp/cold" "$tmp/warm"
-diff "$tmp/cold.out" "$tmp/warm.out"
-if grep -E '^\[prep\]' "$tmp/warm.err"; then
-    echo "FAIL: warm table2 run still did prep work (lines above)"
+golden="crates/bench/tests/golden/all"
+for pass in cold warm; do
+    target/release/vdbbench --scale 0.001 --dataset cohere-s --duration-secs 0.2 \
+        --cache-dir "$tmp/cache" --results "$tmp/$pass" all >"$tmp/$pass.out" 2>"$tmp/$pass.err"
+    diff "$tmp/$pass.out" "$golden/stdout.txt"
+    diff -r --exclude=stdout.txt "$tmp/$pass" "$golden"
+done
+if ! grep -q '^\[cache\] [0-9]* hits, 0 misses' "$tmp/warm.err"; then
+    echo "FAIL: warm run missed the artifact cache:"
+    grep '^\[cache\]' "$tmp/warm.err" || true
     exit 1
 fi
-echo "warm table2 replayed from cache: identical CSVs, zero [prep] lines"
-
-echo "==> vdbbench iostat double-run byte-stability"
-# The I/O characterization report — provenance breakdown, telemetry
-# timelines, and the $/query ledger under healthy + aging devices — must
-# be byte-identical across runs, stdout and every CSV alike.
-"$bin" --cache-dir "$tmp/cache" --results "$tmp/iostat-a" --scale 0.001 --dataset cohere-s --duration-secs 0.2 iostat --clients 4 >"$tmp/iostat-a.out" 2>/dev/null
-"$bin" --cache-dir "$tmp/cache" --results "$tmp/iostat-b" --scale 0.001 --dataset cohere-s --duration-secs 0.2 iostat --clients 4 >"$tmp/iostat-b.out" 2>/dev/null
-diff -r "$tmp/iostat-a" "$tmp/iostat-b"
-diff "$tmp/iostat-a.out" "$tmp/iostat-b.out"
-echo "iostat double run: identical report and CSVs"
-
-echo "==> vdbbench explore double-run byte-stability"
-# The I/O design-space sweep — eight {layout x prefetch x pipelining}
-# strategies at fixed tuned knobs — must replay byte-for-byte: the report
-# text and both CSV exports alike.
-"$bin" --cache-dir "$tmp/cache" --results "$tmp/explore-a" --scale 0.001 --dataset cohere-s --duration-secs 0.2 explore --clients 4 >"$tmp/explore-a.out" 2>/dev/null
-"$bin" --cache-dir "$tmp/cache" --results "$tmp/explore-b" --scale 0.001 --dataset cohere-s --duration-secs 0.2 explore --clients 4 >"$tmp/explore-b.out" 2>/dev/null
-diff -r "$tmp/explore-a" "$tmp/explore-b"
-diff "$tmp/explore-a.out" "$tmp/explore-b.out"
-echo "explore double run: identical report and CSVs"
+echo "all matches the golden cold and warm; warm run: $(grep '^\[cache\]' "$tmp/warm.err")"
 
 echo "All checks passed."

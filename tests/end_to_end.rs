@@ -7,6 +7,7 @@ use sann::datagen::{catalog, GroundTruth};
 use sann::engine::{Executor, RunConfig};
 use sann::index::{SearchParams, VectorIndex};
 use sann::vdb::{Setup, SetupKind};
+use std::sync::{Once, OnceLock};
 
 const K: usize = 10;
 
@@ -16,24 +17,61 @@ struct World {
     truth: GroundTruth,
 }
 
-fn world() -> World {
-    // cohere-s at 1/500 scale: 2,000 × 768-d.
-    let spec = catalog::cohere_s().scaled(0.002);
-    let bundle = spec.generate();
-    let queries = bundle.queries.truncated(50);
-    let truth = GroundTruth::bruteforce(&bundle.base, &queries, spec.metric, K);
-    World {
-        base: bundle.base,
-        queries,
-        truth,
-    }
+/// The one world every test shares: generated and ground-truthed once.
+fn world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        // cohere-s at 1/500 scale: 2,000 × 768-d.
+        let spec = catalog::cohere_s().scaled(0.002);
+        let bundle = spec.generate();
+        let queries = bundle.queries.truncated(50);
+        let truth = GroundTruth::bruteforce(&bundle.base, &queries, spec.metric, K);
+        World {
+            base: bundle.base,
+            queries,
+            truth,
+        }
+    })
 }
 
-fn prepare(w: &World, kind: SetupKind) -> Result<(Setup, Box<dyn VectorIndex>, f64)> {
-    let mut setup = Setup::new(kind, w.base.len());
-    let index = setup.build_index(&w.base, Metric::L2)?;
-    let recall = setup.tune(index.as_ref(), &w.queries, &w.truth, 0.9)?;
-    Ok((setup, index, recall))
+type Prepared = (Setup, Box<dyn VectorIndex>, f64);
+
+/// The setups the tests prepare, slowest build first.
+const KINDS: [SetupKind; 3] = [
+    SetupKind::MilvusDiskann,
+    SetupKind::MilvusHnsw,
+    SetupKind::MilvusIvf,
+];
+
+/// The tuned setup, built index and achieved recall of `kind` on the shared
+/// world, prepared once per kind however many tests ask. The first asker
+/// starts every build in the background, so the builds overlap each other
+/// and the tests whatever order the harness runs them in; each asker then
+/// waits for the one it needs. `Setup` is `Copy`: a test that moves a knob
+/// does so on its own copy.
+fn prepare(w: &'static World, kind: SetupKind) -> &'static Prepared {
+    static PREPARED: [OnceLock<Prepared>; 3] = [const { OnceLock::new() }; 3];
+    static STARTED: Once = Once::new();
+    fn get(w: &World, kind: SetupKind) -> &'static Prepared {
+        let slot = KINDS
+            .iter()
+            .position(|&k| k == kind)
+            .expect("a shared kind");
+        PREPARED[slot].get_or_init(|| {
+            let mut setup = Setup::new(kind, w.base.len());
+            let index = setup.build_index(&w.base, Metric::L2).unwrap();
+            let recall = setup
+                .tune(index.as_ref(), &w.queries, &w.truth, 0.9)
+                .unwrap();
+            (setup, index, recall)
+        })
+    }
+    STARTED.call_once(|| {
+        for kind in KINDS {
+            std::thread::spawn(move || get(w, kind));
+        }
+    });
+    get(w, kind)
 }
 
 fn run_at(
@@ -65,7 +103,7 @@ fn all_milvus_setups_reach_recall_target() {
         SetupKind::MilvusHnsw,
         SetupKind::MilvusDiskann,
     ] {
-        let (_, _, recall) = prepare(&w, kind).unwrap();
+        let &(_, _, recall) = prepare(w, kind);
         assert!(recall >= 0.9, "{kind} recall {recall}");
     }
 }
@@ -81,8 +119,8 @@ fn kf1_throughput_ordering_at_high_concurrency() {
         SetupKind::MilvusHnsw,
         SetupKind::MilvusDiskann,
     ] {
-        let (setup, index, _) = prepare(&w, kind).unwrap();
-        let m = run_at(&w, &setup, index.as_ref(), kind, 64).unwrap();
+        let (setup, index, _) = prepare(w, kind);
+        let m = run_at(w, setup, index.as_ref(), kind, 64).unwrap();
         qps.insert(kind, m.qps);
     }
     assert!(
@@ -104,19 +142,12 @@ fn kf1_throughput_ordering_at_high_concurrency() {
 #[test]
 fn storage_setups_read_memory_setups_do_not() {
     let w = world();
-    let (hnsw_setup, hnsw_index, _) = prepare(&w, SetupKind::MilvusHnsw).unwrap();
-    let (dann_setup, dann_index, _) = prepare(&w, SetupKind::MilvusDiskann).unwrap();
-    let m_hnsw = run_at(
-        &w,
-        &hnsw_setup,
-        hnsw_index.as_ref(),
-        SetupKind::MilvusHnsw,
-        1,
-    )
-    .unwrap();
+    let (hnsw_setup, hnsw_index, _) = prepare(w, SetupKind::MilvusHnsw);
+    let (dann_setup, dann_index, _) = prepare(w, SetupKind::MilvusDiskann);
+    let m_hnsw = run_at(w, hnsw_setup, hnsw_index.as_ref(), SetupKind::MilvusHnsw, 1).unwrap();
     let m_dann = run_at(
-        &w,
-        &dann_setup,
+        w,
+        dann_setup,
         dann_index.as_ref(),
         SetupKind::MilvusDiskann,
         1,
@@ -142,8 +173,8 @@ fn storage_setups_read_memory_setups_do_not() {
 #[test]
 fn o15_requests_are_4k() {
     let w = world();
-    let (setup, index, _) = prepare(&w, SetupKind::MilvusDiskann).unwrap();
-    let m = run_at(&w, &setup, index.as_ref(), SetupKind::MilvusDiskann, 16).unwrap();
+    let (setup, index, _) = prepare(w, SetupKind::MilvusDiskann);
+    let m = run_at(w, setup, index.as_ref(), SetupKind::MilvusDiskann, 16).unwrap();
     assert!(m.io_stats.size_fraction(4096) > 0.9999);
 }
 
@@ -152,17 +183,18 @@ fn o15_requests_are_4k() {
 #[test]
 fn kf3_search_list_tradeoff() {
     let w = world();
-    let (mut setup, index, _) = prepare(&w, SetupKind::MilvusDiskann).unwrap();
+    let (setup, index, _) = prepare(w, SetupKind::MilvusDiskann);
+    let mut setup = *setup;
     setup.params.search_list = 10;
     let r10 = setup
         .recall(index.as_ref(), &w.queries, &w.truth, K)
         .unwrap();
-    let m10 = run_at(&w, &setup, index.as_ref(), SetupKind::MilvusDiskann, 16).unwrap();
+    let m10 = run_at(w, &setup, index.as_ref(), SetupKind::MilvusDiskann, 16).unwrap();
     setup.params.search_list = 100;
     let r100 = setup
         .recall(index.as_ref(), &w.queries, &w.truth, K)
         .unwrap();
-    let m100 = run_at(&w, &setup, index.as_ref(), SetupKind::MilvusDiskann, 16).unwrap();
+    let m100 = run_at(w, &setup, index.as_ref(), SetupKind::MilvusDiskann, 16).unwrap();
     assert!(r100 >= r10 - 1e-9, "recall {r10} -> {r100}");
     assert!(m100.qps < m10.qps, "qps {} -> {}", m10.qps, m100.qps);
     assert!(
@@ -178,10 +210,10 @@ fn kf3_search_list_tradeoff() {
 #[test]
 fn concurrency_scaling_is_sane() {
     let w = world();
-    let (setup, index, _) = prepare(&w, SetupKind::MilvusDiskann).unwrap();
+    let (setup, index, _) = prepare(w, SetupKind::MilvusDiskann);
     let mut last_qps = 0.0;
     for conc in [1usize, 8, 64] {
-        let m = run_at(&w, &setup, index.as_ref(), SetupKind::MilvusDiskann, conc).unwrap();
+        let m = run_at(w, setup, index.as_ref(), SetupKind::MilvusDiskann, conc).unwrap();
         assert!(
             m.qps >= last_qps * 0.95,
             "qps regressed at {conc}: {} -> {}",
