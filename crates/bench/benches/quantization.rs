@@ -1,10 +1,12 @@
 //! Quantization microbenchmarks: PQ encode, ADC table construction, ADC
-//! lookups (one code at a time and four at a time), and scalar
-//! quantization — the in-memory costs of the storage-based indexes.
+//! lookups (one code at a time and four at a time), scalar quantization —
+//! the in-memory costs of the storage-based indexes — and PQ training at the
+//! shape DiskANN and IVF-PQ train (96 sub-spaces x 256 sub-centroids of
+//! 8-d), which the repo benchmark's `ksub = 64` probe does not see.
 
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
 use sann_datagen::EmbeddingModel;
-use sann_quant::{ProductQuantizer, ScalarQuantizer};
+use sann_quant::{KMeans, ProductQuantizer, ScalarQuantizer};
 
 fn bench_pq(c: &mut Criterion) {
     let model = EmbeddingModel::new(768, 16, 7);
@@ -46,6 +48,26 @@ fn bench_pq(c: &mut Criterion) {
     });
 }
 
+fn bench_train(c: &mut Criterion) {
+    let model = EmbeddingModel::new(768, 16, 7);
+    for n in [500, 2_000] {
+        let data = model.generate(n);
+        c.bench_function(format!("pq_train_96x256/{n}_rows"), |b| {
+            b.iter(|| ProductQuantizer::train(black_box(&data), 96, 256, 1).expect("pq trains"))
+        });
+    }
+    // One of the 96 fits of such a training, assignments included.
+    let sub = EmbeddingModel::new(8, 16, 7).generate(500);
+    c.bench_function("kmeans_fit_256x8d", |b| {
+        b.iter(|| {
+            KMeans::new(256)
+                .with_max_iters(15)
+                .fit(black_box(&sub))
+                .expect("kmeans fits")
+        })
+    });
+}
+
 fn bench_sq(c: &mut Criterion) {
     let model = EmbeddingModel::new(768, 16, 8);
     let data = model.generate(1_000);
@@ -64,6 +86,6 @@ criterion_group!(
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_pq, bench_sq
+    targets = bench_pq, bench_train, bench_sq
 );
 criterion_main!(benches);

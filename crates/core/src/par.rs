@@ -3,8 +3,9 @@
 //! The workspace deliberately avoids a work-stealing runtime dependency;
 //! the only parallel shape it needs is "fill this row-major output on all
 //! cores", for work whose rows are independent (k-means assignment, PQ
-//! encoding, ground truth, Vamana's closing degree-bound pass). Graph
-//! construction itself is sequential: see `sann_index::hnsw` / `vamana`.
+//! sub-space training — one row per codebook — PQ encoding, ground truth,
+//! Vamana's closing degree-bound pass). Graph construction itself is
+//! sequential: see `sann_index::hnsw` / `vamana`.
 
 /// Splits `out` — `stride` elements per row — into one contiguous run of
 /// rows per worker thread and runs `f(first_row, rows)` on each. What a row

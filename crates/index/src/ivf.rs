@@ -235,11 +235,13 @@ impl IvfPqIndex {
             .fit(data)?;
         let pq = ProductQuantizer::train(data, pq_m, pq_ksub, config.seed ^ 0x9AF1)?;
         let lists = lists_from_assignments(&kmeans.assignments, nlist);
+        let m = pq.code_bytes();
+        let encoded = pq.encode_all(data);
         let mut codes = Vec::with_capacity(nlist);
         for list in &lists {
-            let mut c = Vec::with_capacity(list.len() * pq.code_bytes());
+            let mut c = Vec::with_capacity(list.len() * m);
             for &id in list {
-                c.extend_from_slice(&pq.encode(data.row(id as usize)));
+                c.extend_from_slice(&encoded[id as usize * m..][..m]);
             }
             codes.push(c);
         }

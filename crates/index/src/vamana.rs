@@ -175,8 +175,10 @@ impl VamanaGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Corrupt`] on truncation or an out-of-range medoid /
-    /// neighbor id.
+    /// Returns [`Error::Corrupt`] on truncation, an out-of-range medoid or
+    /// neighbor id, and the three shapes no build writes: a node that links
+    /// to itself, an id twice in one list, a list longer than the degree
+    /// bound.
     pub fn decode_from(r: &mut sann_core::buf::ByteReader<'_>) -> Result<VamanaGraph> {
         let degree = r.get_u32_le()? as usize;
         let medoid = r.get_u32_le()?;
@@ -184,17 +186,34 @@ impl VamanaGraph {
         if medoid as usize >= n {
             return Err(Error::Corrupt("vamana: medoid out of range".into()));
         }
+        // Every list costs at least its length word, so a count the frame
+        // cannot hold is refused before anything is sized by it.
+        if r.remaining() / 4 < n {
+            return Err(Error::Corrupt("vamana: truncated adjacency".into()));
+        }
         let mut adj = Vec::with_capacity(n);
-        for _ in 0..n {
+        // `listed[nb]` is one more than the last node whose list named `nb`.
+        let mut listed = vec![0usize; n];
+        for node in 0..n {
             let len = r.get_u32_le()? as usize;
+            if len > degree {
+                return Err(Error::Corrupt("vamana: list longer than r".into()));
+            }
             if r.remaining() < len * 4 {
                 return Err(Error::Corrupt("vamana: truncated adjacency".into()));
             }
             let mut nbrs = Vec::with_capacity(len);
             for _ in 0..len {
                 let nb = r.get_u32_le()?;
-                if nb as usize >= n {
+                let at = nb as usize;
+                let Some(last) = listed.get_mut(at) else {
                     return Err(Error::Corrupt("vamana: neighbor out of range".into()));
+                };
+                if at == node {
+                    return Err(Error::Corrupt("vamana: node links to itself".into()));
+                }
+                if std::mem::replace(last, node + 1) == node + 1 {
+                    return Err(Error::Corrupt("vamana: neighbor listed twice".into()));
                 }
                 nbrs.push(nb);
             }
@@ -600,6 +619,66 @@ mod tests {
         for threads in [2, 8, 0] {
             assert!(build(threads) == want, "threads={threads}");
         }
+    }
+
+    /// The frame of a valid three-node graph, `r = 2`. In 4-byte words: `r`,
+    /// the medoid, the node count (two words), then `[2, 1, 2]`, `[2, 0, 2]`
+    /// and `[2, 0, 1]` — each list behind its length.
+    fn valid_frame() -> Vec<u8> {
+        let graph = VamanaGraph {
+            adj: vec![vec![1, 2], vec![0, 2], vec![0, 1]],
+            medoid: 0,
+            r: 2,
+        };
+        let mut w = sann_core::buf::ByteWriter::new();
+        graph.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode(frame: &[u8]) -> Result<VamanaGraph> {
+        VamanaGraph::decode_from(&mut sann_core::buf::ByteReader::new(frame, "test"))
+    }
+
+    /// Decodes the valid frame with `word` replaced and expects `Corrupt`.
+    fn assert_corrupt(word: usize, value: u32, what: &str) {
+        let mut frame = valid_frame();
+        frame[word * 4..word * 4 + 4].copy_from_slice(&value.to_le_bytes());
+        match decode(&frame) {
+            Err(Error::Corrupt(message)) => assert!(message.contains(what), "{message}"),
+            other => panic!("expected Corrupt({what}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decode_takes_the_frame_the_patches_start_from() {
+        let frame = valid_frame();
+        let graph = decode(&frame).unwrap();
+        assert_eq!(graph.neighbors(2), [0, 1]);
+        let mut w = sann_core::buf::ByteWriter::new();
+        graph.encode_into(&mut w);
+        assert_eq!(w.into_bytes(), frame);
+    }
+
+    #[test]
+    fn decode_bounds_the_node_count_before_sizing_by_it() {
+        // 2^40 nodes (the count's high word): refused, not allocated.
+        assert_corrupt(3, 256, "truncated adjacency");
+    }
+
+    #[test]
+    fn decode_rejects_a_self_link() {
+        assert_corrupt(5, 0, "links to itself");
+    }
+
+    #[test]
+    fn decode_rejects_a_neighbor_listed_twice() {
+        // Node 0's list becomes [2, 2].
+        assert_corrupt(5, 2, "listed twice");
+    }
+
+    #[test]
+    fn decode_rejects_a_list_longer_than_r() {
+        assert_corrupt(0, 1, "longer than r");
     }
 
     #[test]

@@ -55,30 +55,52 @@ impl ProductQuantizer {
                 format!("{ksub} sub-centroids need at least that many training vectors"),
             ));
         }
+        Ok(Self::train_on(data, m, ksub, seed, par::default_threads()))
+    }
+
+    /// [`ProductQuantizer::train`] past its checks, on `threads` workers:
+    /// each takes a run of sub-spaces and trains them one after the other
+    /// on its own thread, so a training opens one thread scope, not one per
+    /// Lloyd iteration. A sub-space's seed is its own, so the split cannot
+    /// show in the codebooks.
+    fn train_on(
+        data: &Dataset,
+        m: usize,
+        ksub: usize,
+        seed: u64,
+        threads: usize,
+    ) -> ProductQuantizer {
+        let dim = data.dim();
         let sub_dim = dim / m;
-        let mut codebooks = Vec::with_capacity(m * cols_len(ksub, sub_dim));
-        for sub in 0..m {
-            // Slice out the sub-vectors for this subspace.
-            let mut subdata = Dataset::with_dim(sub_dim);
-            for row in data.iter() {
-                subdata
-                    .push(&row[sub * sub_dim..(sub + 1) * sub_dim])
-                    .expect("same dim");
+        let book_len = cols_len(ksub, sub_dim);
+        let mut codebooks = vec![0.0; m * book_len];
+        par::par_chunks_mut(&mut codebooks, book_len, threads, |first, books| {
+            // One sub-space of the training rows, and its trained centroids
+            // in the column layout; both reused from sub-space to sub-space.
+            let mut rows = Vec::with_capacity(data.len() * sub_dim);
+            let mut cols = Vec::with_capacity(book_len);
+            for (sub, book) in (first..).zip(books.chunks_exact_mut(book_len)) {
+                rows.clear();
+                for row in data.iter() {
+                    rows.extend_from_slice(&row[sub * sub_dim..(sub + 1) * sub_dim]);
+                }
+                let centroids = KMeans::new(ksub)
+                    .with_seed(seed.wrapping_add(sub as u64))
+                    .with_sample_limit(50_000)
+                    .with_max_iters(15)
+                    .fit_centroids(&rows, sub_dim);
+                cols.clear();
+                cols_from_rows(&centroids, sub_dim, &mut cols);
+                book.copy_from_slice(&cols);
             }
-            let model = KMeans::new(ksub)
-                .with_seed(seed.wrapping_add(sub as u64))
-                .with_sample_limit(50_000)
-                .with_max_iters(15)
-                .fit(&subdata)?;
-            cols_from_rows(model.centroids.as_flat(), sub_dim, &mut codebooks);
-        }
-        Ok(ProductQuantizer {
+        });
+        ProductQuantizer {
             dim,
             m,
             ksub,
             sub_dim,
             codebooks,
-        })
+        }
     }
 
     /// Dimensionality of input vectors.
@@ -504,6 +526,58 @@ mod tests {
                     decoded.extend_from_slice(&book[best * 8..(best + 1) * 8]);
                 }
                 assert_eq!(pq.decode(&code), decoded);
+            }
+        }
+    }
+
+    /// The quantizer as `train` built it before the sub-spaces shared one
+    /// thread scope: one from-nothing k-means after the other.
+    fn train_reference(data: &Dataset, m: usize, ksub: usize, seed: u64) -> ProductQuantizer {
+        let sub_dim = data.dim() / m;
+        let mut codebooks = Vec::new();
+        for sub in 0..m {
+            let mut subdata = Dataset::with_dim(sub_dim);
+            for row in data.iter() {
+                subdata
+                    .push(&row[sub * sub_dim..(sub + 1) * sub_dim])
+                    .unwrap();
+            }
+            let config = KMeans::new(ksub)
+                .with_seed(seed.wrapping_add(sub as u64))
+                .with_sample_limit(50_000)
+                .with_max_iters(15);
+            let model = crate::kmeans::fit_reference(&config, &subdata);
+            cols_from_rows(model.centroids.as_flat(), sub_dim, &mut codebooks);
+        }
+        ProductQuantizer {
+            dim: data.dim(),
+            m,
+            ksub,
+            sub_dim,
+            codebooks,
+        }
+    }
+
+    #[test]
+    fn training_is_byte_identical_to_the_reference_for_every_worker_count() {
+        let data = EmbeddingModel::new(192, 6, 21).generate(300);
+        let persisted = |pq: &ProductQuantizer| {
+            let mut w = sann_core::buf::ByteWriter::new();
+            pq.encode_into(&mut w);
+            w.into_bytes()
+        };
+        for m in [1, 4, 96] {
+            for ksub in [2, 16, 256] {
+                let want = persisted(&train_reference(&data, m, ksub, 7));
+                for threads in [1, 2, 3, 7] {
+                    let got = ProductQuantizer::train_on(&data, m, ksub, 7, threads);
+                    assert!(
+                        persisted(&got) == want,
+                        "m={m} ksub={ksub} threads={threads}"
+                    );
+                }
+                let got = ProductQuantizer::train(&data, m, ksub, 7).unwrap();
+                assert!(persisted(&got) == want, "m={m} ksub={ksub}");
             }
         }
     }
