@@ -51,99 +51,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// A streaming accumulator when keeping every sample is unnecessary.
-///
-/// # Examples
-///
-/// ```
-/// use sann_core::stats::Accumulator;
-///
-/// let mut acc = Accumulator::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     acc.add(x);
-/// }
-/// assert_eq!(acc.mean(), 2.0);
-/// assert_eq!(acc.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Accumulator {
-    count: u64,
-    sum: f64,
-    // Welford running mean and sum of squared deviations: a naive
-    // sum-of-squares cancels catastrophically on near-constant samples
-    // (e.g. an all-equal latency series reported a non-zero stddev).
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            count: 0,
-            sum: 0.0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples added.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of samples; `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population standard deviation; `0.0` for fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        (self.m2 / self.count as f64).max(0.0).sqrt()
-    }
-
-    /// Smallest sample; `0.0` when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample; `0.0` when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,81 +117,5 @@ mod tests {
     #[should_panic(expected = "percentile out of range")]
     fn percentile_rejects_out_of_range() {
         percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn accumulator_tracks_extremes() {
-        let mut acc = Accumulator::new();
-        assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.min(), 0.0);
-        for x in [3.0, 1.0, 4.0, 1.0, 5.0] {
-            acc.add(x);
-        }
-        assert_eq!(acc.count(), 5);
-        assert_eq!(acc.min(), 1.0);
-        assert_eq!(acc.max(), 5.0);
-        assert!((acc.mean() - 2.8).abs() < 1e-12);
-        assert!(acc.stddev() > 0.0);
-    }
-
-    #[test]
-    fn accumulator_matches_batch_stats() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut acc = Accumulator::new();
-        for &x in &xs {
-            acc.add(x);
-        }
-        assert!((acc.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((acc.stddev() - stddev(&xs)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accumulator_all_equal_samples_have_exactly_zero_stddev() {
-        // The former sum-of-squares formulation reported a spurious
-        // non-zero spread here once the values were large enough for
-        // `sum_sq/n - mean²` to cancel; Welford is exact.
-        for v in [0.0, 1.0, 1e9 + 0.1, -7.25e12] {
-            let mut acc = Accumulator::new();
-            for _ in 0..1_000 {
-                acc.add(v);
-            }
-            assert_eq!(acc.stddev(), 0.0, "all-equal samples at {v}");
-            assert_eq!(acc.min(), v);
-            assert_eq!(acc.max(), v);
-            assert!((acc.mean() - v).abs() <= v.abs() * 1e-15);
-        }
-    }
-
-    #[test]
-    fn accumulator_single_sample_is_degenerate_but_sane() {
-        let mut acc = Accumulator::new();
-        acc.add(123.456);
-        assert_eq!(acc.count(), 1);
-        assert_eq!(acc.mean(), 123.456);
-        assert_eq!(acc.stddev(), 0.0);
-        assert_eq!(acc.min(), 123.456);
-        assert_eq!(acc.max(), 123.456);
-        assert_eq!(acc.sum(), 123.456);
-    }
-
-    #[test]
-    fn accumulator_survives_large_offset_small_variance() {
-        // Samples with a huge common offset and a tiny spread: the naive
-        // sum_sq accumulator loses all significant digits here, while the
-        // batch two-pass formula (and Welford) keep them.
-        let offset = 1e9;
-        let xs: Vec<f64> = (0..100).map(|i| offset + (i % 4) as f64).collect();
-        let mut acc = Accumulator::new();
-        for &x in &xs {
-            acc.add(x);
-        }
-        let expected = stddev(&xs);
-        assert!(expected > 1.0, "sanity: the spread is ~1.1, not zero");
-        assert!(
-            (acc.stddev() - expected).abs() < 1e-6,
-            "streaming stddev {} diverged from batch {}",
-            acc.stddev(),
-            expected
-        );
     }
 }

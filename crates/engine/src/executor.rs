@@ -6,7 +6,7 @@ use sann_core::cast;
 use sann_index::IoReq;
 use sann_obs::{
     IoOutcome, IoProvenance, IoSpan, LogHistogram, Phase as ObsPhase, Registry, SpanId, SpanName,
-    Trace, TraceLevel, TraceSink, Tracer,
+    Trace, TraceLevel, Tracer,
 };
 use sann_ssdsim::{
     DeviceSim, FaultInjector, FaultProfile, IoTracer, PageCache, SsdModel, HEDGE_TAG,
@@ -413,8 +413,9 @@ struct Simulation<'a> {
     /// timer may still pop milliseconds later, and must not date the trace.
     finished_ns: u64,
     /// Observability: per-segment phase labels for each plan (CPU
-    /// segments trailing the last I/O segment are the rerank pass —
-    /// mirroring `sann_index::QueryTrace::step_phases`).
+    /// segments trailing the last blocking I/O segment are the rerank
+    /// pass). This is the one place phases are decided; index traces only
+    /// say what work a query does.
     seg_phases: Vec<Vec<ObsPhase>>,
     /// Reads each plan calls for ([`QueryPlan::io_count`], taken once).
     plan_reads: Vec<u64>,
@@ -457,9 +458,8 @@ impl<'a> Simulation<'a> {
                 let segs = p.segments();
                 // Rerank = CPU after the last *blocking* segment. Overlapped
                 // segments are deliberately excluded from the boundary: a
-                // trailing prefetch-only overlap must not reclassify the
-                // rerank pass it follows (mirroring
-                // `sann_index::TraceStep::phase`'s blocking-read rule).
+                // trailing prefetch-only overlap is speculative I/O riding
+                // on the rerank pass it follows, and must not reclassify it.
                 let last_io = segs
                     .iter()
                     .rposition(|s| matches!(s, Segment::Io { .. } | Segment::Write { .. }));

@@ -1,7 +1,7 @@
 //! Query plans: timed segment lists compiled from index traces.
 
 use crate::cost::CostModel;
-use sann_index::{IoReq, QueryTrace, TraceStep};
+use sann_index::{CpuOp, IoReq, QueryTrace, TraceStep};
 
 /// One schedulable unit of a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,45 +238,25 @@ impl PlanBuilder {
         let mut pending_cpu = self.cost.overhead_us();
         for step in &trace.steps {
             match step {
-                TraceStep::Compute { count, dim } => {
-                    pending_cpu += self.cost.compute_us(*count, *dim) * self.work_multiplier;
-                }
-                TraceStep::PqLookup { count, m } => {
-                    pending_cpu += self.cost.pq_us(*count, *m) * self.work_multiplier;
-                }
-                TraceStep::Read { reqs } => {
+                TraceStep::Cpu(op) => pending_cpu += self.op_us(op),
+                TraceStep::Read { reqs } | TraceStep::Overlapped { reqs, .. } => {
+                    // Every beam, blocking or overlapped, pays the per-beam
+                    // software cost and ends the CPU run before it.
                     pending_cpu += self.read_overhead_us;
                     if pending_cpu > 0.0 {
                         segments.push(Segment::cpu_parallel(pending_cpu, self.intra_parallelism));
                         pending_cpu = 0.0;
                     }
-                    segments.push(Segment::io(self.fan_out(reqs)));
-                }
-                TraceStep::Overlapped { reqs, cpu } => {
-                    // The overlapped reads are a beam like any other
-                    // (submission and per-beam software cost apply); the
-                    // step's own CPU runs concurrently inside the segment.
-                    pending_cpu += self.read_overhead_us;
-                    if pending_cpu > 0.0 {
-                        segments.push(Segment::cpu_parallel(pending_cpu, self.intra_parallelism));
-                        pending_cpu = 0.0;
-                    }
-                    let ov_us: f64 = cpu
-                        .iter()
-                        .map(|op| match op {
-                            sann_index::CpuOp::Compute { count, dim } => {
-                                self.cost.compute_us(*count, *dim) * self.work_multiplier
-                            }
-                            sann_index::CpuOp::PqLookup { count, m } => {
-                                self.cost.pq_us(*count, *m) * self.work_multiplier
-                            }
-                        })
-                        .sum();
-                    segments.push(Segment::overlapped(
-                        ov_us,
-                        self.intra_parallelism,
-                        self.fan_out(reqs),
-                    ));
+                    let reqs = self.fan_out(reqs);
+                    segments.push(match step {
+                        // The step's own CPU runs concurrently inside the
+                        // segment.
+                        TraceStep::Overlapped { cpu, .. } => {
+                            let us = cpu.iter().map(|op| self.op_us(op)).sum();
+                            Segment::overlapped(us, self.intra_parallelism, reqs)
+                        }
+                        _ => Segment::io(reqs),
+                    });
                 }
             }
         }
@@ -284,6 +264,15 @@ impl PlanBuilder {
             segments.push(Segment::cpu_parallel(pending_cpu, self.intra_parallelism));
         }
         QueryPlan::new(segments)
+    }
+
+    /// Time one CPU op costs, µs, scaled by the work multiplier.
+    fn op_us(&self, op: &CpuOp) -> f64 {
+        let us = match *op {
+            CpuOp::Compute { count, dim } => self.cost.compute_us(count, dim),
+            CpuOp::PqLookup { count, m } => self.cost.pq_us(count, m),
+        };
+        us * self.work_multiplier
     }
 
     /// Compiles a batch of traces.
@@ -397,9 +386,9 @@ mod tests {
         t.push_read(vec![IoReq::new(0, 4096)]);
         t.push_overlapped(
             vec![IoReq::new(8192, 4096), IoReq::new(16384, 4096)],
-            vec![
-                sann_index::CpuOp::Compute { count: 8, dim: 768 },
-                sann_index::CpuOp::PqLookup { count: 64, m: 48 },
+            &[
+                CpuOp::Compute { count: 8, dim: 768 },
+                CpuOp::PqLookup { count: 64, m: 48 },
             ],
         );
         t.push_compute(4, 768);

@@ -315,15 +315,7 @@ impl VectorIndex for DiskAnnIndex {
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<SearchOutput> {
         let dim = self.data.dim();
-        if query.len() != dim {
-            return Err(Error::DimensionMismatch {
-                expected: dim,
-                actual: query.len(),
-            });
-        }
-        if k == 0 {
-            return Err(Error::invalid_parameter("k", "must be positive"));
-        }
+        crate::check_query(query, dim, k)?;
         let l = params.search_list.max(k);
         let w = params.beam_width.max(1);
         let strat = params.io;
@@ -451,24 +443,20 @@ impl VectorIndex for DiskAnnIndex {
                     );
                 }
             }
-            if inflight.is_empty() {
-                trace.push_compute(frontier.len() as u64, dim as u32);
-                trace.push_pq_lookup(pq_lookups, self.pq.m() as u32);
-            } else {
-                trace.push_overlapped(
-                    inflight,
-                    vec![
-                        CpuOp::Compute {
-                            count: frontier.len() as u64,
-                            dim: dim as u32,
-                        },
-                        CpuOp::PqLookup {
-                            count: pq_lookups,
-                            m: self.pq.m() as u32,
-                        },
-                    ],
-                );
-            }
+            // Phased with nothing in flight, this is two plain CPU steps.
+            trace.push_overlapped(
+                inflight,
+                &[
+                    CpuOp::Compute {
+                        count: frontier.len() as u64,
+                        dim: dim as u32,
+                    },
+                    CpuOp::PqLookup {
+                        count: pq_lookups,
+                        m: self.pq.m() as u32,
+                    },
+                ],
+            );
         }
 
         let mut neighbors = exact.into_sorted_vec();
@@ -643,7 +631,7 @@ mod tests {
                 trace.push_compute(frontier.len() as u64, dim as u32);
                 trace.push_pq_lookup(pq_lookups, ix.pq.m() as u32);
             } else {
-                trace.push_overlapped(inflight, vec![compute, lookup]);
+                trace.push_overlapped(inflight, &[compute, lookup]);
             }
         }
         let mut neighbors = exact.into_sorted_vec();
@@ -783,14 +771,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_inputs() {
-        let (_, queries, _, index) = build_small();
-        assert!(index
-            .search(&[0.0; 8], 10, &SearchParams::default())
-            .is_err());
-        assert!(index
-            .search(queries.row(0), 0, &SearchParams::default())
-            .is_err());
+    fn rejects_bad_build_configs() {
         let data = EmbeddingModel::new(60, 2, 1).generate(100);
         let bad = DiskAnnConfig {
             pq_m: 7,

@@ -2,7 +2,7 @@
 
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
-use sann_core::{Dataset, Error, Metric, Result, TopK};
+use sann_core::{Dataset, Metric, Result, TopK};
 
 /// An exact (non-approximate) index that scans every vector.
 ///
@@ -60,15 +60,7 @@ impl VectorIndex for FlatIndex {
     }
 
     fn search(&self, query: &[f32], k: usize, _params: &SearchParams) -> Result<SearchOutput> {
-        if query.len() != self.data.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.data.dim(),
-                actual: query.len(),
-            });
-        }
-        if k == 0 {
-            return Err(Error::invalid_parameter("k", "must be positive"));
-        }
+        crate::check_query(query, self.data.dim(), k)?;
         let mut dists = vec![0.0f32; self.data.len()];
         self.metric
             .distance_rows(query, self.data.as_flat(), &mut dists);
@@ -143,18 +135,6 @@ mod tests {
         assert_eq!(out.trace.io_count(), 0);
         assert_eq!(index.memory_bytes(), 100 * 16 * 4);
         assert_eq!(index.storage_bytes(), 0);
-    }
-
-    #[test]
-    fn rejects_wrong_dim_and_zero_k() {
-        let data = EmbeddingModel::new(16, 2, 1).generate(10);
-        let index = FlatIndex::build(&data, Metric::L2);
-        assert!(index
-            .search(&[1.0; 8], 1, &SearchParams::default())
-            .is_err());
-        assert!(index
-            .search(&[1.0; 16], 0, &SearchParams::default())
-            .is_err());
     }
 
     #[test]

@@ -359,15 +359,7 @@ impl VectorIndex for FreshDiskAnnIndex {
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<SearchOutput> {
-        if query.len() != self.data.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.data.dim(),
-                actual: query.len(),
-            });
-        }
-        if k == 0 {
-            return Err(Error::invalid_parameter("k", "must be positive"));
-        }
+        crate::check_query(query, self.data.dim(), k)?;
         let l = params.search_list.max(k);
         let w = params.beam_width.max(1);
         let (dim, m) = (self.data.dim() as u32, self.pq.m() as u32);

@@ -634,15 +634,7 @@ impl VectorIndex for HnswIndex {
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<SearchOutput> {
-        if query.len() != self.data.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.data.dim(),
-                actual: query.len(),
-            });
-        }
-        if k == 0 {
-            return Err(Error::invalid_parameter("k", "must be positive"));
-        }
+        crate::check_query(query, self.data.dim(), k)?;
         let ef = params.ef_search.max(k);
         let mut dists = 0u64;
         let mut found = self.search_graph(
@@ -1213,7 +1205,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_invalid_build_and_search() {
+    fn rejects_invalid_build() {
         let empty = Dataset::with_dim(8);
         assert!(HnswIndex::build(&empty, Metric::L2, HnswConfig::default()).is_err());
         let data = EmbeddingModel::new(8, 2, 1).generate(10);
@@ -1226,13 +1218,6 @@ mod tests {
             }
         )
         .is_err());
-        let index = HnswIndex::build(&data, Metric::L2, HnswConfig::default()).unwrap();
-        assert!(index
-            .search(&[0.0; 4], 1, &SearchParams::default())
-            .is_err());
-        assert!(index
-            .search(&[0.0; 8], 0, &SearchParams::default())
-            .is_err());
     }
 
     #[test]

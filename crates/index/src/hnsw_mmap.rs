@@ -20,7 +20,7 @@ use crate::layout::SECTOR_BYTES;
 use crate::trace::{IoReq, QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
 use sann_core::sync::Mutex;
-use sann_core::{Dataset, Error, Metric, Result};
+use sann_core::{Dataset, Metric, Result};
 use sann_ssdsim::PageCache;
 
 /// Device byte offset of the packed vector file.
@@ -124,15 +124,7 @@ impl VectorIndex for MmapHnswIndex {
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<SearchOutput> {
-        if query.len() != self.inner.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.inner.dim(),
-                actual: query.len(),
-            });
-        }
-        if k == 0 {
-            return Err(Error::invalid_parameter("k", "must be positive"));
-        }
+        crate::check_query(query, self.inner.dim(), k)?;
         let ef = params.ef_search.max(k);
         let trace = std::cell::RefCell::new(QueryTrace::new());
         let data = self.inner.data();

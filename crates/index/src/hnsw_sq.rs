@@ -95,15 +95,7 @@ impl VectorIndex for HnswSqIndex {
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<SearchOutput> {
-        if query.len() != self.inner.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.inner.dim(),
-                actual: query.len(),
-            });
-        }
-        if k == 0 {
-            return Err(Error::invalid_parameter("k", "must be positive"));
-        }
+        crate::check_query(query, self.inner.dim(), k)?;
         let ef = params.ef_search.max(k);
         let mut dists = 0u64;
         let mut found = self.inner.search_graph(
@@ -224,14 +216,5 @@ mod tests {
         assert_eq!(sq.storage_bytes(), 0);
         assert_eq!(sq.kind(), "hnsw-sq");
         assert!(!sq.is_storage_based());
-    }
-
-    #[test]
-    fn rejects_bad_inputs() {
-        let (_, queries, _, sq, _) = build_small();
-        assert!(sq.search(&[0.0; 3], 10, &SearchParams::default()).is_err());
-        assert!(sq
-            .search(queries.row(0), 0, &SearchParams::default())
-            .is_err());
     }
 }

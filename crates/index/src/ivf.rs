@@ -144,7 +144,7 @@ impl VectorIndex for IvfIndex {
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<SearchOutput> {
-        validate_query(query, self.data.dim(), k)?;
+        crate::check_query(query, self.data.dim(), k)?;
         let nprobe = params.nprobe.clamp(1, self.lists.len());
         let mut trace = QueryTrace::new();
 
@@ -332,7 +332,7 @@ impl VectorIndex for IvfPqIndex {
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<SearchOutput> {
-        validate_query(query, self.dim, k)?;
+        crate::check_query(query, self.dim, k)?;
         let nprobe = params.nprobe.clamp(1, self.lists.len());
         let mut trace = QueryTrace::new();
 
@@ -383,19 +383,6 @@ impl VectorIndex for IvfPqIndex {
             self.persist_payload(w)
         }))
     }
-}
-
-fn validate_query(query: &[f32], dim: usize, k: usize) -> Result<()> {
-    if query.len() != dim {
-        return Err(Error::DimensionMismatch {
-            expected: dim,
-            actual: query.len(),
-        });
-    }
-    if k == 0 {
-        return Err(Error::invalid_parameter("k", "must be positive"));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

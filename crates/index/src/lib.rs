@@ -265,3 +265,77 @@ pub fn search_ids(
     }
     Ok(out)
 }
+
+/// The argument check every [`VectorIndex::search`] starts with: the query
+/// has the index's dimensionality and `k` is positive.
+pub(crate) fn check_query(query: &[f32], dim: usize, k: usize) -> Result<()> {
+    if query.len() != dim {
+        return Err(sann_core::Error::DimensionMismatch {
+            expected: dim,
+            actual: query.len(),
+        });
+    }
+    if k == 0 {
+        return Err(sann_core::Error::invalid_parameter("k", "must be positive"));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sann_core::{Error, Metric};
+
+    #[test]
+    fn every_family_rejects_bad_queries_alike() {
+        const DIM: usize = 16;
+        let data = sann_datagen::EmbeddingModel::new(DIM, 4, 7).generate(300);
+        let hnsw = HnswConfig::default();
+        let ivf = IvfConfig::default().with_nlist(8);
+        let graph = VamanaConfig {
+            r: 16,
+            ..VamanaConfig::default()
+        };
+        let diskann = DiskAnnConfig {
+            graph,
+            pq_m: 4,
+            pq_ksub: 16,
+            base_offset: 0,
+        };
+        let fresh = FreshConfig {
+            graph,
+            pq_m: 4,
+            pq_ksub: 16,
+            ..FreshConfig::default()
+        };
+        let families: Vec<Box<dyn VectorIndex>> = vec![
+            Box::new(FlatIndex::build(&data, Metric::L2)),
+            Box::new(IvfIndex::build(&data, Metric::L2, ivf).unwrap()),
+            Box::new(IvfPqIndex::build(&data, ivf, 4, 16).unwrap()),
+            Box::new(HnswIndex::build(&data, Metric::L2, hnsw).unwrap()),
+            Box::new(HnswSqIndex::build(&data, Metric::L2, hnsw).unwrap()),
+            Box::new(MmapHnswIndex::build(&data, Metric::L2, hnsw, 1 << 20).unwrap()),
+            Box::new(DiskAnnIndex::build(&data, Metric::L2, diskann).unwrap()),
+            Box::new(SpannIndex::build(&data, Metric::L2, SpannConfig::default()).unwrap()),
+            Box::new(FreshDiskAnnIndex::build(&data, Metric::L2, fresh).unwrap()),
+        ];
+        let mut kinds: Vec<&str> = families.iter().map(|ix| ix.kind()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 9, "one index per family: {kinds:?}");
+
+        let params = SearchParams::default();
+        let mismatch = |actual| Error::DimensionMismatch {
+            expected: DIM,
+            actual,
+        };
+        let zero_k = Error::invalid_parameter("k", "must be positive");
+        for index in &families {
+            let kind = index.kind();
+            let err = |query: &[f32], k| index.search(query, k, &params).unwrap_err();
+            assert_eq!(err(&[0.0; DIM - 1], 10), mismatch(DIM - 1), "{kind}: short");
+            assert_eq!(err(&[0.0; DIM + 1], 10), mismatch(DIM + 1), "{kind}: long");
+            assert_eq!(err(data.row(0), 0), zero_k, "{kind}: k = 0");
+        }
+    }
+}

@@ -195,15 +195,7 @@ impl VectorIndex for SpannIndex {
     }
 
     fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<SearchOutput> {
-        if query.len() != self.data.dim() {
-            return Err(Error::DimensionMismatch {
-                expected: self.data.dim(),
-                actual: query.len(),
-            });
-        }
-        if k == 0 {
-            return Err(Error::invalid_parameter("k", "must be positive"));
-        }
+        crate::check_query(query, self.data.dim(), k)?;
         let nprobe = params.nprobe.clamp(1, self.lists.len());
         let mut trace = QueryTrace::new();
 
@@ -430,14 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_inputs() {
-        let (_, queries, _, index) = build_small();
-        assert!(index
-            .search(&[0.0; 8], 10, &SearchParams::default())
-            .is_err());
-        assert!(index
-            .search(queries.row(0), 0, &SearchParams::default())
-            .is_err());
+    fn rejects_bad_build_configs() {
         let tiny = EmbeddingModel::new(8, 2, 1).generate(50);
         assert!(SpannIndex::build(
             &tiny,

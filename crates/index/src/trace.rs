@@ -7,8 +7,14 @@
 //! I/O requests", paper §II-B). Parallelism *within* a step is explicit: a
 //! [`TraceStep::Read`] carries the batch of requests issued together (the
 //! DiskANN beam), and the engine lets them proceed concurrently.
+//!
+//! CPU work has one vocabulary, [`CpuOp`]: a [`TraceStep::Cpu`] step holds
+//! one op on the critical path, and a [`TraceStep::Overlapped`] step holds
+//! the ops that run while its reads are in flight. A trace says only *what*
+//! work a query does; what it costs, when it runs and which phase it bills
+//! to are the engine's to decide.
 
-use sann_core::{Error, Neighbor, Result};
+use sann_core::{cast, Error, Neighbor, Result};
 
 /// Sector size every storage-resident layout in this workspace is built on.
 const SECTOR_BYTES: u64 = 4096;
@@ -71,28 +77,9 @@ impl IoReq {
     }
 }
 
-/// One unit of CPU work carried inside an overlapped step.
+/// One unit of CPU work.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CpuOp {
-    /// Full-precision distance computations.
-    Compute {
-        /// Number of distance evaluations.
-        count: u64,
-        /// Vector dimensionality of each evaluation.
-        dim: u32,
-    },
-    /// Product-quantization ADC lookups.
-    PqLookup {
-        /// Number of code distances evaluated.
-        count: u64,
-        /// Code length in bytes.
-        m: u32,
-    },
-}
-
-/// One unit of sequentially-ordered work inside a query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceStep {
     /// Full-precision distance computations: `count` distances at
     /// dimensionality `dim`.
     Compute {
@@ -110,6 +97,47 @@ pub enum TraceStep {
         /// Code length in bytes.
         m: u32,
     },
+}
+
+impl CpuOp {
+    /// Number of evaluations the op performs.
+    pub fn count(&self) -> u64 {
+        match *self {
+            CpuOp::Compute { count, .. } | CpuOp::PqLookup { count, .. } => count,
+        }
+    }
+
+    /// Folds `next` into `self` when both are the same kind at the same
+    /// width; returns whether it did.
+    fn merge(&mut self, next: CpuOp) -> bool {
+        match (self, next) {
+            (CpuOp::Compute { count, dim }, CpuOp::Compute { count: c, dim: d }) if *dim == d => {
+                *count += c;
+                true
+            }
+            (CpuOp::PqLookup { count, m }, CpuOp::PqLookup { count: c, m: w }) if *m == w => {
+                *count += c;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether the op is malformed: no work, or work at zero width.
+    fn is_degenerate(&self) -> bool {
+        let width = match *self {
+            CpuOp::Compute { dim, .. } => dim,
+            CpuOp::PqLookup { m, .. } => m,
+        };
+        self.count() == 0 || width == 0
+    }
+}
+
+/// One unit of sequentially-ordered work inside a query.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceStep {
+    /// CPU work on the query's critical path.
+    Cpu(CpuOp),
     /// A batch of reads issued concurrently; the step completes when the
     /// slowest request completes (DiskANN beam semantics).
     Read {
@@ -118,11 +146,9 @@ pub enum TraceStep {
     },
     /// Reads and CPU work proceeding concurrently: the requests are in
     /// flight *while* the CPU ops run, and the step completes when both
-    /// finish (software-pipelined beam search / look-ahead prefetch). An
-    /// overlapped step is *not* a dependency barrier for phase
-    /// classification: a trailing overlapped step whose reads are pure
-    /// prefetch does not make the compute before it part of the search
-    /// loop — see [`QueryTrace::step_phases`].
+    /// finish (software-pipelined beam search / look-ahead prefetch). It is
+    /// not a blocking beam: a trailing prefetch-only overlap does not make
+    /// the compute before it part of the search loop.
     Overlapped {
         /// The speculative / pipelined requests in flight.
         reqs: Vec<IoReq>,
@@ -133,31 +159,20 @@ pub enum TraceStep {
 }
 
 impl TraceStep {
-    /// The observability [`Phase`](sann_obs::Phase) this step is billed
-    /// to. CPU steps (full-precision compute and PQ lookups) are
-    /// [`Compute`](sann_obs::Phase::Compute) — unless they trail the last
-    /// *blocking* read beam, in which case they are the query's
-    /// [`Rerank`](sann_obs::Phase::Rerank) pass; read beams are
-    /// [`BeamIssue`](sann_obs::Phase::BeamIssue) (the engine splits the
-    /// beam's service time into flash-service / cache-hit on its own,
-    /// since only it knows the cache state). Overlapped steps bill to
-    /// beam-issue: their reads define the step, and the engine attributes
-    /// the concurrent CPU time itself.
-    ///
-    /// `after_last_read` must mean "after the last *blocking*
-    /// [`Read`](TraceStep::Read)": a trailing overlapped step whose reads
-    /// are speculative prefetch must not demote the true rerank pass
-    /// before it back to plain compute.
-    pub fn phase(&self, after_last_read: bool) -> sann_obs::Phase {
+    /// The requests the step issues (none for a CPU step).
+    fn reqs(&self) -> &[IoReq] {
         match self {
-            TraceStep::Compute { .. } | TraceStep::PqLookup { .. } => {
-                if after_last_read {
-                    sann_obs::Phase::Rerank
-                } else {
-                    sann_obs::Phase::Compute
-                }
-            }
-            TraceStep::Read { .. } | TraceStep::Overlapped { .. } => sann_obs::Phase::BeamIssue,
+            TraceStep::Cpu(_) => &[],
+            TraceStep::Read { reqs } | TraceStep::Overlapped { reqs, .. } => reqs,
+        }
+    }
+
+    /// The CPU work the step performs (none for a blocking read).
+    fn cpu(&self) -> &[CpuOp] {
+        match self {
+            TraceStep::Cpu(op) => std::slice::from_ref(op),
+            TraceStep::Read { .. } => &[],
+            TraceStep::Overlapped { cpu, .. } => cpu,
         }
     }
 }
@@ -175,34 +190,28 @@ impl QueryTrace {
         QueryTrace::default()
     }
 
-    /// Appends a compute step (no-op for `count == 0`).
-    pub fn push_compute(&mut self, count: u64, dim: u32) {
-        if count == 0 {
+    /// Appends a CPU step (no-op for zero work), merged into a trailing CPU
+    /// step of the same kind and width to keep traces compact.
+    pub fn push_cpu(&mut self, op: CpuOp) {
+        if op.count() == 0 {
             return;
         }
-        // Merge with a trailing compute step of the same dimensionality to
-        // keep traces compact.
-        if let Some(TraceStep::Compute { count: c, dim: d }) = self.steps.last_mut() {
-            if *d == dim {
-                *c += count;
+        if let Some(TraceStep::Cpu(last)) = self.steps.last_mut() {
+            if last.merge(op) {
                 return;
             }
         }
-        self.steps.push(TraceStep::Compute { count, dim });
+        self.steps.push(TraceStep::Cpu(op));
     }
 
-    /// Appends a PQ-lookup step (no-op for `count == 0`).
+    /// Appends `count` full-precision distances at dimensionality `dim`.
+    pub fn push_compute(&mut self, count: u64, dim: u32) {
+        self.push_cpu(CpuOp::Compute { count, dim });
+    }
+
+    /// Appends `count` PQ lookups with `m`-byte codes.
     pub fn push_pq_lookup(&mut self, count: u64, m: u32) {
-        if count == 0 {
-            return;
-        }
-        if let Some(TraceStep::PqLookup { count: c, m: mm }) = self.steps.last_mut() {
-            if *mm == m {
-                *c += count;
-                return;
-            }
-        }
-        self.steps.push(TraceStep::PqLookup { count, m });
+        self.push_cpu(CpuOp::PqLookup { count, m });
     }
 
     /// Appends a read beam (no-op for an empty batch).
@@ -214,50 +223,38 @@ impl QueryTrace {
     }
 
     /// Appends an overlapped step: `reqs` in flight while `cpu` runs.
-    /// Zero-work CPU ops are dropped; with no requests left the step
-    /// degenerates to plain sequential CPU steps (there is nothing to
-    /// overlap with), and an empty call is a no-op.
-    pub fn push_overlapped(&mut self, reqs: Vec<IoReq>, cpu: Vec<CpuOp>) {
-        let cpu: Vec<CpuOp> = cpu
-            .into_iter()
-            .filter(|op| match op {
-                CpuOp::Compute { count, .. } | CpuOp::PqLookup { count, .. } => *count > 0,
-            })
-            .collect();
+    /// Zero-work CPU ops are dropped; with no requests the step degenerates
+    /// to plain sequential CPU steps (there is nothing to overlap with), and
+    /// an empty call is a no-op.
+    pub fn push_overlapped(&mut self, reqs: Vec<IoReq>, cpu: &[CpuOp]) {
         if reqs.is_empty() {
-            for op in cpu {
-                match op {
-                    CpuOp::Compute { count, dim } => self.push_compute(count, dim),
-                    CpuOp::PqLookup { count, m } => self.push_pq_lookup(count, m),
-                }
+            for &op in cpu {
+                self.push_cpu(op);
             }
             return;
         }
+        let cpu = cpu.iter().copied().filter(|op| op.count() > 0).collect();
         self.steps.push(TraceStep::Overlapped { reqs, cpu });
+    }
+
+    /// Every request issued, blocking and overlapped, in order.
+    fn reqs(&self) -> impl Iterator<Item = &IoReq> {
+        self.steps.iter().flat_map(TraceStep::reqs)
+    }
+
+    /// Every CPU op, sequential and overlapped, in order.
+    fn cpu_ops(&self) -> impl Iterator<Item = &CpuOp> {
+        self.steps.iter().flat_map(TraceStep::cpu)
     }
 
     /// Total number of I/O requests issued (blocking and overlapped).
     pub fn io_count(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                TraceStep::Read { reqs } | TraceStep::Overlapped { reqs, .. } => reqs.len() as u64,
-                _ => 0,
-            })
-            .sum()
+        cast::u64_from_usize(self.reqs().count())
     }
 
     /// Total bytes read (blocking and overlapped).
     pub fn read_bytes(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                TraceStep::Read { reqs } | TraceStep::Overlapped { reqs, .. } => {
-                    reqs.iter().map(|r| r.len as u64).sum()
-                }
-                _ => 0,
-            })
-            .sum()
+        self.reqs().map(|r| u64::from(r.len)).sum()
     }
 
     /// Number of *blocking* read beams (graph round trips for DiskANN).
@@ -265,39 +262,39 @@ impl QueryTrace {
     /// search still performs one dependency round trip per hop — so they
     /// are not counted separately.
     pub fn hops(&self) -> u64 {
-        self.steps
+        let beams = self
+            .steps
             .iter()
-            .filter(|s| matches!(s, TraceStep::Read { .. }))
-            .count() as u64
+            .filter(|s| matches!(s, TraceStep::Read { .. }));
+        cast::u64_from_usize(beams.count())
     }
 
     /// Total full-precision distance evaluations (including those running
     /// under overlapped steps).
     pub fn compute_count(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                TraceStep::Compute { count, .. } => *count,
-                TraceStep::Overlapped { cpu, .. } => cpu
-                    .iter()
-                    .map(|op| match op {
-                        CpuOp::Compute { count, .. } => *count,
-                        CpuOp::PqLookup { .. } => 0,
-                    })
-                    .sum(),
-                _ => 0,
-            })
+        self.cpu_ops()
+            .filter(|op| matches!(op, CpuOp::Compute { .. }))
+            .map(CpuOp::count)
+            .sum()
+    }
+
+    /// Total PQ lookups (including those running under overlapped steps).
+    pub fn pq_lookup_count(&self) -> u64 {
+        self.cpu_ops()
+            .filter(|op| matches!(op, CpuOp::PqLookup { .. }))
+            .map(CpuOp::count)
             .sum()
     }
 
     /// Checks the structural invariants every trace must satisfy before it
     /// is handed to the execution engine:
     ///
-    /// - compute / PQ-lookup steps carry non-zero work at non-zero width;
+    /// - every CPU op, sequential or overlapped, carries non-zero work at
+    ///   non-zero width;
     /// - read beams are non-empty (an empty beam would be a zero-length
     ///   dependency barrier — a plan-construction bug); overlapped steps
     ///   carry at least one request (a request-less overlap degenerates to
-    ///   plain CPU steps at construction) and only well-formed CPU ops;
+    ///   plain CPU steps at construction);
     /// - every [`IoReq`] is whole-sector: 4 KiB-aligned offset and a
     ///   positive, 4 KiB-multiple length (the layouts in [`crate::layout`]
     ///   construct requests this way; anything else would silently model
@@ -313,107 +310,38 @@ impl QueryTrace {
     /// Returns [`Error::InvalidParameter`] naming the first violated
     /// invariant and the step index.
     pub fn validate(&self, max_beam: usize) -> Result<()> {
-        let bad = |step: usize, what: String| {
-            Err(Error::invalid_parameter(
-                "trace",
-                format!("step {step}: {what}"),
-            ))
-        };
-        let check_reqs = |i: usize, reqs: &[IoReq], cap: usize| -> Result<()> {
+        for (i, step) in self.steps.iter().enumerate() {
+            let bad = |what: String| {
+                Err(Error::invalid_parameter(
+                    "trace",
+                    format!("step {i}: {what}"),
+                ))
+            };
+            if let Some(op) = step.cpu().iter().find(|op| op.is_degenerate()) {
+                return bad(format!("degenerate {op:?}"));
+            }
+            let cap = match step {
+                TraceStep::Cpu(_) => continue,
+                TraceStep::Read { .. } => max_beam,
+                TraceStep::Overlapped { .. } => max_beam.saturating_mul(2),
+            };
+            let reqs = step.reqs();
             if reqs.is_empty() {
-                return bad(i, "empty read beam".to_string());
+                return bad("empty read beam".to_string());
             }
             if cap > 0 && reqs.len() > cap {
-                return bad(
-                    i,
-                    format!("beam of {} exceeds beam_width {cap}", reqs.len()),
-                );
+                return bad(format!("beam of {} exceeds beam_width {cap}", reqs.len()));
             }
             for r in reqs {
                 if !r.offset.is_multiple_of(SECTOR_BYTES) {
-                    return bad(i, format!("unaligned read at offset {}", r.offset));
+                    return bad(format!("unaligned read at offset {}", r.offset));
                 }
                 if r.len == 0 || !u64::from(r.len).is_multiple_of(SECTOR_BYTES) {
-                    return bad(i, format!("non-sector read length {}", r.len));
-                }
-            }
-            Ok(())
-        };
-        for (i, step) in self.steps.iter().enumerate() {
-            match step {
-                TraceStep::Compute { count, dim } => {
-                    if *count == 0 || *dim == 0 {
-                        return bad(i, format!("degenerate compute ({count} x dim {dim})"));
-                    }
-                }
-                TraceStep::PqLookup { count, m } => {
-                    if *count == 0 || *m == 0 {
-                        return bad(i, format!("degenerate pq lookup ({count} x m {m})"));
-                    }
-                }
-                TraceStep::Read { reqs } => check_reqs(i, reqs, max_beam)?,
-                TraceStep::Overlapped { reqs, cpu } => {
-                    check_reqs(i, reqs, max_beam.saturating_mul(2))?;
-                    for op in cpu {
-                        match op {
-                            CpuOp::Compute { count, dim } => {
-                                if *count == 0 || *dim == 0 {
-                                    return bad(
-                                        i,
-                                        format!("degenerate overlapped compute ({count} x {dim})"),
-                                    );
-                                }
-                            }
-                            CpuOp::PqLookup { count, m } => {
-                                if *count == 0 || *m == 0 {
-                                    return bad(
-                                        i,
-                                        format!("degenerate overlapped pq lookup ({count} x {m})"),
-                                    );
-                                }
-                            }
-                        }
-                    }
+                    return bad(format!("non-sector read length {}", r.len));
                 }
             }
         }
         Ok(())
-    }
-
-    /// Per-step phase annotations: each step billed to the
-    /// [`Phase`](sann_obs::Phase) given by [`TraceStep::phase`], with CPU
-    /// steps after the final *blocking* read beam classified as the rerank
-    /// pass. Overlapped steps do not move the rerank boundary: a trailing
-    /// prefetch-only overlap is speculative I/O riding on the rerank, not
-    /// a continuation of the search loop.
-    pub fn step_phases(&self) -> Vec<sann_obs::Phase> {
-        let last_read = self
-            .steps
-            .iter()
-            .rposition(|s| matches!(s, TraceStep::Read { .. }));
-        self.steps
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.phase(last_read.is_some_and(|r| i > r)))
-            .collect()
-    }
-
-    /// Total PQ lookups (including those running under overlapped steps).
-    pub fn pq_lookup_count(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                TraceStep::PqLookup { count, .. } => *count,
-                TraceStep::Overlapped { cpu, .. } => cpu
-                    .iter()
-                    .map(|op| match op {
-                        CpuOp::PqLookup { count, .. } => *count,
-                        CpuOp::Compute { .. } => 0,
-                    })
-                    .sum(),
-                _ => 0,
-            })
-            .sum()
     }
 }
 
@@ -460,6 +388,31 @@ mod tests {
         assert_eq!(t.compute_count(), 12);
         t.push_compute(1, 1536);
         assert_eq!(t.steps.len(), 2, "different dim must not merge");
+
+        let mut pq = QueryTrace::new();
+        pq.push_pq_lookup(3, 48);
+        pq.push_pq_lookup(4, 48);
+        assert_eq!(
+            pq.steps,
+            vec![TraceStep::Cpu(CpuOp::PqLookup { count: 7, m: 48 })],
+            "PQ lookups merge at equal m"
+        );
+        pq.push_pq_lookup(1, 96);
+        assert_eq!(pq.steps.len(), 2, "different m must not merge");
+
+        // Equal widths, alternating kinds: nothing merges across kinds.
+        let mut mixed = QueryTrace::new();
+        mixed.push_compute(2, 48);
+        mixed.push_pq_lookup(3, 48);
+        mixed.push_compute(4, 48);
+        assert_eq!(
+            mixed.steps,
+            vec![
+                TraceStep::Cpu(CpuOp::Compute { count: 2, dim: 48 }),
+                TraceStep::Cpu(CpuOp::PqLookup { count: 3, m: 48 }),
+                TraceStep::Cpu(CpuOp::Compute { count: 4, dim: 48 }),
+            ]
+        );
     }
 
     #[test]
@@ -501,38 +454,13 @@ mod tests {
         };
         assert!(empty_beam.validate(0).is_err());
         let zero_compute = QueryTrace {
-            steps: vec![TraceStep::Compute { count: 0, dim: 768 }],
+            steps: vec![TraceStep::Cpu(CpuOp::Compute { count: 0, dim: 768 })],
         };
         assert!(zero_compute.validate(0).is_err());
         let zero_m = QueryTrace {
-            steps: vec![TraceStep::PqLookup { count: 5, m: 0 }],
+            steps: vec![TraceStep::Cpu(CpuOp::PqLookup { count: 5, m: 0 })],
         };
         assert!(zero_m.validate(0).is_err());
-    }
-
-    #[test]
-    fn step_phases_mark_trailing_rerank() {
-        use sann_obs::Phase;
-        let mut t = QueryTrace::new();
-        t.push_pq_lookup(64, 48);
-        t.push_read(vec![IoReq::new(0, 4096)]);
-        t.push_pq_lookup(32, 48);
-        t.push_read(vec![IoReq::new(4096, 4096)]);
-        t.push_compute(10, 768);
-        assert_eq!(
-            t.step_phases(),
-            vec![
-                Phase::Compute,
-                Phase::BeamIssue,
-                Phase::Compute,
-                Phase::BeamIssue,
-                Phase::Rerank,
-            ]
-        );
-        // A trace with no reads at all has no rerank pass.
-        let mut cpu_only = QueryTrace::new();
-        cpu_only.push_compute(5, 768);
-        assert_eq!(cpu_only.step_phases(), vec![Phase::Compute]);
     }
 
     #[test]
@@ -551,7 +479,7 @@ mod tests {
         t.push_read(vec![IoReq::new(0, 4096)]);
         t.push_overlapped(
             vec![IoReq::new(4096, 4096), IoReq::new(8192, 4096)],
-            vec![
+            &[
                 CpuOp::Compute { count: 4, dim: 768 },
                 CpuOp::PqLookup { count: 32, m: 48 },
             ],
@@ -571,7 +499,7 @@ mod tests {
         let mut t = QueryTrace::new();
         t.push_overlapped(
             vec![],
-            vec![
+            &[
                 CpuOp::Compute { count: 4, dim: 768 },
                 CpuOp::Compute { count: 0, dim: 768 },
                 CpuOp::PqLookup { count: 8, m: 48 },
@@ -580,30 +508,14 @@ mod tests {
         assert_eq!(
             t.steps,
             vec![
-                TraceStep::Compute { count: 4, dim: 768 },
-                TraceStep::PqLookup { count: 8, m: 48 },
+                TraceStep::Cpu(CpuOp::Compute { count: 4, dim: 768 }),
+                TraceStep::Cpu(CpuOp::PqLookup { count: 8, m: 48 }),
             ]
         );
         // Fully empty call is a no-op.
         let mut empty = QueryTrace::new();
-        empty.push_overlapped(vec![], vec![]);
+        empty.push_overlapped(vec![], &[]);
         assert!(empty.steps.is_empty());
-    }
-
-    #[test]
-    fn trailing_prefetch_overlap_keeps_rerank() {
-        // Regression: compute that precedes a prefetch-only trailing
-        // overlapped step is still the rerank pass — the speculative reads
-        // must not demote it back to plain compute.
-        use sann_obs::Phase;
-        let mut t = QueryTrace::new();
-        t.push_read(vec![IoReq::new(0, 4096)]);
-        t.push_compute(10, 768);
-        t.push_overlapped(vec![IoReq::new(4096, 4096)], vec![]);
-        assert_eq!(
-            t.step_phases(),
-            vec![Phase::BeamIssue, Phase::Rerank, Phase::BeamIssue]
-        );
     }
 
     #[test]

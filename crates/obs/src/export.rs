@@ -215,7 +215,7 @@ pub fn has_owner(id: SpanId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{Phase, SpanName, TraceLevel, TraceSink, Tracer};
+    use crate::span::{Phase, SpanName, TraceLevel, Tracer};
 
     fn sample_trace() -> Trace {
         let mut t = Tracer::new(TraceLevel::Io);

@@ -7,11 +7,12 @@
 //! exporters — built entirely on the discrete-event simulation's virtual
 //! clock so every trace is bit-reproducible:
 //!
-//! * [`span`] — [`Span`]s with [`SpanId`]s collected through the
-//!   [`TraceSink`] trait; the execution engine opens one span per query and
-//!   one child span per [`Phase`] (queue wait, distance compute, beam
-//!   issue, flash service, page-cache hit, rerank, delay), plus nested I/O
-//!   spans for individual device requests at [`TraceLevel::Io`].
+//! * [`span`] — [`Span`]s with [`SpanId`]s collected by a [`Tracer`]
+//!   whose [`TraceLevel`] decides what is recorded; the execution engine
+//!   opens one span per query and one child span per [`Phase`] (queue
+//!   wait, distance compute, beam issue, flash service, page-cache hit,
+//!   rerank, delay), plus nested I/O spans for individual device requests
+//!   at [`TraceLevel::Io`].
 //! * [`hist`] — log₂-bucketed [`LogHistogram`]s with an exact
 //!   little-endian [`LogHistogram::canonical_bytes`] encoding, mergeable
 //!   across worker shards. The request-size bucketing used by Fig. 6 and
@@ -42,7 +43,7 @@
 //! # Examples
 //!
 //! ```
-//! use sann_obs::{Phase, SpanId, SpanName, TraceLevel, TraceSink, Tracer};
+//! use sann_obs::{Phase, SpanId, SpanName, TraceLevel, Tracer};
 //!
 //! let mut tracer = Tracer::new(TraceLevel::Query);
 //! let q = tracer.begin_span(SpanId::NONE, 0, SpanName::Query { plan: 3 }, 100);
@@ -64,7 +65,5 @@ pub mod timeline;
 pub use hist::LogHistogram;
 pub use provenance::IoProvenance;
 pub use registry::{PhaseBreakdown, Registry};
-pub use span::{
-    IoOutcome, IoSpan, Phase, Span, SpanId, SpanName, Trace, TraceLevel, TraceSink, Tracer,
-};
+pub use span::{IoOutcome, IoSpan, Phase, Span, SpanId, SpanName, Trace, TraceLevel, Tracer};
 pub use timeline::Timeline;

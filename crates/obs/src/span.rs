@@ -6,10 +6,10 @@
 //! records an [`IoSpan`] per device request, tagged with the owning
 //! span so block I/O nests under its query in the exported timeline.
 //!
-//! Spans are collected through the [`TraceSink`] trait so instrumented
-//! code does not care whether it is talking to a live [`Tracer`] or a
-//! disabled one: below [`TraceLevel::Query`] every call is a no-op and
-//! [`SpanId::NONE`] is handed back.
+//! Spans are collected by a [`Tracer`], and instrumented code does not
+//! care whether it is live or disabled: the tracer's level decides, and
+//! below [`TraceLevel::Query`] every call is a no-op that hands back
+//! [`SpanId::NONE`].
 
 use std::fmt;
 
@@ -17,7 +17,7 @@ use std::fmt;
 /// everything below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
-    /// Record nothing; every sink call is a no-op.
+    /// Record nothing; every tracer call is a no-op.
     Off,
     /// Run-level aggregates only (phase breakdown, counters); no spans.
     Run,
@@ -279,31 +279,13 @@ impl IoSpan {
     }
 }
 
-/// Destination for spans produced by instrumented code.
-///
-/// Implementors must hand back [`SpanId::NONE`] (and ignore all other
-/// calls) when their [`TraceLevel`] does not record the event, so call
-/// sites never branch on the level themselves.
-pub trait TraceSink {
-    /// The sink's recording level.
-    fn level(&self) -> TraceLevel;
-
-    /// Opens a span at `now_ns`; returns [`SpanId::NONE`] when spans are
-    /// not recorded at this sink's level.
-    fn begin_span(&mut self, parent: SpanId, query: u64, name: SpanName, now_ns: u64) -> SpanId;
-
-    /// Closes a span at `now_ns`. No-op for [`SpanId::NONE`].
-    fn end_span(&mut self, id: SpanId, now_ns: u64);
-
-    /// Records one device request. No-op below [`TraceLevel::Io`].
-    fn io_span(&mut self, io: IoSpan);
-}
-
 /// `end_ns` sentinel marking a span that has not been closed yet.
 const OPEN: u64 = u64::MAX;
 
-/// The standard in-memory [`TraceSink`]: appends spans to a vector and
-/// yields a [`Trace`] when the run finishes.
+/// Destination for spans produced by instrumented code: appends spans to a
+/// vector and yields a [`Trace`] when the run finishes. Calls its
+/// [`TraceLevel`] does not record hand back [`SpanId::NONE`] and do
+/// nothing else, so call sites never branch on the level themselves.
 #[derive(Debug)]
 pub struct Tracer {
     level: TraceLevel,
@@ -345,14 +327,21 @@ impl Tracer {
             io: self.io,
         }
     }
-}
 
-impl TraceSink for Tracer {
-    fn level(&self) -> TraceLevel {
+    /// The tracer's recording level.
+    pub fn level(&self) -> TraceLevel {
         self.level
     }
 
-    fn begin_span(&mut self, parent: SpanId, query: u64, name: SpanName, now_ns: u64) -> SpanId {
+    /// Opens a span at `now_ns`; returns [`SpanId::NONE`] when spans are
+    /// not recorded at this tracer's level.
+    pub fn begin_span(
+        &mut self,
+        parent: SpanId,
+        query: u64,
+        name: SpanName,
+        now_ns: u64,
+    ) -> SpanId {
         if !self.level.spans() {
             return SpanId::NONE;
         }
@@ -369,7 +358,8 @@ impl TraceSink for Tracer {
         id
     }
 
-    fn end_span(&mut self, id: SpanId, now_ns: u64) {
+    /// Closes a span at `now_ns`. No-op for [`SpanId::NONE`].
+    pub fn end_span(&mut self, id: SpanId, now_ns: u64) {
         let Some(idx) = id.index() else { return };
         let s = &mut self.spans[idx];
         debug_assert!(s.end_ns == OPEN, "span closed twice");
@@ -377,7 +367,8 @@ impl TraceSink for Tracer {
         self.open -= 1;
     }
 
-    fn io_span(&mut self, io: IoSpan) {
+    /// Records one device request. No-op below [`TraceLevel::Io`].
+    pub fn io_span(&mut self, io: IoSpan) {
         if self.level.io() {
             self.io.push(io);
         }
