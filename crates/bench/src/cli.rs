@@ -2,7 +2,7 @@
 //! arguments and returns everything the binary prints on stdout, so tests
 //! (and the `all` golden) drive exactly what a user runs.
 //!
-//! [`SUBCOMMANDS`] is the only list of subcommands: dispatch, prefetch,
+//! `SUBCOMMANDS` is the only list of subcommands: dispatch, prefetch,
 //! `all` and `vdbbench help` are all read off it. The grammar is global
 //! flags anywhere ([`BenchContext::from_args`]), then one subcommand, then
 //! the flags that subcommand's row accepts ([`SubFlags`]); anything else is

@@ -298,7 +298,9 @@ impl BenchContext {
         let mut jobs: Vec<(&DatasetSpec, &'static str, Setup)> = Vec::new();
         for spec in specs {
             for &kind in kinds {
-                let family = index_family(kind);
+                let base = &self.datasets[&spec.name].base;
+                let setup = Setup::new(kind, base.len());
+                let family = setup.index_spec(base).family();
                 if self.indexes.contains_key(&(spec.name.clone(), family))
                     || jobs
                         .iter()
@@ -306,7 +308,6 @@ impl BenchContext {
                 {
                     continue;
                 }
-                let setup = Setup::new(kind, self.datasets[&spec.name].base.len());
                 let key = index_key(spec, family, setup.seed);
                 let owner = format!("{family} on {}", spec.name);
                 if let Some(index) = self.load("index", key, &owner, sann_index::persist::decode) {
@@ -347,7 +348,7 @@ impl BenchContext {
             self.prepare_indexes(std::slice::from_ref(spec), &[kind])?;
             let data = Arc::clone(&self.datasets[&spec.name]);
             let mut setup = Setup::new(kind, data.base.len());
-            let family = index_family(kind);
+            let family = setup.index_spec(&data.base).family();
             let index = Arc::clone(&self.indexes[&(spec.name.clone(), family)]);
             let tkey = cache::tuned_key(
                 index_key(spec, family, setup.seed),
@@ -568,18 +569,6 @@ pub fn search_all(
         traces.push(out.trace);
     }
     Ok((truth.mean_recall(&ids), traces))
-}
-
-/// The index-structure family a setup builds (setups in the same family
-/// share one build).
-fn index_family(kind: SetupKind) -> &'static str {
-    match kind {
-        SetupKind::MilvusIvf => "ivf",
-        SetupKind::MilvusDiskann => "diskann",
-        SetupKind::LancedbIvf => "ivf-pq",
-        SetupKind::LancedbHnsw => "hnsw-sq",
-        SetupKind::MilvusHnsw | SetupKind::QdrantHnsw | SetupKind::WeaviateHnsw => "hnsw",
-    }
 }
 
 /// Cache key of a built index: its dataset's key (which folds in `K` and the

@@ -3,7 +3,8 @@
 //! The paper's §II-B lays out the storage-index dilemma — graph indexes
 //! (DiskANN) issue many *dependent* 4 KiB reads; cluster indexes (SPANN)
 //! issue a few *large* sequential reads but replicate border vectors up to
-//! 8× on the device — and cites a companion study ([30]) that measures it.
+//! 8× on the device — and cites a companion study (its reference \[30\])
+//! that measures it.
 //! This experiment quantifies the dilemma on equal footing: both indexes are
 //! tuned to recall@10 ≥ 0.9 on the same dataset, then compared on I/O shape,
 //! latency, throughput, and space.

@@ -5,9 +5,11 @@ use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::report::{num, Table};
 use sann_core::Result;
-use sann_datagen::workload::CONCURRENCY_LADDER;
 use sann_engine::RunMetrics;
 use sann_vdb::SetupKind;
+
+/// The concurrency ladder used in Figs. 2–4 (1..256 query threads).
+pub const CONCURRENCY_LADDER: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Fig. 2: throughput (QPS).
 ///

@@ -4,9 +4,9 @@
 
 use crate::cli::SubFlags;
 use crate::context::BenchContext;
+use crate::fig2_4::CONCURRENCY_LADDER;
 use crate::report::{num, Table};
 use sann_core::Result;
-use sann_datagen::workload::CONCURRENCY_LADDER;
 use sann_vdb::SetupKind;
 
 /// The concurrency at which throughput stops improving materially (the

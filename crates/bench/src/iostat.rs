@@ -96,7 +96,7 @@ pub fn run(ctx: &mut BenchContext, flags: &SubFlags) -> Result<String> {
         "usd_per_1m_queries",
     ]);
     for (label, m) in &runs {
-        let ledger = kind.profile().ledger(m, ctx.cores, device);
+        let ledger = device.price(m, ctx.cores);
         chars.row([
             (*label).to_owned(),
             num(m.qps),
@@ -217,8 +217,8 @@ mod tests {
         ctx.fault_profile = FaultProfile::aging();
         let aging = ctx.run(DEFAULT_SETUP, &plans, 4).unwrap();
         let device = DeviceCostModel::samsung_990_pro();
-        let h = DEFAULT_SETUP.profile().ledger(&healthy, ctx.cores, device);
-        let a = DEFAULT_SETUP.profile().ledger(&aging, ctx.cores, device);
+        let h = device.price(&healthy, ctx.cores);
+        let a = device.price(&aging, ctx.cores);
         assert!(aging.completed < healthy.completed);
         assert!(a.usd_per_query() > h.usd_per_query());
     }

@@ -1,5 +1,5 @@
-//! Summary statistics used by the benchmark harness (mean, standard
-//! deviation, and the P99 tail latency the paper reports).
+//! Summary statistics used by the benchmark harness (the mean and the P99
+//! tail latency the paper reports).
 
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -7,15 +7,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation; `0.0` for fewer than two samples.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// The `p`-th percentile (0.0–100.0) by linear interpolation between the
@@ -56,16 +47,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_averages_samples() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
-        assert!((stddev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_are_zero() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[]), 0.0);
         assert_eq!(percentile(&[], 99.0), 0.0);
     }
 

@@ -149,11 +149,6 @@ impl Dataset {
         &self.data
     }
 
-    /// Consumes the dataset and returns the flat buffer.
-    pub fn into_flat(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a new dataset containing the first `n` rows (or all rows if
     /// `n >= self.len()`).
     pub fn truncated(&self, n: usize) -> Dataset {
@@ -195,7 +190,7 @@ impl Dataset {
         let total = n
             .checked_mul(dim)
             .ok_or_else(|| Error::Corrupt("dataset: size overflow".into()))?;
-        if r.remaining() < total * 4 {
+        if r.remaining() / 4 < total {
             return Err(Error::Corrupt("dataset: truncated vectors".into()));
         }
         let mut data = Vec::with_capacity(total);

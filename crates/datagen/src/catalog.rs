@@ -73,9 +73,10 @@ impl DatasetSpec {
     }
 
     /// Content hash of every generation-relevant field (name, shape, metric,
-    /// cluster count, seed). Two specs share a key iff [`generate`]
-    /// (DatasetSpec::generate) provably produces identical bytes, which is
-    /// what makes the key safe to address cached artifacts with.
+    /// cluster count, seed). Two specs share a key iff
+    /// [`generate`](DatasetSpec::generate) provably produces identical
+    /// bytes, which is what makes the key safe to address cached artifacts
+    /// with.
     pub fn content_key(&self) -> u64 {
         let mut w = ByteWriter::new();
         w.put_str(&self.name);

@@ -1,4 +1,4 @@
-//! Synthetic embedding datasets, query workloads, and ground truth.
+//! Synthetic embedding datasets, their query sets, and ground truth.
 //!
 //! The paper benchmarks four embedding datasets shipped with VectorDBBench:
 //! Cohere 1M / Cohere 10M (768-dimensional) and OpenAI 500K / OpenAI 5M
@@ -32,9 +32,7 @@
 pub mod catalog;
 pub mod groundtruth;
 pub mod synth;
-pub mod workload;
 
 pub use catalog::{DatasetBundle, DatasetSpec};
 pub use groundtruth::GroundTruth;
 pub use synth::EmbeddingModel;
-pub use workload::WorkloadSpec;

@@ -105,11 +105,6 @@ impl DiskAnnIndex {
         &self.layout
     }
 
-    /// The page-aligned alternative placement ([`LayoutKind::Paged`]).
-    pub fn paged_layout(&self) -> &PagedLayout {
-        &self.paged
-    }
-
     /// The underlying Vamana graph.
     pub fn graph(&self) -> &VamanaGraph {
         &self.graph

@@ -196,8 +196,9 @@ impl FreshDiskAnnIndex {
         Ok((id, trace))
     }
 
-    /// The device writes performed by the most recent [`insert`]
-    /// (new + dirtied node records). Consumed by the caller.
+    /// The device writes performed by the most recent
+    /// [`insert`](FreshDiskAnnIndex::insert) (new + dirtied node records).
+    /// Consumed by the caller.
     pub fn take_insert_writes(&mut self) -> Vec<crate::IoReq> {
         std::mem::take(&mut self.pending_writes)
     }

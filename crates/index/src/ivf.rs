@@ -87,11 +87,6 @@ impl IvfIndex {
         self.lists.len()
     }
 
-    /// Sizes of the inverted lists (diagnostics).
-    pub fn list_sizes(&self) -> Vec<usize> {
-        self.lists.iter().map(Vec::len).collect()
-    }
-
     pub(crate) fn persist_payload(&self, w: &mut ByteWriter) {
         w.put_u8(self.metric.tag());
         self.data.encode_into(w);

@@ -6,11 +6,11 @@
 //! magic "SIDX" | format version u32 | kind string | kind-specific payload
 //! ```
 //!
-//! [`VectorIndex::persist_encode`](crate::VectorIndex::persist_encode)
-//! produces the frame; [`decode`] dispatches on the kind string and rebuilds
-//! the concrete index. Encoding is canonical: decoding a frame and
-//! re-encoding the result yields the original bytes, which is what lets the
-//! determinism audit byte-diff cached artifacts against fresh builds.
+//! [`VectorIndex::persist_encode`] produces the frame; [`decode`] dispatches
+//! on the kind string and rebuilds the concrete index. Encoding is
+//! canonical: decoding a frame and re-encoding the result yields the
+//! original bytes, which is what lets the determinism audit byte-diff cached
+//! artifacts against fresh builds.
 //!
 //! The kinds that ride on a simulated-storage layout or hold only derived
 //! state (`flat`, `mmap-hnsw`, `spann`, `fresh-diskann`) return `None` from
@@ -37,8 +37,7 @@ pub(crate) fn frame(kind: &str, payload: impl FnOnce(&mut ByteWriter)) -> Vec<u8
     w.into_bytes()
 }
 
-/// Decodes an index artifact produced by
-/// [`VectorIndex::persist_encode`](crate::VectorIndex::persist_encode).
+/// Decodes an index artifact produced by [`VectorIndex::persist_encode`].
 ///
 /// # Errors
 ///

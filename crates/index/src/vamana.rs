@@ -152,11 +152,6 @@ impl VamanaGraph {
         &self.adj[id as usize]
     }
 
-    /// Total number of directed edges.
-    pub fn edge_count(&self) -> u64 {
-        self.adj.iter().map(|a| a.len() as u64).sum()
-    }
-
     /// Appends the canonical little-endian encoding (degree bound, medoid,
     /// then per-node adjacency lists) to `buf`.
     pub fn encode_into(&self, buf: &mut sann_core::buf::ByteWriter) {

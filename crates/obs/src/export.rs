@@ -17,7 +17,7 @@
 //! file order is exactly the begin/end stack order — a property the
 //! golden-file schema test checks line by line.
 
-use crate::span::{IoSpan, Span, SpanId, Trace};
+use crate::span::{IoSpan, Span, Trace};
 
 /// Formats simulated nanoseconds as the microsecond value Chrome's `ts`
 /// field expects, with exactly three decimals — pure integer math, so the
@@ -207,15 +207,10 @@ pub fn jsonl(trace: &Trace) -> String {
     out
 }
 
-/// True if `id` is a real span (helper for exporters and tests).
-pub fn has_owner(id: SpanId) -> bool {
-    id.is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{Phase, SpanName, TraceLevel, Tracer};
+    use crate::span::{Phase, SpanId, SpanName, TraceLevel, Tracer};
 
     fn sample_trace() -> Trace {
         let mut t = Tracer::new(TraceLevel::Io);

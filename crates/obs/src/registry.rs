@@ -158,11 +158,6 @@ impl Registry {
         self.breakdown.add_query(phase_ns);
     }
 
-    /// Exact per-query latencies in completion order, nanoseconds.
-    pub fn latencies_ns(&self) -> &[u64] {
-        &self.latencies_ns
-    }
-
     /// Exact per-query latencies in completion order, microseconds —
     /// the shape `RunMetrics` historically consumed. The conversion is
     /// the same `ns as f64 / 1000.0` arithmetic the executor used, so
@@ -182,11 +177,6 @@ impl Registry {
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// All histograms in name order.
-    pub fn hists(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> + '_ {
-        self.hists.iter().map(|(k, v)| (*k, v))
     }
 
     /// Folds another shard's registry in. Counters and histograms merge
@@ -286,7 +276,7 @@ mod tests {
         assert_eq!(r.counter("never"), 0);
         assert_eq!(r.hist("io.read_bytes").unwrap().count(), 1);
         assert!(r.hist("never").is_none());
-        assert_eq!(r.latencies_ns(), &[1_500]);
+        assert_eq!(r.latencies_ns, [1_500]);
         assert_eq!(r.latencies_us(), vec![1.5]);
         assert_eq!(r.breakdown().queries, 1);
     }

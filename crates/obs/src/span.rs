@@ -305,11 +305,6 @@ impl Tracer {
         }
     }
 
-    /// Number of spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-
     /// Consumes the tracer, closing any still-open span at `end_ns`, and
     /// returns the finished [`Trace`].
     pub fn finish(mut self, end_ns: u64) -> Trace {

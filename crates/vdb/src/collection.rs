@@ -33,6 +33,39 @@ pub enum IndexSpec {
     DiskAnn(DiskAnnConfig),
 }
 
+impl IndexSpec {
+    /// The [`VectorIndex::kind`] of the index [`IndexSpec::build`] returns.
+    pub fn family(&self) -> &'static str {
+        match self {
+            IndexSpec::Flat => "flat",
+            IndexSpec::Ivf(_) => "ivf",
+            IndexSpec::IvfPq { .. } => "ivf-pq",
+            IndexSpec::Hnsw(_) => "hnsw",
+            IndexSpec::HnswSq(_) => "hnsw-sq",
+            IndexSpec::DiskAnn(_) => "diskann",
+        }
+    }
+
+    /// Builds the described index over `data`. IVF-PQ ignores `metric`: it
+    /// ranks by L2 ADC distance.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the index family's build errors.
+    pub fn build(&self, data: &Dataset, metric: Metric) -> Result<Box<dyn VectorIndex>> {
+        Ok(match *self {
+            IndexSpec::Flat => Box::new(FlatIndex::build(data, metric)),
+            IndexSpec::Ivf(config) => Box::new(IvfIndex::build(data, metric, config)?),
+            IndexSpec::IvfPq { config, m, ksub } => {
+                Box::new(IvfPqIndex::build(data, config, m, ksub)?)
+            }
+            IndexSpec::Hnsw(config) => Box::new(HnswIndex::build(data, metric, config)?),
+            IndexSpec::HnswSq(config) => Box::new(HnswSqIndex::build(data, metric, config)?),
+            IndexSpec::DiskAnn(config) => Box::new(DiskAnnIndex::build(data, metric, config)?),
+        })
+    }
+}
+
 /// One result of a collection search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchHit {
@@ -56,7 +89,6 @@ pub struct Collection {
     payloads: Vec<Payload>,
     deleted: Vec<bool>,
     index: Option<Box<dyn VectorIndex>>,
-    index_spec: Option<IndexSpec>,
 }
 
 impl std::fmt::Debug for Collection {
@@ -80,28 +112,33 @@ impl Collection {
         if dim == 0 {
             return Err(Error::invalid_parameter("dim", "must be positive"));
         }
-        Ok(Collection {
-            name: name.into(),
-            metric,
-            vectors: Dataset::with_dim(dim),
-            payloads: Vec::new(),
-            deleted: Vec::new(),
-            index: None,
-            index_spec: None,
-        })
+        let empty = Dataset::with_dim(dim);
+        Ok(Collection::from_dataset(name, &empty, metric))
     }
 
     /// Creates a collection pre-populated from a dataset (payloads empty).
     pub fn from_dataset(name: impl Into<String>, data: &Dataset, metric: Metric) -> Collection {
         let n = data.len();
+        let payloads = vec![Payload::default(); n];
+        Collection::from_parts(name.into(), metric, data.clone(), payloads, vec![false; n])
+    }
+
+    /// An unindexed collection; `payloads` and `deleted` hold one entry per
+    /// row of `vectors`.
+    pub(crate) fn from_parts(
+        name: String,
+        metric: Metric,
+        vectors: Dataset,
+        payloads: Vec<Payload>,
+        deleted: Vec<bool>,
+    ) -> Collection {
         Collection {
-            name: name.into(),
+            name,
             metric,
-            vectors: data.clone(),
-            payloads: vec![Payload::default(); n],
-            deleted: vec![false; n],
+            vectors,
+            payloads,
+            deleted,
             index: None,
-            index_spec: None,
         }
     }
 
@@ -135,11 +172,6 @@ impl Collection {
         self.deleted.iter().filter(|&&d| !d).count()
     }
 
-    /// The index spec currently built, if any.
-    pub fn index_spec(&self) -> Option<&IndexSpec> {
-        self.index_spec.as_ref()
-    }
-
     /// Read-only access to the built index.
     pub fn index(&self) -> Option<&dyn VectorIndex> {
         self.index.as_deref()
@@ -148,6 +180,11 @@ impl Collection {
     /// Borrow of the raw vectors.
     pub fn vectors(&self) -> &Dataset {
         &self.vectors
+    }
+
+    /// Every stored payload in id order, tombstoned rows' included.
+    pub(crate) fn payloads(&self) -> &[Payload] {
+        &self.payloads
     }
 
     /// Inserts a vector with its payload; returns the assigned id.
@@ -220,26 +257,7 @@ impl Collection {
         if self.vectors.is_empty() {
             return Err(Error::Empty("collection"));
         }
-        let index: Box<dyn VectorIndex> = match spec {
-            IndexSpec::Flat => Box::new(FlatIndex::build(&self.vectors, self.metric)),
-            IndexSpec::Ivf(config) => {
-                Box::new(IvfIndex::build(&self.vectors, self.metric, config)?)
-            }
-            IndexSpec::IvfPq { config, m, ksub } => {
-                Box::new(IvfPqIndex::build(&self.vectors, config, m, ksub)?)
-            }
-            IndexSpec::Hnsw(config) => {
-                Box::new(HnswIndex::build(&self.vectors, self.metric, config)?)
-            }
-            IndexSpec::HnswSq(config) => {
-                Box::new(HnswSqIndex::build(&self.vectors, self.metric, config)?)
-            }
-            IndexSpec::DiskAnn(config) => {
-                Box::new(DiskAnnIndex::build(&self.vectors, self.metric, config)?)
-            }
-        };
-        self.index = Some(index);
-        self.index_spec = Some(spec);
+        self.index = Some(spec.build(&self.vectors, self.metric)?);
         Ok(())
     }
 
@@ -458,6 +476,7 @@ mod tests {
                 ksub: 16,
             },
             IndexSpec::Hnsw(HnswConfig::default()),
+            IndexSpec::HnswSq(HnswConfig::default()),
             IndexSpec::DiskAnn(DiskAnnConfig {
                 graph: sann_index::VamanaConfig {
                     r: 16,
@@ -472,6 +491,7 @@ mod tests {
         for spec in specs {
             let mut c = filled(400);
             c.build_index(spec).unwrap();
+            assert_eq!(c.index().unwrap().kind(), spec.family());
             let q = c.vectors().row(11).to_vec();
             let hits = c
                 .search(&q, 1, &SearchParams::default().with_search_list(20), None)

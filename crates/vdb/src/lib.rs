@@ -5,9 +5,9 @@
 //! *indexes*: databases add payloads, filtered search, mutation, and
 //! persistence on top of an index. This crate provides both halves:
 //!
-//! * the **database**: [`VectorDb`] → [`Collection`] with payload storage,
-//!   insert/delete (tombstones), payload-[`Filter`]ed search, snapshot
-//!   persistence, and pluggable indexes ([`IndexSpec`]);
+//! * the **database**: a [`Collection`] with payload storage, insert/delete
+//!   (tombstones), payload-[`Filter`]ed search, [`snapshot`] persistence,
+//!   and pluggable indexes ([`IndexSpec`]);
 //! * the **characterization setups**: [`DbProfile`] models each benchmarked
 //!   database's execution architecture and [`Setup`] enumerates the paper's
 //!   seven (database × index × placement) configurations used throughout
@@ -34,14 +34,12 @@
 //! ```
 
 pub mod collection;
-pub mod db;
 pub mod payload;
 pub mod profiles;
 pub mod setup;
 pub mod snapshot;
 
 pub use collection::{Collection, IndexSpec, SearchHit};
-pub use db::VectorDb;
 pub use payload::{Filter, Payload, Value};
 pub use profiles::DbProfile;
 pub use setup::{Setup, SetupKind, TunedParams};

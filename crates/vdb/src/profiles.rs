@@ -17,10 +17,7 @@
 //! Values are calibrated so the *relative shapes* of Figs. 2–4 hold; see
 //! EXPERIMENTS.md for the calibration notes.
 
-use sann_engine::{
-    CostModel, DeviceCostModel, FaultConfig, FaultProfile, PlanBuilder, QueryLedger, RetryPolicy,
-    RunMetrics,
-};
+use sann_engine::{CostModel, FaultConfig, FaultProfile, PlanBuilder, RetryPolicy};
 
 /// Execution-architecture model of one database.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -199,21 +196,6 @@ impl DbProfile {
             ..FaultConfig::default()
         }
     }
-
-    /// Prices a run of this database on `device`: the $/query ledger of
-    /// [`DeviceCostModel::price`], surfaced at the profile layer so cost
-    /// reporting flows through the same interface as every other run
-    /// parameter. Fault profiles compose automatically — a degraded device
-    /// completes fewer queries against the same amortized spend, so its
-    /// $/query is strictly worse.
-    pub fn ledger(
-        &self,
-        metrics: &RunMetrics,
-        cores: usize,
-        device: DeviceCostModel,
-    ) -> QueryLedger {
-        device.price(metrics, cores)
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +267,7 @@ mod tests {
 
     #[test]
     fn aging_device_prices_worse_per_query() {
-        use sann_engine::{Executor, QueryPlan, RunConfig, Segment};
+        use sann_engine::{DeviceCostModel, Executor, QueryPlan, RunConfig, Segment};
         use sann_index::IoReq;
         let plan = QueryPlan::new(vec![
             Segment::cpu(20.0),
@@ -305,8 +287,8 @@ mod tests {
         let healthy = run(FaultProfile::none());
         let aging = run(FaultProfile::aging());
         let device = DeviceCostModel::samsung_990_pro();
-        let healthy_ledger = profile.ledger(&healthy, 4, device);
-        let aging_ledger = profile.ledger(&aging, 4, device);
+        let healthy_ledger = device.price(&healthy, 4);
+        let aging_ledger = device.price(&aging, 4);
         assert!(aging.completed < healthy.completed, "aging throttles reads");
         assert!(
             aging_ledger.usd_per_query() > healthy_ledger.usd_per_query(),

@@ -2,12 +2,13 @@
 //! five memory-based — Milvus-IVF, Milvus-HNSW, Qdrant-HNSW, Weaviate-HNSW,
 //! LanceDB-HNSW — and two storage-based — Milvus-DiskANN and LanceDB-IVF(PQ).
 
+use crate::collection::IndexSpec;
 use crate::profiles::DbProfile;
 use sann_core::{Dataset, Metric, Result};
 use sann_datagen::{DatasetSpec, GroundTruth};
 use sann_index::{
-    default_pq_m, DiskAnnConfig, DiskAnnIndex, HnswConfig, HnswIndex, HnswSqIndex, IoStrategy,
-    IvfConfig, IvfIndex, IvfPqIndex, SearchParams, VamanaConfig, VectorIndex,
+    default_pq_m, DiskAnnConfig, HnswConfig, IoStrategy, IvfConfig, SearchParams, VamanaConfig,
+    VectorIndex,
 };
 
 /// One of the paper's seven (database × index) configurations.
@@ -159,72 +160,56 @@ impl Setup {
         }
     }
 
+    /// The index this setup builds over `base` (the PQ shape of LanceDB-IVF
+    /// follows the data). The benchmark harness shares one build among the
+    /// setups whose specs have the same [`family`](IndexSpec::family).
+    pub fn index_spec(&self, base: &Dataset) -> IndexSpec {
+        let p = &self.params;
+        let ivf = IvfConfig {
+            nlist: p.nlist,
+            seed: self.seed,
+            ..IvfConfig::default()
+        };
+        let hnsw = HnswConfig {
+            m: p.m,
+            ef_construction: p.ef_construction,
+            seed: self.seed,
+        };
+        match self.kind {
+            SetupKind::MilvusIvf => IndexSpec::Ivf(ivf),
+            // A graph build inserts its nodes in order, so a seed fixes the
+            // artifact bytes on any machine — what the artifact cache and
+            // the determinism audit rely on. Parallelism is one level up,
+            // across whole (dataset × index) builds.
+            SetupKind::MilvusHnsw | SetupKind::QdrantHnsw | SetupKind::WeaviateHnsw => {
+                IndexSpec::Hnsw(hnsw)
+            }
+            // LanceDB's HNSW is scalar-quantized (paper §III-C), which is
+            // why its efSearch tunes higher than the other databases'.
+            SetupKind::LancedbHnsw => IndexSpec::HnswSq(hnsw),
+            SetupKind::MilvusDiskann => IndexSpec::DiskAnn(DiskAnnConfig {
+                graph: VamanaConfig {
+                    r: p.r,
+                    seed: self.seed,
+                    ..VamanaConfig::default()
+                },
+                ..DiskAnnConfig::default()
+            }),
+            SetupKind::LancedbIvf => IndexSpec::IvfPq {
+                config: ivf,
+                m: default_pq_m(base.dim()),
+                ksub: 256.min(base.len().saturating_sub(1)).max(2),
+            },
+        }
+    }
+
     /// Builds the setup's index over `base`.
     ///
     /// # Errors
     ///
     /// Propagates index build errors.
     pub fn build_index(&self, base: &Dataset, metric: Metric) -> Result<Box<dyn VectorIndex>> {
-        let p = &self.params;
-        Ok(match self.kind {
-            SetupKind::MilvusIvf => Box::new(IvfIndex::build(
-                base,
-                metric,
-                IvfConfig {
-                    nlist: p.nlist,
-                    seed: self.seed,
-                    ..IvfConfig::default()
-                },
-            )?),
-            // A graph build inserts its nodes in order, so a seed fixes the
-            // artifact bytes on any machine — what the artifact cache and
-            // the determinism audit rely on. Parallelism is one level up,
-            // across whole (dataset × index) builds.
-            SetupKind::MilvusHnsw | SetupKind::QdrantHnsw | SetupKind::WeaviateHnsw => {
-                Box::new(HnswIndex::build(
-                    base,
-                    metric,
-                    HnswConfig {
-                        m: p.m,
-                        ef_construction: p.ef_construction,
-                        seed: self.seed,
-                    },
-                )?)
-            }
-            // LanceDB's HNSW is scalar-quantized (paper §III-C), which is
-            // why its efSearch tunes higher than the other databases'.
-            SetupKind::LancedbHnsw => Box::new(HnswSqIndex::build(
-                base,
-                metric,
-                HnswConfig {
-                    m: p.m,
-                    ef_construction: p.ef_construction,
-                    seed: self.seed,
-                },
-            )?),
-            SetupKind::MilvusDiskann => Box::new(DiskAnnIndex::build(
-                base,
-                metric,
-                DiskAnnConfig {
-                    graph: VamanaConfig {
-                        r: p.r,
-                        seed: self.seed,
-                        ..VamanaConfig::default()
-                    },
-                    ..DiskAnnConfig::default()
-                },
-            )?),
-            SetupKind::LancedbIvf => Box::new(IvfPqIndex::build(
-                base,
-                IvfConfig {
-                    nlist: p.nlist,
-                    seed: self.seed,
-                    ..IvfConfig::default()
-                },
-                default_pq_m(base.dim()),
-                256.min(base.len().saturating_sub(1)).max(2),
-            )?),
-        })
+        self.index_spec(base).build(base, metric)
     }
 
     /// Tunes the setup's search-time parameter upward until mean recall@10
@@ -292,25 +277,7 @@ impl Setup {
         truth: &GroundTruth,
         k: usize,
     ) -> Result<f64> {
-        self.recall_with(index, queries, truth, k, &self.params.search_params())
-    }
-
-    /// Like [`Setup::recall`] but with explicit [`SearchParams`] — the
-    /// I/O design-space explorer varies [`IoStrategy`] while keeping the
-    /// tuned knobs fixed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates search errors.
-    pub fn recall_with(
-        &self,
-        index: &dyn VectorIndex,
-        queries: &Dataset,
-        truth: &GroundTruth,
-        k: usize,
-        params: &SearchParams,
-    ) -> Result<f64> {
-        let ids = sann_index::search_ids(index, queries, k, params)?;
+        let ids = sann_index::search_ids(index, queries, k, &self.params.search_params())?;
         Ok(truth.mean_recall(&ids))
     }
 
@@ -503,13 +470,15 @@ mod tests {
     #[test]
     fn build_index_is_deterministic_and_persistable() {
         // Every setup's index must build byte-identically run over run —
-        // the invariant the artifact cache and determinism audit rest on.
+        // the invariant the artifact cache and determinism audit rest on —
+        // and be the family the cache files it under.
         let model = EmbeddingModel::new(16, 4, 321);
         let base = model.generate(600);
         for kind in SetupKind::all() {
             let setup = Setup::new(kind, base.len());
             let a = setup.build_index(&base, Metric::L2).unwrap();
             let b = setup.build_index(&base, Metric::L2).unwrap();
+            assert_eq!(a.kind(), setup.index_spec(&base).family(), "{kind}");
             let (ab, bb) = (a.persist_encode(), b.persist_encode());
             assert!(ab.is_some(), "{kind} must be persistable");
             assert_eq!(ab, bb, "{kind} build is not deterministic");

@@ -2,13 +2,14 @@
 //!
 //! Snapshots capture vectors, payloads, and tombstones in a small
 //! hand-rolled binary format (magic `SANN`, version byte). Indexes are *not*
-//! serialized — they are rebuilt from the spec on load, which is what the
-//! benchmarked databases do on segment reload.
+//! serialized — the caller rebuilds one with
+//! [`Collection::build_index`] after loading, which is what the benchmarked
+//! databases do on segment reload.
 
 use crate::collection::Collection;
 use crate::payload::{Payload, Value};
 use sann_core::buf::{ByteReader, ByteWriter};
-use sann_core::{Error, Metric, Result};
+use sann_core::{Dataset, Error, Metric, Result};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SANN";
@@ -20,26 +21,15 @@ pub fn encode(collection: &Collection) -> Vec<u8> {
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
     buf.put_str(collection.name());
-    buf.put_u8(match collection.metric() {
-        Metric::L2 => 0,
-        Metric::InnerProduct => 1,
-        Metric::Cosine => 2,
-    });
-    buf.put_u32_le(collection.dim() as u32);
-    buf.put_u64_le(collection.len() as u64);
-    for row in collection.vectors().iter() {
-        for &x in row {
-            buf.put_f32_le(x);
-        }
-    }
+    buf.put_u8(collection.metric().tag());
+    collection.vectors().encode_into(&mut buf);
     for id in 0..collection.len() as u32 {
         buf.put_u8(if collection.is_live(id) { 0 } else { 1 });
     }
-    for id in 0..collection.len() as u32 {
-        // Tombstoned payloads still round-trip (get() rejects them, so peek
-        // via search paths is unaffected).
-        let payload = collection_payload(collection, id);
-        put_payload(&mut buf, &payload);
+    // Tombstoned rows keep their payloads: `get` refuses them, but the
+    // bytes round-trip.
+    for payload in collection.payloads() {
+        put_payload(&mut buf, payload);
     }
     buf.into_bytes()
 }
@@ -61,46 +51,24 @@ pub fn decode(data: &[u8]) -> Result<Collection> {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
     let name = data.get_str()?;
-    let metric = match data.get_u8()? {
-        0 => Metric::L2,
-        1 => Metric::InnerProduct,
-        2 => Metric::Cosine,
-        other => return Err(corrupt(&format!("unknown metric {other}"))),
-    };
-    let dim = data.get_u32_le()? as usize;
-    let n = data.get_u64_le()? as usize;
-    if dim == 0 {
-        return Err(corrupt("zero dimension"));
-    }
-    if data.remaining() < n * dim * 4 {
-        return Err(corrupt("truncated vectors"));
-    }
-    let mut collection = Collection::new(name, dim, metric)?;
-    let mut row = vec![0.0f32; dim];
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        for slot in row.iter_mut() {
-            *slot = data.get_f32_le()?;
-        }
-        rows.push(row.clone());
-    }
+    let tag = data.get_u8()?;
+    let metric = Metric::from_tag(tag).ok_or_else(|| corrupt(&format!("unknown metric {tag}")))?;
+    let vectors = Dataset::decode_from(&mut data)?;
+    let n = vectors.len();
     if data.remaining() < n {
         return Err(corrupt("truncated tombstones"));
     }
-    let mut tombstones = Vec::with_capacity(n);
+    let mut deleted = Vec::with_capacity(n);
     for _ in 0..n {
-        tombstones.push(data.get_u8()? == 1);
+        deleted.push(data.get_u8()? == 1);
     }
-    for vec_row in &rows {
-        let payload = get_payload(&mut data)?;
-        collection.insert(vec_row, payload)?;
+    let mut payloads = Vec::with_capacity(n);
+    for _ in 0..n {
+        payloads.push(get_payload(&mut data)?);
     }
-    for (id, &dead) in tombstones.iter().enumerate() {
-        if dead {
-            collection.delete(id as u32)?;
-        }
-    }
-    Ok(collection)
+    Ok(Collection::from_parts(
+        name, metric, vectors, payloads, deleted,
+    ))
 }
 
 /// Writes a snapshot file.
@@ -121,18 +89,6 @@ pub fn save(collection: &Collection, path: impl AsRef<Path>) -> Result<()> {
 pub fn load(path: impl AsRef<Path>) -> Result<Collection> {
     let data = std::fs::read(path)?;
     decode(&data)
-}
-
-fn collection_payload(collection: &Collection, id: u32) -> Payload {
-    // `get` refuses tombstoned rows; resurrect via a temporary live check.
-    if collection.is_live(id) {
-        collection
-            .get(id)
-            .map(|(_, p)| p.clone())
-            .unwrap_or_default()
-    } else {
-        Payload::default()
-    }
 }
 
 fn put_payload(buf: &mut ByteWriter, payload: &Payload) {
@@ -199,7 +155,8 @@ mod tests {
             Payload::new().with("score", 0.5).with("hot", true),
         )
         .unwrap();
-        c.insert(&[0.0, 0.0, 1.0], Payload::new()).unwrap();
+        c.insert(&[0.0, 0.0, 1.0], Payload::new().with("k", 7i64))
+            .unwrap();
         c.delete(2).unwrap();
         c
     }
@@ -220,6 +177,7 @@ mod tests {
         assert_eq!(p1.get("score"), Some(&Value::Float(0.5)));
         assert_eq!(p1.get("hot"), Some(&Value::Bool(true)));
         assert!(!decoded.is_live(2));
+        assert_eq!(decoded.payloads()[2].get("k"), Some(&Value::Int(7)));
     }
 
     #[test]
@@ -245,6 +203,17 @@ mod tests {
         // metric byte sits after magic+version+name(len 4 + "docs")
         bad_metric[4 + 1 + 4 + 4] = 7;
         assert!(matches!(decode(&bad_metric), Err(Error::Corrupt(_))));
+        // A bare header (empty name, L2, dim 1) that declares 2^62 rows:
+        // the byte count of its vectors overflows usize.
+        let mut huge = ByteWriter::new();
+        huge.put_slice(MAGIC);
+        huge.put_u8(VERSION);
+        huge.put_str("");
+        huge.put_u8(0);
+        huge.put_u32_le(1);
+        huge.put_u64_le(1 << 62);
+        assert_eq!(huge.as_slice().len(), 22);
+        assert!(matches!(decode(huge.as_slice()), Err(Error::Corrupt(_))));
     }
 
     #[test]

@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings)"
+# A broken intra-doc link, e.g. to an item since deleted, fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "==> sann-xtask analyze (determinism, layering, panic-path, cast-safety, hot-loop; ratcheted)"
 # Fails on any deny-rule violation, any ratchet regression against
 # analyze-baseline.toml, and any unaudited (reason-less) allow marker.
