@@ -8,18 +8,22 @@
 //! UPDATE_GOLDEN=1 cargo test -p sann-engine --test fault_golden
 //! ```
 
+mod common;
+
+use common::{check_golden, render_registry};
 use sann_engine::{
     Executor, FaultConfig, FaultProfile, QueryPlan, RetryPolicy, RunConfig, RunMetrics, Segment,
+    TracedRun,
 };
 use sann_index::IoReq;
+use sann_obs::TraceLevel;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// The pinned scenario: the trace_golden workload (a storage query with a
 /// rerank pass plus a cache-friendly read) with mixed request sizes so the
 /// histogram has more than one bucket, run long enough for GC windows and
 /// retries to fire.
-fn golden_run(faults: FaultConfig) -> RunMetrics {
+fn golden_run(faults: FaultConfig) -> TracedRun {
     let storage = QueryPlan::new(vec![
         Segment::cpu(20.0),
         Segment::io(vec![IoReq::new(0, 4096), IoReq::new(8192, 4096)]),
@@ -41,7 +45,17 @@ fn golden_run(faults: FaultConfig) -> RunMetrics {
         faults,
         ..RunConfig::default()
     };
-    Executor::new(config).run(&[storage, cached])
+    Executor::new(config).run_traced(&[storage, cached], TraceLevel::Off)
+}
+
+/// The `gc-heavy` policy the goldens pin: default retries and a hedge.
+fn gc_heavy() -> FaultConfig {
+    FaultConfig {
+        profile: FaultProfile::gc_heavy(),
+        retry: RetryPolicy::default(),
+        hedge_after_us: 400.0,
+        ..FaultConfig::default()
+    }
 }
 
 /// Renders the fig. 5/6-style block-size view plus the fault ledger as a
@@ -76,62 +90,43 @@ fn render(profile_name: &str, m: &RunMetrics) -> String {
     out
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "{name} drifted from its golden file; if the change is intentional, \
-         regenerate with UPDATE_GOLDEN=1.\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
-    );
-}
-
 #[test]
 fn none_profile_histogram_matches_golden() {
-    let m = golden_run(FaultConfig::default());
+    let m = golden_run(FaultConfig::default()).metrics;
     assert!(m.fault.is_clean(), "none profile must leave no fault trace");
     check_golden("fault_hist_none.txt", &render("none", &m));
 }
 
 #[test]
 fn gc_heavy_histogram_matches_golden() {
-    let faults = FaultConfig {
-        profile: FaultProfile::gc_heavy(),
-        retry: RetryPolicy::default(),
-        hedge_after_us: 400.0,
-        ..FaultConfig::default()
-    };
-    let m = golden_run(faults);
+    let m = golden_run(gc_heavy()).metrics;
     assert!(m.fault.gc_stall_ns > 0, "gc-heavy must stall some reads");
     check_golden("fault_hist_gc_heavy.txt", &render("gc-heavy", &m));
+}
+
+/// Both runs' registries, pinned by value: the `none` run registers no
+/// fault counter, the `gc-heavy` run registers the whole ledger.
+#[test]
+fn registries_match_golden() {
+    let mut out = String::new();
+    for (name, faults) in [("none", FaultConfig::default()), ("gc-heavy", gc_heavy())] {
+        let _ = writeln!(out, "profile: {name}");
+        out.push_str(&render_registry(&golden_run(faults).registry));
+    }
+    check_golden("fault_registry.txt", &out);
 }
 
 #[test]
 fn fault_profiles_preserve_the_request_size_mix() {
     // Faults perturb *when* requests complete, never *what* is requested:
     // the exact block-size histogram is invariant across profiles.
-    let clean = golden_run(FaultConfig::default());
+    let clean = golden_run(FaultConfig::default()).metrics;
     for profile in [FaultProfile::aging(), FaultProfile::gc_heavy()] {
         let faulted = golden_run(FaultConfig {
             profile,
             ..FaultConfig::default()
-        });
+        })
+        .metrics;
         let sizes: Vec<u32> = faulted.io_stats.size_histogram.keys().copied().collect();
         let clean_sizes: Vec<u32> = clean.io_stats.size_histogram.keys().copied().collect();
         assert_eq!(

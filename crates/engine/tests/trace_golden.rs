@@ -8,11 +8,13 @@
 //! UPDATE_GOLDEN=1 cargo test -p sann-engine --test trace_golden
 //! ```
 
+mod common;
+
+use common::{check_golden, render_registry};
 use sann_engine::{Executor, QueryPlan, RunConfig, Segment, TracedRun};
 use sann_index::IoReq;
 use sann_obs::export::{chrome_trace, jsonl};
 use sann_obs::TraceLevel;
-use std::path::PathBuf;
 
 /// The pinned scenario: two plans (one storage query with a rerank pass,
 /// one cache-friendly read), four closed-loop clients over a 2-core host
@@ -38,32 +40,6 @@ fn golden_run(level: TraceLevel) -> TracedRun {
     Executor::new(config).run_traced(&[storage, cached], level)
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "{name} drifted from its golden file; if the format change is \
-         intentional, regenerate with UPDATE_GOLDEN=1"
-    );
-}
-
 #[test]
 fn trace_json_matches_golden_byte_for_byte() {
     let run = golden_run(TraceLevel::Io);
@@ -75,6 +51,14 @@ fn trace_json_matches_golden_byte_for_byte() {
 fn trace_jsonl_matches_golden_byte_for_byte() {
     let run = golden_run(TraceLevel::Io);
     check_golden("trace.jsonl", &jsonl(&run.trace));
+}
+
+/// The registry's counters and histogram counts, pinned by value: the
+/// untraced run every figure pays for keeps the same ledger as ever.
+#[test]
+fn registry_matches_golden() {
+    let run = golden_run(TraceLevel::Off);
+    check_golden("trace_registry.txt", &render_registry(&run.registry));
 }
 
 #[test]
