@@ -498,7 +498,6 @@ impl BenchContext {
             concurrency,
             duration_us: self.duration_us,
             max_concurrent: profile.max_concurrent,
-            cache_bytes: profile.cache_bytes,
             faults: profile.fault_config(self.fault_profile),
             ..RunConfig::default()
         }))

@@ -58,6 +58,23 @@ pub fn u32_from_u64(x: u64) -> u32 {
     x as u32
 }
 
+/// Narrows a `u64` to `usize` for counts and indices bounded by
+/// construction.
+///
+/// Lossless on 64-bit targets; debug builds assert the value fits, release
+/// builds keep the exact `as` semantics of the open-coded cast this
+/// replaces.
+#[inline]
+#[must_use]
+pub fn usize_from_u64(x: u64) -> usize {
+    debug_assert!(
+        usize::try_from(x).is_ok(),
+        "value {x} does not fit in usize; the caller's bound is wrong"
+    );
+    // sann-lint: allow(cast-truncation) -- bound asserted above; `as` keeps release semantics
+    x as usize
+}
+
 /// Converts a `u64` counter to `f64` for rate/average arithmetic.
 ///
 /// Debug builds assert the value is below 2^53, where every integer is

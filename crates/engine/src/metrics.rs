@@ -1,9 +1,9 @@
 //! Metrics of one simulated run — the quantities the paper reports.
 
 use sann_core::buf::ByteWriter;
-use sann_core::{cast, stats};
-use sann_obs::{IoProvenance, PhaseBreakdown, Registry};
-use sann_ssdsim::{IoStats, IoTracer};
+use sann_core::cast;
+use sann_obs::{IoProvenance, PhaseBreakdown};
+use sann_ssdsim::IoStats;
 
 /// Device-level telemetry the executor samples inside the DES event loop
 /// (never gated on the trace level, so traced and untraced runs agree).
@@ -70,7 +70,7 @@ impl FaultStats {
         if self.ios_planned == 0 {
             1.0
         } else {
-            self.ios_completed as f64 / self.ios_planned as f64
+            cast::f64_from_u64(self.ios_completed) / cast::f64_from_u64(self.ios_planned)
         }
     }
 
@@ -82,23 +82,30 @@ impl FaultStats {
         healthy_recall * self.served_fraction()
     }
 
+    /// The ledger as `(registry counter, value)` pairs in encoding order:
+    /// the one list that the executor's registry and
+    /// [`FaultStats::encode`] both read.
+    pub(crate) fn counters(&self) -> [(&'static str, u64); 12] {
+        [
+            ("engine.faults_injected", self.injected_errors),
+            ("engine.fault_spikes", self.latency_spikes),
+            ("engine.fault_gc_stall_ns", self.gc_stall_ns),
+            ("engine.retries", self.retries),
+            ("engine.retry_exhausted", self.retry_exhausted),
+            ("engine.hedges_issued", self.hedges_issued),
+            ("engine.hedges_cancelled", self.hedges_cancelled),
+            ("engine.deadline_skips", self.deadline_skips),
+            ("engine.queries_degraded", self.degraded_queries),
+            ("engine.ios_planned", self.ios_planned),
+            ("engine.ios_completed", self.ios_completed),
+            ("engine.ios_abandoned", self.ios_abandoned),
+        ]
+    }
+
     /// Appends every field to the canonical encoding (fixed order).
     pub fn encode(&self, buf: &mut ByteWriter) {
-        for v in [
-            self.injected_errors,
-            self.latency_spikes,
-            self.gc_stall_ns,
-            self.retries,
-            self.retry_exhausted,
-            self.hedges_issued,
-            self.hedges_cancelled,
-            self.deadline_skips,
-            self.degraded_queries,
-            self.ios_planned,
-            self.ios_completed,
-            self.ios_abandoned,
-        ] {
-            buf.put_u64_le(v);
+        for (_, value) in self.counters() {
+            buf.put_u64_le(value);
         }
     }
 }
@@ -123,8 +130,6 @@ pub struct RunMetrics {
     pub read_bytes_per_query: f64,
     /// Mean I/O requests per query (logical, before page cache).
     pub ios_per_query: f64,
-    /// Bytes actually transferred from the device (after page cache).
-    pub device_read_bytes: u64,
     /// Mean device read bandwidth over the window, MiB/s.
     pub mean_bandwidth_mib: f64,
     /// Per-second device read bandwidth, MiB/s (Fig. 5's series).
@@ -157,51 +162,6 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Internal constructor used by the executor. Latencies and the phase
-    /// breakdown come from the run's observability [`Registry`] — the
-    /// executor records exact per-query nanoseconds there instead of
-    /// carrying an ad-hoc `Vec<f64>`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        qps: f64,
-        registry: &Registry,
-        cpu_utilization: f64,
-        tracer: &IoTracer,
-        duration_us: f64,
-        completed: u64,
-        logical_read_bytes: u64,
-        logical_io_count: u64,
-        fault: FaultStats,
-        prov_cache_hits: [u64; IoProvenance::COUNT],
-        prov_cache_hit_bytes: [u64; IoProvenance::COUNT],
-        device: DeviceTelemetry,
-    ) -> RunMetrics {
-        let io_stats = tracer.stats().clone();
-        let latencies_us = registry.latencies_us();
-        let issued = latencies_us.len().max(1) as f64;
-        RunMetrics {
-            qps,
-            mean_latency_us: stats::mean(&latencies_us),
-            p50_latency_us: stats::percentile(&latencies_us, 50.0),
-            p99_latency_us: stats::percentile(&latencies_us, 99.0),
-            cpu_utilization: cpu_utilization.min(1.0),
-            completed,
-            read_bytes_per_query: logical_read_bytes as f64 / issued,
-            ios_per_query: logical_io_count as f64 / issued,
-            device_read_bytes: io_stats.read_bytes,
-            mean_bandwidth_mib: tracer.mean_read_bandwidth(),
-            bandwidth_timeline_mib: tracer.bandwidth_timeline(),
-            io_stats,
-            phase_breakdown: registry.breakdown().clone(),
-            fault,
-            duration_us,
-            prov_cache_hits,
-            prov_cache_hit_bytes,
-            device,
-            hot_page_skew: tracer.hot_page_skew(),
-        }
-    }
-
     /// Serializes every field to a canonical little-endian byte string.
     ///
     /// Two runs are *bit-identical* iff their canonical byte strings are
@@ -219,9 +179,10 @@ impl RunMetrics {
         buf.put_u64_le(self.completed);
         buf.put_f64_le(self.read_bytes_per_query);
         buf.put_f64_le(self.ios_per_query);
-        buf.put_u64_le(self.device_read_bytes);
+        // Bytes transferred from the device, after the page cache.
+        buf.put_u64_le(self.io_stats.read_bytes);
         buf.put_f64_le(self.mean_bandwidth_mib);
-        buf.put_u32_le(self.bandwidth_timeline_mib.len() as u32);
+        buf.put_u32_le(cast::u32_from_usize(self.bandwidth_timeline_mib.len()));
         for &bw in &self.bandwidth_timeline_mib {
             buf.put_f64_le(bw);
         }
@@ -229,7 +190,7 @@ impl RunMetrics {
         buf.put_u64_le(self.io_stats.writes);
         buf.put_u64_le(self.io_stats.read_bytes);
         buf.put_u64_le(self.io_stats.write_bytes);
-        buf.put_u32_le(self.io_stats.size_histogram.len() as u32);
+        buf.put_u32_le(cast::u32_from_usize(self.io_stats.size_histogram.len()));
         for (&size, &count) in &self.io_stats.size_histogram {
             buf.put_u32_le(size);
             buf.put_u64_le(count);
@@ -276,152 +237,63 @@ impl RunMetrics {
         if self.mean_latency_us <= 0.0 {
             return 0.0;
         }
-        self.read_bytes_per_query / (1 << 20) as f64 / (self.mean_latency_us / 1e6)
+        self.read_bytes_per_query / 1_048_576.0 / (self.mean_latency_us / 1e6)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Executor, QueryPlan, RunConfig, Segment};
+    use sann_index::IoReq;
     use sann_obs::Phase;
 
-    /// A registry holding the given latencies, all attributed to compute.
-    fn registry_with_us(latencies_us: &[f64]) -> Registry {
-        let mut r = Registry::new();
-        for &us in latencies_us {
-            let ns = crate::executor::us_to_ns(us);
-            let mut phases = [0u64; Phase::COUNT];
-            phases[Phase::Compute.index()] = ns;
-            r.record_query(ns, &phases);
-        }
-        r
-    }
-
-    #[test]
-    fn assemble_computes_percentiles() {
-        let latencies: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let reg = registry_with_us(&latencies);
-        let m = RunMetrics::assemble(
-            10.0,
-            &reg,
-            0.5,
-            &IoTracer::new(1e6),
-            1e6,
-            10,
-            2048,
-            2,
-            FaultStats::default(),
-            [0; IoProvenance::COUNT],
-            [0; IoProvenance::COUNT],
-            DeviceTelemetry::default(),
-        );
-        // Linear interpolation between closest ranks over samples 1..=100.
-        assert!((m.p50_latency_us - 50.5).abs() < 1e-9);
-        assert!((m.p99_latency_us - 99.01).abs() < 1e-9);
-        assert!((m.mean_latency_us - 50.5).abs() < 1e-9);
-        assert!((m.read_bytes_per_query - 20.48).abs() < 1e-9);
-        assert_eq!(m.phase_breakdown.queries, 100);
-        assert_eq!(
-            m.phase_breakdown.latency_ns(),
-            (1..=100u64).map(|i| i * 1000).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn cpu_utilization_is_clamped() {
-        let m = RunMetrics::assemble(
-            0.0,
-            &Registry::new(),
-            1.7,
-            &IoTracer::new(1e6),
-            1e6,
-            0,
-            0,
-            0,
-            FaultStats::default(),
-            [0; IoProvenance::COUNT],
-            [0; IoProvenance::COUNT],
-            DeviceTelemetry::default(),
-        );
-        assert_eq!(m.cpu_utilization, 1.0);
-    }
-
-    #[test]
-    fn empty_run_is_all_zeros() {
-        let m = RunMetrics::assemble(
-            0.0,
-            &Registry::new(),
-            0.0,
-            &IoTracer::new(1e6),
-            1e6,
-            0,
-            0,
-            0,
-            FaultStats::default(),
-            [0; IoProvenance::COUNT],
-            [0; IoProvenance::COUNT],
-            DeviceTelemetry::default(),
-        );
-        assert_eq!(m.completed, 0);
-        assert!(m.fault.is_clean());
-        assert_eq!(m.p99_latency_us, 0.0);
-        assert_eq!(m.device_read_bytes, 0);
-        assert_eq!(m.per_query_bandwidth_mib(), 0.0);
-        assert_eq!(m.phase_breakdown.queries, 0);
+    /// The metrics of a short real run with reads, to perturb one field at
+    /// a time.
+    fn sample() -> RunMetrics {
+        let plan = QueryPlan::new(vec![
+            Segment::cpu(20.0),
+            Segment::io(vec![IoReq::new(0, 4096)]),
+        ]);
+        let config = RunConfig {
+            cores: 2,
+            concurrency: 2,
+            duration_us: 10_000.0,
+            ..RunConfig::default()
+        };
+        Executor::new(config).run(&[plan])
     }
 
     #[test]
     fn canonical_bytes_distinguishes_metric_changes() {
-        let make = |qps: f64| {
-            let reg = registry_with_us(&[1.0, 2.0]);
-            RunMetrics::assemble(
-                qps,
-                &reg,
-                0.1,
-                &IoTracer::new(1e6),
-                1e6,
-                2,
-                8192,
-                2,
-                FaultStats::default(),
-                [0; IoProvenance::COUNT],
-                [0; IoProvenance::COUNT],
-                DeviceTelemetry::default(),
-            )
-        };
-        let a = make(10.0);
-        assert_eq!(a.canonical_bytes(), make(10.0).canonical_bytes());
-        assert_ne!(a.canonical_bytes(), make(10.5).canonical_bytes());
-        let mut b = make(10.0);
+        let a = sample();
+        assert_eq!(a.canonical_bytes(), sample().canonical_bytes());
+        let mut b = a.clone();
+        b.qps += 0.5;
+        assert_ne!(a.canonical_bytes(), b.canonical_bytes());
+        let mut b = a.clone();
         b.bandwidth_timeline_mib.push(3.0);
+        assert_ne!(a.canonical_bytes(), b.canonical_bytes());
+        let mut b = a.clone();
+        b.io_stats.read_bytes += 1;
         assert_ne!(a.canonical_bytes(), b.canonical_bytes());
         // Moving a nanosecond between phases changes the encoding even
         // though every legacy metric stays identical.
-        let mut c = make(10.0);
+        let mut c = a.clone();
         c.phase_breakdown.ns[Phase::Compute.index()] -= 1;
-        c.phase_breakdown.ns[Phase::Rerank.index()] += 1;
+        c.phase_breakdown.ns[Phase::FlashService.index()] += 1;
         assert_ne!(a.canonical_bytes(), c.canonical_bytes());
     }
 
     #[test]
     fn per_query_bandwidth_is_bytes_over_latency() {
         // 1 MiB per query, 0.5 s latency → 2 MiB/s.
-        let reg = registry_with_us(&[0.5e6, 0.5e6]);
-        let m = RunMetrics::assemble(
-            2.0,
-            &reg,
-            0.1,
-            &IoTracer::new(1e6),
-            1e6,
-            2,
-            2 << 20,
-            2,
-            FaultStats::default(),
-            [0; IoProvenance::COUNT],
-            [0; IoProvenance::COUNT],
-            DeviceTelemetry::default(),
-        );
+        let mut m = sample();
+        m.read_bytes_per_query = (1 << 20) as f64;
+        m.mean_latency_us = 0.5e6;
         assert!((m.per_query_bandwidth_mib() - 2.0).abs() < 1e-9);
+        m.mean_latency_us = 0.0;
+        assert_eq!(m.per_query_bandwidth_mib(), 0.0);
     }
 
     #[test]
@@ -443,34 +315,38 @@ mod tests {
         assert!((f.degraded_recall(0.9) - 0.675).abs() < 1e-12);
     }
 
+    /// The counter table names every field of the ledger exactly once,
+    /// under a distinct registry name.
+    #[test]
+    fn fault_counters_name_each_field_once() {
+        let f = FaultStats {
+            injected_errors: 1,
+            latency_spikes: 2,
+            gc_stall_ns: 3,
+            retries: 4,
+            retry_exhausted: 5,
+            hedges_issued: 6,
+            hedges_cancelled: 7,
+            deadline_skips: 8,
+            degraded_queries: 9,
+            ios_planned: 10,
+            ios_completed: 11,
+            ios_abandoned: 12,
+        };
+        let counters = f.counters();
+        let mut values: Vec<u64> = counters.iter().map(|&(_, v)| v).collect();
+        values.sort_unstable();
+        assert_eq!(values, (1..=12).collect::<Vec<u64>>());
+        let names: std::collections::BTreeSet<&str> = counters.iter().map(|&(n, _)| n).collect();
+        assert_eq!(names.len(), counters.len());
+    }
+
     #[test]
     fn canonical_bytes_distinguishes_fault_stats() {
-        let make = |fault: FaultStats| {
-            let reg = registry_with_us(&[1.0, 2.0]);
-            RunMetrics::assemble(
-                1.0,
-                &reg,
-                0.1,
-                &IoTracer::new(1e6),
-                1e6,
-                2,
-                0,
-                0,
-                fault,
-                [0; IoProvenance::COUNT],
-                [0; IoProvenance::COUNT],
-                DeviceTelemetry::default(),
-            )
-        };
-        let clean = make(FaultStats::default());
-        assert_eq!(
-            clean.canonical_bytes(),
-            make(FaultStats::default()).canonical_bytes()
-        );
-        let faulted = make(FaultStats {
-            retries: 1,
-            ..FaultStats::default()
-        });
+        let clean = sample();
+        assert!(clean.fault.is_clean());
+        let mut faulted = clean.clone();
+        faulted.fault.retries = 1;
         assert_ne!(clean.canonical_bytes(), faulted.canonical_bytes());
     }
 }

@@ -50,8 +50,6 @@ pub struct DbProfile {
     /// Maximum supported client threads (0 = unlimited). Exceeding it fails
     /// the run (LanceDB's out-of-memory behaviour at high concurrency).
     pub max_clients: usize,
-    /// Page-cache bytes available to storage reads (0 = direct I/O).
-    pub cache_bytes: u64,
     /// Per-read retry budget when the device reports a transient error
     /// (storage-layer resilience; only observable under `--fault-profile`).
     pub max_retries: u32,
@@ -60,9 +58,6 @@ pub struct DbProfile {
     /// Issue a hedged duplicate read after this many µs in flight
     /// (0 = never hedge).
     pub hedge_after_us: f64,
-    /// Per-query I/O deadline, µs: reads still unresolved past it are
-    /// abandoned and the query returns a partial top-k (0 = no deadline).
-    pub io_deadline_us: f64,
 }
 
 impl DbProfile {
@@ -82,11 +77,9 @@ impl DbProfile {
             latency_floor_us: 400.0,
             max_concurrent: 0,
             max_clients: 0,
-            cache_bytes: 0,
             max_retries: 3,
             retry_backoff_us: 100.0,
             hedge_after_us: 5_000.0,
-            io_deadline_us: 0.0,
         }
     }
 
@@ -104,11 +97,9 @@ impl DbProfile {
             latency_floor_us: 500.0,
             max_concurrent: 0,
             max_clients: 0,
-            cache_bytes: 0,
             max_retries: 2,
             retry_backoff_us: 200.0,
             hedge_after_us: 0.0,
-            io_deadline_us: 0.0,
         }
     }
 
@@ -127,11 +118,9 @@ impl DbProfile {
             latency_floor_us: 900.0,
             max_concurrent: 0,
             max_clients: 0,
-            cache_bytes: 0,
             max_retries: 2,
             retry_backoff_us: 500.0,
             hedge_after_us: 0.0,
-            io_deadline_us: 0.0,
         }
     }
 
@@ -150,11 +139,9 @@ impl DbProfile {
             latency_floor_us: 3000.0,
             max_concurrent: 0,
             max_clients: 128,
-            cache_bytes: 0,
             max_retries: 1,
             retry_backoff_us: 1_000.0,
             hedge_after_us: 0.0,
-            io_deadline_us: 0.0,
         }
     }
 
@@ -180,9 +167,10 @@ impl DbProfile {
 
     /// The engine fault configuration for this database under an injected
     /// SSD fault profile: the profile decides *what the device does*, the
-    /// database decides *how it reacts* (retry budget, backoff, hedging,
-    /// deadline). With [`FaultProfile::none`] the result is inert: nothing
-    /// fails, and the engine resolves the hedge and the deadline to "off".
+    /// database decides *how it reacts* (retry budget, backoff, hedging).
+    /// No benchmarked database sets a per-query I/O deadline, so the
+    /// engine's stays off. With [`FaultProfile::none`] the result is inert:
+    /// nothing fails, and the engine resolves the hedge to "off".
     pub fn fault_config(&self, profile: FaultProfile) -> FaultConfig {
         FaultConfig {
             profile,
@@ -192,7 +180,6 @@ impl DbProfile {
                 backoff_mult: 2.0,
             },
             hedge_after_us: self.hedge_after_us,
-            io_deadline_us: self.io_deadline_us,
             ..FaultConfig::default()
         }
     }

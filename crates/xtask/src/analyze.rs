@@ -318,6 +318,10 @@ fn load_baseline(opts: &Options) -> Result<Baseline, String> {
 }
 
 /// `rel-file → hot fn names` from the manifest.
+///
+/// An entry naming a file that does not exist, or a function its file does
+/// not define, is an error: after a split or a rename it would otherwise
+/// drop the function from the hot-path rules without a word.
 fn load_hotpaths(opts: &Options) -> Result<BTreeMap<String, Vec<String>>, String> {
     let path = opts
         .hotpaths_path
@@ -336,6 +340,19 @@ fn load_hotpaths(opts: &Options) -> Result<BTreeMap<String, Vec<String>>, String
                 .map(|f| f.trim().to_string())
                 .filter(|f| !f.is_empty()),
         );
+    }
+    for (file, fns) in &map {
+        let stale = |what: String| format!("{}: stale entry: {what}", path.display());
+        let source = std::fs::read_to_string(opts.root.join(file))
+            .map_err(|e| stale(format!("{file}: {e}")))?;
+        let toks = lexer::lex(&source);
+        let defined: Vec<&str> = rules::fn_extents(&toks)
+            .iter()
+            .map(|ext| toks[ext.name].text)
+            .collect();
+        if let Some(missing) = fns.iter().find(|f| !defined.contains(&f.as_str())) {
+            return Err(stale(format!("{file} defines no fn `{missing}`")));
+        }
     }
     Ok(map)
 }

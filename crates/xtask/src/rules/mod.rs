@@ -339,20 +339,39 @@ pub fn fn_extents(toks: &[Tok<'_>]) -> Vec<FnExtent> {
     out
 }
 
-/// Marks every token inside a `#[cfg(test)] mod … { … }` region. Ratcheted
-/// rules skip these: tests may unwrap, cast, and allocate freely.
+/// Whether the tokens from `open` on read `[cfg(test)]`.
+fn cfg_test_at(toks: &[Tok<'_>], open: usize) -> bool {
+    let tok = |k: usize| toks.get(open + k);
+    tok(0).is_some_and(|t| t.is_punct('['))
+        && tok(1).is_some_and(|t| t.is_ident("cfg"))
+        && tok(2).is_some_and(|t| t.is_punct('('))
+        && tok(3).is_some_and(|t| t.is_ident("test"))
+        && tok(4).is_some_and(|t| t.is_punct(')'))
+        && tok(5).is_some_and(|t| t.is_punct(']'))
+}
+
+/// Marks every token inside a `#[cfg(test)] mod … { … }` region, and every
+/// token of a file whose inner attributes include `#![cfg(test)]` (an
+/// out-of-line test module). Ratcheted rules skip these: tests may unwrap,
+/// cast, and allocate freely.
 pub fn cfg_test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
+    let mut i = 0usize;
+    while toks.get(i).is_some_and(|t| t.is_punct('#'))
+        && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
+        && toks.get(i + 2).is_some()
+    {
+        if cfg_test_at(toks, i + 2) {
+            return vec![true; toks.len()];
+        }
+        match matching_close(toks, i + 2) {
+            Some(close) => i = close + 1,
+            None => break,
+        }
+    }
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i + 6 < toks.len() {
-        // #[cfg(test)]
-        let is_cfg_test = toks[i].is_punct('#')
-            && toks[i + 1].is_punct('[')
-            && toks[i + 2].is_ident("cfg")
-            && toks[i + 3].is_punct('(')
-            && toks[i + 4].is_ident("test")
-            && toks[i + 5].is_punct(')')
-            && toks[i + 6].is_punct(']');
+        let is_cfg_test = toks[i].is_punct('#') && cfg_test_at(toks, i + 1);
         if !is_cfg_test {
             i += 1;
             continue;
@@ -532,6 +551,14 @@ mod tests {
         assert!(!mask[at("a")]);
         assert!(mask[at("b")]);
         assert!(!mask[at("prod2")]);
+    }
+
+    #[test]
+    fn inner_cfg_test_masks_the_whole_file() {
+        let toks = lex("#![allow(dead_code)]\n#![cfg(test)]\nuse a::b;\nfn t() { c(); }");
+        assert!(cfg_test_mask(&toks).iter().all(|&m| m));
+        let toks = lex("#![allow(dead_code)]\nfn prod() { c(); }");
+        assert!(cfg_test_mask(&toks).iter().all(|&m| !m));
     }
 
     #[test]

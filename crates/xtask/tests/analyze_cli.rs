@@ -201,6 +201,44 @@ fn hot_loop_manifest_marks_functions_without_the_attribute() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A manifest entry naming a file that is gone, or a function its file no
+/// longer defines, fails the run instead of silently dropping the function
+/// from the hot-path rules.
+#[test]
+fn hot_loop_manifest_rejects_stale_entries() {
+    let dir = scratch_with("hot_clean.rs", "hot-stale");
+    std::fs::write(dir.join("kernel.rs"), "fn kernel(x: f32) -> f32 { x }\n").unwrap();
+    let manifest = dir.join("hotpaths.toml");
+    for (entry, complaint) in [
+        ("\"kernel.rs\" = \"kernel\"", None),
+        ("\"gone.rs\" = \"kernel\"", Some("gone.rs")),
+        (
+            "\"kernel.rs\" = \"kernel, renamed\"",
+            Some("defines no fn `renamed`"),
+        ),
+    ] {
+        std::fs::write(&manifest, format!("[hot]\n{entry}\n")).unwrap();
+        let out = xtask()
+            .args(["analyze", "--root"])
+            .arg(&dir)
+            .args(["--rules", "hot-loop", "--hotpaths"])
+            .arg(&manifest)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.success(),
+            complaint.is_none(),
+            "{entry}: {stderr}"
+        );
+        if let Some(complaint) = complaint {
+            assert!(stderr.contains("stale entry"), "{entry}: {stderr}");
+            assert!(stderr.contains(complaint), "{entry}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Builds a synthetic workspace where `ssdsim` (a bottom layer) imports
 /// `sann_engine` (an upper layer) — the inverted-dependency fixture.
 #[test]

@@ -154,11 +154,11 @@ fn storage_setups_read_memory_setups_do_not() {
     )
     .unwrap();
     assert_eq!(
-        m_hnsw.device_read_bytes, 0,
+        m_hnsw.io_stats.read_bytes, 0,
         "memory-based setup must not read"
     );
     assert!(
-        m_dann.device_read_bytes > 0,
+        m_dann.io_stats.read_bytes > 0,
         "storage-based setup must read"
     );
     assert!(
