@@ -1,8 +1,8 @@
 //! Distance-kernel microbenchmarks at the paper's two embedding
 //! dimensionalities (768 and 1536). These kernels are the unit of the
-//! engine's [`sann_engine::CostModel`]; the measured numbers justify its
-//! `dist_us_per_dim` default. Every batched row sits next to the single-pair
-//! loop over the same rows, so the pair reads side by side.
+//! engine's [`sann_engine::PlanBuilder`] price; the measured numbers
+//! justify its `dist_us_per_dim` default. Every batched row sits next to
+//! the single-pair loop over the same rows, so the pair reads side by side.
 
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
 use sann_core::distance::{cosine_distance, dot, dot_x4, l2_squared, l2_squared_x4};

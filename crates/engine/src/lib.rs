@@ -10,7 +10,7 @@
 //! ([`sann_index::QueryTrace`]), and this engine models *how long* that work
 //! takes on a machine with `C` cores and the modeled SSD:
 //!
-//! * compute steps occupy a core for a duration given by the [`CostModel`],
+//! * compute steps occupy a core for a duration the [`PlanBuilder`] prices,
 //! * read beams charge per-request submission CPU, then block the query
 //!   (not the core) until the slowest request completes on the
 //!   [`sann_ssdsim::DeviceSim`],
@@ -26,7 +26,7 @@
 //! # Examples
 //!
 //! ```
-//! use sann_engine::{CostModel, Executor, QueryPlan, RunConfig, Segment};
+//! use sann_engine::{Executor, QueryPlan, RunConfig, Segment};
 //!
 //! // One query = 100 µs of CPU, repeated by 4 closed-loop clients for 1 s.
 //! let plan = QueryPlan::new(vec![Segment::cpu(100.0)]);
@@ -36,13 +36,11 @@
 //! assert!((metrics.qps - 20_000.0).abs() / 20_000.0 < 0.05);
 //! ```
 
-pub mod cost;
 pub mod executor;
 pub mod ledger;
 pub mod metrics;
 pub mod plan;
 
-pub use cost::CostModel;
 pub use executor::{Executor, FaultConfig, RetryPolicy, RunConfig, TracedRun, DEFAULT_FAULT_SEED};
 pub use ledger::{DeviceCostModel, QueryLedger};
 pub use metrics::{DeviceTelemetry, FaultStats, RunMetrics};

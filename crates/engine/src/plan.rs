@@ -1,6 +1,6 @@
 //! Query plans: timed segment lists compiled from index traces.
 
-use crate::cost::CostModel;
+use sann_core::cast;
 use sann_index::{CpuOp, IoReq, QueryTrace, TraceStep};
 
 /// One schedulable unit of a query.
@@ -124,7 +124,7 @@ impl QueryPlan {
             .iter()
             .map(|s| match s {
                 Segment::Io { reqs } | Segment::Overlapped { reqs, .. } => {
-                    reqs.iter().map(|r| r.len as u64).sum()
+                    reqs.iter().map(|r| u64::from(r.len)).sum()
                 }
                 _ => 0,
             })
@@ -137,35 +137,76 @@ impl QueryPlan {
         self.segments
             .iter()
             .map(|s| match s {
-                Segment::Io { reqs } | Segment::Overlapped { reqs, .. } => reqs.len() as u64,
+                Segment::Io { reqs } | Segment::Overlapped { reqs, .. } => {
+                    cast::u64_from_usize(reqs.len())
+                }
                 _ => 0,
             })
             .sum()
     }
 }
 
-/// Compiles [`QueryTrace`]s into [`QueryPlan`]s under a [`CostModel`] and an
-/// intra-query parallelism policy.
+/// Compiles [`QueryTrace`]s into [`QueryPlan`]s: the whole price a plan
+/// pays, per op, per query and per read beam, and the plan's shape.
 ///
-/// Three optional modifiers model architecture- and scale-dependent effects
-/// (see `sann-vdb`'s profiles and the harness's scale-extrapolation model):
+/// [`Default`] is one core of the paper's Xeon Silver 4416+ running
+/// vectorized distance kernels, with no database on top; `sann-vdb`'s
+/// `setup::calibrated_plan_builder` fills the fields per setup (the paper's
+/// O-2/O-8: databases using the *same* index differ by up to 7.1x in
+/// throughput). Out-of-range values are clamped where [`build`] reads
+/// them: both fan-outs to at least 1, the work multiplier and the per-beam
+/// and floor charges to at least 0.
 ///
-/// * [`with_work_multiplier`](PlanBuilder::with_work_multiplier) scales the
-///   data-dependent compute (distances/PQ lookups) without touching the
-///   fixed per-query overhead;
-/// * [`with_io_fanout`](PlanBuilder::with_io_fanout) replicates every read
-///   beam (segment-parallel storage engines issue one beam per data
-///   segment);
-/// * [`with_read_overhead_us`](PlanBuilder::with_read_overhead_us) charges
-///   CPU per read beam (I/O path software overhead beyond raw submission).
+/// [`build`]: PlanBuilder::build
 #[derive(Debug, Clone)]
 pub struct PlanBuilder {
-    cost: CostModel,
-    intra_parallelism: usize,
-    work_multiplier: f64,
-    io_fanout: usize,
-    read_overhead_us: f64,
-    latency_floor_us: f64,
+    /// µs per full-precision distance evaluation, per vector dimension.
+    pub dist_us_per_dim: f64,
+    /// µs per PQ ADC lookup, per code byte.
+    pub pq_us_per_byte: f64,
+    /// Fixed per-query CPU (parsing, planning, result assembly), µs, before
+    /// `cpu_factor`.
+    pub query_overhead_us: f64,
+    /// CPU charged before every read beam, blocking or overlapped (the
+    /// storage engine's per-hop I/O-path software cost), µs; fanned out
+    /// like regular compute and not scaled by `cpu_factor`.
+    pub read_overhead_us: f64,
+    /// Core-free latency added to every query (network round trip and
+    /// scheduler hand-offs that burn no measurable CPU), µs.
+    pub latency_floor_us: f64,
+    /// Multiplier on every per-op cost and on the per-query overhead
+    /// (engine/runtime efficiency).
+    pub cpu_factor: f64,
+    /// Multiplier on data-dependent compute (distances and PQ lookups)
+    /// only, not on the per-query overhead.
+    pub work_multiplier: f64,
+    /// Parallel subtasks each CPU segment fans out over (1 = serial).
+    pub intra_parallelism: usize,
+    /// Copies of every read beam, each on a distinct device region
+    /// (segment-parallel storage engines issue one beam per data segment;
+    /// 1 = no replication).
+    pub io_fanout: usize,
+}
+
+impl Default for PlanBuilder {
+    fn default() -> Self {
+        PlanBuilder {
+            // ~0.19 µs per 768-d L2 distance (AVX2-class throughput). The
+            // model's, not this host's: the batched kernels measure
+            // 0.11-0.15 ns/dim (DESIGN.md §14), the single-pair kernel
+            // 0.55. The constant feeds simulated output and stays put.
+            dist_us_per_dim: 0.00025,
+            // ~0.1 µs per 48-byte PQ code.
+            pq_us_per_byte: 0.002,
+            query_overhead_us: 30.0,
+            read_overhead_us: 0.0,
+            latency_floor_us: 0.0,
+            cpu_factor: 1.0,
+            work_multiplier: 1.0,
+            intra_parallelism: 1,
+            io_fanout: 1,
+        }
+    }
 }
 
 /// Offset shift between replicated beams, so fanned-out reads land on
@@ -173,76 +214,22 @@ pub struct PlanBuilder {
 const IO_FANOUT_STRIDE: u64 = 1 << 30;
 
 impl PlanBuilder {
-    /// Creates a builder with no intra-query parallelism.
-    pub fn new(cost: CostModel) -> PlanBuilder {
-        PlanBuilder {
-            cost,
-            intra_parallelism: 1,
-            work_multiplier: 1.0,
-            io_fanout: 1,
-            read_overhead_us: 0.0,
-            latency_floor_us: 0.0,
-        }
-    }
-
-    /// Fans compute segments out over `fanout` parallel subtasks (1 = serial).
-    pub fn with_intra_parallelism(mut self, fanout: usize) -> PlanBuilder {
-        self.intra_parallelism = fanout.max(1);
-        self
-    }
-
-    /// Multiplies data-dependent compute (not the fixed overhead).
-    pub fn with_work_multiplier(mut self, factor: f64) -> PlanBuilder {
-        self.work_multiplier = factor.max(0.0);
-        self
-    }
-
-    /// Replicates every read beam `fanout` times onto distinct device
-    /// regions (1 = no replication).
-    pub fn with_io_fanout(mut self, fanout: usize) -> PlanBuilder {
-        self.io_fanout = fanout.max(1);
-        self
-    }
-
-    /// Adds fixed CPU time before every read beam (the storage engine's
-    /// per-hop I/O-path software cost; fanned out like regular compute).
-    pub fn with_read_overhead_us(mut self, overhead_us: f64) -> PlanBuilder {
-        self.read_overhead_us = overhead_us.max(0.0);
-        self
-    }
-
-    /// Adds a core-free latency floor to every query (network round trip and
-    /// scheduler hand-offs that add latency but burn no measurable CPU).
-    pub fn with_latency_floor_us(mut self, floor_us: f64) -> PlanBuilder {
-        self.latency_floor_us = floor_us.max(0.0);
-        self
-    }
-
-    /// The cost model in use.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// The current beam replication factor.
-    pub fn io_fanout(&self) -> usize {
-        self.io_fanout
-    }
-
-    /// Compiles one trace: per-query overhead, then each step in order.
-    /// Consecutive compute/PQ steps merge into one CPU segment.
+    /// Compiles one trace: latency floor, per-query overhead, then each
+    /// step in order. Consecutive compute/PQ steps merge into one CPU
+    /// segment.
     pub fn build(&self, trace: &QueryTrace) -> QueryPlan {
         let mut segments: Vec<Segment> = Vec::new();
         if self.latency_floor_us > 0.0 {
             segments.push(Segment::delay(self.latency_floor_us));
         }
-        let mut pending_cpu = self.cost.overhead_us();
+        let mut pending_cpu = self.query_overhead_us * self.cpu_factor;
         for step in &trace.steps {
             match step {
                 TraceStep::Cpu(op) => pending_cpu += self.op_us(op),
                 TraceStep::Read { reqs } | TraceStep::Overlapped { reqs, .. } => {
                     // Every beam, blocking or overlapped, pays the per-beam
                     // software cost and ends the CPU run before it.
-                    pending_cpu += self.read_overhead_us;
+                    pending_cpu += self.read_overhead_us.max(0.0);
                     if pending_cpu > 0.0 {
                         segments.push(Segment::cpu_parallel(pending_cpu, self.intra_parallelism));
                         pending_cpu = 0.0;
@@ -266,13 +253,15 @@ impl PlanBuilder {
         QueryPlan::new(segments)
     }
 
-    /// Time one CPU op costs, µs, scaled by the work multiplier.
+    /// Time one CPU op costs, µs, scaled by the work multiplier: the one
+    /// place a [`CpuOp`] is priced.
     fn op_us(&self, op: &CpuOp) -> f64 {
-        let us = match *op {
-            CpuOp::Compute { count, dim } => self.cost.compute_us(count, dim),
-            CpuOp::PqLookup { count, m } => self.cost.pq_us(count, m),
+        let (count, width, us_per_unit) = match *op {
+            CpuOp::Compute { count, dim } => (count, dim, self.dist_us_per_dim),
+            CpuOp::PqLookup { count, m } => (count, m, self.pq_us_per_byte),
         };
-        us * self.work_multiplier
+        let us = cast::f64_from_u64(count) * f64::from(width) * us_per_unit * self.cpu_factor;
+        us * self.work_multiplier.max(0.0)
     }
 
     /// Compiles a batch of traces.
@@ -282,8 +271,9 @@ impl PlanBuilder {
 
     /// Replicates a beam `io_fanout` times onto distinct device regions.
     fn fan_out(&self, reqs: &[IoReq]) -> Vec<IoReq> {
-        let mut fanned = Vec::with_capacity(reqs.len() * self.io_fanout);
-        for replica in 0..self.io_fanout as u64 {
+        let copies = self.io_fanout.max(1);
+        let mut fanned = Vec::with_capacity(reqs.len() * copies);
+        for replica in 0..cast::u64_from_usize(copies) {
             fanned.extend(reqs.iter().map(|r| r.shifted(replica * IO_FANOUT_STRIDE)));
         }
         fanned
@@ -303,10 +293,22 @@ mod tests {
         t
     }
 
+    /// The default price with no per-query overhead.
+    fn no_overhead() -> PlanBuilder {
+        PlanBuilder {
+            query_overhead_us: 0.0,
+            ..PlanBuilder::default()
+        }
+    }
+
+    /// CPU µs of `dists` 768-d distances plus `lookups` 48-byte PQ lookups.
+    fn work_us(b: &PlanBuilder, dists: f64, lookups: f64) -> f64 {
+        (dists * 768.0 * b.dist_us_per_dim + lookups * 48.0 * b.pq_us_per_byte) * b.cpu_factor
+    }
+
     #[test]
     fn compiles_in_order_with_merged_cpu() {
-        let b = PlanBuilder::new(CostModel::default());
-        let plan = b.build(&sample_trace());
+        let plan = PlanBuilder::default().build(&sample_trace());
         assert_eq!(plan.segments().len(), 3, "cpu, io, cpu");
         assert!(matches!(plan.segments()[0], Segment::Cpu { .. }));
         assert!(matches!(plan.segments()[1], Segment::Io { .. }));
@@ -316,46 +318,64 @@ mod tests {
     }
 
     #[test]
-    fn overhead_lands_in_first_segment() {
-        let cost = CostModel::default().with_overhead_us(500.0);
-        let plan = PlanBuilder::new(cost).build(&QueryTrace::new());
-        assert_eq!(plan.segments().len(), 1);
-        assert!((plan.cpu_us() - 500.0).abs() < 1e-9);
+    fn default_distance_is_submicrosecond_per_768d() {
+        let one = work_us(&PlanBuilder::default(), 1.0, 0.0);
+        assert!((0.05..1.0).contains(&one), "768-d distance {one} µs");
+    }
+
+    #[test]
+    fn cpu_factor_scales_work_and_overhead() {
+        let b = PlanBuilder {
+            query_overhead_us: 500.0,
+            cpu_factor: 6.0,
+            ..PlanBuilder::default()
+        };
+        let empty = b.build(&QueryTrace::new());
+        assert_eq!(empty.segments().len(), 1, "overhead lands in one segment");
+        assert!((empty.cpu_us() - 3000.0).abs() < 1e-9);
+        let plan = b.build(&sample_trace());
+        let expect = 3000.0 + work_us(&b, 104.0, 64.0);
+        assert!((plan.cpu_us() - expect).abs() < 1e-9);
     }
 
     #[test]
     fn fanout_applies_to_cpu_segments() {
-        let b = PlanBuilder::new(CostModel::default()).with_intra_parallelism(4);
-        let plan = b.build(&sample_trace());
-        match &plan.segments()[0] {
+        let b = PlanBuilder {
+            intra_parallelism: 4,
+            ..PlanBuilder::default()
+        };
+        match &b.build(&sample_trace()).segments()[0] {
             Segment::Cpu { fanout, .. } => assert_eq!(*fanout, 4),
             other => panic!("expected cpu, got {other:?}"),
         }
     }
 
     #[test]
-    fn cpu_time_matches_cost_model() {
-        let cost = CostModel::default().with_overhead_us(0.0);
-        let plan = PlanBuilder::new(cost).build(&sample_trace());
-        let expect = cost.compute_us(104, 768) + cost.pq_us(64, 48);
-        assert!((plan.cpu_us() - expect).abs() < 1e-9);
+    fn cpu_time_matches_the_price() {
+        let b = no_overhead();
+        let plan = b.build(&sample_trace());
+        assert!((plan.cpu_us() - work_us(&b, 104.0, 64.0)).abs() < 1e-9);
     }
 
     #[test]
     fn build_all_maps_each_trace() {
-        let b = PlanBuilder::new(CostModel::default());
-        let plans = b.build_all(&[sample_trace(), QueryTrace::new()]);
+        let plans = PlanBuilder::default().build_all(&[sample_trace(), QueryTrace::new()]);
         assert_eq!(plans.len(), 2);
         assert!(plans[1].read_bytes() == 0);
     }
 
     #[test]
     fn work_multiplier_spares_overhead() {
-        let cost = CostModel::default().with_overhead_us(100.0);
-        let base = PlanBuilder::new(cost).build(&sample_trace()).cpu_us();
-        let scaled = PlanBuilder::new(cost)
-            .with_work_multiplier(3.0)
-            .build(&sample_trace());
+        let b = PlanBuilder {
+            query_overhead_us: 100.0,
+            ..PlanBuilder::default()
+        };
+        let base = b.build(&sample_trace()).cpu_us();
+        let scaled = PlanBuilder {
+            work_multiplier: 3.0,
+            ..b
+        }
+        .build(&sample_trace());
         let expect = 100.0 + (base - 100.0) * 3.0;
         assert!(
             (scaled.cpu_us() - expect).abs() < 1e-6,
@@ -366,9 +386,11 @@ mod tests {
 
     #[test]
     fn io_fanout_replicates_beams_on_distinct_regions() {
-        let plan = PlanBuilder::new(CostModel::default())
-            .with_io_fanout(3)
-            .build(&sample_trace());
+        let plan = PlanBuilder {
+            io_fanout: 3,
+            ..PlanBuilder::default()
+        }
+        .build(&sample_trace());
         assert_eq!(plan.io_count(), 6, "2 reqs x 3 replicas");
         assert_eq!(plan.read_bytes(), 3 * 8192);
         match &plan.segments()[1] {
@@ -379,6 +401,28 @@ mod tests {
             }
             other => panic!("expected io, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_clamped() {
+        // Zero fan-outs compile serially and unreplicated; a negative work
+        // multiplier, per-beam charge or floor charges nothing.
+        let clamped = PlanBuilder {
+            intra_parallelism: 0,
+            io_fanout: 0,
+            work_multiplier: -2.0,
+            read_overhead_us: -50.0,
+            latency_floor_us: -10.0,
+            ..PlanBuilder::default()
+        };
+        let neutral = PlanBuilder {
+            work_multiplier: 0.0,
+            ..PlanBuilder::default()
+        };
+        assert_eq!(
+            clamped.build(&overlapped_trace()),
+            neutral.build(&overlapped_trace())
+        );
     }
 
     fn overlapped_trace() -> QueryTrace {
@@ -397,8 +441,8 @@ mod tests {
 
     #[test]
     fn overlapped_steps_compile_to_overlapped_segments() {
-        let cost = CostModel::default().with_overhead_us(0.0);
-        let plan = PlanBuilder::new(cost).build(&overlapped_trace());
+        let b = no_overhead();
+        let plan = b.build(&overlapped_trace());
         assert_eq!(plan.segments().len(), 3, "io, overlapped, cpu");
         assert!(matches!(plan.segments()[0], Segment::Io { .. }));
         match &plan.segments()[1] {
@@ -407,8 +451,7 @@ mod tests {
                 fanout,
                 reqs,
             } => {
-                let expect = cost.compute_us(8, 768) + cost.pq_us(64, 48);
-                assert!((total_us - expect).abs() < 1e-9);
+                assert!((total_us - work_us(&b, 8.0, 64.0)).abs() < 1e-9);
                 assert_eq!(*fanout, 1);
                 assert_eq!(reqs.len(), 2);
             }
@@ -418,15 +461,16 @@ mod tests {
         // Aggregates see the overlapped beam like any other.
         assert_eq!(plan.io_count(), 3);
         assert_eq!(plan.read_bytes(), 3 * 4096);
-        let cpu = cost.compute_us(8, 768) + cost.pq_us(64, 48) + cost.compute_us(4, 768);
-        assert!((plan.cpu_us() - cpu).abs() < 1e-9);
+        assert!((plan.cpu_us() - work_us(&b, 12.0, 64.0)).abs() < 1e-9);
     }
 
     #[test]
     fn io_fanout_replicates_overlapped_beams() {
-        let plan = PlanBuilder::new(CostModel::default())
-            .with_io_fanout(3)
-            .build(&overlapped_trace());
+        let plan = PlanBuilder {
+            io_fanout: 3,
+            ..PlanBuilder::default()
+        }
+        .build(&overlapped_trace());
         assert_eq!(plan.io_count(), 9, "(1 + 2) reqs x 3 replicas");
         // Default overhead makes segments [cpu, io, overlapped, cpu].
         match &plan.segments()[2] {
@@ -440,28 +484,17 @@ mod tests {
     }
 
     #[test]
-    fn read_overhead_charges_overlapped_beams_too() {
-        let cost = CostModel::default().with_overhead_us(0.0);
-        let plain = PlanBuilder::new(cost).build(&overlapped_trace()).cpu_us();
-        let with = PlanBuilder::new(cost)
-            .with_read_overhead_us(200.0)
-            .build(&overlapped_trace());
-        assert!(
-            (with.cpu_us() - plain - 400.0).abs() < 1e-6,
-            "one blocking + one overlapped beam in the trace"
-        );
-    }
-
-    #[test]
-    fn read_overhead_charges_per_beam() {
-        let cost = CostModel::default().with_overhead_us(0.0);
-        let plain = PlanBuilder::new(cost).build(&sample_trace()).cpu_us();
-        let with = PlanBuilder::new(cost)
-            .with_read_overhead_us(200.0)
-            .build(&sample_trace());
-        assert!(
-            (with.cpu_us() - plain - 200.0).abs() < 1e-6,
-            "one beam in the trace"
-        );
+    fn read_overhead_charges_every_beam() {
+        // One beam in the sample trace; one blocking + one overlapped beam
+        // in the overlapped trace.
+        for (trace, beams) in [(sample_trace(), 1.0), (overlapped_trace(), 2.0)] {
+            let plain = no_overhead().build(&trace).cpu_us();
+            let with = PlanBuilder {
+                read_overhead_us: 200.0,
+                ..no_overhead()
+            }
+            .build(&trace);
+            assert!((with.cpu_us() - plain - 200.0 * beams).abs() < 1e-6);
+        }
     }
 }

@@ -12,18 +12,22 @@
 //! | `overhead_us` | per-query fixed cost: RPC/HTTP handling, planning, result assembly |
 //! | `intra_fanout` | intra-query parallelism (Milvus executes one query across segments on multiple cores; the others are one-core-per-query) |
 //! | `scale_exponent` | how per-query cost grows with dataset size beyond the index's own growth (segment-per-query execution makes Milvus degrade ~linearly; Weaviate is nearly flat — paper O-6) |
+//! | `io_scale_exponent` | how read beams replicate with dataset size (Milvus issues one beam per data segment, and segments grow with the data — paper O-14) |
+//! | `hop_overhead_us` | CPU per read beam: the storage engine's I/O-path software cost |
+//! | `latency_floor_us` | core-free per-query latency: client round trip and scheduler hand-offs |
 //! | `max_clients` | client-side limits (LanceDB-HNSW runs out of memory above 128 query threads in the paper) |
 //!
+//! [`calibrated_plan_builder`](crate::setup::calibrated_plan_builder) is
+//! the one reader of the first seven: it composes them with the per-setup
+//! scale-extrapolation exponents it holds into an `engine::PlanBuilder`.
 //! Values are calibrated so the *relative shapes* of Figs. 2–4 hold; see
 //! EXPERIMENTS.md for the calibration notes.
 
-use sann_engine::{CostModel, FaultConfig, FaultProfile, PlanBuilder, RetryPolicy};
+use sann_engine::{FaultConfig, FaultProfile, RetryPolicy};
 
 /// Execution-architecture model of one database.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbProfile {
-    /// Database name as used in the paper's figures.
-    pub name: &'static str,
     /// Multiplier on all per-operation CPU costs.
     pub cpu_factor: f64,
     /// Fixed per-query CPU overhead, µs.
@@ -40,7 +44,8 @@ pub struct DbProfile {
     /// the paper's per-query read bytes grow 8.4–10.1× at 10× data, O-14).
     pub io_scale_exponent: f64,
     /// CPU charged per read beam beyond raw submission (storage-engine I/O
-    /// path: async context switches, polling, result handling), µs.
+    /// path: async context switches, polling, result handling), µs before
+    /// `cpu_factor`.
     pub hop_overhead_us: f64,
     /// Core-free per-query latency floor (client RPC round trip and
     /// scheduler hand-offs), µs.
@@ -67,7 +72,6 @@ impl DbProfile {
     /// grow (paper O-5/O-6: drops to 8–15% at 10× data).
     pub fn milvus() -> DbProfile {
         DbProfile {
-            name: "milvus",
             cpu_factor: 1.0,
             overhead_us: 40.0,
             intra_fanout: 6,
@@ -87,7 +91,6 @@ impl DbProfile {
     /// better scaling with dataset size (drops to ~30–60% at 10×).
     pub fn qdrant() -> DbProfile {
         DbProfile {
-            name: "qdrant",
             cpu_factor: 2.6,
             overhead_us: 60.0,
             intra_fanout: 1,
@@ -108,7 +111,6 @@ impl DbProfile {
     /// small increases).
     pub fn weaviate() -> DbProfile {
         DbProfile {
-            name: "weaviate",
             cpu_factor: 4.5,
             overhead_us: 80.0,
             intra_fanout: 1,
@@ -129,7 +131,6 @@ impl DbProfile {
     /// threads (paper §IV-A).
     pub fn lancedb() -> DbProfile {
         DbProfile {
-            name: "lancedb",
             cpu_factor: 5.0,
             overhead_us: 2_500.0,
             intra_fanout: 1,
@@ -143,21 +144,6 @@ impl DbProfile {
             retry_backoff_us: 1_000.0,
             hedge_after_us: 0.0,
         }
-    }
-
-    /// The plan compiler for this profile at a given dataset `size_ratio`
-    /// (1.0 = the family's small dataset, 10.0 = the large one).
-    pub fn plan_builder(&self, size_ratio: f64) -> PlanBuilder {
-        let factor = self.cpu_factor * size_ratio.max(1e-9).powf(self.scale_exponent);
-        let io_fanout = size_ratio.max(1.0).powf(self.io_scale_exponent).round() as usize;
-        let cost = CostModel::default()
-            .scaled(factor)
-            .with_overhead_us(self.overhead_us);
-        PlanBuilder::new(cost)
-            .with_intra_parallelism(self.intra_fanout)
-            .with_io_fanout(io_fanout)
-            .with_read_overhead_us(self.hop_overhead_us * self.cpu_factor)
-            .with_latency_floor_us(self.latency_floor_us)
     }
 
     /// Whether `concurrency` client threads are supported.
@@ -188,6 +174,7 @@ impl DbProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::{calibrated_plan_builder, SetupKind};
     use sann_index::QueryTrace;
 
     fn unit_trace() -> QueryTrace {
@@ -196,29 +183,30 @@ mod tests {
         t
     }
 
+    /// CPU µs of the unit trace under `kind`'s profile alone (scale 1.0
+    /// leaves the scale extrapolation out).
+    fn cpu_us(kind: SetupKind, size_ratio: f64) -> f64 {
+        calibrated_plan_builder(kind, size_ratio, 1.0)
+            .build(&unit_trace())
+            .cpu_us()
+    }
+
     #[test]
     fn milvus_is_fastest_per_query_on_small_data() {
-        let trace = unit_trace();
-        let cpu = |p: DbProfile| p.plan_builder(1.0).build(&trace).cpu_us();
-        let m = cpu(DbProfile::milvus());
-        let q = cpu(DbProfile::qdrant());
-        let w = cpu(DbProfile::weaviate());
-        let l = cpu(DbProfile::lancedb());
+        let m = cpu_us(SetupKind::MilvusHnsw, 1.0);
+        let q = cpu_us(SetupKind::QdrantHnsw, 1.0);
+        let w = cpu_us(SetupKind::WeaviateHnsw, 1.0);
+        let l = cpu_us(SetupKind::LancedbHnsw, 1.0);
         assert!(m < q && q < w, "milvus {m} < qdrant {q} < weaviate {w}");
         assert!(l > w, "lancedb {l} slowest");
     }
 
     #[test]
     fn milvus_degrades_most_with_dataset_size() {
-        let trace = unit_trace();
-        let ratio = |p: DbProfile| {
-            let small = p.plan_builder(1.0).build(&trace).cpu_us();
-            let large = p.plan_builder(10.0).build(&trace).cpu_us();
-            large / small
-        };
-        let m = ratio(DbProfile::milvus());
-        let q = ratio(DbProfile::qdrant());
-        let w = ratio(DbProfile::weaviate());
+        let ratio = |kind| cpu_us(kind, 10.0) / cpu_us(kind, 1.0);
+        let m = ratio(SetupKind::MilvusHnsw);
+        let q = ratio(SetupKind::QdrantHnsw);
+        let w = ratio(SetupKind::WeaviateHnsw);
         assert!(m > 8.0, "milvus 10x-data cost ratio {m}");
         assert!((1.5..5.0).contains(&q), "qdrant ratio {q}");
         assert!(w < 1.5, "weaviate ratio {w}");

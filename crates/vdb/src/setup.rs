@@ -4,8 +4,9 @@
 
 use crate::collection::IndexSpec;
 use crate::profiles::DbProfile;
-use sann_core::{Dataset, Metric, Result};
+use sann_core::{cast, Dataset, Metric, Result};
 use sann_datagen::{DatasetSpec, GroundTruth};
+use sann_engine::PlanBuilder;
 use sann_index::{
     default_pq_m, DiskAnnConfig, HnswConfig, IoStrategy, IvfConfig, SearchParams, VamanaConfig,
     VectorIndex,
@@ -316,9 +317,8 @@ impl Setup {
         Ok(traces)
     }
 
-    /// The dataset-size ratio fed to
-    /// [`DbProfile::plan_builder`]: 1.0 for the family's small variant,
-    /// 10.0 for the large one.
+    /// The dataset-size ratio fed to [`calibrated_plan_builder`]: 1.0 for
+    /// the family's small variant, 10.0 for the large one.
     pub fn size_ratio(spec: &DatasetSpec) -> f64 {
         if spec.name.ends_with("-l") {
             10.0
@@ -328,8 +328,16 @@ impl Setup {
     }
 }
 
-/// The plan compiler for a setup: the DB profile's architecture model
-/// composed with the **scale-extrapolation** model.
+/// The plan compiler for a setup: the one place a [`PlanBuilder`] is
+/// filled. It composes the DB profile's architecture model with the
+/// **scale-extrapolation** model.
+///
+/// From the [`DbProfile`]: the per-query overhead, the per-beam charge
+/// (`hop_overhead_us × cpu_factor`), the latency floor, a CPU factor of
+/// `cpu_factor × size_ratio^scale_exponent`, the intra-query fan-out (2
+/// instead for Milvus-IVF), and
+/// `size_ratio^io_scale_exponent` copies of every read beam (one per data
+/// segment: ×10 for Milvus on a large dataset).
 ///
 /// Traces are collected on datasets `scale`× smaller than the paper's, but
 /// per-query work in the measured systems does not shrink linearly with the
@@ -343,27 +351,35 @@ impl Setup {
 /// `size_ratio` is 1.0 for a family's small dataset and 10.0 for the large
 /// one; `scale` is the dataset scale relative to the paper (1.0 = paper
 /// size, at which the extrapolation is the identity).
-pub fn calibrated_plan_builder(
-    kind: SetupKind,
-    size_ratio: f64,
-    scale: f64,
-) -> sann_engine::PlanBuilder {
-    let mut builder = kind.profile().plan_builder(size_ratio);
+pub fn calibrated_plan_builder(kind: SetupKind, size_ratio: f64, scale: f64) -> PlanBuilder {
+    let db = kind.profile();
     let inv = (1.0 / scale.max(1e-12)).max(1.0);
-    let (work, io) = match kind {
-        SetupKind::MilvusIvf => (inv.powf(0.8), 1.0),
-        SetupKind::LancedbIvf => (inv.powf(0.75), inv.powf(0.5)),
-        SetupKind::MilvusDiskann => (inv.powf(0.5), 1.0),
-        _ => (inv.powf(0.69), 1.0), // the HNSW setups
+    // (work exponent γ, read-replication exponent) per index family.
+    let (work_exp, read_exp) = match kind {
+        SetupKind::MilvusIvf => (0.8, 0.0),
+        SetupKind::LancedbIvf => (0.75, 0.5),
+        SetupKind::MilvusDiskann => (0.5, 0.0),
+        _ => (0.69, 0.0), // the HNSW setups
     };
-    if kind == SetupKind::MilvusIvf {
-        // Milvus parallelizes IVF scans more coarsely than graph searches;
-        // modeled as a smaller fan-out (fitted so IVF tail latency sits
-        // above DiskANN's, as in Fig. 3).
-        builder = builder.with_intra_parallelism(2);
+    // Milvus parallelizes IVF scans more coarsely than graph searches;
+    // modeled as a smaller fan-out (fitted so IVF tail latency sits above
+    // DiskANN's, as in Fig. 3).
+    let intra_parallelism = match kind {
+        SetupKind::MilvusIvf => 2,
+        _ => db.intra_fanout,
+    };
+    let segments = size_ratio.max(1.0).powf(db.io_scale_exponent).round();
+    let reads = inv.powf(read_exp).round().max(1.0);
+    PlanBuilder {
+        query_overhead_us: db.overhead_us,
+        read_overhead_us: db.hop_overhead_us * db.cpu_factor,
+        latency_floor_us: db.latency_floor_us,
+        cpu_factor: db.cpu_factor * size_ratio.max(1e-9).powf(db.scale_exponent),
+        work_multiplier: inv.powf(work_exp),
+        intra_parallelism,
+        io_fanout: cast::usize_from_u64(cast::u64_from_f64(segments * reads)),
+        ..PlanBuilder::default()
     }
-    let fanout = builder.io_fanout() * (io.round().max(1.0) as usize);
-    builder.with_work_multiplier(work).with_io_fanout(fanout)
 }
 
 #[cfg(test)]

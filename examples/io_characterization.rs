@@ -8,7 +8,7 @@ use sann::core::Metric;
 use sann::datagen::EmbeddingModel;
 use sann::engine::{Executor, RunConfig};
 use sann::index::{DiskAnnConfig, SearchParams, VectorIndex};
-use sann::vdb::DbProfile;
+use sann::vdb::setup::{calibrated_plan_builder, SetupKind};
 
 fn main() -> sann::core::Result<()> {
     let model = EmbeddingModel::new(768, 16, 11);
@@ -23,9 +23,9 @@ fn main() -> sann::core::Result<()> {
         traces.push(index.search(q, 10, &params)?.trace);
     }
 
-    // Compile them under the Milvus profile and replay at three concurrency
-    // levels for a simulated 5 seconds each.
-    let builder = DbProfile::milvus().plan_builder(1.0);
+    // Compile them under the Milvus profile (scale 1.0: no extrapolation)
+    // and replay at three concurrency levels for a simulated 5 seconds each.
+    let builder = calibrated_plan_builder(SetupKind::MilvusDiskann, 1.0, 1.0);
     let plans = builder.build_all(&traces);
     println!("concurrency   QPS     P99(us)   MiB/s    4KiB-frac  per-query-MiB/s");
     for concurrency in [1usize, 16, 256] {

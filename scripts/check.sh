@@ -31,6 +31,12 @@ echo "==> cargo test"
 # (sann-engine) and vdbbench all / iostat / explore (sann-bench).
 cargo test -q --workspace
 
+echo "==> benchmark/ against the crates it measures"
+# benchmark/ is a package of its own, outside the workspace, so nothing
+# above compiles it: a deleted public item it uses would pass the gate.
+# --locked fails instead of rewriting its tracked Cargo.lock.
+cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> observability overhead gate (BENCH_obs.json)"
 # Asserts span tracing at level `run` and provenance tagging each cost
 # < 2% over the untraced/untagged hot loop, and archives the measured
