@@ -294,7 +294,8 @@ mod tests {
         explore --bogus => error: unknown explore flag `--bogus`
         --scale banana table1 => error: bad value for --scale: `banana`
         table1 --scale => error: --scale needs a value
-        --trace-level verbose trace => error: bad value for --trace-level: `verbose` (off|run|query|io)
+        --trace-level verbose trace => error: bad value for --trace-level: `verbose` (off|query|io)
+        --trace-level run trace => error: bad value for --trace-level: `run` (off|query|io)
         --fault-profile catastrophic fig5 => error: `catastrophic` (none|aging|gc-heavy|flaky)
         --prep-threads 0 table2 => error: bad value for --prep-threads: `0`
         frobnicate => error: unknown subcommand `frobnicate`

@@ -90,7 +90,7 @@ pub struct BenchContext {
     /// export. The Chrome/Perfetto JSON goes to this path and the JSONL
     /// sibling next to it with a `.jsonl` extension.
     pub trace_out: Option<PathBuf>,
-    /// Span-tracing verbosity (`--trace-level {off,run,query,io}`).
+    /// Span-tracing verbosity (`--trace-level {off,query,io}`).
     pub trace_level: TraceLevel,
     /// Injected SSD fault profile (`--fault-profile
     /// {none,aging,gc-heavy,flaky}`). Each setup reacts with its own
@@ -117,7 +117,7 @@ pub struct BenchContext {
 /// is the grammar).
 pub const GLOBAL_FLAGS: &str = "[--scale X] [--cores N] [--duration-secs S] [--dataset NAME] \
     [--results DIR] [--cache-dir DIR] [--no-cache] [--prep-threads N] [--trace-out PATH] \
-    [--trace-level off|run|query|io] [--fault-profile none|aging|gc-heavy|flaky]";
+    [--trace-level off|query|io] [--fault-profile none|aging|gc-heavy|flaky]";
 
 impl BenchContext {
     /// Creates a context with paper-default settings at the given scale.
@@ -176,7 +176,7 @@ impl BenchContext {
                 "--trace-level" => {
                     let value = value()?;
                     ctx.trace_level = TraceLevel::parse(value)
-                        .ok_or_else(|| bad_value(flag, value, "off|run|query|io"))?;
+                        .ok_or_else(|| bad_value(flag, value, "off|query|io"))?;
                 }
                 "--fault-profile" => {
                     let value = value()?;

@@ -14,10 +14,8 @@
 //! work a query does; what it costs, when it runs and which phase it bills
 //! to are the engine's to decide.
 
+use crate::layout::SECTOR_BYTES;
 use sann_core::{cast, Error, Neighbor, Result};
-
-/// Sector size every storage-resident layout in this workspace is built on.
-const SECTOR_BYTES: u64 = 4096;
 
 /// One block-level read request, 4 KiB-aligned by construction of the disk
 /// layouts in [`crate::layout`].

@@ -17,10 +17,9 @@ use std::fmt;
 /// everything below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
-    /// Record nothing; every tracer call is a no-op.
+    /// Record no spans; every tracer call is a no-op. The run's metrics,
+    /// phase breakdown and registry are filled at every level.
     Off,
-    /// Run-level aggregates only (phase breakdown, counters); no spans.
-    Run,
     /// Per-query spans with per-phase children.
     Query,
     /// Everything above plus one [`IoSpan`] per device request.
@@ -29,18 +28,12 @@ pub enum TraceLevel {
 
 impl TraceLevel {
     /// All levels in ascending order (the `--trace-level` ladder).
-    pub const ALL: [TraceLevel; 4] = [
-        TraceLevel::Off,
-        TraceLevel::Run,
-        TraceLevel::Query,
-        TraceLevel::Io,
-    ];
+    pub const ALL: [TraceLevel; 3] = [TraceLevel::Off, TraceLevel::Query, TraceLevel::Io];
 
-    /// Parses the CLI spelling (`off`, `run`, `query`, `io`).
+    /// Parses the CLI spelling (`off`, `query`, `io`).
     pub fn parse(s: &str) -> Option<TraceLevel> {
         match s {
             "off" => Some(TraceLevel::Off),
-            "run" => Some(TraceLevel::Run),
             "query" => Some(TraceLevel::Query),
             "io" => Some(TraceLevel::Io),
             _ => None,
@@ -51,7 +44,6 @@ impl TraceLevel {
     pub fn name(self) -> &'static str {
         match self {
             TraceLevel::Off => "off",
-            TraceLevel::Run => "run",
             TraceLevel::Query => "query",
             TraceLevel::Io => "io",
         }
@@ -452,10 +444,9 @@ mod tests {
 
     #[test]
     fn level_ladder() {
-        assert!(TraceLevel::Off < TraceLevel::Run);
-        assert!(TraceLevel::Run < TraceLevel::Query);
+        assert!(TraceLevel::Off < TraceLevel::Query);
         assert!(TraceLevel::Query < TraceLevel::Io);
-        assert!(!TraceLevel::Run.spans());
+        assert!(!TraceLevel::Off.spans());
         assert!(TraceLevel::Query.spans());
         assert!(!TraceLevel::Query.io());
         assert!(TraceLevel::Io.io());
@@ -463,6 +454,7 @@ mod tests {
             assert_eq!(TraceLevel::parse(lvl.name()), Some(lvl));
         }
         assert_eq!(TraceLevel::parse("verbose"), None);
+        assert_eq!(TraceLevel::parse("run"), None);
     }
 
     #[test]
@@ -504,15 +496,13 @@ mod tests {
 
     #[test]
     fn disabled_levels_record_nothing() {
-        for lvl in [TraceLevel::Off, TraceLevel::Run] {
-            let mut t = Tracer::new(lvl);
-            let q = t.begin_span(SpanId::NONE, 0, SpanName::Query { plan: 0 }, 0);
-            assert_eq!(q, SpanId::NONE);
-            t.end_span(q, 10);
-            let trace = t.finish(10);
-            assert!(trace.spans.is_empty());
-            trace.validate().unwrap();
-        }
+        let mut t = Tracer::new(TraceLevel::Off);
+        let q = t.begin_span(SpanId::NONE, 0, SpanName::Query { plan: 0 }, 0);
+        assert_eq!(q, SpanId::NONE);
+        t.end_span(q, 10);
+        let trace = t.finish(10);
+        assert!(trace.spans.is_empty());
+        trace.validate().unwrap();
         // Query level records spans but drops io.
         let mut t = Tracer::new(TraceLevel::Query);
         let q = t.begin_span(SpanId::NONE, 0, SpanName::Query { plan: 0 }, 0);

@@ -4,59 +4,29 @@
 //! `.rs` file of every product crate (all trees: `src/` including
 //! `src/bin/`, `tests/`, `benches/`, `examples/`, plus the workspace-root
 //! facade and integration tests), resolves `sann-lint: allow` markers,
-//! applies the ratcheted baseline, and renders the result as a human table
-//! or SARIF 2.1 ([`crate::sarif`]).
+//! applies the ratcheted baseline, and renders the result as a table.
+//! Every rule runs on every file. The run reads two files from the root it
+//! scans, `analyze-baseline.toml` and `analyze-hotpaths.toml`; a missing
+//! one is empty.
 //!
 //! Severity policy by tree: deny-rules (determinism, layering) apply
 //! everywhere; ratcheted rules (panic-path, cast-truncation, hot-*) apply
-//! to `src/` trees only and skip `#[cfg(test)]` modules — tests may unwrap.
+//! to `src/` trees only and skip `#[cfg(test)]` items — tests may unwrap.
 
 use crate::baseline::{Baseline, MiniToml};
 use crate::lexer;
-use crate::rules::{self, Family, Finding, RuleCtx, Severity, Tree};
-use crate::sarif;
+use crate::rules::{self, Finding, RuleCtx, Severity, Tree};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Output format of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Format {
-    /// Human-readable table plus per-finding lines.
-    Text,
-    /// SARIF 2.1.0 JSON (byte-stable).
-    Sarif,
-}
+/// The ratcheted per-(rule, crate) counts, relative to the scanned root.
+/// Without it every ratcheted finding regresses.
+const BASELINE_FILE: &str = "analyze-baseline.toml";
 
-/// Everything configuring one `analyze` run.
-#[derive(Debug, Clone)]
-pub struct Options {
-    /// Workspace root (or a fixture tree).
-    pub root: PathBuf,
-    /// Rule families to run (empty = all).
-    pub families: Vec<Family>,
-    /// Baseline file; defaults to `<root>/analyze-baseline.toml`. A missing
-    /// file is an empty baseline (every ratcheted finding regresses).
-    pub baseline_path: Option<PathBuf>,
-    /// Hot-path manifest; defaults to `<root>/analyze-hotpaths.toml`.
-    pub hotpaths_path: Option<PathBuf>,
-}
-
-impl Options {
-    /// Default options over `root`: all families, default file locations.
-    pub fn new(root: impl Into<PathBuf>) -> Options {
-        Options {
-            root: root.into(),
-            families: Vec::new(),
-            baseline_path: None,
-            hotpaths_path: None,
-        }
-    }
-
-    fn family_on(&self, family: Family) -> bool {
-        self.families.is_empty() || self.families.contains(&family)
-    }
-}
+/// The hot-path manifest: `"<file>" = "<fn>, <fn>"` under `[hot]`, the one
+/// way a function is marked hot.
+const HOTPATHS_FILE: &str = "analyze-hotpaths.toml";
 
 /// One ratchet regression: a (rule, crate) count above its baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,19 +89,6 @@ impl Analysis {
             }
         }
         out
-    }
-
-    /// Allow-markers used inside a given crate directory name.
-    pub fn markers_in_crate(&self, krate: &str) -> usize {
-        self.allowed.iter().filter(|f| f.krate == krate).count()
-    }
-
-    /// Renders the SARIF form (see [`crate::sarif`]).
-    pub fn render_sarif(&self) -> String {
-        let mut unsuppressed: Vec<Finding> = Vec::new();
-        unsuppressed.extend(self.violations.iter().cloned());
-        unsuppressed.extend(self.ratcheted.iter().cloned());
-        sarif::render(&unsuppressed, &self.allowed)
     }
 
     /// Renders the human table plus failure details.
@@ -230,22 +187,32 @@ struct Job {
     tree: Tree,
 }
 
-/// Runs the analyzer over `opts.root`.
+/// Runs every rule over the workspace (or fixture tree) at `root`.
 ///
 /// # Errors
 ///
 /// Returns a message when the directory walk, a file read, the baseline, or
 /// the hot-path manifest fails to parse.
-pub fn run(opts: &Options) -> Result<Analysis, String> {
-    let jobs = collect_jobs(&opts.root)?;
-    let hotpaths = load_hotpaths(opts)?;
+pub fn run(root: &Path) -> Result<Analysis, String> {
+    let jobs = collect_jobs(root)?;
+    let hotpaths = load_hotpaths(root)?;
     let mut analysis = Analysis {
-        baseline: load_baseline(opts)?,
+        baseline: load_baseline(root)?,
         ..Analysis::default()
     };
 
     for job in jobs {
-        scan_file(opts, &job, &hotpaths, &mut analysis)?;
+        let source = std::fs::read_to_string(&job.path)
+            .map_err(|e| format!("read {}: {e}", job.path.display()))?;
+        let hot_fns = hotpaths.get(&job.rel).map_or(&[][..], Vec::as_slice);
+        scan_source(
+            &job.rel,
+            &job.krate,
+            job.tree,
+            &source,
+            hot_fns,
+            &mut analysis,
+        );
         analysis.files += 1;
     }
 
@@ -279,14 +246,14 @@ pub fn run(opts: &Options) -> Result<Analysis, String> {
     Ok(analysis)
 }
 
-/// Writes the current ratcheted counts to the baseline file; returns its
-/// path and rendered contents.
+/// Writes the current ratcheted counts to `<root>/analyze-baseline.toml`;
+/// returns its path and rendered contents.
 ///
 /// # Errors
 ///
 /// Returns a message when the analysis or the write fails.
-pub fn update_baseline(opts: &Options) -> Result<(PathBuf, String), String> {
-    let analysis = run(opts)?;
+pub fn update_baseline(root: &Path) -> Result<(PathBuf, String), String> {
+    let analysis = run(root)?;
     if !analysis.violations.is_empty() || !analysis.marker_errors.is_empty() {
         return Err(
             "refusing to write a baseline while deny-rule violations or marker errors exist \
@@ -295,20 +262,14 @@ pub fn update_baseline(opts: &Options) -> Result<(PathBuf, String), String> {
         );
     }
     let baseline = Baseline::from_counts(&analysis.counts);
-    let path = baseline_path(opts);
+    let path = root.join(BASELINE_FILE);
     let text = baseline.render();
     std::fs::write(&path, &text).map_err(|e| format!("write {}: {e}", path.display()))?;
     Ok((path, text))
 }
 
-fn baseline_path(opts: &Options) -> PathBuf {
-    opts.baseline_path
-        .clone()
-        .unwrap_or_else(|| opts.root.join("analyze-baseline.toml"))
-}
-
-fn load_baseline(opts: &Options) -> Result<Baseline, String> {
-    let path = baseline_path(opts);
+fn load_baseline(root: &Path) -> Result<Baseline, String> {
+    let path = root.join(BASELINE_FILE);
     if !path.is_file() {
         return Ok(Baseline::empty());
     }
@@ -322,11 +283,8 @@ fn load_baseline(opts: &Options) -> Result<Baseline, String> {
 /// An entry naming a file that does not exist, or a function its file does
 /// not define, is an error: after a split or a rename it would otherwise
 /// drop the function from the hot-path rules without a word.
-fn load_hotpaths(opts: &Options) -> Result<BTreeMap<String, Vec<String>>, String> {
-    let path = opts
-        .hotpaths_path
-        .clone()
-        .unwrap_or_else(|| opts.root.join("analyze-hotpaths.toml"));
+fn load_hotpaths(root: &Path) -> Result<BTreeMap<String, Vec<String>>, String> {
+    let path = root.join(HOTPATHS_FILE);
     if !path.is_file() {
         return Ok(BTreeMap::new());
     }
@@ -343,8 +301,8 @@ fn load_hotpaths(opts: &Options) -> Result<BTreeMap<String, Vec<String>>, String
     }
     for (file, fns) in &map {
         let stale = |what: String| format!("{}: stale entry: {what}", path.display());
-        let source = std::fs::read_to_string(opts.root.join(file))
-            .map_err(|e| stale(format!("{file}: {e}")))?;
+        let source =
+            std::fs::read_to_string(root.join(file)).map_err(|e| stale(format!("{file}: {e}")))?;
         let toks = lexer::lex(&source);
         let defined: Vec<&str> = rules::fn_extents(&toks)
             .iter()
@@ -392,9 +350,9 @@ fn collect_jobs(root: &Path) -> Result<Vec<Job>, String> {
         }
         for (sub, tree) in [
             ("src", Tree::Src),
-            ("tests", Tree::Tests),
-            ("benches", Tree::Benches),
-            ("examples", Tree::Examples),
+            ("tests", Tree::Aux),
+            ("benches", Tree::Aux),
+            ("examples", Tree::Aux),
         ] {
             let tdir = dir.join(sub);
             if tdir.is_dir() {
@@ -405,8 +363,8 @@ fn collect_jobs(root: &Path) -> Result<Vec<Job>, String> {
     // Workspace-root facade crate and integration trees.
     for (sub, tree) in [
         ("src", Tree::Src),
-        ("tests", Tree::Tests),
-        ("examples", Tree::Examples),
+        ("tests", Tree::Aux),
+        ("examples", Tree::Aux),
     ] {
         let tdir = root.join(sub);
         if tdir.is_dir() {
@@ -496,32 +454,8 @@ fn parse_marker(line: &str) -> Result<Option<Marker>, String> {
     }))
 }
 
-fn scan_file(
-    opts: &Options,
-    job: &Job,
-    hotpaths: &BTreeMap<String, Vec<String>>,
-    analysis: &mut Analysis,
-) -> Result<(), String> {
-    let source = std::fs::read_to_string(&job.path)
-        .map_err(|e| format!("read {}: {e}", job.path.display()))?;
-    scan_source(
-        opts,
-        &job.path,
-        &job.rel,
-        &job.krate,
-        job.tree,
-        &source,
-        hotpaths.get(&job.rel).map(Vec::as_slice).unwrap_or(&[]),
-        analysis,
-    );
-    Ok(())
-}
-
-/// Scans one in-memory source file.
-#[allow(clippy::too_many_arguments)]
+/// Scans one in-memory source file with every rule.
 fn scan_source(
-    opts: &Options,
-    file: &Path,
     rel: &str,
     krate: &str,
     tree: Tree,
@@ -534,7 +468,6 @@ fn scan_source(
     let test_mask = rules::cfg_test_mask(&toks);
     let hot_ranges = rules::hot_ranges(&toks, hot_fns);
     let ctx = RuleCtx {
-        file,
         rel,
         krate,
         tree,
@@ -545,21 +478,11 @@ fn scan_source(
     };
 
     let mut found = Vec::new();
-    if opts.family_on(Family::Determinism) {
-        rules::determinism::check(&ctx, &mut found);
-    }
-    if opts.family_on(Family::Layering) {
-        rules::layering::check(&ctx, &mut found);
-    }
-    if opts.family_on(Family::PanicPath) {
-        rules::panic_path::check(&ctx, &mut found);
-    }
-    if opts.family_on(Family::CastSafety) {
-        rules::cast_safety::check(&ctx, &mut found);
-    }
-    if opts.family_on(Family::HotLoop) {
-        rules::hot_loop::check(&ctx, &mut found);
-    }
+    rules::determinism::check(&ctx, &mut found);
+    rules::layering::check(&ctx, &mut found);
+    rules::panic_path::check(&ctx, &mut found);
+    rules::cast_safety::check(&ctx, &mut found);
+    rules::hot_loop::check(&ctx, &mut found);
 
     // Markers live in comments, so they are parsed from the raw lines.
     let mut markers: Vec<Option<Marker>> = Vec::with_capacity(raw_lines.len());
@@ -616,24 +539,13 @@ pub fn workspace_root() -> PathBuf {
 mod tests {
     use super::*;
 
-    /// Scans one source string under the determinism family alone.
+    /// Scans one source string with every rule.
     fn scan_str(source: &str) -> Analysis {
-        let mut opts = Options::new(".");
-        opts.families = vec![Family::Determinism];
         let mut analysis = Analysis {
             files: 1,
             ..Analysis::default()
         };
-        scan_source(
-            &opts,
-            Path::new("test.rs"),
-            "test.rs",
-            "fixture",
-            Tree::Src,
-            source,
-            &[],
-            &mut analysis,
-        );
+        scan_source("test.rs", "fixture", Tree::Src, source, &[], &mut analysis);
         analysis
     }
 
@@ -731,14 +643,14 @@ fn f() {
     }
 
     #[test]
-    fn markers_for_unselected_families_are_recognized() {
-        // The marker namespace is the full registry: a cast-safety marker in
-        // product code must not be a bad-marker error under
-        // `--rules determinism`.
+    fn markers_for_ratcheted_rules_suppress() {
+        // The marker namespace is the full registry, deny and ratchet alike.
         let source =
             "// sann-lint: allow(cast-truncation) -- lossless by construction\nlet x = y as u64;\n";
         let analysis = scan_str(source);
         assert!(analysis.ok(), "{:?}", analysis.marker_errors);
+        assert_eq!(analysis.allowed.len(), 1);
+        assert!(analysis.ratcheted.is_empty());
     }
 
     #[test]

@@ -91,22 +91,21 @@ pub fn run() -> Result<String, String> {
         return Err("flaky fault profile left every cell untouched".into());
     }
     Ok(format!(
-        "determinism: PASS — {} cells byte-identical across two seeded runs plus cold/warm artifact-cache replays, a flaky fault-profile sweep replayed byte-for-byte ({audited} metric bytes compared), and the static analyzer's text/SARIF/baseline outputs byte-stable across a double run",
+        "determinism: PASS — {} cells byte-identical across two seeded runs plus cold/warm artifact-cache replays, a flaky fault-profile sweep replayed byte-for-byte ({audited} metric bytes compared), and the static analyzer's text/baseline outputs byte-stable across a double run",
         first.len()
     ))
 }
 
 /// Double-runs the static analyzer over the workspace and demands that its
-/// own outputs — the text report, the SARIF export, and the rendered
-/// baseline — are byte-identical. The tool that audits determinism is held
-/// to the same contract as the code it audits.
+/// own outputs — the text report and the rendered baseline — are
+/// byte-identical. The tool that audits determinism is held to the same
+/// contract as the code it audits.
 fn analyzer_self_check() -> Result<(), String> {
-    let opts = crate::analyze::Options::new(crate::analyze::workspace_root());
-    let first = crate::analyze::run(&opts)?;
-    let second = crate::analyze::run(&opts)?;
+    let root = crate::analyze::workspace_root();
+    let first = crate::analyze::run(&root)?;
+    let second = crate::analyze::run(&root)?;
     for (what, a, b) in [
         ("text report", first.render_text(), second.render_text()),
-        ("SARIF export", first.render_sarif(), second.render_sarif()),
         (
             "baseline render",
             crate::baseline::Baseline::from_counts(&first.counts).render(),

@@ -10,9 +10,9 @@
 //!   every product crate and applies the [`rules`] registry: the determinism
 //!   deny-set, crate-layering against the declared dependency DAG,
 //!   panic-path and cast-safety audits ratcheted against
-//!   [`baseline`]-recorded counts, and hot-loop hygiene for functions marked
-//!   `#[sann::hot]` or listed in the hot-path manifest. Results render as a
-//!   human table or SARIF 2.1 ([`sarif`]);
+//!   [`baseline`]-recorded counts, and hot-loop hygiene for the functions
+//!   listed in the hot-path manifest. Every rule runs on every run, and the
+//!   result renders as one table;
 //! * **dynamically** — [`determinism`] runs a small end-to-end sweep twice
 //!   with the same seed and diffs the canonical metric encodings byte for
 //!   byte, validating every query trace on the way — and double-runs the
@@ -25,4 +25,3 @@ pub mod baseline;
 pub mod determinism;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;

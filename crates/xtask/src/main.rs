@@ -1,23 +1,20 @@
 //! CLI entry point for the workspace checker.
 //!
 //! ```text
-//! sann-xtask analyze [--root DIR] [--rules FAMILY,...] [--format text|sarif]
-//!                    [--baseline FILE] [--hotpaths FILE] [--update-baseline]
+//! sann-xtask analyze [--root DIR] [--update-baseline]
 //! sann-xtask determinism
 //! ```
 //!
-//! `analyze` is the static checker (`--rules determinism` selects the
-//! determinism deny-set alone); `determinism` is the runtime double-run
-//! audit.
+//! `analyze` is the static checker: every rule over the workspace (or the
+//! tree at `--root`), against that root's `analyze-baseline.toml` and
+//! `analyze-hotpaths.toml`. `determinism` is the runtime double-run audit.
 
-use sann_xtask::analyze::{self, Format, Options};
-use sann_xtask::rules::Family;
+use sann_xtask::analyze;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: sann-xtask <analyze|determinism> [options]\n\
-    analyze [--root DIR] [--rules FAMILY,...] [--format text|sarif]\n\
-    \x20       [--baseline FILE] [--hotpaths FILE] [--update-baseline]\n\
+    analyze [--root DIR] [--update-baseline]\n\
     determinism";
 
 fn main() -> ExitCode {
@@ -37,49 +34,17 @@ fn main() -> ExitCode {
 }
 
 fn run_analyze(rest: &[String]) -> ExitCode {
-    let mut opts = Options::new(analyze::workspace_root());
-    let mut format = Format::Text;
+    let mut root = analyze::workspace_root();
     let mut update_baseline = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => match it.next() {
-                Some(dir) => opts.root = PathBuf::from(dir),
-                None => return flag_needs("--root", "a directory"),
-            },
-            "--rules" => match it.next() {
-                Some(list) => {
-                    for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                        match Family::parse(name) {
-                            Some(f) => opts.families.push(f),
-                            None => {
-                                eprintln!(
-                                    "unknown rule family `{name}` (families: {})",
-                                    Family::ALL
-                                        .iter()
-                                        .map(|f| f.name())
-                                        .collect::<Vec<_>>()
-                                        .join(", ")
-                                );
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
+                Some(dir) => root = PathBuf::from(dir),
+                None => {
+                    eprintln!("--root needs a directory");
+                    return ExitCode::FAILURE;
                 }
-                None => return flag_needs("--rules", "a family list"),
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("sarif") => format = Format::Sarif,
-                _ => return flag_needs("--format", "`text` or `sarif`"),
-            },
-            "--baseline" => match it.next() {
-                Some(path) => opts.baseline_path = Some(PathBuf::from(path)),
-                None => return flag_needs("--baseline", "a file"),
-            },
-            "--hotpaths" => match it.next() {
-                Some(path) => opts.hotpaths_path = Some(PathBuf::from(path)),
-                None => return flag_needs("--hotpaths", "a file"),
             },
             "--update-baseline" => update_baseline = true,
             other => {
@@ -90,7 +55,7 @@ fn run_analyze(rest: &[String]) -> ExitCode {
     }
 
     if update_baseline {
-        return match analyze::update_baseline(&opts) {
+        return match analyze::update_baseline(&root) {
             Ok((path, text)) => {
                 let entries = text.lines().filter(|l| l.contains(" = ")).count();
                 println!(
@@ -108,17 +73,14 @@ fn run_analyze(rest: &[String]) -> ExitCode {
         };
     }
 
-    let analysis = match analyze::run(&opts) {
+    let analysis = match analyze::run(&root) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("sann-xtask: {e}");
             return ExitCode::FAILURE;
         }
     };
-    match format {
-        Format::Text => print!("{}", analysis.render_text()),
-        Format::Sarif => print!("{}", analysis.render_sarif()),
-    }
+    print!("{}", analysis.render_text());
     if analysis.ok() {
         ExitCode::SUCCESS
     } else {
@@ -141,9 +103,4 @@ fn run_determinism(rest: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn flag_needs(flag: &str, what: &str) -> ExitCode {
-    eprintln!("{flag} needs {what}");
-    ExitCode::FAILURE
 }

@@ -10,7 +10,7 @@
 //! The rule is ratcheted. New casts should use the checked helpers
 //! (`sann_core::cast`, the engine's `us_to_ns` family), `try_into` with
 //! context, or carry a `sann-lint: allow(cast-truncation) -- <why lossless>`
-//! marker. Test trees and `#[cfg(test)]` modules are exempt.
+//! marker. Test trees and `#[cfg(test)]` items are exempt.
 
 use super::{Finding, RuleCtx};
 use crate::lexer::TokKind;

@@ -1,9 +1,9 @@
 //! Hot-loop hygiene: allocation and float-ordering findings inside hot
 //! functions.
 //!
-//! Hot functions are those carrying a `#[sann::hot]` attribute or named in
-//! the hot-path manifest (`analyze-hotpaths.toml`) — distance kernels, the
-//! executor's event loop, the page-cache access path, top-k maintenance.
+//! Hot functions are those named in the hot-path manifest
+//! (`analyze-hotpaths.toml`) — distance kernels, the executor's event loop,
+//! the page-cache access path, top-k maintenance.
 //! Two rules apply inside their bodies (nested closures included):
 //!
 //! * `hot-alloc` — allocating calls (`Vec::new`, `vec!`, `to_vec`, `clone`,

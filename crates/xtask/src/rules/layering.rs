@@ -74,12 +74,9 @@ pub fn check(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
             continue;
         }
         // Dev-dependency layer: tests and benches (including `#[cfg(test)]`
-        // modules inside src) may build fixtures with the data generator
+        // items inside src) may build fixtures with the data generator
         // even where the product crate may not.
-        if referenced == "datagen"
-            && (ctx.test_mask[i]
-                || matches!(ctx.tree, Tree::Tests | Tree::Benches | Tree::Examples))
-        {
+        if referenced == "datagen" && (ctx.test_mask[i] || ctx.tree == Tree::Aux) {
             continue;
         }
         let msg = if DECLARED_DEPS.iter().any(|(c, _)| *c == referenced) {

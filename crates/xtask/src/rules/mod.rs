@@ -20,7 +20,6 @@ pub mod layering;
 pub mod panic_path;
 
 use crate::lexer::{Tok, TokKind};
-use std::path::{Path, PathBuf};
 
 /// How a rule's findings gate the build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,56 +31,11 @@ pub enum Severity {
     Ratchet,
 }
 
-/// Rule families, selectable with `analyze --rules <family,...>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Family {
-    /// The determinism deny-set: wall-clock, unseeded-rng,
-    /// unordered-container, nan-unsafe-sort.
-    Determinism,
-    /// Crate-dependency layering against the declared DAG.
-    Layering,
-    /// `unwrap`/`expect`/`panic!` and hot-function indexing.
-    PanicPath,
-    /// Bare `as` numeric casts.
-    CastSafety,
-    /// Allocation and float-ordering hygiene inside hot functions.
-    HotLoop,
-}
-
-impl Family {
-    /// The family's `--rules` name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Family::Determinism => "determinism",
-            Family::Layering => "layering",
-            Family::PanicPath => "panic-path",
-            Family::CastSafety => "cast-safety",
-            Family::HotLoop => "hot-loop",
-        }
-    }
-
-    /// All families, in reporting order.
-    pub const ALL: &'static [Family] = &[
-        Family::Determinism,
-        Family::Layering,
-        Family::PanicPath,
-        Family::CastSafety,
-        Family::HotLoop,
-    ];
-
-    /// Parses a `--rules` name.
-    pub fn parse(name: &str) -> Option<Family> {
-        Family::ALL.iter().copied().find(|f| f.name() == name)
-    }
-}
-
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Marker-facing rule name (`allow(<name>)`).
     pub name: &'static str,
-    /// The family the rule belongs to.
-    pub family: Family,
     /// Deny or ratcheted.
     pub severity: Severity,
     /// Why the pattern is banned or tracked.
@@ -92,59 +46,50 @@ pub struct RuleInfo {
 pub const REGISTRY: &[RuleInfo] = &[
     RuleInfo {
         name: "wall-clock",
-        family: Family::Determinism,
         severity: Severity::Deny,
         why: "wall-clock time varies run to run; simulated time must come from the DES clock",
     },
     RuleInfo {
         name: "unseeded-rng",
-        family: Family::Determinism,
         severity: Severity::Deny,
         why: "entropy-seeded randomness breaks replay; use sann_core::rng::SplitMix64",
     },
     RuleInfo {
         name: "unordered-container",
-        family: Family::Determinism,
         severity: Severity::Deny,
         why: "HashMap/HashSet iteration order is randomized; use BTreeMap/BTreeSet",
     },
     RuleInfo {
         name: "nan-unsafe-sort",
-        family: Family::Determinism,
         severity: Severity::Deny,
         why: "sort_by(partial_cmp().unwrap()) panics on NaN; use total_cmp",
     },
     RuleInfo {
         name: "layering",
-        family: Family::Layering,
         severity: Severity::Deny,
         why: "crate dependencies must follow the declared DAG \
               (core ← {datagen,quant,ssdsim,obs} ← index ← engine ← vdb ← bench)",
     },
     RuleInfo {
         name: "panic-path",
-        family: Family::PanicPath,
         severity: Severity::Ratchet,
         why: "a panic inside the simulation turns into a silent wrong figure or an aborted \
               sweep; use typed errors or document the invariant with an allow marker",
     },
     RuleInfo {
         name: "cast-truncation",
-        family: Family::CastSafety,
         severity: Severity::Ratchet,
         why: "bare `as` numeric casts silently truncate/saturate; use sann_core::cast \
               helpers, try_into, or document why the cast is lossless",
     },
     RuleInfo {
         name: "hot-alloc",
-        family: Family::HotLoop,
         severity: Severity::Ratchet,
         why: "allocation inside a hot function churns the allocator on every query; \
               preallocate outside the loop or use a scratch buffer",
     },
     RuleInfo {
         name: "hot-float",
-        family: Family::HotLoop,
         severity: Severity::Ratchet,
         why: "non-total float comparisons in hot paths order NaN unpredictably; \
               use total_cmp (and keep reductions in a fixed association order)",
@@ -162,12 +107,9 @@ pub fn rule(name: &str) -> Option<&'static RuleInfo> {
 pub enum Tree {
     /// `src/` (including `src/bin/`): full policy.
     Src,
-    /// `tests/`: determinism and layering only.
-    Tests,
-    /// `benches/`: determinism and layering only.
-    Benches,
-    /// `examples/`: determinism and layering only.
-    Examples,
+    /// `tests/`, `benches/` or `examples/`: determinism and layering only,
+    /// and the datagen fixture layer is allowed.
+    Aux,
 }
 
 impl Tree {
@@ -182,8 +124,6 @@ impl Tree {
 pub struct Finding {
     /// Rule that fired.
     pub rule: &'static str,
-    /// Absolute path of the file.
-    pub file: PathBuf,
     /// Workspace-relative path with forward slashes (stable across hosts).
     pub rel: String,
     /// Crate key for baseline accounting (`core`, `engine`, …).
@@ -202,8 +142,6 @@ pub struct Finding {
 
 /// Everything a rule gets to look at for one file.
 pub struct RuleCtx<'a> {
-    /// Absolute path.
-    pub file: &'a Path,
     /// Workspace-relative forward-slash path.
     pub rel: &'a str,
     /// Crate key (`core`, `engine`, … or the fixture pseudo-crate).
@@ -214,7 +152,7 @@ pub struct RuleCtx<'a> {
     pub lines: &'a [&'a str],
     /// The token stream.
     pub toks: &'a [Tok<'a>],
-    /// Per-token: inside a `#[cfg(test)]` module (ratcheted rules skip).
+    /// Per-token: inside a `#[cfg(test)]` item (ratcheted rules skip).
     pub test_mask: &'a [bool],
     /// Token-index ranges `[start, end)` of hot function bodies.
     pub hot_ranges: &'a [(usize, usize)],
@@ -239,7 +177,6 @@ impl RuleCtx<'_> {
         let t = &self.toks[i];
         Finding {
             rule,
-            file: self.file.to_path_buf(),
             rel: self.rel.to_string(),
             krate: self.krate.to_string(),
             line: t.line,
@@ -350,10 +287,12 @@ fn cfg_test_at(toks: &[Tok<'_>], open: usize) -> bool {
         && tok(5).is_some_and(|t| t.is_punct(']'))
 }
 
-/// Marks every token inside a `#[cfg(test)] mod … { … }` region, and every
-/// token of a file whose inner attributes include `#![cfg(test)]` (an
-/// out-of-line test module). Ratcheted rules skip these: tests may unwrap,
-/// cast, and allocate freely.
+/// Marks every token a `#[cfg(test)]` attribute compiles out: after it and
+/// any further attributes, through the first `;` outside brackets or the
+/// close of the first top-level `{ … }` — a whole `mod`, `impl`, `fn`,
+/// `thread_local!` or statement. A file whose inner attributes include
+/// `#![cfg(test)]` (an out-of-line test module) is masked whole. Ratcheted
+/// rules skip these: tests may unwrap, cast, and allocate freely.
 pub fn cfg_test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
     let mut i = 0usize;
     while toks.get(i).is_some_and(|t| t.is_punct('#'))
@@ -370,144 +309,47 @@ pub fn cfg_test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
     }
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
-    while i + 6 < toks.len() {
-        let is_cfg_test = toks[i].is_punct('#') && cfg_test_at(toks, i + 1);
-        if !is_cfg_test {
-            i += 1;
-            continue;
-        }
-        // Skip any further attributes, then expect `mod name {` or an
-        // attributed item; only module regions are masked wholesale.
-        let mut j = i + 7;
-        while toks.get(j).is_some_and(|t| t.is_punct('#'))
-            && toks.get(j + 1).is_some_and(|t| t.is_punct('['))
-        {
-            match matching_close(toks, j + 1) {
-                Some(close) => j = close + 1,
-                None => break,
-            }
-        }
-        if toks.get(j).is_some_and(|t| t.is_ident("mod")) {
-            // Find the module's opening brace (after the name).
-            let mut k = j + 1;
-            while let Some(t) = toks.get(k) {
-                if t.is_punct('{') {
-                    if let Some(close) = matching_close(toks, k) {
-                        for m in &mut mask[k..=close] {
-                            *m = true;
-                        }
-                        i = close + 1;
-                    } else {
-                        // Unbalanced: mask to EOF.
-                        for m in &mut mask[k..] {
-                            *m = true;
-                        }
-                        i = toks.len();
-                    }
-                    break;
-                }
-                if t.is_punct(';') {
-                    break; // out-of-line module file
-                }
-                k += 1;
-            }
-            if i <= j {
-                i = k + 1;
-            }
+    while i < toks.len() {
+        if toks[i].is_punct('#') && cfg_test_at(toks, i + 1) {
+            let end = item_end(toks, i + 7);
+            mask[i..end].fill(true);
+            i = end;
         } else {
-            i = j;
+            i += 1;
         }
     }
     mask
 }
 
-/// Token ranges `[body_open, body_close)` of hot functions: those carrying a
-/// `#[sann::hot]` attribute, plus those named in the hot-path manifest for
-/// this file (`manifest_fns`).
-pub fn hot_ranges(toks: &[Tok<'_>], manifest_fns: &[String]) -> Vec<(usize, usize)> {
-    let extents = fn_extents(toks);
-    let mut out = Vec::new();
-    for ext in &extents {
-        let name = toks[ext.name].text;
-        let hot = manifest_fns.iter().any(|f| f == name) || has_hot_attr(toks, ext.name);
-        if hot {
-            out.push((ext.body_open, ext.body_close + 1));
+/// One past the last token of the item (or statement) starting at `start`:
+/// through its first `;` outside brackets, or through the close of its
+/// first top-level `{ … }`. A closing bracket it never opened ends it too.
+fn item_end(toks: &[Tok<'_>], start: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(start) {
+        if t.kind != TokKind::Punct {
+            continue;
+        }
+        match t.text {
+            "{" if depth == 0 => return matching_close(toks, j).map_or(toks.len(), |c| c + 1),
+            ";" if depth == 0 => return j + 1,
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return j,
+            ")" | "]" | "}" => depth -= 1,
+            _ => {}
         }
     }
-    out
+    toks.len()
 }
 
-/// Whether the `fn` whose name token is at `name_idx` carries a
-/// `#[sann::hot]` attribute. Scans backwards over the attribute/visibility/
-/// qualifier prefix of the item.
-fn has_hot_attr(toks: &[Tok<'_>], name_idx: usize) -> bool {
-    // Walk backwards across `fn`, qualifiers, visibility, and attributes.
-    let mut i = name_idx.saturating_sub(1); // the `fn` keyword
-    loop {
-        if i == 0 {
-            return false;
-        }
-        let t = &toks[i - 1];
-        if t.kind == TokKind::Ident
-            && matches!(
-                t.text,
-                "fn" | "pub" | "const" | "unsafe" | "extern" | "async"
-            )
-        {
-            i -= 1;
-            continue;
-        }
-        if t.is_punct(')') {
-            // pub(crate) — skip the group.
-            let mut depth = 0usize;
-            let mut j = i - 1;
-            loop {
-                if toks[j].is_punct(')') {
-                    depth += 1;
-                } else if toks[j].is_punct('(') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                if j == 0 {
-                    return false;
-                }
-                j -= 1;
-            }
-            i = j;
-            continue;
-        }
-        if t.is_punct(']') {
-            // An attribute `#[ … ]` ending here; check its contents.
-            let mut depth = 0usize;
-            let mut j = i - 1;
-            loop {
-                if toks[j].is_punct(']') {
-                    depth += 1;
-                } else if toks[j].is_punct('[') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                if j == 0 {
-                    return false;
-                }
-                j -= 1;
-            }
-            if j == 0 || !toks[j - 1].is_punct('#') {
-                return false;
-            }
-            // `#[sann::hot]` → tokens: sann :: hot between j+1 and i-1.
-            if i >= j + 4 && is_path2(toks, j + 1, "sann", "hot") {
-                return true;
-            }
-            i = j - 1;
-            continue;
-        }
-        return false;
-    }
+/// Token ranges `[body_open, body_close + 1)` of the functions the hot-path
+/// manifest names for this file (`manifest_fns`).
+pub fn hot_ranges(toks: &[Tok<'_>], manifest_fns: &[String]) -> Vec<(usize, usize)> {
+    fn_extents(toks)
+        .iter()
+        .filter(|ext| manifest_fns.iter().any(|f| f == toks[ext.name].text))
+        .map(|ext| (ext.body_open, ext.body_close + 1))
+        .collect()
 }
 
 #[cfg(test)]
@@ -554,6 +396,33 @@ mod tests {
     }
 
     #[test]
+    fn cfg_test_mask_covers_every_test_item() {
+        let src = "\
+#[cfg(test)]
+impl Index { fn per_pair(&self) -> usize { a as usize } }
+#[cfg(test)]
+#[inline]
+fn probe() -> [f32; 4] { b(); [0.0; 4] }
+fn prod() {
+    #[cfg(test)]
+    count(c.len());
+    d();
+}
+#[cfg(test)]
+thread_local! { static E: Cell<usize> = Cell::new(0); }
+fn prod2() -> [f32; 4] { f() }";
+        let toks = lex(src);
+        let mask = cfg_test_mask(&toks);
+        let at = |text: &str| toks.iter().position(|t| t.text == text).unwrap();
+        for masked in ["a", "b", "c", "E"] {
+            assert!(mask[at(masked)], "{masked} must be masked");
+        }
+        for kept in ["prod", "d", "prod2", "f"] {
+            assert!(!mask[at(kept)], "{kept} must not be masked");
+        }
+    }
+
+    #[test]
     fn inner_cfg_test_masks_the_whole_file() {
         let toks = lex("#![allow(dead_code)]\n#![cfg(test)]\nuse a::b;\nfn t() { c(); }");
         assert!(cfg_test_mask(&toks).iter().all(|&m| m));
@@ -562,18 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_attr_detected_through_other_attrs_and_visibility() {
-        let src =
-            "#[inline]\n#[sann::hot]\npub(crate) fn kernel(x: &[f32]) { x.len(); }\nfn cold() {}";
-        let toks = lex(src);
-        let ranges = hot_ranges(&toks, &[]);
-        assert_eq!(ranges.len(), 1);
-        let kernel_body = toks.iter().position(|t| t.text == "len").unwrap();
-        assert!(ranges[0].0 <= kernel_body && kernel_body < ranges[0].1);
-    }
-
-    #[test]
-    fn manifest_names_mark_hot_without_attr() {
+    fn manifest_names_mark_hot_functions() {
         let toks = lex("fn listed() { y(); } fn unlisted() { z(); }");
         let ranges = hot_ranges(&toks, &["listed".to_string()]);
         assert_eq!(ranges.len(), 1);

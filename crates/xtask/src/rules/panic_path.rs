@@ -9,7 +9,7 @@
 //! baselined, new ones need a typed error or a documented
 //! `sann-lint: allow(panic-path) -- <invariant>` marker.
 //!
-//! Test trees and `#[cfg(test)]` modules are exempt — tests *should* unwrap.
+//! Test trees and `#[cfg(test)]` items are exempt — tests *should* unwrap.
 
 use super::{Finding, RuleCtx};
 use crate::lexer::TokKind;

@@ -1,8 +1,10 @@
-//! End-to-end tests of `sann-xtask analyze`: every rule family fires on its
-//! positive fixture, markers suppress with a reason, the ratcheted baseline
-//! gates regressions, layering fails on an inverted dependency, SARIF is
-//! byte-stable, and the real workspace passes against the committed
-//! baseline.
+//! End-to-end tests of `sann-xtask analyze`: every rule runs on every
+//! fixture, each fixture fires (or passes) with exact counts, markers
+//! suppress with a reason, hot functions are marked through the root's
+//! `analyze-hotpaths.toml`, the ratchet gates through the root's
+//! `analyze-baseline.toml`, layering fails on an inverted dependency, the
+//! report is byte-stable, and the real workspace passes against the
+//! committed baseline.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -35,6 +37,22 @@ fn scratch_with(name: &str, tag: &str) -> PathBuf {
     dir
 }
 
+/// Writes the scratch root's hot-path manifest: `(file, "fn, fn")` entries.
+fn write_hotpaths(dir: &Path, entries: &[(&str, &str)]) {
+    let mut text = String::from("[hot]\n");
+    for (file, fns) in entries {
+        text.push_str(&format!("\"{file}\" = \"{fns}\"\n"));
+    }
+    std::fs::write(dir.join("analyze-hotpaths.toml"), text).unwrap();
+}
+
+/// A scratch copy of one fixture whose manifest lists `hot_fn` in it.
+fn hot_scratch(name: &str, tag: &str, hot_fn: &str) -> PathBuf {
+    let dir = scratch_with(name, tag);
+    write_hotpaths(&dir, &[(name, hot_fn)]);
+    dir
+}
+
 fn run_analyze(dir: &Path, extra: &[&str]) -> Output {
     xtask()
         .args(["analyze", "--root"])
@@ -51,7 +69,7 @@ fn stdout(out: &Output) -> String {
 #[test]
 fn determinism_positive_fixture_fires_all_four_rules() {
     let dir = scratch_with("determinism_positive.rs", "det-pos");
-    let out = run_analyze(&dir, &["--rules", "determinism"]);
+    let out = run_analyze(&dir, &[]);
     assert!(!out.status.success(), "positive fixture must fail");
     let text = stdout(&out);
     for rule in [
@@ -62,6 +80,11 @@ fn determinism_positive_fixture_fires_all_four_rules() {
     ] {
         assert!(text.contains(&format!("error[{rule}]")), "{rule}\n{text}");
     }
+    // The NaN-unsafe comparator's `.unwrap()` is a panic path as well.
+    assert!(
+        text.contains("error[ratchet]: panic-path/fixture: 1 finding(s), baseline allows 0"),
+        "{text}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -69,7 +92,7 @@ fn determinism_positive_fixture_fires_all_four_rules() {
 fn determinism_allowed_and_clean_fixtures_pass() {
     for name in ["determinism_allowed.rs", "determinism_clean.rs"] {
         let dir = scratch_with(name, name.trim_end_matches(".rs"));
-        let out = run_analyze(&dir, &["--rules", "determinism"]);
+        let out = run_analyze(&dir, &[]);
         let text = stdout(&out);
         assert!(out.status.success(), "{name} must pass:\n{text}");
         if name == "determinism_allowed.rs" {
@@ -94,7 +117,7 @@ fn malformed_marker_fails() {
         "// sann-lint: allow(wall-clock)\nfn f() { let t = std::time::Instant::now(); }\n",
     )
     .unwrap();
-    let out = run_analyze(&dir, &["--rules", "determinism"]);
+    let out = run_analyze(&dir, &[]);
     assert!(!out.status.success(), "reason-less marker must fail");
     assert!(
         stdout(&out).contains("error[bad-marker]"),
@@ -107,7 +130,7 @@ fn malformed_marker_fails() {
 #[test]
 fn panic_path_fixture_is_a_ratchet_regression() {
     let dir = scratch_with("panic_positive.rs", "panic-pos");
-    let out = run_analyze(&dir, &["--rules", "panic-path"]);
+    let out = run_analyze(&dir, &[]);
     assert!(!out.status.success(), "fresh panic paths must regress");
     let text = stdout(&out);
     assert!(text.contains("error[ratchet]: panic-path/"), "{text}");
@@ -118,29 +141,40 @@ fn panic_path_fixture_is_a_ratchet_regression() {
 
 #[test]
 fn panic_path_allowed_and_clean_fixtures_pass() {
-    for name in ["panic_allowed.rs", "panic_clean.rs"] {
-        let dir = scratch_with(name, name.trim_end_matches(".rs"));
-        let out = run_analyze(&dir, &["--rules", "panic-path"]);
-        let text = stdout(&out);
-        assert!(out.status.success(), "{name} must pass:\n{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let dir = scratch_with("panic_allowed.rs", "panic_allowed");
+    let out = run_analyze(&dir, &[]);
+    assert!(
+        out.status.success(),
+        "panic_allowed.rs must pass:\n{}",
+        stdout(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    // The clean fixture's array-typed `four_at_once` is hot, so the
+    // indexing check runs over its body too.
+    let dir = hot_scratch("panic_clean.rs", "panic_clean", "four_at_once");
+    let out = run_analyze(&dir, &[]);
+    assert!(
+        out.status.success(),
+        "panic_clean.rs must pass:\n{}",
+        stdout(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn cast_fixtures_fire_suppress_and_pass() {
     let dir = scratch_with("cast_positive.rs", "cast-pos");
-    let out = run_analyze(&dir, &["--rules", "cast-safety"]);
+    let out = run_analyze(&dir, &[]);
     assert!(!out.status.success());
     assert!(
-        stdout(&out).contains("error[ratchet]: cast-truncation/"),
+        stdout(&out).contains("error[ratchet]: cast-truncation/fixture: 3 finding(s)"),
         "{}",
         stdout(&out)
     );
     std::fs::remove_dir_all(&dir).ok();
     for name in ["cast_allowed.rs", "cast_clean.rs"] {
         let dir = scratch_with(name, name.trim_end_matches(".rs"));
-        let out = run_analyze(&dir, &["--rules", "cast-safety"]);
+        let out = run_analyze(&dir, &[]);
         let text = stdout(&out);
         assert!(out.status.success(), "{name} must pass:\n{text}");
         std::fs::remove_dir_all(&dir).ok();
@@ -148,24 +182,33 @@ fn cast_fixtures_fire_suppress_and_pass() {
 }
 
 #[test]
-fn hot_loop_fixture_fires_both_rules_via_the_attribute() {
-    let dir = scratch_with("hot_positive.rs", "hot-pos");
-    let out = run_analyze(&dir, &["--rules", "hot-loop"]);
+fn hot_loop_fixture_fires_both_rules_via_the_manifest() {
+    let dir = hot_scratch("hot_positive.rs", "hot-pos", "kernel");
+    let out = run_analyze(&dir, &[]);
     assert!(!out.status.success());
     let text = stdout(&out);
-    assert!(text.contains("error[ratchet]: hot-alloc/"), "{text}");
-    assert!(text.contains("error[ratchet]: hot-float/"), "{text}");
-    // The identical allocation in the cold function must NOT be flagged:
-    // only the hot kernel's sites (to_vec, vec!) count.
+    // Only the hot kernel's sites count (to_vec, vec!; partial_cmp): the
+    // identical allocation in the cold function must NOT be flagged.
+    assert!(
+        text.contains("error[ratchet]: hot-alloc/fixture: 2 finding(s)"),
+        "{text}"
+    );
+    assert!(
+        text.contains("error[ratchet]: hot-float/fixture: 1 finding(s)"),
+        "{text}"
+    );
     assert!(!text.contains("cold"), "cold fn was flagged:\n{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn hot_loop_allowed_and_clean_fixtures_pass() {
-    for name in ["hot_allowed.rs", "hot_clean.rs"] {
-        let dir = scratch_with(name, name.trim_end_matches(".rs"));
-        let out = run_analyze(&dir, &["--rules", "hot-loop"]);
+    for (name, hot_fn) in [
+        ("hot_allowed.rs", "kernel_with_setup"),
+        ("hot_clean.rs", "kernel"),
+    ] {
+        let dir = hot_scratch(name, name.trim_end_matches(".rs"), hot_fn);
+        let out = run_analyze(&dir, &[]);
         let text = stdout(&out);
         assert!(out.status.success(), "{name} must pass:\n{text}");
         std::fs::remove_dir_all(&dir).ok();
@@ -173,31 +216,28 @@ fn hot_loop_allowed_and_clean_fixtures_pass() {
 }
 
 #[test]
-fn hot_loop_manifest_marks_functions_without_the_attribute() {
+fn hot_loop_manifest_marks_only_the_functions_it_lists() {
     let dir = scratch_with("hot_clean.rs", "hot-manifest");
-    // A second file with a manifest-listed (not attributed) allocating fn.
+    // Two identical allocating fns in a second file; only one is listed.
     std::fs::write(
         dir.join("listed.rs"),
-        "fn listed_kernel(xs: &[f32]) -> Vec<f32> { xs.to_vec() }\n",
+        "fn listed_kernel(xs: &[f32]) -> Vec<f32> { xs.to_vec() }\n\
+         fn unlisted(xs: &[f32]) -> Vec<f32> { xs.to_vec() }\n",
     )
     .unwrap();
-    std::fs::write(
-        dir.join("hotpaths.toml"),
-        "[hot]\n\"listed.rs\" = \"listed_kernel\"\n",
-    )
-    .unwrap();
-    let manifest = dir.join("hotpaths.toml");
-    let out = xtask()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .args(["--rules", "hot-loop", "--hotpaths"])
-        .arg(&manifest)
-        .output()
-        .unwrap();
+    write_hotpaths(
+        &dir,
+        &[("hot_clean.rs", "kernel"), ("listed.rs", "listed_kernel")],
+    );
+    let out = run_analyze(&dir, &[]);
     let text = stdout(&out);
     assert!(!out.status.success(), "{text}");
-    assert!(text.contains("hot-alloc"), "{text}");
-    assert!(text.contains("listed.rs"), "{text}");
+    assert!(
+        text.contains("error[ratchet]: hot-alloc/fixture: 1 finding(s)"),
+        "{text}"
+    );
+    assert!(text.contains("listed.rs:1:"), "{text}");
+    assert!(!text.contains("listed.rs:2:"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -208,32 +248,26 @@ fn hot_loop_manifest_marks_functions_without_the_attribute() {
 fn hot_loop_manifest_rejects_stale_entries() {
     let dir = scratch_with("hot_clean.rs", "hot-stale");
     std::fs::write(dir.join("kernel.rs"), "fn kernel(x: f32) -> f32 { x }\n").unwrap();
-    let manifest = dir.join("hotpaths.toml");
-    for (entry, complaint) in [
-        ("\"kernel.rs\" = \"kernel\"", None),
-        ("\"gone.rs\" = \"kernel\"", Some("gone.rs")),
+    for (file, fns, complaint) in [
+        ("kernel.rs", "kernel", None),
+        ("gone.rs", "kernel", Some("gone.rs")),
         (
-            "\"kernel.rs\" = \"kernel, renamed\"",
+            "kernel.rs",
+            "kernel, renamed",
             Some("defines no fn `renamed`"),
         ),
     ] {
-        std::fs::write(&manifest, format!("[hot]\n{entry}\n")).unwrap();
-        let out = xtask()
-            .args(["analyze", "--root"])
-            .arg(&dir)
-            .args(["--rules", "hot-loop", "--hotpaths"])
-            .arg(&manifest)
-            .output()
-            .unwrap();
+        write_hotpaths(&dir, &[(file, fns)]);
+        let out = run_analyze(&dir, &[]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
             out.status.success(),
             complaint.is_none(),
-            "{entry}: {stderr}"
+            "{file} = {fns}: {stderr}"
         );
         if let Some(complaint) = complaint {
-            assert!(stderr.contains("stale entry"), "{entry}: {stderr}");
-            assert!(stderr.contains(complaint), "{entry}: {stderr}");
+            assert!(stderr.contains("stale entry"), "{file} = {fns}: {stderr}");
+            assert!(stderr.contains(complaint), "{file} = {fns}: {stderr}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -252,7 +286,7 @@ fn layering_fails_on_an_inverted_dependency() {
         "use sann_engine::RunConfig;\n\nfn peek(_c: &RunConfig) {}\n",
     )
     .unwrap();
-    let out = run_analyze(&root, &["--rules", "layering"]);
+    let out = run_analyze(&root, &[]);
     let text = stdout(&out);
     assert!(!out.status.success(), "inverted edge must fail:\n{text}");
     assert!(text.contains("error[layering]"), "{text}");
@@ -260,11 +294,11 @@ fn layering_fails_on_an_inverted_dependency() {
         text.contains("`ssdsim` must not depend on `engine`"),
         "{text}"
     );
-    // The same import in the crate's tests tree is still a violation —
-    // only datagen gets the dev-dependency exemption.
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// The same import in the crate's tests tree is not a violation: only
+/// datagen gets the dev-dependency exemption, and only outside `src/`.
 #[test]
 fn layering_allows_datagen_in_test_trees_only() {
     let root = std::env::temp_dir().join(format!("sann-analyze-{}-devdep", std::process::id()));
@@ -275,7 +309,7 @@ fn layering_allows_datagen_in_test_trees_only() {
     let import = "use sann_datagen::EmbeddingModel;\n";
     std::fs::write(krate.join("src").join("bad.rs"), import).unwrap();
     std::fs::write(krate.join("tests").join("ok.rs"), import).unwrap();
-    let out = run_analyze(&root, &["--rules", "layering"]);
+    let out = run_analyze(&root, &[]);
     let text = stdout(&out);
     assert!(!out.status.success(), "{text}");
     assert!(text.contains("src/bad.rs"), "{text}");
@@ -284,57 +318,38 @@ fn layering_allows_datagen_in_test_trees_only() {
 }
 
 #[test]
-fn sarif_export_is_byte_stable_and_carries_suppressions() {
-    let dir = scratch_with("determinism_positive.rs", "sarif");
-    std::fs::copy(
-        fixtures_dir().join("determinism_allowed.rs"),
-        dir.join("determinism_allowed.rs"),
-    )
-    .unwrap();
-    let a = run_analyze(&dir, &["--format", "sarif"]);
-    let b = run_analyze(&dir, &["--format", "sarif"]);
-    assert_eq!(a.stdout, b.stdout, "SARIF must be byte-stable");
-    let text = stdout(&a);
-    assert!(text.contains("\"version\":\"2.1.0\""), "{text}");
-    assert!(text.contains("\"suppressions\""), "{text}");
-    assert!(
-        text.contains("progress display only, not simulated time"),
-        "suppression must carry the marker reason:\n{text}"
-    );
+fn text_report_is_byte_stable() {
+    let dir = scratch_with("determinism_positive.rs", "stable");
+    for name in [
+        "determinism_allowed.rs",
+        "panic_positive.rs",
+        "cast_positive.rs",
+    ] {
+        std::fs::copy(fixtures_dir().join(name), dir.join(name)).unwrap();
+    }
+    let a = run_analyze(&dir, &[]);
+    let b = run_analyze(&dir, &[]);
+    assert_eq!(a.stdout, b.stdout, "the report must be byte-stable");
+    assert!(stdout(&a).contains("analyze: FAIL"), "{}", stdout(&a));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn update_baseline_ratchets_and_gates_regressions() {
     let dir = scratch_with("panic_positive.rs", "ratchet");
-    let baseline = dir.join("baseline.toml");
+    let baseline = dir.join("analyze-baseline.toml");
     // Fresh findings with no baseline: fail.
-    let out = run_analyze(&dir, &["--rules", "panic-path", "--baseline"]);
-    drop(out); // missing value for --baseline is a usage error
-    let out = xtask()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .args(["--rules", "panic-path", "--baseline"])
-        .arg(&baseline)
-        .output()
-        .unwrap();
+    let out = run_analyze(&dir, &[]);
     assert!(!out.status.success());
-    // Record the baseline; the same tree now passes.
-    let out = xtask()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .args(["--rules", "panic-path", "--update-baseline", "--baseline"])
-        .arg(&baseline)
-        .output()
-        .unwrap();
+    // Record the baseline at the root; the same tree now passes.
+    let out = run_analyze(&dir, &["--update-baseline"]);
     assert!(out.status.success(), "{}", stdout(&out));
-    let out = xtask()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .args(["--rules", "panic-path", "--baseline"])
-        .arg(&baseline)
-        .output()
-        .unwrap();
+    let recorded = std::fs::read_to_string(&baseline).unwrap();
+    assert!(
+        recorded.contains("[panic-path]\nfixture = 5\n"),
+        "{recorded}"
+    );
+    let out = run_analyze(&dir, &[]);
     assert!(
         out.status.success(),
         "baselined tree must pass:\n{}",
@@ -346,13 +361,7 @@ fn update_baseline_ratchets_and_gates_regressions() {
         "fn fresh(v: &[u32]) -> u32 { *v.first().unwrap() }\n",
     )
     .unwrap();
-    let out = xtask()
-        .args(["analyze", "--root"])
-        .arg(&dir)
-        .args(["--rules", "panic-path", "--baseline"])
-        .arg(&baseline)
-        .output()
-        .unwrap();
+    let out = run_analyze(&dir, &[]);
     let text = stdout(&out);
     assert!(!out.status.success(), "regression must fail:\n{text}");
     assert!(text.contains("error[ratchet]"), "{text}");
@@ -380,12 +389,10 @@ fn workspace_analyze_is_clean_against_the_committed_baseline() {
 
 #[test]
 fn workspace_determinism_exceptions_are_confined_to_the_bench_harness() {
-    let mut opts = sann_xtask::analyze::Options::new(workspace_root());
-    opts.families = vec![sann_xtask::rules::Family::Determinism];
-    let analysis = sann_xtask::analyze::run(&opts).unwrap();
+    let analysis = sann_xtask::analyze::run(&workspace_root()).unwrap();
     assert!(
         analysis.ok(),
-        "workspace must pass the determinism rules:\n{}",
+        "workspace must pass analyze:\n{}",
         analysis.render_text()
     );
     assert!(
@@ -393,32 +400,64 @@ fn workspace_determinism_exceptions_are_confined_to_the_bench_harness() {
         "expected the whole workspace, got {} files",
         analysis.files
     );
+    let determinism_markers = |krate: &str| {
+        analysis
+            .allowed
+            .iter()
+            .filter(|f| f.krate == krate)
+            .filter(|f| {
+                [
+                    "wall-clock",
+                    "unseeded-rng",
+                    "unordered-container",
+                    "nan-unsafe-sort",
+                ]
+                .contains(&f.rule)
+            })
+            .count()
+    };
     // The simulation-core crates carry no exceptions at all.
     for strict in [
         "ssdsim", "index", "core", "engine", "vdb", "quant", "datagen",
     ] {
         assert_eq!(
-            analysis.markers_in_crate(strict),
+            determinism_markers(strict),
             0,
             "crate {strict} must not need determinism allow-markers"
         );
     }
     // The bench harness carries the documented wall-clock exceptions.
-    assert!(analysis.markers_in_crate("bench") >= 4);
+    assert!(determinism_markers("bench") >= 4);
 }
 
 #[test]
 fn usage_errors_exit_nonzero() {
-    for args in [
-        &[][..],
-        &["lint"][..],
-        &["determinism", "--bogus"][..],
-        &["analyze", "--rules", "bogus-family"][..],
-        &["analyze", "--format", "yaml"][..],
-        &["analyze", "--baseline"][..],
-        &["bogus-subcommand"][..],
+    for (args, complaint) in [
+        (&[][..], "usage:"),
+        (&["lint"][..], "unknown subcommand lint"),
+        (&["determinism", "--bogus"][..], "unknown flag --bogus"),
+        (
+            &["analyze", "--rules", "bogus-family"][..],
+            "unknown flag --rules",
+        ),
+        (
+            &["analyze", "--format", "yaml"][..],
+            "unknown flag --format",
+        ),
+        (&["analyze", "--baseline"][..], "unknown flag --baseline"),
+        (
+            &["analyze", "--hotpaths", "x"][..],
+            "unknown flag --hotpaths",
+        ),
+        (&["analyze", "--root"][..], "--root needs a directory"),
+        (
+            &["bogus-subcommand"][..],
+            "unknown subcommand bogus-subcommand",
+        ),
     ] {
         let out = xtask().args(args).output().unwrap();
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
     }
 }

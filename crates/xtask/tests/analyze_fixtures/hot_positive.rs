@@ -1,7 +1,6 @@
-//! Fixture: allocation and NaN-order hazards inside a `#[sann::hot]`
-//! function — both hot-loop rules must fire.
+//! Fixture: allocation and NaN-order hazards inside a hot function — both
+//! hot-loop rules must fire. The test's hot-path manifest lists `kernel`.
 
-#[sann::hot]
 fn kernel(xs: &[f32]) -> f32 {
     let scratch = xs.to_vec();
     let copy = vec![0.0f32; xs.len()];

@@ -6,9 +6,9 @@ fn careful(v: &[u32]) -> Option<u32> {
     Some(first + second)
 }
 
-// A hot function is found even with array types (`;` inside brackets) in
-// its signature, and an array pattern after `let` is not an index.
-#[sann::hot]
+// A hot function (the test's hot-path manifest lists `four_at_once`) is
+// found even with array types (`;` inside brackets) in its signature, and
+// an array pattern after `let` is not an index.
 fn four_at_once(rows: [&[f32]; 4]) -> [f32; 4] {
     let [a, b, c, d] = rows.map(|r| r.first().copied().unwrap_or_default());
     [a, b, c, d]

@@ -19,12 +19,11 @@ echo "==> sann-xtask analyze (determinism, layering, panic-path, cast-safety, ho
 # analyze-baseline.toml, and any unaudited (reason-less) allow marker.
 cargo run -q -p sann-xtask -- analyze
 
-echo "==> sann-xtask analyze SARIF byte-stability"
-sarif_tmp="$(mktemp -d)"
-cargo run -q -p sann-xtask -- analyze --format sarif >"$sarif_tmp/a.sarif" || true
-cargo run -q -p sann-xtask -- analyze --format sarif >"$sarif_tmp/b.sarif" || true
-diff "$sarif_tmp/a.sarif" "$sarif_tmp/b.sarif"
-rm -rf "$sarif_tmp"
+echo "==> sann-xtask determinism (runtime double-run audit)"
+# Runs a tiny sweep twice, then cold and warm artifact-cache replays and a
+# flaky fault-profile replay, and byte-diffs every metric, trace, report
+# and CSV; also double-runs the analyzer's text report and baseline.
+cargo run -q --release -p sann-xtask -- determinism
 
 echo "==> cargo test"
 # Includes every golden: the trace exporter and fault histograms
@@ -38,9 +37,9 @@ echo "==> benchmark/ against the crates it measures"
 cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> observability overhead gate (BENCH_obs.json)"
-# Asserts span tracing at level `run` and provenance tagging each cost
-# < 2% over the untraced/untagged hot loop, and archives the measured
-# numbers at the workspace root.
+# Asserts provenance tagging costs < 2% over the untagged hot loop, reports
+# the `query` and `io` trace levels, and archives the measured numbers at
+# the workspace root.
 cargo bench -q -p sann-bench --bench obs_overhead
 
 echo "==> vdbbench all, cold then warm, against the golden"
