@@ -615,9 +615,7 @@ fn decode_dataset(spec: &DatasetSpec, payload: &[u8]) -> Result<PreparedDataset>
     let queries = Dataset::decode_from(&mut r)?;
     let truth = GroundTruth::decode_from(&mut r)?;
     let tune_truth = GroundTruth::decode_from(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(Error::Corrupt("dataset-artifact: trailing bytes".into()));
-    }
+    r.finish()?;
     let tune_queries = queries.truncated(TUNE_QUERIES);
     Ok(PreparedDataset {
         spec: spec.clone(),
@@ -632,7 +630,7 @@ fn decode_dataset(spec: &DatasetSpec, payload: &[u8]) -> Result<PreparedDataset>
 /// Serializes a tuned knob + measured recall for the artifact cache.
 fn encode_tuned(knob: usize, recall: f64) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64_le(knob as u64);
+    w.put_count_u64(knob);
     w.put_f64_le(recall);
     w.into_bytes()
 }
@@ -640,11 +638,9 @@ fn encode_tuned(knob: usize, recall: f64) -> Vec<u8> {
 /// Inverse of [`encode_tuned`].
 fn decode_tuned(payload: &[u8]) -> Result<(usize, f64)> {
     let mut r = ByteReader::new(payload, "tuned-artifact");
-    let knob = r.get_u64_le()? as usize;
+    let knob = r.get_count_u64("tuned knob", 0)?;
     let recall = r.get_f64_le()?;
-    if r.remaining() != 0 {
-        return Err(Error::Corrupt("tuned-artifact: trailing bytes".into()));
-    }
+    r.finish()?;
     Ok((knob, recall))
 }
 

@@ -23,23 +23,7 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "{name} drifted from its golden file; if the change is intentional, \
-         regenerate with UPDATE_GOLDEN=1"
-    );
+    sann_core::check::golden(&golden_path(name), actual);
 }
 
 /// Runs `vdbbench <tiny fixed scale> <sub...>` uncached; returns its stdout

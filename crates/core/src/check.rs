@@ -7,10 +7,14 @@
 //! case from a seed fixed by the property name: failures reproduce exactly,
 //! on every machine, every time. The failing case index and seed are printed
 //! so a single case can be replayed in isolation with [`Gen::from_seed`].
+//!
+//! [`golden`] is the one compare-or-regenerate step every golden-file test
+//! in the workspace goes through.
 
 use crate::hash::fnv1a64;
 use crate::rng::SplitMix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 /// Number of cases [`run`] executes per property.
 pub const DEFAULT_CASES: u64 = 128;
@@ -109,6 +113,36 @@ pub fn run(name: &str, cases: u64, mut body: impl FnMut(&mut Gen)) {
 /// [`run`] with [`DEFAULT_CASES`] cases.
 pub fn check(name: &str, body: impl FnMut(&mut Gen)) {
     run(name, DEFAULT_CASES, body);
+}
+
+/// Compares `actual` with the committed golden file at `path`, or rewrites
+/// the file when the `UPDATE_GOLDEN` environment variable is set.
+///
+/// # Panics
+///
+/// Panics, showing the expected and actual text, when they differ, and when
+/// the golden file cannot be read or written.
+pub fn golden(path: &Path, actual: &str) {
+    let path_shown = path.display();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let written = path
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(path, actual));
+        assert!(written.is_ok(), "cannot write {path_shown}: {written:?}");
+        return;
+    }
+    let expected = std::fs::read_to_string(path);
+    assert!(
+        expected.is_ok(),
+        "missing golden file {path_shown} ({expected:?}); run with UPDATE_GOLDEN=1"
+    );
+    let expected = expected.unwrap_or_default();
+    assert!(
+        expected == actual,
+        "{path_shown} drifted from its golden file; if the change is intentional, \
+         regenerate with UPDATE_GOLDEN=1.\n--- expected ---\n{expected}\n--- actual ---\n{actual}"
+    );
 }
 
 #[cfg(test)]

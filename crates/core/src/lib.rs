@@ -10,12 +10,11 @@
 //! * [`rng::SplitMix64`] — a tiny deterministic RNG so experiments are
 //!   reproducible across crates without threading generator generics
 //!   everywhere,
-//! * [`sync`] — poison-free lock wrappers over [`std::sync`],
 //! * [`par`] — scoped-thread data-parallel helpers for builds,
 //! * [`buf`] — little-endian byte encoding/decoding for snapshots and
 //!   canonical metric fingerprints,
 //! * [`check`] — a seeded property-test harness used by the workspace's
-//!   invariant tests.
+//!   invariant tests, and the golden-file comparison its golden tests share.
 //!
 //! # Examples
 //!
@@ -43,7 +42,6 @@ pub mod par;
 pub mod recall;
 pub mod rng;
 pub mod stats;
-pub mod sync;
 pub mod topk;
 pub mod vector;
 

@@ -169,11 +169,9 @@ impl Dataset {
     /// the same bytes iff they are bit-identical, so this doubles as a
     /// fingerprintable form for artifact-cache keys.
     pub fn encode_into(&self, buf: &mut crate::buf::ByteWriter) {
-        buf.put_u32_le(self.dim as u32);
-        buf.put_u64_le(self.len() as u64);
-        for &x in &self.data {
-            buf.put_f32_le(x);
-        }
+        buf.put_count_u32(self.dim);
+        buf.put_count_u64(self.len());
+        buf.put_f32s(self.data.iter().copied());
     }
 
     /// Reads a dataset previously written by [`Dataset::encode_into`].
@@ -182,21 +180,13 @@ impl Dataset {
     ///
     /// Returns [`Error::Corrupt`] on truncation or a zero dimension.
     pub fn decode_from(r: &mut crate::buf::ByteReader<'_>) -> Result<Dataset> {
-        let dim = r.get_u32_le()? as usize;
-        let n = r.get_u64_le()? as usize;
+        let dim = r.get_count_u32("dataset dim", 0)?;
+        let row_bytes = dim.saturating_mul(std::mem::size_of::<f32>());
+        let n = r.get_count_u64("dataset rows", row_bytes)?;
         if dim == 0 {
             return Err(Error::Corrupt("dataset: zero dimension".into()));
         }
-        let total = n
-            .checked_mul(dim)
-            .ok_or_else(|| Error::Corrupt("dataset: size overflow".into()))?;
-        if r.remaining() / 4 < total {
-            return Err(Error::Corrupt("dataset: truncated vectors".into()));
-        }
-        let mut data = Vec::with_capacity(total);
-        for _ in 0..total {
-            data.push(r.get_f32_le()?);
-        }
+        let data = r.get_f32s(n * dim)?.collect();
         Ok(Dataset { data, dim })
     }
 }
@@ -339,7 +329,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = crate::buf::ByteReader::new(&bytes, "test");
         let back = Dataset::decode_from(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
+        r.finish().unwrap();
         assert_eq!(back.dim(), 2);
         assert_eq!(back.as_flat(), d.as_flat());
         // -0.0 survives as a bit pattern.
@@ -353,6 +343,14 @@ mod tests {
         d.encode_into(&mut w);
         let bytes = w.into_bytes();
         let mut r = crate::buf::ByteReader::new(&bytes[..bytes.len() - 1], "test");
+        assert!(matches!(
+            Dataset::decode_from(&mut r),
+            Err(Error::Corrupt(_))
+        ));
+        // 2^62 rows: refused before anything is sized by the count.
+        let mut huge = bytes.clone();
+        huge[4..12].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let mut r = crate::buf::ByteReader::new(&huge, "test");
         assert!(matches!(
             Dataset::decode_from(&mut r),
             Err(Error::Corrupt(_))

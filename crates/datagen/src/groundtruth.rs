@@ -75,13 +75,11 @@ impl GroundTruth {
     /// Appends the canonical little-endian encoding (`k`, query count, then
     /// each query's neighbor list with a length prefix) to `buf`.
     pub fn encode_into(&self, buf: &mut ByteWriter) {
-        buf.put_u32_le(self.k as u32);
-        buf.put_u64_le(self.ids.len() as u64);
+        buf.put_count_u32(self.k);
+        buf.put_count_u64(self.ids.len());
         for list in &self.ids {
-            buf.put_u32_le(list.len() as u32);
-            for &id in list {
-                buf.put_u32_le(id);
-            }
+            buf.put_count_u32(list.len());
+            buf.put_u32s(list.iter().copied());
         }
     }
 
@@ -93,28 +91,19 @@ impl GroundTruth {
     /// Returns [`Error::Corrupt`] on truncation, `k == 0`, or a neighbor
     /// list longer than `k`.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<GroundTruth> {
-        let k = r.get_u32_le()? as usize;
+        let k = r.get_count_u32("groundtruth k", 0)?;
         if k == 0 {
             return Err(Error::Corrupt("groundtruth: zero k".into()));
         }
-        let n = r.get_u64_le()? as usize;
-        if r.remaining() < n.saturating_mul(4) {
-            return Err(Error::Corrupt("groundtruth: truncated lists".into()));
-        }
+        // Every list costs at least its length word.
+        let n = r.get_count_u64("groundtruth lists", 4)?;
         let mut ids = Vec::with_capacity(n);
         for _ in 0..n {
-            let len = r.get_u32_le()? as usize;
+            let len = r.get_count_u32("groundtruth neighbors", 4)?;
             if len > k {
                 return Err(Error::Corrupt("groundtruth: list longer than k".into()));
             }
-            if r.remaining() < len * 4 {
-                return Err(Error::Corrupt("groundtruth: truncated neighbors".into()));
-            }
-            let mut list = Vec::with_capacity(len);
-            for _ in 0..len {
-                list.push(r.get_u32_le()?);
-            }
-            ids.push(list);
+            ids.push(r.get_u32s(len)?.collect());
         }
         Ok(GroundTruth { k, ids })
     }
@@ -193,7 +182,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes, "test");
         let back = GroundTruth::decode_from(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
+        r.finish().unwrap();
         assert_eq!(back, gt);
     }
 
@@ -225,5 +214,13 @@ mod tests {
                 "cut={cut}"
             );
         }
+        // 2^62 lists: refused before anything is sized by the count.
+        let mut huge = bytes.clone();
+        huge[4..12].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let mut r = ByteReader::new(&huge, "test");
+        assert!(matches!(
+            GroundTruth::decode_from(&mut r),
+            Err(Error::Corrupt(_))
+        ));
     }
 }

@@ -104,9 +104,7 @@ impl FaultStats {
 
     /// Appends every field to the canonical encoding (fixed order).
     pub fn encode(&self, buf: &mut ByteWriter) {
-        for (_, value) in self.counters() {
-            buf.put_u64_le(value);
-        }
+        buf.put_u64s(self.counters().map(|(_, value)| value));
     }
 }
 
@@ -182,15 +180,12 @@ impl RunMetrics {
         // Bytes transferred from the device, after the page cache.
         buf.put_u64_le(self.io_stats.read_bytes);
         buf.put_f64_le(self.mean_bandwidth_mib);
-        buf.put_u32_le(cast::u32_from_usize(self.bandwidth_timeline_mib.len()));
-        for &bw in &self.bandwidth_timeline_mib {
-            buf.put_f64_le(bw);
-        }
+        put_timeline(&mut buf, &self.bandwidth_timeline_mib);
         buf.put_u64_le(self.io_stats.reads);
         buf.put_u64_le(self.io_stats.writes);
         buf.put_u64_le(self.io_stats.read_bytes);
         buf.put_u64_le(self.io_stats.write_bytes);
-        buf.put_u32_le(cast::u32_from_usize(self.io_stats.size_histogram.len()));
+        buf.put_count_u32(self.io_stats.size_histogram.len());
         for (&size, &count) in &self.io_stats.size_histogram {
             buf.put_u32_le(size);
             buf.put_u64_le(count);
@@ -210,14 +205,8 @@ impl RunMetrics {
         buf.put_f64_le(self.hot_page_skew);
         buf.put_f64_le(self.device.mean_queue_depth);
         buf.put_f64_le(self.device.utilization);
-        buf.put_u32_le(cast::u32_from_usize(self.device.queue_depth_timeline.len()));
-        for &qd in &self.device.queue_depth_timeline {
-            buf.put_f64_le(qd);
-        }
-        buf.put_u32_le(cast::u32_from_usize(self.device.utilization_timeline.len()));
-        for &u in &self.device.utilization_timeline {
-            buf.put_f64_le(u);
-        }
+        put_timeline(&mut buf, &self.device.queue_depth_timeline);
+        put_timeline(&mut buf, &self.device.utilization_timeline);
         buf.into_bytes()
     }
 
@@ -239,6 +228,13 @@ impl RunMetrics {
         }
         self.read_bytes_per_query / 1_048_576.0 / (self.mean_latency_us / 1e6)
     }
+}
+
+/// A per-second timeline in the canonical encoding: its `u32` length, then
+/// each sample's bit pattern.
+fn put_timeline(buf: &mut ByteWriter, samples: &[f64]) {
+    buf.put_count_u32(samples.len());
+    buf.put_f64s(samples.iter().copied());
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@ use crate::paged::PagedLayout;
 use crate::trace::{CpuOp, IoReq, QueryTrace, SearchOutput};
 use crate::vamana::{VamanaConfig, VamanaGraph};
 use crate::{IoStrategy, LayoutKind, SearchParams, VectorIndex};
-use sann_core::{Dataset, Error, Metric, Result, TopK};
+use sann_core::buf::{ByteReader, ByteWriter};
+use sann_core::{cast, Dataset, Error, Metric, Result, TopK};
+use sann_quant::ProductQuantizer;
 
 /// Build-time configuration for [`DiskAnnIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,8 +32,6 @@ pub struct DiskAnnConfig {
     pub pq_m: usize,
     /// PQ centroids per sub-space.
     pub pq_ksub: usize,
-    /// Byte offset of the index region on the device (sector-aligned).
-    pub base_offset: u64,
 }
 
 impl Default for DiskAnnConfig {
@@ -40,10 +40,14 @@ impl Default for DiskAnnConfig {
             graph: VamanaConfig::default(),
             pq_m: 0,
             pq_ksub: 256,
-            base_offset: 0,
         }
     }
 }
+
+/// The word of the persisted frame that once carried the index region's
+/// device offset. Every build placed the region at 0, so 0 is what is
+/// written and the only value read back.
+const RESERVED_WORD: u64 = 0;
 
 /// The storage-based DiskANN index.
 pub struct DiskAnnIndex {
@@ -52,7 +56,7 @@ pub struct DiskAnnIndex {
     data: Dataset,
     metric: Metric,
     graph: VamanaGraph,
-    pq: sann_quant::ProductQuantizer,
+    pq: ProductQuantizer,
     /// In-memory PQ codes, `n × pq_m` bytes (the index's memory footprint).
     codes: Vec<u8>,
     layout: DiskLayout,
@@ -84,20 +88,38 @@ impl DiskAnnIndex {
     pub fn build(data: &Dataset, metric: Metric, config: DiskAnnConfig) -> Result<DiskAnnIndex> {
         let (pq_m, ksub) = pq_shape(data, config.pq_m, config.pq_ksub)?;
         let graph = VamanaGraph::build(data, metric, config.graph)?;
-        let pq = sann_quant::ProductQuantizer::train(data, pq_m, ksub, config.graph.seed ^ 0xD1)?;
+        let pq = ProductQuantizer::train(data, pq_m, ksub, config.graph.seed ^ 0xD1)?;
         let codes = pq.encode_all(data);
+        Ok(DiskAnnIndex::assemble(
+            data.clone(),
+            metric,
+            graph,
+            pq,
+            codes,
+        ))
+    }
+
+    /// Places the node records on the device, in both layouts, and
+    /// assembles the index.
+    fn assemble(
+        data: Dataset,
+        metric: Metric,
+        graph: VamanaGraph,
+        pq: ProductQuantizer,
+        codes: Vec<u8>,
+    ) -> DiskAnnIndex {
         let node_bytes = node_record_bytes(data.dim(), graph.r());
-        let layout = DiskLayout::new(data.len() as u64, node_bytes, config.base_offset);
-        let paged = PagedLayout::new(&graph, node_bytes, config.base_offset);
-        Ok(DiskAnnIndex {
-            data: data.clone(),
+        let layout = DiskLayout::new(cast::u64_from_usize(data.len()), node_bytes);
+        let paged = PagedLayout::new(&graph, node_bytes);
+        DiskAnnIndex {
+            data,
             metric,
             graph,
             pq,
             codes,
             layout,
             paged,
-        })
+        }
     }
 
     /// The on-device layout (offsets/requests of node records).
@@ -120,43 +142,31 @@ impl DiskAnnIndex {
         self.graph.medoid()
     }
 
-    pub(crate) fn persist_payload(&self, w: &mut sann_core::buf::ByteWriter) {
+    pub(crate) fn persist_payload(&self, w: &mut ByteWriter) {
         w.put_u8(self.metric.tag());
-        w.put_u64_le(self.layout.base_offset());
+        w.put_u64_le(RESERVED_WORD);
         self.data.encode_into(w);
         self.graph.encode_into(w);
         self.pq.encode_into(w);
-        w.put_u64_le(self.codes.len() as u64);
+        w.put_count_u64(self.codes.len());
         w.put_slice(&self.codes);
     }
 
-    pub(crate) fn from_persist(r: &mut sann_core::buf::ByteReader<'_>) -> Result<DiskAnnIndex> {
+    pub(crate) fn from_persist(r: &mut ByteReader<'_>) -> Result<DiskAnnIndex> {
         let metric = Metric::from_tag(r.get_u8()?)
             .ok_or_else(|| Error::Corrupt("diskann: unknown metric tag".into()))?;
-        let base_offset = r.get_u64_le()?;
-        if base_offset % crate::layout::SECTOR_BYTES != 0 {
-            return Err(Error::Corrupt("diskann: unaligned base offset".into()));
+        if r.get_u64_le()? != RESERVED_WORD {
+            return Err(Error::Corrupt("diskann: reserved word is not 0".into()));
         }
         let data = Dataset::decode_from(r)?;
         let graph = VamanaGraph::decode_from(r)?;
-        let pq = sann_quant::ProductQuantizer::decode_from(r)?;
-        let len = r.get_u64_le()? as usize;
+        let pq = ProductQuantizer::decode_from(r)?;
+        let len = r.get_count_u64("diskann codes", 1)?;
         if graph.len() != data.len() || pq.dim() != data.dim() || len != data.len() * pq.m() {
             return Err(Error::Corrupt("diskann: component shape mismatch".into()));
         }
         let codes = r.take(len)?.to_vec();
-        let node_bytes = node_record_bytes(data.dim(), graph.r());
-        let layout = DiskLayout::new(data.len() as u64, node_bytes, base_offset);
-        let paged = PagedLayout::new(&graph, node_bytes, base_offset);
-        Ok(DiskAnnIndex {
-            data,
-            metric,
-            graph,
-            pq,
-            codes,
-            layout,
-            paged,
-        })
+        Ok(DiskAnnIndex::assemble(data, metric, graph, pq, codes))
     }
 }
 
@@ -191,7 +201,7 @@ pub(crate) fn pq_shape(data: &Dataset, pq_m: usize, pq_ksub: usize) -> Result<(u
 
 /// Bytes of one node record: full vector + degree + `r` neighbor slots.
 pub(crate) fn node_record_bytes(dim: usize, r: usize) -> u64 {
-    (dim * 4 + 4 + r * 4) as u64
+    cast::u64_from_usize(dim * 4 + 4 + r * 4)
 }
 
 /// Candidate list entry during beam search.
@@ -508,7 +518,6 @@ mod tests {
             },
             pq_m: 32,
             pq_ksub: 64,
-            base_offset: 0,
         };
         let index = DiskAnnIndex::build(&base, Metric::L2, config).unwrap();
         (base, queries, gt, index)

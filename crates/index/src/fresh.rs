@@ -16,7 +16,7 @@ use crate::layout::DiskLayout;
 use crate::trace::{IoReq, QueryTrace, SearchOutput};
 use crate::vamana::{robust_prune, VamanaConfig, VamanaGraph};
 use crate::{SearchParams, VectorIndex};
-use sann_core::{Dataset, Error, Metric, Neighbor, Result, TopK};
+use sann_core::{cast, Dataset, Error, Metric, Neighbor, Result, TopK};
 use sann_quant::{DistanceTable, ProductQuantizer};
 
 /// Build-time configuration for [`FreshDiskAnnIndex`].
@@ -118,7 +118,7 @@ impl FreshDiskAnnIndex {
 
     /// The current device layout (grows as inserts append records).
     pub fn layout(&self) -> DiskLayout {
-        DiskLayout::new(self.data.len() as u64, self.node_bytes, 0)
+        DiskLayout::new(cast::u64_from_usize(self.data.len()), self.node_bytes)
     }
 
     /// Inserts a vector, returning its id and the trace of the operation:

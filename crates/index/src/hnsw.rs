@@ -507,20 +507,18 @@ impl HnswIndex {
 
     pub(crate) fn persist_payload(&self, w: &mut sann_core::buf::ByteWriter) {
         w.put_u8(self.metric.tag());
-        w.put_u32_le(self.config.m as u32);
-        w.put_u32_le(self.config.ef_construction as u32);
+        w.put_count_u32(self.config.m);
+        w.put_count_u32(self.config.ef_construction);
         w.put_u64_le(self.config.seed);
         w.put_u32_le(RESERVED_WORD);
         w.put_u32_le(self.entry);
-        w.put_u32_le(self.max_level as u32);
+        w.put_count_u32(self.max_level);
         self.data.encode_into(w);
         for per_level in &self.links {
-            w.put_u32_le(per_level.len() as u32);
+            w.put_count_u32(per_level.len());
             for adj in per_level {
-                w.put_u32_le(adj.len() as u32);
-                for &n in adj {
-                    w.put_u32_le(n);
-                }
+                w.put_count_u32(adj.len());
+                w.put_u32s(adj.iter().copied());
             }
         }
     }
@@ -529,15 +527,15 @@ impl HnswIndex {
         let metric = Metric::from_tag(r.get_u8()?)
             .ok_or_else(|| Error::Corrupt("hnsw: unknown metric tag".into()))?;
         let config = HnswConfig {
-            m: r.get_u32_le()? as usize,
-            ef_construction: r.get_u32_le()? as usize,
+            m: r.get_count_u32("hnsw m", 0)?,
+            ef_construction: r.get_count_u32("hnsw ef_construction", 0)?,
             seed: r.get_u64_le()?,
         };
         if r.get_u32_le()? != RESERVED_WORD {
             return Err(Error::Corrupt("hnsw: reserved word is not 1".into()));
         }
         let entry = r.get_u32_le()?;
-        let max_level = r.get_u32_le()? as usize;
+        let max_level = r.get_count_u32("hnsw max level", 0)?;
         let data = Dataset::decode_from(r)?;
         let n = data.len();
         if entry as usize >= n || max_level > 32 {
@@ -548,20 +546,17 @@ impl HnswIndex {
         let mut listed = vec![0usize; n];
         let mut lists = 0usize;
         for node in 0..n {
-            let levels = r.get_u32_le()? as usize;
+            // Every level's list costs at least its length word.
+            let levels = r.get_count_u32("hnsw levels", 4)?;
             if levels == 0 || levels > 33 {
                 return Err(Error::Corrupt("hnsw: bad level count".into()));
             }
             let mut per_level = Vec::with_capacity(levels);
             for _ in 0..levels {
-                let len = r.get_u32_le()? as usize;
-                if r.remaining() < len * 4 {
-                    return Err(Error::Corrupt("hnsw: truncated adjacency".into()));
-                }
+                let len = r.get_count_u32("hnsw adjacency", 4)?;
                 lists += 1;
-                let mut adj = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let nb = r.get_u32_le()?;
+                let adj: Vec<u32> = r.get_u32s(len)?.collect();
+                for &nb in &adj {
                     let at = nb as usize;
                     let Some(last) = listed.get_mut(at) else {
                         return Err(Error::Corrupt("hnsw: neighbor out of range".into()));
@@ -572,7 +567,6 @@ impl HnswIndex {
                     if std::mem::replace(last, lists) == lists {
                         return Err(Error::Corrupt("hnsw: neighbor listed twice".into()));
                     }
-                    adj.push(nb);
                 }
                 per_level.push(adj);
             }
@@ -608,11 +602,6 @@ impl HnswIndex {
     /// The raw vectors the index was built over.
     pub(crate) fn data(&self) -> &Dataset {
         &self.data
-    }
-
-    /// The metric searches use.
-    pub fn metric(&self) -> Metric {
-        self.metric
     }
 }
 
@@ -1309,6 +1298,16 @@ mod tests {
         let (frame, payload) = valid_frame();
         assert_corrupt(&patched(frame.clone(), payload + 25, 0), "max level");
         assert_corrupt(&patched(frame, payload + 21, 2), "max level");
+    }
+
+    #[test]
+    fn from_persist_refuses_a_count_beyond_the_frame() {
+        // The dataset's row count (a u64 after its u32 dim, which follows the
+        // 29-byte header above) becomes 2^62; then a level's list length.
+        let (mut huge, payload) = valid_frame();
+        huge[payload + 33..payload + 41].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        assert_corrupt(&huge, "dataset rows");
+        assert_corrupt(&with_adjacency_word(1, u32::MAX), "hnsw adjacency");
     }
 
     #[test]

@@ -48,22 +48,17 @@ impl HnswSqIndex {
         Ok(HnswSqIndex { inner, sq, codes })
     }
 
-    /// The quantizer in use.
-    pub fn quantizer(&self) -> &ScalarQuantizer {
-        &self.sq
-    }
-
     pub(crate) fn persist_payload(&self, w: &mut sann_core::buf::ByteWriter) {
         self.inner.persist_payload(w);
         self.sq.encode_into(w);
-        w.put_u64_le(self.codes.len() as u64);
+        w.put_count_u64(self.codes.len());
         w.put_slice(&self.codes);
     }
 
     pub(crate) fn from_persist(r: &mut sann_core::buf::ByteReader<'_>) -> Result<HnswSqIndex> {
         let inner = HnswIndex::from_persist(r)?;
         let sq = ScalarQuantizer::decode_from(r)?;
-        let len = r.get_u64_le()? as usize;
+        let len = r.get_count_u64("hnsw-sq codes", 1)?;
         if sq.dim() != inner.dim() || len != inner.len() * inner.dim() {
             return Err(Error::Corrupt("hnsw-sq: code matrix mismatch".into()));
         }

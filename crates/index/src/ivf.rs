@@ -6,11 +6,11 @@
 //! the query is compared against every centroid, the `nprobe` nearest
 //! clusters are selected, and all vectors in those clusters are scored.
 
-use crate::layout::range_reqs;
+use crate::layout::PostingLayout;
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
 use sann_core::buf::{ByteReader, ByteWriter};
-use sann_core::{Dataset, Error, Metric, Result, TopK};
+use sann_core::{cast, Dataset, Error, Metric, Result, TopK};
 use sann_quant::{KMeans, KMeansModel, ProductQuantizer};
 
 /// Build-time configuration for IVF indexes.
@@ -201,11 +201,8 @@ pub struct IvfPqIndex {
     lists: Vec<Vec<u32>>,
     /// Per-list PQ codes, parallel to `lists`.
     codes: Vec<Vec<u8>>,
-    /// Byte offset of each posting list on the device.
-    list_offsets: Vec<u64>,
-    /// Bytes of each posting list on the device.
-    list_bytes: Vec<u64>,
-    total_storage: u64,
+    /// Where the posting lists sit on the device.
+    postings: PostingLayout,
 }
 
 impl IvfPqIndex {
@@ -248,8 +245,8 @@ impl IvfPqIndex {
         self.lists.len()
     }
 
-    /// Computes the on-device placement of the posting lists (stored back to
-    /// back, each starting on a sector boundary) and assembles the index.
+    /// Places the posting lists on the device, entries of an id and a code,
+    /// and assembles the index.
     fn assemble(
         dim: usize,
         kmeans: KMeansModel,
@@ -257,40 +254,30 @@ impl IvfPqIndex {
         lists: Vec<Vec<u32>>,
         codes: Vec<Vec<u8>>,
     ) -> IvfPqIndex {
-        let entry_bytes = 4 + pq.code_bytes() as u64; // id + code
-        let mut list_offsets = Vec::with_capacity(lists.len());
-        let mut list_bytes = Vec::with_capacity(lists.len());
-        let mut offset = 0u64;
-        for list in &lists {
-            let bytes = list.len() as u64 * entry_bytes;
-            list_offsets.push(offset);
-            list_bytes.push(bytes);
-            offset += bytes.div_ceil(crate::layout::SECTOR_BYTES) * crate::layout::SECTOR_BYTES;
-        }
+        let entry_bytes = 4 + cast::u64_from_usize(pq.code_bytes());
+        let postings = PostingLayout::new(lists.iter().map(Vec::len), entry_bytes);
         IvfPqIndex {
             dim,
             kmeans,
             pq,
             lists,
             codes,
-            list_offsets,
-            list_bytes,
-            total_storage: offset,
+            postings,
         }
     }
 
     pub(crate) fn persist_payload(&self, w: &mut ByteWriter) {
-        w.put_u32_le(self.dim as u32);
+        w.put_count_u32(self.dim);
         self.kmeans.encode_into(w);
         self.pq.encode_into(w);
         for codes in &self.codes {
-            w.put_u64_le(codes.len() as u64);
+            w.put_count_u64(codes.len());
             w.put_slice(codes);
         }
     }
 
     pub(crate) fn from_persist(r: &mut ByteReader<'_>) -> Result<IvfPqIndex> {
-        let dim = r.get_u32_le()? as usize;
+        let dim = r.get_count_u32("ivf-pq dim", 0)?;
         let kmeans = KMeansModel::decode_from(r)?;
         let pq = ProductQuantizer::decode_from(r)?;
         if pq.dim() != dim || kmeans.centroids.dim() != dim {
@@ -299,7 +286,7 @@ impl IvfPqIndex {
         let lists = lists_from_assignments(&kmeans.assignments, kmeans.centroids.len());
         let mut codes = Vec::with_capacity(lists.len());
         for list in &lists {
-            let len = r.get_u64_le()? as usize;
+            let len = r.get_count_u64("ivf-pq codes", 1)?;
             if len != list.len() * pq.code_bytes() {
                 return Err(Error::Corrupt("ivf-pq: code block length mismatch".into()));
             }
@@ -344,12 +331,7 @@ impl VectorIndex for IvfPqIndex {
         for &c in &probes {
             let c = c as usize;
             // Read the posting list from the device (sequential requests).
-            // IVF-PQ posting lists hold (id + PQ code) entries.
-            trace.push_read(range_reqs(
-                self.list_offsets[c],
-                self.list_bytes[c],
-                sann_obs::IoProvenance::PqCodes,
-            ));
+            trace.push_read(self.postings.reqs(c, sann_obs::IoProvenance::PqCodes));
             let list = &self.lists[c];
             dists.resize(list.len(), 0.0);
             table.distance_rows(&self.codes[c], &mut dists);
@@ -370,7 +352,7 @@ impl VectorIndex for IvfPqIndex {
     }
 
     fn storage_bytes(&self) -> u64 {
-        self.total_storage
+        self.postings.total_bytes()
     }
 
     fn persist_encode(&self) -> Option<Vec<u8>> {
@@ -446,11 +428,7 @@ mod tests {
             let mut topk = TopK::new(10);
             for c in probes_per_pair(&index.kmeans, q, 7) {
                 let c = c as usize;
-                trace.push_read(range_reqs(
-                    index.list_offsets[c],
-                    index.list_bytes[c],
-                    sann_obs::IoProvenance::PqCodes,
-                ));
+                trace.push_read(index.postings.reqs(c, sann_obs::IoProvenance::PqCodes));
                 for (i, &id) in index.lists[c].iter().enumerate() {
                     topk.push(id, table.distance_at(&index.codes[c], i));
                 }

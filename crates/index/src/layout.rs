@@ -32,30 +32,23 @@ pub struct DiskLayout {
     nodes_per_sector: u64,
     sectors_per_node: u64,
     n_nodes: u64,
-    base_offset: u64,
 }
 
 impl DiskLayout {
     /// Creates a layout for `n_nodes` records of `node_bytes` bytes starting
-    /// at byte `base_offset` (which must be sector-aligned).
+    /// at byte 0 of the device.
     ///
     /// # Panics
     ///
-    /// Panics if `node_bytes` is zero or `base_offset` is not sector-aligned.
-    pub fn new(n_nodes: u64, node_bytes: u64, base_offset: u64) -> DiskLayout {
+    /// Panics if `node_bytes` is zero.
+    pub fn new(n_nodes: u64, node_bytes: u64) -> DiskLayout {
         assert!(node_bytes > 0, "node_bytes must be positive");
-        assert_eq!(
-            base_offset % SECTOR_BYTES,
-            0,
-            "base offset must be sector-aligned"
-        );
         if node_bytes <= SECTOR_BYTES {
             DiskLayout {
                 node_bytes,
                 nodes_per_sector: SECTOR_BYTES / node_bytes,
                 sectors_per_node: 1,
                 n_nodes,
-                base_offset,
             }
         } else {
             DiskLayout {
@@ -63,7 +56,6 @@ impl DiskLayout {
                 nodes_per_sector: 0,
                 sectors_per_node: node_bytes.div_ceil(SECTOR_BYTES),
                 n_nodes,
-                base_offset,
             }
         }
     }
@@ -83,17 +75,6 @@ impl DiskLayout {
         self.sectors_per_node
     }
 
-    /// Number of records.
-    pub fn n_nodes(&self) -> u64 {
-        self.n_nodes
-    }
-
-    /// Byte offset of the first record (the region start passed to
-    /// [`DiskLayout::new`]).
-    pub fn base_offset(&self) -> u64 {
-        self.base_offset
-    }
-
     /// First sector (byte offset) of node `id`.
     ///
     /// # Errors
@@ -111,9 +92,9 @@ impl DiskLayout {
         }
         Ok(
             if let Some(sector) = id.checked_div(self.nodes_per_sector) {
-                self.base_offset + sector * SECTOR_BYTES
+                sector * SECTOR_BYTES
             } else {
-                self.base_offset + id * self.sectors_per_node * SECTOR_BYTES
+                id * self.sectors_per_node * SECTOR_BYTES
             },
         )
     }
@@ -151,11 +132,6 @@ impl DiskLayout {
             self.n_nodes * self.sectors_per_node * SECTOR_BYTES
         }
     }
-
-    /// One past the last byte used by this layout (for stacking regions).
-    pub fn end_offset(&self) -> u64 {
-        self.base_offset + self.total_bytes()
-    }
 }
 
 /// Splits a contiguous byte range (e.g. an IVF posting list) into
@@ -186,6 +162,50 @@ pub fn range_reqs(offset: u64, bytes: u64, provenance: IoProvenance) -> Vec<IoRe
     reqs
 }
 
+/// Posting lists stored back to back on the device, each starting on a
+/// sector boundary (the IVF-PQ and SPANN layout).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PostingLayout {
+    /// Byte offset and byte length of each list.
+    lists: Vec<(u64, u64)>,
+    total_bytes: u64,
+}
+
+impl PostingLayout {
+    /// Places lists of `lens` entries of `entry_bytes` bytes each, in order.
+    pub fn new(lens: impl IntoIterator<Item = usize>, entry_bytes: u64) -> PostingLayout {
+        let mut end = 0;
+        let lists = lens
+            .into_iter()
+            .map(|len| {
+                let (offset, bytes) = (end, cast::u64_from_usize(len) * entry_bytes);
+                end += bytes.div_ceil(SECTOR_BYTES) * SECTOR_BYTES;
+                (offset, bytes)
+            })
+            .collect();
+        PostingLayout {
+            lists,
+            total_bytes: end,
+        }
+    }
+
+    /// The sequential read requests fetching list `c`, tagged with
+    /// `provenance` (see [`range_reqs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a list of the layout.
+    pub fn reqs(&self, c: usize, provenance: IoProvenance) -> Vec<IoReq> {
+        let (offset, bytes) = self.lists[c];
+        range_reqs(offset, bytes, provenance)
+    }
+
+    /// Total bytes the lists occupy on the device (sector-aligned).
+    pub fn total_bytes(&self) -> u64 {
+        self.total_bytes
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +213,7 @@ mod tests {
     #[test]
     fn cohere_node_fits_one_sector() {
         // 768-d f32 vector + degree u32 + 64 u32 neighbors = 3332 bytes.
-        let layout = DiskLayout::new(1000, 768 * 4 + 4 + 64 * 4, 0);
+        let layout = DiskLayout::new(1000, 768 * 4 + 4 + 64 * 4);
         assert_eq!(layout.nodes_per_sector(), 1);
         assert_eq!(layout.sectors_per_node(), 1);
         let reqs = layout.node_reqs(5, IoProvenance::GraphAdjacency).unwrap();
@@ -207,7 +227,7 @@ mod tests {
     #[test]
     fn openai_node_spans_two_sectors_as_two_4k_requests() {
         // 1536-d f32 vector + degree + 64 neighbors = 6404 bytes.
-        let layout = DiskLayout::new(1000, 1536 * 4 + 4 + 64 * 4, 0);
+        let layout = DiskLayout::new(1000, 1536 * 4 + 4 + 64 * 4);
         assert_eq!(layout.sectors_per_node(), 2);
         let reqs = layout.node_reqs(3, IoProvenance::GraphAdjacency).unwrap();
         assert_eq!(reqs.len(), 2);
@@ -228,7 +248,7 @@ mod tests {
 
     #[test]
     fn small_nodes_pack() {
-        let layout = DiskLayout::new(10, 1000, 0);
+        let layout = DiskLayout::new(10, 1000);
         assert_eq!(layout.nodes_per_sector(), 4);
         assert_eq!(
             layout.node_offset(0).unwrap(),
@@ -242,10 +262,19 @@ mod tests {
     }
 
     #[test]
-    fn base_offset_applies() {
-        let layout = DiskLayout::new(4, 4096, 8192);
-        assert_eq!(layout.node_offset(0).unwrap(), 8192);
-        assert_eq!(layout.end_offset(), 8192 + 4 * 4096);
+    fn posting_lists_sit_back_to_back_on_sector_boundaries() {
+        let prov = IoProvenance::PqCodes;
+        let layout = PostingLayout::new([3, 0, 1000], 100);
+        assert_eq!(layout.reqs(0, prov), range_reqs(0, 300, prov));
+        assert!(
+            layout.reqs(1, prov).is_empty(),
+            "an empty list reads nothing"
+        );
+        assert_eq!(layout.reqs(2, prov), range_reqs(4096, 100_000, prov));
+        assert_eq!(
+            layout.total_bytes(),
+            4096 + 100_000u64.div_ceil(4096) * 4096
+        );
     }
 
     #[test]
@@ -253,7 +282,7 @@ mod tests {
         // Regression: this used to panic (`assert!(id < n_nodes)`), tearing
         // down a whole sweep on one corrupt graph edge. It must be a
         // recoverable InvalidParameter error instead.
-        let layout = DiskLayout::new(4, 128, 0);
+        let layout = DiskLayout::new(4, 128);
         assert!(layout.node_offset(99).is_err());
         assert!(layout.node_reqs(99, IoProvenance::GraphAdjacency).is_err());
         assert!(layout.node_offset(3).is_ok(), "last valid id still works");

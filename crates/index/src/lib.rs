@@ -17,7 +17,6 @@
 //! | [`IvfPqIndex`] | storage | LanceDB-IVF (product-quantized, posting lists on disk) |
 //! | [`HnswIndex`] | memory | Milvus/Qdrant/Weaviate-HNSW |
 //! | [`HnswSqIndex`] | memory | LanceDB-HNSW (scalar-quantized) |
-//! | [`MmapHnswIndex`] | storage | Qdrant's mmap mode (graph in memory, vectors page-faulted from storage) |
 //! | [`DiskAnnIndex`] | storage | Milvus-DiskANN (PQ in memory, graph + vectors on disk) |
 //! | [`SpannIndex`] | storage | SPANN (§II-B's cluster-based alternative: centroids in memory, replicated posting lists on disk) |
 //!
@@ -39,7 +38,6 @@ pub mod diskann;
 pub mod flat;
 pub mod fresh;
 pub mod hnsw;
-pub mod hnsw_mmap;
 pub mod hnsw_sq;
 pub mod ivf;
 pub mod layout;
@@ -53,7 +51,6 @@ pub use diskann::{default_pq_m, DiskAnnConfig, DiskAnnIndex};
 pub use flat::FlatIndex;
 pub use fresh::{FreshConfig, FreshDiskAnnIndex};
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use hnsw_mmap::MmapHnswIndex;
 pub use hnsw_sq::HnswSqIndex;
 pub use ivf::{IvfConfig, IvfIndex, IvfPqIndex};
 pub use layout::DiskLayout;
@@ -300,7 +297,6 @@ mod tests {
             graph,
             pq_m: 4,
             pq_ksub: 16,
-            base_offset: 0,
         };
         let fresh = FreshConfig {
             graph,
@@ -314,7 +310,6 @@ mod tests {
             Box::new(IvfPqIndex::build(&data, ivf, 4, 16).unwrap()),
             Box::new(HnswIndex::build(&data, Metric::L2, hnsw).unwrap()),
             Box::new(HnswSqIndex::build(&data, Metric::L2, hnsw).unwrap()),
-            Box::new(MmapHnswIndex::build(&data, Metric::L2, hnsw, 1 << 20).unwrap()),
             Box::new(DiskAnnIndex::build(&data, Metric::L2, diskann).unwrap()),
             Box::new(SpannIndex::build(&data, Metric::L2, SpannConfig::default()).unwrap()),
             Box::new(FreshDiskAnnIndex::build(&data, Metric::L2, fresh).unwrap()),
@@ -322,7 +317,7 @@ mod tests {
         let mut kinds: Vec<&str> = families.iter().map(|ix| ix.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 9, "one index per family: {kinds:?}");
+        assert_eq!(kinds.len(), 8, "one index per family: {kinds:?}");
 
         let params = SearchParams::default();
         let mismatch = |actual| Error::DimensionMismatch {

@@ -41,12 +41,11 @@ pub struct PagedLayout {
     page_of: Vec<u32>,
     /// Number of pages.
     n_pages: u64,
-    base_offset: u64,
 }
 
 impl PagedLayout {
     /// Builds the packing for `graph` with `node_bytes`-byte records
-    /// starting at `base_offset`.
+    /// starting at byte 0 of the device.
     ///
     /// Packing is greedy and fully deterministic (it must reproduce
     /// identically from a persisted graph): nodes are seeded in
@@ -56,16 +55,11 @@ impl PagedLayout {
     ///
     /// # Panics
     ///
-    /// Panics if `node_bytes` is zero or `base_offset` is not
-    /// sector-aligned (construction-time programming errors, exactly as in
+    /// Panics if `node_bytes` is zero (a construction-time programming
+    /// error, exactly as in
     /// [`DiskLayout::new`](crate::layout::DiskLayout::new)).
-    pub fn new(graph: &VamanaGraph, node_bytes: u64, base_offset: u64) -> PagedLayout {
+    pub fn new(graph: &VamanaGraph, node_bytes: u64) -> PagedLayout {
         assert!(node_bytes > 0, "node_bytes must be positive");
-        assert_eq!(
-            base_offset % SECTOR_BYTES,
-            0,
-            "base offset must be sector-aligned"
-        );
         // Smallest page of <= MAX_PAGE_SECTORS sectors holding >= 2 records;
         // if no such page exists the layout degenerates to one record per
         // page (no co-location possible at sane page sizes).
@@ -114,7 +108,6 @@ impl PagedLayout {
             nodes_per_page,
             page_of,
             n_pages: u64::from(next_page),
-            base_offset,
         }
     }
 
@@ -136,11 +129,6 @@ impl PagedLayout {
     /// Number of pages in the packing.
     pub fn n_pages(&self) -> u64 {
         self.n_pages
-    }
-
-    /// Number of node records.
-    pub fn n_nodes(&self) -> u64 {
-        self.page_of.len() as u64
     }
 
     /// The page holding node `id`'s record.
@@ -167,7 +155,7 @@ impl PagedLayout {
 
     /// Device byte offset of `page`.
     pub fn page_offset(&self, page: u32) -> u64 {
-        self.base_offset + u64::from(page) * self.page_bytes
+        u64::from(page) * self.page_bytes
     }
 
     /// The single request fetching `page`, with `nodes_used` records'
@@ -177,12 +165,7 @@ impl PagedLayout {
     pub fn page_req(&self, page: u32, nodes_used: u64, provenance: IoProvenance) -> IoReq {
         let len = cast::u32_from_u64(self.page_bytes);
         let needed = cast::u32_from_u64((self.node_bytes * nodes_used).min(self.page_bytes));
-        IoReq::tagged(
-            self.base_offset + u64::from(page) * self.page_bytes,
-            len,
-            needed,
-            provenance,
-        )
+        IoReq::tagged(self.page_offset(page), len, needed, provenance)
     }
 
     /// Total bytes the packing occupies on the device.
@@ -216,15 +199,15 @@ mod tests {
     fn catalog_shapes_get_multi_sector_pages() {
         let graph = small_graph();
         // 768-d record: 3332 B -> 8 KiB page holding 2 records.
-        let p768 = PagedLayout::new(&graph, 3332, 0);
+        let p768 = PagedLayout::new(&graph, 3332);
         assert_eq!(p768.page_bytes(), 8192);
         assert_eq!(p768.nodes_per_page(), 2);
         // 1536-d record: 6404 B -> 16 KiB page holding 2 records.
-        let p1536 = PagedLayout::new(&graph, 6404, 0);
+        let p1536 = PagedLayout::new(&graph, 6404);
         assert_eq!(p1536.page_bytes(), 16384);
         assert_eq!(p1536.nodes_per_page(), 2);
         // Tiny records pack many to a single sector.
-        let tiny = PagedLayout::new(&graph, 1000, 0);
+        let tiny = PagedLayout::new(&graph, 1000);
         assert_eq!(tiny.page_bytes(), 4096);
         assert_eq!(tiny.nodes_per_page(), 4);
     }
@@ -232,7 +215,7 @@ mod tests {
     #[test]
     fn oversized_records_degenerate_to_singleton_pages() {
         let graph = small_graph();
-        let huge = PagedLayout::new(&graph, 20_000, 0);
+        let huge = PagedLayout::new(&graph, 20_000);
         assert_eq!(huge.nodes_per_page(), 1);
         assert_eq!(huge.page_bytes(), 20_000u64.div_ceil(4096) * 4096);
     }
@@ -240,7 +223,7 @@ mod tests {
     #[test]
     fn every_node_is_placed_and_pages_respect_capacity() {
         let graph = small_graph();
-        let layout = PagedLayout::new(&graph, 3332, 0);
+        let layout = PagedLayout::new(&graph, 3332);
         let mut per_page = vec![0u64; layout.n_pages() as usize];
         for id in 0..graph.len() as u64 {
             per_page[layout.page_of(id).unwrap() as usize] += 1;
@@ -254,7 +237,7 @@ mod tests {
         // Most pages with 2 occupants must hold a genuine graph edge —
         // that is the whole point of the packing.
         let graph = small_graph();
-        let layout = PagedLayout::new(&graph, 3332, 0);
+        let layout = PagedLayout::new(&graph, 3332);
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); layout.n_pages() as usize];
         for id in 0..graph.len() as u32 {
             members[layout.page_of(u64::from(id)).unwrap() as usize].push(id);
@@ -277,17 +260,17 @@ mod tests {
     #[test]
     fn packing_is_deterministic() {
         let graph = small_graph();
-        let a = PagedLayout::new(&graph, 3332, 4096);
-        let b = PagedLayout::new(&graph, 3332, 4096);
+        let a = PagedLayout::new(&graph, 3332);
+        let b = PagedLayout::new(&graph, 3332);
         assert_eq!(a, b);
     }
 
     #[test]
     fn page_reqs_are_sector_multiples_with_exact_needed() {
         let graph = small_graph();
-        let layout = PagedLayout::new(&graph, 3332, 8192);
+        let layout = PagedLayout::new(&graph, 3332);
         let req = layout.page_req(3, 2, IoProvenance::GraphAdjacency);
-        assert_eq!(req.offset, 8192 + 3 * 8192);
+        assert_eq!(req.offset, 3 * 8192);
         assert_eq!(req.len, 8192);
         assert_eq!(req.needed, 2 * 3332);
         assert_eq!(req.offset % 4096, 0);
@@ -299,7 +282,7 @@ mod tests {
     #[test]
     fn out_of_range_id_is_an_error() {
         let graph = small_graph();
-        let layout = PagedLayout::new(&graph, 3332, 0);
+        let layout = PagedLayout::new(&graph, 3332);
         assert!(layout.page_of(9999).is_err());
         assert!(layout.page_of(graph.len() as u64 - 1).is_ok());
     }

@@ -13,7 +13,7 @@
 //! artifacts against fresh builds.
 //!
 //! The kinds that ride on a simulated-storage layout or hold only derived
-//! state (`flat`, `mmap-hnsw`, `spann`, `fresh-diskann`) return `None` from
+//! state (`flat`, `spann`, `fresh-diskann`) return `None` from
 //! `persist_encode` and are simply rebuilt on every run.
 
 use crate::{DiskAnnIndex, HnswIndex, HnswSqIndex, IvfIndex, IvfPqIndex, VectorIndex};
@@ -68,9 +68,7 @@ pub fn decode(bytes: &[u8]) -> Result<Box<dyn VectorIndex>> {
             )))
         }
     };
-    if r.remaining() != 0 {
-        return Err(Error::Corrupt("index-artifact: trailing bytes".into()));
-    }
+    r.finish()?;
     Ok(index)
 }
 
@@ -133,15 +131,19 @@ mod tests {
         // (a u64 length, then 8 bytes per member), and the codebooks
         // (8 x 32 sub-centroids of 4 floats) sit right before them, after
         // the quantizer's shape.
-        let mut bytes = index.persist_encode().unwrap();
-        let entry = bytes.len() - (16 * 8 + base.len() * 8) - 8 * 32 * 4 * 4;
+        let frame = index.persist_encode().unwrap();
+        let blocks = frame.len() - (16 * 8 + base.len() * 8);
+        let entry = blocks - 8 * 32 * 4 * 4;
         let shape: Vec<u8> = [32u32, 8, 32]
             .iter()
             .flat_map(|x| x.to_le_bytes())
             .collect();
-        assert_eq!(bytes[entry - 12..entry], shape);
+        assert_eq!(frame[entry - 12..entry], shape);
+        let mut bytes = frame.clone();
         bytes[entry..entry + 4].copy_from_slice(&f32::NAN.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(Error::Corrupt(_))));
+        // The first code block's length becomes 2^62.
+        assert_corrupt(with_count(frame, blocks), "ivf-pq codes");
     }
 
     #[test]
@@ -164,6 +166,11 @@ mod tests {
         let (base, queries) = data();
         let index = HnswSqIndex::build(&base, Metric::L2, HnswConfig::default()).unwrap();
         assert_round_trip(&index, &queries);
+        // The frame ends with the code matrix's u64 length and its bytes,
+        // one per dimension; the length becomes 2^62.
+        let frame = index.persist_encode().unwrap();
+        let at = frame.len() - base.len() * 32 - 8;
+        assert_corrupt(with_count(frame, at), "hnsw-sq codes");
     }
 
     #[test]
@@ -176,13 +183,35 @@ mod tests {
             },
             pq_m: 8,
             pq_ksub: 32,
-            base_offset: 8192,
         };
         let index = DiskAnnIndex::build(&base, Metric::L2, config).unwrap();
         assert_round_trip(&index, &queries);
-        // The rebuilt layout preserves the original region placement.
-        let back = decode(&index.persist_encode().unwrap()).unwrap();
-        assert_eq!(back.storage_bytes(), index.storage_bytes());
+
+        // The u64 after the metric tag is reserved: anything but the 0
+        // every artifact carries is corrupt.
+        let frame = index.persist_encode().unwrap();
+        let reserved = 4 + 4 + (4 + "diskann".len()) + 1;
+        assert_eq!(frame[reserved..reserved + 8], 0u64.to_le_bytes());
+        let mut bytes = frame.clone();
+        bytes[reserved + 1] = 0x20;
+        assert_corrupt(bytes, "reserved word");
+        // The frame ends with the PQ codes' u64 length and 8 bytes per
+        // vector; the length becomes 2^62.
+        let at = frame.len() - base.len() * 8 - 8;
+        assert_corrupt(with_count(frame, at), "diskann codes");
+    }
+
+    /// `frame` with the u64 count at byte `at` replaced by 2^62.
+    fn with_count(mut frame: Vec<u8>, at: usize) -> Vec<u8> {
+        frame[at..at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        frame
+    }
+
+    fn assert_corrupt(frame: Vec<u8>, what: &str) {
+        match decode(&frame) {
+            Err(Error::Corrupt(message)) => assert!(message.contains(what), "{message}"),
+            other => panic!("expected Corrupt({what}), got {:?}", other.err()),
+        }
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   issues *many dependent 4 KiB* reads.
 
 use crate::hnsw::{HnswConfig, HnswIndex};
-use crate::layout::{range_reqs, SECTOR_BYTES};
+use crate::layout::PostingLayout;
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
-use sann_core::{Dataset, Error, Metric, Result, TopK};
+use sann_core::{cast, Dataset, Error, Metric, Result, TopK};
 use sann_quant::KMeans;
 
 /// Build-time configuration for [`SpannIndex`].
@@ -65,11 +65,8 @@ pub struct SpannIndex {
     centroid_index: HnswIndex,
     /// Per-cluster member ids (with replication).
     lists: Vec<Vec<u32>>,
-    /// Device byte offset of each posting list.
-    list_offsets: Vec<u64>,
-    /// Bytes of each posting list.
-    list_bytes: Vec<u64>,
-    total_storage: u64,
+    /// Where the posting lists sit on the device.
+    postings: PostingLayout,
     config: SpannConfig,
 }
 
@@ -134,27 +131,16 @@ impl SpannIndex {
 
         let centroid_index = HnswIndex::build(&centroids, metric, config.centroid_index)?;
 
-        // Layout: one sector-aligned contiguous region per posting list,
-        // entries of (id + full vector).
-        let entry_bytes = 4 + data.row_bytes() as u64;
-        let mut list_offsets = Vec::with_capacity(nlist);
-        let mut list_bytes = Vec::with_capacity(nlist);
-        let mut offset = 0u64;
-        for list in &lists {
-            let bytes = list.len() as u64 * entry_bytes;
-            list_offsets.push(offset);
-            list_bytes.push(bytes);
-            offset += bytes.div_ceil(SECTOR_BYTES) * SECTOR_BYTES;
-        }
+        // Posting-list entries are an id and a full vector.
+        let entry_bytes = 4 + cast::u64_from_usize(data.row_bytes());
+        let postings = PostingLayout::new(lists.iter().map(Vec::len), entry_bytes);
         Ok(SpannIndex {
             data: data.clone(),
             metric,
             centroids,
             centroid_index,
             lists,
-            list_offsets,
-            list_bytes,
-            total_storage: offset,
+            postings,
             config,
         })
     }
@@ -226,12 +212,8 @@ impl VectorIndex for SpannIndex {
             if self.lists[c].is_empty() {
                 continue;
             }
-            // SPANN posting lists hold (id + full vector) entries.
-            trace.push_read(range_reqs(
-                self.list_offsets[c],
-                self.list_bytes[c],
-                sann_obs::IoProvenance::IvfPostingList,
-            ));
+            let prov = sann_obs::IoProvenance::IvfPostingList;
+            trace.push_read(self.postings.reqs(c, prov));
             let list = &self.lists[c];
             self.metric
                 .distance_gather(query, &self.data, list, &mut dists);
@@ -255,7 +237,7 @@ impl VectorIndex for SpannIndex {
     }
 
     fn storage_bytes(&self) -> u64 {
-        self.total_storage
+        self.postings.total_bytes()
     }
 }
 
@@ -306,11 +288,8 @@ mod tests {
                 if cand.dist > stage1.neighbors[0].dist * slack || index.lists[c].is_empty() {
                     continue;
                 }
-                trace.push_read(range_reqs(
-                    index.list_offsets[c],
-                    index.list_bytes[c],
-                    sann_obs::IoProvenance::IvfPostingList,
-                ));
+                let prov = sann_obs::IoProvenance::IvfPostingList;
+                trace.push_read(index.postings.reqs(c, prov));
                 for &id in &index.lists[c] {
                     topk.push(id, Metric::L2.distance(q, base.row(id as usize)));
                     scanned += 1;
@@ -380,7 +359,6 @@ mod tests {
                 },
                 pq_m: 16,
                 pq_ksub: 64,
-                base_offset: 0,
             },
         )
         .unwrap();

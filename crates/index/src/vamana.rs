@@ -155,14 +155,12 @@ impl VamanaGraph {
     /// Appends the canonical little-endian encoding (degree bound, medoid,
     /// then per-node adjacency lists) to `buf`.
     pub fn encode_into(&self, buf: &mut sann_core::buf::ByteWriter) {
-        buf.put_u32_le(self.r as u32);
+        buf.put_count_u32(self.r);
         buf.put_u32_le(self.medoid);
-        buf.put_u64_le(self.adj.len() as u64);
+        buf.put_count_u64(self.adj.len());
         for nbrs in &self.adj {
-            buf.put_u32_le(nbrs.len() as u32);
-            for &n in nbrs {
-                buf.put_u32_le(n);
-            }
+            buf.put_count_u32(nbrs.len());
+            buf.put_u32s(nbrs.iter().copied());
         }
     }
 
@@ -175,31 +173,23 @@ impl VamanaGraph {
     /// to itself, an id twice in one list, a list longer than the degree
     /// bound.
     pub fn decode_from(r: &mut sann_core::buf::ByteReader<'_>) -> Result<VamanaGraph> {
-        let degree = r.get_u32_le()? as usize;
+        let degree = r.get_count_u32("vamana r", 0)?;
         let medoid = r.get_u32_le()?;
-        let n = r.get_u64_le()? as usize;
+        // Every list costs at least its length word.
+        let n = r.get_count_u64("vamana adjacency", 4)?;
         if medoid as usize >= n {
             return Err(Error::Corrupt("vamana: medoid out of range".into()));
-        }
-        // Every list costs at least its length word, so a count the frame
-        // cannot hold is refused before anything is sized by it.
-        if r.remaining() / 4 < n {
-            return Err(Error::Corrupt("vamana: truncated adjacency".into()));
         }
         let mut adj = Vec::with_capacity(n);
         // `listed[nb]` is one more than the last node whose list named `nb`.
         let mut listed = vec![0usize; n];
         for node in 0..n {
-            let len = r.get_u32_le()? as usize;
+            let len = r.get_count_u32("vamana adjacency", 4)?;
             if len > degree {
                 return Err(Error::Corrupt("vamana: list longer than r".into()));
             }
-            if r.remaining() < len * 4 {
-                return Err(Error::Corrupt("vamana: truncated adjacency".into()));
-            }
-            let mut nbrs = Vec::with_capacity(len);
-            for _ in 0..len {
-                let nb = r.get_u32_le()?;
+            let nbrs: Vec<u32> = r.get_u32s(len)?.collect();
+            for &nb in &nbrs {
                 let at = nb as usize;
                 let Some(last) = listed.get_mut(at) else {
                     return Err(Error::Corrupt("vamana: neighbor out of range".into()));
@@ -210,7 +200,6 @@ impl VamanaGraph {
                 if std::mem::replace(last, node + 1) == node + 1 {
                     return Err(Error::Corrupt("vamana: neighbor listed twice".into()));
                 }
-                nbrs.push(nb);
             }
             adj.push(nbrs);
         }
@@ -656,8 +645,10 @@ mod tests {
 
     #[test]
     fn decode_bounds_the_node_count_before_sizing_by_it() {
-        // 2^40 nodes (the count's high word): refused, not allocated.
-        assert_corrupt(3, 256, "truncated adjacency");
+        // 2^62 nodes (the count's high word), then a list of 2^32 - 1:
+        // refused, not allocated.
+        assert_corrupt(3, 1 << 30, "vamana adjacency");
+        assert_corrupt(4, u32::MAX, "vamana adjacency");
     }
 
     #[test]

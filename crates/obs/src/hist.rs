@@ -7,6 +7,7 @@
 //! [`bucket_floor`].
 
 use sann_core::buf::ByteWriter;
+use sann_core::cast;
 
 /// Number of buckets: bucket 0 holds the value `0`, bucket `i ≥ 1` holds
 /// values `v` with `2^(i-1) <= v < 2^i` (i.e. `i` significant bits).
@@ -192,16 +193,10 @@ impl LogHistogram {
         buf.put_u64_le(self.sum);
         buf.put_u64_le(self.min());
         buf.put_u64_le(self.max);
-        let nonzero: Vec<(usize, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect();
-        buf.put_u32_le(nonzero.len() as u32);
-        for (i, c) in nonzero {
-            buf.put_u32_le(i as u32);
+        let nonzero = || self.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        buf.put_count_u32(nonzero().count());
+        for (i, &c) in nonzero() {
+            buf.put_u32_le(cast::u32_from_usize(i));
             buf.put_u64_le(c);
         }
     }

@@ -29,8 +29,8 @@ pub enum IoProvenance {
     /// full-precision vector (DiskANN node reads, FreshDiskANN
     /// node reads and writes).
     GraphAdjacency,
-    /// Packed full-precision vector blocks with no graph payload
-    /// (mmap-HNSW vector-file page faults, rerank fetches).
+    /// Packed full-precision vector blocks with no graph payload (a
+    /// separate rerank fetch). No index tags these today.
     VectorBlock,
     /// IVF/SPANN posting lists: (id + full vector) entries scanned
     /// sequentially after centroid routing.

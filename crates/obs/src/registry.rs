@@ -91,9 +91,7 @@ impl PhaseBreakdown {
     /// Appends the canonical little-endian encoding.
     pub fn encode(&self, buf: &mut ByteWriter) {
         buf.put_u64_le(self.queries);
-        for ns in &self.ns {
-            buf.put_u64_le(*ns);
-        }
+        buf.put_u64s(self.ns.iter().copied());
     }
 
     /// Canonical little-endian encoding (queries, then per-phase totals
@@ -197,20 +195,18 @@ impl Registry {
     /// samples, and the phase breakdown.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut buf = ByteWriter::new();
-        buf.put_u32_le(self.counters.len() as u32);
+        buf.put_count_u32(self.counters.len());
         for (name, v) in &self.counters {
             buf.put_str(name);
             buf.put_u64_le(*v);
         }
-        buf.put_u32_le(self.hists.len() as u32);
+        buf.put_count_u32(self.hists.len());
         for (name, h) in &self.hists {
             buf.put_str(name);
             h.encode(&mut buf);
         }
-        buf.put_u32_le(self.latencies_ns.len() as u32);
-        for ns in &self.latencies_ns {
-            buf.put_u64_le(*ns);
-        }
+        buf.put_count_u32(self.latencies_ns.len());
+        buf.put_u64s(self.latencies_ns.iter().copied());
         self.breakdown.encode(&mut buf);
         buf.into_bytes()
     }

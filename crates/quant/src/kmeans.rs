@@ -203,10 +203,8 @@ impl KMeansModel {
     /// assignment vector) to `buf`.
     pub fn encode_into(&self, buf: &mut sann_core::buf::ByteWriter) {
         self.centroids.encode_into(buf);
-        buf.put_u64_le(self.assignments.len() as u64);
-        for &a in &self.assignments {
-            buf.put_u32_le(a);
-        }
+        buf.put_count_u64(self.assignments.len());
+        buf.put_u32s(self.assignments.iter().copied());
     }
 
     /// Reads a model previously written by [`KMeansModel::encode_into`].
@@ -221,18 +219,11 @@ impl KMeansModel {
         if !centroids.as_flat().iter().all(|x| x.is_finite()) {
             return Err(Error::Corrupt("kmeans: non-finite centroid".into()));
         }
-        let n = r.get_u64_le()? as usize;
-        if r.remaining() < n.saturating_mul(4) {
-            return Err(Error::Corrupt("kmeans: truncated assignments".into()));
-        }
-        let k = centroids.len() as u32;
-        let mut assignments = Vec::with_capacity(n);
-        for _ in 0..n {
-            let a = r.get_u32_le()?;
-            if a >= k {
-                return Err(Error::Corrupt("kmeans: assignment out of range".into()));
-            }
-            assignments.push(a);
+        let n = r.get_count_u64("kmeans assignments", 4)?;
+        let assignments: Vec<u32> = r.get_u32s(n)?.collect();
+        let k = u32::try_from(centroids.len()).unwrap_or(u32::MAX);
+        if assignments.iter().any(|&a| a >= k) {
+            return Err(Error::Corrupt("kmeans: assignment out of range".into()));
         }
         Ok(KMeansModel {
             centroids,
@@ -744,7 +735,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = sann_core::buf::ByteReader::new(&bytes, "test");
         let back = KMeansModel::decode_from(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
+        r.finish().unwrap();
         assert_eq!(back.centroids, model.centroids);
         assert_eq!(back.assignments, model.assignments);
         let mut w2 = sann_core::buf::ByteWriter::new();
@@ -766,6 +757,14 @@ mod tests {
         bytes[n - 4..].copy_from_slice(&99u32.to_le_bytes());
         let mut r = sann_core::buf::ByteReader::new(&bytes, "test");
         assert!(KMeansModel::decode_from(&mut r).is_err());
+        // 2^62 assignments: refused before anything is sized by the count.
+        let at = n - 4 * model.assignments.len() - 8;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let mut r = sann_core::buf::ByteReader::new(&bytes, "test");
+        assert!(matches!(
+            KMeansModel::decode_from(&mut r),
+            Err(Error::Corrupt(m)) if m.contains("kmeans assignments")
+        ));
     }
 
     #[test]

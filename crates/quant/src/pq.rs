@@ -193,16 +193,11 @@ impl ProductQuantizer {
     /// (shape, then the codebooks flattened `m × ksub × sub_dim`, one
     /// sub-centroid after the other) to `buf`.
     pub fn encode_into(&self, buf: &mut sann_core::buf::ByteWriter) {
-        buf.put_u32_le(self.dim as u32);
-        buf.put_u32_le(self.m as u32);
-        buf.put_u32_le(self.ksub as u32);
-        for book in self.books() {
-            for c in 0..self.ksub {
-                for x in cols_row(book, self.sub_dim, c) {
-                    buf.put_f32_le(x);
-                }
-            }
-        }
+        buf.put_count_u32(self.dim);
+        buf.put_count_u32(self.m);
+        buf.put_count_u32(self.ksub);
+        let rows = |book| (0..self.ksub).flat_map(move |c| cols_row(book, self.sub_dim, c));
+        buf.put_f32s(self.books().flat_map(rows));
     }
 
     /// Reads a quantizer previously written by
@@ -214,26 +209,19 @@ impl ProductQuantizer {
     /// codebook entry that is not finite (it would make every ADC table a
     /// NaN table, and a candidate list ordered by NaN is not ordered).
     pub fn decode_from(r: &mut sann_core::buf::ByteReader<'_>) -> Result<ProductQuantizer> {
-        let dim = r.get_u32_le()? as usize;
-        let m = r.get_u32_le()? as usize;
-        let ksub = r.get_u32_le()? as usize;
+        let dim = r.get_count_u32("pq dim", 0)?;
+        let m = r.get_count_u32("pq m", 0)?;
+        let ksub = r.get_count_u32("pq ksub", 0)?;
         if m == 0 || dim == 0 || !dim.is_multiple_of(m) || ksub == 0 || ksub > 256 {
             return Err(Error::Corrupt("pq: inconsistent shape".into()));
         }
         let sub_dim = dim / m;
-        let total = m * ksub * sub_dim;
-        if r.remaining() < total * 4 {
-            return Err(Error::Corrupt("pq: truncated codebooks".into()));
-        }
-        let bytes = r.take(total * 4)?;
+        let mut floats = r.get_f32s(ksub.saturating_mul(dim))?;
         let mut codebooks = Vec::with_capacity(m * cols_len(ksub, sub_dim));
         let mut rows = Vec::with_capacity(ksub * sub_dim);
-        for book in bytes.chunks_exact(ksub * sub_dim * 4) {
+        for _ in 0..m {
             rows.clear();
-            rows.extend(
-                book.chunks_exact(4)
-                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-            );
+            rows.extend(floats.by_ref().take(ksub * sub_dim));
             if !rows.iter().all(|x| x.is_finite()) {
                 return Err(Error::Corrupt("pq: non-finite codebook entry".into()));
             }
@@ -615,7 +603,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = sann_core::buf::ByteReader::new(&bytes, "test");
         let back = ProductQuantizer::decode_from(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
+        r.finish().unwrap();
         // The decoded quantizer produces identical codes and distances.
         assert_eq!(back.encode(data.row(0)), pq.encode(data.row(0)));
         let mut w2 = sann_core::buf::ByteWriter::new();
@@ -635,6 +623,14 @@ mod tests {
         bad[4..8].copy_from_slice(&3u32.to_le_bytes()); // m=3 does not divide dim=32
         let mut r = sann_core::buf::ByteReader::new(&bad, "test");
         assert!(ProductQuantizer::decode_from(&mut r).is_err());
+        // dim = 2^32 - 1 in one sub-space: codebooks the frame cannot hold
+        // are refused before anything is sized by them.
+        let mut bad = bytes.clone();
+        bad[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut r = sann_core::buf::ByteReader::new(&bad, "test");
+        let err = ProductQuantizer::decode_from(&mut r).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err}");
         // A codebook entry that is not a number, first and last.
         for (at, x) in [(12, f32::NAN), (bytes.len() - 4, f32::NEG_INFINITY)] {
             let mut bad = bytes.clone();

@@ -84,13 +84,8 @@ impl ScalarQuantizer {
     /// Appends the canonical little-endian encoding (per-dimension min and
     /// scale) to `buf`.
     pub fn encode_into(&self, buf: &mut sann_core::buf::ByteWriter) {
-        buf.put_u32_le(self.min.len() as u32);
-        for &x in &self.min {
-            buf.put_f32_le(x);
-        }
-        for &x in &self.scale {
-            buf.put_f32_le(x);
-        }
+        buf.put_count_u32(self.min.len());
+        buf.put_f32s(self.min.iter().chain(&self.scale).copied());
     }
 
     /// Reads a quantizer previously written by
@@ -100,21 +95,13 @@ impl ScalarQuantizer {
     ///
     /// Returns [`Error::Corrupt`] on truncation or a zero dimension.
     pub fn decode_from(r: &mut sann_core::buf::ByteReader<'_>) -> Result<ScalarQuantizer> {
-        let dim = r.get_u32_le()? as usize;
+        // Each dimension has a min and a scale.
+        let dim = r.get_count_u32("sq tables", 8)?;
         if dim == 0 {
             return Err(Error::Corrupt("sq: zero dimension".into()));
         }
-        if r.remaining() < dim * 8 {
-            return Err(Error::Corrupt("sq: truncated tables".into()));
-        }
-        let mut min = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            min.push(r.get_f32_le()?);
-        }
-        let mut scale = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            scale.push(r.get_f32_le()?);
-        }
+        let min = r.get_f32s(dim)?.collect();
+        let scale = r.get_f32s(dim)?.collect();
         Ok(ScalarQuantizer { min, scale })
     }
 
@@ -232,9 +219,17 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = sann_core::buf::ByteReader::new(&bytes, "test");
         let back = ScalarQuantizer::decode_from(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0);
+        r.finish().unwrap();
         assert_eq!(back, sq);
         let mut r = sann_core::buf::ByteReader::new(&bytes[..bytes.len() - 3], "test");
         assert!(ScalarQuantizer::decode_from(&mut r).is_err());
+        // 2^32 - 1 dimensions: refused before anything is sized by them.
+        let mut huge = bytes.clone();
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut r = sann_core::buf::ByteReader::new(&huge, "test");
+        assert!(matches!(
+            ScalarQuantizer::decode_from(&mut r),
+            Err(Error::Corrupt(_))
+        ));
     }
 }

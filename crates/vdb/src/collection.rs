@@ -485,7 +485,6 @@ mod tests {
                 },
                 pq_m: 8,
                 pq_ksub: 16,
-                base_offset: 0,
             }),
         ];
         for spec in specs {
@@ -511,7 +510,6 @@ mod tests {
             },
             pq_m: 8,
             pq_ksub: 16,
-            base_offset: 0,
         }))
         .unwrap();
         let q = c.vectors().row(0).to_vec();

@@ -42,10 +42,9 @@ pub fn encode(collection: &Collection) -> Vec<u8> {
 pub fn decode(data: &[u8]) -> Result<Collection> {
     let corrupt = |what: &str| Error::Corrupt(format!("snapshot: {what}"));
     let mut data = ByteReader::new(data, "snapshot");
-    if data.remaining() < 5 || &data.rest()[..4] != MAGIC {
+    if data.take(4).ok() != Some(MAGIC.as_slice()) {
         return Err(corrupt("bad magic"));
     }
-    data.take(4)?;
     let version = data.get_u8()?;
     if version != VERSION {
         return Err(corrupt(&format!("unsupported version {version}")));
@@ -55,17 +54,11 @@ pub fn decode(data: &[u8]) -> Result<Collection> {
     let metric = Metric::from_tag(tag).ok_or_else(|| corrupt(&format!("unknown metric {tag}")))?;
     let vectors = Dataset::decode_from(&mut data)?;
     let n = vectors.len();
-    if data.remaining() < n {
-        return Err(corrupt("truncated tombstones"));
-    }
-    let mut deleted = Vec::with_capacity(n);
-    for _ in 0..n {
-        deleted.push(data.get_u8()? == 1);
-    }
-    let mut payloads = Vec::with_capacity(n);
-    for _ in 0..n {
-        payloads.push(get_payload(&mut data)?);
-    }
+    let deleted = data.take(n)?.iter().map(|&b| b == 1).collect();
+    let payloads = (0..n)
+        .map(|_| get_payload(&mut data))
+        .collect::<Result<_>>()?;
+    data.finish()?;
     Ok(Collection::from_parts(
         name, metric, vectors, payloads, deleted,
     ))
@@ -92,7 +85,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<Collection> {
 }
 
 fn put_payload(buf: &mut ByteWriter, payload: &Payload) {
-    buf.put_u32_le(payload.len() as u32);
+    buf.put_count_u32(payload.len());
     for (field, value) in payload.iter() {
         buf.put_str(field);
         match value {
@@ -110,14 +103,15 @@ fn put_payload(buf: &mut ByteWriter, payload: &Payload) {
             }
             Value::Bool(b) => {
                 buf.put_u8(3);
-                buf.put_u8(*b as u8);
+                buf.put_u8(u8::from(*b));
             }
         }
     }
 }
 
 fn get_payload(data: &mut ByteReader<'_>) -> Result<Payload> {
-    let n = data.get_u32_le()? as usize;
+    // A field is at least its name's length word, a tag and a value byte.
+    let n = data.get_count_u32("snapshot payload", 6)?;
     let mut payload = Payload::new();
     for _ in 0..n {
         let field = data.get_str()?;
@@ -214,6 +208,18 @@ mod tests {
         huge.put_u64_le(1 << 62);
         assert_eq!(huge.as_slice().len(), 22);
         assert!(matches!(decode(huge.as_slice()), Err(Error::Corrupt(_))));
+        // A valid snapshot plus one byte: the frame ends where its payload
+        // ends.
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(matches!(decode(&trailing), Err(Error::Corrupt(_))));
+        // The last row's payload is one field, `k = 7`: its count, the name's
+        // length and byte, a tag and an i64. The count becomes 2^32 - 1.
+        let mut fields = good.clone();
+        let at = good.len() - (4 + 4 + 1 + 1 + 8);
+        assert_eq!(fields[at..at + 4], 1u32.to_le_bytes());
+        fields[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(decode(&fields), Err(Error::Corrupt(_))));
     }
 
     #[test]

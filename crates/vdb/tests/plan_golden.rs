@@ -76,20 +76,5 @@ fn every_setups_plan_matches_golden() {
     }
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/plans.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &out).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert!(
-        expected == out,
-        "plans drifted from their golden file; if the change is intentional, \
-         regenerate with UPDATE_GOLDEN=1.\n--- expected ---\n{expected}\n--- actual ---\n{out}"
-    );
+    sann_core::check::golden(&path, &out);
 }

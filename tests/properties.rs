@@ -76,7 +76,7 @@ fn layout_requests_are_aligned() {
     run("layout_requests_are_aligned", 300, |g: &mut Gen| {
         let n_nodes = g.u64_in(1, 10_000);
         let node_bytes = g.u64_in(1, 20_000);
-        let layout = DiskLayout::new(n_nodes, node_bytes, 0);
+        let layout = DiskLayout::new(n_nodes, node_bytes);
         let id = g.u64_in(0, n_nodes);
         let reqs = layout
             .node_reqs(id, sann::obs::IoProvenance::GraphAdjacency)
@@ -103,7 +103,7 @@ fn layout_requests_are_aligned() {
             "needed bytes cannot exceed fetched bytes"
         );
         let first = layout.node_offset(id).expect("in-range id");
-        assert!(first + covered <= layout.end_offset());
+        assert!(first + covered <= layout.total_bytes());
     });
 }
 
@@ -115,7 +115,7 @@ fn layout_nodes_do_not_tear() {
         let node_bytes = g.u64_in(1, 20_000);
         let a = g.u64_in(0, 1000);
         let b = g.u64_in(0, 1000);
-        let layout = DiskLayout::new(1000, node_bytes, 0);
+        let layout = DiskLayout::new(1000, node_bytes);
         let oa = layout.node_offset(a).expect("in-range id");
         let ob = layout.node_offset(b).expect("in-range id");
         if a != b && node_bytes > 4096 {
