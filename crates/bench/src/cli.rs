@@ -14,7 +14,7 @@ use crate::{
     tracecmd,
 };
 use sann_core::{Error, Result};
-use sann_engine::DeviceCostModel;
+use sann_engine::{DeviceCostModel, MAX_CLIENTS};
 use sann_vdb::SetupKind;
 
 /// The flags a subcommand may take after its name, parsed once by the
@@ -175,7 +175,12 @@ fn parse(args: &[String]) -> Result<Invocation> {
                 flags.setup = SetupKind::parse(value)
                     .ok_or_else(|| bad_value(word, value, "a setup name, e.g. milvus-diskann"))?;
             }
-            "--clients" => flags.clients = positive_usize(word, value)?,
+            "--clients" => {
+                flags.clients = positive_usize(word, value)?;
+                if flags.clients > MAX_CLIENTS {
+                    return Err(bad_value(word, value, &format!("at most {MAX_CLIENTS}")));
+                }
+            }
             // The row accepted the word, so what is left is `--device`.
             _ => {
                 flags.device = DeviceCostModel::parse(value)
@@ -291,6 +296,7 @@ mod tests {
         iostat --device floppy => error: bad value for --device: `floppy` (990-pro|sata)
         explore --clients many => error: bad value for --clients: `many`
         explore --clients => error: --clients needs a value
+        trace --clients 65537 => error: bad value for --clients: `65537` (at most 65536)
         explore --bogus => error: unknown explore flag `--bogus`
         --scale banana table1 => error: bad value for --scale: `banana`
         table1 --scale => error: --scale needs a value

@@ -75,6 +75,17 @@ pub fn usize_from_u64(x: u64) -> usize {
     x as usize
 }
 
+/// Splits a `u128` into its high and low 64-bit halves.
+///
+/// Lossless: the two halves together are the value (a packed key's fields
+/// are then masked out of the half that holds them).
+#[inline]
+#[must_use]
+pub fn u64_halves(x: u128) -> (u64, u64) {
+    // sann-lint: allow(cast-truncation) -- `>> 64` leaves 64 bits; the low half is the other half
+    ((x >> 64) as u64, x as u64)
+}
+
 /// Converts a `u64` counter to `f64` for rate/average arithmetic.
 ///
 /// Debug builds assert the value is below 2^53, where every integer is
@@ -136,6 +147,14 @@ mod tests {
     #[cfg(debug_assertions)]
     fn narrowing_out_of_bounds_asserts() {
         let _ = u32_from_usize(u32::MAX as usize + 1);
+    }
+
+    #[test]
+    fn halves_rebuild_the_value() {
+        for x in [0u128, 1, u128::from(u64::MAX), u128::MAX, (7 << 64) | 9] {
+            let (hi, lo) = u64_halves(x);
+            assert_eq!(u128::from(hi) << 64 | u128::from(lo), x);
+        }
     }
 
     #[test]

@@ -60,12 +60,14 @@ impl<'a> Simulation<'a> {
             self.io_span(query, r, true, first, done_ns, IoOutcome::Ok);
             batch_done_ns = batch_done_ns.max(done_ns);
             if force_open() {
-                self.push_event(done_ns, EventKind::BatchDone { query, n: 1 });
+                self.events
+                    .push(done_ns, EventKind::BatchDone { query, n: 1 });
             }
         }
         if !force_open() {
             let n = reqs.len();
-            self.push_event(batch_done_ns, EventKind::BatchDone { query, n });
+            self.events
+                .push(batch_done_ns, EventKind::BatchDone { query, n });
         }
         reqs.len()
     }
@@ -111,7 +113,8 @@ impl<'a> Simulation<'a> {
                 sealed += 1;
                 sealed_done_ns = sealed_done_ns.max(done_ns);
             } else if self.hedge_ns > 0 {
-                self.push_event(t + self.hedge_ns, EventKind::Hedge { read });
+                self.events
+                    .push(t + self.hedge_ns, EventKind::Hedge { read });
             }
         }
         // Pushed here, not later: every event of this call then has a
@@ -121,7 +124,7 @@ impl<'a> Simulation<'a> {
         if sealed > 0 {
             self.fstats.ios_completed += cast::u64_from_usize(sealed);
             let done = EventKind::BatchDone { query, n: sealed };
-            self.push_event(sealed_done_ns, done);
+            self.events.push(sealed_done_ns, done);
         }
         pending
     }
@@ -206,7 +209,7 @@ impl<'a> Simulation<'a> {
         if !hedged {
             r.tries += 1;
         }
-        self.push_event(
+        self.events.push(
             done_ns,
             EventKind::ReadDone {
                 read,
@@ -315,7 +318,7 @@ impl<'a> Simulation<'a> {
         }
         let backoff_us = policy.backoff_us * policy.backoff_mult.powi(i32::from(r.tries) - 1);
         r.retry_pending = true;
-        self.push_event(
+        self.events.push(
             t + us_to_ns(backoff_us.max(0.0)).max(1),
             EventKind::Retry { read },
         );
