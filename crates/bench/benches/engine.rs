@@ -1,11 +1,38 @@
 //! Execution-engine microbenchmarks: events per second of host time (the
 //! DESIGN.md §4 ablation for the trace-replay design) and end-to-end
-//! simulated-run cost at low and high concurrency.
+//! simulated-run cost at low and high concurrency. Every row also reports
+//! its cost per dispatched event.
 
-use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
+use sann_bench::microbench::{black_box, criterion_group, criterion_main, BenchStats, Criterion};
 use sann_engine::{Executor, FaultConfig, FaultProfile, QueryPlan, RunConfig, Segment};
 use sann_index::IoReq;
+use sann_obs::TraceLevel;
 use sann_vdb::DbProfile;
+
+/// Benchmarks one replay of `plan` under `config` as `engine/<name>` and
+/// prints its host time per dispatched event: every event pushed is handled
+/// once, and the run's registry counts the pushes by kind.
+fn bench_replay(c: &mut Criterion, name: &str, config: RunConfig, plan: &QueryPlan) -> BenchStats {
+    let run = Executor::new(config).run_traced(std::slice::from_ref(plan), TraceLevel::Off);
+    let events: u64 = run
+        .registry
+        .counters()
+        .filter(|(counter, _)| counter.starts_with("engine.events.pushed."))
+        .map(|(_, n)| n)
+        .sum();
+    let mut group = c.benchmark_group("engine");
+    let stats = group.bench_function(name, |b| {
+        b.iter(|| black_box(Executor::new(config).run(std::slice::from_ref(plan))))
+    });
+    group.finish();
+    println!(
+        "{:<40} {:>12.1} ns per dispatched event (min {:.1}, {events} events per run)",
+        format!("engine/{name}"),
+        stats.mean_ns / events as f64,
+        stats.min_ns / events as f64
+    );
+    stats
+}
 
 fn diskann_like_plan() -> QueryPlan {
     let mut segs = Vec::new();
@@ -24,7 +51,6 @@ fn diskann_like_plan() -> QueryPlan {
 
 fn bench_runs(c: &mut Criterion) {
     let plan = diskann_like_plan();
-    let mut group = c.benchmark_group("engine");
     for conc in [1usize, 256] {
         let config = RunConfig {
             cores: 20,
@@ -32,11 +58,8 @@ fn bench_runs(c: &mut Criterion) {
             duration_us: 0.2e6,
             ..RunConfig::default()
         };
-        group.bench_function(format!("run_0.2s_conc{conc}"), |b| {
-            b.iter(|| black_box(Executor::new(config).run(std::slice::from_ref(&plan))))
-        });
+        bench_replay(c, &format!("run_0.2s_conc{conc}"), config, &plan);
     }
-    group.finish();
 }
 
 fn bench_storage_heavy(c: &mut Criterion) {
@@ -72,11 +95,7 @@ fn bench_storage_heavy(c: &mut Criterion) {
             .run(std::slice::from_ref(&plan))
             .io_stats
             .reads;
-        let mut group = c.benchmark_group("engine");
-        let stats = group.bench_function(name, |b| {
-            b.iter(|| black_box(Executor::new(config).run(std::slice::from_ref(&plan))))
-        });
-        group.finish();
+        let stats = bench_replay(c, name, config, &plan);
         println!(
             "{:<40} {:>12.1} ns per simulated I/O (min {:.1}, {reads} reads per run)",
             format!("engine/{name}"),
@@ -95,11 +114,7 @@ fn bench_cpu_only_throughput(c: &mut Criterion) {
         duration_us: 0.2e6,
         ..RunConfig::default()
     };
-    let mut group = c.benchmark_group("engine");
-    group.bench_function("run_cpu_only_0.2s_conc64", |b| {
-        b.iter(|| black_box(Executor::new(config).run(std::slice::from_ref(&plan))))
-    });
-    group.finish();
+    bench_replay(c, "run_cpu_only_0.2s_conc64", config, &plan);
 }
 
 criterion_group!(
