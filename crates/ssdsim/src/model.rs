@@ -239,6 +239,11 @@ impl DeviceSim {
         self.bytes
     }
 
+    /// Media-busy nanoseconds summed over every flash unit so far.
+    pub fn busy_ns(&self) -> u64 {
+        self.busy_ns_total
+    }
+
     /// Mean queue depth over every scheduled request: how many flash
     /// units were already busy when each request arrived (0 with no
     /// traffic).
