@@ -2,8 +2,9 @@
 //! arguments and returns everything the binary prints on stdout, so tests
 //! (and the `all` golden) drive exactly what a user runs.
 //!
-//! `SUBCOMMANDS` is the only list of subcommands: dispatch, prefetch,
-//! `all` and `vdbbench help` are all read off it. The grammar is global
+//! `SUBCOMMANDS` is the only list of subcommands: dispatch, `all` and
+//! `vdbbench help` are all read off it. Each subcommand preps what its own
+//! points name, so a row says nothing about prep. The grammar is global
 //! flags anywhere ([`BenchContext::from_args`]), then one subcommand, then
 //! the flags that subcommand's row accepts ([`SubFlags`]); anything else is
 //! an error.
@@ -52,21 +53,11 @@ impl Default for SubFlags {
     }
 }
 
-/// What a subcommand wants built before it runs, so that cold builds fan
-/// out over `--prep-threads`; `Lazy` preps on demand, one build at a time.
-enum Prefetch {
-    Lazy,
-    Diskann,
-    AllSetups,
-}
-use Prefetch::{AllSetups, Diskann, Lazy};
-
 /// One row of the subcommand table.
 struct Subcommand {
     /// Space-separated names; figures that print together share a row.
     names: &'static str,
     help: &'static str,
-    prefetch: Prefetch,
     /// The [`SubFlags`] it accepts, each spelled as help shows it.
     flags: &'static [&'static str],
     run: fn(&mut BenchContext, &SubFlags) -> Result<String>,
@@ -74,14 +65,12 @@ struct Subcommand {
 
 const fn sub(
     names: &'static str,
-    prefetch: Prefetch,
     flags: &'static [&'static str],
     run: fn(&mut BenchContext, &SubFlags) -> Result<String>,
 ) -> Subcommand {
     Subcommand {
         names,
         help: "",
-        prefetch,
         flags,
         run,
     }
@@ -104,33 +93,27 @@ const ALL: &str = "all";
 
 /// Every subcommand, in help order.
 static SUBCOMMANDS: &[Subcommand] = &[
-    sub("table1", Lazy, &[], table1::run).help("device envelope (fio-equivalent calibration)"),
-    sub("table2", AllSetups, &[], table2::run).help("index parameters and achieved recall@10"),
-    sub("fig2", AllSetups, &[], fig2_4::fig2).help("throughput vs concurrency, all setups"),
-    sub("fig3", AllSetups, &[], fig2_4::fig3).help("P99 latency vs concurrency, all setups"),
-    sub("fig4", AllSetups, &[], fig2_4::fig4).help("CPU usage vs concurrency (large datasets)"),
-    sub("fig5", Diskann, &[], fig5_6::fig5).help("DiskANN bandwidth timelines"),
-    sub("fig6", Diskann, &[], fig5_6::fig6).help("DiskANN per-query bandwidth + request sizes"),
-    sub(
-        "fig7 fig8 fig9 fig10 fig11",
-        Diskann,
-        &[],
-        fig7_15::search_list,
-    )
-    .help("search_list sweeps (printed together)"),
-    sub("fig12 fig13 fig14 fig15", Diskann, &[], fig7_15::beam_width)
+    sub("table1", &[], table1::run).help("device envelope (fio-equivalent calibration)"),
+    sub("table2", &[], table2::run).help("index parameters and achieved recall@10"),
+    sub("fig2", &[], fig2_4::fig2).help("throughput vs concurrency, all setups"),
+    sub("fig3", &[], fig2_4::fig3).help("P99 latency vs concurrency, all setups"),
+    sub("fig4", &[], fig2_4::fig4).help("CPU usage vs concurrency (large datasets)"),
+    sub("fig5", &[], fig5_6::fig5).help("DiskANN bandwidth timelines"),
+    sub("fig6", &[], fig5_6::fig6).help("DiskANN per-query bandwidth + request sizes"),
+    sub("fig7 fig8 fig9 fig10 fig11", &[], fig7_15::search_list)
+        .help("search_list sweeps (printed together)"),
+    sub("fig12 fig13 fig14 fig15", &[], fig7_15::beam_width)
         .help("beam_width sweeps (printed together)"),
-    sub("ext-rw", Lazy, &[], ext_rw::run).help("extension: hybrid read-write workloads (SVIII)"),
-    sub("ext-filter", Lazy, &[], ext_filter::run)
-        .help("extension: payload-filtered search (SVIII)"),
-    sub("ext-spann", Lazy, &[], ext_spann::run)
+    sub("ext-rw", &[], ext_rw::run).help("extension: hybrid read-write workloads (SVIII)"),
+    sub("ext-filter", &[], ext_filter::run).help("extension: payload-filtered search (SVIII)"),
+    sub("ext-spann", &[], ext_spann::run)
         .help("extension: DiskANN vs SPANN storage indexes (SII-B)"),
-    sub(ALL, AllSetups, &[], run_all).help("everything above, in order"),
-    sub("trace", Lazy, RUN_FLAGS, tracecmd::run)
+    sub(ALL, &[], run_all).help("everything above, in order"),
+    sub("trace", RUN_FLAGS, tracecmd::run)
         .help("one traced run: Perfetto trace.json/JSONL + latency breakdown"),
-    sub("iostat", Lazy, IOSTAT_FLAGS, iostat::run)
+    sub("iostat", IOSTAT_FLAGS, iostat::run)
         .help("I/O characterization: provenance breakdown, telemetry, $/query"),
-    sub("explore", Diskann, RUN_FLAGS, explore::run)
+    sub("explore", RUN_FLAGS, explore::run)
         .help("I/O design-space sweep: layout x prefetch x pipelining"),
 ];
 
@@ -224,11 +207,6 @@ pub fn run(args: &[String]) -> Result<String> {
     };
     // sann-lint: allow(wall-clock) -- harness-side progress timer; never feeds simulated metrics
     let started = std::time::Instant::now();
-    match row.prefetch {
-        Prefetch::Lazy => {}
-        Prefetch::Diskann => ctx.prefetch(&[SetupKind::MilvusDiskann])?,
-        Prefetch::AllSetups => ctx.prefetch(&SetupKind::all())?,
-    }
     let out = (row.run)(&mut ctx, &flags)? + "\n";
     if let Some(stats) = ctx.cache_stats() {
         eprintln!(
@@ -262,7 +240,7 @@ mod tests {
             ctx.only_dataset.as_deref().unwrap_or("*"),
             ctx.results_dir.display(),
             path(ctx.disk.as_ref().map(|c| c.dir())),
-            ctx.prep_threads,
+            ctx.threads,
             path(ctx.trace_out.as_deref()),
             ctx.trace_level,
             ctx.fault_profile.name,
@@ -282,7 +260,7 @@ mod tests {
         -h --scale 0.5 => help
         --scale 0.01 --cores 8 fig2 --dataset cohere-s => fig2 scale=0.01 cores=8 ... dataset=cohere-s
         --duration-secs 0.2 --results out fig6 => secs=0.2 ... results=out
-        --cache-dir /tmp/alt --prep-threads 3 table2 => cache=/tmp/alt threads=3
+        --cache-dir /tmp/alt --threads 3 table2 => cache=/tmp/alt threads=3
         --cache-dir /tmp/alt --no-cache table2 => cache=- threads
         --trace-out run.json --trace-level query trace => trace=run.json@query
         --fault-profile gc-heavy table2 => fault=gc-heavy
@@ -303,7 +281,8 @@ mod tests {
         --trace-level verbose trace => error: bad value for --trace-level: `verbose` (off|query|io)
         --trace-level run trace => error: bad value for --trace-level: `run` (off|query|io)
         --fault-profile catastrophic fig5 => error: `catastrophic` (none|aging|gc-heavy|flaky)
-        --prep-threads 0 table2 => error: bad value for --prep-threads: `0`
+        --threads 0 table2 => error: bad value for --threads: `0`
+        --prep-threads 3 table2 => error: unknown subcommand `--prep-threads`
         frobnicate => error: unknown subcommand `frobnicate`
         table1 --bogus => error: unknown table1 flag `--bogus`
         --cores 0 fig6 => error: bad value for --cores: `0` (a positive integer)

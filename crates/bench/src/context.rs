@@ -1,25 +1,36 @@
-//! Shared experiment state: datasets, ground truth, and built/tuned indexes,
-//! cached so `vdbbench all` builds everything exactly once.
+//! Shared experiment state: datasets, ground truth, built and tuned indexes,
+//! compiled plans and replayed runs, cached so `vdbbench all` does each
+//! exactly once.
 //!
-//! Four layers of caching keep the harness affordable:
+//! Five layers of caching keep the harness affordable:
 //!
 //! * **datasets** — generated + ground-truthed once per name;
 //! * **indexes** — shared across setups that build the same structure
 //!   (Milvus/Qdrant/Weaviate/LanceDB all search one HNSW build, exactly as
 //!   the paper uses the same build-time parameters across databases);
-//! * **runs** — each (setup × concurrency) simulation at tuned parameters is
-//!   executed once and reused by Figs. 2, 3, 4, and 5;
+//! * **plans** — each (dataset × setup) is traced at its tuned knobs and
+//!   compiled once;
+//! * **runs** — each (dataset × setup × clients) replay at tuned knobs is
+//!   executed once and reused by Figs. 2-6, Table II's fault addendum and
+//!   the extensions' tuned rows;
 //! * **disk** — datasets, built indexes, and tuned knobs additionally persist
 //!   across process invocations via [`crate::cache::ArtifactCache`]
 //!   (`--cache-dir`, on by default for the CLI), so a warm `vdbbench` run
 //!   skips prep entirely.
 //!
-//! There is one prep path: [`BenchContext::dataset`] and
-//! [`BenchContext::setup`] are the one-job case of
-//! [`BenchContext::prefetch`], which fans independent (dataset × index
-//! family) builds out over `--prep-threads` workers. The builds themselves
-//! are deterministic — a seed fixes an artifact's bytes — so the artifacts
-//! are byte-identical at any thread count.
+//! A subcommand lists its points, makes one call that replays them, and
+//! renders its tables from the results in point order. Tuned points are
+//! (dataset, setup, clients) cells for [`BenchContext::run_tuned`]: it preps
+//! the (dataset, setup) pairs they name ([`BenchContext::prepare`]),
+//! compiles each pair's plans once and replays every cell the runs cache
+//! lacks through [`BenchContext::replay`]. A knob sweep lists one [`Search`]
+//! job per knob value, and [`BenchContext::sweep`] searches, compiles and
+//! replays each job on one worker. Other [`Point`] lists go to
+//! [`BenchContext::replay_all`], which turns a refused client count into an
+//! error. Every fan-out runs on the `--threads` workers of one
+//! order-preserving map, and every step is deterministic — a seed fixes an
+//! artifact's bytes and a point's metrics — so the output is byte-identical
+//! at any thread count.
 
 use crate::cache::{self, ArtifactCache, CacheStats};
 use sann_core::buf::{ByteReader, ByteWriter};
@@ -32,6 +43,44 @@ use sann_vdb::{Setup, SetupKind};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// One replay: a setup's plans under its DB profile, at `clients`
+/// closed-loop clients, on a device of health `fault`.
+#[derive(Clone)]
+pub struct Point {
+    /// The setup whose DB profile the plans run under.
+    pub kind: SetupKind,
+    /// The compiled plans, replayed in order.
+    pub plans: Arc<Vec<QueryPlan>>,
+    /// Closed-loop clients.
+    pub clients: usize,
+    /// Injected SSD faults.
+    pub fault: FaultProfile,
+}
+
+/// A (dataset, setup) pair to prepare.
+pub type Pair<'a> = (&'a DatasetSpec, SetupKind);
+
+/// A tuned point: a (dataset, setup) pair at a client count.
+pub type Cell<'a> = (&'a DatasetSpec, SetupKind, usize);
+
+/// A knob-sweep job: a prepared setup's index searched over its dataset's
+/// query set at the given parameters.
+pub type Search<'a> = (&'a PreparedSetup, SearchParams);
+
+/// One search of a query set: mean recall@[`K`], the traces, and the plans
+/// they compile to.
+type Searched = (f64, Vec<QueryTrace>, Arc<Vec<QueryPlan>>);
+
+/// What one [`Search`] job of a [`BenchContext::sweep`] yields.
+pub struct Swept<T> {
+    /// Mean recall@[`K`] over the query set.
+    pub recall: f64,
+    /// What the caller's digest kept of the query traces.
+    pub digest: T,
+    /// The plans' replays, one per client count.
+    pub runs: Vec<RunMetrics>,
+}
 
 /// Recall target the paper tunes every setup to (recall@10 ≥ 0.9).
 pub const RECALL_TARGET: f64 = 0.9;
@@ -62,6 +111,8 @@ pub struct PreparedDataset {
 /// A built index with its tuned setup and achieved recall.
 #[derive(Clone)]
 pub struct PreparedSetup {
+    /// The dataset the index was built over.
+    pub data: Arc<PreparedDataset>,
     /// Tuned setup (knob set by [`Setup::tune`]).
     pub setup: Setup,
     /// The built index (shared across setups with identical builds).
@@ -98,10 +149,10 @@ pub struct BenchContext {
     /// ([`sann_vdb::DbProfile::fault_config`]); `none` (the default) keeps
     /// every run byte-identical to a fault-free build.
     pub fault_profile: FaultProfile,
-    /// Worker threads for cold-path prep builds ([`BenchContext::prefetch`]).
-    /// Artifacts are byte-identical at any value; this only changes wall
-    /// clock.
-    pub prep_threads: usize,
+    /// Worker threads for every fan-out: dataset generation, index builds,
+    /// plan compiles, knob-sweep searches and replays. Output is
+    /// byte-identical at any value; this only changes wall clock.
+    pub threads: usize,
     /// Persistent artifact cache; `None` (the [`BenchContext::new`] default)
     /// keeps everything in memory, which is what tests want. The CLI enables
     /// it at `.sann-cache` unless `--no-cache` is passed.
@@ -110,13 +161,13 @@ pub struct BenchContext {
     indexes: BTreeMap<(String, &'static str), Arc<dyn VectorIndex>>,
     setups: BTreeMap<(String, SetupKind), PreparedSetup>,
     plans: BTreeMap<(String, SetupKind), Arc<Vec<QueryPlan>>>,
-    runs: BTreeMap<(String, SetupKind, usize), RunMetrics>,
+    runs: BTreeMap<(String, SetupKind, usize), Option<RunMetrics>>,
 }
 
 /// The global flags, as `vdbbench help` shows them ([`BenchContext::from_args`]
 /// is the grammar).
 pub const GLOBAL_FLAGS: &str = "[--scale X] [--cores N] [--duration-secs S] [--dataset NAME] \
-    [--results DIR] [--cache-dir DIR] [--no-cache] [--prep-threads N] [--trace-out PATH] \
+    [--results DIR] [--cache-dir DIR] [--no-cache] [--threads N] [--trace-out PATH] \
     [--trace-level off|query|io] [--fault-profile none|aging|gc-heavy|flaky]";
 
 impl BenchContext {
@@ -131,7 +182,7 @@ impl BenchContext {
             trace_out: None,
             trace_level: TraceLevel::Off,
             fault_profile: FaultProfile::none(),
-            prep_threads: 1,
+            threads: 1,
             disk: None,
             datasets: BTreeMap::new(),
             indexes: BTreeMap::new(),
@@ -147,8 +198,8 @@ impl BenchContext {
     /// [`crate::cli`] to interpret.
     ///
     /// The artifact cache defaults to `.sann-cache`; `--no-cache` disables it
-    /// and `--cache-dir` moves it (last flag wins). `--prep-threads` defaults
-    /// to the machine's parallelism, capped at 8.
+    /// and `--cache-dir` moves it (last flag wins). `--threads` defaults to
+    /// the machine's parallelism, capped at 8.
     ///
     /// # Errors
     ///
@@ -156,7 +207,7 @@ impl BenchContext {
     /// or out-of-range value, and on a `--dataset` the catalog does not have.
     pub fn from_args(args: &[String]) -> Result<(BenchContext, Vec<String>)> {
         let mut ctx = BenchContext::new(0.002);
-        ctx.prep_threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+        ctx.threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
         let mut cache_dir = Some(PathBuf::from(".sann-cache"));
         let mut rest = Vec::new();
         let mut it = args.iter();
@@ -171,7 +222,7 @@ impl BenchContext {
                 "--results" => ctx.results_dir = PathBuf::from(value()?),
                 "--cache-dir" => cache_dir = Some(PathBuf::from(value()?)),
                 "--no-cache" => cache_dir = None,
-                "--prep-threads" => ctx.prep_threads = positive_usize(flag, value()?)?,
+                "--threads" => ctx.threads = positive_usize(flag, value()?)?,
                 "--trace-out" => ctx.trace_out = Some(PathBuf::from(value()?)),
                 "--trace-level" => {
                     let value = value()?;
@@ -238,35 +289,18 @@ impl BenchContext {
 
     /// Generates (or returns cached) base/queries/ground-truth for a spec.
     pub fn dataset(&mut self, spec: &DatasetSpec) -> Arc<PreparedDataset> {
-        self.prepare_datasets(std::slice::from_ref(spec));
+        self.prepare_datasets(&[spec]);
         Arc::clone(&self.datasets[&spec.name])
-    }
-
-    /// Prepares every (dataset × setup kind) this run will need, fanning cold
-    /// builds out over [`prep_threads`](BenchContext::prep_threads) worker
-    /// threads. Warm artifacts load from the disk cache instead. Tuning stays
-    /// lazy (it is cheap relative to builds and per-kind, not per-family).
-    ///
-    /// Calling this is optional — [`BenchContext::setup`] runs the same path
-    /// for its one (dataset, kind) on demand — but it is where the prep
-    /// parallelism lives, so the CLI calls it before every multi-setup
-    /// subcommand.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first build error.
-    pub fn prefetch(&mut self, kinds: &[SetupKind]) -> Result<()> {
-        let specs = self.dataset_specs();
-        self.prepare_indexes(&specs, kinds)
     }
 
     /// Prep phase 1: datasets. Disk hits load serially (cheap); cold
     /// generations fan out. Progress lines print before the fan-out so
     /// their order is independent of scheduling.
-    fn prepare_datasets(&mut self, specs: &[DatasetSpec]) {
+    fn prepare_datasets(&mut self, specs: &[&DatasetSpec]) {
         let mut cold = Vec::new();
-        for spec in specs {
-            if self.datasets.contains_key(&spec.name) {
+        for &spec in specs {
+            let seen = |c: &&DatasetSpec| c.name == spec.name;
+            if self.datasets.contains_key(&spec.name) || cold.iter().any(seen) {
                 continue;
             }
             let key = cache::dataset_key(spec, K, TUNE_QUERIES);
@@ -278,9 +312,9 @@ impl BenchContext {
                 "[prep] generating {} ({} x {}-d) + ground truth",
                 spec.name, spec.n_base, spec.dim
             );
-            cold.push(spec.clone());
+            cold.push(spec);
         }
-        for d in parallel_map(self.prep_threads, &cold, generate_dataset) {
+        for d in parallel_map(self.threads, &cold, |spec| generate_dataset(spec)) {
             if let Some(disk) = &mut self.disk {
                 let key = cache::dataset_key(&d.spec, K, TUNE_QUERIES);
                 disk.store("dataset", key, &encode_dataset(&d));
@@ -289,42 +323,45 @@ impl BenchContext {
         }
     }
 
-    /// Prep phase 2 (after phase 1 for the same specs): index builds, one
-    /// per (dataset, family) however many setups share it, fanned out. Each
-    /// build is deterministic, so artifacts are byte-identical at any
-    /// `prep_threads`.
-    fn prepare_indexes(&mut self, specs: &[DatasetSpec], kinds: &[SetupKind]) -> Result<()> {
-        self.prepare_datasets(specs);
+    /// Prepares every (dataset, setup) pair: the datasets (phase 1), then
+    /// the index builds, one per (dataset, family) however many setups share
+    /// it (phase 2), each phase fanned out over
+    /// [`threads`](BenchContext::threads) workers, then tunes each setup in
+    /// pair order. Artifacts already held, or on disk, are reused. Each build
+    /// is deterministic, so artifacts are byte-identical at any `threads`.
+    /// Returns the prepared setups in pair order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first build or tune error.
+    pub fn prepare(&mut self, pairs: &[Pair]) -> Result<Vec<PreparedSetup>> {
+        self.prepare_datasets(&pairs.iter().map(|&(spec, _)| spec).collect::<Vec<_>>());
         let mut jobs: Vec<(&DatasetSpec, &'static str, Setup)> = Vec::new();
-        for spec in specs {
-            for &kind in kinds {
-                let base = &self.datasets[&spec.name].base;
-                let setup = Setup::new(kind, base.len());
-                let family = setup.index_spec(base).family();
-                if self.indexes.contains_key(&(spec.name.clone(), family))
-                    || jobs
-                        .iter()
-                        .any(|(s, f, _)| s.name == spec.name && *f == family)
-                {
-                    continue;
-                }
-                let key = index_key(spec, family, setup.seed);
-                let owner = format!("{family} on {}", spec.name);
-                if let Some(index) = self.load("index", key, &owner, sann_index::persist::decode) {
-                    self.indexes
-                        .insert((spec.name.clone(), family), Arc::from(index));
-                    continue;
-                }
-                eprintln!("[prep] building {family} index on {}", spec.name);
-                jobs.push((spec, family, setup));
+        for &(spec, kind) in pairs {
+            let base = &self.datasets[&spec.name].base;
+            let setup = Setup::new(kind, base.len());
+            let family = setup.index_spec(base).family();
+            if self.indexes.contains_key(&(spec.name.clone(), family))
+                || jobs
+                    .iter()
+                    .any(|(s, f, _)| s.name == spec.name && *f == family)
+            {
+                continue;
             }
+            let key = index_key(spec, family, setup.seed);
+            let owner = format!("{family} on {}", spec.name);
+            if let Some(index) = self.load("index", key, &owner, sann_index::persist::decode) {
+                self.indexes
+                    .insert((spec.name.clone(), family), Arc::from(index));
+                continue;
+            }
+            eprintln!("[prep] building {family} index on {}", spec.name);
+            jobs.push((spec, family, setup));
         }
-        let datasets = &self.datasets;
-        let built = parallel_map(self.prep_threads, &jobs, |(spec, _, setup)| {
-            setup.build_index(&datasets[&spec.name].base, Metric::L2)
-        });
-        for ((spec, family, setup), result) in jobs.into_iter().zip(built) {
-            let index = result?;
+        let built = self.fan_out(&jobs, |(spec, _, setup)| {
+            setup.build_index(&self.datasets[&spec.name].base, Metric::L2)
+        })?;
+        for ((spec, family, setup), index) in jobs.into_iter().zip(built) {
             if let Some(disk) = &mut self.disk {
                 if let Some(bytes) = index.persist_encode() {
                     disk.store("index", index_key(spec, family, setup.seed), &bytes);
@@ -333,19 +370,17 @@ impl BenchContext {
             self.indexes
                 .insert((spec.name.clone(), family), Arc::from(index));
         }
-        Ok(())
+        pairs
+            .iter()
+            .map(|&(spec, kind)| self.tune(spec, kind))
+            .collect()
     }
 
-    /// Builds and tunes (or returns cached) a setup on a dataset. Index
-    /// structures are shared between setups whose build parameters coincide.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build/tune errors.
-    pub fn setup(&mut self, spec: &DatasetSpec, kind: SetupKind) -> Result<&PreparedSetup> {
+    /// Prep phase 3 (after phase 2 for the same pair): tunes (or returns
+    /// cached) a setup on its dataset's shared index build.
+    fn tune(&mut self, spec: &DatasetSpec, kind: SetupKind) -> Result<PreparedSetup> {
         let key = (spec.name.clone(), kind);
         if !self.setups.contains_key(&key) {
-            self.prepare_indexes(std::slice::from_ref(spec), &[kind])?;
             let data = Arc::clone(&self.datasets[&spec.name]);
             let mut setup = Setup::new(kind, data.base.len());
             let family = setup.index_spec(&data.base).family();
@@ -382,16 +417,15 @@ impl BenchContext {
                     recall
                 }
             };
-            self.setups.insert(
-                key.clone(),
-                PreparedSetup {
-                    setup,
-                    index,
-                    recall,
-                },
-            );
+            let prepared = PreparedSetup {
+                data,
+                setup,
+                index,
+                recall,
+            };
+            self.setups.insert(key.clone(), prepared);
         }
-        Ok(&self.setups[&key])
+        Ok(self.setups[&key].clone())
     }
 
     /// Loads and decodes one artifact of `owner` from the disk cache. A
@@ -412,22 +446,6 @@ impl BenchContext {
             .ok()
     }
 
-    /// Returns the prepared dataset and setup together (both cached), as
-    /// owned handles so callers can keep using the context while holding
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build/tune errors.
-    pub fn dataset_and_setup(
-        &mut self,
-        spec: &DatasetSpec,
-        kind: SetupKind,
-    ) -> Result<(Arc<PreparedDataset>, PreparedSetup)> {
-        let prepared = self.setup(spec, kind)?.clone();
-        Ok((self.dataset(spec), prepared))
-    }
-
     /// The plan compiler for a setup on a dataset: delegates to
     /// [`sann_vdb::setup::calibrated_plan_builder`] with this context's
     /// scale.
@@ -446,93 +464,174 @@ impl BenchContext {
     ///
     /// Propagates search errors.
     pub fn plans(&mut self, spec: &DatasetSpec, kind: SetupKind) -> Result<Arc<Vec<QueryPlan>>> {
-        let key = (spec.name.clone(), kind);
-        if !self.plans.contains_key(&key) {
-            let builder = self.plan_builder_for(spec, kind);
-            let (data, prepared) = self.dataset_and_setup(spec, kind)?;
-            let traces = prepared
-                .setup
-                .traces(prepared.index.as_ref(), &data.queries, K)?;
-            let plans = Arc::new(builder.build_all(&traces));
-            self.plans.insert(key.clone(), plans);
-        }
-        Ok(Arc::clone(&self.plans[&key]))
+        self.compile(&[(spec, kind)])?;
+        Ok(Arc::clone(&self.plans[&(spec.name.clone(), kind)]))
     }
 
-    /// Runs the setup's tuned plans at a concurrency level, cached across
-    /// figures. Returns `None` when the profile does not support the
-    /// concurrency (the paper's LanceDB-HNSW out-of-memory points).
+    /// Compiles the plans of every pair not yet compiled: one search of its
+    /// query set at the tuned knobs, one pair per worker.
+    fn compile(&mut self, pairs: &[Pair]) -> Result<()> {
+        let todo: BTreeMap<_, Pair> = pairs
+            .iter()
+            .map(|&(spec, kind)| ((spec.name.clone(), kind), (spec, kind)))
+            .filter(|(key, _)| !self.plans.contains_key(key))
+            .collect();
+        let (keys, todo): (Vec<_>, Vec<Pair>) = todo.into_iter().unzip();
+        let prepared = self.prepare(&todo)?;
+        let tuned = |p: &PreparedSetup| Ok(self.search(p, p.setup.params.search_params())?.2);
+        let compiled = self.fan_out(&prepared, tuned)?;
+        self.plans.extend(keys.into_iter().zip(compiled));
+        Ok(())
+    }
+
+    /// Searches a prepared setup's query set once at `params`: mean recall@K,
+    /// the traces, and the traces compiled under the setup's DB profile.
+    fn search(&self, p: &PreparedSetup, params: SearchParams) -> Result<Searched> {
+        let mut ids = Vec::with_capacity(p.data.queries.len());
+        let mut traces = Vec::with_capacity(p.data.queries.len());
+        for q in p.data.queries.iter() {
+            let out = p.index.search(q, K, &params)?;
+            ids.push(out.ids());
+            traces.push(out.trace);
+        }
+        let builder = self.plan_builder_for(&p.data.spec, p.setup.kind);
+        let plans = Arc::new(builder.build_all(&traces));
+        Ok((p.data.truth.mean_recall(&ids), traces, plans))
+    }
+
+    /// Runs a knob sweep, one job per worker: a job searches its dataset's
+    /// query set once at its parameters, compiles the traces under its setup
+    /// and replays the plans at each of `clients` under the context's fault
+    /// profile. `digest` reduces the job's traces to what the caller needs of
+    /// them. A worker is done with a job's traces and plans before it takes
+    /// the next job, so a sweep holds one job's plans per worker, not every
+    /// job's. Returns what each job yields, in job order.
     ///
     /// # Errors
     ///
-    /// Propagates build/search errors.
-    pub fn run_tuned(
-        &mut self,
-        spec: &DatasetSpec,
-        kind: SetupKind,
-        concurrency: usize,
-    ) -> Result<Option<RunMetrics>> {
-        if !kind.profile().supports_clients(concurrency) {
-            return Ok(None);
-        }
-        let key = (spec.name.clone(), kind, concurrency);
-        if !self.runs.contains_key(&key) {
-            let plans = self.plans(spec, kind)?;
-            let metrics = self.run(kind, &plans, concurrency)?;
-            self.runs.insert(key.clone(), metrics);
-        }
-        Ok(Some(self.runs[&key].clone()))
+    /// Propagates the first search error, and refuses a client count a job's
+    /// profile does not support.
+    pub fn sweep<T: Send>(
+        &self,
+        jobs: &[Search],
+        clients: &[usize],
+        digest: impl Fn(Vec<QueryTrace>) -> T + Sync,
+    ) -> Result<Vec<Swept<T>>> {
+        self.fan_out(jobs, |&(p, params)| {
+            let (recall, traces, plans) = self.search(p, params)?;
+            let digest = digest(traces);
+            let replay = |&c| self.replay_one(&self.point(p.setup.kind, &plans, c));
+            let runs = clients.iter().map(replay).collect::<Result<_>>()?;
+            Ok(Swept {
+                recall,
+                digest,
+                runs,
+            })
+        })
     }
 
-    /// The executor for a setup's profile at a concurrency level: the one
-    /// place the harness settings, the DB profile and the fault profile meet
-    /// in a [`RunConfig`].
-    fn executor(&self, kind: SetupKind, concurrency: usize) -> Result<Executor> {
+    /// Replays every cell at its setup's tuned knobs under the context's
+    /// fault profile, in two phases: the plans of each distinct (dataset,
+    /// setup) are compiled once, then every cell the runs cache lacks is
+    /// replayed. Returns each cell's metrics in cell order, `None` where the
+    /// profile refuses the client count (the paper's LanceDB out-of-memory
+    /// points).
+    ///
+    /// # Errors
+    ///
+    /// Propagates build/tune/search errors.
+    pub fn run_tuned(&mut self, cells: &[Cell]) -> Result<Vec<Option<RunMetrics>>> {
+        self.compile(&cells.iter().map(|&(s, k, _)| (s, k)).collect::<Vec<_>>())?;
+        let key = |&(spec, kind, clients): &Cell| (spec.name.clone(), kind, clients);
+        let todo: BTreeMap<_, _> = cells
+            .iter()
+            .map(|cell| (key(cell), cell))
+            .filter(|(key, _)| !self.runs.contains_key(key))
+            .collect();
+        let point = |&&(spec, kind, c): &&Cell| {
+            self.point(kind, &self.plans[&(spec.name.clone(), kind)], c)
+        };
+        let runs = self.replay(&todo.values().map(point).collect::<Vec<_>>());
+        self.runs.extend(todo.into_keys().zip(runs));
+        Ok(cells.iter().map(|c| self.runs[&key(c)].clone()).collect())
+    }
+
+    /// A point replaying `plans` under the context's fault profile.
+    pub fn point(&self, kind: SetupKind, plans: &Arc<Vec<QueryPlan>>, clients: usize) -> Point {
+        Point {
+            kind,
+            plans: Arc::clone(plans),
+            clients,
+            fault: self.fault_profile,
+        }
+    }
+
+    /// Replays every point on the context's worker threads. Returns each
+    /// point's metrics in point order, `None` where the setup's profile
+    /// refuses the client count. A replay is a function of its point and the
+    /// context's settings alone, so the results are byte-identical at any
+    /// [`threads`](BenchContext::threads).
+    pub fn replay(&self, points: &[Point]) -> Vec<Option<RunMetrics>> {
+        parallel_map(self.threads, points, |p| self.replay_one(p).ok())
+    }
+
+    /// [`replay`](BenchContext::replay) for points whose profiles must
+    /// accept their client counts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`sann_core::Error::InvalidParameter`] for the first point
+    /// whose profile refuses its client count.
+    pub fn replay_all(&self, points: &[Point]) -> Result<Vec<RunMetrics>> {
+        self.fan_out(points, |p| self.replay_one(p))
+    }
+
+    /// Replays one point on the calling thread.
+    fn replay_one(&self, point: &Point) -> Result<RunMetrics> {
+        Ok(self.executor(point)?.run(&point.plans))
+    }
+
+    /// Replays one point and keeps the full observability output: the span
+    /// trace at `level` plus the counter/histogram registry.
+    ///
+    /// # Errors
+    ///
+    /// As [`BenchContext::replay_all`].
+    pub fn run_traced(&self, point: &Point, level: TraceLevel) -> Result<TracedRun> {
+        Ok(self.executor(point)?.run_traced(&point.plans, level))
+    }
+
+    /// The executor for a point: the one place the harness settings, the DB
+    /// profile and the fault profile meet in a [`RunConfig`].
+    fn executor(&self, point: &Point) -> Result<Executor> {
+        let (kind, clients) = (point.kind, point.clients);
         let profile = kind.profile();
-        if !profile.supports_clients(concurrency) {
-            let msg = format!("{} does not support {concurrency} clients", kind.name());
+        if !profile.supports_clients(clients) {
+            let msg = format!("{} does not support {clients} clients", kind.name());
             return Err(Error::invalid_parameter("clients", msg));
         }
         Ok(Executor::new(RunConfig {
             cores: self.cores,
-            concurrency,
+            concurrency: clients,
             duration_us: self.duration_us,
             max_concurrent: profile.max_concurrent,
-            faults: profile.fault_config(self.fault_profile),
+            faults: profile.fault_config(point.fault),
             ..RunConfig::default()
         }))
     }
 
-    /// Runs arbitrary plans at a concurrency level under the setup's profile
-    /// (uncached — for parameter sweeps).
+    /// Maps `f` over `items` on the context's worker threads and gathers
+    /// the results in item order.
     ///
     /// # Errors
     ///
-    /// Returns [`sann_core::Error::InvalidParameter`] when the profile does
-    /// not support the concurrency.
-    pub fn run(
+    /// The first error in item order.
+    pub fn fan_out<T: Sync, R: Send>(
         &self,
-        kind: SetupKind,
-        plans: &[QueryPlan],
-        concurrency: usize,
-    ) -> Result<RunMetrics> {
-        Ok(self.executor(kind, concurrency)?.run(plans))
-    }
-
-    /// Like [`BenchContext::run`] but keeps the full observability output:
-    /// the span trace at `level` plus the counter/histogram registry.
-    ///
-    /// # Errors
-    ///
-    /// As [`BenchContext::run`].
-    pub fn run_traced(
-        &self,
-        kind: SetupKind,
-        plans: &[QueryPlan],
-        concurrency: usize,
-        level: TraceLevel,
-    ) -> Result<TracedRun> {
-        Ok(self.executor(kind, concurrency)?.run_traced(plans, level))
+        items: &[T],
+        f: impl Fn(&T) -> Result<R> + Sync,
+    ) -> Result<Vec<R>> {
+        parallel_map(self.threads, items, f).into_iter().collect()
     }
 
     /// Writes a CSV file under the results directory.
@@ -547,29 +646,6 @@ impl BenchContext {
     }
 }
 
-/// Searches every query once and returns mean recall@`k` together with the
-/// traces: a sweep point needs both, and each `search` call yields both.
-///
-/// # Errors
-///
-/// Propagates the first search error.
-pub fn search_all(
-    index: &dyn VectorIndex,
-    queries: &Dataset,
-    truth: &GroundTruth,
-    k: usize,
-    params: &SearchParams,
-) -> Result<(f64, Vec<QueryTrace>)> {
-    let mut ids = Vec::with_capacity(queries.len());
-    let mut traces = Vec::with_capacity(queries.len());
-    for q in queries.iter() {
-        let out = index.search(q, k, params)?;
-        ids.push(out.ids());
-        traces.push(out.trace);
-    }
-    Ok((truth.mean_recall(&ids), traces))
-}
-
 /// Cache key of a built index: its dataset's key (which folds in `K` and the
 /// tuning-prefix length), the family, and the build seed.
 fn index_key(spec: &DatasetSpec, family: &str, build_seed: u64) -> u64 {
@@ -581,7 +657,7 @@ fn index_key(spec: &DatasetSpec, family: &str, build_seed: u64) -> u64 {
 }
 
 /// Generates a dataset bundle plus both ground truths. Pure function of the
-/// spec, so prefetch workers can run it without touching the context.
+/// spec, so prep workers can run it without touching the context.
 fn generate_dataset(spec: &DatasetSpec) -> PreparedDataset {
     let bundle = spec.generate();
     let truth = GroundTruth::bruteforce(&bundle.base, &bundle.queries, spec.metric, K);
@@ -647,7 +723,8 @@ fn decode_tuned(payload: &[u8]) -> Result<(usize, f64)> {
 /// Order-preserving parallel map: runs `f` over `items` on up to `threads`
 /// scoped workers pulling from a shared queue. `threads <= 1` degenerates to
 /// a serial map; outputs land at their input's position either way, so the
-/// thread count never affects results, only wall clock.
+/// thread count never affects results, only wall clock. A worker's panic
+/// resumes on the caller with its own payload.
 fn parallel_map<T, R>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
 where
     T: Sync,
@@ -676,7 +753,7 @@ where
             .collect();
         workers
             .into_iter()
-            .flat_map(|w| w.join().expect("prep worker panicked"))
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     });
     indexed.sort_by_key(|(i, _)| *i);
@@ -703,8 +780,7 @@ fn positive_f64(flag: &str, value: &str) -> Result<f64> {
     parsed.ok_or_else(|| bad_value(flag, value, "a positive number"))
 }
 
-/// A whole number greater than zero (`--cores`, `--prep-threads`,
-/// `--clients`): the executor needs at least one core and one client.
+/// A whole number greater than zero (`--cores`, `--threads`, `--clients`): the executor needs at least one core and one client.
 pub(crate) fn positive_usize(flag: &str, value: &str) -> Result<usize> {
     let parsed = value.parse().ok().filter(|n: &usize| *n > 0);
     parsed.ok_or_else(|| bad_value(flag, value, "a positive integer"))
@@ -720,30 +796,73 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn fault_profile_reaches_the_executor() {
+    /// A context on cohere-s at the golden scale, with short runs.
+    fn tiny() -> BenchContext {
         let mut ctx = BenchContext::new(0.001);
         ctx.only_dataset = Some("cohere-s".into());
         ctx.duration_us = 0.2e6;
+        ctx
+    }
+
+    /// One tuned cell's metrics.
+    fn tuned(ctx: &mut BenchContext, spec: &DatasetSpec, kind: SetupKind, c: usize) -> RunMetrics {
+        let mut runs = ctx.run_tuned(&[(spec, kind, c)]).unwrap();
+        runs.remove(0).unwrap()
+    }
+
+    #[test]
+    fn fault_profile_reaches_the_executor() {
+        let mut ctx = tiny();
         ctx.fault_profile = FaultProfile::flaky();
         let spec = ctx.dataset_specs().remove(0);
-        let m = ctx
-            .run_tuned(&spec, SetupKind::MilvusDiskann, 4)
-            .unwrap()
-            .unwrap();
+        let m = tuned(&mut ctx, &spec, SetupKind::MilvusDiskann, 4);
         let f = &m.fault;
         assert!(f.ios_planned > 0, "flaky run must account planned reads");
         assert_eq!(f.ios_planned, f.ios_completed + f.ios_abandoned);
         // Determinism: the same context settings replay byte-identically.
-        let mut again = BenchContext::new(0.001);
-        again.only_dataset = Some("cohere-s".into());
-        again.duration_us = 0.2e6;
+        let mut again = tiny();
         again.fault_profile = FaultProfile::flaky();
-        let n = again
-            .run_tuned(&spec, SetupKind::MilvusDiskann, 4)
-            .unwrap()
-            .unwrap();
+        let n = tuned(&mut again, &spec, SetupKind::MilvusDiskann, 4);
         assert_eq!(m.canonical_bytes(), n.canonical_bytes());
+    }
+
+    #[test]
+    fn replay_is_independent_of_thread_count() {
+        let mut ctx = tiny();
+        let spec = ctx.dataset_specs().remove(0);
+        let diskann = ctx.plans(&spec, SetupKind::MilvusDiskann).unwrap();
+        let ivf = ctx.plans(&spec, SetupKind::MilvusIvf).unwrap();
+        let lancedb = ctx.plans(&spec, SetupKind::LancedbHnsw).unwrap();
+        let point = |kind, plans: &Arc<Vec<QueryPlan>>, clients, fault| Point {
+            kind,
+            plans: Arc::clone(plans),
+            clients,
+            fault,
+        };
+        let points = [
+            point(SetupKind::MilvusDiskann, &diskann, 4, FaultProfile::none()),
+            point(SetupKind::LancedbHnsw, &lancedb, 256, FaultProfile::none()),
+            point(SetupKind::MilvusDiskann, &diskann, 4, FaultProfile::flaky()),
+            point(SetupKind::MilvusIvf, &ivf, 8, FaultProfile::none()),
+            point(SetupKind::LancedbHnsw, &lancedb, 2, FaultProfile::aging()),
+        ];
+        let mut bytes = |threads| {
+            ctx.threads = threads;
+            let runs = ctx.replay(&points);
+            runs.iter()
+                .map(|m| m.as_ref().map(RunMetrics::canonical_bytes))
+                .collect::<Vec<_>>()
+        };
+        let (serial, parallel) = (bytes(1), bytes(3));
+        assert_eq!(serial.len(), points.len());
+        assert!(serial[1].is_none(), "LanceDB-HNSW refuses 256 clients");
+        assert_eq!(serial.iter().filter(|m| m.is_none()).count(), 1);
+        for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+            assert_eq!(a, b, "point {i} differs between threads=1 and =3");
+        }
+        assert_ne!(serial[0], serial[2], "the flaky point is perturbed");
+        let refused = ctx.replay_all(&points).map(|_| ()).unwrap_err();
+        assert!(refused.to_string().contains("does not support 256 clients"));
     }
 
     #[test]
@@ -767,30 +886,22 @@ mod tests {
 
     #[test]
     fn hnsw_setups_share_one_index_build() {
-        let mut ctx = BenchContext::new(0.001);
-        ctx.only_dataset = Some("cohere-s".into());
+        let mut ctx = tiny();
         let spec = ctx.dataset_specs().remove(0);
-        ctx.setup(&spec, SetupKind::MilvusHnsw).unwrap();
-        ctx.setup(&spec, SetupKind::QdrantHnsw).unwrap();
-        let a = Arc::as_ptr(&ctx.setups[&(spec.name.clone(), SetupKind::MilvusHnsw)].index);
-        let b = Arc::as_ptr(&ctx.setups[&(spec.name.clone(), SetupKind::QdrantHnsw)].index);
-        assert_eq!(a, b, "HNSW setups must share the same build");
+        let a = ctx.prepare(&[(&spec, SetupKind::MilvusHnsw)]).unwrap();
+        let b = ctx.prepare(&[(&spec, SetupKind::QdrantHnsw)]).unwrap();
+        assert!(
+            Arc::ptr_eq(&a[0].index, &b[0].index),
+            "HNSW setups must share the same build"
+        );
     }
 
     #[test]
     fn run_cache_is_deterministic() {
-        let mut ctx = BenchContext::new(0.001);
-        ctx.only_dataset = Some("cohere-s".into());
-        ctx.duration_us = 0.2e6;
+        let mut ctx = tiny();
         let spec = ctx.dataset_specs().remove(0);
-        let a = ctx
-            .run_tuned(&spec, SetupKind::MilvusIvf, 4)
-            .unwrap()
-            .unwrap();
-        let b = ctx
-            .run_tuned(&spec, SetupKind::MilvusIvf, 4)
-            .unwrap()
-            .unwrap();
+        let a = tuned(&mut ctx, &spec, SetupKind::MilvusIvf, 4);
+        let b = tuned(&mut ctx, &spec, SetupKind::MilvusIvf, 4);
         assert_eq!(a.qps, b.qps);
     }
 
@@ -798,24 +909,16 @@ mod tests {
     fn warm_context_replays_cold_prep_byte_identically() {
         let dir = scratch("warm");
         let make = || {
-            let mut ctx = BenchContext::new(0.001);
-            ctx.only_dataset = Some("cohere-s".into());
-            ctx.duration_us = 0.2e6;
+            let mut ctx = tiny();
             ctx.enable_cache(&dir);
             ctx
         };
         let mut cold = make();
         let spec = cold.dataset_specs().remove(0);
-        let cold_run = cold
-            .run_tuned(&spec, SetupKind::MilvusIvf, 4)
-            .unwrap()
-            .unwrap();
+        let cold_run = tuned(&mut cold, &spec, SetupKind::MilvusIvf, 4);
         let cold_recall = cold.setups[&(spec.name.clone(), SetupKind::MilvusIvf)].recall;
         let mut warm = make();
-        let warm_run = warm
-            .run_tuned(&spec, SetupKind::MilvusIvf, 4)
-            .unwrap()
-            .unwrap();
+        let warm_run = tuned(&mut warm, &spec, SetupKind::MilvusIvf, 4);
         assert_eq!(
             cold_run.canonical_bytes(),
             warm_run.canonical_bytes(),
@@ -862,16 +965,19 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_thread_count_does_not_change_artifacts() {
-        let kinds = [SetupKind::MilvusIvf, SetupKind::MilvusHnsw];
+    fn prep_thread_count_does_not_change_artifacts() {
         let mut dirs = Vec::new();
         for threads in [1usize, 4] {
             let dir = scratch(&format!("par{threads}"));
-            let mut ctx = BenchContext::new(0.001);
-            ctx.only_dataset = Some("cohere-s".into());
-            ctx.prep_threads = threads;
+            let mut ctx = tiny();
+            ctx.threads = threads;
             ctx.enable_cache(&dir);
-            ctx.prefetch(&kinds).unwrap();
+            let spec = ctx.dataset_specs().remove(0);
+            let pairs = [
+                (&spec, SetupKind::MilvusIvf),
+                (&spec, SetupKind::MilvusHnsw),
+            ];
+            ctx.prepare(&pairs).unwrap();
             dirs.push(dir);
         }
         let list = |dir: &std::path::Path| -> Vec<String> {
@@ -885,12 +991,15 @@ mod tests {
         let (serial, parallel) = (&dirs[0], &dirs[1]);
         let names = list(serial);
         assert_eq!(names, list(parallel), "same artifact set");
-        assert!(names.len() >= 3, "dataset + 2 index families: {names:?}");
+        assert!(
+            names.len() >= 5,
+            "dataset + 2 families + 2 knobs: {names:?}"
+        );
         for name in &names {
             assert_eq!(
                 std::fs::read(serial.join(name)).unwrap(),
                 std::fs::read(parallel.join(name)).unwrap(),
-                "{name} differs between prep_threads=1 and =4"
+                "{name} differs between threads=1 and =4"
             );
         }
         for dir in &dirs {
@@ -899,16 +1008,19 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_satisfies_setup_without_rebuilding() {
-        let mut ctx = BenchContext::new(0.001);
-        ctx.only_dataset = Some("cohere-s".into());
-        ctx.prep_threads = 2;
+    fn one_prepare_call_builds_a_shared_family_once() {
+        let mut ctx = tiny();
+        ctx.threads = 2;
         let spec = ctx.dataset_specs().remove(0);
-        ctx.prefetch(&[SetupKind::MilvusHnsw]).unwrap();
-        ctx.setup(&spec, SetupKind::MilvusHnsw).unwrap();
-        ctx.setup(&spec, SetupKind::QdrantHnsw).unwrap();
-        let a = Arc::as_ptr(&ctx.setups[&(spec.name.clone(), SetupKind::MilvusHnsw)].index);
-        let b = Arc::as_ptr(&ctx.setups[&(spec.name.clone(), SetupKind::QdrantHnsw)].index);
-        assert_eq!(a, b, "setups reuse the prefetched build");
+        let pairs = [
+            (&spec, SetupKind::MilvusHnsw),
+            (&spec, SetupKind::QdrantHnsw),
+        ];
+        let prepared = ctx.prepare(&pairs).unwrap();
+        assert!(
+            Arc::ptr_eq(&prepared[0].index, &prepared[1].index),
+            "both setups search the one HNSW build"
+        );
+        assert_eq!(ctx.indexes.len(), 1);
     }
 }

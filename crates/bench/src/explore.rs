@@ -13,7 +13,7 @@
 //! invocations.
 
 use crate::cli::SubFlags;
-use crate::context::{search_all, BenchContext, K};
+use crate::context::{BenchContext, Search};
 use crate::report::{num, Table};
 use sann_core::{cast, Result};
 use sann_datagen::DatasetSpec;
@@ -51,9 +51,9 @@ impl SweepRow {
 }
 
 /// Measures every strategy in [`IoStrategy::all`] on `spec`: one pass over
-/// the query set at the setup's tuned knobs yields both recall and traces,
-/// which are compiled and executed under the setup's DB profile at
-/// `clients` closed-loop clients.
+/// the query set per strategy at the setup's tuned knobs yields both recall
+/// and traces, whose compiled plans are executed under the setup's DB
+/// profile at `clients` closed-loop clients.
 ///
 /// # Errors
 ///
@@ -65,31 +65,35 @@ pub fn sweep(
     kind: SetupKind,
     clients: usize,
 ) -> Result<Vec<SweepRow>> {
-    let builder = ctx.plan_builder_for(spec, kind);
-    let (data, prepared) = ctx.dataset_and_setup(spec, kind)?;
-    let n = data.queries.len().max(1) as f64;
-    let mut rows = Vec::new();
-    for strat in IoStrategy::all() {
-        let params = prepared.setup.params.search_params().with_io(strat);
-        let index = prepared.index.as_ref();
-        let (recall, traces) = search_all(index, &data.queries, &data.truth, K, &params)?;
+    let prepared = ctx.prepare(&[(spec, kind)])?.remove(0);
+    let tuned = prepared.setup.params.search_params();
+    let jobs: Vec<Search> = IoStrategy::all()
+        .into_iter()
+        .map(|strat| (&prepared, tuned.with_io(strat)))
+        .collect();
+    // Keep each strategy's mean trace-level reads, bytes and overlapped
+    // steps per query.
+    let swept = ctx.sweep(&jobs, &[clients], |traces| {
+        let n = traces.len().max(1) as f64;
         let ios = traces.iter().map(|t| t.io_count()).sum::<u64>();
         let bytes = traces.iter().map(|t| t.read_bytes()).sum::<u64>();
-        let overlapped = traces
-            .iter()
-            .flat_map(|t| &t.steps)
-            .filter(|s| matches!(s, TraceStep::Overlapped { .. }))
-            .count();
-        rows.push(SweepRow {
-            strat,
-            recall,
-            trace_ios: cast::f64_from_u64(ios) / n,
-            trace_bytes: cast::f64_from_u64(bytes) / n,
-            overlap_steps: overlapped as f64 / n,
-            metrics: ctx.run(kind, &builder.build_all(&traces), clients)?,
-        });
-    }
-    Ok(rows)
+        let steps = traces.iter().flat_map(|t| &t.steps);
+        let overlapped = steps.filter(|s| matches!(s, TraceStep::Overlapped { .. }));
+        let mean = |total: u64| cast::f64_from_u64(total) / n;
+        (mean(ios), mean(bytes), overlapped.count() as f64 / n)
+    })?;
+    let rows = jobs.iter().zip(swept).flat_map(|(&(_, params), s)| {
+        let (trace_ios, trace_bytes, overlap_steps) = s.digest;
+        s.runs.into_iter().map(move |metrics| SweepRow {
+            strat: params.io,
+            recall: s.recall,
+            trace_ios,
+            trace_bytes,
+            overlap_steps,
+            metrics,
+        })
+    });
+    Ok(rows.collect())
 }
 
 /// Runs the subcommand on `flags.setup` at `flags.clients` clients.

@@ -11,18 +11,19 @@
 //! against the shared device.
 
 use crate::cli::SubFlags;
-use crate::context::BenchContext;
+use crate::context::{BenchContext, PreparedDataset};
 use crate::report::{num, Table};
 use sann_core::{Metric, Result};
 use sann_engine::{QueryPlan, Segment};
 use sann_index::{FreshConfig, FreshDiskAnnIndex, VamanaConfig};
 use sann_vdb::SetupKind;
+use std::sync::Arc;
 
 /// Number of search clients held constant while writers are added.
 const SEARCH_CLIENTS: usize = 64;
 
-/// Writer-client counts swept on the x-axis.
-const WRITER_LADDER: &[usize] = &[0, 8, 32, 128];
+/// Writer-client counts swept on the x-axis after the search-only row.
+const WRITERS: &[usize] = &[8, 32, 128];
 
 /// Real insert operations replayed per dataset.
 const INSERT_PLANS: usize = 100;
@@ -30,12 +31,10 @@ const INSERT_PLANS: usize = 100;
 /// Collects real insert plans: build a mutable index on the base set, insert
 /// a fresh stream, and compile each insert's reads + writes under the Milvus
 /// profile.
-fn insert_plans(
-    ctx: &mut BenchContext,
-    spec: &sann_datagen::DatasetSpec,
-) -> Result<Vec<QueryPlan>> {
+fn insert_plans(ctx: &BenchContext, data: &PreparedDataset) -> Result<Vec<QueryPlan>> {
+    let spec = &data.spec;
     let mut index = FreshDiskAnnIndex::build(
-        &ctx.dataset(spec).base,
+        &data.base,
         Metric::L2,
         FreshConfig {
             graph: VamanaConfig {
@@ -75,29 +74,36 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
         "read_MiB/s",
         "write_MiB/s",
     ]);
-    // The small datasets suffice to show the interference effect.
-    for spec in ctx.dataset_specs_ending("-s") {
-        let search_plans = ctx.plans(&spec, SetupKind::MilvusDiskann)?;
+    let kind = SetupKind::MilvusDiskann;
+    // The small datasets suffice to show the interference effect. With no
+    // writers, a row is the tuned search-only point Figs. 2-3 ran already.
+    let specs = ctx.dataset_specs_ending("-s");
+    let cells: Vec<_> = specs.iter().map(|s| (s, kind, SEARCH_CLIENTS)).collect();
+    let search_only = ctx.run_tuned(&cells)?;
+    let prepared = ctx.prepare(&specs.iter().map(|s| (s, kind)).collect::<Vec<_>>())?;
+    for spec in &specs {
         eprintln!("[prep] collecting real insert traces on {}", spec.name);
-        let inserts = insert_plans(ctx, &spec)?;
-        for &writers in WRITER_LADDER {
+    }
+    let inserts = ctx.fan_out(&prepared, |p| insert_plans(ctx, &p.data))?;
+    let mut points = Vec::new();
+    for (spec, inserts) in specs.iter().zip(&inserts) {
+        let search = ctx.plans(spec, kind)?;
+        for &writers in WRITERS {
             // Interleave insert plans so `writers : SEARCH_CLIENTS` of the
             // closed-loop client mix inserts at any time.
-            let mut plans: Vec<QueryPlan> = Vec::new();
-            let stride = if writers == 0 {
-                usize::MAX
-            } else {
-                (search_plans.len() * SEARCH_CLIENTS / (writers * search_plans.len().max(1))).max(1)
-            };
-            let mut wi = 0usize;
-            for (i, p) in search_plans.iter().enumerate() {
-                plans.push(p.clone());
-                if stride != usize::MAX && i % stride == 0 {
-                    plans.push(inserts[wi % inserts.len()].clone());
-                    wi += 1;
-                }
-            }
-            let m = ctx.run(SetupKind::MilvusDiskann, &plans, SEARCH_CLIENTS + writers)?;
+            let stride = (SEARCH_CLIENTS / writers).max(1);
+            let plans = search.iter().enumerate().flat_map(|(i, p)| {
+                let insert = (i % stride == 0).then(|| &inserts[i / stride % inserts.len()]);
+                std::iter::once(p).chain(insert).cloned()
+            });
+            points.push(ctx.point(kind, &Arc::new(plans.collect()), SEARCH_CLIENTS + writers));
+        }
+    }
+    let mixed = ctx.replay_all(&points)?;
+    let per_spec = search_only.iter().zip(mixed.chunks(WRITERS.len()));
+    for (spec, (search_only, mixed)) in specs.iter().zip(per_spec) {
+        let rows = [0].iter().zip(search_only).chain(WRITERS.iter().zip(mixed));
+        for (writers, m) in rows {
             table.row([
                 spec.name.clone(),
                 writers.to_string(),
@@ -129,7 +135,8 @@ mod tests {
         ctx.duration_us = 0.3e6;
         ctx.results_dir = std::env::temp_dir().join("sann-extrw-test");
         let spec = ctx.dataset_specs().remove(0);
-        let inserts = insert_plans(&mut ctx, &spec).unwrap();
+        let data = ctx.dataset(&spec);
+        let inserts = insert_plans(&ctx, &data).unwrap();
         assert_eq!(inserts.len(), INSERT_PLANS);
         let sample = &inserts[0];
         assert!(sample.io_count() > 0, "placement search reads");
@@ -140,17 +147,17 @@ mod tests {
         assert!(has_write, "insert must write node records");
 
         // Search-only vs mixed: writes appear and tails inflate.
-        let search_plans = ctx.plans(&spec, SetupKind::MilvusDiskann).unwrap();
-        let base = ctx
-            .run(SetupKind::MilvusDiskann, &search_plans, SEARCH_CLIENTS)
-            .unwrap();
+        let kind = SetupKind::MilvusDiskann;
+        let search_plans = ctx.plans(&spec, kind).unwrap();
         let mut mixed: Vec<QueryPlan> = search_plans.to_vec();
         mixed.extend(inserts.iter().cloned());
-        let m = ctx
-            .run(SetupKind::MilvusDiskann, &mixed, SEARCH_CLIENTS + 64)
-            .unwrap();
-        assert!(m.io_stats.write_bytes > 0);
-        assert_eq!(base.io_stats.write_bytes, 0);
+        let points = [
+            ctx.point(kind, &search_plans, SEARCH_CLIENTS),
+            ctx.point(kind, &Arc::new(mixed), SEARCH_CLIENTS + 64),
+        ];
+        let runs = ctx.replay_all(&points).unwrap();
+        assert_eq!(runs[0].io_stats.write_bytes, 0);
+        assert!(runs[1].io_stats.write_bytes > 0);
         std::fs::remove_dir_all(&ctx.results_dir).ok();
     }
 }

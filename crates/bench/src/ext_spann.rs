@@ -10,14 +10,18 @@
 //! latency, throughput, and space.
 
 use crate::cli::SubFlags;
-use crate::context::{BenchContext, K, RECALL_TARGET};
+use crate::context::{BenchContext, Search, K, RECALL_TARGET};
 use crate::report::{num, Table};
 use sann_core::{Metric, Result};
-use sann_index::{SearchParams, SpannConfig, SpannIndex, VectorIndex};
+use sann_index::{SearchParams, SpannConfig, SpannIndex};
 use sann_vdb::SetupKind;
+use std::sync::Arc;
 
 /// Queries whose traces feed the I/O-shape columns.
 const SHAPE_QUERIES: usize = 64;
+
+/// Closed-loop clients of the engine columns.
+const CLIENTS: usize = 64;
 
 /// Runs the DiskANN-vs-SPANN comparison on each dataset's small variant.
 ///
@@ -37,60 +41,64 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
         "space_amp",
     ]);
     let kind = SetupKind::MilvusDiskann;
-    for spec in ctx.dataset_specs_ending("-s") {
-        // DiskANN side: reuse the tuned setup.
-        let builder = ctx.plan_builder_for(&spec, kind);
-        let (data, prepared) = ctx.dataset_and_setup(&spec, kind)?;
-        let raw_bytes = (data.base.len() * data.base.row_bytes()) as u64;
-
-        // SPANN side: build + tune nprobe on the same data.
+    let specs = ctx.dataset_specs_ending("-s");
+    // DiskANN side: the tuned setup's 64-client point, which Figs. 2-3 ran.
+    let cells: Vec<_> = specs.iter().map(|s| (s, kind, CLIENTS)).collect();
+    let diskann_runs = ctx.run_tuned(&cells)?;
+    let prepared = ctx.prepare(&specs.iter().map(|s| (s, kind)).collect::<Vec<_>>())?;
+    for spec in &specs {
         eprintln!("[prep] building spann index on {}", spec.name);
-        let spann = SpannIndex::build(&data.base, Metric::L2, SpannConfig::default())?;
-        let mut nprobe = 4usize;
-        let mut s_recall = 0.0;
+    }
+    // SPANN side: build + tune nprobe on the same data. Both indexes are
+    // measured the same way: the traces of the first `SHAPE_QUERIES` queries
+    // give the I/O shape, and the query set's traces, compiled under the
+    // same Milvus profile for an apples-to-apples run, the engine metrics.
+    let spann = ctx.fan_out(&prepared, |diskann| {
+        let data = &diskann.data;
+        let index = SpannIndex::build(&data.base, Metric::L2, SpannConfig::default())?;
+        let (mut nprobe, mut recall) = (4, 0.0);
         while nprobe <= 128 {
             let params = SearchParams::default().with_nprobe(nprobe);
-            let ids = sann_index::search_ids(&spann, &data.tune_queries, K, &params)?;
-            s_recall = data.tune_truth.mean_recall(&ids);
-            if s_recall >= RECALL_TARGET {
+            let ids = sann_index::search_ids(&index, &data.tune_queries, K, &params)?;
+            recall = data.tune_truth.mean_recall(&ids);
+            if recall >= RECALL_TARGET {
                 break;
             }
             nprobe *= 2;
         }
-
-        // Both indexes are measured the same way: one pass over the query
-        // set, whose traces give the I/O shape (first `SHAPE_QUERIES`) and,
-        // compiled under the same Milvus profile for an apples-to-apples
-        // run, the engine metrics at 64 clients.
-        let sides: [(&str, f64, &dyn VectorIndex, SearchParams); 2] = [
-            (
-                "diskann",
-                prepared.recall,
-                prepared.index.as_ref(),
-                prepared.setup.params.search_params(),
-            ),
-            (
-                "spann",
-                s_recall,
-                &spann,
-                SearchParams::default().with_nprobe(nprobe),
-            ),
+        let head = data.queries.truncated(SHAPE_QUERIES);
+        let shape = diskann.setup.traces(diskann.index.as_ref(), &head, K)?;
+        let mut spann = diskann.clone();
+        (spann.index, spann.recall) = (Arc::new(index), recall);
+        Ok((spann, SearchParams::default().with_nprobe(nprobe), shape))
+    })?;
+    let jobs: Vec<Search> = spann.iter().map(|(p, params, _)| (p, *params)).collect();
+    let swept = ctx.sweep(&jobs, &[CLIENTS], |mut traces| {
+        traces.truncate(SHAPE_QUERIES);
+        traces
+    })?;
+    let per_spec = prepared
+        .iter()
+        .zip(&diskann_runs)
+        .zip(spann.iter().zip(&swept));
+    for ((diskann, diskann_run), ((spann, _, diskann_shape), s)) in per_spec {
+        let sides = [
+            ("diskann", diskann, diskann_shape, diskann_run.as_ref()),
+            ("spann", spann, &s.digest, s.runs.first()),
         ];
-        for (name, recall, index, params) in sides {
-            let traces = prepared
-                .setup
-                .traces_with(index, &data.queries, K, &params)?;
-            let run = ctx.run(kind, &builder.build_all(&traces), 64)?;
-            let shape = &traces[..traces.len().min(SHAPE_QUERIES)];
+        for (name, p, shape, run) in sides {
+            let Some(run) = run else { continue };
+            let data = &p.data;
             let n = shape.len().max(1) as f64;
             let ios: u64 = shape.iter().map(|t| t.io_count()).sum();
             let bytes: u64 = shape.iter().map(|t| t.read_bytes()).sum();
             let hops: u64 = shape.iter().map(|t| t.hops()).sum();
-            let space = index.storage_bytes() as f64 / raw_bytes as f64;
+            let raw_bytes = (data.base.len() * data.base.row_bytes()) as u64;
+            let space = p.index.storage_bytes() as f64 / raw_bytes as f64;
             table.row([
-                spec.name.clone(),
+                data.spec.name.clone(),
                 name.to_owned(),
-                format!("{recall:.3}"),
+                format!("{:.3}", p.recall),
                 num(ios as f64 / n),
                 num(bytes as f64 / ios.max(1) as f64 / 1024.0),
                 num(hops as f64 / n),

@@ -2,9 +2,10 @@
 //! seven setups as query concurrency grows from 1 to 256 (§IV).
 
 use crate::cli::SubFlags;
-use crate::context::BenchContext;
+use crate::context::{BenchContext, Cell};
 use crate::report::{num, Table};
 use sann_core::Result;
+use sann_datagen::DatasetSpec;
 use sann_engine::RunMetrics;
 use sann_vdb::SetupKind;
 
@@ -44,6 +45,14 @@ pub fn fig4(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     })
 }
 
+/// Every (dataset, setup) pair of `specs` x `kinds` at every point of the
+/// concurrency ladder, pair-major.
+pub fn ladder<'a>(specs: &'a [DatasetSpec], kinds: &[SetupKind]) -> Vec<Cell<'a>> {
+    let pair = |s| kinds.iter().map(move |&k| (s, k));
+    let cell = |(s, k)| CONCURRENCY_LADDER.iter().map(move |&c| (s, k, c));
+    specs.iter().flat_map(pair).flat_map(cell).collect()
+}
+
 /// Runs the concurrency sweep (cached across the three figures) over the
 /// datasets whose name ends in `suffix` and renders one metric of it.
 fn render(
@@ -56,20 +65,16 @@ fn render(
     let mut header = vec!["dataset".to_owned(), "setup".to_owned()];
     header.extend(CONCURRENCY_LADDER.iter().map(|c| format!("c{c}")));
     let mut table = Table::new(header);
-
-    for spec in &ctx.dataset_specs_ending(suffix) {
-        for kind in SetupKind::all() {
-            let mut cells = vec![spec.name.clone(), kind.name().to_owned()];
-            for &concurrency in CONCURRENCY_LADDER {
-                match ctx.run_tuned(spec, kind, concurrency)? {
-                    // LanceDB-HNSW beyond its client limit: the paper shows
-                    // no point (out-of-memory).
-                    None => cells.push("oom".to_owned()),
-                    Some(m) => cells.push(cell(&m)),
-                }
-            }
-            table.row(cells);
-        }
+    let specs = ctx.dataset_specs_ending(suffix);
+    let cells = ladder(&specs, &SetupKind::all());
+    let runs = ctx.run_tuned(&cells)?;
+    let rows = cells.iter().step_by(CONCURRENCY_LADDER.len());
+    for (&(spec, kind, _), runs) in rows.zip(runs.chunks(CONCURRENCY_LADDER.len())) {
+        let mut row = vec![spec.name.clone(), kind.name().to_owned()];
+        // LanceDB-HNSW beyond its client limit: the paper shows no point
+        // (out-of-memory).
+        row.extend(runs.iter().map(|m| m.as_ref().map_or("oom".into(), cell)));
+        table.row(row);
     }
     ctx.write_csv(file, &table.to_csv())?;
     let mut out = format!("{title}\n");

@@ -4,37 +4,27 @@
 
 use crate::cli::SubFlags;
 use crate::context::BenchContext;
-use crate::fig2_4::CONCURRENCY_LADDER;
+use crate::fig2_4::{ladder, CONCURRENCY_LADDER};
 use crate::report::{num, Table};
 use sann_core::Result;
+use sann_engine::RunMetrics;
 use sann_vdb::SetupKind;
 
-/// The concurrency at which throughput stops improving materially (the
-/// paper's "throughput plateaus" level): the smallest ladder point within
-/// 10% of the ladder maximum.
-pub fn plateau_concurrency(
-    ctx: &mut BenchContext,
-    spec: &sann_datagen::DatasetSpec,
-) -> Result<usize> {
-    let mut qps = Vec::with_capacity(CONCURRENCY_LADDER.len());
-    for &c in CONCURRENCY_LADDER {
-        qps.push(
-            ctx.run_tuned(spec, SetupKind::MilvusDiskann, c)?
-                .map(|m| m.qps)
-                .unwrap_or(0.0),
-        );
-    }
-    let max = qps.iter().cloned().fold(0.0, f64::max);
-    for (i, &q) in qps.iter().enumerate() {
-        if q >= 0.9 * max {
-            return Ok(CONCURRENCY_LADDER[i]);
-        }
-    }
-    Ok(*CONCURRENCY_LADDER.last().expect("ladder non-empty"))
+/// The index of the ladder point at which throughput stops improving
+/// materially (the paper's "throughput plateaus" level): the smallest
+/// ladder point within 10% of the ladder maximum.
+fn plateau(ladder: &[Option<RunMetrics>]) -> usize {
+    let qps: Vec<f64> = ladder
+        .iter()
+        .map(|m| m.as_ref().map_or(0.0, |m| m.qps))
+        .collect();
+    let max = qps.iter().copied().fold(0.0, f64::max);
+    let last = qps.len().saturating_sub(1);
+    qps.iter().position(|&q| q >= 0.9 * max).unwrap_or(last)
 }
 
 /// Fig. 5: read-bandwidth timeline of Milvus-DiskANN at concurrency 1, the
-/// plateau level, and 256.
+/// plateau level, and 256, read off the Figs. 2-4 ladder.
 ///
 /// # Errors
 ///
@@ -47,12 +37,14 @@ pub fn fig5(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     let mut faults = Table::new([
         "dataset", "conc", "errors", "retries", "hedges", "skips", "served",
     ]);
-    for spec in ctx.dataset_specs() {
-        let plateau = plateau_concurrency(ctx, &spec)?;
-        for (label, concurrency) in [("1", 1usize), ("plateau", plateau), ("256", 256usize)] {
-            let m = ctx
-                .run_tuned(&spec, SetupKind::MilvusDiskann, concurrency)?
-                .expect("milvus has no client limit");
+    let specs = ctx.dataset_specs();
+    let runs = ctx.run_tuned(&ladder(&specs, &[SetupKind::MilvusDiskann]))?;
+    for (spec, runs) in specs.iter().zip(runs.chunks(CONCURRENCY_LADDER.len())) {
+        let last = CONCURRENCY_LADDER.len() - 1;
+        for (label, i) in [("1", 0), ("plateau", plateau(runs)), ("256", last)] {
+            let (concurrency, Some(m)) = (CONCURRENCY_LADDER[i], &runs[i]) else {
+                continue;
+            };
             if ctx.fault_profile.active() {
                 let f = &m.fault;
                 faults.row([
@@ -122,24 +114,26 @@ pub fn fig6(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
         "4KiB_fraction",
         "max_req_B",
     ]);
-    for spec in ctx.dataset_specs() {
-        for concurrency in [1usize, 256] {
-            let m = ctx
-                .run_tuned(&spec, SetupKind::MilvusDiskann, concurrency)?
-                .expect("milvus has no client limit");
-            // Request sizes through the log-bucketed histogram shared with
-            // sann-obs (same bucket boundaries as every other size metric).
-            let sizes = m.io_stats.size_log_histogram();
-            table.row([
-                spec.name.clone(),
-                concurrency.to_string(),
-                format!("{:.3}", m.per_query_bandwidth_mib()),
-                num(m.read_bytes_per_query),
-                num(m.ios_per_query),
-                format!("{:.5}", m.io_stats.size_fraction(4096)),
-                sizes.max().to_string(),
-            ]);
-        }
+    let specs = ctx.dataset_specs();
+    let cells: Vec<_> = specs
+        .iter()
+        .flat_map(|s| [1, 256].map(|c| (s, SetupKind::MilvusDiskann, c)))
+        .collect();
+    let runs = ctx.run_tuned(&cells)?;
+    for (&(spec, _, concurrency), m) in cells.iter().zip(&runs) {
+        let Some(m) = m else { continue };
+        // Request sizes through the log-bucketed histogram shared with
+        // sann-obs (same bucket boundaries as every other size metric).
+        let sizes = m.io_stats.size_log_histogram();
+        table.row([
+            spec.name.clone(),
+            concurrency.to_string(),
+            format!("{:.3}", m.per_query_bandwidth_mib()),
+            num(m.read_bytes_per_query),
+            num(m.ios_per_query),
+            format!("{:.5}", m.io_stats.size_fraction(4096)),
+            sizes.max().to_string(),
+        ]);
     }
     ctx.write_csv("fig6.csv", &table.to_csv())?;
     let mut out = String::from(

@@ -13,11 +13,12 @@
 //! in EXPERIMENTS.md.
 
 use crate::cli::SubFlags;
-use crate::context::{search_all, BenchContext, K};
+use crate::context::{BenchContext, Search};
 use crate::report::{num, Table};
 use sann_core::Result;
 use sann_datagen::DatasetSpec;
 use sann_engine::RunMetrics;
+use sann_index::SearchParams;
 use sann_vdb::SetupKind;
 
 /// The `search_list` ladder of the paper's Fig. 7–11 x-axis.
@@ -31,81 +32,78 @@ pub const SEARCH_LIST: usize = 100;
 
 /// One measured point of the sweep.
 pub struct SweepPoint {
-    /// `search_list` at this point.
-    pub search_list: usize,
-    /// `beam_width` at this point.
-    pub beam_width: usize,
-    /// Recall@10 at this value.
+    /// The dataset swept.
+    pub dataset: String,
+    /// The search knobs at this point.
+    pub params: SearchParams,
+    /// Recall@10 at these knobs.
     pub recall: f64,
-    /// Metrics at concurrency 1.
-    pub c1: RunMetrics,
-    /// Metrics at concurrency 256.
-    pub c256: RunMetrics,
+    /// Metrics at each of [`CLIENTS`].
+    pub runs: Vec<RunMetrics>,
 }
 
-/// Runs Milvus-DiskANN on `spec` for each `(search_list, beam_width)` in
-/// `values`, at concurrency 1 and 256. Each point searches the query set
-/// once: recall and the replayed traces come from the same calls.
+/// The concurrencies each point replays at: one thread, and the ladder's top.
+pub const CLIENTS: [usize; 2] = [1, 256];
+
+/// Measures Milvus-DiskANN on every dataset of `specs` at each
+/// `(search_list, beam_width)` in `values`, dataset-major: one search of
+/// the query set per point yields its recall and plans, replayed at each of
+/// [`CLIENTS`].
 ///
 /// # Errors
 ///
 /// Propagates build/search errors.
 pub fn sweep_diskann(
     ctx: &mut BenchContext,
-    spec: &DatasetSpec,
+    specs: &[DatasetSpec],
     values: &[(usize, usize)],
 ) -> Result<Vec<SweepPoint>> {
     let kind = SetupKind::MilvusDiskann;
-    let builder = ctx.plan_builder_for(spec, kind);
-    let (data, prepared) = ctx.dataset_and_setup(spec, kind)?;
-    let mut points = Vec::with_capacity(values.len());
-    for &(search_list, beam_width) in values {
-        // Override the knobs on a copy; reuse the cached index.
-        let mut params = prepared.setup.params;
-        params.search_list = search_list;
-        params.beam_width = beam_width;
-        let index = prepared.index.as_ref();
-        let (recall, traces) = search_all(
-            index,
-            &data.queries,
-            &data.truth,
-            K,
-            &params.search_params(),
-        )?;
-        let plans = builder.build_all(&traces);
-        points.push(SweepPoint {
-            search_list,
-            beam_width,
-            recall,
-            c1: ctx.run(kind, &plans, 1)?,
-            c256: ctx.run(kind, &plans, 256)?,
-        });
+    let prepared = ctx.prepare(&specs.iter().map(|s| (s, kind)).collect::<Vec<_>>())?;
+    let mut jobs: Vec<Search> = Vec::new();
+    for p in &prepared {
+        for &knobs in values {
+            // Override the knobs on a copy; reuse the cached index.
+            let mut params = p.setup.params.search_params();
+            (params.search_list, params.beam_width) = knobs;
+            jobs.push((p, params));
+        }
     }
-    Ok(points)
+    let swept = ctx.sweep(&jobs, &CLIENTS, drop)?;
+    Ok(jobs
+        .iter()
+        .zip(swept)
+        .map(|(&(p, params), s)| SweepPoint {
+            dataset: p.data.spec.name.clone(),
+            params,
+            recall: s.recall,
+            runs: s.runs,
+        })
+        .collect())
 }
 
 /// What a panel plots: its value columns and one sweep point's cells.
 type Series = (&'static [&'static str], fn(&SweepPoint) -> Vec<String>);
 
 const QPS: Series = (&["qps_c1", "qps_c256"], |p| {
-    vec![num(p.c1.qps), num(p.c256.qps)]
+    p.runs.iter().map(|m| num(m.qps)).collect()
 });
-const P99: Series = (&["p99_us_c1"], |p| vec![num(p.c1.p99_latency_us)]);
+const P99: Series = (&["p99_us_c1"], |p| vec![num(p.runs[0].p99_latency_us)]);
 const RECALL: Series = (&["recall@10"], |p| vec![format!("{:.3}", p.recall)]);
 const BANDWIDTH: Series = (&["MiB/s_c1", "MiB/s_c256"], |p| {
-    vec![num(p.c1.mean_bandwidth_mib), num(p.c256.mean_bandwidth_mib)]
+    p.runs.iter().map(|m| num(m.mean_bandwidth_mib)).collect()
 });
 const PER_QUERY: Series = (&["per_query_MiB/s_c1", "per_query_MiB/s_c256"], |p| {
     let cell = |m: &RunMetrics| format!("{:.3}", m.per_query_bandwidth_mib());
-    vec![cell(&p.c1), cell(&p.c256)]
+    p.runs.iter().map(cell).collect()
 });
 
 /// Sweeps `values` on every dataset and renders one table per panel —
 /// figure number, what it plots, series — keyed by the `knob` column, whose
-/// value `x` reads off a point.
+/// value `x` reads off a point's search knobs.
 fn render(
     ctx: &mut BenchContext,
-    (knob, x): (&str, fn(&SweepPoint) -> usize),
+    (knob, x): (&str, fn(&SearchParams) -> usize),
     values: &[(usize, usize)],
     panels: &[(usize, &str, Series)],
 ) -> Result<String> {
@@ -113,12 +111,11 @@ fn render(
         Table::new(["dataset", knob].into_iter().chain(columns.iter().copied()))
     };
     let mut tables: Vec<Table> = panels.iter().map(header).collect();
-    for spec in ctx.dataset_specs() {
-        for point in sweep_diskann(ctx, &spec, values)? {
-            for (table, (_, _, (_, cells))) in tables.iter_mut().zip(panels) {
-                let key = [spec.name.clone(), x(&point).to_string()];
-                table.row(key.into_iter().chain(cells(&point)));
-            }
+    let specs = ctx.dataset_specs();
+    for point in sweep_diskann(ctx, &specs, values)? {
+        for (table, (_, _, (_, cells))) in tables.iter_mut().zip(panels) {
+            let key = [point.dataset.clone(), x(&point.params).to_string()];
+            table.row(key.into_iter().chain(cells(&point)));
         }
     }
     let mut out = Vec::with_capacity(panels.len());
@@ -173,38 +170,42 @@ pub fn beam_width(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
 mod tests {
     use super::*;
 
-    fn tiny_ctx() -> (BenchContext, DatasetSpec) {
+    fn tiny_ctx() -> (BenchContext, Vec<DatasetSpec>) {
         let mut ctx = BenchContext::new(0.001);
         ctx.only_dataset = Some("cohere-s".into());
         ctx.duration_us = 0.5e6;
-        let spec = ctx.dataset_specs().remove(0);
-        (ctx, spec)
+        let specs = ctx.dataset_specs();
+        (ctx, specs)
     }
 
     #[test]
     fn sweep_shows_monotone_io_growth() {
-        let (mut ctx, spec) = tiny_ctx();
-        let points = sweep_diskann(&mut ctx, &spec, &[(10, 4), (100, 4)]).unwrap();
+        let (mut ctx, specs) = tiny_ctx();
+        let points = sweep_diskann(&mut ctx, &specs, &[(10, 4), (100, 4)]).unwrap();
         assert!(
             points[1].recall >= points[0].recall - 0.01,
             "recall must not drop"
         );
         assert!(
-            points[1].c1.read_bytes_per_query > 1.5 * points[0].c1.read_bytes_per_query,
+            points[1].runs[0].read_bytes_per_query > 1.5 * points[0].runs[0].read_bytes_per_query,
             "larger search_list must read much more"
         );
-        assert!(points[1].c1.qps < points[0].c1.qps, "and cost throughput");
+        assert!(
+            points[1].runs[0].qps < points[0].runs[0].qps,
+            "and cost throughput"
+        );
     }
 
     #[test]
     fn wider_beams_cut_single_thread_latency() {
-        let (mut ctx, spec) = tiny_ctx();
-        let points = sweep_diskann(&mut ctx, &spec, &[(SEARCH_LIST, 1), (SEARCH_LIST, 8)]).unwrap();
+        let (mut ctx, specs) = tiny_ctx();
+        let points =
+            sweep_diskann(&mut ctx, &specs, &[(SEARCH_LIST, 1), (SEARCH_LIST, 8)]).unwrap();
         assert!(
-            points[1].c1.p99_latency_us < points[0].c1.p99_latency_us,
+            points[1].runs[0].p99_latency_us < points[0].runs[0].p99_latency_us,
             "W=8 {} should beat W=1 {}",
-            points[1].c1.p99_latency_us,
-            points[0].c1.p99_latency_us
+            points[1].runs[0].p99_latency_us,
+            points[0].runs[0].p99_latency_us
         );
     }
 }

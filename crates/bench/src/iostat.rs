@@ -11,10 +11,10 @@
 //! across identical invocations at any `--trace-level`.
 
 use crate::cli::SubFlags;
-use crate::context::BenchContext;
+use crate::context::{BenchContext, Point};
 use crate::report::{num, Table};
 use sann_core::{cast, Result};
-use sann_engine::{FaultProfile, RunMetrics};
+use sann_engine::FaultProfile;
 use sann_obs::IoProvenance;
 
 /// Dollar figures span ~1e-9..1 USD; a fixed scientific mantissa keeps
@@ -38,13 +38,12 @@ pub fn run(ctx: &mut BenchContext, flags: &SubFlags) -> Result<String> {
     // One run per device-health profile; the tuned plans are shared, so
     // the delta between rows is purely the device's behaviour.
     let profiles = [FaultProfile::none(), FaultProfile::aging()];
-    let saved = ctx.fault_profile;
-    let mut runs: Vec<(&'static str, RunMetrics)> = Vec::new();
-    for profile in profiles {
-        ctx.fault_profile = profile;
-        runs.push((profile.name, ctx.run(kind, &plans, clients)?));
-    }
-    ctx.fault_profile = saved;
+    let points = profiles.map(|fault| Point {
+        fault,
+        ..ctx.point(kind, &plans, clients)
+    });
+    let labels = profiles.map(|p| p.name);
+    let runs: Vec<_> = labels.into_iter().zip(ctx.replay_all(&points)?).collect();
 
     let mut prov = Table::new([
         "profile",
@@ -175,7 +174,7 @@ mod tests {
     const DEFAULT_SETUP: SetupKind = SetupKind::MilvusDiskann;
 
     #[test]
-    fn report_covers_both_profiles_and_restores_context() {
+    fn report_covers_both_profiles_and_leaves_context_alone() {
         let mut ctx = BenchContext::new(0.001);
         ctx.only_dataset = Some("cohere-s".into());
         ctx.duration_us = 0.2e6;
@@ -183,7 +182,10 @@ mod tests {
         ctx.results_dir = dir.clone();
         let before = ctx.fault_profile;
         let text = run(&mut ctx, &SubFlags::with_clients(4)).unwrap();
-        assert_eq!(ctx.fault_profile, before, "iostat must restore the profile");
+        assert_eq!(
+            ctx.fault_profile, before,
+            "iostat must not touch the profile"
+        );
         assert!(text.contains("graph-adjacency"), "diskann reads are tagged");
         assert!(text.contains("none") && text.contains("aging"));
         assert!(text.contains("usd_per_query"));
@@ -213,12 +215,16 @@ mod tests {
         ctx.duration_us = 0.2e6;
         let spec = ctx.dataset_specs().remove(0);
         let plans = ctx.plans(&spec, DEFAULT_SETUP).unwrap();
-        let healthy = ctx.run(DEFAULT_SETUP, &plans, 4).unwrap();
-        ctx.fault_profile = FaultProfile::aging();
-        let aging = ctx.run(DEFAULT_SETUP, &plans, 4).unwrap();
+        let healthy = ctx.point(DEFAULT_SETUP, &plans, 4);
+        let aging = Point {
+            fault: FaultProfile::aging(),
+            ..healthy.clone()
+        };
+        let runs = ctx.replay_all(&[healthy, aging]).unwrap();
+        let (healthy, aging) = (&runs[0], &runs[1]);
         let device = DeviceCostModel::samsung_990_pro();
-        let h = device.price(&healthy, ctx.cores);
-        let a = device.price(&aging, ctx.cores);
+        let h = device.price(healthy, ctx.cores);
+        let a = device.price(aging, ctx.cores);
         assert!(aging.completed < healthy.completed);
         assert!(a.usd_per_query() > h.usd_per_query());
     }

@@ -2,7 +2,7 @@
 //! index on every dataset.
 
 use crate::cli::SubFlags;
-use crate::context::{BenchContext, K};
+use crate::context::{BenchContext, PreparedSetup, K};
 use crate::report::Table;
 use sann_core::Result;
 use sann_vdb::SetupKind;
@@ -33,48 +33,27 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
         SetupKind::MilvusDiskann,
         SetupKind::LancedbIvf,
     ];
-    for spec in ctx.dataset_specs() {
-        for kind in kinds {
-            let prepared = ctx.setup(&spec, kind)?;
-            let p = &prepared.setup.params;
-            let (nlist, nprobe, m, efc, efs, sl) = match kind {
-                SetupKind::MilvusIvf | SetupKind::LancedbIvf => (
-                    p.nlist.to_string(),
-                    p.nprobe.to_string(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ),
-                SetupKind::MilvusDiskann => (
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                    p.search_list.to_string(),
-                ),
-                _ => (
-                    String::new(),
-                    String::new(),
-                    p.m.to_string(),
-                    p.ef_construction.to_string(),
-                    p.ef_search.to_string(),
-                    String::new(),
-                ),
-            };
-            table.row([
-                spec.name.clone(),
-                kind.name().to_owned(),
-                nlist,
-                nprobe,
-                m,
-                efc,
-                efs,
-                sl,
-                format!("{:.3}", prepared.recall),
-            ]);
-        }
+    let specs = ctx.dataset_specs();
+    let pairs: Vec<_> = specs.iter().flat_map(|s| kinds.map(|k| (s, k))).collect();
+    let prepared = ctx.prepare(&pairs)?;
+    for prepared in &prepared {
+        let (kind, p) = (prepared.setup.kind, &prepared.setup.params);
+        let ivf = matches!(kind, SetupKind::MilvusIvf | SetupKind::LancedbIvf);
+        let diskann = kind == SetupKind::MilvusDiskann;
+        let hnsw = !ivf && !diskann;
+        // Each family shows the knobs it has and leaves the others blank.
+        let knob = |has: bool, v: usize| if has { v.to_string() } else { String::new() };
+        table.row([
+            prepared.data.spec.name.clone(),
+            kind.name().to_owned(),
+            knob(ivf, p.nlist),
+            knob(ivf, p.nprobe),
+            knob(hnsw, p.m),
+            knob(hnsw, p.ef_construction),
+            knob(hnsw, p.ef_search),
+            knob(diskann, p.search_list),
+            format!("{:.3}", prepared.recall),
+        ]);
     }
     ctx.write_csv("table2.csv", &table.to_csv())?;
     let mut out = String::from("Table II: index parameters and achieved recall@10\n");
@@ -83,7 +62,7 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
     ));
     out.push_str(&table.to_text());
     if ctx.fault_profile.active() {
-        out.push_str(&degraded_recall_section(ctx, &kinds)?);
+        out.push_str(&degraded_recall_section(ctx, &prepared)?);
     }
     Ok(out)
 }
@@ -92,31 +71,30 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
 /// measures the fraction of planned reads actually served, and the honest
 /// recall bound is `recall × served_fraction` (abandoned reads can only
 /// remove true neighbors from the candidate set).
-fn degraded_recall_section(ctx: &mut BenchContext, kinds: &[SetupKind]) -> Result<String> {
+fn degraded_recall_section(ctx: &mut BenchContext, prepared: &[PreparedSetup]) -> Result<String> {
     const FAULT_CONCURRENCY: usize = 8;
-    let profile = ctx.fault_profile;
     let mut table = Table::new(["dataset", "index", "recall@10", "served", "degraded@10"]);
-    for spec in ctx.dataset_specs() {
-        for &kind in kinds {
-            let healthy = ctx.setup(&spec, kind)?.recall;
-            let Some(m) = ctx.run_tuned(&spec, kind, FAULT_CONCURRENCY)? else {
-                continue;
-            };
-            let f = &m.fault;
-            table.row([
-                spec.name.clone(),
-                kind.name().to_owned(),
-                format!("{healthy:.3}"),
-                format!("{:.3}", f.served_fraction()),
-                format!("{:.3}", f.degraded_recall(healthy)),
-            ]);
-        }
+    let cells: Vec<_> = prepared
+        .iter()
+        .map(|p| (&p.data.spec, p.setup.kind, FAULT_CONCURRENCY))
+        .collect();
+    let runs = ctx.run_tuned(&cells)?;
+    for (p, m) in prepared.iter().zip(runs) {
+        let Some(m) = m else { continue };
+        let (healthy, f) = (p.recall, &m.fault);
+        table.row([
+            p.data.spec.name.clone(),
+            p.setup.kind.name().to_owned(),
+            format!("{healthy:.3}"),
+            format!("{:.3}", f.served_fraction()),
+            format!("{:.3}", f.degraded_recall(healthy)),
+        ]);
     }
     ctx.write_csv("table2_faults.csv", &table.to_csv())?;
     Ok(format!(
         "Degraded recall under fault profile `{}` (concurrency {FAULT_CONCURRENCY}):\n\
          (degraded@10 = recall@10 x served I/O fraction - a bound, not a re-measurement)\n{}",
-        profile.name,
+        ctx.fault_profile.name,
         table.to_text()
     ))
 }

@@ -32,7 +32,7 @@ pub fn run(ctx: &mut BenchContext, flags: &SubFlags) -> Result<String> {
     };
     let spec = ctx.first_spec()?;
     let plans = ctx.plans(&spec, kind)?;
-    let traced = ctx.run_traced(kind, &plans, clients, level)?;
+    let traced = ctx.run_traced(&ctx.point(kind, &plans, clients), level)?;
     traced
         .trace
         .validate()

@@ -44,9 +44,8 @@ fn every_ladder_point_obeys_the_operational_laws() {
                     continue;
                 }
                 let point = format!("{} / {} / c{clients}", spec.name, kind.name());
-                let run = ctx
-                    .run_traced(kind, &plans, clients, TraceLevel::Off)
-                    .unwrap();
+                let replay = ctx.point(kind, &plans, clients);
+                let run = ctx.run_traced(&replay, TraceLevel::Off).unwrap();
                 // A run with no query completed in the window has no
                 // throughput to relate: the laws skip it.
                 let Some(laws) = run.laws else {

@@ -5,10 +5,13 @@
 //! not even caches), prepares the same storage-based and memory-based setups
 //! on the same seeded dataset, validates every query trace against the
 //! structural invariants ([`sann_index::QueryTrace::validate`]), and then
-//! compares [`RunMetrics::canonical_bytes`] of every (setup × concurrency)
-//! cell byte for byte. Any drift — a stray wall-clock read, an unordered
+//! compares [`sann_engine::RunMetrics::canonical_bytes`] of every
+//! (setup × concurrency) cell byte for byte. Any drift — a stray wall-clock
+//! read, an unordered
 //! iteration, a NaN-order flip — shows up as a byte diff long before it
-//! would be visible in rounded report tables.
+//! would be visible in rounded report tables. The first pass runs on one
+//! worker thread and the second fans every prep build, search and replay
+//! out over two, so the thread count is part of what the diff covers.
 //!
 //! The audit also replays one fully-traced run per setup and byte-diffs
 //! the observability outputs across the two passes: the Chrome/Perfetto
@@ -31,7 +34,7 @@
 
 use sann_bench::cli::SubFlags;
 use sann_bench::BenchContext;
-use sann_engine::{FaultProfile, RunMetrics};
+use sann_engine::FaultProfile;
 use sann_obs::export::{chrome_trace, jsonl};
 use sann_obs::TraceLevel;
 use sann_vdb::SetupKind;
@@ -66,17 +69,19 @@ struct Cell {
 /// byte-divergence found.
 pub fn run() -> Result<String, String> {
     analyzer_self_check()?;
-    let first = sweep(None, FaultProfile::none())?;
-    let second = sweep(None, FaultProfile::none())?;
-    let mut audited = compare_passes("second run", &first, &second)?;
+    // Every replay fans out over the pass's worker threads: the output must
+    // not depend on how many there are.
+    let first = sweep(None, FaultProfile::none(), 1)?;
+    let second = sweep(None, FaultProfile::none(), 2)?;
+    let mut audited = compare_passes("second run (2 threads)", &first, &second)?;
     // Artifact-cache invariance: a cold cached pass (populating a scratch
     // directory) and a warm pass (replaying prep from it) must both match
     // the uncached baseline exactly.
     let cache_dir =
         std::env::temp_dir().join(format!("sann-determinism-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let cold = sweep(Some(&cache_dir), FaultProfile::none())?;
-    let warm = sweep(Some(&cache_dir), FaultProfile::none())?;
+    let cold = sweep(Some(&cache_dir), FaultProfile::none(), 2)?;
+    let warm = sweep(Some(&cache_dir), FaultProfile::none(), 1)?;
     let _ = std::fs::remove_dir_all(&cache_dir);
     audited += compare_passes("cache-cold run", &first, &cold)?;
     audited += compare_passes("cache-warm run", &first, &warm)?;
@@ -84,14 +89,14 @@ pub fn run() -> Result<String, String> {
     // byte-reproducible under a fixed seed, and it must actually perturb
     // the storage-based cells (a flaky sweep identical to the clean one
     // means injection silently turned itself off).
-    let flaky_a = sweep(None, FaultProfile::flaky())?;
-    let flaky_b = sweep(None, FaultProfile::flaky())?;
+    let flaky_a = sweep(None, FaultProfile::flaky(), 1)?;
+    let flaky_b = sweep(None, FaultProfile::flaky(), 2)?;
     audited += compare_passes("flaky fault-profile replay", &flaky_a, &flaky_b)?;
     if flaky_a.iter().zip(&first).all(|(f, c)| f.bytes == c.bytes) {
         return Err("flaky fault profile left every cell untouched".into());
     }
     Ok(format!(
-        "determinism: PASS — {} cells byte-identical across two seeded runs plus cold/warm artifact-cache replays, a flaky fault-profile sweep replayed byte-for-byte ({audited} metric bytes compared), and the static analyzer's text/baseline outputs byte-stable across a double run",
+        "determinism: PASS — {} cells byte-identical across two seeded runs at 1 and 2 threads plus cold/warm artifact-cache replays, a flaky fault-profile sweep replayed byte-for-byte ({audited} metric bytes compared), and the static analyzer's text/baseline outputs byte-stable across a double run",
         first.len()
     ))
 }
@@ -160,11 +165,13 @@ fn compare_passes(what: &str, baseline: &[Cell], pass: &[Cell]) -> Result<usize,
 fn sweep(
     cache_dir: Option<&std::path::Path>,
     fault_profile: FaultProfile,
+    threads: usize,
 ) -> Result<Vec<Cell>, String> {
     let mut ctx = BenchContext::new(SCALE);
     ctx.only_dataset = Some(DATASET.to_string());
     ctx.duration_us = DURATION_US;
     ctx.fault_profile = fault_profile;
+    ctx.threads = threads;
     if let Some(dir) = cache_dir {
         ctx.enable_cache(dir);
     }
@@ -174,12 +181,19 @@ fn sweep(
         .next()
         .ok_or_else(|| format!("dataset {DATASET} missing from catalog"))?;
 
-    let mut cells = Vec::new();
-    for &kind in KINDS {
-        let (data, prepared) = ctx
-            .dataset_and_setup(&spec, kind)
-            .map_err(|e| format!("prepare {kind:?}: {e}"))?;
-        let params = prepared.setup.params.search_params();
+    let pairs: Vec<_> = KINDS.iter().map(|&kind| (&spec, kind)).collect();
+    let prepared = ctx
+        .prepare(&pairs)
+        .map_err(|e| format!("prepare {KINDS:?}: {e}"))?;
+    let jobs: Vec<_> = prepared
+        .iter()
+        .map(|p| (p, p.setup.params.search_params()))
+        .collect();
+    let traced = ctx
+        .sweep(&jobs, &[], |traces| traces)
+        .map_err(|e| format!("trace {KINDS:?}: {e}"))?;
+    for ((prepared, params), traced) in jobs.iter().zip(&traced) {
+        let kind = prepared.setup.kind;
         // DiskANN promises one beam of at most `beam_width` sector reads per
         // hop; memory-based setups have no beam bound.
         let max_beam = if kind.is_storage_based() {
@@ -187,39 +201,23 @@ fn sweep(
         } else {
             0
         };
-        let traces = prepared
-            .setup
-            .traces(
-                prepared.index.as_ref(),
-                &data.queries,
-                sann_bench::context::K,
-            )
-            .map_err(|e| format!("trace {kind:?}: {e}"))?;
-        for (qi, trace) in traces.iter().enumerate() {
+        for (qi, trace) in traced.digest.iter().enumerate() {
             trace
                 .validate(max_beam)
                 .map_err(|e| format!("{} query {qi}: invalid trace: {e}", kind.name()))?;
         }
-        for &concurrency in CONCURRENCIES {
-            let metrics: Option<RunMetrics> = ctx
-                .run_tuned(&spec, kind, concurrency)
-                .map_err(|e| format!("run {kind:?} c{concurrency}: {e}"))?;
-            let Some(metrics) = metrics else {
-                continue; // profile rejects this concurrency; fine, both passes skip it
-            };
-            cells.push(Cell {
-                label: format!("{}/{}/c{}", spec.name, kind.name(), concurrency),
-                bytes: metrics.canonical_bytes(),
-            });
-        }
+    }
+    let mut cells = Vec::new();
+    for &kind in KINDS {
         // One fully-traced run per setup: both exporters plus the
         // registry must be byte-identical across the two passes.
         let plans = ctx
             .plans(&spec, kind)
             .map_err(|e| format!("plans {kind:?}: {e}"))?;
         let concurrency = *CONCURRENCIES.last().expect("sweep non-empty");
-        let Ok(traced) = ctx.run_traced(kind, &plans, concurrency, TraceLevel::Io) else {
-            continue; // profile rejects this concurrency, as above
+        let point = ctx.point(kind, &plans, concurrency);
+        let Ok(traced) = ctx.run_traced(&point, TraceLevel::Io) else {
+            continue; // profile rejects this concurrency; fine, both passes skip it
         };
         traced
             .trace
@@ -237,6 +235,24 @@ fn sweep(
         cells.push(Cell {
             label: label("registry"),
             bytes: traced.registry.canonical_bytes(),
+        });
+    }
+    // Every (setup × concurrency) cell in one replay across the pass's
+    // worker threads.
+    let grid: Vec<_> = pairs
+        .iter()
+        .flat_map(|&(spec, kind)| CONCURRENCIES.iter().map(move |&c| (spec, kind, c)))
+        .collect();
+    let runs = ctx
+        .run_tuned(&grid)
+        .map_err(|e| format!("run {KINDS:?} x {CONCURRENCIES:?}: {e}"))?;
+    for ((_, kind, concurrency), metrics) in grid.into_iter().zip(runs) {
+        let Some(metrics) = metrics else {
+            continue; // as above
+        };
+        cells.push(Cell {
+            label: format!("{}/{}/c{}", spec.name, kind.name(), concurrency),
+            bytes: metrics.canonical_bytes(),
         });
     }
     // The iostat report — provenance breakdown, device telemetry, and the

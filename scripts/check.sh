@@ -20,9 +20,10 @@ echo "==> sann-xtask analyze (determinism, layering, panic-path, cast-safety, ho
 cargo run -q -p sann-xtask -- analyze
 
 echo "==> sann-xtask determinism (runtime double-run audit)"
-# Runs a tiny sweep twice, then cold and warm artifact-cache replays and a
-# flaky fault-profile replay, and byte-diffs every metric, trace, report
-# and CSV; also double-runs the analyzer's text report and baseline.
+# Runs a tiny sweep twice (at 1 and at 2 worker threads), then cold and
+# warm artifact-cache replays and a flaky fault-profile replay, and
+# byte-diffs every metric, trace, report and CSV; also double-runs the
+# analyzer's text report and baseline.
 cargo run -q --release -p sann-xtask -- determinism
 
 echo "==> cargo test"
@@ -46,13 +47,17 @@ echo "==> vdbbench all, cold then warm, against the golden"
 # The real binary at the golden's tiny fixed scale: every subcommand, cold
 # (building and caching all prep) and then warm (replaying it), must print
 # and write exactly crates/bench/tests/golden/all/, and the warm run must
-# find every artifact in the cache.
+# find every artifact in the cache. The cold pass fans prep and replays out
+# over 4 workers and the warm pass runs on 1, so the same diff also proves
+# the output does not depend on the thread count.
 cargo build -q --release -p sann-bench
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 golden="crates/bench/tests/golden/all"
-for pass in cold warm; do
-    target/release/vdbbench --scale 0.001 --dataset cohere-s --duration-secs 0.2 \
+for pass in cold:4 warm:1; do
+    threads="${pass#*:}"
+    pass="${pass%:*}"
+    target/release/vdbbench --scale 0.001 --dataset cohere-s --duration-secs 0.2 --threads "$threads" \
         --cache-dir "$tmp/cache" --results "$tmp/$pass" all >"$tmp/$pass.out" 2>"$tmp/$pass.err"
     diff "$tmp/$pass.out" "$golden/stdout.txt"
     diff -r --exclude=stdout.txt "$tmp/$pass" "$golden"
