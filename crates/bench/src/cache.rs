@@ -137,8 +137,8 @@ fn decode_entry(bytes: &[u8], expected_key: u64) -> Option<Vec<u8>> {
     if bytes.len() < 24 {
         return None;
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let checksum = u64::from_le_bytes(tail.try_into().expect("split_at gave 8 bytes"));
+    let (body, tail) = bytes.split_last_chunk::<8>()?;
+    let checksum = u64::from_le_bytes(*tail);
     if fnv1a64(body) != checksum {
         return None;
     }

@@ -205,7 +205,10 @@ pub fn run(args: &[String]) -> Result<String> {
     let Some((mut ctx, row, flags)) = parse(args)? else {
         return Ok(help());
     };
-    // sann-lint: allow(wall-clock) -- harness-side progress timer; never feeds simulated metrics
+    #[allow(
+        clippy::disallowed_types,
+        reason = "harness-side progress timer; never feeds simulated metrics"
+    )]
     let started = std::time::Instant::now();
     let out = (row.run)(&mut ctx, &flags)? + "\n";
     if let Some(stats) = ctx.cache_stats() {

@@ -6,11 +6,15 @@
 //! knobs, `benchmark_group`/`bench_function`, `Bencher::iter`, `black_box`,
 //! and the `criterion_group!`/`criterion_main!` macros — and reports
 //! mean/min ns-per-iteration on stdout. Wall-clock timing is exactly what a
-//! microbenchmark is for, hence the lint suppressions; simulation crates
-//! still may not touch `Instant`.
+//! microbenchmark is for, hence the `#[allow(clippy::disallowed_types)]` on
+//! its three `Instant` sites; the root `clippy.toml` still denies `Instant`
+//! to every simulation crate.
 
 pub use std::hint::black_box;
-// sann-lint: allow(wall-clock) -- microbenchmark harness measures real elapsed time
+#[allow(
+    clippy::disallowed_types,
+    reason = "microbenchmark harness measures real elapsed time"
+)]
 use std::time::{Duration, Instant};
 
 /// Top-level harness handle (criterion-compatible subset).
@@ -116,7 +120,10 @@ pub struct Bencher {
 impl Bencher {
     /// Times `iters` executions of `body`.
     pub fn iter<T>(&mut self, mut body: impl FnMut() -> T) {
-        // sann-lint: allow(wall-clock) -- the timed region of the microbenchmark
+        #[allow(
+            clippy::disallowed_types,
+            reason = "the timed region of the microbenchmark"
+        )]
         let start = Instant::now();
         for _ in 0..self.iters {
             black_box(body());
@@ -132,7 +139,7 @@ fn run_one(criterion: &Criterion, name: &str, mut f: impl FnMut(&mut Bencher)) -
         iters: 1,
         elapsed: Duration::ZERO,
     };
-    // sann-lint: allow(wall-clock) -- harness warm-up budget
+    #[allow(clippy::disallowed_types, reason = "harness warm-up budget")]
     let warm_up_start = Instant::now();
     let mut per_iter = loop {
         f(&mut bencher);

@@ -8,9 +8,10 @@
 //! same `as` cast in release builds so golden traces and canonical metric
 //! encodings stay bit-identical to the open-coded casts they replace.
 //!
-//! The static analyzer's `cast-truncation` rule ratchets bare casts across
-//! the workspace; call sites that switch to these helpers shrink the
-//! baseline for good.
+//! `sann-xtask analyze` ratchets clippy's lossy-cast lints
+//! (`cast_possible_truncation`, `cast_sign_loss`, `cast_possible_wrap`,
+//! `cast_precision_loss`) across the workspace; call sites that switch to
+//! these helpers shrink the baseline for good.
 
 /// Largest integer magnitude `f64` represents exactly (2^53).
 const F64_EXACT: u64 = 1 << 53;
@@ -22,7 +23,6 @@ const F64_EXACT: u64 = 1 << 53;
 #[inline]
 #[must_use]
 pub fn u64_from_usize(x: usize) -> u64 {
-    // sann-lint: allow(cast-truncation) -- usize is at most 64 bits on all supported targets
     x as u64
 }
 
@@ -33,12 +33,15 @@ pub fn u64_from_usize(x: usize) -> u64 {
 /// truncation semantics of the open-coded cast this replaces.
 #[inline]
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "bound asserted above; `as` keeps release semantics"
+)]
 pub fn u32_from_usize(x: usize) -> u32 {
     debug_assert!(
         u32::try_from(x).is_ok(),
         "value {x} does not fit in u32; the caller's bound is wrong"
     );
-    // sann-lint: allow(cast-truncation) -- bound asserted above; `as` keeps release semantics
     x as u32
 }
 
@@ -49,12 +52,15 @@ pub fn u32_from_usize(x: usize) -> u32 {
 /// truncation semantics of the open-coded cast this replaces.
 #[inline]
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "bound asserted above; `as` keeps release semantics"
+)]
 pub fn u32_from_u64(x: u64) -> u32 {
     debug_assert!(
         u32::try_from(x).is_ok(),
         "value {x} does not fit in u32; the caller's bound is wrong"
     );
-    // sann-lint: allow(cast-truncation) -- bound asserted above; `as` keeps release semantics
     x as u32
 }
 
@@ -66,12 +72,15 @@ pub fn u32_from_u64(x: u64) -> u32 {
 /// replaces.
 #[inline]
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "bound asserted above; `as` keeps release semantics"
+)]
 pub fn usize_from_u64(x: u64) -> usize {
     debug_assert!(
         usize::try_from(x).is_ok(),
         "value {x} does not fit in usize; the caller's bound is wrong"
     );
-    // sann-lint: allow(cast-truncation) -- bound asserted above; `as` keeps release semantics
     x as usize
 }
 
@@ -81,8 +90,11 @@ pub fn usize_from_u64(x: u64) -> usize {
 /// are then masked out of the half that holds them).
 #[inline]
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "`>> 64` leaves 64 bits; the low half is the other half"
+)]
 pub fn u64_halves(x: u128) -> (u64, u64) {
-    // sann-lint: allow(cast-truncation) -- `>> 64` leaves 64 bits; the low half is the other half
     ((x >> 64) as u64, x as u64)
 }
 
@@ -92,12 +104,12 @@ pub fn u64_halves(x: u128) -> (u64, u64) {
 /// representable exactly — beyond that, averages silently lose ulps.
 #[inline]
 #[must_use]
+#[allow(clippy::cast_precision_loss, reason = "exactness asserted above")]
 pub fn f64_from_u64(x: u64) -> f64 {
     debug_assert!(
         x <= F64_EXACT,
         "{x} exceeds 2^53 and is not exactly representable as f64"
     );
-    // sann-lint: allow(cast-truncation) -- exactness asserted above
     x as f64
 }
 
@@ -117,12 +129,16 @@ pub fn f64_from_usize(x: usize) -> f64 {
 /// 0 — corrupting an event clock far from the bug that produced them.
 #[inline]
 #[must_use]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "domain asserted above; `as` keeps release semantics"
+)]
 pub fn u64_from_f64(x: f64) -> u64 {
     debug_assert!(
         x.is_finite() && x >= 0.0,
         "expected a finite non-negative value, got {x}"
     );
-    // sann-lint: allow(cast-truncation) -- domain asserted above; `as` keeps release semantics
     x as u64
 }
 

@@ -102,16 +102,16 @@ impl TopK {
     pub fn push(&mut self, id: u32, dist: f32) -> bool {
         if self.heap.len() < self.k {
             self.heap.push(Neighbor::new(id, dist));
-            true
-        } else if dist
-            .total_cmp(&self.heap.peek().expect("non-empty").dist)
-            .is_lt()
-        {
-            self.heap.pop();
-            self.heap.push(Neighbor::new(id, dist));
-            true
-        } else {
-            false
+            return true;
+        }
+        // `new` asserts k > 0, so a full heap always has a top.
+        match self.heap.peek() {
+            Some(worst) if dist.total_cmp(&worst.dist).is_lt() => {
+                self.heap.pop();
+                self.heap.push(Neighbor::new(id, dist));
+                true
+            }
+            _ => false,
         }
     }
 
@@ -121,10 +121,9 @@ impl TopK {
     /// Search loops use this as the pruning bound.
     #[inline]
     pub fn bound(&self) -> f32 {
-        if self.heap.len() < self.k {
-            f32::INFINITY
-        } else {
-            self.heap.peek().expect("non-empty").dist
+        match self.heap.peek() {
+            Some(worst) if self.heap.len() >= self.k => worst.dist,
+            _ => f32::INFINITY,
         }
     }
 

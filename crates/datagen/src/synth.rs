@@ -76,6 +76,10 @@ impl EmbeddingModel {
     /// Generates from an explicitly tagged sub-stream; `tag` 0 is the base
     /// set, 1 the query set, and further tags are free for callers (e.g.
     /// insert workloads).
+    #[allow(
+        clippy::expect_used,
+        reason = "every row pushed is `self.dim` wide, and `clamp(1, self.dim)` already panics on a zero dim"
+    )]
     pub fn generate_stream(&self, n: usize, tag: u64) -> Dataset {
         let centers = self.centers();
         let weights = self.weights();

@@ -170,11 +170,14 @@ fn mismatch(a: u128, b: u128) -> f64 {
 }
 
 /// `num / den` for a report; zero stays exactly zero.
+#[allow(
+    clippy::cast_precision_loss,
+    reason = "a ratio to compare with a tolerance; rounding cannot turn a nonzero gap into zero"
+)]
 fn ratio(num: u128, den: u128) -> f64 {
     if num == 0 {
         return 0.0;
     }
-    // sann-lint: allow(cast-truncation) -- a ratio to compare with a tolerance; rounding cannot turn a nonzero gap into zero
     (num as f64) / (den.max(1) as f64)
 }
 

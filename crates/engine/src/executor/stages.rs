@@ -522,7 +522,10 @@ impl<'a> Simulation<'a> {
                 fanout,
                 reqs,
             }) => (reqs.as_slice(), false, Some((*total_us, *fanout))),
-            // sann-lint: allow(panic-path) -- advance submits only segments with requests
+            #[allow(
+                clippy::unreachable,
+                reason = "advance submits only segments with requests"
+            )]
             _ => unreachable!("submission of a segment without requests"),
         };
         self.beam_width_hist

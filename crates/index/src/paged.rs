@@ -142,15 +142,20 @@ impl PagedLayout {
             .ok()
             .and_then(|i| self.page_of.get(i))
             .copied()
-            .ok_or_else(|| {
-                Error::invalid_parameter(
-                    "node_id",
-                    format!(
-                        "id {id} out of range for paged layout of {} nodes",
-                        self.page_of.len()
-                    ),
-                )
-            })
+            .ok_or_else(|| self.out_of_range(id))
+    }
+
+    /// The error [`PagedLayout::page_of`] returns for an `id` past the last
+    /// node, built out of line so the hot lookup does not format.
+    #[cold]
+    fn out_of_range(&self, id: u64) -> Error {
+        Error::invalid_parameter(
+            "node_id",
+            format!(
+                "id {id} out of range for paged layout of {} nodes",
+                self.page_of.len()
+            ),
+        )
     }
 
     /// Device byte offset of `page`.

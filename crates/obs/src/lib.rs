@@ -37,8 +37,8 @@
 //!
 //! All timestamps are `u64` nanoseconds of *simulated* time — this crate
 //! never reads the wall clock, uses no randomness, and iterates only
-//! ordered containers, so it passes the determinism rules of
-//! `sann-xtask analyze` with zero allow-markers.
+//! ordered containers, so it passes the root `clippy.toml`'s determinism
+//! bans with no `#[allow]`.
 //!
 //! # Examples
 //!

@@ -60,7 +60,6 @@ impl IoProvenance {
     /// Position in [`IoProvenance::ALL`]; stable across the canonical
     /// encoding.
     pub fn index(self) -> usize {
-        // sann-lint: allow(cast-truncation) -- fieldless discriminant in 0..COUNT
         self as usize
     }
 

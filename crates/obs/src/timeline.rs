@@ -31,7 +31,11 @@ impl Timeline {
         if duration_us <= 0.0 || bucket_us <= 0.0 {
             return None;
         }
-        // sann-lint: allow(cast-truncation) -- positive finite ratio, far below usize::MAX for any simulated run
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "positive finite ratio, far below usize::MAX for any simulated run"
+        )]
         let n = (duration_us / bucket_us).ceil() as usize;
         let n = n.max(1);
         Some(Timeline {
@@ -67,8 +71,12 @@ impl Timeline {
     /// belongs to the run).
     pub fn record(&mut self, t_us: f64, value: f64) {
         debug_assert!(t_us >= 0.0, "negative sample time");
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "non-negative, and the min() clamp bounds the index"
+        )]
         let i = if t_us >= 0.0 && self.bucket_us > 0.0 {
-            // sann-lint: allow(cast-truncation) -- non-negative, and the min() clamp bounds the index
             ((t_us / self.bucket_us) as usize).min(self.n_buckets() - 1)
         } else {
             0

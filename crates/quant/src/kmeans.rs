@@ -102,7 +102,7 @@ impl KMeans {
         lloyd.assign(data.as_flat(), &mut assigned, threads);
 
         Ok(KMeansModel {
-            centroids: Dataset::from_flat(lloyd.centroids, dim).expect("rectangular"),
+            centroids: Dataset::from_flat(lloyd.centroids, dim)?,
             assignments: assigned.iter().map(|a| a.id).collect(),
         })
     }

@@ -74,11 +74,13 @@ impl Calibrator {
         loop {
             // Pop the earliest completion (linear scan: queue depths here are
             // small, and determinism matters more than asymptotics).
-            let (i, &(t, core)) = inflight
+            let Some((i, &(t, core))) = inflight
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-                .unwrap();
+            else {
+                break;
+            };
             if t > self.duration_us {
                 break;
             }

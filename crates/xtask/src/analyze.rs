@@ -1,39 +1,40 @@
-//! `sann-xtask analyze` — the token-level workspace analyzer.
+//! `sann-xtask analyze` — the workspace's static checks, in one report.
 //!
-//! Drives the [`crate::lexer`] and the [`crate::rules`] registry over every
-//! `.rs` file of every product crate (all trees: `src/` including
-//! `src/bin/`, `tests/`, `benches/`, `examples/`, plus the workspace-root
-//! facade and integration tests), resolves `sann-lint: allow` markers,
-//! applies the ratcheted baseline, and renders the result as a table.
-//! Every rule runs on every file. The run reads two files from the root it
-//! scans, `analyze-baseline.toml` and `analyze-hotpaths.toml`; a missing
-//! one is empty.
+//! Three sources feed it:
 //!
-//! Severity policy by tree: deny-rules (determinism, layering) apply
-//! everywhere; ratcheted rules (panic-path, cast-truncation, hot-*) apply
-//! to `src/` trees only and skip `#[cfg(test)]` items — tests may unwrap.
+//! * the [`crate::rules`] registry over the [`crate::lexer`]'s tokens of the
+//!   functions `analyze-hotpaths.toml` names, the only files it lexes;
+//! * one [`crate::clippy`] pass, whose [`crate::clippy::RATCHETED`] lints it
+//!   counts (skipped when the root has no `Cargo.toml`, as in a fixture
+//!   tree);
+//! * the [`crate::layering`] check of the crate manifests.
+//!
+//! Lexer and clippy findings are counted per (rule, package) against
+//! `analyze-baseline.toml`. A count above its baseline, a layering
+//! violation, or a malformed `sann-lint` marker fails the run. Both files
+//! are read from the root being analyzed; a missing one is empty.
 
-use crate::baseline::{Baseline, MiniToml};
-use crate::lexer;
-use crate::rules::{self, Finding, RuleCtx, Severity, Tree};
+use crate::baseline::{self, Counts, MiniToml};
+use crate::rules::{self, Finding, RuleCtx};
+use crate::{clippy, layering, lexer};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// The ratcheted per-(rule, crate) counts, relative to the scanned root.
-/// Without it every ratcheted finding regresses.
+/// The ratcheted per-(rule, package) counts, relative to the analyzed root.
+/// Without it every finding regresses.
 const BASELINE_FILE: &str = "analyze-baseline.toml";
 
 /// The hot-path manifest: `"<file>" = "<fn>, <fn>"` under `[hot]`, the one
 /// way a function is marked hot.
 const HOTPATHS_FILE: &str = "analyze-hotpaths.toml";
 
-/// One ratchet regression: a (rule, crate) count above its baseline.
+/// One ratchet regression: a (rule, package) count above its baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Regression {
-    /// Rule name.
+    /// Rule or clippy lint name.
     pub rule: String,
-    /// Crate key.
+    /// Package key.
     pub krate: String,
     /// Baselined count.
     pub baseline: u64,
@@ -44,21 +45,22 @@ pub struct Regression {
 /// Everything one analyze run produced.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// Files scanned.
+    /// Hot-path files lexed.
     pub files: usize,
-    /// Deny-severity unsuppressed findings (any ⇒ failure).
-    pub violations: Vec<Finding>,
-    /// Ratchet-severity unsuppressed findings (counted, not individually
-    /// fatal).
-    pub ratcheted: Vec<Finding>,
-    /// Marker-suppressed findings (any severity).
+    /// Whether the clippy pass ran.
+    pub clippy_ran: bool,
+    /// Unsuppressed lexer and clippy findings.
+    pub findings: Vec<Finding>,
+    /// Marker-suppressed lexer findings.
     pub allowed: Vec<Finding>,
     /// Malformed or unknown-rule markers (any ⇒ failure).
     pub marker_errors: Vec<String>,
-    /// Observed ratcheted counts per (rule, crate).
-    pub counts: BTreeMap<(String, String), u64>,
+    /// Manifest dependencies off the layering DAG (any ⇒ failure).
+    pub layering: Vec<String>,
+    /// Observed counts per (rule, package).
+    pub counts: Counts,
     /// The baseline in force.
-    pub baseline: Baseline,
+    pub baseline: Counts,
     /// Ratchet regressions (any ⇒ failure).
     pub regressions: Vec<Regression>,
 }
@@ -66,23 +68,23 @@ pub struct Analysis {
 impl Analysis {
     /// Whether the run passed.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty() && self.marker_errors.is_empty() && self.regressions.is_empty()
+        self.layering.is_empty() && self.marker_errors.is_empty() && self.regressions.is_empty()
     }
 
-    /// (rule, crate) pairs whose counts shrank below the baseline — the
+    /// (rule, package) pairs whose counts shrank below the baseline — the
     /// ratchet can be tightened with `--update-baseline`.
     pub fn improvements(&self) -> Vec<Regression> {
         let mut out = Vec::new();
-        for (rule, krate, base) in self.baseline.entries() {
+        for ((rule, krate), &base) in &self.baseline {
             let now = self
                 .counts
-                .get(&(rule.to_string(), krate.to_string()))
+                .get(&(rule.clone(), krate.clone()))
                 .copied()
                 .unwrap_or(0);
             if now < base {
                 out.push(Regression {
-                    rule: rule.to_string(),
-                    krate: krate.to_string(),
+                    rule: rule.clone(),
+                    krate: krate.clone(),
                     baseline: base,
                     current: now,
                 });
@@ -94,43 +96,39 @@ impl Analysis {
     /// Renders the human table plus failure details.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "sann-xtask analyze: scanned {} files", self.files);
+        let clippy = if self.clippy_ran {
+            "ran"
+        } else {
+            "skipped (no Cargo.toml)"
+        };
         let _ = writeln!(
             out,
-            "  {:<22} {:>8} {:>9} {:>8}  policy",
+            "sann-xtask analyze: {} hot-path files lexed; clippy pass {clippy}",
+            self.files
+        );
+        let _ = writeln!(
+            out,
+            "  {:<34} {:>8} {:>9} {:>8}",
             "rule", "findings", "baseline", "allowed"
         );
-        for rule in rules::REGISTRY {
-            let (pool, policy) = match rule.severity {
-                Severity::Deny => (&self.violations, "deny"),
-                Severity::Ratchet => (&self.ratcheted, "ratchet"),
-            };
-            let found = pool.iter().filter(|f| f.rule == rule.name).count();
+        let lexed = rules::REGISTRY.iter().map(|r| r.name);
+        for rule in lexed.chain(clippy::RATCHETED.iter().copied()) {
+            let found = self.findings.iter().filter(|f| f.rule == rule).count();
             let base: u64 = self
                 .baseline
-                .entries()
-                .filter(|(r, _, _)| *r == rule.name)
-                .map(|(_, _, n)| n)
+                .iter()
+                .filter(|((r, _), _)| r == rule)
+                .map(|(_, n)| n)
                 .sum();
-            let allow = self.allowed.iter().filter(|f| f.rule == rule.name).count();
-            let base_str = if rule.severity == Severity::Deny {
-                "-".to_string()
-            } else {
-                base.to_string()
+            // Clippy reports nothing an `#[allow]` suppresses.
+            let allowed = match rules::rule(rule) {
+                Some(_) => self.allowed.iter().filter(|f| f.rule == rule).count(),
+                None => 0,
             };
-            let _ = writeln!(
-                out,
-                "  {:<22} {:>8} {:>9} {:>8}  {policy}",
-                rule.name, found, base_str, allow
-            );
+            let _ = writeln!(out, "  {rule:<34} {found:>8} {base:>9} {allowed:>8}");
         }
-        for f in &self.violations {
-            let _ = writeln!(
-                out,
-                "error[{}]: {}:{}:{}: {}",
-                f.rule, f.rel, f.line, f.col, f.excerpt
-            );
-            let _ = writeln!(out, "  note: {}", f.message);
+        for e in &self.layering {
+            let _ = writeln!(out, "error[layering]: {e}");
         }
         for r in &self.regressions {
             let _ = writeln!(
@@ -139,20 +137,23 @@ impl Analysis {
                 r.rule, r.krate, r.current, r.baseline
             );
             for f in self
-                .ratcheted
+                .findings
                 .iter()
                 .filter(|f| f.rule == r.rule && f.krate == r.krate)
             {
-                let _ = writeln!(out, "  {}:{}:{}: {}", f.rel, f.line, f.col, f.excerpt);
+                let _ = writeln!(out, "  {}:{}:{}: {}", f.rel, f.line, f.col, f.message);
             }
-            if let Some(info) = rules::rule(&r.rule) {
-                let _ = writeln!(out, "  note: {}", info.why);
-            }
+            let allow = match rules::rule(&r.rule) {
+                Some(info) => {
+                    let _ = writeln!(out, "  note: {}", info.why);
+                    format!("`sann-lint: allow({}) -- <reason>` markers", r.rule)
+                }
+                None => format!("`#[allow({}, reason = \"...\")]`", r.rule),
+            };
             let _ = writeln!(
                 out,
-                "  note: fix the new sites, add `sann-lint: allow({}) -- <reason>` markers, \
-                 or (never to hide a regression) --update-baseline",
-                r.rule
+                "  note: fix the new sites, add {allow}, or (never to hide a regression) \
+                 --update-baseline"
             );
         }
         for e in &self.marker_errors {
@@ -177,119 +178,111 @@ impl Analysis {
         );
         out
     }
+
+    /// Orders the findings, counts them per (rule, package), and records
+    /// every count above its baseline.
+    fn tally(&mut self) {
+        let by_pos = |a: &Finding, b: &Finding| {
+            (&a.rel, a.line, a.col, a.rule, &a.message)
+                .cmp(&(&b.rel, b.line, b.col, b.rule, &b.message))
+        };
+        self.findings.sort_by(by_pos);
+        self.allowed.sort_by(by_pos);
+        self.marker_errors.sort();
+        for f in &self.findings {
+            *self
+                .counts
+                .entry((f.rule.to_string(), f.krate.clone()))
+                .or_insert(0) += 1;
+        }
+        for ((rule, krate), &n) in &self.counts {
+            let key = (rule.clone(), krate.clone());
+            let base = self.baseline.get(&key).copied().unwrap_or(0);
+            if n > base {
+                self.regressions.push(Regression {
+                    rule: key.0,
+                    krate: key.1,
+                    baseline: base,
+                    current: n,
+                });
+            }
+        }
+    }
 }
 
-/// One file scheduled for scanning.
-struct Job {
-    path: PathBuf,
-    rel: String,
-    krate: String,
-    tree: Tree,
-}
-
-/// Runs every rule over the workspace (or fixture tree) at `root`.
+/// Runs every check over the workspace (or fixture tree) at `root`.
 ///
 /// # Errors
 ///
-/// Returns a message when the directory walk, a file read, the baseline, or
-/// the hot-path manifest fails to parse.
+/// Returns a message when a file read, the baseline, the hot-path manifest
+/// or a crate manifest fails to parse, a hot-path entry is stale, or the
+/// clippy pass fails.
 pub fn run(root: &Path) -> Result<Analysis, String> {
-    let jobs = collect_jobs(root)?;
-    let hotpaths = load_hotpaths(root)?;
+    if !root.is_dir() {
+        return Err(format!("--root {}: not a directory", root.display()));
+    }
     let mut analysis = Analysis {
         baseline: load_baseline(root)?,
+        layering: layering::check(root)?,
         ..Analysis::default()
     };
-
-    for job in jobs {
-        let source = std::fs::read_to_string(&job.path)
-            .map_err(|e| format!("read {}: {e}", job.path.display()))?;
-        let hot_fns = hotpaths.get(&job.rel).map_or(&[][..], Vec::as_slice);
-        scan_source(
-            &job.rel,
-            &job.krate,
-            job.tree,
-            &source,
-            hot_fns,
-            &mut analysis,
-        );
+    let manifest = root.join(HOTPATHS_FILE);
+    for (rel, fns) in load_hotpaths(&manifest)? {
+        // After a split or a rename, a stale entry would otherwise drop the
+        // function from the hot-path rules without a word.
+        let stale = |what: String| format!("{}: stale entry: {rel}{what}", manifest.display());
+        let source =
+            std::fs::read_to_string(root.join(&rel)).map_err(|e| stale(format!(": {e}")))?;
+        scan_source(&rel, &source, &fns, &mut analysis)
+            .map_err(|missing| stale(format!(" defines no fn `{missing}`")))?;
         analysis.files += 1;
     }
-
-    // Deterministic output order regardless of directory walk order.
-    let by_pos = |a: &Finding, b: &Finding| {
-        (&a.rel, a.line, a.col, a.rule).cmp(&(&b.rel, b.line, b.col, b.rule))
-    };
-    analysis.violations.sort_by(by_pos);
-    analysis.ratcheted.sort_by(by_pos);
-    analysis.allowed.sort_by(by_pos);
-    analysis.marker_errors.sort();
-
-    // Ratchet: observed counts per (rule, crate) vs baseline.
-    for f in &analysis.ratcheted {
-        *analysis
-            .counts
-            .entry((f.rule.to_string(), f.krate.clone()))
-            .or_insert(0) += 1;
+    if root.join("Cargo.toml").is_file() {
+        analysis.findings.extend(clippy::run(root)?);
+        analysis.clippy_ran = true;
     }
-    for ((rule, krate), &n) in &analysis.counts {
-        let base = analysis.baseline.get(rule, krate);
-        if n > base {
-            analysis.regressions.push(Regression {
-                rule: rule.clone(),
-                krate: krate.clone(),
-                baseline: base,
-                current: n,
-            });
-        }
-    }
+    analysis.tally();
     Ok(analysis)
 }
 
-/// Writes the current ratcheted counts to `<root>/analyze-baseline.toml`;
-/// returns its path and rendered contents.
+/// Writes the current counts to `<root>/analyze-baseline.toml`; returns its
+/// path and rendered contents.
 ///
 /// # Errors
 ///
 /// Returns a message when the analysis or the write fails.
 pub fn update_baseline(root: &Path) -> Result<(PathBuf, String), String> {
     let analysis = run(root)?;
-    if !analysis.violations.is_empty() || !analysis.marker_errors.is_empty() {
+    if !analysis.layering.is_empty() || !analysis.marker_errors.is_empty() {
         return Err(
-            "refusing to write a baseline while deny-rule violations or marker errors exist \
+            "refusing to write a baseline while layering violations or marker errors exist \
              (fix those first — only ratcheted rules are baselined)"
                 .to_string(),
         );
     }
-    let baseline = Baseline::from_counts(&analysis.counts);
     let path = root.join(BASELINE_FILE);
-    let text = baseline.render();
+    let text = baseline::render(&analysis.counts);
     std::fs::write(&path, &text).map_err(|e| format!("write {}: {e}", path.display()))?;
     Ok((path, text))
 }
 
-fn load_baseline(root: &Path) -> Result<Baseline, String> {
+fn load_baseline(root: &Path) -> Result<Counts, String> {
     let path = root.join(BASELINE_FILE);
     if !path.is_file() {
-        return Ok(Baseline::empty());
+        return Ok(Counts::new());
     }
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// `rel-file → hot fn names` from the manifest.
-///
-/// An entry naming a file that does not exist, or a function its file does
-/// not define, is an error: after a split or a rename it would otherwise
-/// drop the function from the hot-path rules without a word.
-fn load_hotpaths(root: &Path) -> Result<BTreeMap<String, Vec<String>>, String> {
-    let path = root.join(HOTPATHS_FILE);
+/// `rel-file → hot fn names` from the manifest at `path`.
+fn load_hotpaths(path: &Path) -> Result<BTreeMap<String, Vec<String>>, String> {
     if !path.is_file() {
         return Ok(BTreeMap::new());
     }
     let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let doc = MiniToml::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut map: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for (file, fns) in doc.section("hot") {
@@ -299,123 +292,17 @@ fn load_hotpaths(root: &Path) -> Result<BTreeMap<String, Vec<String>>, String> {
                 .filter(|f| !f.is_empty()),
         );
     }
-    for (file, fns) in &map {
-        let stale = |what: String| format!("{}: stale entry: {what}", path.display());
-        let source =
-            std::fs::read_to_string(root.join(file)).map_err(|e| stale(format!("{file}: {e}")))?;
-        let toks = lexer::lex(&source);
-        let defined: Vec<&str> = rules::fn_extents(&toks)
-            .iter()
-            .map(|ext| toks[ext.name].text)
-            .collect();
-        if let Some(missing) = fns.iter().find(|f| !defined.contains(&f.as_str())) {
-            return Err(stale(format!("{file} defines no fn `{missing}`")));
-        }
-    }
     Ok(map)
 }
 
-/// Collects every file to scan under `root`.
-///
-/// Workspace mode (`root/crates` exists): every crate directory except the
-/// checker itself, all trees, plus the workspace-root facade `src/`,
-/// `tests/`, and `examples/`. Fixture mode: every `.rs` under `root` as one
-/// pseudo-crate's `src` tree.
-fn collect_jobs(root: &Path) -> Result<Vec<Job>, String> {
-    let mut jobs = Vec::new();
-    let crates = root.join("crates");
-    if !crates.is_dir() {
-        if !root.is_dir() {
-            return Err(format!("--root {}: not a directory", root.display()));
-        }
-        push_tree(root, root, "fixture", Tree::Src, &mut jobs)?;
-        return Ok(jobs);
+/// The baseline key of the package a root-relative path belongs to: `<x>`
+/// for anything under `crates/<x>/`, otherwise `sann`, the root package.
+pub fn package_key(rel: &Path) -> String {
+    let mut parts = rel.iter();
+    match (parts.next(), parts.next()) {
+        (Some(top), Some(name)) if top == "crates" => name.to_string_lossy().into_owned(),
+        _ => "sann".to_string(),
     }
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates)
-        .map_err(|e| format!("read_dir {}: {e}", crates.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        let name = dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_string();
-        // The checker is exempt: it must name the banned patterns to ban
-        // them (and its fixtures are deliberate violations).
-        if name == "xtask" || name.is_empty() {
-            continue;
-        }
-        for (sub, tree) in [
-            ("src", Tree::Src),
-            ("tests", Tree::Aux),
-            ("benches", Tree::Aux),
-            ("examples", Tree::Aux),
-        ] {
-            let tdir = dir.join(sub);
-            if tdir.is_dir() {
-                push_tree(&tdir, root, &name, tree, &mut jobs)?;
-            }
-        }
-    }
-    // Workspace-root facade crate and integration trees.
-    for (sub, tree) in [
-        ("src", Tree::Src),
-        ("tests", Tree::Aux),
-        ("examples", Tree::Aux),
-    ] {
-        let tdir = root.join(sub);
-        if tdir.is_dir() {
-            push_tree(&tdir, root, "sann", tree, &mut jobs)?;
-        }
-    }
-    Ok(jobs)
-}
-
-fn push_tree(
-    dir: &Path,
-    root: &Path,
-    krate: &str,
-    tree: Tree,
-    jobs: &mut Vec<Job>,
-) -> Result<(), String> {
-    let mut files = Vec::new();
-    collect_rs(dir, &mut files)?;
-    for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        jobs.push(Job {
-            path,
-            rel,
-            krate: krate.to_string(),
-            tree,
-        });
-    }
-    Ok(())
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("read_dir {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            if path.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            collect_rs(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 /// A parsed `// sann-lint: allow(rule) -- reason` marker.
@@ -454,39 +341,39 @@ fn parse_marker(line: &str) -> Result<Option<Marker>, String> {
     }))
 }
 
-/// Scans one in-memory source file with every rule.
+/// Lexes one hot-path file and runs every rule over the `hot_fns` it
+/// defines. Returns the first of `hot_fns` the file does not define.
 fn scan_source(
     rel: &str,
-    krate: &str,
-    tree: Tree,
     source: &str,
     hot_fns: &[String],
     analysis: &mut Analysis,
-) {
-    let raw_lines: Vec<&str> = source.lines().collect();
+) -> Result<(), String> {
     let toks = lexer::lex(source);
+    let defined: Vec<&str> = rules::fn_extents(&toks)
+        .iter()
+        .map(|ext| toks[ext.name].text)
+        .collect();
+    if let Some(missing) = hot_fns.iter().find(|f| !defined.contains(&f.as_str())) {
+        return Err(missing.clone());
+    }
+    let krate = package_key(Path::new(rel));
     let test_mask = rules::cfg_test_mask(&toks);
     let hot_ranges = rules::hot_ranges(&toks, hot_fns);
     let ctx = RuleCtx {
         rel,
-        krate,
-        tree,
-        lines: &raw_lines,
+        krate: &krate,
         toks: &toks,
         test_mask: &test_mask,
         hot_ranges: &hot_ranges,
     };
-
     let mut found = Vec::new();
-    rules::determinism::check(&ctx, &mut found);
-    rules::layering::check(&ctx, &mut found);
     rules::panic_path::check(&ctx, &mut found);
-    rules::cast_safety::check(&ctx, &mut found);
     rules::hot_loop::check(&ctx, &mut found);
 
     // Markers live in comments, so they are parsed from the raw lines.
-    let mut markers: Vec<Option<Marker>> = Vec::with_capacity(raw_lines.len());
-    for (i, line) in raw_lines.iter().enumerate() {
+    let mut markers: Vec<Option<Marker>> = Vec::new();
+    for (i, line) in source.lines().enumerate() {
         match parse_marker(line) {
             Ok(m) => markers.push(m),
             Err(e) => {
@@ -506,18 +393,15 @@ fn scan_source(
         }
         None
     };
-
     for mut f in found {
         f.allowed = allowed_for(f.line, f.rule);
         if f.allowed.is_some() {
             analysis.allowed.push(f);
         } else {
-            match rules::rule(f.rule).map(|r| r.severity) {
-                Some(Severity::Ratchet) => analysis.ratcheted.push(f),
-                _ => analysis.violations.push(f),
-            }
+            analysis.findings.push(f);
         }
     }
+    Ok(())
 }
 
 /// The workspace root: the nearest ancestor of the current directory with a
@@ -539,148 +423,129 @@ pub fn workspace_root() -> PathBuf {
 mod tests {
     use super::*;
 
-    /// Scans one source string with every rule.
+    /// Lexes `source` as a file of the `core` crate whose `kernel` is hot.
     fn scan_str(source: &str) -> Analysis {
-        let mut analysis = Analysis {
-            files: 1,
-            ..Analysis::default()
-        };
-        scan_source("test.rs", "fixture", Tree::Src, source, &[], &mut analysis);
+        let mut analysis = Analysis::default();
+        scan_source(
+            "crates/core/src/k.rs",
+            source,
+            &["kernel".to_string()],
+            &mut analysis,
+        )
+        .unwrap();
         analysis
     }
 
-    #[test]
-    fn flags_each_determinism_rule_by_name() {
-        let cases = [
-            ("let t = std::time::Instant::now();", "wall-clock"),
-            ("let t = SystemTime::now();", "wall-clock"),
-            ("let mut rng = thread_rng();", "unseeded-rng"),
-            ("let x: f64 = rand::random();", "unseeded-rng"),
-            (
-                "let m: HashMap<u32, u32> = HashMap::new();",
-                "unordered-container",
-            ),
-            ("use std::collections::HashSet;", "unordered-container"),
-            (
-                "v.sort_by(|a, b| a.partial_cmp(b).unwrap());",
-                "nan-unsafe-sort",
-            ),
-        ];
-        for (source, rule) in cases {
-            let analysis = scan_str(source);
-            assert_eq!(analysis.violations.len(), 1, "{source}");
-            assert_eq!(analysis.violations[0].rule, rule, "{source}");
-            assert!(!analysis.ok());
-        }
+    fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
+        let mut rules: Vec<_> = findings.iter().map(|f| f.rule).collect();
+        rules.sort_unstable();
+        rules
     }
 
     #[test]
-    fn multiline_nan_sort_is_caught() {
-        let source = "v.sort_by(|a, b| {\n    a.partial_cmp(b)\n        .unwrap()\n});\n";
+    fn hot_rules_fire_only_inside_listed_functions() {
+        let source = "fn kernel(v: &[f32]) -> bool { let w = v.to_vec(); w[0].partial_cmp(&v[1]).is_some() }\n\
+                      fn cold(v: &[f32]) -> Vec<f32> { let _ = v[0]; v.to_vec() }\n";
         let analysis = scan_str(source);
-        assert_eq!(analysis.violations.len(), 1);
-        assert_eq!(analysis.violations[0].rule, "nan-unsafe-sort");
-        assert_eq!(analysis.violations[0].line, 1);
-    }
-
-    #[test]
-    fn total_cmp_sort_is_clean() {
-        let analysis = scan_str("v.sort_by(f32::total_cmp);\nv.sort_by(|a, b| a.0.cmp(&b.0));\n");
-        assert!(analysis.ok());
+        assert_eq!(
+            rules_of(&analysis.findings),
+            ["hot-alloc", "hot-float", "panic-path", "panic-path"]
+        );
+        assert!(analysis
+            .findings
+            .iter()
+            .all(|f| f.line == 1 && f.krate == "core"));
     }
 
     #[test]
     fn comments_and_strings_do_not_trip_rules() {
         let source = r##"
-// A doc mention of HashMap and Instant::now is fine.
-/* block comment: thread_rng() */
-/// Uses a `HashMap` internally? No: BTreeMap.
-fn f() {
-    let s = "HashMap::new() SystemTime thread_rng";
-    let raw = r"Instant::now()";
-    let raw2 = r#"OsRng "quoted" HashSet"#;
-    let c = 'H';
-    let _ = (s, raw, raw2, c);
+fn kernel(v: &[f32]) -> usize {
+    // v[0].to_vec() in a comment
+    /* vec![1]; x.partial_cmp(y) */
+    let s = "v[0] partial_cmp clone()";
+    let raw = r#"x.to_vec() "quoted""#;
+    s.len() + raw.len() + v.len()
 }
 "##;
         let analysis = scan_str(source);
-        assert!(analysis.ok(), "violations: {:?}", analysis.violations);
+        assert!(analysis.findings.is_empty(), "{:?}", analysis.findings);
     }
 
     #[test]
-    fn one_finding_per_rule_per_line() {
-        let analysis = scan_str("let m: HashMap<u32, u32> = HashMap::new();");
-        assert_eq!(analysis.violations.len(), 1);
-    }
-
-    #[test]
-    fn marker_on_same_line_suppresses() {
-        let source =
-            "let t = Instant::now(); // sann-lint: allow(wall-clock) -- progress timer only\n";
+    fn markers_suppress_their_rule_on_their_line_or_the_next() {
+        let source = "fn kernel(v: &[u32]) -> usize {\n\
+                      // sann-lint: allow(panic-path) -- caller checks the length\n\
+                      v[0] as usize\n\
+                      + v[1] as usize // sann-lint: allow(panic-path) -- same bound\n\
+                      + v.to_vec().len() // sann-lint: allow(panic-path) -- wrong rule\n\
+                      }\n";
         let analysis = scan_str(source);
-        assert!(analysis.ok());
-        assert_eq!(analysis.allowed.len(), 1);
+        assert_eq!(analysis.allowed.len(), 2);
         assert_eq!(
             analysis.allowed[0].allowed.as_deref(),
-            Some("progress timer only")
+            Some("caller checks the length")
         );
-    }
-
-    #[test]
-    fn marker_on_line_above_suppresses() {
-        let source = "// sann-lint: allow(unordered-container) -- test-only scratch map\nlet m = HashMap::new();\n";
-        let analysis = scan_str(source);
-        assert!(analysis.ok());
-        assert_eq!(analysis.allowed.len(), 1);
-    }
-
-    #[test]
-    fn marker_for_wrong_rule_does_not_suppress() {
-        let source = "// sann-lint: allow(wall-clock) -- mismatched\nlet m = HashMap::new();\n";
-        let analysis = scan_str(source);
-        assert_eq!(analysis.violations.len(), 1);
-        assert_eq!(analysis.violations[0].rule, "unordered-container");
-    }
-
-    #[test]
-    fn markers_for_ratcheted_rules_suppress() {
-        // The marker namespace is the full registry, deny and ratchet alike.
-        let source =
-            "// sann-lint: allow(cast-truncation) -- lossless by construction\nlet x = y as u64;\n";
-        let analysis = scan_str(source);
-        assert!(analysis.ok(), "{:?}", analysis.marker_errors);
-        assert_eq!(analysis.allowed.len(), 1);
-        assert!(analysis.ratcheted.is_empty());
+        assert_eq!(rules_of(&analysis.findings), ["hot-alloc"]);
     }
 
     #[test]
     fn malformed_markers_are_errors() {
         for bad in [
-            "// sann-lint: allow(wall-clock)\nlet t = 1;\n", // missing reason
-            "// sann-lint: allow(no-such-rule) -- why\n",
-            "// sann-lint: deny(wall-clock) -- why\n",
+            "// sann-lint: allow(panic-path)\nfn kernel() {}\n", // missing reason
+            "// sann-lint: allow(wall-clock) -- clippy.toml owns this one\nfn kernel() {}\n",
+            "// sann-lint: deny(panic-path) -- why\nfn kernel() {}\n",
         ] {
             let analysis = scan_str(bad);
-            assert!(!analysis.marker_errors.is_empty(), "{bad}");
+            assert_eq!(analysis.marker_errors.len(), 1, "{bad}");
             assert!(!analysis.ok());
         }
     }
 
     #[test]
+    fn a_listed_function_the_file_lacks_is_reported() {
+        let mut analysis = Analysis::default();
+        let fns = ["kernel".to_string(), "gone".to_string()];
+        let missing = scan_source("k.rs", "fn kernel() {}", &fns, &mut analysis);
+        assert_eq!(missing, Err("gone".to_string()));
+    }
+
+    #[test]
     fn text_report_counts_findings_and_markers_per_rule() {
-        let source = "let t = Instant::now();\nlet m = HashMap::new(); // sann-lint: allow(unordered-container) -- scratch\n";
-        let rendered = scan_str(source).render_text();
+        let source = "fn kernel(v: &[u32]) -> u32 {\n\
+                      v[0] // sann-lint: allow(panic-path) -- checked\n\
+                      + 1\n\
+                      + v.to_vec()[1]\n\
+                      }\n";
+        let mut analysis = scan_str(source);
+        analysis.tally();
+        let rendered = analysis.render_text();
         let row = |rule: &str| {
-            let line = rendered.lines().find(|l| l.trim_start().starts_with(rule));
+            let line = rendered
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(rule));
             let line = line.unwrap_or_else(|| panic!("no {rule} row in:\n{rendered}"));
             line.split_whitespace()
+                .skip(1)
                 .map(str::to_string)
                 .collect::<Vec<_>>()
         };
-        // Columns: rule, findings, baseline, allowed, policy.
-        assert_eq!(row("wall-clock")[1..], ["1", "-", "0", "deny"]);
-        assert_eq!(row("unordered-container")[1..], ["0", "-", "1", "deny"]);
-        assert!(rendered.contains("error[wall-clock]: test.rs:1:"));
+        // Columns after the rule: findings, baseline, allowed.
+        assert_eq!(row("panic-path"), ["1", "0", "1"]);
+        assert_eq!(row("hot-alloc"), ["1", "0", "0"]);
+        assert_eq!(row("clippy::unwrap_used"), ["0", "0", "0"]);
+        assert!(
+            rendered.contains("error[ratchet]: panic-path/core: 1 finding(s), baseline allows 0")
+        );
+        assert!(rendered.contains("  crates/core/src/k.rs:4:"));
         assert!(rendered.contains("analyze: FAIL"));
+    }
+
+    #[test]
+    fn packages_are_keyed_by_crate_directory() {
+        assert_eq!(package_key(Path::new("crates/core/src/topk.rs")), "core");
+        assert_eq!(package_key(Path::new("crates/engine/Cargo.toml")), "engine");
+        assert_eq!(package_key(Path::new("src/lib.rs")), "sann");
+        assert_eq!(package_key(Path::new("Cargo.toml")), "sann");
     }
 }

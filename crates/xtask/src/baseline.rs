@@ -1,4 +1,4 @@
-//! Ratcheted finding baselines: per-(rule, crate) counts that may only
+//! Ratcheted finding baselines: per-(rule, package) counts that may only
 //! shrink.
 //!
 //! The workspace carries hundreds of pre-existing panic-path and cast
@@ -12,85 +12,48 @@
 //!
 //! The format is a strict subset of TOML, parsed by [`MiniToml`] — the
 //! workspace builds offline with no TOML crate. The same parser reads the
-//! hot-path manifest (`analyze-hotpaths.toml`).
+//! hot-path manifest (`analyze-hotpaths.toml`) and the crate manifests.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Per-(rule, crate) ratchet counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Baseline {
-    /// `(rule, crate) → allowed finding count`.
-    counts: BTreeMap<(String, String), u64>,
+/// `(rule, package) → finding count`.
+pub type Counts = BTreeMap<(String, String), u64>;
+
+/// Parses a baseline file.
+///
+/// # Errors
+///
+/// Returns a message naming the offending line on any syntax error or
+/// non-integer value.
+pub fn parse(text: &str) -> Result<Counts, String> {
+    let mut counts = Counts::new();
+    for (section, key, value) in MiniToml::parse(text)?.entries {
+        let n = value
+            .parse()
+            .map_err(|_| format!("baseline [{section}] {key}: `{value}` is not a count"))?;
+        counts.insert((section, key), n);
+    }
+    Ok(counts)
 }
 
-impl Baseline {
-    /// An empty baseline: every ratcheted finding is a regression.
-    pub fn empty() -> Baseline {
-        Baseline::default()
-    }
-
-    /// Builds a baseline from observed counts.
-    pub fn from_counts(counts: &BTreeMap<(String, String), u64>) -> Baseline {
-        Baseline {
-            counts: counts
-                .iter()
-                .filter(|(_, &n)| n > 0)
-                .map(|(k, &n)| (k.clone(), n))
-                .collect(),
+/// Renders `counts` deterministically (sorted rules, then packages),
+/// leaving out zero counts.
+pub fn render(counts: &Counts) -> String {
+    let mut out = String::from(
+        "# sann-xtask analyze: ratcheted finding baseline, per (rule, package).\n\
+         # Regenerate with: cargo run -p sann-xtask -- analyze --update-baseline\n\
+         # Counts may only shrink; CI fails when any (rule, package) count grows.\n",
+    );
+    let mut last_rule: Option<&str> = None;
+    for ((rule, krate), n) in counts.iter().filter(|(_, &n)| n > 0) {
+        if last_rule != Some(rule) {
+            let _ = write!(out, "\n[\"{rule}\"]\n");
+            last_rule = Some(rule);
         }
+        let _ = writeln!(out, "{krate} = {n}");
     }
-
-    /// The baselined count for (`rule`, `krate`); absent entries are 0.
-    pub fn get(&self, rule: &str, krate: &str) -> u64 {
-        self.counts
-            .get(&(rule.to_string(), krate.to_string()))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Iterates entries in deterministic (rule, crate) order.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &str, u64)> {
-        self.counts
-            .iter()
-            .map(|((r, c), &n)| (r.as_str(), c.as_str(), n))
-    }
-
-    /// Parses the baseline file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending line on any syntax error or
-    /// non-integer value.
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let doc = MiniToml::parse(text)?;
-        let mut counts = BTreeMap::new();
-        for (section, key, value) in &doc.entries {
-            let n: u64 = value
-                .parse()
-                .map_err(|_| format!("baseline [{section}] {key}: `{value}` is not a count"))?;
-            counts.insert((section.clone(), key.clone()), n);
-        }
-        Ok(Baseline { counts })
-    }
-
-    /// Renders the baseline deterministically (sorted sections and keys).
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "# sann-xtask analyze: ratcheted finding baseline.\n\
-             # Regenerate with: cargo run -p sann-xtask -- analyze --update-baseline\n\
-             # Counts may only shrink; CI fails when any (rule, crate) count grows.\n",
-        );
-        let mut last_rule: Option<&str> = None;
-        for (rule, krate, n) in self.entries() {
-            if last_rule != Some(rule) {
-                let _ = write!(out, "\n[{rule}]\n");
-                last_rule = Some(rule);
-            }
-            let _ = writeln!(out, "{krate} = {n}");
-        }
-        out
-    }
+    out
 }
 
 /// A parsed mini-TOML document: `[section]` headers over `key = value`
@@ -170,36 +133,30 @@ mod tests {
 
     #[test]
     fn round_trips_deterministically() {
-        let mut counts = BTreeMap::new();
+        let mut counts = Counts::new();
         counts.insert(("panic-path".to_string(), "engine".to_string()), 12u64);
-        counts.insert(("panic-path".to_string(), "core".to_string()), 3);
-        counts.insert(("cast-truncation".to_string(), "index".to_string()), 40);
+        counts.insert(
+            ("clippy::cast_sign_loss".to_string(), "index".to_string()),
+            40,
+        );
         counts.insert(("hot-alloc".to_string(), "core".to_string()), 0); // dropped
-        let b = Baseline::from_counts(&counts);
-        let text = b.render();
-        let reparsed = Baseline::parse(&text).unwrap();
-        assert_eq!(b, reparsed);
-        assert_eq!(reparsed.render(), text, "render is a fixed point");
-        assert_eq!(reparsed.get("panic-path", "engine"), 12);
-        assert_eq!(reparsed.get("panic-path", "vdb"), 0, "absent is zero");
-        assert_eq!(reparsed.get("hot-alloc", "core"), 0, "zero entries dropped");
-        // Sections are sorted, so cast-truncation renders first.
-        assert!(text.find("[cast-truncation]").unwrap() < text.find("[panic-path]").unwrap());
+        let text = render(&counts);
+        let reparsed = parse(&text).unwrap();
+        counts.retain(|_, n| *n > 0);
+        assert_eq!(reparsed, counts);
+        assert_eq!(render(&reparsed), text, "render is a fixed point");
+        assert!(!text.contains("hot-alloc"), "zero entries dropped");
+        let clippy = text.find("[\"clippy::cast_sign_loss\"]\nindex = 40\n");
+        assert!(clippy.unwrap() < text.find("[\"panic-path\"]").unwrap());
     }
 
     #[test]
-    fn parse_accepts_comments_and_quoted_keys() {
-        let text = "# header\n[panic-path]\n\"engine\" = 7 # trailing\n\ncore = 1\n";
-        let b = Baseline::parse(text).unwrap();
-        assert_eq!(b.get("panic-path", "engine"), 7);
-        assert_eq!(b.get("panic-path", "core"), 1);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Baseline::parse("[unclosed\n").is_err());
-        assert!(Baseline::parse("[r]\nkey value\n").is_err());
-        assert!(Baseline::parse("[r]\nkey = notanumber\n").is_err());
+    fn parse_accepts_comments_and_rejects_garbage() {
+        let b = parse("# header\n[panic-path]\n\"engine\" = 7 # trailing\n").unwrap();
+        assert_eq!(b[&("panic-path".to_string(), "engine".to_string())], 7);
+        assert!(parse("[unclosed\n").is_err());
+        assert!(parse("[r]\nkey value\n").is_err());
+        assert!(parse("[r]\nkey = notanumber\n").is_err());
     }
 
     #[test]

@@ -113,8 +113,8 @@ fn analyzer_self_check() -> Result<(), String> {
         ("text report", first.render_text(), second.render_text()),
         (
             "baseline render",
-            crate::baseline::Baseline::from_counts(&first.counts).render(),
-            crate::baseline::Baseline::from_counts(&second.counts).render(),
+            crate::baseline::render(&first.counts),
+            crate::baseline::render(&second.counts),
         ),
     ] {
         if a != b {

@@ -1,27 +1,27 @@
 //! `sann-xtask` — the workspace invariant checker.
 //!
 //! The simulation stack promises *bit-determinism*: identical inputs produce
-//! identical metrics, byte for byte. That promise is easy to break with one
-//! careless `Instant::now()` or an iteration over a `HashMap`. This crate
-//! enforces it — and a wider set of workspace invariants — from two
-//! directions:
+//! identical metrics, byte for byte. The root `clippy.toml` bans the wall
+//! clock and hash containers outright; this crate enforces the rest, from
+//! two directions:
 //!
-//! * **statically** — [`analyze`] drives a hand-rolled Rust [`lexer`] over
-//!   every product crate and applies the [`rules`] registry: the determinism
-//!   deny-set, crate-layering against the declared dependency DAG,
-//!   panic-path and cast-safety audits ratcheted against
-//!   [`baseline`]-recorded counts, and hot-loop hygiene for the functions
-//!   listed in the hot-path manifest. Every rule runs on every run, and the
-//!   result renders as one table;
+//! * **statically** — [`analyze`] counts clippy's lossy-cast and panic lints
+//!   per package ([`clippy`]), runs the three hot-path rules ([`rules`]) on
+//!   a hand-rolled [`lexer`]'s tokens of the functions the hot-path manifest
+//!   lists, ratchets both against [`baseline`]-recorded counts, and checks
+//!   the crate manifests against the declared dependency DAG
+//!   ([`layering`]). The result renders as one table;
 //! * **dynamically** — [`determinism`] runs a small end-to-end sweep twice
 //!   with the same seed and diffs the canonical metric encodings byte for
-//!   byte, validating every query trace on the way — and double-runs the
-//!   analyzer itself, demanding byte-stable output.
+//!   byte — and double-runs the analyzer itself, demanding byte-stable
+//!   output.
 //!
 //! Run it as `cargo run -p sann-xtask -- analyze` and `-- determinism`.
 
 pub mod analyze;
 pub mod baseline;
+pub mod clippy;
 pub mod determinism;
+pub mod layering;
 pub mod lexer;
 pub mod rules;

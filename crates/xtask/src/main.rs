@@ -5,7 +5,8 @@
 //! sann-xtask determinism
 //! ```
 //!
-//! `analyze` is the static checker: every rule over the workspace (or the
+//! `analyze` is the static checker: the clippy lint ratchet, the hot-path
+//! lexer rules and the manifest layering check over the workspace (or the
 //! tree at `--root`), against that root's `analyze-baseline.toml` and
 //! `analyze-hotpaths.toml`. `determinism` is the runtime double-run audit.
 

@@ -37,7 +37,7 @@ const ALLOC_PATHS: &[(&str, &str)] = &[
 
 /// Runs both hot-loop rules over one file.
 pub fn check(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-    if !ctx.tree.ratcheted_rules_apply() || ctx.hot_ranges.is_empty() {
+    if ctx.hot_ranges.is_empty() {
         return;
     }
     for (i, t) in ctx.toks.iter().enumerate() {

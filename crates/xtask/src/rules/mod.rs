@@ -1,96 +1,41 @@
-//! The analyzer's rule registry and the shared token-structure helpers.
+//! The lexer's rule registry and the shared token-structure helpers.
 //!
-//! Every rule consumes one file's token stream (see [`crate::lexer`]) through
-//! a [`RuleCtx`] and appends [`Finding`]s. Rules come in two severities:
-//!
-//! * [`Severity::Deny`] — zero tolerance; any unsuppressed finding fails the
-//!   run (the determinism family and crate layering);
-//! * [`Severity::Ratchet`] — counted against the per-(rule, crate) baseline
-//!   in `analyze-baseline.toml`; the count may never grow, so pre-existing
-//!   findings don't block but regressions do (panic paths, bare casts,
-//!   hot-loop hygiene).
-//!
-//! Suppression uses `sann-lint: allow(<rule>) -- <reason>` markers on the
-//! finding's line or the line above.
+//! Every rule consumes one hot-path file's token stream (see
+//! [`crate::lexer`]) through a [`RuleCtx`] and appends [`Finding`]s. The
+//! three rules look only inside the functions `analyze-hotpaths.toml`
+//! names, and no clippy lint can be scoped to such a list. Their findings
+//! are counted per (rule, package) against `analyze-baseline.toml`, like
+//! the clippy pass's. Suppression uses `sann-lint: allow(<rule>) --
+//! <reason>` markers on the finding's line or the line above.
 
-pub mod cast_safety;
-pub mod determinism;
 pub mod hot_loop;
-pub mod layering;
 pub mod panic_path;
 
 use crate::lexer::{Tok, TokKind};
-
-/// How a rule's findings gate the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Any unsuppressed finding is an error.
-    Deny,
-    /// Findings are counted per crate against the ratcheted baseline; only
-    /// count regressions are errors.
-    Ratchet,
-}
 
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Marker-facing rule name (`allow(<name>)`).
     pub name: &'static str,
-    /// Deny or ratcheted.
-    pub severity: Severity,
-    /// Why the pattern is banned or tracked.
+    /// Why the pattern is tracked.
     pub why: &'static str,
 }
 
-/// Every rule the analyzer knows, in reporting order.
+/// Every rule the lexer runs, in reporting order.
 pub const REGISTRY: &[RuleInfo] = &[
     RuleInfo {
-        name: "wall-clock",
-        severity: Severity::Deny,
-        why: "wall-clock time varies run to run; simulated time must come from the DES clock",
-    },
-    RuleInfo {
-        name: "unseeded-rng",
-        severity: Severity::Deny,
-        why: "entropy-seeded randomness breaks replay; use sann_core::rng::SplitMix64",
-    },
-    RuleInfo {
-        name: "unordered-container",
-        severity: Severity::Deny,
-        why: "HashMap/HashSet iteration order is randomized; use BTreeMap/BTreeSet",
-    },
-    RuleInfo {
-        name: "nan-unsafe-sort",
-        severity: Severity::Deny,
-        why: "sort_by(partial_cmp().unwrap()) panics on NaN; use total_cmp",
-    },
-    RuleInfo {
-        name: "layering",
-        severity: Severity::Deny,
-        why: "crate dependencies must follow the declared DAG \
-              (core ← {datagen,quant,ssdsim,obs} ← index ← engine ← vdb ← bench)",
-    },
-    RuleInfo {
         name: "panic-path",
-        severity: Severity::Ratchet,
         why: "a panic inside the simulation turns into a silent wrong figure or an aborted \
-              sweep; use typed errors or document the invariant with an allow marker",
-    },
-    RuleInfo {
-        name: "cast-truncation",
-        severity: Severity::Ratchet,
-        why: "bare `as` numeric casts silently truncate/saturate; use sann_core::cast \
-              helpers, try_into, or document why the cast is lossless",
+              sweep; use get()/iterators or document the invariant with an allow marker",
     },
     RuleInfo {
         name: "hot-alloc",
-        severity: Severity::Ratchet,
         why: "allocation inside a hot function churns the allocator on every query; \
               preallocate outside the loop or use a scratch buffer",
     },
     RuleInfo {
         name: "hot-float",
-        severity: Severity::Ratchet,
         why: "non-total float comparisons in hot paths order NaN unpredictably; \
               use total_cmp (and keep reductions in a fixed association order)",
     },
@@ -101,32 +46,14 @@ pub fn rule(name: &str) -> Option<&'static RuleInfo> {
     REGISTRY.iter().find(|r| r.name == name)
 }
 
-/// Which per-crate source tree a file belongs to — severity policies differ
-/// (tests may unwrap; benches may allocate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tree {
-    /// `src/` (including `src/bin/`): full policy.
-    Src,
-    /// `tests/`, `benches/` or `examples/`: determinism and layering only,
-    /// and the datagen fixture layer is allowed.
-    Aux,
-}
-
-impl Tree {
-    /// Whether ratcheted rules (panic-path, casts, hot-loop) apply here.
-    pub fn ratcheted_rules_apply(self) -> bool {
-        matches!(self, Tree::Src)
-    }
-}
-
-/// One rule hit (suppression is resolved by the driver, not the rule).
+/// One finding of a lexer rule or a clippy lint.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule that fired.
+    /// Rule or clippy lint that fired.
     pub rule: &'static str,
-    /// Workspace-relative path with forward slashes (stable across hosts).
+    /// Root-relative path with forward slashes.
     pub rel: String,
-    /// Crate key for baseline accounting (`core`, `engine`, …).
+    /// Package key for baseline accounting (`core`, `engine`, …).
     pub krate: String,
     /// 1-based line.
     pub line: u32,
@@ -134,39 +61,25 @@ pub struct Finding {
     pub col: u32,
     /// What fired, specifically.
     pub message: String,
-    /// The offending source line, trimmed.
-    pub excerpt: String,
     /// The marker reason when suppressed.
     pub allowed: Option<String>,
 }
 
 /// Everything a rule gets to look at for one file.
 pub struct RuleCtx<'a> {
-    /// Workspace-relative forward-slash path.
+    /// Root-relative forward-slash path.
     pub rel: &'a str,
-    /// Crate key (`core`, `engine`, … or the fixture pseudo-crate).
+    /// Package key.
     pub krate: &'a str,
-    /// Which tree the file sits in.
-    pub tree: Tree,
-    /// Raw source lines (1-based access via `line(n)`).
-    pub lines: &'a [&'a str],
     /// The token stream.
     pub toks: &'a [Tok<'a>],
-    /// Per-token: inside a `#[cfg(test)]` item (ratcheted rules skip).
+    /// Per-token: inside a `#[cfg(test)]` item (the rules skip these).
     pub test_mask: &'a [bool],
     /// Token-index ranges `[start, end)` of hot function bodies.
     pub hot_ranges: &'a [(usize, usize)],
 }
 
 impl RuleCtx<'_> {
-    /// The trimmed source line a token sits on.
-    pub fn excerpt(&self, line: u32) -> String {
-        self.lines
-            .get(line as usize - 1)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default()
-    }
-
     /// Whether token `i` is inside a hot function body.
     pub fn in_hot(&self, i: usize) -> bool {
         self.hot_ranges.iter().any(|&(s, e)| i >= s && i < e)
@@ -182,7 +95,6 @@ impl RuleCtx<'_> {
             line: t.line,
             col: t.col,
             message,
-            excerpt: self.excerpt(t.line),
             allowed: None,
         }
     }
@@ -291,8 +203,8 @@ fn cfg_test_at(toks: &[Tok<'_>], open: usize) -> bool {
 /// any further attributes, through the first `;` outside brackets or the
 /// close of the first top-level `{ … }` — a whole `mod`, `impl`, `fn`,
 /// `thread_local!` or statement. A file whose inner attributes include
-/// `#![cfg(test)]` (an out-of-line test module) is masked whole. Ratcheted
-/// rules skip these: tests may unwrap, cast, and allocate freely.
+/// `#![cfg(test)]` (an out-of-line test module) is masked whole. The
+/// rules skip these: tests may index and allocate freely.
 pub fn cfg_test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
     let mut i = 0usize;
     while toks.get(i).is_some_and(|t| t.is_punct('#'))

@@ -1,11 +1,12 @@
-//! End-to-end tests of `sann-xtask analyze`: every rule runs on every
-//! fixture, each fixture fires (or passes) with exact counts, markers
-//! suppress with a reason, hot functions are marked through the root's
-//! `analyze-hotpaths.toml`, the ratchet gates through the root's
-//! `analyze-baseline.toml`, layering fails on an inverted dependency, the
-//! report is byte-stable, and the real workspace passes against the
-//! committed baseline.
+//! End-to-end tests of `sann-xtask analyze`: the hot-path rules fire only
+//! in the functions the root's `analyze-hotpaths.toml` names and markers
+//! suppress them with a reason; the ratchet gates through the root's
+//! `analyze-baseline.toml`; the clippy pass counts a probe package's
+//! findings; the manifest check fails on an inverted edge; the report is
+//! byte-stable; and the real workspace passes against the committed
+//! baseline.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -28,12 +29,11 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// A scratch dir holding a copy of one fixture file (flat mode).
-fn scratch_with(name: &str, tag: &str) -> PathBuf {
+/// An empty scratch dir for one test.
+fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sann-analyze-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::copy(fixtures_dir().join(name), dir.join(name)).unwrap();
     dir
 }
 
@@ -48,7 +48,8 @@ fn write_hotpaths(dir: &Path, entries: &[(&str, &str)]) {
 
 /// A scratch copy of one fixture whose manifest lists `hot_fn` in it.
 fn hot_scratch(name: &str, tag: &str, hot_fn: &str) -> PathBuf {
-    let dir = scratch_with(name, tag);
+    let dir = scratch(tag);
+    std::fs::copy(fixtures_dir().join(name), dir.join(name)).unwrap();
     write_hotpaths(&dir, &[(name, hot_fn)]);
     dir
 }
@@ -67,56 +68,63 @@ fn stdout(out: &Output) -> String {
 }
 
 #[test]
-fn determinism_positive_fixture_fires_all_four_rules() {
-    let dir = scratch_with("determinism_positive.rs", "det-pos");
+fn hot_loop_fixture_fires_both_rules_via_the_manifest() {
+    let dir = hot_scratch("hot_positive.rs", "hot-pos", "kernel");
     let out = run_analyze(&dir, &[]);
-    assert!(!out.status.success(), "positive fixture must fail");
+    assert!(!out.status.success());
     let text = stdout(&out);
-    for rule in [
-        "wall-clock",
-        "unseeded-rng",
-        "unordered-container",
-        "nan-unsafe-sort",
-    ] {
-        assert!(text.contains(&format!("error[{rule}]")), "{rule}\n{text}");
-    }
-    // The NaN-unsafe comparator's `.unwrap()` is a panic path as well.
+    // Only the hot kernel's sites count (to_vec, vec!; partial_cmp): the
+    // identical allocation in the cold function on line 18 must not.
     assert!(
-        text.contains("error[ratchet]: panic-path/fixture: 1 finding(s), baseline allows 0"),
+        text.contains("error[ratchet]: hot-alloc/sann: 2 finding(s)"),
+        "{text}"
+    );
+    assert!(
+        text.contains("error[ratchet]: hot-float/sann: 1 finding(s)"),
+        "{text}"
+    );
+    assert!(!text.contains("hot_positive.rs:18:"), "{text}");
+    assert!(text.contains("clippy pass skipped"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn hot_index_fixture_fires_twice() {
+    let dir = hot_scratch("panic_positive.rs", "index-pos", "kernel");
+    let out = run_analyze(&dir, &[]);
+    let text = stdout(&out);
+    assert!(!out.status.success(), "{text}");
+    assert!(
+        text.contains("error[ratchet]: panic-path/sann: 2 finding(s), baseline allows 0"),
         "{text}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn determinism_allowed_and_clean_fixtures_pass() {
-    for name in ["determinism_allowed.rs", "determinism_clean.rs"] {
-        let dir = scratch_with(name, name.trim_end_matches(".rs"));
+fn hot_fixtures_that_follow_the_rules_pass() {
+    for (name, hot_fn) in [
+        ("hot_allowed.rs", "kernel_with_setup"),
+        ("hot_clean.rs", "kernel"),
+        ("panic_allowed.rs", "audited"),
+        ("panic_clean.rs", "four_at_once"),
+    ] {
+        let dir = hot_scratch(name, name.trim_end_matches(".rs"), hot_fn);
         let out = run_analyze(&dir, &[]);
-        let text = stdout(&out);
-        assert!(out.status.success(), "{name} must pass:\n{text}");
-        if name == "determinism_allowed.rs" {
-            // Suppressed hits are counted, per rule, in the `allowed` column.
-            for rule in ["wall-clock", "unordered-container"] {
-                let row = text.lines().find(|l| l.trim_start().starts_with(rule));
-                let cols: Vec<&str> = row.unwrap_or_default().split_whitespace().collect();
-                assert_eq!(cols[1..], ["0", "-", "1", "deny"], "{rule}\n{text}");
-            }
-        }
+        assert!(out.status.success(), "{name} must pass:\n{}", stdout(&out));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
 fn malformed_marker_fails() {
-    let dir = std::env::temp_dir().join(format!("sann-analyze-{}-marker", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch("marker");
     std::fs::write(
         dir.join("bad_marker.rs"),
-        "// sann-lint: allow(wall-clock)\nfn f() { let t = std::time::Instant::now(); }\n",
+        "fn f(v: &[u32]) -> u32 {\n    // sann-lint: allow(panic-path)\n    v[0]\n}\n",
     )
     .unwrap();
+    write_hotpaths(&dir, &[("bad_marker.rs", "f")]);
     let out = run_analyze(&dir, &[]);
     assert!(!out.status.success(), "reason-less marker must fail");
     assert!(
@@ -128,96 +136,8 @@ fn malformed_marker_fails() {
 }
 
 #[test]
-fn panic_path_fixture_is_a_ratchet_regression() {
-    let dir = scratch_with("panic_positive.rs", "panic-pos");
-    let out = run_analyze(&dir, &[]);
-    assert!(!out.status.success(), "fresh panic paths must regress");
-    let text = stdout(&out);
-    assert!(text.contains("error[ratchet]: panic-path/"), "{text}");
-    // unwrap, expect, panic!, unreachable!, todo! — all five sites.
-    assert!(text.contains("5 finding(s), baseline allows 0"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn panic_path_allowed_and_clean_fixtures_pass() {
-    let dir = scratch_with("panic_allowed.rs", "panic_allowed");
-    let out = run_analyze(&dir, &[]);
-    assert!(
-        out.status.success(),
-        "panic_allowed.rs must pass:\n{}",
-        stdout(&out)
-    );
-    std::fs::remove_dir_all(&dir).ok();
-    // The clean fixture's array-typed `four_at_once` is hot, so the
-    // indexing check runs over its body too.
-    let dir = hot_scratch("panic_clean.rs", "panic_clean", "four_at_once");
-    let out = run_analyze(&dir, &[]);
-    assert!(
-        out.status.success(),
-        "panic_clean.rs must pass:\n{}",
-        stdout(&out)
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn cast_fixtures_fire_suppress_and_pass() {
-    let dir = scratch_with("cast_positive.rs", "cast-pos");
-    let out = run_analyze(&dir, &[]);
-    assert!(!out.status.success());
-    assert!(
-        stdout(&out).contains("error[ratchet]: cast-truncation/fixture: 3 finding(s)"),
-        "{}",
-        stdout(&out)
-    );
-    std::fs::remove_dir_all(&dir).ok();
-    for name in ["cast_allowed.rs", "cast_clean.rs"] {
-        let dir = scratch_with(name, name.trim_end_matches(".rs"));
-        let out = run_analyze(&dir, &[]);
-        let text = stdout(&out);
-        assert!(out.status.success(), "{name} must pass:\n{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn hot_loop_fixture_fires_both_rules_via_the_manifest() {
-    let dir = hot_scratch("hot_positive.rs", "hot-pos", "kernel");
-    let out = run_analyze(&dir, &[]);
-    assert!(!out.status.success());
-    let text = stdout(&out);
-    // Only the hot kernel's sites count (to_vec, vec!; partial_cmp): the
-    // identical allocation in the cold function must NOT be flagged.
-    assert!(
-        text.contains("error[ratchet]: hot-alloc/fixture: 2 finding(s)"),
-        "{text}"
-    );
-    assert!(
-        text.contains("error[ratchet]: hot-float/fixture: 1 finding(s)"),
-        "{text}"
-    );
-    assert!(!text.contains("cold"), "cold fn was flagged:\n{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn hot_loop_allowed_and_clean_fixtures_pass() {
-    for (name, hot_fn) in [
-        ("hot_allowed.rs", "kernel_with_setup"),
-        ("hot_clean.rs", "kernel"),
-    ] {
-        let dir = hot_scratch(name, name.trim_end_matches(".rs"), hot_fn);
-        let out = run_analyze(&dir, &[]);
-        let text = stdout(&out);
-        assert!(out.status.success(), "{name} must pass:\n{text}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
 fn hot_loop_manifest_marks_only_the_functions_it_lists() {
-    let dir = scratch_with("hot_clean.rs", "hot-manifest");
+    let dir = hot_scratch("hot_clean.rs", "hot-manifest", "kernel");
     // Two identical allocating fns in a second file; only one is listed.
     std::fs::write(
         dir.join("listed.rs"),
@@ -233,7 +153,7 @@ fn hot_loop_manifest_marks_only_the_functions_it_lists() {
     let text = stdout(&out);
     assert!(!out.status.success(), "{text}");
     assert!(
-        text.contains("error[ratchet]: hot-alloc/fixture: 1 finding(s)"),
+        text.contains("error[ratchet]: hot-alloc/sann: 1 finding(s)"),
         "{text}"
     );
     assert!(text.contains("listed.rs:1:"), "{text}");
@@ -246,7 +166,7 @@ fn hot_loop_manifest_marks_only_the_functions_it_lists() {
 /// from the hot-path rules.
 #[test]
 fn hot_loop_manifest_rejects_stale_entries() {
-    let dir = scratch_with("hot_clean.rs", "hot-stale");
+    let dir = scratch("hot-stale");
     std::fs::write(dir.join("kernel.rs"), "fn kernel(x: f32) -> f32 { x }\n").unwrap();
     for (file, fns, complaint) in [
         ("kernel.rs", "kernel", None),
@@ -273,60 +193,82 @@ fn hot_loop_manifest_rejects_stale_entries() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Builds a synthetic workspace where `ssdsim` (a bottom layer) imports
-/// `sann_engine` (an upper layer) — the inverted-dependency fixture.
+/// A synthetic workspace whose `ssdsim` (a bottom layer) depends on
+/// `sann-engine` (an upper layer): the inverted-edge fixture.
 #[test]
 fn layering_fails_on_an_inverted_dependency() {
-    let root = std::env::temp_dir().join(format!("sann-analyze-{}-layering", std::process::id()));
-    std::fs::remove_dir_all(&root).ok();
-    let src = root.join("crates").join("ssdsim").join("src");
-    std::fs::create_dir_all(&src).unwrap();
+    let root = scratch("layering");
+    let krate = root.join("crates").join("ssdsim");
+    std::fs::create_dir_all(&krate).unwrap();
     std::fs::write(
-        src.join("inverted.rs"),
-        "use sann_engine::RunConfig;\n\nfn peek(_c: &RunConfig) {}\n",
+        krate.join("Cargo.toml"),
+        "[package]\nname = \"sann-ssdsim\"\n\n[dependencies]\nsann-core.workspace = true\nsann-engine.workspace = true\n",
     )
     .unwrap();
     let out = run_analyze(&root, &[]);
     let text = stdout(&out);
     assert!(!out.status.success(), "inverted edge must fail:\n{text}");
-    assert!(text.contains("error[layering]"), "{text}");
     assert!(
-        text.contains("`ssdsim` must not depend on `engine`"),
+        text.contains(
+            "error[layering]: crates/ssdsim/Cargo.toml: crate `ssdsim` must not depend on `engine`"
+        ),
         "{text}"
     );
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// The same import in the crate's tests tree is not a violation: only
-/// datagen gets the dev-dependency exemption, and only outside `src/`.
+/// A one-package workspace with one `unwrap` and one truncating cast in its
+/// library: the clippy pass counts both against an empty baseline, and
+/// `--update-baseline` records them.
 #[test]
-fn layering_allows_datagen_in_test_trees_only() {
-    let root = std::env::temp_dir().join(format!("sann-analyze-{}-devdep", std::process::id()));
-    std::fs::remove_dir_all(&root).ok();
-    let krate = root.join("crates").join("quant");
-    std::fs::create_dir_all(krate.join("src")).unwrap();
-    std::fs::create_dir_all(krate.join("tests")).unwrap();
-    let import = "use sann_datagen::EmbeddingModel;\n";
-    std::fs::write(krate.join("src").join("bad.rs"), import).unwrap();
-    std::fs::write(krate.join("tests").join("ok.rs"), import).unwrap();
-    let out = run_analyze(&root, &[]);
+fn clippy_pass_ratchets_a_probe_package() {
+    let dir = scratch("clippy");
+    std::fs::create_dir_all(dir.join("src")).unwrap();
+    std::fs::write(
+        dir.join("Cargo.toml"),
+        "[package]\nname = \"probe\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n[workspace]\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("src").join("lib.rs"),
+        "//! Probe.\n\n/// The first value, narrowed.\npub fn first(v: &[u64]) -> u32 {\n    *v.first().unwrap() as u32\n}\n",
+    )
+    .unwrap();
+    let out = run_analyze(&dir, &[]);
     let text = stdout(&out);
-    assert!(!out.status.success(), "{text}");
-    assert!(text.contains("src/bad.rs"), "{text}");
-    assert!(!text.contains("tests/ok.rs"), "{text}");
-    std::fs::remove_dir_all(&root).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{text}{stderr}");
+    for lint in ["clippy::unwrap_used", "clippy::cast_possible_truncation"] {
+        let want = format!("error[ratchet]: {lint}/sann: 1 finding(s), baseline allows 0");
+        assert!(text.contains(&want), "{text}{stderr}");
+    }
+    assert!(text.contains("src/lib.rs:5:"), "{text}");
+    let out = run_analyze(&dir, &["--update-baseline"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = run_analyze(&dir, &[]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn text_report_is_byte_stable() {
-    let dir = scratch_with("determinism_positive.rs", "stable");
-    for name in [
-        "determinism_allowed.rs",
-        "panic_positive.rs",
-        "cast_positive.rs",
-    ] {
-        std::fs::copy(fixtures_dir().join(name), dir.join(name)).unwrap();
-    }
+    let dir = hot_scratch("hot_positive.rs", "stable", "kernel");
+    std::fs::copy(
+        fixtures_dir().join("panic_positive.rs"),
+        dir.join("panic_positive.rs"),
+    )
+    .unwrap();
+    write_hotpaths(
+        &dir,
+        &[
+            ("hot_positive.rs", "kernel"),
+            ("panic_positive.rs", "kernel"),
+        ],
+    );
     let a = run_analyze(&dir, &[]);
     let b = run_analyze(&dir, &[]);
     assert_eq!(a.stdout, b.stdout, "the report must be byte-stable");
@@ -336,17 +278,13 @@ fn text_report_is_byte_stable() {
 
 #[test]
 fn update_baseline_ratchets_and_gates_regressions() {
-    let dir = scratch_with("panic_positive.rs", "ratchet");
-    let baseline = dir.join("analyze-baseline.toml");
-    // Fresh findings with no baseline: fail.
-    let out = run_analyze(&dir, &[]);
-    assert!(!out.status.success());
-    // Record the baseline at the root; the same tree now passes.
+    let dir = hot_scratch("hot_positive.rs", "ratchet", "kernel");
+    assert!(!run_analyze(&dir, &[]).status.success());
     let out = run_analyze(&dir, &["--update-baseline"]);
     assert!(out.status.success(), "{}", stdout(&out));
-    let recorded = std::fs::read_to_string(&baseline).unwrap();
+    let recorded = std::fs::read_to_string(dir.join("analyze-baseline.toml")).unwrap();
     assert!(
-        recorded.contains("[panic-path]\nfixture = 5\n"),
+        recorded.contains("[\"hot-alloc\"]\nsann = 2\n"),
         "{recorded}"
     );
     let out = run_analyze(&dir, &[]);
@@ -355,17 +293,24 @@ fn update_baseline_ratchets_and_gates_regressions() {
         "baselined tree must pass:\n{}",
         stdout(&out)
     );
-    // One new unwrap: regression against the recorded baseline.
+    // One new hot allocation: a regression against the recorded baseline.
     std::fs::write(
         dir.join("new_code.rs"),
-        "fn fresh(v: &[u32]) -> u32 { *v.first().unwrap() }\n",
+        "fn fresh(v: &[u32]) -> Vec<u32> { v.to_vec() }\n",
     )
     .unwrap();
+    write_hotpaths(
+        &dir,
+        &[("hot_positive.rs", "kernel"), ("new_code.rs", "fresh")],
+    );
     let out = run_analyze(&dir, &[]);
     let text = stdout(&out);
     assert!(!out.status.success(), "regression must fail:\n{text}");
-    assert!(text.contains("error[ratchet]"), "{text}");
-    assert!(text.contains("new_code.rs"), "{text}");
+    assert!(
+        text.contains("error[ratchet]: hot-alloc/sann: 3 finding(s), baseline allows 2"),
+        "{text}"
+    );
+    assert!(text.contains("new_code.rs:1:"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -379,55 +324,56 @@ fn workspace_analyze_is_clean_against_the_committed_baseline() {
     let text = stdout(&out);
     assert!(
         out.status.success(),
-        "workspace must pass analyze against the committed baseline:\n{text}"
+        "workspace must pass analyze against the committed baseline:\n{text}{}",
+        String::from_utf8_lossy(&out.stderr)
     );
     assert!(text.contains("analyze: PASS"), "{text}");
-    // Zero regressions also means zero unaudited allows: every allowed
-    // finding carried a parseable reason, or it would be a marker error.
     assert!(!text.contains("error["), "{text}");
 }
 
+/// The determinism bans have exceptions only where the bench harness
+/// measures real elapsed time: every `allow` of a `clippy::disallowed_*`
+/// lint in the repository sits in `crates/bench/src/{cli,microbench}.rs`.
 #[test]
 fn workspace_determinism_exceptions_are_confined_to_the_bench_harness() {
-    let analysis = sann_xtask::analyze::run(&workspace_root()).unwrap();
+    let root = workspace_root();
+    let needle = concat!("allow(clippy::", "disallowed_");
+    let mut files = Vec::new();
+    collect_rs(&root, &mut files);
     assert!(
-        analysis.ok(),
-        "workspace must pass analyze:\n{}",
-        analysis.render_text()
+        files.len() > 50,
+        "expected the whole workspace, got {}",
+        files.len()
     );
-    assert!(
-        analysis.files > 50,
-        "expected the whole workspace, got {} files",
-        analysis.files
-    );
-    let determinism_markers = |krate: &str| {
-        analysis
-            .allowed
-            .iter()
-            .filter(|f| f.krate == krate)
-            .filter(|f| {
-                [
-                    "wall-clock",
-                    "unseeded-rng",
-                    "unordered-container",
-                    "nan-unsafe-sort",
-                ]
-                .contains(&f.rule)
-            })
-            .count()
-    };
-    // The simulation-core crates carry no exceptions at all.
-    for strict in [
-        "ssdsim", "index", "core", "engine", "vdb", "quant", "datagen",
-    ] {
-        assert_eq!(
-            determinism_markers(strict),
-            0,
-            "crate {strict} must not need determinism allow-markers"
-        );
+    let hits: BTreeSet<String> = files
+        .iter()
+        .filter(|p| std::fs::read_to_string(p).unwrap().contains(needle))
+        .map(|p| {
+            p.strip_prefix(&root)
+                .unwrap()
+                .to_string_lossy()
+                .replace('\\', "/")
+        })
+        .collect();
+    let expected: BTreeSet<String> = ["crates/bench/src/cli.rs", "crates/bench/src/microbench.rs"]
+        .map(String::from)
+        .into();
+    assert_eq!(hits, expected);
+}
+
+/// Every `.rs` file under `dir`, skipping build output and hidden dirs.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                collect_rs(&path, out);
+            }
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
     }
-    // The bench harness carries the documented wall-clock exceptions.
-    assert!(determinism_markers("bench") >= 4);
 }
 
 #[test]
@@ -440,15 +386,7 @@ fn usage_errors_exit_nonzero() {
             &["analyze", "--rules", "bogus-family"][..],
             "unknown flag --rules",
         ),
-        (
-            &["analyze", "--format", "yaml"][..],
-            "unknown flag --format",
-        ),
         (&["analyze", "--baseline"][..], "unknown flag --baseline"),
-        (
-            &["analyze", "--hotpaths", "x"][..],
-            "unknown flag --hotpaths",
-        ),
         (&["analyze", "--root"][..], "--root needs a directory"),
         (
             &["bogus-subcommand"][..],

@@ -1,7 +1,7 @@
-//! Fixture: panic-path hits carrying documented-invariant markers.
+//! Fixture: hot-function indexing carrying a documented-invariant marker.
+//! The test's hot-path manifest lists `audited`.
 
 fn audited(v: &[u32]) -> u32 {
     // sann-lint: allow(panic-path) -- caller guarantees non-empty by construction
-    let first = v.first().unwrap();
-    *first
+    v[0]
 }

@@ -8,15 +8,21 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
+# Includes the determinism bans: clippy.toml's disallowed-types (the wall
+# clock, hash containers, RandomState), denied here in every target.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (deny warnings)"
 # A broken intra-doc link, e.g. to an item since deleted, fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
-echo "==> sann-xtask analyze (determinism, layering, panic-path, cast-safety, hot-loop; ratcheted)"
-# Fails on any deny-rule violation, any ratchet regression against
-# analyze-baseline.toml, and any unaudited (reason-less) allow marker.
+echo "==> sann-xtask analyze (clippy lint ratchet, hot-path lexer rules, manifest layering)"
+# One clippy pass over the lib and bin targets (cached in target/analyze)
+# counts the lossy-cast and panic lints per package; the lexer checks
+# indexing, allocation and NaN-order compares inside the functions
+# analyze-hotpaths.toml lists. Fails on any count above
+# analyze-baseline.toml, a manifest dependency off the layering DAG, or a
+# reason-less sann-lint marker.
 cargo run -q -p sann-xtask -- analyze
 
 echo "==> sann-xtask determinism (runtime double-run audit)"
