@@ -71,16 +71,13 @@ impl Calibrator {
             }
         }
         let mut completed = 0f64;
-        loop {
-            // Pop the earliest completion (linear scan: queue depths here are
-            // small, and determinism matters more than asymptotics).
-            let Some((i, &(t, core))) = inflight
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-            else {
-                break;
-            };
+        // Pop the earliest completion (linear scan: queue depths here are
+        // small, and determinism matters more than asymptotics).
+        while let Some((i, &(t, core))) = inflight
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
+        {
             if t > self.duration_us {
                 break;
             }

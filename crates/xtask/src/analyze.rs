@@ -305,17 +305,12 @@ pub fn package_key(rel: &Path) -> String {
     }
 }
 
-/// A parsed `// sann-lint: allow(rule) -- reason` marker.
-struct Marker {
-    rule: String,
-    reason: String,
-}
-
-/// Parses a marker out of a raw source line.
+/// The rule a raw source line's `// sann-lint: allow(rule) -- reason`
+/// marker suppresses.
 ///
 /// Returns `Ok(None)` for lines without a marker, `Err` for malformed ones —
 /// an exception nobody can audit is a violation with extra steps.
-fn parse_marker(line: &str) -> Result<Option<Marker>, String> {
+fn parse_marker(line: &str) -> Result<Option<&'static str>, String> {
     let Some(pos) = line.find("sann-lint:") else {
         return Ok(None);
     };
@@ -327,18 +322,14 @@ fn parse_marker(line: &str) -> Result<Option<Marker>, String> {
         return Err("unclosed allow( in lint marker".into());
     };
     let rule = args[..close].trim();
-    if rules::rule(rule).is_none() {
+    let Some(info) = rules::rule(rule) else {
         return Err(format!("unknown lint rule `{rule}` in allow marker"));
-    }
+    };
     let tail = args[close + 1..].trim_start();
-    let reason = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if reason.is_empty() {
+    if tail.strip_prefix("--").is_none_or(|r| r.trim().is_empty()) {
         return Err(format!("allow({rule}) marker is missing a `-- <reason>`"));
     }
-    Ok(Some(Marker {
-        rule: rule.to_string(),
-        reason: reason.to_string(),
-    }))
+    Ok(Some(info.name))
 }
 
 /// Lexes one hot-path file and runs every rule over the `hot_fns` it
@@ -372,30 +363,19 @@ fn scan_source(
     rules::hot_loop::check(&ctx, &mut found);
 
     // Markers live in comments, so they are parsed from the raw lines.
-    let mut markers: Vec<Option<Marker>> = Vec::new();
+    let mut markers = Vec::new();
     for (i, line) in source.lines().enumerate() {
-        match parse_marker(line) {
-            Ok(m) => markers.push(m),
-            Err(e) => {
-                analysis.marker_errors.push(format!("{rel}:{}: {e}", i + 1));
-                markers.push(None);
-            }
-        }
+        markers.push(parse_marker(line).unwrap_or_else(|e| {
+            analysis.marker_errors.push(format!("{rel}:{}: {e}", i + 1));
+            None
+        }));
     }
-    let allowed_for = |line: u32, rule: &str| -> Option<String> {
-        let idx = line as usize - 1;
-        for look in [Some(idx), idx.checked_sub(1)] {
-            if let Some(Some(m)) = look.and_then(|i| markers.get(i)) {
-                if m.rule == rule {
-                    return Some(m.reason.clone());
-                }
-            }
-        }
-        None
-    };
-    for mut f in found {
-        f.allowed = allowed_for(f.line, f.rule);
-        if f.allowed.is_some() {
+    for f in found {
+        let idx = f.line as usize - 1;
+        let marked = [Some(idx), idx.checked_sub(1)]
+            .into_iter()
+            .any(|look| look.and_then(|i| markers.get(i)) == Some(&Some(f.rule)));
+        if marked {
             analysis.allowed.push(f);
         } else {
             analysis.findings.push(f);
@@ -481,10 +461,10 @@ fn kernel(v: &[f32]) -> usize {
                       + v.to_vec().len() // sann-lint: allow(panic-path) -- wrong rule\n\
                       }\n";
         let analysis = scan_str(source);
-        assert_eq!(analysis.allowed.len(), 2);
+        assert_eq!(rules_of(&analysis.allowed), ["panic-path", "panic-path"]);
         assert_eq!(
-            analysis.allowed[0].allowed.as_deref(),
-            Some("caller checks the length")
+            analysis.allowed.iter().map(|f| f.line).collect::<Vec<_>>(),
+            [3, 4]
         );
         assert_eq!(rules_of(&analysis.findings), ["hot-alloc"]);
     }

@@ -17,8 +17,15 @@
 
 use crate::analyze::package_key;
 use crate::rules::Finding;
+use json::Value;
 use std::path::Path;
 use std::process::Command;
+
+/// The repo benchmark's std-only JSON value and parser, shared rather than
+/// written twice. The analyzer only reads JSON.
+#[path = "../../../benchmark/src/json.rs"]
+#[allow(dead_code, reason = "the writer half of the module goes unused here")]
+mod json;
 
 /// The clippy lints ratcheted against `analyze-baseline.toml`.
 pub const RATCHETED: &[&str] = &[
@@ -74,216 +81,38 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
 pub fn findings(stream: &str, root: &Path) -> Result<Vec<Finding>, String> {
     let mut out = Vec::new();
     for line in stream.lines().filter(|l| l.starts_with('{')) {
-        let msg = Json::parse(line)?;
+        let msg = json::parse(line)?;
         let diag = msg.get("message");
-        let lint = diag
-            .and_then(|d| d.get("code"))
-            .and_then(|c| c.get("code"))
-            .and_then(Json::str);
-        let Some(rule) = RATCHETED.iter().copied().find(|r| lint == Some(*r)) else {
+        let text = |v: Option<&Value>, key: &str| {
+            let s = v.and_then(|v| v.get(key)).and_then(Value::as_str);
+            s.unwrap_or("").to_string()
+        };
+        let lint = text(diag.and_then(|d| d.get("code")), "code");
+        let Some(rule) = RATCHETED.iter().copied().find(|r| lint == *r) else {
             continue;
         };
-        let manifest = Path::new(msg.get("manifest_path").and_then(Json::str).unwrap_or(""));
-        let spans = diag
-            .and_then(|d| d.get("spans"))
-            .map_or(&[][..], Json::items);
+        let manifest = text(Some(&msg), "manifest_path");
+        let manifest = Path::new(&manifest);
+        let spans = diag.and_then(|d| d.get("spans")).and_then(Value::as_arr);
         let span = spans
+            .unwrap_or_default()
             .iter()
-            .find(|s| s.get("is_primary") == Some(&Json::Lit("true".into())));
-        let at = |key: &str| span.and_then(|s| s.get(key));
+            .find(|s| s.get("is_primary").and_then(Value::as_bool) == Some(true));
+        // Line and column numbers are small integers, exact in an f64.
+        let at = |key: &str| {
+            span.and_then(|s| s.get(key)?.as_f64())
+                .map_or(0, |n| n as u32)
+        };
         out.push(Finding {
             rule,
-            rel: at("file_name")
-                .and_then(Json::str)
-                .unwrap_or("")
-                .to_string(),
+            rel: text(span, "file_name"),
             krate: package_key(manifest.strip_prefix(root).unwrap_or(manifest)),
-            line: at("line_start").and_then(Json::u32).unwrap_or(0),
-            col: at("column_start").and_then(Json::u32).unwrap_or(0),
-            message: diag
-                .and_then(|d| d.get("message"))
-                .and_then(Json::str)
-                .unwrap_or("")
-                .to_string(),
-            allowed: None,
+            line: at("line_start"),
+            col: at("column_start"),
+            message: text(diag, "message"),
         });
     }
     Ok(out)
-}
-
-/// A JSON value, parsed just far enough to read cargo's messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`, `true`, `false` or a number, as written.
-    Lit(String),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object's members, in order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document. A `\u` escape decodes to U+FFFD: cargo
-    /// writes one only for a control character, which nothing here reads.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the byte offset of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.i < p.s.len() {
-            return Err(p.error("the end of the input"));
-        }
-        Ok(value)
-    }
-
-    /// The member `key`, if this is an object that has one.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The text, if this is a string.
-    pub fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value, if this is a number that fits a `u32`.
-    pub fn u32(&self) -> Option<u32> {
-        match self {
-            Json::Lit(n) => n.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array; else none.
-    pub fn items(&self) -> &[Json] {
-        match self {
-            Json::Arr(items) => items,
-            _ => &[],
-        }
-    }
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, expected: &str) -> String {
-        format!("JSON: expected {expected} at byte {}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    /// Skips whitespace, then consumes `b` if it comes next.
-    fn eat(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        let hit = self.s.get(self.i) == Some(&b);
-        self.i += usize::from(hit);
-        hit
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        if self.eat(b'{') {
-            let mut members = Vec::new();
-            while !self.eat(b'}') {
-                if !members.is_empty() && !self.eat(b',') {
-                    return Err(self.error("`,` or `}`"));
-                }
-                self.skip_ws();
-                let key = self.string()?;
-                if !self.eat(b':') {
-                    return Err(self.error("`:`"));
-                }
-                members.push((key, self.value()?));
-            }
-            return Ok(Json::Obj(members));
-        }
-        if self.eat(b'[') {
-            let mut items = Vec::new();
-            while !self.eat(b']') {
-                if !items.is_empty() && !self.eat(b',') {
-                    return Err(self.error("`,` or `]`"));
-                }
-                items.push(self.value()?);
-            }
-            return Ok(Json::Arr(items));
-        }
-        if self.s.get(self.i) == Some(&b'"') {
-            return self.string().map(Json::Str);
-        }
-        let start = self.i;
-        while self
-            .s
-            .get(self.i)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || b"+-.".contains(b))
-        {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(self.error("a value"));
-        }
-        Ok(Json::Lit(
-            String::from_utf8_lossy(&self.s[start..self.i]).into_owned(),
-        ))
-    }
-
-    /// The string whose opening quote the cursor sits on, unescaped.
-    fn string(&mut self) -> Result<String, String> {
-        if self.s.get(self.i) != Some(&b'"') {
-            return Err(self.error("a string"));
-        }
-        let mut out = Vec::new();
-        loop {
-            self.i += 1;
-            let escaped = match self.s.get(self.i) {
-                None => return Err(self.error("a closing quote")),
-                Some(b'"') => break,
-                Some(b'\\') => {
-                    self.i += 1;
-                    self.s.get(self.i)
-                }
-                Some(&b) => {
-                    out.push(b);
-                    continue;
-                }
-            };
-            match escaped {
-                Some(b'n') => out.push(b'\n'),
-                Some(b't') => out.push(b'\t'),
-                Some(b'r') => out.push(b'\r'),
-                Some(b'b') => out.push(0x08),
-                Some(b'f') => out.push(0x0c),
-                Some(b'u') if self.s.get(self.i + 1..self.i + 5).is_some() => {
-                    out.extend_from_slice("\u{fffd}".as_bytes());
-                    self.i += 4;
-                }
-                // `"`, `\` and `/` stand for themselves.
-                Some(&b) if b"\"\\/".contains(&b) => out.push(b),
-                _ => return Err(self.error("an escape")),
-            }
-        }
-        self.i += 1;
-        String::from_utf8(out).map_err(|_| self.error("UTF-8"))
-    }
 }
 
 #[cfg(test)]
@@ -329,28 +158,6 @@ mod tests {
             found[0].message,
             "casting `u64` to `u32` may truncate the value"
         );
-    }
-
-    #[test]
-    fn json_unescapes_strings_and_rejects_garbage() {
-        let v = Json::parse(r#" {"a": ["x\"y\\z\né\u001b", 12, true, null], "b": {}} "#).unwrap();
-        let items = v.get("a").map_or(&[][..], Json::items);
-        assert_eq!(items[0].str(), Some("x\"y\\z\n\u{e9}\u{fffd}"));
-        assert_eq!(items[1].u32(), Some(12));
-        assert_eq!(items[2], Json::Lit("true".into()));
-        assert_eq!(v.get("b"), Some(&Json::Obj(Vec::new())));
-        for bad in [
-            r#"{"a" 1}"#,
-            r#"{"a": 1"#,
-            r#"["x"#,
-            "",
-            "[1 2]",
-            r#""\u12""#,
-            r#""\q""#,
-            "{} x",
-        ] {
-            assert!(Json::parse(bad).is_err(), "{bad}");
-        }
         assert!(findings("{not json\n", Path::new("/ws")).is_err());
     }
 }

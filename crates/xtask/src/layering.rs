@@ -117,7 +117,7 @@ pub fn check_manifest(krate: &str, text: &str) -> Result<Vec<String>, String> {
             continue;
         };
         let Some(allowed) = &allowed else { continue };
-        if !allowed.contains(&dep) && !(dev && dep == "datagen") {
+        if !(allowed.contains(&dep) || (dev && dep == "datagen")) {
             errors.push(format!(
                 "crate `{krate}` must not depend on `{dep}` (allowed: {})",
                 if allowed.is_empty() {

@@ -61,8 +61,6 @@ pub struct Finding {
     pub col: u32,
     /// What fired, specifically.
     pub message: String,
-    /// The marker reason when suppressed.
-    pub allowed: Option<String>,
 }
 
 /// Everything a rule gets to look at for one file.
@@ -95,7 +93,6 @@ impl RuleCtx<'_> {
             line: t.line,
             col: t.col,
             message,
-            allowed: None,
         }
     }
 }
@@ -150,10 +147,9 @@ pub fn fn_extents(toks: &[Tok<'_>]) -> Vec<FnExtent> {
         if !toks[i].is_ident("fn") {
             continue;
         }
-        let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
+        if toks.get(i + 1).is_none_or(|t| t.kind != TokKind::Ident) {
             continue;
-        };
-        let _ = name;
+        }
         // Scan forward for the body `{`, skipping the signature. Generic
         // bounds and where clauses contain no braces; a `;` first means a
         // trait method declaration with no body — unless it sits inside

@@ -2,7 +2,8 @@
 //! in the functions the root's `analyze-hotpaths.toml` names and markers
 //! suppress them with a reason; the ratchet gates through the root's
 //! `analyze-baseline.toml`; the clippy pass counts a probe package's
-//! findings; the manifest check fails on an inverted edge; the report is
+//! findings; the root `clippy.toml` denies every banned type in another
+//! probe; the manifest check fails on an inverted edge; the report is
 //! byte-stable; and the real workspace passes against the committed
 //! baseline.
 
@@ -217,8 +218,34 @@ fn layering_fails_on_an_inverted_dependency() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A one-package workspace with one `unwrap` and one truncating cast in its
-/// library: the clippy pass counts both against an empty baseline, and
+/// The probe library of [`clippy_pass_ratchets_a_probe_package`]: one site
+/// per ratcheted lint, plus a NaN-unsafe sort, whose `unwrap` is a second
+/// `unwrap_used`.
+const PROBE_LIB: &str = r#"//! Probe.
+
+/// The first value, narrowed.
+pub fn first(v: &[u64]) -> u32 {
+    *v.first().unwrap() as u32
+}
+
+/// Sorts; panics on NaN.
+pub fn sort(v: &mut [f32]) {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+}
+
+/// One site per remaining lint.
+pub fn rest(n: u64, i: i64, o: Option<u8>) -> (i64, u64, f64, u8) {
+    match n {
+        0 => panic!("zero"),
+        1 => unreachable!("one"),
+        2 => unimplemented!("two"),
+        _ => (n as i64, i as u64, n as f64, o.expect("some")),
+    }
+}
+"#;
+
+/// A one-package workspace whose library holds [`PROBE_LIB`]: the clippy
+/// pass counts every ratcheted lint against an empty baseline, and
 /// `--update-baseline` records them.
 #[test]
 fn clippy_pass_ratchets_a_probe_package() {
@@ -229,20 +256,31 @@ fn clippy_pass_ratchets_a_probe_package() {
         "[package]\nname = \"probe\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n[workspace]\n",
     )
     .unwrap();
-    std::fs::write(
-        dir.join("src").join("lib.rs"),
-        "//! Probe.\n\n/// The first value, narrowed.\npub fn first(v: &[u64]) -> u32 {\n    *v.first().unwrap() as u32\n}\n",
-    )
-    .unwrap();
+    std::fs::write(dir.join("src").join("lib.rs"), PROBE_LIB).unwrap();
     let out = run_analyze(&dir, &[]);
     let text = stdout(&out);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{text}{stderr}");
-    for lint in ["clippy::unwrap_used", "clippy::cast_possible_truncation"] {
-        let want = format!("error[ratchet]: {lint}/sann: 1 finding(s), baseline allows 0");
-        assert!(text.contains(&want), "{text}{stderr}");
+    for (lint, n) in [
+        ("unwrap_used", 2),
+        ("cast_possible_truncation", 1),
+        ("cast_possible_wrap", 1),
+        ("cast_precision_loss", 1),
+        ("cast_sign_loss", 1),
+        ("expect_used", 1),
+        ("panic", 1),
+        ("unreachable", 1),
+        ("unimplemented", 1),
+    ] {
+        let want =
+            format!("error[ratchet]: clippy::{lint}/sann: {n} finding(s), baseline allows 0");
+        assert!(text.contains(&want), "{want}:\n{text}{stderr}");
     }
     assert!(text.contains("src/lib.rs:5:"), "{text}");
+    assert!(
+        text.contains("src/lib.rs:10:"),
+        "the NaN-unsafe sort:\n{text}"
+    );
     let out = run_analyze(&dir, &["--update-baseline"]);
     assert!(
         out.status.success(),
@@ -251,6 +289,68 @@ fn clippy_pass_ratchets_a_probe_package() {
     );
     let out = run_analyze(&dir, &[]);
     assert!(out.status.success(), "{}", stdout(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The determinism bans live in the root `clippy.toml`: a probe package
+/// that carries a copy of it and names each banned type once fails
+/// `cargo clippy -D warnings` with exactly one `disallowed_types` error per
+/// type. A wrong path in the file, or the file going missing, fails here.
+#[test]
+fn clippy_toml_denies_the_wall_clock_hash_containers_and_random_state() {
+    let dir = scratch("disallowed");
+    std::fs::create_dir_all(dir.join("src")).unwrap();
+    std::fs::copy(
+        workspace_root().join("clippy.toml"),
+        dir.join("clippy.toml"),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("Cargo.toml"),
+        "[package]\nname = \"probe\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n[workspace]\n",
+    )
+    .unwrap();
+    let banned = [
+        "std::time::Instant",
+        "std::time::SystemTime",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::hash::RandomState",
+    ];
+    let params: Vec<String> = banned
+        .iter()
+        .enumerate()
+        .map(|(i, ty)| match *ty {
+            "std::collections::HashMap" => format!("_p{i}: {ty}<u8, u8>"),
+            "std::collections::HashSet" => format!("_p{i}: {ty}<u8>"),
+            _ => format!("_p{i}: {ty}"),
+        })
+        .collect();
+    std::fs::write(
+        dir.join("src").join("lib.rs"),
+        format!(
+            "//! Probe.\n\n/// Names every banned type once.\npub fn probe({}) {{}}\n",
+            params.join(", ")
+        ),
+    )
+    .unwrap();
+    let out = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()))
+        .current_dir(&dir)
+        .args(["clippy", "--offline", "--quiet", "--message-format=short"])
+        .args(["--", "-D", "warnings"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    let errors: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("error: use of a disallowed type"))
+        .collect();
+    assert_eq!(errors.len(), banned.len(), "{stderr}");
+    for ty in banned {
+        let hits = errors.iter().filter(|l| l.contains(&format!("`{ty}`")));
+        assert_eq!(hits.count(), 1, "{ty}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -347,7 +447,12 @@ fn workspace_determinism_exceptions_are_confined_to_the_bench_harness() {
     );
     let hits: BTreeSet<String> = files
         .iter()
-        .filter(|p| std::fs::read_to_string(p).unwrap().contains(needle))
+        .filter(|p| {
+            // rustfmt may break `#[allow(` and its lint onto two lines.
+            let text = std::fs::read_to_string(p).unwrap();
+            let squeezed: String = text.split_whitespace().collect();
+            squeezed.contains(needle)
+        })
         .map(|p| {
             p.strip_prefix(&root)
                 .unwrap()
@@ -386,7 +491,15 @@ fn usage_errors_exit_nonzero() {
             &["analyze", "--rules", "bogus-family"][..],
             "unknown flag --rules",
         ),
+        (
+            &["analyze", "--format", "yaml"][..],
+            "unknown flag --format",
+        ),
         (&["analyze", "--baseline"][..], "unknown flag --baseline"),
+        (
+            &["analyze", "--hotpaths", "x"][..],
+            "unknown flag --hotpaths",
+        ),
         (&["analyze", "--root"][..], "--root needs a directory"),
         (
             &["bogus-subcommand"][..],
