@@ -338,9 +338,9 @@ impl BenchContext {
         self.prepare_datasets(&pairs.iter().map(|&(spec, _)| spec).collect::<Vec<_>>());
         let mut jobs: Vec<(&DatasetSpec, &'static str, Setup)> = Vec::new();
         for &(spec, kind) in pairs {
-            let base = &self.datasets[&spec.name].base;
-            let setup = Setup::new(kind, base.len());
-            let family = setup.index_spec(base).family();
+            let data = Arc::clone(&self.datasets[&spec.name]);
+            let setup = Setup::new(kind, data.base.len());
+            let family = setup.index_spec(&data.base).family();
             if self.indexes.contains_key(&(spec.name.clone(), family))
                 || jobs
                     .iter()
@@ -350,7 +350,10 @@ impl BenchContext {
             }
             let key = index_key(spec, family, setup.seed);
             let owner = format!("{family} on {}", spec.name);
-            if let Some(index) = self.load("index", key, &owner, sann_index::persist::decode) {
+            // A cached index decodes onto the dataset it was built from, so
+            // a warm run holds each vector set once, as a cold one does.
+            let decode = |p: &[u8]| sann_index::persist::decode_onto(p, Some(&data.base));
+            if let Some(index) = self.load("index", key, &owner, decode) {
                 self.indexes
                     .insert((spec.name.clone(), family), Arc::from(index));
                 continue;

@@ -294,7 +294,10 @@ impl<'a> ByteReader<'a> {
     /// # Errors
     ///
     /// Returns [`Error::Corrupt`] if fewer than `4 × n` bytes remain.
-    pub fn get_f32s(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = f32> + 'a> {
+    pub fn get_f32s(
+        &mut self,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = f32> + Clone + 'a> {
         Ok(self.arrays(n)?.iter().map(|&b| f32::from_le_bytes(b)))
     }
 

@@ -117,11 +117,9 @@ impl Metric {
     pub fn distance_gather(&self, query: &[f32], data: &Dataset, ids: &[u32], out: &mut Vec<f32>) {
         out.clear();
         out.resize(ids.len(), 0.0);
-        // A u32 id always fits in usize on the 32/64-bit targets supported.
-        let rows = ids
-            .iter()
-            .map(|&id| data.row(usize::try_from(id).unwrap_or(usize::MAX)));
-        by_fours(rows, out, |group| self.distance_x4(query, group));
+        by_fours(data.gather(ids), out, |group| {
+            self.distance_x4(query, group)
+        });
     }
 
     /// A short lowercase name, as used in configuration files and reports.

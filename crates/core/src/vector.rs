@@ -1,6 +1,7 @@
 //! Dense vector storage.
 
 use crate::error::{Error, Result};
+use std::sync::Arc;
 
 /// A dense, row-major matrix of `f32` vectors.
 ///
@@ -8,6 +9,11 @@ use crate::error::{Error, Result};
 /// workspace: generators produce it, indexes are built from it, and ground
 /// truth is computed against it. Rows are contiguous so that distance kernels
 /// operate on plain slices.
+///
+/// The rows are shared: a clone holds the same buffer, so an index built
+/// from a dataset keeps no second copy of its vectors. [`Dataset::push`]
+/// copies the buffer first when another clone still holds it
+/// (copy-on-write), so no clone ever sees another's rows change.
 ///
 /// # Examples
 ///
@@ -22,7 +28,7 @@ use crate::error::{Error, Result};
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
-    data: Vec<f32>,
+    data: Arc<Vec<f32>>,
     dim: usize,
 }
 
@@ -35,7 +41,7 @@ impl Dataset {
     pub fn with_dim(dim: usize) -> Self {
         assert!(dim > 0, "dimension must be positive");
         Dataset {
-            data: Vec::new(),
+            data: Arc::default(),
             dim,
         }
     }
@@ -56,7 +62,10 @@ impl Dataset {
                 format!("length {} is not a multiple of dim {}", data.len(), dim),
             ));
         }
-        Ok(Dataset { data, dim })
+        Ok(Dataset {
+            data: Arc::new(data),
+            dim,
+        })
     }
 
     /// Creates a dataset from a list of rows.
@@ -81,10 +90,14 @@ impl Dataset {
             }
             data.extend_from_slice(row);
         }
-        Ok(Dataset { data, dim })
+        Ok(Dataset {
+            data: Arc::new(data),
+            dim,
+        })
     }
 
-    /// Appends one vector.
+    /// Appends one vector, first copying the rows if another clone shares
+    /// them.
     ///
     /// # Errors
     ///
@@ -96,7 +109,7 @@ impl Dataset {
                 actual: row.len(),
             });
         }
-        self.data.extend_from_slice(row);
+        Arc::make_mut(&mut self.data).extend_from_slice(row);
         Ok(())
     }
 
@@ -125,6 +138,22 @@ impl Dataset {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
+    /// The rows `ids`, in `ids` order: a graph node's neighbours, a
+    /// posting list. The buffer is looked up once for all of them, not once
+    /// per row as [`Dataset::row`] does.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics on an id `>= self.len()`.
+    #[inline]
+    pub fn gather<'a>(&'a self, ids: &'a [u32]) -> impl Iterator<Item = &'a [f32]> + 'a {
+        let (flat, dim) = (self.as_flat(), self.dim);
+        ids.iter().map(move |&id| {
+            let at = id as usize * dim;
+            &flat[at..at + dim]
+        })
+    }
+
     /// Borrow row `i`, or `None` when out of bounds.
     pub fn get(&self, i: usize) -> Option<&[f32]> {
         if i < self.len() {
@@ -149,12 +178,14 @@ impl Dataset {
         &self.data
     }
 
-    /// Returns a new dataset containing the first `n` rows (or all rows if
-    /// `n >= self.len()`).
+    /// Returns a new dataset containing the first `n` rows (or all rows, on
+    /// the same buffer, if `n >= self.len()`).
     pub fn truncated(&self, n: usize) -> Dataset {
-        let n = n.min(self.len());
+        if n >= self.len() {
+            return self.clone();
+        }
         Dataset {
-            data: self.data[..n * self.dim].to_vec(),
+            data: Arc::new(self.data[..n * self.dim].to_vec()),
             dim: self.dim,
         }
     }
@@ -180,14 +211,43 @@ impl Dataset {
     ///
     /// Returns [`Error::Corrupt`] on truncation or a zero dimension.
     pub fn decode_from(r: &mut crate::buf::ByteReader<'_>) -> Result<Dataset> {
+        Dataset::decode_onto(r, None)
+    }
+
+    /// Like [`Dataset::decode_from`], but when the encoded rows are
+    /// bit-identical to `base`'s, returns a clone of `base` that shares its
+    /// buffer instead of a copy. The rows are compared as they sit in the
+    /// encoded bytes, before anything is allocated.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dataset::decode_from`].
+    pub fn decode_onto(
+        r: &mut crate::buf::ByteReader<'_>,
+        base: Option<&Dataset>,
+    ) -> Result<Dataset> {
         let dim = r.get_count_u32("dataset dim", 0)?;
         let row_bytes = dim.saturating_mul(std::mem::size_of::<f32>());
         let n = r.get_count_u64("dataset rows", row_bytes)?;
         if dim == 0 {
             return Err(Error::Corrupt("dataset: zero dimension".into()));
         }
-        let data = r.get_f32s(n * dim)?.collect();
-        Ok(Dataset { data, dim })
+        let rows = r.get_f32s(n * dim)?;
+        let same = |b: &&Dataset| {
+            b.dim == dim
+                && b.data.len() == rows.len()
+                && b.data
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .eq(rows.clone().map(f32::to_bits))
+        };
+        if let Some(base) = base.filter(same) {
+            return Ok(base.clone());
+        }
+        Ok(Dataset {
+            data: Arc::new(rows.collect()),
+            dim,
+        })
     }
 }
 
@@ -307,6 +367,21 @@ mod tests {
     }
 
     #[test]
+    fn gather_yields_the_rows_named() {
+        let d = Dataset::from_rows(vec![vec![0.0, 0.5], vec![1.0, 1.5], vec![2.0, 2.5]]).unwrap();
+        let rows: Vec<&[f32]> = d.gather(&[2, 0, 2]).collect();
+        assert_eq!(rows, [d.row(2), d.row(0), d.row(2)]);
+        assert_eq!(d.gather(&[]).count(), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn gather_panics_on_an_id_out_of_range() {
+        let d = Dataset::from_rows(vec![vec![0.0], vec![1.0]]).unwrap();
+        d.gather(&[1, 2]).for_each(drop);
+    }
+
+    #[test]
     fn truncated_keeps_prefix() {
         let d = Dataset::from_rows(vec![vec![0.0], vec![1.0], vec![2.0]]).unwrap();
         let t = d.truncated(2);
@@ -334,6 +409,74 @@ mod tests {
         assert_eq!(back.as_flat(), d.as_flat());
         // -0.0 survives as a bit pattern.
         assert!(back.row(0)[1].is_sign_negative());
+    }
+
+    fn shares(a: &Dataset, b: &Dataset) -> bool {
+        a.as_flat().as_ptr() == b.as_flat().as_ptr()
+    }
+
+    #[test]
+    fn clones_share_rows_until_one_pushes() {
+        let d = Dataset::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let mut c = d.clone();
+        assert!(shares(&c, &d));
+        assert_eq!(c, d);
+        c.push(&[5.0, 6.0]).unwrap();
+        assert!(!shares(&c, &d), "a push copies a shared buffer first");
+        assert_eq!(d.len(), 2);
+        assert_eq!(d.as_flat(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(c.row(2), &[5.0, 6.0]);
+        assert_ne!(c, d);
+    }
+
+    #[test]
+    fn sharing_changes_no_equality_encoding_or_truncation() {
+        let d = Dataset::from_rows(vec![vec![1.5, -0.0], vec![2.5, 3.5]]).unwrap();
+        let copy = Dataset::from_flat(d.as_flat().to_vec(), 2).unwrap();
+        assert!(!shares(&copy, &d));
+        assert_eq!(copy, d, "equality compares rows, not buffers");
+        let encode = |d: &Dataset| {
+            let mut w = crate::buf::ByteWriter::new();
+            d.encode_into(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(encode(&d.clone()), encode(&copy));
+        let whole = d.truncated(2);
+        assert!(shares(&whole, &d), "all rows: the same buffer");
+        let prefix = d.truncated(1);
+        assert_eq!(prefix.as_flat(), &[1.5, -0.0]);
+        assert!(!shares(&prefix, &d));
+    }
+
+    /// `d` encoded, and decoded with `base` as the hint.
+    fn decode_onto(d: &Dataset, base: &Dataset) -> Dataset {
+        let mut w = crate::buf::ByteWriter::new();
+        d.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = crate::buf::ByteReader::new(&bytes, "test");
+        let back = Dataset::decode_onto(&mut r, Some(base)).unwrap();
+        r.finish().unwrap();
+        back
+    }
+
+    #[test]
+    fn decode_onto_shares_only_bit_identical_rows() {
+        let base = Dataset::from_rows(vec![vec![1.5, 0.0], vec![2.5, 3.5]]).unwrap();
+        let back = decode_onto(&base, &base);
+        assert!(shares(&back, &base));
+        // 0.0 and -0.0 compare equal as floats, but not as bits.
+        let mut flat = base.as_flat().to_vec();
+        flat[1] = -0.0;
+        let signed = Dataset::from_flat(flat, 2).unwrap();
+        let reshaped = Dataset::from_flat(base.as_flat().to_vec(), 1).unwrap();
+        let shorter = base.truncated(1);
+        for other in [signed, reshaped, shorter] {
+            let back = decode_onto(&other, &base);
+            assert!(!shares(&back, &base));
+            assert_eq!(back.dim(), other.dim());
+            let bits = |d: &Dataset| d.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&other));
+        }
     }
 
     #[test]

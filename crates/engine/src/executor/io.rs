@@ -80,8 +80,9 @@ impl<'a> Simulation<'a> {
     /// open one has its completion event and, when the policy hedges, its
     /// hedge timer. The beam completes when every read settles. Returns the
     /// number of reads left in flight; the caller decides how the query
-    /// waits for them.
-    pub(super) fn issue_beam(&mut self, query: usize, t: u64, reqs: &'a [IoReq]) -> usize {
+    /// waits for them. The reads go out replica by replica, each handed to
+    /// `start_attempt` as it is met, so this loop never looks one up.
+    pub(super) fn issue_beam(&mut self, query: usize, t: u64, reqs: Beam<'a>) -> usize {
         let q = self.q(query);
         q.beam_seq += 1;
         q.beam = reqs;
@@ -107,7 +108,7 @@ impl<'a> Simulation<'a> {
                 req,
             };
             pending += 1;
-            if let Some(done_ns) = self.start_attempt(read, false, t) {
+            if let Some(done_ns) = self.start_attempt(read, r, false, t) {
                 // The bus is FIFO, so the last sealed read is also the
                 // latest; the beam's time does not lean on that.
                 sealed += 1;
@@ -144,26 +145,18 @@ impl<'a> Simulation<'a> {
             && (self.hedge_ns == 0 || done_ns <= attempt.start_ns + self.hedge_ns)
     }
 
-    /// Starts one device attempt of a read — the only place reads reach
-    /// the device. Draws the attempt's fault outcome from its identity-
-    /// keyed RNG stream and schedules the (possibly inflated) device
-    /// service. An attempt that seals ([`Simulation::seals`]) is finished
+    /// Starts one device attempt of read `read`, which fetches `io` — the
+    /// only place reads reach the device. Draws the attempt's fault outcome
+    /// from its identity-keyed RNG stream and schedules the (possibly
+    /// inflated) device service. An attempt that seals ([`Simulation::seals`]) is finished
     /// with here: its span is recorded and its completion time returned for
     /// `issue_beam` to fold into the beam's one event. Any other is *open*:
     /// it is registered as in flight, sizing the beam's request state if it
     /// is the first to need it, and completes through `on_read_done`.
     /// Failed attempts still consume device time and block-layer trace
     /// records — the host only learns of the error at completion.
-    fn start_attempt(&mut self, read: ReadRef, hedged: bool, t: u64) -> Option<u64> {
+    fn start_attempt(&mut self, read: ReadRef, io: IoReq, hedged: bool, t: u64) -> Option<u64> {
         let q = self.q(read.query);
-        let beam: &'a [IoReq] = q.beam;
-        // Every caller names a read of the beam in flight; if that ever
-        // broke, dropping the attempt (debug builds assert) is safer than
-        // panicking in the middle of a sweep.
-        let Some(io) = beam.get(read.req) else {
-            debug_assert!(false, "attempt for a read outside the beam");
-            return None;
-        };
         let attempt = Attempt {
             // No request state yet means no open attempt yet, of any read.
             ordinal: q.reqs_state.get(read.req).map_or(0, |r| r.attempts),
@@ -186,15 +179,19 @@ impl<'a> Simulation<'a> {
         // attempt, when it ends (completion, error or cancellation) for an
         // open one.
         if self.seals(attempt, done_ns, fault.error) {
-            self.io_span(read.query, io, false, attempt, done_ns, IoOutcome::Ok);
+            self.io_span(read.query, &io, false, attempt, done_ns, IoOutcome::Ok);
             if !force_open() {
                 return Some(done_ns);
             }
         }
         let q = self.q(read.query);
         if q.reqs_state.is_empty() {
-            q.reqs_state.resize(beam.len(), ReqState::default());
+            let width = q.beam.width();
+            q.reqs_state.resize(width, ReqState::default());
         }
+        // Every caller names a read of the beam in flight; if that ever
+        // broke, dropping the attempt (debug builds assert) is safer than
+        // panicking in the middle of a sweep.
         let Some(r) = q.reqs_state.get_mut(read.req) else {
             debug_assert!(false, "attempt for a read outside the beam");
             return None;
@@ -225,14 +222,15 @@ impl<'a> Simulation<'a> {
     /// same occupant of the slot, same beam, not yet settled. Anything else
     /// is a stale event — a hedge-race loser, a timer its read outran — and
     /// is dropped. A query leaves a beam only once every read of it has
-    /// settled, so these three checks are all it takes.
-    fn open_read(&mut self, read: ReadRef) -> Option<(&mut ReqState, &'a IoReq)> {
+    /// settled, so these three checks are all it takes. The fault path's
+    /// one lookup of a read by its index in the beam is here.
+    fn open_read(&mut self, read: ReadRef) -> Option<(&mut ReqState, IoReq)> {
         let q = self.queries.get_mut(read.query)?;
         if !(q.live && q.uid == read.uid && q.beam_seq == read.beam) {
             return None;
         }
-        let beam: &'a [IoReq] = q.beam;
-        let (r, io) = (q.reqs_state.get_mut(read.req)?, beam.get(read.req)?);
+        let io = q.beam.get(read.req)?;
+        let r = q.reqs_state.get_mut(read.req)?;
         (!r.settled).then_some((r, io))
     }
 
@@ -275,10 +273,10 @@ impl<'a> Simulation<'a> {
             } else {
                 IoOutcome::Ok
             };
-            self.io_span(read.query, io, false, done, t, outcome);
+            self.io_span(read.query, &io, false, done, t, outcome);
         }
         if !failed {
-            self.resolve(read, io, t);
+            self.resolve(read, &io, t);
         } else if inflight_left == 0 {
             self.retry_or_abandon(read, t);
         }
@@ -325,7 +323,7 @@ impl<'a> Simulation<'a> {
     }
 
     pub(super) fn on_retry(&mut self, read: ReadRef, t: u64) {
-        let Some((r, _)) = self.open_read(read) else {
+        let Some((r, io)) = self.open_read(read) else {
             return;
         };
         if !r.retry_pending {
@@ -336,13 +334,13 @@ impl<'a> Simulation<'a> {
         if t >= self.q(read.query).deadline_ns {
             self.abandon(read, t, true);
         } else {
-            let sealed = self.start_attempt(read, false, t);
+            let sealed = self.start_attempt(read, io, false, t);
             debug_assert!(sealed.is_none(), "a retry is never sealed");
         }
     }
 
     pub(super) fn on_hedge(&mut self, read: ReadRef, t: u64) {
-        let Some((r, _)) = self.open_read(read) else {
+        let Some((r, io)) = self.open_read(read) else {
             return;
         };
         // Hedge only a read still waiting on its primary/retry attempt:
@@ -350,7 +348,7 @@ impl<'a> Simulation<'a> {
         let waiting = r.inflight > 0 && usize::from(r.inflight) < r.flight.len();
         if waiting && t < self.q(read.query).deadline_ns {
             self.fstats.hedges_issued += 1;
-            let sealed = self.start_attempt(read, true, t);
+            let sealed = self.start_attempt(read, io, true, t);
             debug_assert!(sealed.is_none(), "a hedge is never sealed");
         }
     }

@@ -20,7 +20,7 @@ pub use audit::{Law, OperationalLaws};
 pub use queue::MAX_CLIENTS;
 
 use crate::metrics::{FaultStats, RunMetrics};
-use crate::plan::QueryPlan;
+use crate::plan::{Beam, QueryPlan};
 use queue::EventQueue;
 use sann_core::cast;
 use sann_index::IoReq;
@@ -393,9 +393,9 @@ struct ActiveQuery<'a> {
     /// Read-beam ordinal; guards stale read events.
     beam_seq: u32,
     /// The read beam last issued, borrowed from the plan, and the state of
-    /// each of its reads — empty until the beam's first open attempt sizes
-    /// it, so for a fully sealed beam throughout.
-    beam: &'a [IoReq],
+    /// each of its reads, every replica's — empty until the beam's first
+    /// open attempt sizes it, so for a fully sealed beam throughout.
+    beam: Beam<'a>,
     reqs_state: Vec<ReqState>,
 }
 

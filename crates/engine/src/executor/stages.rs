@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::metrics::DeviceTelemetry;
-use crate::plan::Segment;
+use crate::plan::{Beam, Segment};
 use sann_core::stats;
 use sann_obs::SpanName;
 
@@ -352,7 +352,7 @@ impl<'a> Simulation<'a> {
             deadline_ns: t.saturating_add(self.deadline_budget_ns),
             degraded: false,
             beam_seq: 0,
-            beam: &[],
+            beam: Beam::default(),
             reqs_state,
         };
         let slot = if let Some(slot) = slot {
@@ -404,6 +404,8 @@ impl<'a> Simulation<'a> {
                 self.complete(query, t);
                 return;
             };
+            // Reads the segment issues, every replica counted.
+            let width = seg.beam().map_or(0, Beam::width);
             match seg {
                 Segment::Cpu { total_us, fanout } if *total_us > 0.0 => {
                     let labels = self.seg_phases.get(plan_idx);
@@ -418,31 +420,34 @@ impl<'a> Simulation<'a> {
                         .push(t + us_to_ns(*us), EventKind::Delay { query });
                     return;
                 }
-                Segment::Io { reqs } if past_deadline && !reqs.is_empty() => {
-                    self.skip_beam(query, reqs.len());
+                Segment::Io { .. } if width > 0 => {
+                    if past_deadline {
+                        self.skip_beam(query, width);
+                    } else {
+                        self.start_submit(query, t, width);
+                        return;
+                    }
                 }
-                Segment::Io { reqs } | Segment::Write { reqs } if !reqs.is_empty() => {
+                Segment::Write { reqs } if !reqs.is_empty() => {
                     self.start_submit(query, t, reqs.len());
                     return;
                 }
                 Segment::Overlapped {
-                    total_us,
-                    fanout,
-                    reqs,
+                    total_us, fanout, ..
                 } => {
-                    if !reqs.is_empty() {
+                    if width > 0 {
                         if !past_deadline {
                             // Same submission model as a blocking beam: the
                             // requests go out once the submission subtask
                             // completes, and only then does the overlapped
                             // CPU start.
-                            self.start_submit(query, t, reqs.len());
+                            self.start_submit(query, t, width);
                             return;
                         }
                         // The reads (speculative or next-hop fetches) are
                         // abandoned, but the CPU still runs — the distances
                         // it computes are for data already in memory.
-                        self.skip_beam(query, reqs.len());
+                        self.skip_beam(query, width);
                     }
                     // Without reads the segment is a plain CPU one.
                     if *total_us > 0.0 {
@@ -514,14 +519,15 @@ impl<'a> Simulation<'a> {
         let (plan_idx, seg_idx) = (self.q(query).plan, self.q(query).seg);
         let plans: &'a [QueryPlan] = self.plans;
         let seg = plans.get(plan_idx).and_then(|p| p.segments().get(seg_idx));
-        let (reqs, write, overlap_cpu) = match seg {
-            Some(Segment::Io { reqs }) => (reqs.as_slice(), false, None),
-            Some(Segment::Write { reqs }) => (reqs.as_slice(), true, None),
+        let (reqs, copies, write, overlap_cpu) = match seg {
+            Some(Segment::Io { reqs, copies }) => (reqs.as_slice(), *copies, false, None),
+            Some(Segment::Write { reqs }) => (reqs.as_slice(), 1, true, None),
             Some(Segment::Overlapped {
                 total_us,
                 fanout,
                 reqs,
-            }) => (reqs.as_slice(), false, Some((*total_us, *fanout))),
+                copies,
+            }) => (reqs.as_slice(), *copies, false, Some((*total_us, *fanout))),
             #[allow(
                 clippy::unreachable,
                 reason = "advance submits only segments with requests"
@@ -529,11 +535,11 @@ impl<'a> Simulation<'a> {
             _ => unreachable!("submission of a segment without requests"),
         };
         self.beam_width_hist
-            .record(cast::u64_from_usize(reqs.len()));
+            .record(cast::u64_from_usize(reqs.len() * copies));
         let pending = if write {
             self.issue_writes(query, t, reqs)
         } else {
-            self.issue_beam(query, t, reqs)
+            self.issue_beam(query, t, Beam::new(reqs, copies))
         };
         if pending == 0 {
             self.beams_cache_absorbed += 1;

@@ -1195,3 +1195,109 @@ fn dead_timer_does_not_date_the_trace() {
         }
     }
 }
+
+/// `plan` with every beam's replicas listed out, one after another: the
+/// form `PlanBuilder` compiled before a beam carried its copy count.
+fn materialised(plan: &QueryPlan) -> QueryPlan {
+    let expand = |s: &Segment| s.beam().map(|b| b.iter().collect::<Vec<_>>());
+    QueryPlan::new(
+        plan.segments()
+            .iter()
+            .map(|s| match (s, expand(s)) {
+                (Segment::Io { .. }, Some(reqs)) => Segment::io(reqs),
+                (
+                    Segment::Overlapped {
+                        total_us, fanout, ..
+                    },
+                    Some(reqs),
+                ) => Segment::overlapped(*total_us, *fanout, reqs),
+                (other, _) => other.clone(),
+            })
+            .collect(),
+    )
+}
+
+/// A replicated beam is held once and replayed as its materialised copies
+/// would be: under every profile (retries and hedges name reads of the
+/// expanded beam), blocking and overlapped, alone and under contention,
+/// with a deadline some beams start past: metrics, registry and both
+/// trace exports are byte-equal.
+#[test]
+fn replicated_beams_replay_as_their_materialised_copies() {
+    use sann_obs::export::{chrome_trace, jsonl};
+    let replicated = |reqs, copies| Segment::Io { reqs, copies };
+    let plans = [
+        QueryPlan::new(vec![
+            Segment::cpu(20.0),
+            replicated(reads(0, 4), 3),
+            Segment::cpu(400.0),
+            replicated(reads(64, 2), 5),
+            Segment::cpu(10.0),
+        ]),
+        QueryPlan::new(vec![
+            Segment::cpu(10.0),
+            replicated(reads(0, 2), 2),
+            Segment::Overlapped {
+                total_us: 30.0,
+                fanout: 2,
+                reqs: reads(128, 3),
+                copies: 4,
+            },
+            Segment::write(reads(1 << 18, 2)),
+            Segment::cpu(5.0),
+        ]),
+    ];
+    let flat: Vec<QueryPlan> = plans.iter().map(materialised).collect();
+    for (plan, old) in plans.iter().zip(&flat) {
+        assert_ne!(plan, old);
+        assert_eq!(plan.io_count(), old.io_count());
+        assert_eq!(plan.read_bytes(), old.read_bytes());
+    }
+    let (mut skipped, mut hedged, mut retried) = (false, false, false);
+    for profile in FaultProfile::all() {
+        for clients in [1, 16] {
+            let config = RunConfig {
+                cores: 4,
+                concurrency: clients,
+                duration_us: 0.03e6,
+                faults: FaultConfig {
+                    profile,
+                    io_deadline_us: 300.0,
+                    hedge_after_us: 20.0,
+                    ..FaultConfig::default()
+                },
+                ..RunConfig::default()
+            };
+            let what = format!("{} / c{clients}", profile.name);
+            let run = Executor::new(config).run_traced(&plans, TraceLevel::Io);
+            let reference = Executor::new(config).run_traced(&flat, TraceLevel::Io);
+            assert!(run.metrics.completed > 0, "{what}");
+            assert!(
+                run.metrics.canonical_bytes() == reference.metrics.canonical_bytes(),
+                "{what}: metrics differ"
+            );
+            assert!(
+                run.registry.canonical_bytes() == reference.registry.canonical_bytes(),
+                "{what}: registries differ"
+            );
+            assert!(
+                chrome_trace(&run.trace) == chrome_trace(&reference.trace),
+                "{what}: Chrome exports differ"
+            );
+            assert!(
+                jsonl(&run.trace) == jsonl(&reference.trace),
+                "{what}: JSONL exports differ"
+            );
+            // The first plan's 400 µs of compute puts its second beam past
+            // the 300 µs deadline, so every active profile skips it whole.
+            let f = &run.metrics.fault;
+            skipped |= f.deadline_skips >= 10;
+            hedged |= f.hedges_issued > 0;
+            retried |= f.retries > 0;
+        }
+    }
+    assert!(
+        skipped && hedged && retried,
+        "the sweep must skip, hedge and retry"
+    );
+}

@@ -47,5 +47,5 @@ pub use executor::{
 };
 pub use ledger::{DeviceCostModel, QueryLedger};
 pub use metrics::{DeviceTelemetry, FaultStats, RunMetrics};
-pub use plan::{PlanBuilder, QueryPlan, Segment};
+pub use plan::{Beam, PlanBuilder, QueryPlan, Segment};
 pub use sann_ssdsim::FaultProfile;

@@ -18,8 +18,11 @@ pub enum Segment {
     /// A beam of reads issued together; the query blocks until the slowest
     /// completes. Submission CPU is charged by the executor.
     Io {
-        /// The requests in the beam.
+        /// The requests of one replica of the beam.
         reqs: Vec<IoReq>,
+        /// Replicas the beam issues, each on its own device region (see
+        /// [`Beam`]); 1 = the requests as listed.
+        copies: usize,
     },
     /// Pure latency that occupies no core (network round trip, scheduler
     /// hand-off). Concurrent queries overlap their delays freely.
@@ -43,8 +46,11 @@ pub enum Segment {
         total_us: f64,
         /// Number of parallel subtasks the CPU work is split into.
         fanout: usize,
-        /// The requests in flight under the CPU work.
+        /// The requests of one replica of the beam in flight under the CPU
+        /// work.
         reqs: Vec<IoReq>,
+        /// Replicas of the beam, as for [`Segment::Io`].
+        copies: usize,
     },
 }
 
@@ -67,7 +73,7 @@ impl Segment {
 
     /// An I/O beam segment.
     pub fn io(reqs: Vec<IoReq>) -> Segment {
-        Segment::Io { reqs }
+        Segment::Io { reqs, copies: 1 }
     }
 
     /// A core-free delay segment.
@@ -86,8 +92,71 @@ impl Segment {
             total_us,
             fanout: fanout.max(1),
             reqs,
+            copies: 1,
         }
     }
+
+    /// The read beam of a blocking or overlapped segment, `None` for any
+    /// other kind.
+    pub fn beam(&self) -> Option<Beam<'_>> {
+        match self {
+            Segment::Io { reqs, copies } | Segment::Overlapped { reqs, copies, .. } => {
+                Some(Beam::new(reqs, *copies))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Offset shift between replicated beams, so fanned-out reads land on
+/// distinct device regions (distinct segments).
+const IO_FANOUT_STRIDE: u64 = 1 << 30;
+
+/// A read beam as a plan holds it: one replica's requests, once, and how
+/// many replicas the beam issues. Replica `c` of a request is the request
+/// shifted `c` GiB further on the device, and the beam's reads run replica
+/// by replica: read `c * reqs.len() + i` is replica `c` of `reqs[i]`. That
+/// is the order and the offsets a beam materialised copy by copy would
+/// have, so every device read and every simulated number is the same.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Beam<'a> {
+    reqs: &'a [IoReq],
+    copies: usize,
+}
+
+impl<'a> Beam<'a> {
+    /// The beam issuing `copies` replicas of `reqs` (0 issues nothing).
+    pub fn new(reqs: &'a [IoReq], copies: usize) -> Beam<'a> {
+        Beam { reqs, copies }
+    }
+
+    /// Reads the beam issues, over all replicas.
+    #[inline]
+    pub fn width(self) -> usize {
+        self.reqs.len() * self.copies
+    }
+
+    /// Read `req` of the beam, `None` past its width.
+    #[inline]
+    pub fn get(self, req: usize) -> Option<IoReq> {
+        let replica = req.checked_div(self.reqs.len())?;
+        let io = self.reqs.get(req.checked_rem(self.reqs.len())?)?;
+        (replica < self.copies).then(|| io.shifted(replica_shift(replica)))
+    }
+
+    /// Every read of the beam, in issue order.
+    pub fn iter(self) -> impl Iterator<Item = IoReq> + 'a {
+        (0..self.copies).flat_map(move |replica| {
+            let shift = replica_shift(replica);
+            self.reqs.iter().map(move |r| r.shifted(shift))
+        })
+    }
+}
+
+/// Device offset of replica `replica` relative to replica 0.
+#[inline]
+fn replica_shift(replica: usize) -> u64 {
+    cast::u64_from_usize(replica) * IO_FANOUT_STRIDE
 }
 
 /// A compiled, replayable query: the ordered segments of one search.
@@ -118,30 +187,27 @@ impl QueryPlan {
             .sum()
     }
 
-    /// Total bytes read by the plan (blocking and overlapped beams).
+    /// Total bytes read by the plan (blocking and overlapped beams, every
+    /// replica).
     pub fn read_bytes(&self) -> u64 {
         self.segments
             .iter()
-            .map(|s| match s {
-                Segment::Io { reqs } | Segment::Overlapped { reqs, .. } => {
-                    reqs.iter().map(|r| u64::from(r.len)).sum()
-                }
-                _ => 0,
+            .filter_map(Segment::beam)
+            .map(|b| {
+                b.reqs.iter().map(|r| u64::from(r.len)).sum::<u64>()
+                    * cast::u64_from_usize(b.copies)
             })
             .sum()
     }
 
-    /// Total read requests in the plan (blocking and overlapped beams).
-    /// Write batches are excluded here; fault accounting tracks reads.
+    /// Total read requests in the plan (blocking and overlapped beams, every
+    /// replica). Write batches are excluded here; fault accounting tracks
+    /// reads.
     pub fn io_count(&self) -> u64 {
         self.segments
             .iter()
-            .map(|s| match s {
-                Segment::Io { reqs } | Segment::Overlapped { reqs, .. } => {
-                    cast::u64_from_usize(reqs.len())
-                }
-                _ => 0,
-            })
+            .filter_map(Segment::beam)
+            .map(|b| cast::u64_from_usize(b.width()))
             .sum()
     }
 }
@@ -209,10 +275,6 @@ impl Default for PlanBuilder {
     }
 }
 
-/// Offset shift between replicated beams, so fanned-out reads land on
-/// distinct device regions (distinct segments).
-const IO_FANOUT_STRIDE: u64 = 1 << 30;
-
 impl PlanBuilder {
     /// Compiles one trace: latency floor, per-query overhead, then each
     /// step in order. Consecutive compute/PQ steps merge into one CPU
@@ -234,15 +296,19 @@ impl PlanBuilder {
                         segments.push(Segment::cpu_parallel(pending_cpu, self.intra_parallelism));
                         pending_cpu = 0.0;
                     }
-                    let reqs = self.fan_out(reqs);
+                    // The beam is held once; the executor issues its
+                    // `io_fanout` replicas.
+                    let (reqs, copies) = (reqs.clone(), self.io_fanout.max(1));
                     segments.push(match step {
                         // The step's own CPU runs concurrently inside the
                         // segment.
-                        TraceStep::Overlapped { cpu, .. } => {
-                            let us = cpu.iter().map(|op| self.op_us(op)).sum();
-                            Segment::overlapped(us, self.intra_parallelism, reqs)
-                        }
-                        _ => Segment::io(reqs),
+                        TraceStep::Overlapped { cpu, .. } => Segment::Overlapped {
+                            total_us: cpu.iter().map(|op| self.op_us(op)).sum(),
+                            fanout: self.intra_parallelism.max(1),
+                            reqs,
+                            copies,
+                        },
+                        _ => Segment::Io { reqs, copies },
                     });
                 }
             }
@@ -267,16 +333,6 @@ impl PlanBuilder {
     /// Compiles a batch of traces.
     pub fn build_all(&self, traces: &[QueryTrace]) -> Vec<QueryPlan> {
         traces.iter().map(|t| self.build(t)).collect()
-    }
-
-    /// Replicates a beam `io_fanout` times onto distinct device regions.
-    fn fan_out(&self, reqs: &[IoReq]) -> Vec<IoReq> {
-        let copies = self.io_fanout.max(1);
-        let mut fanned = Vec::with_capacity(reqs.len() * copies);
-        for replica in 0..cast::u64_from_usize(copies) {
-            fanned.extend(reqs.iter().map(|r| r.shifted(replica * IO_FANOUT_STRIDE)));
-        }
-        fanned
     }
 }
 
@@ -394,12 +450,70 @@ mod tests {
         assert_eq!(plan.io_count(), 6, "2 reqs x 3 replicas");
         assert_eq!(plan.read_bytes(), 3 * 8192);
         match &plan.segments()[1] {
-            Segment::Io { reqs } => {
-                let mut offsets: Vec<u64> = reqs.iter().map(|r| r.offset).collect();
-                offsets.dedup();
-                assert_eq!(offsets.len(), 6, "replicas must not alias");
+            Segment::Io { reqs, copies } => {
+                // The beam is held once and issued replica by replica.
+                assert_eq!((reqs.len(), *copies), (2, 3));
+                let offsets: Vec<u64> = Beam::new(reqs, *copies).iter().map(|r| r.offset).collect();
+                let g = IO_FANOUT_STRIDE;
+                assert_eq!(offsets, [0, 4096, g, g + 4096, 2 * g, 2 * g + 4096]);
             }
             other => panic!("expected io, got {other:?}"),
+        }
+    }
+
+    /// Every replica listed out, one after another: how a plan held a
+    /// replicated beam before it carried a copy count.
+    fn materialised(reqs: &[IoReq], copies: usize) -> Vec<IoReq> {
+        let mut fanned = Vec::with_capacity(reqs.len() * copies);
+        for replica in 0..copies as u64 {
+            fanned.extend(reqs.iter().map(|r| r.shifted(replica * IO_FANOUT_STRIDE)));
+        }
+        fanned
+    }
+
+    #[test]
+    fn a_beam_reads_what_its_materialised_copies_would() {
+        let reqs = [
+            IoReq::new(0, 4096),
+            IoReq::new(8192, 8192),
+            IoReq::new(1 << 20, 4096),
+        ];
+        for copies in [0, 1, 2, 45] {
+            let beam = Beam::new(&reqs, copies);
+            let expect = materialised(&reqs, copies);
+            assert_eq!(beam.width(), expect.len());
+            assert_eq!(beam.iter().collect::<Vec<_>>(), expect);
+            let by_index: Vec<IoReq> = (0..beam.width()).filter_map(|i| beam.get(i)).collect();
+            assert_eq!(by_index, expect, "copies={copies}");
+            assert_eq!(beam.get(beam.width()), None);
+        }
+        assert_eq!(Beam::new(&[], 3).get(0), None);
+        assert_eq!(Beam::default().width(), 0);
+    }
+
+    #[test]
+    fn aggregates_count_every_replica() {
+        for copies in [1, 3, 45] {
+            let b = PlanBuilder {
+                io_fanout: copies,
+                ..PlanBuilder::default()
+            };
+            for trace in [sample_trace(), overlapped_trace()] {
+                let plan = b.build(&trace);
+                let old: Vec<IoReq> = trace
+                    .steps
+                    .iter()
+                    .flat_map(|step| match step {
+                        TraceStep::Read { reqs } | TraceStep::Overlapped { reqs, .. } => {
+                            materialised(reqs, copies)
+                        }
+                        TraceStep::Cpu(_) => Vec::new(),
+                    })
+                    .collect();
+                assert_eq!(plan.io_count(), old.len() as u64);
+                let bytes: u64 = old.iter().map(|r| u64::from(r.len)).sum();
+                assert_eq!(plan.read_bytes(), bytes);
+            }
         }
     }
 
@@ -450,10 +564,11 @@ mod tests {
                 total_us,
                 fanout,
                 reqs,
+                copies,
             } => {
                 assert!((total_us - work_us(&b, 8.0, 64.0)).abs() < 1e-9);
                 assert_eq!(*fanout, 1);
-                assert_eq!(reqs.len(), 2);
+                assert_eq!((reqs.len(), *copies), (2, 1));
             }
             other => panic!("expected overlapped, got {other:?}"),
         }
@@ -473,14 +588,20 @@ mod tests {
         .build(&overlapped_trace());
         assert_eq!(plan.io_count(), 9, "(1 + 2) reqs x 3 replicas");
         // Default overhead makes segments [cpu, io, overlapped, cpu].
-        match &plan.segments()[2] {
-            Segment::Overlapped { reqs, .. } => {
-                let mut offsets: Vec<u64> = reqs.iter().map(|r| r.offset).collect();
-                offsets.dedup();
-                assert_eq!(offsets.len(), 6, "replicas must not alias");
-            }
-            other => panic!("expected overlapped, got {other:?}"),
-        }
+        let beam = plan.segments()[2].beam().expect("overlapped beam");
+        let offsets: Vec<u64> = beam.iter().map(|r| r.offset).collect();
+        let g = IO_FANOUT_STRIDE;
+        assert_eq!(
+            offsets,
+            [
+                8192,
+                16384,
+                g + 8192,
+                g + 16384,
+                2 * g + 8192,
+                2 * g + 16384
+            ]
+        );
     }
 
     #[test]

@@ -152,13 +152,16 @@ impl DiskAnnIndex {
         w.put_slice(&self.codes);
     }
 
-    pub(crate) fn from_persist(r: &mut ByteReader<'_>) -> Result<DiskAnnIndex> {
+    pub(crate) fn from_persist(
+        r: &mut ByteReader<'_>,
+        base: Option<&Dataset>,
+    ) -> Result<DiskAnnIndex> {
         let metric = Metric::from_tag(r.get_u8()?)
             .ok_or_else(|| Error::Corrupt("diskann: unknown metric tag".into()))?;
         if r.get_u64_le()? != RESERVED_WORD {
             return Err(Error::Corrupt("diskann: reserved word is not 0".into()));
         }
-        let data = Dataset::decode_from(r)?;
+        let data = Dataset::decode_onto(r, base)?;
         let graph = VamanaGraph::decode_from(r)?;
         let pq = ProductQuantizer::decode_from(r)?;
         let len = r.get_count_u64("diskann codes", 1)?;
@@ -302,6 +305,11 @@ impl FetchedSet {
 }
 
 impl VectorIndex for DiskAnnIndex {
+    #[cfg(test)]
+    fn vectors(&self) -> Option<&Dataset> {
+        Some(&self.data)
+    }
+
     fn len(&self) -> usize {
         self.data.len()
     }

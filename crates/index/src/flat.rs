@@ -43,6 +43,11 @@ impl FlatIndex {
 }
 
 impl VectorIndex for FlatIndex {
+    #[cfg(test)]
+    fn vectors(&self) -> Option<&Dataset> {
+        Some(&self.data)
+    }
+
     fn len(&self) -> usize {
         self.data.len()
     }

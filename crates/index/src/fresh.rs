@@ -343,6 +343,11 @@ impl FreshDiskAnnIndex {
 }
 
 impl VectorIndex for FreshDiskAnnIndex {
+    #[cfg(test)]
+    fn vectors(&self) -> Option<&Dataset> {
+        Some(&self.data)
+    }
+
     fn len(&self) -> usize {
         self.live
     }

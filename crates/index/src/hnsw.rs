@@ -523,7 +523,10 @@ impl HnswIndex {
         }
     }
 
-    pub(crate) fn from_persist(r: &mut sann_core::buf::ByteReader<'_>) -> Result<HnswIndex> {
+    pub(crate) fn from_persist(
+        r: &mut sann_core::buf::ByteReader<'_>,
+        base: Option<&Dataset>,
+    ) -> Result<HnswIndex> {
         let metric = Metric::from_tag(r.get_u8()?)
             .ok_or_else(|| Error::Corrupt("hnsw: unknown metric tag".into()))?;
         let config = HnswConfig {
@@ -536,7 +539,7 @@ impl HnswIndex {
         }
         let entry = r.get_u32_le()?;
         let max_level = r.get_count_u32("hnsw max level", 0)?;
-        let data = Dataset::decode_from(r)?;
+        let data = Dataset::decode_onto(r, base)?;
         let n = data.len();
         if entry as usize >= n || max_level > 32 {
             return Err(Error::Corrupt("hnsw: entry/level out of range".into()));
@@ -606,6 +609,11 @@ impl HnswIndex {
 }
 
 impl VectorIndex for HnswIndex {
+    #[cfg(test)]
+    fn vectors(&self) -> Option<&Dataset> {
+        Some(&self.data)
+    }
+
     fn len(&self) -> usize {
         self.data.len()
     }
@@ -1261,10 +1269,15 @@ mod tests {
         patched(frame, at, value)
     }
 
+    /// Decoding `frame` fails naming `what`, with no hint and onto the
+    /// vectors the frame embeds alike.
     fn assert_corrupt(frame: &[u8], what: &str) {
-        match crate::persist::decode(frame) {
-            Err(Error::Corrupt(message)) => assert!(message.contains(what), "{message}"),
-            other => panic!("expected Corrupt({what}), got {:?}", other.err()),
+        let base = Dataset::from_rows(vec![vec![0.0], vec![4.0], vec![5.0]]).unwrap();
+        for hint in [None, Some(&base)] {
+            match crate::persist::decode_onto(frame, hint) {
+                Err(Error::Corrupt(message)) => assert!(message.contains(what), "{message}"),
+                other => panic!("expected Corrupt({what}), got {:?}", other.err()),
+            }
         }
     }
 

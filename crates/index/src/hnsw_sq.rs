@@ -55,8 +55,11 @@ impl HnswSqIndex {
         w.put_slice(&self.codes);
     }
 
-    pub(crate) fn from_persist(r: &mut sann_core::buf::ByteReader<'_>) -> Result<HnswSqIndex> {
-        let inner = HnswIndex::from_persist(r)?;
+    pub(crate) fn from_persist(
+        r: &mut sann_core::buf::ByteReader<'_>,
+        base: Option<&Dataset>,
+    ) -> Result<HnswSqIndex> {
+        let inner = HnswIndex::from_persist(r, base)?;
         let sq = ScalarQuantizer::decode_from(r)?;
         let len = r.get_count_u64("hnsw-sq codes", 1)?;
         if sq.dim() != inner.dim() || len != inner.len() * inner.dim() {
@@ -73,6 +76,11 @@ impl HnswSqIndex {
 }
 
 impl VectorIndex for HnswSqIndex {
+    #[cfg(test)]
+    fn vectors(&self) -> Option<&Dataset> {
+        self.inner.vectors()
+    }
+
     fn len(&self) -> usize {
         self.inner.len()
     }

@@ -93,10 +93,10 @@ impl IvfIndex {
         self.kmeans.encode_into(w);
     }
 
-    pub(crate) fn from_persist(r: &mut ByteReader<'_>) -> Result<IvfIndex> {
+    pub(crate) fn from_persist(r: &mut ByteReader<'_>, base: Option<&Dataset>) -> Result<IvfIndex> {
         let metric = Metric::from_tag(r.get_u8()?)
             .ok_or_else(|| Error::Corrupt("ivf: unknown metric tag".into()))?;
-        let data = Dataset::decode_from(r)?;
+        let data = Dataset::decode_onto(r, base)?;
         let kmeans = KMeansModel::decode_from(r)?;
         if kmeans.assignments.len() != data.len() {
             return Err(Error::Corrupt("ivf: assignment count mismatch".into()));
@@ -122,6 +122,11 @@ fn lists_from_assignments(assignments: &[u32], nlist: usize) -> Vec<Vec<u32>> {
 }
 
 impl VectorIndex for IvfIndex {
+    #[cfg(test)]
+    fn vectors(&self) -> Option<&Dataset> {
+        Some(&self.data)
+    }
+
     fn len(&self) -> usize {
         self.data.len()
     }

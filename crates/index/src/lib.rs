@@ -241,6 +241,13 @@ pub trait VectorIndex: Send + Sync {
     fn persist_encode(&self) -> Option<Vec<u8>> {
         None
     }
+
+    /// The full-precision vectors the index holds, for the tests that check
+    /// an index shares its dataset's buffer rather than copying it.
+    #[cfg(test)]
+    fn vectors(&self) -> Option<&sann_core::Dataset> {
+        None
+    }
 }
 
 /// Convenience: runs `search` for a batch of queries, returning ids per query
@@ -283,37 +290,50 @@ mod tests {
     use super::*;
     use sann_core::{Error, Metric};
 
-    #[test]
-    fn every_family_rejects_bad_queries_alike() {
-        const DIM: usize = 16;
-        let data = sann_datagen::EmbeddingModel::new(DIM, 4, 7).generate(300);
-        let hnsw = HnswConfig::default();
-        let ivf = IvfConfig::default().with_nlist(8);
-        let graph = VamanaConfig {
-            r: 16,
-            ..VamanaConfig::default()
-        };
-        let diskann = DiskAnnConfig {
-            graph,
-            pq_m: 4,
-            pq_ksub: 16,
-        };
-        let fresh = FreshConfig {
-            graph,
+    const DIM: usize = 16;
+
+    fn fresh_config() -> FreshConfig {
+        FreshConfig {
+            graph: VamanaConfig {
+                r: 16,
+                ..VamanaConfig::default()
+            },
             pq_m: 4,
             pq_ksub: 16,
             ..FreshConfig::default()
+        }
+    }
+
+    /// One index of every family, built from `data`.
+    fn families(data: &sann_core::Dataset) -> Vec<Box<dyn VectorIndex>> {
+        let hnsw = HnswConfig::default();
+        let ivf = IvfConfig::default().with_nlist(8);
+        let fresh = fresh_config();
+        let diskann = DiskAnnConfig {
+            graph: fresh.graph,
+            pq_m: 4,
+            pq_ksub: 16,
         };
-        let families: Vec<Box<dyn VectorIndex>> = vec![
-            Box::new(FlatIndex::build(&data, Metric::L2)),
-            Box::new(IvfIndex::build(&data, Metric::L2, ivf).unwrap()),
-            Box::new(IvfPqIndex::build(&data, ivf, 4, 16).unwrap()),
-            Box::new(HnswIndex::build(&data, Metric::L2, hnsw).unwrap()),
-            Box::new(HnswSqIndex::build(&data, Metric::L2, hnsw).unwrap()),
-            Box::new(DiskAnnIndex::build(&data, Metric::L2, diskann).unwrap()),
-            Box::new(SpannIndex::build(&data, Metric::L2, SpannConfig::default()).unwrap()),
-            Box::new(FreshDiskAnnIndex::build(&data, Metric::L2, fresh).unwrap()),
-        ];
+        vec![
+            Box::new(FlatIndex::build(data, Metric::L2)),
+            Box::new(IvfIndex::build(data, Metric::L2, ivf).unwrap()),
+            Box::new(IvfPqIndex::build(data, ivf, 4, 16).unwrap()),
+            Box::new(HnswIndex::build(data, Metric::L2, hnsw).unwrap()),
+            Box::new(HnswSqIndex::build(data, Metric::L2, hnsw).unwrap()),
+            Box::new(DiskAnnIndex::build(data, Metric::L2, diskann).unwrap()),
+            Box::new(SpannIndex::build(data, Metric::L2, SpannConfig::default()).unwrap()),
+            Box::new(FreshDiskAnnIndex::build(data, Metric::L2, fresh).unwrap()),
+        ]
+    }
+
+    fn data() -> sann_core::Dataset {
+        sann_datagen::EmbeddingModel::new(DIM, 4, 7).generate(300)
+    }
+
+    #[test]
+    fn every_family_rejects_bad_queries_alike() {
+        let data = data();
+        let families = families(&data);
         let mut kinds: Vec<&str> = families.iter().map(|ix| ix.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();
@@ -332,5 +352,37 @@ mod tests {
             assert_eq!(err(&[0.0; DIM + 1], 10), mismatch(DIM + 1), "{kind}: long");
             assert_eq!(err(data.row(0), 0), zero_k, "{kind}: k = 0");
         }
+    }
+
+    /// Every family that keeps full-precision vectors keeps the buffer of
+    /// the dataset it was built from, not a copy of it. IVF-PQ keeps only
+    /// codes.
+    #[test]
+    fn every_family_shares_the_dataset_it_is_built_from() {
+        let data = data();
+        let ptr = data.as_flat().as_ptr();
+        for index in families(&data) {
+            let held = index.vectors().map(|v| v.as_flat().as_ptr());
+            let expect = (index.kind() != "ivf-pq").then_some(ptr);
+            assert_eq!(held, expect, "{}", index.kind());
+        }
+    }
+
+    /// FreshDiskANN copies the rows on its first insert, not at build, and
+    /// leaves the dataset it was built from as it was.
+    #[test]
+    fn fresh_diskann_stops_sharing_at_its_first_insert() {
+        let data = data();
+        let before = data.clone();
+        let mut index = FreshDiskAnnIndex::build(&data, Metric::L2, fresh_config()).unwrap();
+        let held = |ix: &FreshDiskAnnIndex| ix.vectors().unwrap().as_flat().as_ptr();
+        assert_eq!(held(&index), data.as_flat().as_ptr());
+        index.insert(&[0.5; DIM]).unwrap();
+        assert_ne!(held(&index), data.as_flat().as_ptr());
+        assert_eq!(index.vectors().unwrap().len(), data.len() + 1);
+        let bits =
+            |d: &sann_core::Dataset| d.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&data), bits(&before));
+        assert_eq!(data.len(), 300);
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::{DiskAnnIndex, HnswIndex, HnswSqIndex, IvfIndex, IvfPqIndex, VectorIndex};
 use sann_core::buf::{ByteReader, ByteWriter};
-use sann_core::{Error, Result};
+use sann_core::{Dataset, Error, Result};
 
 /// Frame magic, first four bytes of every index artifact.
 pub const MAGIC: [u8; 4] = *b"SIDX";
@@ -45,6 +45,18 @@ pub(crate) fn frame(kind: &str, payload: impl FnOnce(&mut ByteWriter)) -> Vec<u8
 /// internally inconsistent payload — callers treat any error as a cache miss
 /// and rebuild.
 pub fn decode(bytes: &[u8]) -> Result<Box<dyn VectorIndex>> {
+    decode_onto(bytes, None)
+}
+
+/// Like [`decode`], but an index whose frame embeds vectors bit-identical
+/// to `base`'s (the dataset it was built from) shares `base`'s buffer
+/// instead of holding a decoded copy ([`Dataset::decode_onto`]). Any other
+/// frame decodes exactly as [`decode`] does.
+///
+/// # Errors
+///
+/// As [`decode`].
+pub fn decode_onto(bytes: &[u8], base: Option<&Dataset>) -> Result<Box<dyn VectorIndex>> {
     let mut r = ByteReader::new(bytes, "index-artifact");
     if r.take(4)? != MAGIC {
         return Err(Error::Corrupt("index-artifact: bad magic".into()));
@@ -57,11 +69,11 @@ pub fn decode(bytes: &[u8]) -> Result<Box<dyn VectorIndex>> {
     }
     let kind = r.get_str()?;
     let index: Box<dyn VectorIndex> = match kind.as_str() {
-        "ivf" => Box::new(IvfIndex::from_persist(&mut r)?),
+        "ivf" => Box::new(IvfIndex::from_persist(&mut r, base)?),
         "ivf-pq" => Box::new(IvfPqIndex::from_persist(&mut r)?),
-        "hnsw" => Box::new(HnswIndex::from_persist(&mut r)?),
-        "hnsw-sq" => Box::new(HnswSqIndex::from_persist(&mut r)?),
-        "diskann" => Box::new(DiskAnnIndex::from_persist(&mut r)?),
+        "hnsw" => Box::new(HnswIndex::from_persist(&mut r, base)?),
+        "hnsw-sq" => Box::new(HnswSqIndex::from_persist(&mut r, base)?),
+        "diskann" => Box::new(DiskAnnIndex::from_persist(&mut r, base)?),
         other => {
             return Err(Error::Corrupt(format!(
                 "index-artifact: unknown kind {other:?}"
@@ -141,7 +153,7 @@ mod tests {
         assert_eq!(frame[entry - 12..entry], shape);
         let mut bytes = frame.clone();
         bytes[entry..entry + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        assert!(matches!(decode(&bytes), Err(Error::Corrupt(_))));
+        assert!(matches!(decode_err(&bytes), Error::Corrupt(_)));
         // The first code block's length becomes 2^62.
         assert_corrupt(with_count(frame, blocks), "ivf-pq codes");
     }
@@ -158,7 +170,7 @@ mod tests {
         let reserved = 4 + 4 + (4 + "hnsw".len()) + 1 + 4 + 4 + 8;
         assert_eq!(bytes[reserved..reserved + 4], 1u32.to_le_bytes());
         bytes[reserved] = 2;
-        assert!(matches!(decode(&bytes), Err(Error::Corrupt(_))));
+        assert!(matches!(decode_err(&bytes), Error::Corrupt(_)));
     }
 
     #[test]
@@ -208,10 +220,24 @@ mod tests {
     }
 
     fn assert_corrupt(frame: Vec<u8>, what: &str) {
-        match decode(&frame) {
-            Err(Error::Corrupt(message)) => assert!(message.contains(what), "{message}"),
-            other => panic!("expected Corrupt({what}), got {:?}", other.err()),
+        match decode_err(&frame) {
+            Error::Corrupt(message) => assert!(message.contains(what), "{message}"),
+            other => panic!("expected Corrupt({what}), got {other:?}"),
         }
+    }
+
+    /// The error decoding `frame` returns, which must be the same whether
+    /// or not it decodes onto the dataset the tests build from: a hint
+    /// never turns a corrupt frame into an index.
+    fn decode_err(frame: &[u8]) -> Error {
+        let Err(plain) = decode(frame) else {
+            panic!("a corrupt frame decoded");
+        };
+        let Err(hinted) = decode_onto(frame, Some(&data().0)) else {
+            panic!("a corrupt frame decoded onto a hint");
+        };
+        assert_eq!(plain, hinted);
+        plain
     }
 
     #[test]
@@ -228,19 +254,78 @@ mod tests {
         let bytes = index.persist_encode().unwrap();
         // Truncations at every region boundary are corrupt, never a panic.
         for cut in [0, 3, 4, 8, 12, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode(&bytes[..cut]).is_err(), "cut={cut}");
+            decode_err(&bytes[..cut]);
         }
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
-        assert!(decode(&bad).is_err());
+        decode_err(&bad);
         // Future format version.
         let mut bad = bytes.clone();
         bad[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert!(decode(&bad).is_err());
+        decode_err(&bad);
         // Trailing garbage.
         let mut bad = bytes.clone();
         bad.push(0);
-        assert!(decode(&bad).is_err());
+        decode_err(&bad);
+    }
+
+    /// Each persistable frame, decoded onto the dataset it was built from
+    /// and onto datasets that differ from it by one float's bits, by
+    /// dimension or by one row. Only the first shares the hint's buffer
+    /// (IVF-PQ embeds no vectors and shares nothing); every decode
+    /// re-encodes to the frame and searches as the built index does.
+    #[test]
+    fn decode_onto_shares_only_bit_identical_vectors() {
+        let (base, queries) = data();
+        let hnsw = HnswConfig::default();
+        let ivf = IvfConfig::default().with_nlist(16);
+        let diskann = DiskAnnConfig {
+            graph: VamanaConfig {
+                r: 16,
+                ..VamanaConfig::default()
+            },
+            pq_m: 8,
+            pq_ksub: 32,
+        };
+        let indexes: Vec<Box<dyn VectorIndex>> = vec![
+            Box::new(IvfIndex::build(&base, Metric::L2, ivf).unwrap()),
+            Box::new(IvfPqIndex::build(&base, ivf, 8, 32).unwrap()),
+            Box::new(HnswIndex::build(&base, Metric::L2, hnsw).unwrap()),
+            Box::new(HnswSqIndex::build(&base, Metric::L2, hnsw).unwrap()),
+            Box::new(DiskAnnIndex::build(&base, Metric::L2, diskann).unwrap()),
+        ];
+        let mut flipped = base.as_flat().to_vec();
+        let last = flipped.len() - 1;
+        flipped[last] = f32::from_bits(flipped[last].to_bits() ^ 1);
+        let others = [
+            Dataset::from_flat(flipped, base.dim()).unwrap(),
+            Dataset::from_flat(base.as_flat().to_vec(), base.dim() / 2).unwrap(),
+            base.truncated(base.len() - 1),
+        ];
+        let ptr = |d: &Dataset| d.as_flat().as_ptr();
+        let params = SearchParams::default();
+        for index in &indexes {
+            let kind = index.kind();
+            let frame = index.persist_encode().unwrap();
+            let expect = search_ids(index.as_ref(), &queries, 5, &params).unwrap();
+            let plain = decode(&frame).unwrap();
+            let shared = decode_onto(&frame, Some(&base)).unwrap();
+            assert_eq!(
+                shared.persist_encode().unwrap(),
+                plain.persist_encode().unwrap()
+            );
+            let held = shared.vectors().map(ptr);
+            assert_eq!(held, (kind != "ivf-pq").then_some(ptr(&base)), "{kind}");
+            assert_ne!(plain.vectors().map(ptr), Some(ptr(&base)), "{kind}");
+            for other in &others {
+                let back = decode_onto(&frame, Some(other)).unwrap();
+                assert_ne!(back.vectors().map(ptr), Some(ptr(other)), "{kind}");
+                assert_ne!(back.vectors().map(ptr), Some(ptr(&base)), "{kind}");
+                assert_eq!(back.persist_encode().unwrap(), frame, "{kind}");
+                let got = search_ids(back.as_ref(), &queries, 5, &params).unwrap();
+                assert_eq!(got, expect, "{kind}");
+            }
+        }
     }
 }

@@ -164,6 +164,11 @@ impl SpannIndex {
 }
 
 impl VectorIndex for SpannIndex {
+    #[cfg(test)]
+    fn vectors(&self) -> Option<&Dataset> {
+        Some(&self.data)
+    }
+
     fn len(&self) -> usize {
         self.data.len()
     }

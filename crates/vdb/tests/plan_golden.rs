@@ -10,7 +10,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p sann-vdb --test plan_golden
 //! ```
 
-use sann_engine::Segment;
+use sann_engine::{Beam, Segment};
 use sann_index::{CpuOp, IoReq, QueryTrace};
 use sann_vdb::setup::{calibrated_plan_builder, SetupKind};
 use std::fmt::Write as _;
@@ -34,25 +34,26 @@ fn trace() -> QueryTrace {
     t
 }
 
-fn offsets(reqs: &[IoReq]) -> String {
-    let offsets: Vec<String> = reqs.iter().map(|r| r.offset.to_string()).collect();
+/// The offsets of every request, a beam's replicas expanded in the order
+/// the executor issues them.
+fn offsets(reqs: impl Iterator<Item = IoReq>) -> String {
+    let offsets: Vec<String> = reqs.map(|r| r.offset.to_string()).collect();
     offsets.join(",")
 }
 
 fn render(segment: &Segment) -> String {
+    let reads = || offsets(segment.beam().into_iter().flat_map(Beam::iter));
     match segment {
         Segment::Cpu { total_us, fanout } => format!("cpu/{fanout}:{:016x}", total_us.to_bits()),
-        Segment::Io { reqs } => format!("io[{}]", offsets(reqs)),
+        Segment::Io { .. } => format!("io[{}]", reads()),
         Segment::Delay { us } => format!("delay:{:016x}", us.to_bits()),
-        Segment::Write { reqs } => format!("write[{}]", offsets(reqs)),
+        Segment::Write { reqs } => format!("write[{}]", offsets(reqs.iter().copied())),
         Segment::Overlapped {
-            total_us,
-            fanout,
-            reqs,
+            total_us, fanout, ..
         } => format!(
             "overlapped/{fanout}:{:016x}[{}]",
             total_us.to_bits(),
-            offsets(reqs)
+            reads()
         ),
     }
 }
