@@ -80,6 +80,8 @@ impl Metric {
     /// Panics if a row is shorter than `query`, and (in debug builds) if
     /// one is longer.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_x4(&self, query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
         match self {
             Metric::L2 => l2_squared_x4(query, rows),
@@ -95,6 +97,8 @@ impl Metric {
     ///
     /// Panics if `query` is empty or `rows` does not hold exactly
     /// `out.len()` rows.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_rows(&self, query: &[f32], rows: &[f32], out: &mut [f32]) {
         assert_eq!(rows.len(), out.len() * query.len(), "row count mismatch");
         let rows = rows.chunks_exact(query.len());
@@ -114,6 +118,8 @@ impl Metric {
     /// # Panics
     ///
     /// Panics if an id is out of range.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_gather(&self, query: &[f32], data: &Dataset, ids: &[u32], out: &mut Vec<f32>) {
         out.clear();
         out.resize(ids.len(), 0.0);
@@ -177,25 +183,27 @@ impl std::fmt::Display for Metric {
 /// assert_eq!(d, 25.0);
 /// ```
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "distance between mismatched dims");
     let n = a.len().min(b.len());
+    let (a, a_tail) = a.split_at(n).0.as_chunks::<4>();
+    let (b, b_tail) = b.split_at(n).0.as_chunks::<4>();
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        let d0 = a[j] - b[j];
-        let d1 = a[j + 1] - b[j + 1];
-        let d2 = a[j + 2] - b[j + 2];
-        let d3 = a[j + 3] - b[j + 3];
+    for (&[a0, a1, a2, a3], &[b0, b1, b2, b3]) in a.iter().zip(b) {
+        let d0 = a0 - b0;
+        let d1 = a1 - b1;
+        let d2 = a2 - b2;
+        let d3 = a3 - b3;
         s0 += d0 * d0;
         s1 += d1 * d1;
         s2 += d2 * d2;
         s3 += d3 * d3;
     }
     let mut tail = 0.0f32;
-    for j in chunks * 4..n {
-        let d = a[j] - b[j];
+    for (&x, &y) in a_tail.iter().zip(b_tail) {
+        let d = x - y;
         tail += d * d;
     }
     s0 + s1 + s2 + s3 + tail
@@ -210,21 +218,23 @@ pub fn l2_squared(a: &[f32], b: &[f32]) -> f32 {
 /// assert_eq!(d, 11.0);
 /// ```
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot product of mismatched dims");
     let n = a.len().min(b.len());
+    let (a, a_tail) = a.split_at(n).0.as_chunks::<4>();
+    let (b, b_tail) = b.split_at(n).0.as_chunks::<4>();
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] * b[j];
-        s1 += a[j + 1] * b[j + 1];
-        s2 += a[j + 2] * b[j + 2];
-        s3 += a[j + 3] * b[j + 3];
+    for (&[a0, a1, a2, a3], &[b0, b1, b2, b3]) in a.iter().zip(b) {
+        s0 += a0 * b0;
+        s1 += a1 * b1;
+        s2 += a2 * b2;
+        s3 += a3 * b3;
     }
     let mut tail = 0.0f32;
-    for j in chunks * 4..n {
-        tail += a[j] * b[j];
+    for (&x, &y) in a_tail.iter().zip(b_tail) {
+        tail += x * y;
     }
     s0 + s1 + s2 + s3 + tail
 }
@@ -246,6 +256,8 @@ impl Lanes {
     /// can leave a remainder, so the tail sees the same elements in the
     /// same order as in the single-pair kernels.
     #[inline(always)]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn feed(&mut self, q: &[f32], r: &[f32], term: impl Fn(f32, f32) -> f32) {
         let (qc, rc) = (q.chunks_exact(4), r.chunks_exact(4));
         let (qt, rt) = (qc.remainder(), rc.remainder());
@@ -260,6 +272,8 @@ impl Lanes {
     }
 
     #[inline(always)]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn sum(self) -> f32 {
         let Lanes {
             s: [s0, s1, s2, s3],
@@ -271,6 +285,8 @@ impl Lanes {
 
 /// `sum_j term(query[j], row[j])` for four rows, block by block.
 #[inline(always)]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn sum_x4(query: &[f32], rows: [&[f32]; 4], term: impl Fn(f32, f32) -> f32 + Copy) -> [f32; 4] {
     // Cutting every row to the query's length makes a short row panic
     // instead of silently shortening its sum.
@@ -309,6 +325,8 @@ fn sum_x4(query: &[f32], rows: [&[f32]; 4], term: impl Fn(f32, f32) -> f32 + Cop
 /// assert_eq!(d, [25.0, 1.0, 0.0, 4.0]);
 /// ```
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub fn l2_squared_x4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
     sum_x4(query, rows, |x, y| {
         let d = x - y;
@@ -324,6 +342,8 @@ pub fn l2_squared_x4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
 /// Panics if a row is shorter than `query`, and (in debug builds) if one is
 /// longer.
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub fn dot_x4(query: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
     sum_x4(query, rows, |x, y| x * y)
 }
@@ -380,6 +400,8 @@ pub fn cols_row(cols: &[f32], dim: usize, c: usize) -> impl Iterator<Item = f32>
 
 /// Adds `(q - x)^2` to the sum of every row of a tile, for one column.
 #[inline(always)]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn feed_col(sums: &mut Tile, q: f32, col: &Tile) {
     for (s, &x) in sums.iter_mut().zip(col) {
         let d = q - x;
@@ -391,6 +413,8 @@ fn feed_col(sums: &mut Tile, q: f32, col: &Tile) {
 /// elements at a time, so the lane an element feeds is fixed in the code and
 /// the sums stay in registers.
 #[inline(always)]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn cols_tile(query: &[f32], tile: &[f32]) -> Tile {
     let mut lanes = [[0.0f32; COL_TILE]; 4];
     let mut tail = [0.0f32; COL_TILE];
@@ -418,6 +442,8 @@ fn cols_tile(query: &[f32], tile: &[f32]) -> Tile {
 /// time into [`l2_squared_cols`], the tile loop spills its sums and the
 /// last tile takes twice as long.
 #[inline(never)]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn cols_last_tile(query: &[f32], tile: &[f32]) -> Tile {
     cols_tile(query, tile)
 }
@@ -448,6 +474,8 @@ fn cols_last_tile(query: &[f32], tile: &[f32]) -> Tile {
 /// l2_squared_cols(&[0.0, 0.0], &cols, &mut out);
 /// assert_eq!(out, [25.0, 1.0, 4.0]);
 /// ```
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub fn l2_squared_cols(query: &[f32], cols: &[f32], out: &mut [f32]) {
     assert!(!query.is_empty(), "empty query");
     assert_eq!(
@@ -474,6 +502,8 @@ pub fn l2_squared_cols(query: &[f32], cols: &[f32], out: &mut [f32]) {
 /// already in cache the repeats cost less than leaving the batched kernel
 /// for latency-bound single-pair calls.
 #[inline(always)]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub fn by_fours<T: Copy>(
     mut items: impl Iterator<Item = T>,
     out: &mut [f32],
@@ -495,6 +525,8 @@ pub fn by_fours<T: Copy>(
 
 /// Euclidean norm of `v`.
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub fn norm(v: &[f32]) -> f32 {
     dot(v, v).sqrt()
 }
@@ -504,6 +536,8 @@ pub fn norm(v: &[f32]) -> f32 {
 /// Returns `1.0` (orthogonal) when either vector has zero norm, so the
 /// function is total.
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
     let na = norm(a);
     let nb = norm(b);
@@ -535,6 +569,27 @@ mod tests {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
 
+    /// The single-pair kernels as they were written before they dropped
+    /// indexing: the values they must keep, bit for bit.
+    fn indexed_lanes(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
+        let n = a.len().min(b.len());
+        let mut s = [0.0f32; 4];
+        for i in 0..n / 4 {
+            for (l, lane) in s.iter_mut().enumerate() {
+                *lane += term(a[4 * i + l], b[4 * i + l]);
+            }
+        }
+        let mut tail = 0.0f32;
+        for j in n / 4 * 4..n {
+            tail += term(a[j], b[j]);
+        }
+        s[0] + s[1] + s[2] + s[3] + tail
+    }
+
+    fn l2_term(x: f32, y: f32) -> f32 {
+        (x - y) * (x - y)
+    }
+
     #[test]
     fn l2_matches_naive_for_odd_lengths() {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 13, 768] {
@@ -547,6 +602,12 @@ mod tests {
                 "n={n}: {fast} vs {naive}"
             );
         }
+        for dim in identity_dims() {
+            let rows = random_rows(2, dim, dim as u64);
+            let (a, b) = (rows.row(0), rows.row(1));
+            let want = indexed_lanes(a, b, l2_term).to_bits();
+            assert_eq!(l2_squared(a, b).to_bits(), want, "{dim}-d");
+        }
     }
 
     #[test]
@@ -557,6 +618,12 @@ mod tests {
             let fast = dot(&a, &b);
             let naive = naive_dot(&a, &b);
             assert!((fast - naive).abs() < 1e-3 * naive.abs().max(1.0));
+        }
+        for dim in identity_dims() {
+            let rows = random_rows(2, dim, dim as u64);
+            let (a, b) = (rows.row(0), rows.row(1));
+            let want = indexed_lanes(a, b, |x, y| x * y).to_bits();
+            assert_eq!(dot(a, b).to_bits(), want, "{dim}-d");
         }
     }
 

@@ -99,6 +99,8 @@ impl TopK {
     /// Offers an entry; it is retained only if it is among the `k` closest
     /// seen so far. Returns `true` when the entry was retained.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn push(&mut self, id: u32, dist: f32) -> bool {
         if self.heap.len() < self.k {
             self.heap.push(Neighbor::new(id, dist));
@@ -120,6 +122,8 @@ impl TopK {
     ///
     /// Search loops use this as the pruning bound.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn bound(&self) -> f32 {
         match self.heap.peek() {
             Some(worst) if self.heap.len() >= self.k => worst.dist,

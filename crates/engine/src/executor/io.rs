@@ -10,6 +10,8 @@ use sann_ssdsim::HEDGE_TAG;
 
 impl<'a> Simulation<'a> {
     /// Records one device attempt of request `r` in the trace.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn io_span(
         &mut self,
         query: usize,
@@ -46,6 +48,8 @@ impl<'a> Simulation<'a> {
     /// device operation whose completion time is known when it is
     /// scheduled, and one event at the latest of them settles the batch.
     /// Returns the number in flight.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn issue_writes(&mut self, query: usize, t: u64, reqs: &[IoReq]) -> usize {
         let t_us = ns_to_us(t);
         let first = Attempt {
@@ -82,6 +86,8 @@ impl<'a> Simulation<'a> {
     /// number of reads left in flight; the caller decides how the query
     /// waits for them. The reads go out replica by replica, each handed to
     /// `start_attempt` as it is met, so this loop never looks one up.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn issue_beam(&mut self, query: usize, t: u64, reqs: Beam<'a>) -> usize {
         let q = self.q(query);
         q.beam_seq += 1;
@@ -94,10 +100,14 @@ impl<'a> Simulation<'a> {
             self.query_io_count += 1;
             self.query_read_bytes += u64::from(r.len);
             if self.cache.access(r.offset, r.len) == 0 {
-                // sann-lint: allow(panic-path) -- provenance.index() < COUNT by construction
-                self.prov_cache_hits[r.provenance.index()] += 1;
-                // sann-lint: allow(panic-path) -- provenance.index() < COUNT by construction
-                self.prov_cache_hit_bytes[r.provenance.index()] += u64::from(r.len);
+                #[allow(
+                    clippy::indexing_slicing,
+                    reason = "provenance.index() < COUNT by construction"
+                )]
+                {
+                    self.prov_cache_hits[r.provenance.index()] += 1;
+                    self.prov_cache_hit_bytes[r.provenance.index()] += u64::from(r.len);
+                }
                 self.fstats.ios_completed += 1;
                 continue;
             }
@@ -139,6 +149,8 @@ impl<'a> Simulation<'a> {
     /// Nothing else can happen to such a read — `resolve` serves data even
     /// past the query's deadline — so it is *sealed*: decided per attempt,
     /// from the draw and the schedule, under every profile alike.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn seals(&self, attempt: Attempt, done_ns: u64, failed: bool) -> bool {
         attempt.ordinal == 0
             && !failed
@@ -155,6 +167,8 @@ impl<'a> Simulation<'a> {
     /// is the first to need it, and completes through `on_read_done`.
     /// Failed attempts still consume device time and block-layer trace
     /// records — the host only learns of the error at completion.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn start_attempt(&mut self, read: ReadRef, io: IoReq, hedged: bool, t: u64) -> Option<u64> {
         let q = self.q(read.query);
         let attempt = Attempt {
@@ -224,6 +238,8 @@ impl<'a> Simulation<'a> {
     /// is dropped. A query leaves a beam only once every read of it has
     /// settled, so these three checks are all it takes. The fault path's
     /// one lookup of a read by its index in the beam is here.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn open_read(&mut self, read: ReadRef) -> Option<(&mut ReqState, IoReq)> {
         let q = self.queries.get_mut(read.query)?;
         if !(q.live && q.uid == read.uid && q.beam_seq == read.beam) {
@@ -234,6 +250,8 @@ impl<'a> Simulation<'a> {
         (!r.settled).then_some((r, io))
     }
 
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn on_read_done(
         &mut self,
         read: ReadRef,
@@ -287,6 +305,8 @@ impl<'a> Simulation<'a> {
     /// race and is cancelled exactly once, here: the host stops waiting
     /// now, while the device finishes the wasted work unobserved (its
     /// completion event is dropped as stale).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn resolve(&mut self, read: ReadRef, io: &IoReq, t: u64) {
         let Some(r) = self.q(read.query).reqs_state.get_mut(read.req) else {
             return;
@@ -303,6 +323,8 @@ impl<'a> Simulation<'a> {
 
     /// A failed read with nothing left in flight: retry if the budget and
     /// the deadline allow, otherwise abandon it.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn retry_or_abandon(&mut self, read: ReadRef, t: u64) {
         let policy = self.config.faults.retry;
         let q = self.q(read.query);
@@ -322,6 +344,8 @@ impl<'a> Simulation<'a> {
         );
     }
 
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn on_retry(&mut self, read: ReadRef, t: u64) {
         let Some((r, io)) = self.open_read(read) else {
             return;
@@ -339,6 +363,8 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn on_hedge(&mut self, read: ReadRef, t: u64) {
         let Some((r, io)) = self.open_read(read) else {
             return;
@@ -355,6 +381,8 @@ impl<'a> Simulation<'a> {
 
     /// Gives up on a read: the query degrades to a partial top-k and the
     /// loss is accounted (deadline vs retry exhaustion).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn abandon(&mut self, read: ReadRef, t: u64, deadline_hit: bool) {
         let q = self.q(read.query);
         q.degraded = true;
@@ -375,6 +403,8 @@ impl<'a> Simulation<'a> {
     /// waiting on (an event naming a read has been through `open_read`; one
     /// naming only the query counts requests the query cannot leave
     /// behind), so a stale call is a bug.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn request_settled(&mut self, query: usize, n: usize, t: u64) {
         let q = self.q(query);
         debug_assert!(

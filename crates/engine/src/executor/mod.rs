@@ -295,6 +295,8 @@ impl EventKind {
 
     /// The kind's position in [`EventKind::PUSHED`].
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn index(self) -> usize {
         match self {
             EventKind::Subtask { .. } => 0,
@@ -320,6 +322,8 @@ thread_local! {
 /// sealing, which the tests hold the default against. Spans stay where the
 /// default puts them. Constant `false` outside the crate's unit tests.
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn force_open() -> bool {
     #[cfg(test)]
     return FORCE_OPEN.get();

@@ -74,6 +74,8 @@ impl EventQueue {
     ///
     /// Panics past 2^36 pushes, or with 2^26 events parked at once, rather
     /// than wrapping a field of the key.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn push(&mut self, at_ns: u64, kind: EventKind) {
         assert!(
             self.seq < MAX_SEQ,
@@ -97,6 +99,8 @@ impl EventQueue {
 
     /// The earliest outstanding event, as `(time, kind)`, which stays at the
     /// root until the next push replaces it or the next call pops it.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn next_event(&mut self) -> Option<(u64, EventKind)> {
         if std::mem::take(&mut self.root_handled) {
             self.heap.pop();
@@ -117,8 +121,12 @@ impl EventQueue {
             _ => {
                 let slot = cast::usize_from_u64(body);
                 self.free.push(slot);
-                // sann-lint: allow(panic-path) -- a slab tag names the slot `park` filled for it
-                self.slab[slot]
+                #[allow(
+                    clippy::indexing_slicing,
+                    reason = "a slab tag names the slot `park` filled for it"
+                )]
+                let kind = self.slab[slot];
+                kind
             }
         };
         Some((t, kind))
@@ -136,6 +144,8 @@ impl EventQueue {
 
     /// The payload of a key for `kind`: a tag and the event's fields when
     /// they fit, else a tag and the slab slot it is parked in.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn payload(&mut self, kind: EventKind) -> u64 {
         let (tag, body) = match kind {
             EventKind::Subtask { query } => (TAG_SUBTASK, query_field(query)),
@@ -149,6 +159,8 @@ impl EventQueue {
     }
 
     /// Stores a payload the key cannot carry; returns its slot.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn park(&mut self, kind: EventKind) -> usize {
         if let Some(slot) = self.free.pop() {
             if let Some(cell) = self.slab.get_mut(slot) {
@@ -169,6 +181,8 @@ impl EventQueue {
 /// refuses more than [`MAX_CLIENTS`] clients, and a run holds no more slots
 /// than clients.
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn query_field(query: usize) -> usize {
     debug_assert!(
         query < MAX_CLIENTS,

@@ -111,6 +111,8 @@ impl<'a> Simulation<'a> {
     }
 
     /// Issues every client's first query and drains the event heap.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn run_events(&mut self) {
         for client in 0..self.config.concurrency {
             self.issue_query(client, 0);
@@ -387,12 +389,20 @@ impl<'a> Simulation<'a> {
 
     /// The query in slot `query`.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn q(&mut self, query: usize) -> &mut ActiveQuery<'a> {
-        // sann-lint: allow(panic-path) -- slots are named only by events and ready entries this simulation created
-        &mut self.queries[query]
+        #[allow(
+            clippy::indexing_slicing,
+            reason = "slots are named only by events and ready entries this simulation created"
+        )]
+        let q = &mut self.queries[query];
+        q
     }
 
     /// Moves the query to its next segment (current one already complete).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn advance(&mut self, query: usize, t: u64) {
         loop {
             let (plan_idx, seg_idx, past_deadline) = {
@@ -464,6 +474,8 @@ impl<'a> Simulation<'a> {
 
     /// Queues `total_us` of CPU work as `fanout` equal subtasks, billed to
     /// `label`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn start_cpu(&mut self, query: usize, t: u64, label: Phase, total_us: f64, fanout: usize) {
         self.set_phase(query, label, t);
         let fanout = fanout.max(1);
@@ -477,6 +489,8 @@ impl<'a> Simulation<'a> {
     /// Queues the submission subtask of a batch of `n_reqs` requests:
     /// submission runs on a core first, the requests are issued when it
     /// completes.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn start_submit(&mut self, query: usize, t: u64, n_reqs: usize) {
         self.set_phase(query, Phase::BeamIssue, t);
         let submit_ns = us_to_ns(cast::f64_from_usize(n_reqs) * self.config.ssd.submit_cpu_us);
@@ -488,6 +502,8 @@ impl<'a> Simulation<'a> {
 
     /// Past the per-query IO deadline: a beam of `n_reqs` reads is skipped
     /// unread and the query degrades to a partial result.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn skip_beam(&mut self, query: usize, n_reqs: usize) {
         let n = cast::u64_from_usize(n_reqs);
         self.fstats.deadline_skips += n;
@@ -498,6 +514,8 @@ impl<'a> Simulation<'a> {
     /// A CPU subtask of the query finished: a submission issues its batch,
     /// the last overlapped subtask leaves any reads still in flight
     /// exposed, and the segment completes if nothing of it is left.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn on_subtask_done(&mut self, query: usize, t: u64) {
         let q = self.q(query);
         q.remaining_subtasks -= 1;
@@ -515,6 +533,8 @@ impl<'a> Simulation<'a> {
     /// query then runs the segment's overlapped CPU, if it has any, or
     /// waits for the batch. Copying the `&'a` plans out of `self` lets the
     /// beam stay borrowed from them while the issue path takes `&mut self`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn issue_batch(&mut self, query: usize, t: u64) {
         let (plan_idx, seg_idx) = (self.q(query).plan, self.q(query).seg);
         let plans: &'a [QueryPlan] = self.plans;
@@ -563,6 +583,8 @@ impl<'a> Simulation<'a> {
 
     /// The one segment-completion rule: the segment is done once its CPU
     /// subtasks have all finished and its requests have all settled.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(super) fn end_segment(&mut self, query: usize, t: u64) {
         let q = self.q(query);
         if q.remaining_subtasks == 0 && q.pending_ios == 0 {
@@ -609,6 +631,8 @@ impl<'a> Simulation<'a> {
         self.issue_query(client, t);
     }
 
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn dispatch(&mut self, t: u64) {
         while self.free_cores > 0 {
             let Some((query, dur_ns)) = self.ready.pop_front() else {

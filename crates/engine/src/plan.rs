@@ -132,12 +132,16 @@ impl<'a> Beam<'a> {
 
     /// Reads the beam issues, over all replicas.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn width(self) -> usize {
         self.reqs.len() * self.copies
     }
 
     /// Read `req` of the beam, `None` past its width.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn get(self, req: usize) -> Option<IoReq> {
         let replica = req.checked_div(self.reqs.len())?;
         let io = self.reqs.get(req.checked_rem(self.reqs.len())?)?;
@@ -145,6 +149,8 @@ impl<'a> Beam<'a> {
     }
 
     /// Every read of the beam, in issue order.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn iter(self) -> impl Iterator<Item = IoReq> + 'a {
         (0..self.copies).flat_map(move |replica| {
             let shift = replica_shift(replica);
@@ -155,6 +161,8 @@ impl<'a> Beam<'a> {
 
 /// Device offset of replica `replica` relative to replica 0.
 #[inline]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn replica_shift(replica: usize) -> u64 {
     cast::u64_from_usize(replica) * IO_FANOUT_STRIDE
 }

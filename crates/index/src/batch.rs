@@ -27,6 +27,8 @@ pub(crate) struct Batch {
 
 impl Batch {
     /// Replaces the ids with `ids`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn set(&mut self, ids: &[u32]) {
         self.ids.clear();
         self.ids.extend_from_slice(ids);
@@ -45,11 +47,15 @@ impl Batch {
     }
 
     /// Scores the ids by their exact distance from `query`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn score(&mut self, metric: Metric, query: &[f32], data: &Dataset) {
         metric.distance_gather(query, data, &self.ids, &mut self.dists);
     }
 
     /// The scored `(id, distance)` pairs, in id order.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn scored(&self) -> impl Iterator<Item = (u32, f32)> + '_ {
         self.ids.iter().copied().zip(self.dists.iter().copied())
     }
@@ -128,6 +134,8 @@ pub(crate) fn best_first<'g>(
 /// Greedy single-entry descent: moves from `ep` to the closest of its
 /// `neighbors` for as long as that improves on the current node, and
 /// returns where it stopped. `dist` is as in [`best_first`].
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub(crate) fn greedy_descend<'g>(
     mut ep: u32,
     neighbors: impl Fn(u32) -> &'g [u32],

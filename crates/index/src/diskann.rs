@@ -239,26 +239,35 @@ impl FetchedSet {
         }
     }
 
+    /// Marks record or page `slot` fetched, and returns whether it was not
+    /// fetched before. The caller got `slot` from the layout, which rejects
+    /// an id past the last node, so it is always in the set.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
+    fn first_fetch(&mut self, slot: u64) -> bool {
+        let fetched = usize::try_from(slot).ok().and_then(|i| self.set.get_mut(i));
+        debug_assert!(fetched.is_some(), "slot {slot} past the fetched set");
+        fetched.is_some_and(|f| !std::mem::replace(f, true))
+    }
+
     /// Queues the reads that must complete before node `id` can be visited
     /// this hop. Already-fetched records cost nothing; under the paged
     /// layout a second frontier node on a page already queued *this beam*
     /// only bumps that request's needed bytes.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn demand(&mut self, ix: &DiskAnnIndex, id: u64, reqs: &mut Vec<IoReq>) -> Result<()> {
         let prov = sann_obs::IoProvenance::GraphAdjacency;
         match self.kind {
             LayoutKind::Naive => {
                 let node_reqs = ix.layout.node_reqs(id, prov)?;
-                let slot = &mut self.set[id as usize];
-                if !*slot {
-                    *slot = true;
+                if self.first_fetch(id) {
                     reqs.extend(node_reqs);
                 }
             }
             LayoutKind::Paged => {
                 let page = ix.paged.page_of(id)?;
-                let slot = &mut self.set[page as usize];
-                if !*slot {
-                    *slot = true;
+                if self.first_fetch(u64::from(page)) {
                     reqs.push(ix.paged.page_req(page, 1, prov));
                 } else if let Some(r) = reqs
                     .iter_mut()
@@ -280,22 +289,20 @@ impl FetchedSet {
 
     /// Queues a speculative read for node `id` unless its record (or page)
     /// is already in memory or already queued.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn speculate(&mut self, ix: &DiskAnnIndex, id: u64, out: &mut Vec<IoReq>) -> Result<()> {
         let prov = sann_obs::IoProvenance::GraphAdjacency;
         match self.kind {
             LayoutKind::Naive => {
                 let node_reqs = ix.layout.node_reqs(id, prov)?;
-                let slot = &mut self.set[id as usize];
-                if !*slot {
-                    *slot = true;
+                if self.first_fetch(id) {
                     out.extend(node_reqs);
                 }
             }
             LayoutKind::Paged => {
                 let page = ix.paged.page_of(id)?;
-                let slot = &mut self.set[page as usize];
-                if !*slot {
-                    *slot = true;
+                if self.first_fetch(u64::from(page)) {
                     out.push(ix.paged.page_req(page, 1, prov));
                 }
             }

@@ -133,6 +133,8 @@ fn distances(metric: Metric, data: &Dataset, from: u32, ids: &[u32], out: &mut V
 /// owner of the list is, if there is one. `kept` is scored four nodes at a
 /// time and the scan stops at the first group that holds such a node: a
 /// dominator is usually among the first kept (the nearest ones).
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn dominator(
     metric: Metric,
     data: &Dataset,
@@ -256,6 +258,8 @@ impl<'a> Builder<'a> {
     /// link that was *pruned* stays pruned while its witness is still kept,
     /// and is decided in full only if the witness fell in this walk. An
     /// *unseen* link is decided in full. The walk stops at `cap` kept.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn reprune(&mut self, adj: &mut Vec<u32>, known: &mut Vec<Link>, cap: usize) {
         let (data, metric) = (self.data, self.metric);
         let Builder {

@@ -137,6 +137,8 @@ impl PagedLayout {
     ///
     /// Returns [`Error::InvalidParameter`] if `id` is out of range (the
     /// PR 5 panic-path policy: a corrupt edge must not tear down a sweep).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn page_of(&self, id: u64) -> Result<u32> {
         usize::try_from(id)
             .ok()
@@ -159,6 +161,8 @@ impl PagedLayout {
     }
 
     /// Device byte offset of `page`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn page_offset(&self, page: u32) -> u64 {
         u64::from(page) * self.page_bytes
     }
@@ -167,6 +171,8 @@ impl PagedLayout {
     /// worth of payload counted as needed (the frontier nodes this fetch
     /// serves; co-resident records used on later hops ride for free and
     /// are not counted — speculative bytes are amplification until used).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn page_req(&self, page: u32, nodes_used: u64, provenance: IoProvenance) -> IoReq {
         let len = cast::u32_from_u64(self.page_bytes);
         let needed = cast::u32_from_u64((self.node_bytes * nodes_used).min(self.page_bytes));

@@ -69,6 +69,8 @@ impl Timeline {
     /// Folds one sample in. Samples at or beyond `duration_us` land in the
     /// final window (a request scheduled exactly at the horizon still
     /// belongs to the run).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn record(&mut self, t_us: f64, value: f64) {
         debug_assert!(t_us >= 0.0, "negative sample time");
         #[allow(
@@ -81,10 +83,14 @@ impl Timeline {
         } else {
             0
         };
-        // sann-lint: allow(panic-path) -- i is clamped to n_buckets()-1 above
-        self.sums[i] += value;
-        // sann-lint: allow(panic-path) -- i is clamped to n_buckets()-1 above
-        self.counts[i] += 1;
+        #[allow(
+            clippy::indexing_slicing,
+            reason = "i is clamped to n_buckets()-1 above"
+        )]
+        {
+            self.sums[i] += value;
+            self.counts[i] += 1;
+        }
     }
 
     /// Forgets every sample; the windows stay.

@@ -249,6 +249,8 @@ impl Assigned {
 }
 
 /// The smallest distance and its index (the first of equals).
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn first_smallest(dists: &[f32]) -> Assigned {
     let mut best = Assigned::NONE;
     for (c, &d) in dists.iter().enumerate() {
@@ -265,6 +267,8 @@ fn first_smallest(dists: &[f32]) -> Assigned {
 /// Index of the centroid closest to `v` (the first of equals) among the
 /// `dists.len()` stored in `cols` in the column layout of
 /// [`cols_from_rows`]; `dists` is scratch.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub(crate) fn nearest_centroid(v: &[f32], cols: &[f32], dists: &mut [f32]) -> u32 {
     l2_squared_cols(v, cols, dists);
     first_smallest(dists).id
@@ -404,6 +408,8 @@ impl Lloyd {
 
     /// One row of [`Lloyd::assign`]; `all` and `few` are scratch of `k` and
     /// `moved.len()` slots. Returns whether the row's centroid changed.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn assign_row(&self, v: &[f32], slot: &mut Assigned, all: &mut [f32], few: &mut [f32]) -> bool {
         let own = usize::try_from(slot.id).unwrap_or(usize::MAX);
         let best = if self.is_moved.get(own).copied().unwrap_or(true) {

@@ -146,6 +146,8 @@ impl ProductQuantizer {
     }
 
     /// Writes the code of `v` to `code`; `dists` is `ksub` scratch slots.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn encode_row(&self, v: &[f32], code: &mut [u8], dists: &mut [f32]) {
         assert_eq!(v.len(), self.dim, "encode dimension mismatch");
         for (slot, (sv, book)) in code.iter_mut().zip(self.subspaces(v)) {
@@ -241,6 +243,8 @@ impl ProductQuantizer {
     /// # Panics
     ///
     /// Panics if `query.len() != self.dim()`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_table(&self, query: &[f32]) -> DistanceTable {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
         let mut table = DistanceTable::zeroed(self.m, self.ksub);
@@ -265,6 +269,8 @@ pub struct DistanceTable {
 /// partial distances. Only a corrupt code holds a byte beyond `ksub`; it
 /// scores `+inf`, so the vector never ranks.
 #[inline(always)]
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 fn entry(row: &[f32], c: u8) -> f32 {
     debug_assert!(usize::from(c) < row.len(), "code byte {c} beyond ksub");
     row.get(usize::from(c)).copied().unwrap_or(f32::INFINITY)
@@ -287,6 +293,8 @@ impl DistanceTable {
     ///
     /// Panics (in debug builds) if `code.len()` differs from the quantizer's `m`.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance(&self, code: &[u8]) -> f32 {
         debug_assert_eq!(code.len(), self.m);
         let mut d = 0.0f32;
@@ -306,6 +314,8 @@ impl DistanceTable {
     /// Panics (in debug builds) if a code's length differs from the
     /// quantizer's `m`.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_x4(&self, codes: [&[u8]; 4]) -> [f32; 4] {
         debug_assert!(codes.iter().all(|code| code.len() == self.m));
         let [c0, c1, c2, c3] = codes;
@@ -325,6 +335,8 @@ impl DistanceTable {
     ///
     /// Panics if `codes` holds fewer than `i + 1` codes.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_at(&self, codes: &[u8], i: usize) -> f32 {
         self.distance(self.code_at(codes, i))
     }
@@ -335,6 +347,8 @@ impl DistanceTable {
     /// # Panics
     ///
     /// Panics if `codes` does not hold exactly `out.len()` codes.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_rows(&self, codes: &[u8], out: &mut [f32]) {
         assert_eq!(codes.len(), out.len() * self.m, "code count mismatch");
         by_fours(codes.chunks_exact(self.m), out, |group| {
@@ -349,6 +363,8 @@ impl DistanceTable {
     /// # Panics
     ///
     /// Panics if an id is out of range.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_gather(&self, codes: &[u8], ids: &[u32], out: &mut Vec<f32>) {
         out.clear();
         out.resize(ids.len(), 0.0);

@@ -122,6 +122,8 @@ impl ScalarQuantizer {
     /// in dimension order, and the four sums advance together so their add
     /// chains overlap.
     #[inline]
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn distance_x4(&self, query: &[f32], codes: [&[u8]; 4]) -> [f32; 4] {
         let [c0, c1, c2, c3] = codes;
         let mut d = [0.0f32; 4];

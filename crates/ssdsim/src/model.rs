@@ -181,6 +181,8 @@ impl DeviceSim {
         self.schedule_op(arrival_us, len, self.model.base_latency_us + extra_media_us)
     }
 
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn schedule_op(&mut self, arrival_us: f64, len: u32, media_us: f64) -> f64 {
         let arrival_ns = cast::u64_from_f64((arrival_us * NS_PER_US).round().max(0.0));
         // Telemetry: queue depth at arrival = units still busy past this

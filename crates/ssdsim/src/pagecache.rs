@@ -65,6 +65,8 @@ impl PageCache {
 
     /// Accesses a byte range; returns the number of pages that missed (and
     /// were inserted). `0` means the whole range was cached.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn access(&mut self, offset: u64, len: u32) -> u64 {
         if len == 0 {
             return 0;
@@ -114,6 +116,8 @@ impl PageCache {
     }
 
     /// Takes `slot` out of the recency list (its own links go stale).
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn unlink(&mut self, slot: usize) {
         let Some(&Slot { prev, next, .. }) = self.slots.get(slot) else {
             debug_assert!(false, "unlink of a slot outside the slab");
@@ -130,6 +134,8 @@ impl PageCache {
     }
 
     /// Links an unlinked `slot` in as the most recently used.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn push_front(&mut self, slot: usize) {
         let old_head = self.head;
         if let Some(s) = self.slots.get_mut(slot) {

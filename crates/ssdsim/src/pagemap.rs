@@ -51,6 +51,8 @@ impl<V: Copy + Default> PageMap<V> {
 
     /// Where the probe for `page` starts: the top bits of a Fibonacci hash,
     /// so pages a fixed stride apart do not pile into one run.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn home(&self, page: u64) -> usize {
         let bits = self.cells.len().trailing_zeros();
         // The shift leaves `bits` bits: an index below `cells.len()`.
@@ -58,6 +60,8 @@ impl<V: Copy + Default> PageMap<V> {
     }
 
     /// The cell holding `page`, or the empty cell where it would go.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn probe(&self, page: u64) -> usize {
         debug_assert!(page != EMPTY, "page index collides with the empty marker");
         let mut at = self.home(page);
@@ -70,6 +74,8 @@ impl<V: Copy + Default> PageMap<V> {
         at
     }
 
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(crate) fn get(&self, page: u64) -> Option<V> {
         match self.cells.get(self.probe(page)) {
             Some(&(held, value)) if held == page => Some(value),
@@ -79,6 +85,8 @@ impl<V: Copy + Default> PageMap<V> {
 
     /// The value of `page`, entered as `V::default()` when absent. (`None`
     /// only if a probe left the table, which its mask rules out.)
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(crate) fn entry(&mut self, page: u64) -> Option<&mut V> {
         let mut at = self.probe(page);
         if self.cells.get(at).is_some_and(|cell| cell.0 == EMPTY) {
@@ -93,6 +101,8 @@ impl<V: Copy + Default> PageMap<V> {
         Some(&mut cell.1)
     }
 
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub(crate) fn remove(&mut self, page: u64) {
         let mut hole = self.probe(page);
         if self.cells.get(hole).is_none_or(|cell| cell.0 != page) {

@@ -64,6 +64,8 @@ impl IoTracer {
 
     /// Records a fully tagged read issue: provenance plus the payload
     /// bytes the issuer needs out of the fetched `len`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn record_read_tagged(
         &mut self,
         time_us: f64,
@@ -76,6 +78,8 @@ impl IoTracer {
     }
 
     /// Records a fully tagged write issue.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn record_write_tagged(
         &mut self,
         time_us: f64,
@@ -87,6 +91,8 @@ impl IoTracer {
         self.fold(IoOp::Write, time_us, offset, len, needed, provenance);
     }
 
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     fn fold(
         &mut self,
         op: IoOp,

@@ -11,12 +11,12 @@
 //! `target/analyze`, so its cached results survive the plain
 //! `cargo clippy` runs, whose lint flags differ.
 //!
-//! The determinism bans are not here: the root `clippy.toml` lists them as
-//! `disallowed-types`, and `scripts/check.sh` denies them in every target
-//! with `-D warnings`.
+//! The bans of the root `clippy.toml` are not counted here. The
+//! determinism bans are denied in every target by `scripts/check.sh`'s
+//! `-D warnings`; the hot-path bans are `deny` inside the functions marked
+//! hot, so a violation fails this pass outright.
 
 use crate::analyze::package_key;
-use crate::rules::Finding;
 use json::Value;
 use std::path::Path;
 use std::process::Command;
@@ -26,6 +26,23 @@ use std::process::Command;
 #[path = "../../../benchmark/src/json.rs"]
 #[allow(dead_code, reason = "the writer half of the module goes unused here")]
 mod json;
+
+/// One finding of a ratcheted clippy lint.
+#[derive(Debug, Clone)]
+pub struct Finding {
+    /// The clippy lint that fired.
+    pub rule: &'static str,
+    /// Root-relative path with forward slashes.
+    pub rel: String,
+    /// Package key for baseline accounting (`core`, `engine`, …).
+    pub krate: String,
+    /// 1-based line.
+    pub line: u32,
+    /// 1-based column.
+    pub col: u32,
+    /// What fired, specifically.
+    pub message: String,
+}
 
 /// The clippy lints ratcheted against `analyze-baseline.toml`.
 pub const RATCHETED: &[&str] = &[
@@ -62,13 +79,30 @@ pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
         cargo.args(["-W", lint]);
     }
     let out = cargo.output().map_err(|e| format!("cargo clippy: {e}"))?;
+    let stream = String::from_utf8_lossy(&out.stdout);
     if !out.status.success() {
         return Err(format!(
-            "cargo clippy failed:\n{}",
+            "cargo clippy failed:\n{}{}",
+            rendered_errors(&stream),
             String::from_utf8_lossy(&out.stderr)
         ));
     }
-    findings(&String::from_utf8_lossy(&out.stdout), &root)
+    findings(&stream, &root)
+}
+
+/// The rendered text of every error in a `cargo --message-format=json`
+/// stream — a hot function's denied construct, say — which cargo does not
+/// repeat on stderr.
+fn rendered_errors(stream: &str) -> String {
+    let mut out = String::new();
+    for line in stream.lines().filter(|l| l.starts_with('{')) {
+        let Ok(msg) = json::parse(line) else { continue };
+        let text = |key: &str| msg.get("message")?.get(key)?.as_str();
+        if text("level") == Some("error") {
+            out.push_str(text("rendered").unwrap_or_default());
+        }
+    }
+    out
 }
 
 /// The [`RATCHETED`] findings in a `cargo --message-format=json` stream:
@@ -159,5 +193,12 @@ mod tests {
             "casting `u64` to `u32` may truncate the value"
         );
         assert!(findings("{not json\n", Path::new("/ws")).is_err());
+    }
+
+    #[test]
+    fn a_failed_pass_reports_its_errors_only() {
+        let error = r#"{"reason":"compiler-message","message":{"level":"error","rendered":"error: indexing may panic\n","code":{"code":"clippy::indexing_slicing"}}}"#;
+        let stream = format!("{STREAM}{error}\n");
+        assert_eq!(rendered_errors(&stream), "error: indexing may panic\n");
     }
 }

@@ -6,11 +6,11 @@
 //! two directions:
 //!
 //! * **statically** — [`analyze`] counts clippy's lossy-cast and panic lints
-//!   per package ([`clippy`]), runs the three hot-path rules ([`rules`]) on
-//!   a hand-rolled [`lexer`]'s tokens of the functions the hot-path manifest
-//!   lists, ratchets both against [`baseline`]-recorded counts, and checks
-//!   the crate manifests against the declared dependency DAG
-//!   ([`layering`]). The result renders as one table;
+//!   per package ([`clippy`]), ratchets them against [`baseline`]-recorded
+//!   counts, and checks the crate manifests against the declared dependency
+//!   DAG ([`layering`]). The result renders as one table. Hot functions
+//!   carry their own `deny` attributes, so a hot-path ban fails the same
+//!   clippy pass;
 //! * **dynamically** — [`determinism`] runs a small end-to-end sweep twice
 //!   with the same seed and diffs the canonical metric encodings byte for
 //!   byte — and double-runs the analyzer itself, demanding byte-stable
@@ -23,5 +23,3 @@ pub mod baseline;
 pub mod clippy;
 pub mod determinism;
 pub mod layering;
-pub mod lexer;
-pub mod rules;

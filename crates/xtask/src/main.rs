@@ -5,10 +5,10 @@
 //! sann-xtask determinism
 //! ```
 //!
-//! `analyze` is the static checker: the clippy lint ratchet, the hot-path
-//! lexer rules and the manifest layering check over the workspace (or the
-//! tree at `--root`), against that root's `analyze-baseline.toml` and
-//! `analyze-hotpaths.toml`. `determinism` is the runtime double-run audit.
+//! `analyze` is the static checker: the clippy lint ratchet and the manifest
+//! layering check over the workspace (or the tree at `--root`), against
+//! that root's `analyze-baseline.toml`. `determinism` is the runtime
+//! double-run audit.
 
 use sann_xtask::analyze;
 use std::path::PathBuf;

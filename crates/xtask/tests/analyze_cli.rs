@@ -1,11 +1,10 @@
-//! End-to-end tests of `sann-xtask analyze`: the hot-path rules fire only
-//! in the functions the root's `analyze-hotpaths.toml` names and markers
-//! suppress them with a reason; the ratchet gates through the root's
-//! `analyze-baseline.toml`; the clippy pass counts a probe package's
-//! findings; the root `clippy.toml` denies every banned type in another
-//! probe; the manifest check fails on an inverted edge; the report is
-//! byte-stable; and the real workspace passes against the committed
-//! baseline.
+//! End-to-end tests of `sann-xtask analyze` and the clippy configuration it
+//! relies on: the clippy pass counts a probe package's findings and the
+//! ratchet gates through the root's `analyze-baseline.toml`; the root
+//! `clippy.toml` denies every banned type in another probe, and every
+//! hot-path ban inside a marked function only; the manifest check fails on
+//! an inverted edge; the report is byte-stable; and the real workspace
+//! passes against the committed baseline.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -13,12 +12,6 @@ use std::process::{Command, Output};
 
 fn xtask() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sann-xtask"))
-}
-
-fn fixtures_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("analyze_fixtures")
 }
 
 fn workspace_root() -> PathBuf {
@@ -38,21 +31,37 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Writes the scratch root's hot-path manifest: `(file, "fn, fn")` entries.
-fn write_hotpaths(dir: &Path, entries: &[(&str, &str)]) {
-    let mut text = String::from("[hot]\n");
-    for (file, fns) in entries {
-        text.push_str(&format!("\"{file}\" = \"{fns}\"\n"));
-    }
-    std::fs::write(dir.join("analyze-hotpaths.toml"), text).unwrap();
+/// A one-package workspace in a scratch dir: `lib` as its library, and
+/// `manifest_tail` after the `[workspace]` line of its manifest.
+fn probe_package(tag: &str, lib: &str, manifest_tail: &str) -> PathBuf {
+    let dir = scratch(tag);
+    std::fs::create_dir_all(dir.join("src")).unwrap();
+    std::fs::write(
+        dir.join("Cargo.toml"),
+        format!(
+            "[package]\nname = \"probe\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n[workspace]\n{manifest_tail}"
+        ),
+    )
+    .unwrap();
+    std::fs::write(dir.join("src").join("lib.rs"), lib).unwrap();
+    dir
 }
 
-/// A scratch copy of one fixture whose manifest lists `hot_fn` in it.
-fn hot_scratch(name: &str, tag: &str, hot_fn: &str) -> PathBuf {
-    let dir = scratch(tag);
-    std::fs::copy(fixtures_dir().join(name), dir.join(name)).unwrap();
-    write_hotpaths(&dir, &[(name, hot_fn)]);
-    dir
+/// Runs `cargo clippy` on the package at `dir`, with one short line per
+/// diagnostic on stderr.
+fn cargo_clippy(dir: &Path, lint_args: &[&str]) -> Output {
+    Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()))
+        .current_dir(dir)
+        .args([
+            "clippy",
+            "--offline",
+            "--quiet",
+            "--message-format=short",
+            "--",
+        ])
+        .args(lint_args)
+        .output()
+        .unwrap()
 }
 
 fn run_analyze(dir: &Path, extra: &[&str]) -> Output {
@@ -66,132 +75,6 @@ fn run_analyze(dir: &Path, extra: &[&str]) -> Output {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-#[test]
-fn hot_loop_fixture_fires_both_rules_via_the_manifest() {
-    let dir = hot_scratch("hot_positive.rs", "hot-pos", "kernel");
-    let out = run_analyze(&dir, &[]);
-    assert!(!out.status.success());
-    let text = stdout(&out);
-    // Only the hot kernel's sites count (to_vec, vec!; partial_cmp): the
-    // identical allocation in the cold function on line 18 must not.
-    assert!(
-        text.contains("error[ratchet]: hot-alloc/sann: 2 finding(s)"),
-        "{text}"
-    );
-    assert!(
-        text.contains("error[ratchet]: hot-float/sann: 1 finding(s)"),
-        "{text}"
-    );
-    assert!(!text.contains("hot_positive.rs:18:"), "{text}");
-    assert!(text.contains("clippy pass skipped"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn hot_index_fixture_fires_twice() {
-    let dir = hot_scratch("panic_positive.rs", "index-pos", "kernel");
-    let out = run_analyze(&dir, &[]);
-    let text = stdout(&out);
-    assert!(!out.status.success(), "{text}");
-    assert!(
-        text.contains("error[ratchet]: panic-path/sann: 2 finding(s), baseline allows 0"),
-        "{text}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn hot_fixtures_that_follow_the_rules_pass() {
-    for (name, hot_fn) in [
-        ("hot_allowed.rs", "kernel_with_setup"),
-        ("hot_clean.rs", "kernel"),
-        ("panic_allowed.rs", "audited"),
-        ("panic_clean.rs", "four_at_once"),
-    ] {
-        let dir = hot_scratch(name, name.trim_end_matches(".rs"), hot_fn);
-        let out = run_analyze(&dir, &[]);
-        assert!(out.status.success(), "{name} must pass:\n{}", stdout(&out));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn malformed_marker_fails() {
-    let dir = scratch("marker");
-    std::fs::write(
-        dir.join("bad_marker.rs"),
-        "fn f(v: &[u32]) -> u32 {\n    // sann-lint: allow(panic-path)\n    v[0]\n}\n",
-    )
-    .unwrap();
-    write_hotpaths(&dir, &[("bad_marker.rs", "f")]);
-    let out = run_analyze(&dir, &[]);
-    assert!(!out.status.success(), "reason-less marker must fail");
-    assert!(
-        stdout(&out).contains("error[bad-marker]"),
-        "{}",
-        stdout(&out)
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn hot_loop_manifest_marks_only_the_functions_it_lists() {
-    let dir = hot_scratch("hot_clean.rs", "hot-manifest", "kernel");
-    // Two identical allocating fns in a second file; only one is listed.
-    std::fs::write(
-        dir.join("listed.rs"),
-        "fn listed_kernel(xs: &[f32]) -> Vec<f32> { xs.to_vec() }\n\
-         fn unlisted(xs: &[f32]) -> Vec<f32> { xs.to_vec() }\n",
-    )
-    .unwrap();
-    write_hotpaths(
-        &dir,
-        &[("hot_clean.rs", "kernel"), ("listed.rs", "listed_kernel")],
-    );
-    let out = run_analyze(&dir, &[]);
-    let text = stdout(&out);
-    assert!(!out.status.success(), "{text}");
-    assert!(
-        text.contains("error[ratchet]: hot-alloc/sann: 1 finding(s)"),
-        "{text}"
-    );
-    assert!(text.contains("listed.rs:1:"), "{text}");
-    assert!(!text.contains("listed.rs:2:"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A manifest entry naming a file that is gone, or a function its file no
-/// longer defines, fails the run instead of silently dropping the function
-/// from the hot-path rules.
-#[test]
-fn hot_loop_manifest_rejects_stale_entries() {
-    let dir = scratch("hot-stale");
-    std::fs::write(dir.join("kernel.rs"), "fn kernel(x: f32) -> f32 { x }\n").unwrap();
-    for (file, fns, complaint) in [
-        ("kernel.rs", "kernel", None),
-        ("gone.rs", "kernel", Some("gone.rs")),
-        (
-            "kernel.rs",
-            "kernel, renamed",
-            Some("defines no fn `renamed`"),
-        ),
-    ] {
-        write_hotpaths(&dir, &[(file, fns)]);
-        let out = run_analyze(&dir, &[]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            out.status.success(),
-            complaint.is_none(),
-            "{file} = {fns}: {stderr}"
-        );
-        if let Some(complaint) = complaint {
-            assert!(stderr.contains("stale entry"), "{file} = {fns}: {stderr}");
-            assert!(stderr.contains(complaint), "{file} = {fns}: {stderr}");
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A synthetic workspace whose `ssdsim` (a bottom layer) depends on
@@ -245,18 +128,10 @@ pub fn rest(n: u64, i: i64, o: Option<u8>) -> (i64, u64, f64, u8) {
 "#;
 
 /// A one-package workspace whose library holds [`PROBE_LIB`]: the clippy
-/// pass counts every ratcheted lint against an empty baseline, and
-/// `--update-baseline` records them.
+/// pass counts every ratcheted lint against an empty baseline.
 #[test]
 fn clippy_pass_ratchets_a_probe_package() {
-    let dir = scratch("clippy");
-    std::fs::create_dir_all(dir.join("src")).unwrap();
-    std::fs::write(
-        dir.join("Cargo.toml"),
-        "[package]\nname = \"probe\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n[workspace]\n",
-    )
-    .unwrap();
-    std::fs::write(dir.join("src").join("lib.rs"), PROBE_LIB).unwrap();
+    let dir = probe_package("clippy", PROBE_LIB, "");
     let out = run_analyze(&dir, &[]);
     let text = stdout(&out);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -281,14 +156,6 @@ fn clippy_pass_ratchets_a_probe_package() {
         text.contains("src/lib.rs:10:"),
         "the NaN-unsafe sort:\n{text}"
     );
-    let out = run_analyze(&dir, &["--update-baseline"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = run_analyze(&dir, &[]);
-    assert!(out.status.success(), "{}", stdout(&out));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -298,18 +165,6 @@ fn clippy_pass_ratchets_a_probe_package() {
 /// type. A wrong path in the file, or the file going missing, fails here.
 #[test]
 fn clippy_toml_denies_the_wall_clock_hash_containers_and_random_state() {
-    let dir = scratch("disallowed");
-    std::fs::create_dir_all(dir.join("src")).unwrap();
-    std::fs::copy(
-        workspace_root().join("clippy.toml"),
-        dir.join("clippy.toml"),
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("Cargo.toml"),
-        "[package]\nname = \"probe\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n[workspace]\n",
-    )
-    .unwrap();
     let banned = [
         "std::time::Instant",
         "std::time::SystemTime",
@@ -326,20 +181,17 @@ fn clippy_toml_denies_the_wall_clock_hash_containers_and_random_state() {
             _ => format!("_p{i}: {ty}"),
         })
         .collect();
-    std::fs::write(
-        dir.join("src").join("lib.rs"),
-        format!(
-            "//! Probe.\n\n/// Names every banned type once.\npub fn probe({}) {{}}\n",
-            params.join(", ")
-        ),
+    let lib = format!(
+        "//! Probe.\n\n/// Names every banned type once.\npub fn probe({}) {{}}\n",
+        params.join(", ")
+    );
+    let dir = probe_package("disallowed", &lib, "");
+    std::fs::copy(
+        workspace_root().join("clippy.toml"),
+        dir.join("clippy.toml"),
     )
     .unwrap();
-    let out = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()))
-        .current_dir(&dir)
-        .args(["clippy", "--offline", "--quiet", "--message-format=short"])
-        .args(["--", "-D", "warnings"])
-        .output()
-        .unwrap();
+    let out = cargo_clippy(&dir, &["-D", "warnings"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{stderr}");
     let errors: Vec<&str> = stderr
@@ -354,21 +206,135 @@ fn clippy_toml_denies_the_wall_clock_hash_containers_and_random_state() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The constructs the hot-path bans name, one per line of
+/// [`hot_probe_lib`]'s body, each with its expected error message: an
+/// index, then every `disallowed-methods` and `disallowed-macros` entry of
+/// the root `clippy.toml`.
+const HOT_CONSTRUCTS: &[(&str, &str)] = &[
+    ("let first = v[0];", "indexing may panic"),
+    (
+        "let mut rows: Vec<Vec<f32>> = Vec::new();",
+        "`alloc::vec::Vec::new`",
+    ),
+    (
+        "let spare: Vec<f32> = Vec::with_capacity(v.len());",
+        "`alloc::vec::Vec::with_capacity`",
+    ),
+    ("let text = String::new();", "`alloc::string::String::new`"),
+    ("let boxed = Box::new(first);", "`alloc::boxed::Box::new`"),
+    ("let copies = names.clone();", "`core::clone::Clone::clone`"),
+    (
+        "let doubled: Vec<f32> = v.iter().map(|x| x * 2.0).collect();",
+        "`core::iter::Iterator::collect`",
+    ),
+    (
+        "let shown = first.to_string();",
+        "`alloc::string::ToString::to_string`",
+    ),
+    (
+        "let owned = s.to_owned();",
+        "`alloc::borrow::ToOwned::to_owned`",
+    ),
+    ("let row = v.to_vec();", "`slice::to_vec`"),
+    ("let pair = vec![first, second];", "`std::vec`"),
+    ("let message = format!(\"{second}\");", "`std::format`"),
+    (
+        "let order = first.partial_cmp(&second);",
+        "`core::cmp::PartialOrd::partial_cmp`",
+    ),
+    (
+        "let by_path = f32::partial_cmp(&first, &second);",
+        "`core::cmp::PartialOrd::partial_cmp`",
+    ),
+];
+
+/// A library whose one function holds every [`HOT_CONSTRUCTS`] line plus
+/// an index under a reasoned statement-level `#[allow]`, preceded by
+/// `attrs`.
+fn hot_probe_lib(attrs: &str) -> String {
+    let mut lib = format!(
+        "//! Probe.\n\n/// Holds every construct the hot-path bans name.\n{attrs}\
+         pub fn probe(v: &[f32], s: &str, names: Vec<String>) -> usize {{\n"
+    );
+    for (line, _) in HOT_CONSTRUCTS {
+        lib.push_str(&format!("    {line}\n"));
+        if line.starts_with("let first") {
+            lib.push_str(
+                "    #[allow(clippy::indexing_slicing, reason = \"the one excused site\")] \
+                 let second = v[1];\n",
+            );
+        }
+    }
+    lib.push_str(
+        "    rows.push(pair);\n    rows.push(row);\n    rows.push(doubled);\n    \
+         rows.len() + spare.capacity() + text.len() + copies.len() + shown.len() + owned.len() \
+         + message.len() + usize::from(*boxed > 0.0) + usize::from(order == by_path)\n}\n",
+    );
+    lib
+}
+
+/// The hot-path bans live in the root `clippy.toml` and apply only where a
+/// function denies them. A probe package with a copy of that file and of
+/// the workspace lint table fails clippy with exactly one error per
+/// [`HOT_CONSTRUCTS`] line when its function carries the two hot
+/// attributes — the statement-level `#[allow]` excusing one index — and
+/// passes with the same body unmarked.
+#[test]
+fn clippy_toml_denies_the_hot_path_bans_in_marked_functions_only() {
+    let root = std::fs::read_to_string(workspace_root().join("Cargo.toml")).unwrap();
+    let mut lint_tables = String::new();
+    let mut keep = false;
+    for line in root.lines() {
+        if line.starts_with('[') {
+            keep = line.starts_with("[workspace.lints");
+        }
+        if keep {
+            lint_tables.push_str(line);
+            lint_tables.push('\n');
+        }
+    }
+    assert!(
+        lint_tables.contains("disallowed_methods = \"allow\""),
+        "{lint_tables}"
+    );
+    let manifest_tail = format!("{lint_tables}\n[lints]\nworkspace = true\n");
+    let marked = "#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]\n\
+                  #[deny(clippy::indexing_slicing)]\n";
+    for (tag, attrs) in [("hot-marked", marked), ("hot-unmarked", "")] {
+        let lib = hot_probe_lib(attrs);
+        let dir = probe_package(tag, &lib, &manifest_tail);
+        std::fs::copy(
+            workspace_root().join("clippy.toml"),
+            dir.join("clippy.toml"),
+        )
+        .unwrap();
+        let out = cargo_clippy(&dir, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.contains(": error: ")).collect();
+        if attrs.is_empty() {
+            assert!(out.status.success(), "{lib}{stderr}");
+            assert!(errors.is_empty(), "{stderr}");
+            assert!(!stderr.contains("disallowed"), "{stderr}");
+            std::fs::remove_dir_all(&dir).ok();
+            continue;
+        }
+        assert!(!out.status.success(), "{lib}{stderr}");
+        assert_eq!(errors.len(), HOT_CONSTRUCTS.len(), "{lib}{stderr}");
+        let lines: Vec<&str> = lib.lines().collect();
+        for (construct, message) in HOT_CONSTRUCTS {
+            let at = lines.iter().position(|l| l.trim() == *construct).unwrap() + 1;
+            let hits = errors
+                .iter()
+                .filter(|e| e.starts_with(&format!("src/lib.rs:{at}:")) && e.contains(message));
+            assert_eq!(hits.count(), 1, "{construct}: {stderr}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn text_report_is_byte_stable() {
-    let dir = hot_scratch("hot_positive.rs", "stable", "kernel");
-    std::fs::copy(
-        fixtures_dir().join("panic_positive.rs"),
-        dir.join("panic_positive.rs"),
-    )
-    .unwrap();
-    write_hotpaths(
-        &dir,
-        &[
-            ("hot_positive.rs", "kernel"),
-            ("panic_positive.rs", "kernel"),
-        ],
-    );
+    let dir = probe_package("stable", PROBE_LIB, "");
     let a = run_analyze(&dir, &[]);
     let b = run_analyze(&dir, &[]);
     assert_eq!(a.stdout, b.stdout, "the report must be byte-stable");
@@ -378,13 +344,13 @@ fn text_report_is_byte_stable() {
 
 #[test]
 fn update_baseline_ratchets_and_gates_regressions() {
-    let dir = hot_scratch("hot_positive.rs", "ratchet", "kernel");
+    let dir = probe_package("ratchet", PROBE_LIB, "");
     assert!(!run_analyze(&dir, &[]).status.success());
     let out = run_analyze(&dir, &["--update-baseline"]);
     assert!(out.status.success(), "{}", stdout(&out));
     let recorded = std::fs::read_to_string(dir.join("analyze-baseline.toml")).unwrap();
     assert!(
-        recorded.contains("[\"hot-alloc\"]\nsann = 2\n"),
+        recorded.contains("[\"clippy::cast_possible_truncation\"]\nsann = 1\n"),
         "{recorded}"
     );
     let out = run_analyze(&dir, &[]);
@@ -393,24 +359,22 @@ fn update_baseline_ratchets_and_gates_regressions() {
         "baselined tree must pass:\n{}",
         stdout(&out)
     );
-    // One new hot allocation: a regression against the recorded baseline.
-    std::fs::write(
-        dir.join("new_code.rs"),
-        "fn fresh(v: &[u32]) -> Vec<u32> { v.to_vec() }\n",
-    )
-    .unwrap();
-    write_hotpaths(
-        &dir,
-        &[("hot_positive.rs", "kernel"), ("new_code.rs", "fresh")],
+    // One new lossy cast: a regression against the recorded baseline.
+    let lib = format!(
+        "{PROBE_LIB}\n/// Narrows again.\npub fn fresh(n: u64) -> u16 {{\n    n as u16\n}}\n"
     );
+    std::fs::write(dir.join("src").join("lib.rs"), &lib).unwrap();
     let out = run_analyze(&dir, &[]);
     let text = stdout(&out);
     assert!(!out.status.success(), "regression must fail:\n{text}");
     assert!(
-        text.contains("error[ratchet]: hot-alloc/sann: 3 finding(s), baseline allows 2"),
+        text.contains(
+            "error[ratchet]: clippy::cast_possible_truncation/sann: 2 finding(s), baseline allows 1"
+        ),
         "{text}"
     );
-    assert!(text.contains("new_code.rs:1:"), "{text}");
+    let at = lib.lines().count() - 1;
+    assert!(text.contains(&format!("src/lib.rs:{at}:")), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,20 +9,22 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings)"
 # Includes the determinism bans: clippy.toml's disallowed-types (the wall
-# clock, hash containers, RandomState), denied here in every target.
+# clock, hash containers, RandomState), denied here in every target. Also
+# the hot-path bans: functions marked with
+# #[deny(clippy::disallowed_methods, clippy::disallowed_macros)] and
+# #[deny(clippy::indexing_slicing)] may not allocate, index, or call
+# partial_cmp.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (deny warnings)"
 # A broken intra-doc link, e.g. to an item since deleted, fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
-echo "==> sann-xtask analyze (clippy lint ratchet, hot-path lexer rules, manifest layering)"
+echo "==> sann-xtask analyze (clippy lint ratchet, manifest layering)"
 # One clippy pass over the lib and bin targets (cached in target/analyze)
-# counts the lossy-cast and panic lints per package; the lexer checks
-# indexing, allocation and NaN-order compares inside the functions
-# analyze-hotpaths.toml lists. Fails on any count above
-# analyze-baseline.toml, a manifest dependency off the layering DAG, or a
-# reason-less sann-lint marker.
+# counts the lossy-cast and panic lints per package. Fails on any count
+# above analyze-baseline.toml, a manifest dependency off the layering DAG,
+# or a clippy error such as a hot function's deny.
 cargo run -q -p sann-xtask -- analyze
 
 echo "==> sann-xtask determinism (runtime double-run audit)"
