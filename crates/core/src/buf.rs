@@ -1,8 +1,9 @@
 //! Little-endian byte encoding and decoding.
 //!
-//! Used by the snapshot format in `sann-vdb` and by the canonical metric
-//! fingerprints the determinism audit compares byte-for-byte. Everything is
-//! explicit little-endian so encodings are identical across platforms.
+//! Used by the persisted dataset, model and index frames the artifact cache
+//! stores, and by the canonical metric fingerprints the determinism audit
+//! compares byte-for-byte. Everything is explicit little-endian so
+//! encodings are identical across platforms.
 //!
 //! A frame states how many items follow with a count prefix, `u32` or
 //! `u64` as its layout fixes. [`ByteReader::get_count_u32`] and
@@ -52,11 +53,6 @@ impl ByteWriter {
 
     /// Appends a little-endian `u64`.
     pub fn put_u64_le(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn put_i64_le(&mut self, v: i64) {
         self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -212,15 +208,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// Reads a little-endian `i64`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Corrupt`] on truncation.
-    pub fn get_i64_le(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.array()?))
-    }
-
     /// Reads a little-endian `f32`.
     ///
     /// # Errors
@@ -323,7 +310,6 @@ mod tests {
         w.put_u8(7);
         w.put_u32_le(0xDEAD_BEEF);
         w.put_u64_le(u64::MAX - 1);
-        w.put_i64_le(-42);
         w.put_f32_le(1.5);
         w.put_f64_le(-0.25);
         w.put_str("héllo");
@@ -336,7 +322,6 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32_le().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64_le().unwrap(), u64::MAX - 1);
-        assert_eq!(r.get_i64_le().unwrap(), -42);
         assert_eq!(r.get_f32_le().unwrap(), 1.5);
         assert_eq!(r.get_f64_le().unwrap(), -0.25);
         assert_eq!(r.get_str().unwrap(), "héllo");
@@ -357,9 +342,9 @@ mod tests {
 
     #[test]
     fn truncation_is_corrupt_with_context() {
-        let mut r = ByteReader::new(&[1, 2], "snapshot");
+        let mut r = ByteReader::new(&[1, 2], "frame");
         match r.get_u32_le() {
-            Err(Error::Corrupt(msg)) => assert!(msg.starts_with("snapshot:")),
+            Err(Error::Corrupt(msg)) => assert!(msg.starts_with("frame:")),
             other => panic!("expected Corrupt, got {other:?}"),
         }
         assert!(matches!(r.get_f32s(1), Err(Error::Corrupt(_))));

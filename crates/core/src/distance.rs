@@ -148,7 +148,7 @@ impl Metric {
     }
 
     /// The single-byte wire tag used by every binary codec in the workspace
-    /// (collection snapshots, index artifacts, cache keys).
+    /// (index artifacts, cache keys).
     pub fn tag(&self) -> u8 {
         match self {
             Metric::L2 => 0,

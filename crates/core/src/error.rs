@@ -34,13 +34,13 @@ pub enum Error {
         /// Number of rows actually present.
         len: u64,
     },
-    /// The operation requires a non-empty collection/dataset.
+    /// The operation requires a non-empty dataset.
     Empty(&'static str),
-    /// An index/snapshot on disk was malformed.
+    /// A persisted frame (index, dataset, cache entry) was malformed.
     Corrupt(String),
-    /// Anything I/O-shaped (simulated device errors, snapshot files).
+    /// Anything I/O-shaped (simulated device errors, cache files).
     Io(String),
-    /// The named entity (collection, dataset, setup) does not exist.
+    /// The named entity (vector, dataset, setup) does not exist.
     NotFound(String),
     /// The named entity already exists.
     AlreadyExists(String),

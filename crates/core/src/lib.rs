@@ -11,8 +11,8 @@
 //!   reproducible across crates without threading generator generics
 //!   everywhere,
 //! * [`par`] — scoped-thread data-parallel helpers for builds,
-//! * [`buf`] — little-endian byte encoding/decoding for snapshots and
-//!   canonical metric fingerprints,
+//! * [`buf`] — little-endian byte encoding/decoding for persisted
+//!   frames and canonical metric fingerprints,
 //! * [`check`] — a seeded property-test harness used by the workspace's
 //!   invariant tests, and the golden-file comparison its golden tests share.
 //!

@@ -7,7 +7,7 @@ use sann_core::{Dataset, Metric, Result, TopK};
 /// An exact (non-approximate) index that scans every vector.
 ///
 /// Used as the correctness baseline for the approximate indexes and for tiny
-/// collections where an index is not worth building.
+/// datasets where an index is not worth building.
 ///
 /// # Examples
 ///

@@ -195,8 +195,8 @@ impl SearchParams {
 
 /// The interface every index implements.
 ///
-/// The trait is object-safe; `sann-vdb` stores collections behind
-/// `Box<dyn VectorIndex>`.
+/// The trait is object-safe; `sann-vdb`'s `IndexSpec::build` returns every
+/// family as a `Box<dyn VectorIndex>`.
 pub trait VectorIndex: Send + Sync {
     /// Number of indexed vectors.
     fn len(&self) -> usize;

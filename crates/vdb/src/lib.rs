@@ -1,45 +1,28 @@
-//! A single-node vector database, plus the engine profiles and benchmark
-//! setups of the paper's four databases.
+//! The engine profiles and benchmark setups of the paper's four vector
+//! databases.
 //!
-//! The paper (§II-C) distinguishes vector *databases* from bare ANNS
-//! *indexes*: databases add payloads, filtered search, mutation, and
-//! persistence on top of an index. This crate provides both halves:
-//!
-//! * the **database**: a [`Collection`] with payload storage, insert/delete
-//!   (tombstones), payload-[`Filter`]ed search, [`snapshot`] persistence,
-//!   and pluggable indexes ([`IndexSpec`]);
-//! * the **characterization setups**: [`DbProfile`] models each benchmarked
-//!   database's execution architecture and [`Setup`] enumerates the paper's
-//!   seven (database × index × placement) configurations used throughout
-//!   Figs. 2–15.
+//! [`DbProfile`] models each benchmarked database's execution architecture,
+//! [`Setup`] enumerates the paper's seven (database × index × placement)
+//! configurations used throughout Figs. 2–15, and [`IndexSpec`] builds the
+//! index behind each of them.
 //!
 //! # Examples
 //!
 //! ```
-//! use sann_vdb::{Collection, Filter, IndexSpec, Payload, Value};
 //! use sann_core::Metric;
+//! use sann_datagen::EmbeddingModel;
 //! use sann_index::SearchParams;
+//! use sann_vdb::IndexSpec;
 //!
-//! let mut docs = Collection::new("docs", 4, Metric::L2)?;
-//! for i in 0..100u32 {
-//!     let v = [i as f32, 0.0, 0.0, 0.0];
-//!     let payload = Payload::new().with("category", Value::Int((i % 2) as i64));
-//!     docs.insert(&v, payload)?;
-//! }
-//! docs.build_index(IndexSpec::Flat)?;
-//! let filter = Filter::eq("category", Value::Int(0));
-//! let hits = docs.search(&[5.0, 0.0, 0.0, 0.0], 3, &SearchParams::default(), Some(&filter))?;
-//! assert!(hits.iter().all(|h| h.id % 2 == 0));
+//! let base = EmbeddingModel::new(16, 4, 7).generate(500);
+//! let index = IndexSpec::Hnsw(Default::default()).build(&base, Metric::L2)?;
+//! let hits = index.search(base.row(42), 3, &SearchParams::default())?;
+//! assert_eq!(hits.neighbors[0].id, 42);
 //! # Ok::<(), sann_core::Error>(())
 //! ```
 
-pub mod collection;
-pub mod payload;
 pub mod profiles;
 pub mod setup;
-pub mod snapshot;
 
-pub use collection::{Collection, IndexSpec, SearchHit};
-pub use payload::{Filter, Payload, Value};
 pub use profiles::DbProfile;
-pub use setup::{Setup, SetupKind, TunedParams};
+pub use setup::{IndexSpec, Setup, SetupKind, TunedParams};

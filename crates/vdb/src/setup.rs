@@ -2,14 +2,13 @@
 //! five memory-based — Milvus-IVF, Milvus-HNSW, Qdrant-HNSW, Weaviate-HNSW,
 //! LanceDB-HNSW — and two storage-based — Milvus-DiskANN and LanceDB-IVF(PQ).
 
-use crate::collection::IndexSpec;
 use crate::profiles::DbProfile;
 use sann_core::{cast, Dataset, Metric, Result};
 use sann_datagen::{DatasetSpec, GroundTruth};
 use sann_engine::PlanBuilder;
 use sann_index::{
-    default_pq_m, DiskAnnConfig, HnswConfig, IoStrategy, IvfConfig, SearchParams, VamanaConfig,
-    VectorIndex,
+    default_pq_m, DiskAnnConfig, DiskAnnIndex, FlatIndex, HnswConfig, HnswIndex, HnswSqIndex,
+    IoStrategy, IvfConfig, IvfIndex, IvfPqIndex, SearchParams, VamanaConfig, VectorIndex,
 };
 
 /// One of the paper's seven (database × index) configurations.
@@ -137,6 +136,65 @@ impl TunedParams {
             beam_width: self.beam_width,
             io: IoStrategy::default(),
         }
+    }
+}
+
+/// Which index to build over a base set.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum IndexSpec {
+    /// Exact scan (no approximate index).
+    Flat,
+    /// Memory-based IVF-Flat.
+    Ivf(IvfConfig),
+    /// Storage-based IVF with product quantization (`m` sub-spaces of
+    /// `ksub` centroids).
+    IvfPq {
+        /// Clustering configuration.
+        config: IvfConfig,
+        /// PQ sub-spaces.
+        m: usize,
+        /// PQ centroids per sub-space.
+        ksub: usize,
+    },
+    /// Memory-based HNSW.
+    Hnsw(HnswConfig),
+    /// Memory-based HNSW over scalar-quantized vectors (smaller memory
+    /// footprint, slightly lower recall at equal `efSearch`).
+    HnswSq(HnswConfig),
+    /// Storage-based DiskANN.
+    DiskAnn(DiskAnnConfig),
+}
+
+impl IndexSpec {
+    /// The [`VectorIndex::kind`] of the index [`IndexSpec::build`] returns.
+    pub fn family(&self) -> &'static str {
+        match self {
+            IndexSpec::Flat => "flat",
+            IndexSpec::Ivf(_) => "ivf",
+            IndexSpec::IvfPq { .. } => "ivf-pq",
+            IndexSpec::Hnsw(_) => "hnsw",
+            IndexSpec::HnswSq(_) => "hnsw-sq",
+            IndexSpec::DiskAnn(_) => "diskann",
+        }
+    }
+
+    /// Builds the described index over `data`. IVF-PQ ignores `metric`: it
+    /// ranks by L2 ADC distance.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the index family's build errors.
+    pub fn build(&self, data: &Dataset, metric: Metric) -> Result<Box<dyn VectorIndex>> {
+        Ok(match *self {
+            IndexSpec::Flat => Box::new(FlatIndex::build(data, metric)),
+            IndexSpec::Ivf(config) => Box::new(IvfIndex::build(data, metric, config)?),
+            IndexSpec::IvfPq { config, m, ksub } => {
+                Box::new(IvfPqIndex::build(data, config, m, ksub)?)
+            }
+            IndexSpec::Hnsw(config) => Box::new(HnswIndex::build(data, metric, config)?),
+            IndexSpec::HnswSq(config) => Box::new(HnswSqIndex::build(data, metric, config)?),
+            IndexSpec::DiskAnn(config) => Box::new(DiskAnnIndex::build(data, metric, config)?),
+        })
     }
 }
 
@@ -481,6 +539,39 @@ mod tests {
     fn nlist_follows_faiss_rule() {
         let p = TunedParams::for_dataset(1_000_000);
         assert_eq!(p.nlist, 4_000);
+    }
+
+    #[test]
+    fn all_index_kinds_build_and_search() {
+        let base = EmbeddingModel::new(16, 4, 3).generate(400);
+        let ivf = IvfConfig::default().with_nlist(16);
+        let specs = [
+            IndexSpec::Flat,
+            IndexSpec::Ivf(ivf),
+            IndexSpec::IvfPq {
+                config: ivf,
+                m: 8,
+                ksub: 16,
+            },
+            IndexSpec::Hnsw(HnswConfig::default()),
+            IndexSpec::HnswSq(HnswConfig::default()),
+            IndexSpec::DiskAnn(DiskAnnConfig {
+                graph: VamanaConfig {
+                    r: 16,
+                    l_build: 40,
+                    ..Default::default()
+                },
+                pq_m: 8,
+                pq_ksub: 16,
+            }),
+        ];
+        let params = SearchParams::default().with_search_list(20);
+        for spec in specs {
+            let index = spec.build(&base, Metric::L2).unwrap();
+            assert_eq!(index.kind(), spec.family());
+            let out = index.search(base.row(11), 1, &params).unwrap();
+            assert_eq!(out.neighbors[0].id, 11, "spec {spec:?}");
+        }
     }
 
     #[test]

@@ -1,67 +1,33 @@
-//! Quickstart: create a collection, insert vectors with payloads, build an
-//! index, and search — the five-minute tour of the `sann` API.
+//! Quickstart: generate vectors, build an index, and search — the
+//! five-minute tour of the `sann` API.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use sann::core::Metric;
 use sann::index::{HnswConfig, SearchParams};
-use sann::vdb::{Collection, Filter, IndexSpec, Payload, Value};
+use sann::vdb::IndexSpec;
 
 fn main() -> sann::core::Result<()> {
-    // A collection of 64-dimensional vectors under squared-L2 distance.
-    let mut docs = Collection::new("docs", 64, Metric::L2)?;
-
-    // Insert a few thousand synthetic "document embeddings", each tagged
-    // with a language and a year.
+    // A few thousand synthetic 64-dimensional "document embeddings".
     let model = sann::datagen::EmbeddingModel::new(64, 8, 42);
     let vectors = model.generate(5_000);
-    for (i, row) in vectors.iter().enumerate() {
-        let payload = Payload::new()
-            .with("lang", if i % 3 == 0 { "en" } else { "de" })
-            .with("year", 2015 + (i % 10) as i64);
-        docs.insert(row, payload)?;
-    }
-    println!("inserted {} vectors", docs.len());
+    println!("generated {} vectors", vectors.len());
 
-    // Build a memory-based HNSW index (the paper's Table II parameters:
-    // M=16, efConstruction=200).
-    docs.build_index(IndexSpec::Hnsw(HnswConfig::default()))?;
-    println!("built {} index", docs.index().expect("index built").kind());
+    // Build a memory-based HNSW index under squared-L2 distance (the
+    // paper's Table II parameters: M=16, efConstruction=200).
+    let index = IndexSpec::Hnsw(HnswConfig::default()).build(&vectors, Metric::L2)?;
+    println!("built {} index", index.kind());
 
-    // Plain search.
-    let query = vectors.row(123);
-    let hits = docs.search(query, 5, &SearchParams::default(), None)?;
+    // Search with a stored vector: it is its own nearest neighbor.
+    let out = index.search(vectors.row(123), 5, &SearchParams::default())?;
     println!("\ntop-5 for vector #123 (expect itself first):");
-    for hit in &hits {
-        println!(
-            "  id={:<6} dist={:.4} lang={:?}",
-            hit.id,
-            hit.dist,
-            hit.payload.get("lang")
-        );
+    for hit in &out.neighbors {
+        println!("  id={:<6} dist={:.4}", hit.id, hit.dist);
     }
-    assert_eq!(hits[0].id, 123);
-
-    // Filtered search: only English documents from 2020 onwards.
-    let filter = Filter::And(vec![
-        Filter::eq("lang", Value::Str("en".into())),
-        Filter::range("year", 2020.0, 2024.0),
-    ]);
-    let filtered = docs.search(query, 5, &SearchParams::default(), Some(&filter))?;
-    println!("\ntop-5 english & 2020+:");
-    for hit in &filtered {
-        println!(
-            "  id={:<6} dist={:.4} year={:?}",
-            hit.id,
-            hit.dist,
-            hit.payload.get("year")
-        );
-    }
-
-    // Delete and observe the tombstone take effect.
-    docs.delete(123)?;
-    let after = docs.search(query, 1, &SearchParams::default(), None)?;
-    assert_ne!(after[0].id, 123);
-    println!("\nafter deleting #123 the best hit is #{}", after[0].id);
+    assert_eq!(out.neighbors[0].id, 123);
+    println!(
+        "\nthe search computed {} distances",
+        out.trace.compute_count()
+    );
     Ok(())
 }

@@ -39,6 +39,10 @@ echo "==> cargo test"
 # (sann-engine) and vdbbench all / iostat / explore (sann-bench).
 cargo test -q --workspace
 
+echo "==> quickstart example"
+# cargo test only compiles the examples; this runs quickstart's asserts.
+cargo run -q --release --example quickstart
+
 echo "==> benchmark/ against the crates it measures"
 # benchmark/ is a package of its own, outside the workspace, so nothing
 # above compiles it: a deleted public item it uses would pass the gate.

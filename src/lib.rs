@@ -2,9 +2,9 @@
 //!
 //! A facade crate re-exporting the whole workspace: from-scratch vector
 //! indexes (Flat, IVF, HNSW, DiskANN), quantization, a parametric NVMe SSD
-//! model with block-layer tracing, a discrete-event execution engine, a
-//! single-node vector database layer with per-database engine profiles, and
-//! the IISWC'25 characterization harness that drives them.
+//! model with block-layer tracing, a discrete-event execution engine,
+//! per-database engine profiles with the paper's seven benchmark setups,
+//! and the IISWC'25 characterization harness that drives them.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 //!

@@ -5,7 +5,7 @@
 use sann::core::{Metric, Result};
 use sann::datagen::{catalog, GroundTruth};
 use sann::engine::{Executor, RunConfig};
-use sann::index::{SearchParams, VectorIndex};
+use sann::index::{search_ids, VectorIndex};
 use sann::vdb::{Setup, SetupKind};
 use std::sync::{Once, OnceLock};
 
@@ -228,32 +228,24 @@ fn concurrency_scaling_is_sane() {
     }
 }
 
-/// The vdb layer composes with every setup's index spec end-to-end.
+/// Every prepared index survives the round trip the artifact cache makes:
+/// `persist_encode` to a file, read back, and `persist::decode_onto` over
+/// the shared base, answering the world's queries with the same top-k ids.
 #[test]
 fn collection_round_trip_with_persistence() {
     let w = world();
-    let mut collection =
-        sann::vdb::Collection::from_dataset("kb", &w.base.truncated(500), Metric::L2);
-    collection
-        .build_index(sann::vdb::IndexSpec::Hnsw(Default::default()))
-        .unwrap();
-    let q = w.queries.row(0);
-    let before = collection
-        .search(q, 5, &SearchParams::default(), None)
-        .unwrap();
-
     let dir = std::env::temp_dir().join(format!("sann-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("kb.sann");
-    sann::vdb::snapshot::save(&collection, &path).unwrap();
-    let mut loaded = sann::vdb::snapshot::load(&path).unwrap();
-    loaded
-        .build_index(sann::vdb::IndexSpec::Hnsw(Default::default()))
-        .unwrap();
-    let after = loaded.search(q, 5, &SearchParams::default(), None).unwrap();
-    assert_eq!(
-        before.iter().map(|h| h.id).collect::<Vec<_>>(),
-        after.iter().map(|h| h.id).collect::<Vec<_>>()
-    );
+    for kind in KINDS {
+        let (setup, index, _) = prepare(w, kind);
+        let path = dir.join(format!("{kind}.idx"));
+        std::fs::write(&path, index.persist_encode().unwrap()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let loaded = sann::index::persist::decode_onto(&bytes, Some(&w.base)).unwrap();
+        let ids = |index: &dyn VectorIndex| {
+            search_ids(index, &w.queries, K, &setup.params.search_params()).unwrap()
+        };
+        assert_eq!(ids(index.as_ref()), ids(loaded.as_ref()), "{kind}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

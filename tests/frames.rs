@@ -22,7 +22,6 @@ use sann::index::{
 };
 use sann::obs::LogHistogram;
 use sann::quant::{KMeans, KMeansModel, ProductQuantizer, ScalarQuantizer};
-use sann::vdb::{snapshot, Collection, Payload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -43,26 +42,6 @@ fn round_trip<T>(
     let value = decode(&mut r).unwrap();
     r.finish().unwrap();
     encoded(|w| encode(&value, w))
-}
-
-fn collection() -> Collection {
-    let mut c = Collection::new("docs", 3, Metric::Cosine).unwrap();
-    let rows: [(&[f32], Payload); 3] = [
-        (
-            &[1.0, 0.0, -0.0],
-            Payload::new().with("lang", "en").with("n", 1i64),
-        ),
-        (
-            &[0.5, 1.5, f32::MIN_POSITIVE],
-            Payload::new().with("score", 0.25).with("hot", true),
-        ),
-        (&[0.0, 0.0, 3e9], Payload::new()),
-    ];
-    for (vector, payload) in rows {
-        c.insert(vector, payload).unwrap();
-    }
-    c.delete(1).unwrap();
-    c
 }
 
 /// A short closed-loop run whose metrics carry every canonical section:
@@ -160,10 +139,6 @@ fn every_frame_matches_golden() {
         assert_eq!(back, bytes, "{}", index.kind());
         frames.push((index.kind(), bytes));
     }
-
-    let bytes = snapshot::encode(&collection());
-    assert_eq!(snapshot::encode(&snapshot::decode(&bytes).unwrap()), bytes);
-    frames.push(("snapshot", bytes));
 
     let mut hist = LogHistogram::new();
     for v in [0, 1, 5, 5, 4096, u64::MAX / 2] {
