@@ -23,10 +23,11 @@
 //! mid-write leaves no half-written entry behind, and store failures are
 //! non-fatal: the cache only ever accelerates, it never gates a run.
 
-use sann_core::buf::{ByteReader, ByteWriter};
+use sann_core::buf::ByteWriter;
 use sann_core::cast;
-use sann_core::hash::fnv1a64;
+use sann_core::hash::{fnv1a64, fnv1a64_extend};
 use sann_datagen::DatasetSpec;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Entry magic, first four bytes of every cache file.
@@ -84,23 +85,17 @@ impl ArtifactCache {
     /// [`CacheStats::corrupt`] counter.
     pub fn load(&mut self, label: &str, key: u64) -> Option<Vec<u8>> {
         let path = self.entry_path(label, key);
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                self.stats.misses += 1;
-                return None;
-            }
+        let Ok(mut bytes) = std::fs::read(&path) else {
+            self.stats.misses += 1;
+            return None;
         };
-        match decode_entry(&bytes, key) {
-            Some(payload) => {
-                self.stats.hits += 1;
-                Some(payload)
-            }
-            None => {
-                self.stats.misses += 1;
-                self.stats.corrupt += 1;
-                None
-            }
+        if peel_entry(&mut bytes, key) {
+            self.stats.hits += 1;
+            Some(bytes)
+        } else {
+            self.stats.misses += 1;
+            self.stats.corrupt += 1;
+            None
         }
     }
 
@@ -115,44 +110,57 @@ impl ArtifactCache {
         }
     }
 
+    /// Writes the header, the payload and the checksum straight to the tmp
+    /// file, folding the checksum over them as they go, so the payload is
+    /// never copied into an envelope.
     fn try_store(&self, path: &Path, key: u64, payload: &[u8]) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
-        let mut w = ByteWriter::new();
-        w.put_slice(&MAGIC);
-        w.put_u32_le(FORMAT_VERSION);
-        w.put_u64_le(key);
-        w.put_slice(payload);
-        let mut bytes = w.into_bytes();
-        let checksum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        let header = header(key);
+        let checksum = fnv1a64_extend(fnv1a64(&header), payload);
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes)?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&header)?;
+        file.write_all(payload)?;
+        file.write_all(&checksum.to_le_bytes())?;
+        drop(file);
         std::fs::rename(&tmp, path)
     }
 }
 
-/// Validates one entry and peels the payload out of it.
-fn decode_entry(bytes: &[u8], expected_key: u64) -> Option<Vec<u8>> {
-    // Header (4 + 4 + 8) plus trailing checksum (8).
-    if bytes.len() < 24 {
-        return None;
+/// Bytes before the payload: magic, format version, key.
+const HEADER_LEN: usize = 16;
+
+/// Bytes after the payload: the checksum.
+const CHECKSUM_LEN: usize = 8;
+
+/// The entry header for `key`.
+fn header(key: u64) -> [u8; HEADER_LEN] {
+    let mut h = [0; HEADER_LEN];
+    let (magic, rest) = h.split_at_mut(4);
+    let (version, key_bytes) = rest.split_at_mut(4);
+    magic.copy_from_slice(&MAGIC);
+    version.copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    key_bytes.copy_from_slice(&key.to_le_bytes());
+    h
+}
+
+/// Validates one entry in place and, if it holds, peels it down to its
+/// payload: the header and checksum are cut off the same buffer, so a hit
+/// allocates nothing beyond the file read. Returns whether it held; a
+/// rejected buffer is left as it was.
+fn peel_entry(bytes: &mut Vec<u8>, expected_key: u64) -> bool {
+    let Some(payload_len) = bytes.len().checked_sub(HEADER_LEN + CHECKSUM_LEN) else {
+        return false;
+    };
+    let Some((body, tail)) = bytes.split_last_chunk::<CHECKSUM_LEN>() else {
+        return false;
+    };
+    if fnv1a64(body) != u64::from_le_bytes(*tail) || !body.starts_with(&header(expected_key)) {
+        return false;
     }
-    let (body, tail) = bytes.split_last_chunk::<8>()?;
-    let checksum = u64::from_le_bytes(*tail);
-    if fnv1a64(body) != checksum {
-        return None;
-    }
-    let mut r = ByteReader::new(body, "cache-entry");
-    if r.take(4).ok()? != MAGIC {
-        return None;
-    }
-    if r.get_u32_le().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if r.get_u64_le().ok()? != expected_key {
-        return None;
-    }
-    Some(r.rest().to_vec())
+    bytes.copy_within(HEADER_LEN..HEADER_LEN + payload_len, 0);
+    bytes.truncate(payload_len);
+    true
 }
 
 /// Key of a prepared dataset artifact (base + queries + ground truth + tuning
@@ -199,6 +207,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sann-cache-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The fixed entry the pin below stores: a payload that is neither
+    /// empty nor a power of two long, under a key with every byte distinct.
+    const PINNED_KEY: u64 = 0x0123_4567_89ab_cdef;
+
+    fn pinned_payload() -> Vec<u8> {
+        (0..1000u32).map(|i| (i * 7 % 251) as u8).collect()
+    }
+
+    /// The file bytes of one fixed entry, by length and FNV-1a: a change
+    /// to how an entry is written must not move one byte.
+    #[test]
+    fn stored_entry_bytes_are_pinned() {
+        let dir = scratch("pinned");
+        let mut cache = ArtifactCache::new(&dir);
+        cache.store("index", PINNED_KEY, &pinned_payload());
+        let bytes = std::fs::read(cache.entry_path("index", PINNED_KEY)).unwrap();
+        assert_eq!(bytes.len(), 1024);
+        assert_eq!(fnv1a64(&bytes), 0xb7a7_7d55_1fd7_ce59);
+        assert_eq!(cache.load("index", PINNED_KEY), Some(pinned_payload()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -260,6 +290,54 @@ mod tests {
         let to = cache.entry_path("k", 43);
         std::fs::rename(&from, &to).unwrap();
         assert!(cache.load("k", 43).is_none());
+        assert_eq!(cache.stats().corrupt, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn empty_payload_is_a_24_byte_entry_that_round_trips() {
+        let dir = scratch("empty");
+        let mut cache = ArtifactCache::new(&dir);
+        cache.store("e", 9, b"");
+        let path = cache.entry_path("e", 9);
+        let good = std::fs::read(&path).unwrap();
+        assert_eq!(good.len(), 24);
+        assert_eq!(cache.load("e", 9), Some(Vec::new()));
+        // Any other 24 bytes are corrupt, and one byte fewer is too short
+        // to hold an entry at all.
+        let mut bad = good.clone();
+        bad[20] ^= 0x80;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(cache.load("e", 9).is_none());
+        std::fs::write(&path, &good[..23]).unwrap();
+        assert!(cache.load("e", 9).is_none());
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 2,
+                corrupt: 2
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn other_format_version_is_corrupt() {
+        let dir = scratch("version");
+        let mut cache = ArtifactCache::new(&dir);
+        // A well-formed entry, checksum and all, from another format.
+        let mut w = ByteWriter::new();
+        w.put_slice(&MAGIC);
+        w.put_u32_le(FORMAT_VERSION + 1);
+        w.put_u64_le(5);
+        w.put_slice(b"payload");
+        let mut bytes = w.into_bytes();
+        let checksum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(cache.entry_path("v", 5), &bytes).unwrap();
+        assert!(cache.load("v", 5).is_none());
         assert_eq!(cache.stats().corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

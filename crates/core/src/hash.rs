@@ -16,7 +16,14 @@ const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hashes a byte string with 64-bit FNV-1a.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = OFFSET_BASIS;
+    fnv1a64_extend(OFFSET_BASIS, bytes)
+}
+
+/// Folds `bytes` into an FNV-1a state, so a hash can be taken over pieces
+/// that are never joined: `fnv1a64_extend(fnv1a64(a), b)` is `fnv1a64`
+/// of `a` followed by `b`.
+pub fn fnv1a64_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);
@@ -39,6 +46,16 @@ mod tests {
     #[test]
     fn single_byte_change_changes_hash() {
         assert_ne!(fnv1a64(b"spec v1"), fnv1a64(b"spec v2"));
+    }
+
+    #[test]
+    fn extending_piece_by_piece_hashes_the_concatenation() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        for cut in [0, 1, 17, 255, 256] {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(fnv1a64_extend(fnv1a64(a), b), fnv1a64(&bytes), "cut={cut}");
+        }
+        assert_eq!(fnv1a64_extend(OFFSET_BASIS, b"foobar"), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -23,12 +23,31 @@ pub fn mean(xs: &[f64]) -> f64 {
 ///
 /// Panics if `p` is outside `[0, 100]`.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
+    let [v] = percentiles(xs, [p]);
+    v
+}
+
+/// Several percentiles of one sample, each exactly what [`percentile`]
+/// returns for it, from a single sorted copy: `percentiles(xs, [50.0,
+/// 99.0])` sorts once where two [`percentile`] calls sort twice.
+///
+/// # Panics
+///
+/// Panics if any `p` is outside `[0, 100]`.
+pub fn percentiles<const N: usize>(xs: &[f64], ps: [f64; N]) -> [f64; N] {
+    for p in ps {
+        assert!((0.0..=100.0).contains(&p), "percentile out of range");
+    }
     if xs.is_empty() {
-        return 0.0;
+        return [0.0; N];
     }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
+    ps.map(|p| interpolate(&sorted, p))
+}
+
+/// The `p`-th percentile of a non-empty sorted slice.
+fn interpolate(sorted: &[f64], p: f64) -> f64 {
     let last = sorted.len() - 1;
     // Fractional rank over [0, last]; p0 clamps to the minimum and p100
     // to the maximum by construction.
@@ -100,6 +119,44 @@ mod tests {
         let xs = [9.0, -3.0, 7.0];
         assert_eq!(percentile(&xs, 0.0), -3.0);
         assert_eq!(percentile(&xs, 100.0), 9.0);
+    }
+
+    /// `percentile` as it was before `percentiles`: a sorted copy per call.
+    fn percentile_sorting_per_call(xs: &[f64], p: f64) -> f64 {
+        if xs.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let last = sorted.len() - 1;
+        let rank = (p / 100.0) * last as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        if lo == hi {
+            return sorted[lo];
+        }
+        let frac = rank - lo as f64;
+        sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+    }
+
+    #[test]
+    fn percentiles_are_bit_identical_to_a_sort_per_call() {
+        let mut rng = crate::rng::SplitMix64::new(11);
+        for n in [0, 1, 2, 3, 99, 100, 48_611] {
+            let xs: Vec<f64> = (0..n).map(|_| rng.next_f64() * 1e4).collect();
+            let ps = [0.0, 12.5, 50.0, 99.0, 99.9, 100.0];
+            for (p, v) in ps.iter().zip(percentiles(&xs, ps)) {
+                let want = percentile_sorting_per_call(&xs, *p);
+                assert_eq!(v.to_bits(), want.to_bits(), "n={n} p={p}");
+                assert_eq!(percentile(&xs, *p).to_bits(), want.to_bits(), "n={n} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile out of range")]
+    fn percentiles_reject_out_of_range() {
+        percentiles(&[1.0], [50.0, -1.0]);
     }
 
     #[test]

@@ -257,11 +257,12 @@ impl<'a> Simulation<'a> {
         let core_ns =
             cast::f64_from_u64(self.duration_ns) * cast::f64_from_usize(self.config.cores);
         let duration_us = self.config.duration_us;
+        let [p50_latency_us, p99_latency_us] = stats::percentiles(&latencies_us, [50.0, 99.0]);
         RunMetrics {
             qps: cast::f64_from_u64(self.completed_in_window) / (duration_us / 1e6),
             mean_latency_us: stats::mean(&latencies_us),
-            p50_latency_us: stats::percentile(&latencies_us, 50.0),
-            p99_latency_us: stats::percentile(&latencies_us, 99.0),
+            p50_latency_us,
+            p99_latency_us,
             cpu_utilization: (cast::f64_from_u64(self.busy_ns) / core_ns).min(1.0),
             completed: self.completed_in_window,
             read_bytes_per_query: cast::f64_from_u64(self.query_read_bytes) / queries,

@@ -175,11 +175,18 @@ pub enum SpanName {
 }
 
 impl SpanName {
-    /// Stable label used by both exporters.
+    /// Stable label used by both exporters, which write it through
+    /// [`Display`](fmt::Display) without building the `String`.
     pub fn label(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl fmt::Display for SpanName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpanName::Query { plan } => format!("query/plan{plan}"),
-            SpanName::Phase(p) => p.name().to_string(),
+            SpanName::Query { plan } => write!(f, "query/plan{plan}"),
+            SpanName::Phase(p) => f.write_str(p.name()),
         }
     }
 }
