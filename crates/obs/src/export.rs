@@ -423,11 +423,15 @@ pub fn jsonl(trace: &Trace) -> String {
         trace.level.name(),
         trace.end_ns,
     );
-    for s in &trace.spans {
-        span_line(&mut out, s);
+    for chunk in trace.spans.slices() {
+        for s in chunk {
+            span_line(&mut out, s);
+        }
     }
-    for io in &trace.io {
-        io_line(&mut out, io);
+    for chunk in trace.io.slices() {
+        for io in chunk {
+            io_line(&mut out, io);
+        }
     }
     out
 }
@@ -438,6 +442,7 @@ pub fn jsonl(trace: &Trace) -> String {
 /// bytes.
 #[cfg(test)]
 mod reference {
+    use crate::column::Column;
     use crate::span::{IoSpan, Span, Trace};
 
     /// Formats simulated nanoseconds as the microsecond value Chrome's `ts`
@@ -455,11 +460,7 @@ mod reference {
         let ts = fmt_us(if ph == 'B' { s.start_ns } else { s.end_ns });
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":0,\"tid\":{}}}",
-            s.name.label(),
-            cat,
-            ph,
-            ts,
-            s.query
+            s.name, cat, ph, ts, s.query
         ));
     }
 
@@ -528,7 +529,7 @@ mod reference {
                 None => roots.push(i),
             }
         }
-        let by_start = |spans: &[Span], idxs: &mut Vec<usize>| {
+        let by_start = |spans: &Column<Span>, idxs: &mut Vec<usize>| {
             idxs.sort_by_key(|&i| (spans[i].start_ns, i));
         };
         by_start(&trace.spans, &mut roots);
@@ -602,12 +603,7 @@ mod reference {
             out.push_str(&format!(
                 "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"query\":{},\"name\":\"{}\",\
                  \"start_ns\":{},\"end_ns\":{}}}\n",
-                s.id.0,
-                parent,
-                s.query,
-                s.name.label(),
-                s.start_ns,
-                s.end_ns
+                s.id.0, parent, s.query, s.name, s.start_ns, s.end_ns
             ));
         }
         for io in &trace.io {
@@ -632,6 +628,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::CHUNK;
     use crate::span::{Phase, TraceLevel, Tracer};
     use sann_core::rng::SplitMix64;
 
@@ -940,6 +937,8 @@ mod tests {
     #[test]
     fn exports_match_the_reference_on_a_5000_query_trace() {
         let trace = random_trace(0x5EED, 5_000);
+        // Chunk boundaries inside both columns.
+        assert!(trace.spans.len() > 2 * CHUNK && trace.io.len() > CHUNK);
         let tags = |f: fn(&IoSpan) -> bool| trace.io.iter().filter(|io| f(io)).count();
         assert!(
             tags(|io| io.write) > 0 && tags(|io| io.hedged) > 0 && tags(|io| io.attempt > 0) > 0

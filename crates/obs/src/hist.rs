@@ -142,7 +142,11 @@ impl LogHistogram {
         if self.count == 0 {
             return 0;
         }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let rank = cast::u64_from_f64(
+            ((p / 100.0) * cast::f64_from_u64(self.count))
+                .ceil()
+                .max(1.0),
+        );
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;

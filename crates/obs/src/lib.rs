@@ -12,7 +12,8 @@
 //!   opens one span per query and one child span per [`Phase`] (queue
 //!   wait, distance compute, beam issue, flash service, page-cache hit,
 //!   rerank, delay), plus nested I/O spans for individual device requests
-//!   at [`TraceLevel::Io`].
+//!   at [`TraceLevel::Io`]. A trace stores its spans and I/O spans in
+//!   [`Column`]s: append-only chunks of a fixed size that never move.
 //! * [`hist`] — log₂-bucketed [`LogHistogram`]s with an exact
 //!   little-endian [`LogHistogram::canonical_bytes`] encoding, mergeable
 //!   across worker shards. The request-size bucketing used by Fig. 6 and
@@ -55,6 +56,7 @@
 //! trace.validate().unwrap();
 //! ```
 
+pub mod column;
 pub mod export;
 pub mod hist;
 pub mod provenance;
@@ -62,6 +64,7 @@ pub mod registry;
 pub mod span;
 pub mod timeline;
 
+pub use column::Column;
 pub use hist::LogHistogram;
 pub use provenance::IoProvenance;
 pub use registry::{PhaseBreakdown, Registry};

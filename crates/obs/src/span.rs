@@ -11,6 +11,8 @@
 //! below [`TraceLevel::Query`] every call is a no-op that hands back
 //! [`SpanId::NONE`].
 
+use crate::column::Column;
+use sann_core::cast;
 use std::fmt;
 
 /// How much the tracer records. Levels are ordered: each level includes
@@ -174,14 +176,7 @@ pub enum SpanName {
     Phase(Phase),
 }
 
-impl SpanName {
-    /// Stable label used by both exporters, which write it through
-    /// [`Display`](fmt::Display) without building the `String`.
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-}
-
+/// The stable label both exporters write.
 impl fmt::Display for SpanName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -282,14 +277,14 @@ impl IoSpan {
 const OPEN: u64 = u64::MAX;
 
 /// Destination for spans produced by instrumented code: appends spans to a
-/// vector and yields a [`Trace`] when the run finishes. Calls its
+/// [`Column`] and yields a [`Trace`] when the run finishes. Calls its
 /// [`TraceLevel`] does not record hand back [`SpanId::NONE`] and do
 /// nothing else, so call sites never branch on the level themselves.
 #[derive(Debug)]
 pub struct Tracer {
     level: TraceLevel,
-    spans: Vec<Span>,
-    io: Vec<IoSpan>,
+    spans: Column<Span>,
+    io: Column<IoSpan>,
     open: usize,
 }
 
@@ -298,8 +293,8 @@ impl Tracer {
     pub fn new(level: TraceLevel) -> Tracer {
         Tracer {
             level,
-            spans: Vec::new(),
-            io: Vec::new(),
+            spans: Column::new(),
+            io: Column::new(),
             open: 0,
         }
     }
@@ -308,7 +303,7 @@ impl Tracer {
     /// returns the finished [`Trace`].
     pub fn finish(mut self, end_ns: u64) -> Trace {
         if self.open > 0 {
-            for s in &mut self.spans {
+            for s in self.spans.iter_mut() {
                 if s.end_ns == OPEN {
                     s.end_ns = end_ns;
                 }
@@ -329,6 +324,8 @@ impl Tracer {
 
     /// Opens a span at `now_ns`; returns [`SpanId::NONE`] when spans are
     /// not recorded at this tracer's level.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn begin_span(
         &mut self,
         parent: SpanId,
@@ -339,7 +336,8 @@ impl Tracer {
         if !self.level.spans() {
             return SpanId::NONE;
         }
-        let id = SpanId(self.spans.len() as u32);
+        let id = SpanId(cast::u32_from_usize(self.spans.len()));
+        debug_assert!(id.is_some(), "span ids are exhausted");
         self.spans.push(Span {
             id,
             parent,
@@ -353,15 +351,21 @@ impl Tracer {
     }
 
     /// Closes a span at `now_ns`. No-op for [`SpanId::NONE`].
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn end_span(&mut self, id: SpanId, now_ns: u64) {
         let Some(idx) = id.index() else { return };
-        let s = &mut self.spans[idx];
-        debug_assert!(s.end_ns == OPEN, "span closed twice");
-        s.end_ns = now_ns;
-        self.open -= 1;
+        debug_assert!(idx < self.spans.len(), "span {id:?} was never opened");
+        if let Some(s) = self.spans.get_mut(idx) {
+            debug_assert!(s.end_ns == OPEN, "span closed twice");
+            s.end_ns = now_ns;
+            self.open -= 1;
+        }
     }
 
     /// Records one device request. No-op below [`TraceLevel::Io`].
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
     pub fn io_span(&mut self, io: IoSpan) {
         if self.level.io() {
             self.io.push(io);
@@ -376,23 +380,27 @@ pub struct Trace {
     pub level: TraceLevel,
     /// Simulated time at which the run finished.
     pub end_ns: u64,
-    /// All spans, in open order. A child's id is always greater than its
-    /// parent's.
-    pub spans: Vec<Span>,
+    /// All spans, in open order; span `i` carries [`SpanId`]`(i)`. A
+    /// child's id is always greater than its parent's.
+    pub spans: Column<Span>,
     /// Per-request I/O spans (empty below [`TraceLevel::Io`]).
-    pub io: Vec<IoSpan>,
+    pub io: Column<IoSpan>,
 }
 
 impl Trace {
     /// Structural invariants every trace must satisfy:
     ///
-    /// 1. every span is closed with `end_ns >= start_ns`, within the run
+    /// 1. span `i` carries id `i`, which the exporters rely on;
+    /// 2. every span is closed with `end_ns >= start_ns`, within the run
     ///    horizon;
-    /// 2. every child nests inside its parent's interval and belongs to
+    /// 3. every child nests inside its parent's interval and belongs to
     ///    the same query;
-    /// 3. every I/O span falls inside its owning span's interval.
+    /// 4. every I/O span falls inside its owning span's interval.
     pub fn validate(&self) -> Result<(), String> {
-        for s in &self.spans {
+        for (i, s) in self.spans.iter().enumerate() {
+            if s.id.index() != Some(i) {
+                return Err(format!("span at position {i} carries id {:?}", s.id));
+            }
             if s.end_ns < s.start_ns {
                 return Err(format!("span {:?} not closed", s.id));
             }
@@ -448,6 +456,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::CHUNK;
 
     #[test]
     fn level_ladder() {
@@ -562,15 +571,130 @@ mod tests {
                     start_ns: 40,
                     end_ns: 60,
                 },
-            ],
-            io: Vec::new(),
+            ]
+            .into(),
+            io: Column::new(),
         };
         assert!(trace.validate().is_err());
     }
 
+    fn read(owner: SpanId, query: u64, start_ns: u64, end_ns: u64) -> IoSpan {
+        IoSpan {
+            owner,
+            query,
+            start_ns,
+            end_ns,
+            offset: 0,
+            len: 4096,
+            write: false,
+            provenance: Default::default(),
+            attempt: 0,
+            hedged: false,
+            outcome: IoOutcome::Ok,
+        }
+    }
+
+    /// Opens and closes `n` one-span queries numbered from `first`.
+    fn closed_roots(t: &mut Tracer, first: u64, n: u64) {
+        for q in first..first + n {
+            let id = t.begin_span(SpanId::NONE, q, SpanName::Query { plan: 0 }, q);
+            t.end_span(id, q + 1);
+        }
+    }
+
+    #[test]
+    fn span_ids_are_positions_across_chunk_boundaries() {
+        let mut t = Tracer::new(TraceLevel::Query);
+        closed_roots(&mut t, 0, CHUNK as u64 - 2);
+        for n in [CHUNK - 1, CHUNK, CHUNK + 1] {
+            closed_roots(&mut t, n as u64 - 1, 1);
+            assert_eq!(t.spans.len(), n);
+            let last = t.spans.get(n - 1).unwrap();
+            assert_eq!(last.id, SpanId(n as u32 - 1));
+            assert_eq!(t.spans[n - 1].query, n as u64 - 1);
+            assert_eq!(t.spans.get(n), None);
+        }
+        let trace = t.finish(CHUNK as u64 + 1);
+        assert_eq!(trace.spans.len(), CHUNK + 1);
+        trace.validate().unwrap();
+    }
+
+    #[test]
+    fn end_span_reaches_back_into_an_earlier_chunk() {
+        let mut t = Tracer::new(TraceLevel::Query);
+        let q = t.begin_span(SpanId::NONE, 0, SpanName::Query { plan: 0 }, 0);
+        closed_roots(&mut t, 1, CHUNK as u64 + 10);
+        t.end_span(q, 77);
+        let trace = t.finish(100_000);
+        assert_eq!(trace.spans[0].end_ns, 77);
+        trace.validate().unwrap();
+    }
+
+    #[test]
+    fn finish_closes_open_spans_in_every_chunk() {
+        let mut t = Tracer::new(TraceLevel::Query);
+        let mut open = Vec::new();
+        for chunk in 0..3 {
+            let first = (chunk * CHUNK) as u64;
+            closed_roots(&mut t, first, 5);
+            open.push(t.begin_span(SpanId::NONE, first + 5, SpanName::Query { plan: 0 }, 10));
+            closed_roots(&mut t, first + 6, CHUNK as u64 - 6);
+        }
+        let trace = t.finish(100_000);
+        assert_eq!(trace.spans.len(), 3 * CHUNK);
+        for id in open {
+            assert_eq!(trace.spans[id.index().unwrap()].end_ns, 100_000);
+        }
+        let closed_early = trace.spans.iter().filter(|s| s.end_ns < 100_000).count();
+        assert_eq!(closed_early, 3 * CHUNK - 3);
+        trace.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_follows_parents_and_owners_into_earlier_chunks() {
+        let record = |child_end: u64, io_end: u64| {
+            let mut t = Tracer::new(TraceLevel::Io);
+            let q = t.begin_span(SpanId::NONE, 0, SpanName::Query { plan: 0 }, 0);
+            for _ in 0..CHUNK + 1 {
+                t.io_span(read(q, 0, 10, 20));
+            }
+            closed_roots(&mut t, 1, CHUNK as u64);
+            let c = t.begin_span(q, 0, SpanName::Phase(Phase::Compute), 50);
+            t.end_span(c, child_end);
+            t.io_span(read(q, 0, 60, io_end));
+            t.end_span(q, 100);
+            let trace = t.finish(100_000);
+            assert_eq!(c, SpanId(CHUNK as u32 + 1));
+            assert_eq!(trace.io.len(), CHUNK + 2);
+            trace
+        };
+        record(90, 90).validate().unwrap();
+        let escaping_child = record(150, 90).validate().unwrap_err();
+        assert!(
+            escaping_child.contains("escapes parent SpanId(0)"),
+            "{escaping_child}"
+        );
+        let escaping_io = record(90, 150).validate().unwrap_err();
+        assert!(
+            escaping_io.contains("escapes owner SpanId(0)"),
+            "{escaping_io}"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_misnumbered_span() {
+        let mut t = Tracer::new(TraceLevel::Query);
+        closed_roots(&mut t, 0, CHUNK as u64 + 2);
+        let mut trace = t.finish(100_000);
+        trace.validate().unwrap();
+        trace.spans.get_mut(CHUNK + 1).unwrap().id = SpanId(CHUNK as u32);
+        let err = trace.validate().unwrap_err();
+        assert!(err.contains(&format!("position {}", CHUNK + 1)), "{err}");
+    }
+
     #[test]
     fn span_labels_are_stable() {
-        assert_eq!(SpanName::Query { plan: 3 }.label(), "query/plan3");
-        assert_eq!(SpanName::Phase(Phase::BeamIssue).label(), "beam_issue");
+        assert_eq!(SpanName::Query { plan: 3 }.to_string(), "query/plan3");
+        assert_eq!(SpanName::Phase(Phase::BeamIssue).to_string(), "beam_issue");
     }
 }
