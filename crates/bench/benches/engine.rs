@@ -3,6 +3,11 @@
 //! simulated-run cost at low and high concurrency. Every row also reports
 //! its cost per dispatched event.
 
+#![allow(
+    clippy::cast_precision_loss,
+    reason = "reported rates divide small event and query counts"
+)]
+
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, BenchStats, Criterion};
 use sann_engine::{Executor, FaultConfig, FaultProfile, QueryPlan, RunConfig, Segment};
 use sann_index::IoReq;

@@ -11,6 +11,11 @@
 //! The measured numbers are written to `BENCH_obs.json` at the workspace
 //! root so `scripts/check.sh` archives them alongside the pass/fail.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a benchmark that cannot build its fixture or write its report should stop"
+)]
+
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
 use sann_engine::{Executor, QueryPlan, RunConfig, Segment};
 use sann_index::IoReq;

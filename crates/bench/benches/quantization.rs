@@ -4,6 +4,11 @@
 //! shape DiskANN and IVF-PQ train (96 sub-spaces x 256 sub-centroids of
 //! 8-d), which the repo benchmark's `ksub = 64` probe does not see.
 
+#![allow(
+    clippy::expect_used,
+    reason = "a benchmark that cannot build its fixture should stop"
+)]
+
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
 use sann_datagen::EmbeddingModel;
 use sann_quant::{KMeans, ProductQuantizer, ScalarQuantizer};

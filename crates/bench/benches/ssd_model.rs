@@ -1,6 +1,11 @@
 //! Device-model microbenchmarks: the simulator must schedule millions of
 //! requests per second of host time for 256-thread sweeps to be cheap.
 
+#![allow(
+    clippy::cast_precision_loss,
+    reason = "reported rates divide small request counts"
+)]
+
 use sann_bench::microbench::{black_box, criterion_group, criterion_main, Criterion};
 use sann_obs::IoProvenance;
 use sann_ssdsim::{Calibrator, DeviceSim, IoTracer, PageCache, SsdModel};

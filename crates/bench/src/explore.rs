@@ -74,13 +74,17 @@ pub fn sweep(
     // Keep each strategy's mean trace-level reads, bytes and overlapped
     // steps per query.
     let swept = ctx.sweep(&jobs, &[clients], |traces| {
-        let n = traces.len().max(1) as f64;
+        let n = cast::f64_from_usize(traces.len().max(1));
         let ios = traces.iter().map(|t| t.io_count()).sum::<u64>();
         let bytes = traces.iter().map(|t| t.read_bytes()).sum::<u64>();
         let steps = traces.iter().flat_map(|t| &t.steps);
         let overlapped = steps.filter(|s| matches!(s, TraceStep::Overlapped { .. }));
         let mean = |total: u64| cast::f64_from_u64(total) / n;
-        (mean(ios), mean(bytes), overlapped.count() as f64 / n)
+        (
+            mean(ios),
+            mean(bytes),
+            cast::f64_from_usize(overlapped.count()) / n,
+        )
     })?;
     let rows = jobs.iter().zip(swept).flat_map(|(&(_, params), s)| {
         let (trace_ios, trace_bytes, overlap_steps) = s.digest;

@@ -13,7 +13,7 @@
 use crate::cli::SubFlags;
 use crate::context::{BenchContext, PreparedDataset};
 use crate::report::{num, Table};
-use sann_core::{Metric, Result};
+use sann_core::{cast, Metric, Result};
 use sann_engine::{QueryPlan, Segment};
 use sann_index::{FreshConfig, FreshDiskAnnIndex, VamanaConfig};
 use sann_vdb::SetupKind;
@@ -110,7 +110,9 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
                 num(m.qps),
                 num(m.p99_latency_us),
                 num(m.mean_bandwidth_mib),
-                num(m.io_stats.write_bytes as f64 / (1 << 20) as f64 / (ctx.duration_us / 1e6)),
+                num(cast::f64_from_u64(m.io_stats.write_bytes)
+                    / (1 << 20) as f64
+                    / (ctx.duration_us / 1e6)),
             ]);
         }
     }

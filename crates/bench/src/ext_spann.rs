@@ -12,7 +12,7 @@
 use crate::cli::SubFlags;
 use crate::context::{BenchContext, Search, K, RECALL_TARGET};
 use crate::report::{num, Table};
-use sann_core::{Metric, Result};
+use sann_core::{cast, Metric, Result};
 use sann_index::{SearchParams, SpannConfig, SpannIndex};
 use sann_vdb::SetupKind;
 use std::sync::Arc;
@@ -89,19 +89,19 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
         for (name, p, shape, run) in sides {
             let Some(run) = run else { continue };
             let data = &p.data;
-            let n = shape.len().max(1) as f64;
+            let n = cast::f64_from_usize(shape.len().max(1));
             let ios: u64 = shape.iter().map(|t| t.io_count()).sum();
             let bytes: u64 = shape.iter().map(|t| t.read_bytes()).sum();
             let hops: u64 = shape.iter().map(|t| t.hops()).sum();
             let raw_bytes = (data.base.len() * data.base.row_bytes()) as u64;
-            let space = p.index.storage_bytes() as f64 / raw_bytes as f64;
+            let space = cast::f64_from_u64(p.index.storage_bytes()) / cast::f64_from_u64(raw_bytes);
             table.row([
                 data.spec.name.clone(),
                 name.to_owned(),
                 format!("{:.3}", p.recall),
-                num(ios as f64 / n),
-                num(bytes as f64 / ios.max(1) as f64 / 1024.0),
-                num(hops as f64 / n),
+                num(cast::f64_from_u64(ios) / n),
+                num(cast::f64_from_u64(bytes) / cast::f64_from_u64(ios.max(1)) / 1024.0),
+                num(cast::f64_from_u64(hops) / n),
                 num(run.qps),
                 num(run.p99_latency_us),
                 format!("{space:.2}x"),

@@ -6,7 +6,7 @@ use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::fig2_4::{ladder, CONCURRENCY_LADDER};
 use crate::report::{num, Table};
-use sann_core::Result;
+use sann_core::{cast, Result};
 use sann_engine::RunMetrics;
 use sann_vdb::SetupKind;
 
@@ -72,7 +72,7 @@ pub fn fig5(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
             } else {
                 &series[..]
             };
-            let mean = steady.iter().sum::<f64>() / steady.len().max(1) as f64;
+            let mean = steady.iter().sum::<f64>() / cast::f64_from_usize(steady.len().max(1));
             let min = steady.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = steady.iter().cloned().fold(0.0, f64::max);
             summary.row([

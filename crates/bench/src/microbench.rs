@@ -10,6 +10,7 @@
 //! its three `Instant` sites; the root `clippy.toml` still denies `Instant`
 //! to every simulation crate.
 
+use sann_core::cast;
 pub use std::hint::black_box;
 #[allow(
     clippy::disallowed_types,
@@ -143,7 +144,7 @@ fn run_one(criterion: &Criterion, name: &str, mut f: impl FnMut(&mut Bencher)) -
     let warm_up_start = Instant::now();
     let mut per_iter = loop {
         f(&mut bencher);
-        let per_iter = bencher.elapsed.as_secs_f64() / bencher.iters as f64;
+        let per_iter = bencher.elapsed.as_secs_f64() / cast::f64_from_u64(bencher.iters);
         if warm_up_start.elapsed() >= criterion.warm_up_time || per_iter > 0.05 {
             break per_iter;
         }
@@ -153,11 +154,12 @@ fn run_one(criterion: &Criterion, name: &str, mut f: impl FnMut(&mut Bencher)) -
         per_iter = 1e-9;
     }
 
-    let sample_budget = criterion.measurement_time.as_secs_f64() / criterion.sample_size as f64;
-    // per_iter is floored at 1e-9 above, so the quotient is finite and
-    // non-negative; the saturating cast plus the clamp bound iters even for
-    // degenerate budgets.
-    let iters = ((sample_budget / per_iter) as u64).clamp(1, 1 << 24);
+    let sample_budget =
+        criterion.measurement_time.as_secs_f64() / cast::f64_from_usize(criterion.sample_size);
+    // per_iter is floored at 1e-9 above, so the quotient is non-negative;
+    // the float `min` (an empty sample budget is infinite) and the `max`
+    // bound iters even for degenerate budgets.
+    let iters = cast::u64_from_f64((sample_budget / per_iter).min(f64::from(1u32 << 24))).max(1);
 
     let mut samples_ns: Vec<f64> = Vec::with_capacity(criterion.sample_size);
     for _ in 0..criterion.sample_size {
@@ -166,11 +168,13 @@ fn run_one(criterion: &Criterion, name: &str, mut f: impl FnMut(&mut Bencher)) -
             elapsed: Duration::ZERO,
         };
         f(&mut sample);
-        samples_ns.push(sample.elapsed.as_nanos() as f64 / iters as f64);
+        samples_ns.push(
+            cast::f64_rounded_from_u128(sample.elapsed.as_nanos()) / cast::f64_from_u64(iters),
+        );
     }
     samples_ns.sort_by(f64::total_cmp);
     let min = samples_ns.first().copied().unwrap_or(0.0);
-    let mean = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
+    let mean = samples_ns.iter().sum::<f64>() / cast::f64_from_usize(samples_ns.len());
     println!(
         "{name:<40} {mean:>12.1} ns/iter (min {min:.1}, {iters} iters x {} samples)",
         samples_ns.len()

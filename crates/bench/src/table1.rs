@@ -27,7 +27,7 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
         "  Storage device : modeled Samsung 990 Pro class NVMe ({} flash units, {:.0} us media, {:.1} GiB/s bus)\n",
         model.units,
         model.base_latency_us,
-        model.device_bw * 1e6 / (1u64 << 30) as f64
+        model.device_bw * 1e6 / f64::from(1u32 << 30)
     ));
     out.push_str(&format!(
         "  Run duration   : {:.0} s simulated per measurement\n\n",

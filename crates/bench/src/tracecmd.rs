@@ -11,7 +11,7 @@
 use crate::cli::SubFlags;
 use crate::context::BenchContext;
 use crate::report::{self, num};
-use sann_core::Result;
+use sann_core::{cast, Result};
 use sann_obs::export::{chrome_trace, jsonl};
 use sann_obs::TraceLevel;
 
@@ -48,7 +48,7 @@ pub fn run(ctx: &mut BenchContext, flags: &SubFlags) -> Result<String> {
         traced.metrics.completed,
         traced.trace.spans.len(),
         traced.trace.io.len(),
-        num(traced.trace.end_ns as f64 / 1_000.0),
+        num(cast::f64_from_u64(traced.trace.end_ns) / 1_000.0),
     ));
     if let Some(path) = ctx.trace_out.clone() {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {

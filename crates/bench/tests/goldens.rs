@@ -14,6 +14,11 @@
 //! UPDATE_GOLDEN=1 cargo test -p sann-bench --test goldens
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers fail the test on a setup error"
+)]
+
 use std::path::{Path, PathBuf};
 
 fn golden_path(name: &str) -> PathBuf {

@@ -11,6 +11,7 @@
 //! [`golden`] is the one compare-or-regenerate step every golden-file test
 //! in the workspace goes through.
 
+use crate::cast;
 use crate::hash::fnv1a64;
 use crate::rng::SplitMix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,12 +46,12 @@ impl Gen {
 
     /// Uniform `usize` in `[lo, hi)`.
     pub fn usize_in(&mut self, lo: usize, hi: usize) -> usize {
-        self.u64_in(lo as u64, hi as u64) as usize
+        cast::usize_from_u64(self.u64_in(lo as u64, hi as u64))
     }
 
     /// Uniform `u32` in `[lo, hi)`.
     pub fn u32_in(&mut self, lo: u32, hi: u32) -> u32 {
-        self.u64_in(lo as u64, hi as u64) as u32
+        cast::u32_from_u64(self.u64_in(lo as u64, hi as u64))
     }
 
     /// Uniform `f32` in `[lo, hi)`.

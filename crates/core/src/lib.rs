@@ -32,6 +32,16 @@
 //! assert_eq!(hits[1].id, 1);
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "unit tests build fixtures and expected values with `as`; the non-test build denies these casts"
+    )
+)]
+
 pub mod buf;
 pub mod cast;
 pub mod check;

@@ -1,6 +1,7 @@
 //! Recall computation — the accuracy metric of approximate nearest neighbor
 //! search (`recall@k = |K ∩ K'| / k` in the paper's §II-A).
 
+use crate::cast;
 use crate::topk::Neighbor;
 
 /// Computes `recall@k` for one query: the fraction of the true `k` nearest
@@ -28,7 +29,7 @@ pub fn recall_at_k(truth: &[u32], found: &[u32], k: usize) -> f64 {
             hits += 1;
         }
     }
-    hits as f64 / k as f64
+    cast::f64_from_usize(hits) / cast::f64_from_usize(k)
 }
 
 /// Computes the mean `recall@k` over a batch of queries.
@@ -46,7 +47,7 @@ pub fn mean_recall_at_k(truth: &[Vec<u32>], found: &[Vec<u32>], k: usize) -> f64
         .zip(found)
         .map(|(t, f)| recall_at_k(t, f, k))
         .sum();
-    total / truth.len() as f64
+    total / cast::f64_from_usize(truth.len())
 }
 
 /// Extracts ids from a list of [`Neighbor`] hits (convenience for recall

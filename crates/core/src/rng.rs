@@ -7,6 +7,8 @@
 //! used where distributions are needed; this type is for cheap, portable
 //! stream splitting.
 
+use crate::cast;
+
 /// SplitMix64 pseudorandom number generator.
 ///
 /// # Examples
@@ -53,13 +55,13 @@ impl SplitMix64 {
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        cast::f64_from_u64(self.next_u64() >> 11) / cast::f64_from_u64(1 << 53)
     }
 
     /// Uniform `f32` in `[0, 1)`.
     #[inline]
     pub fn next_f32(&mut self) -> f32 {
-        (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
+        cast::f32_rounded_from_u64(self.next_u64() >> 40) / cast::f32_rounded_from_u64(1 << 24)
     }
 
     /// Uniform integer in `[0, bound)`.
@@ -89,7 +91,7 @@ impl SplitMix64 {
     /// Fisher–Yates shuffles a slice.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
-            let j = self.next_bounded(i as u64 + 1) as usize;
+            let j = cast::usize_from_u64(self.next_bounded(i as u64 + 1));
             items.swap(i, j);
         }
     }
@@ -99,7 +101,7 @@ impl SplitMix64 {
     pub fn sample_indices(&mut self, len: usize, n: usize) -> Vec<usize> {
         let mut reservoir: Vec<usize> = (0..len.min(n)).collect();
         for i in n..len {
-            let j = self.next_bounded(i as u64 + 1) as usize;
+            let j = cast::usize_from_u64(self.next_bounded(i as u64 + 1));
             if j < n {
                 reservoir[j] = i;
             }

@@ -1,12 +1,14 @@
 //! Summary statistics used by the benchmark harness (the mean and the P99
 //! tail latency the paper reports).
 
+use crate::cast;
+
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    xs.iter().sum::<f64>() / xs.len() as f64
+    xs.iter().sum::<f64>() / cast::f64_from_usize(xs.len())
 }
 
 /// The `p`-th percentile (0.0–100.0) by linear interpolation between the
@@ -51,13 +53,13 @@ fn interpolate(sorted: &[f64], p: f64) -> f64 {
     let last = sorted.len() - 1;
     // Fractional rank over [0, last]; p0 clamps to the minimum and p100
     // to the maximum by construction.
-    let rank = (p / 100.0) * last as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let rank = (p / 100.0) * cast::f64_from_usize(last);
+    let lo = cast::usize_from_f64(rank.floor());
+    let hi = cast::usize_from_f64(rank.ceil());
     if lo == hi {
         return sorted[lo];
     }
-    let frac = rank - lo as f64;
+    let frac = rank - cast::f64_from_usize(lo);
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 

@@ -14,6 +14,7 @@
 
 use crate::synth::EmbeddingModel;
 use sann_core::buf::ByteWriter;
+use sann_core::cast;
 use sann_core::{Dataset, Metric};
 
 /// Number of query vectors per dataset (the paper uses 1,000).
@@ -43,8 +44,9 @@ impl DatasetSpec {
     /// Returns a copy scaled to `scale × n_base` vectors (minimum 1,000).
     /// Cluster count scales with the square root so density stays realistic.
     pub fn scaled(&self, scale: f64) -> DatasetSpec {
-        let n_base = ((self.n_base as f64 * scale) as usize).max(1_000);
-        let clusters = ((self.clusters as f64 * scale.sqrt()) as usize).clamp(8, self.clusters);
+        let n_base = cast::usize_from_f64(cast::f64_from_usize(self.n_base) * scale).max(1_000);
+        let clusters = cast::usize_from_f64(cast::f64_from_usize(self.clusters) * scale.sqrt())
+            .clamp(8, self.clusters);
         DatasetSpec {
             n_base,
             clusters,

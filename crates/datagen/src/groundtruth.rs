@@ -1,6 +1,7 @@
 //! Exact k-nearest-neighbor ground truth via parallel brute force.
 
 use sann_core::buf::{ByteReader, ByteWriter};
+use sann_core::cast;
 use sann_core::{par, Dataset, Error, Metric, Result, TopK};
 
 /// Exact nearest neighbors for a query set, used to score recall@k.
@@ -29,7 +30,7 @@ impl GroundTruth {
                 metric.distance_rows(queries.row(first + i), base.as_flat(), &mut dists);
                 let mut topk = TopK::new(k);
                 for (id, &d) in dists.iter().enumerate() {
-                    topk.push(id as u32, d);
+                    topk.push(cast::u32_from_usize(id), d);
                 }
                 *out = topk.into_sorted_vec().into_iter().map(|n| n.id).collect();
             }

@@ -29,6 +29,16 @@
 //! assert_eq!(gt.k(), 10);
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "unit tests build fixtures and expected values with `as`; the non-test build denies these casts"
+    )
+)]
+
 pub mod catalog;
 pub mod groundtruth;
 pub mod synth;

@@ -6,6 +6,7 @@
 //! random directions, with Zipf-distributed mixture weights, followed by
 //! normalization onto the unit sphere.
 
+use sann_core::cast;
 use sann_core::distance::normalize;
 use sann_core::rng::SplitMix64;
 use sann_core::Dataset;
@@ -90,13 +91,16 @@ impl EmbeddingModel {
         // Split the noise energy: `anisotropy` into the low-rank subspace
         // (direction j carries weight ∝ 1/sqrt(j+1)), the rest isotropic.
         let aniso = self.anisotropy.clamp(0.0, 1.0);
-        let decay: Vec<f64> = (0..rank).map(|j| 1.0 / ((j + 1) as f64).sqrt()).collect();
+        let decay: Vec<f64> = (0..rank)
+            .map(|j| 1.0 / cast::f64_from_usize(j + 1).sqrt())
+            .collect();
         let decay_norm: f64 = decay.iter().map(|d| d * d).sum::<f64>().sqrt();
         let lowrank_scales: Vec<f64> = decay
             .iter()
             .map(|d| self.cluster_std * aniso.sqrt() * d / decay_norm)
             .collect();
-        let iso_sigma = self.cluster_std * (1.0 - aniso).sqrt() / (self.dim as f64).sqrt();
+        let iso_sigma =
+            self.cluster_std * (1.0 - aniso).sqrt() / cast::f64_from_usize(self.dim).sqrt();
 
         let mut data = Vec::with_capacity(n * self.dim);
         let mut buf = vec![0.0f32; self.dim];
@@ -104,11 +108,11 @@ impl EmbeddingModel {
             let c = pick_weighted(&mut rng, &weights);
             let center = &centers[c * self.dim..(c + 1) * self.dim];
             for (out, &x) in buf.iter_mut().zip(center) {
-                *out = x + (iso_sigma * rng.next_gaussian()) as f32;
+                *out = x + cast::f32_from_f64(iso_sigma * rng.next_gaussian());
             }
             let cluster_basis = &basis[c * rank * self.dim..(c + 1) * rank * self.dim];
             for (j, &scale) in lowrank_scales.iter().enumerate() {
-                let z = (scale * rng.next_gaussian()) as f32;
+                let z = cast::f32_from_f64(scale * rng.next_gaussian());
                 let dir = &cluster_basis[j * self.dim..(j + 1) * self.dim];
                 for (out, &d) in buf.iter_mut().zip(dir) {
                     *out += z * d;
@@ -129,7 +133,7 @@ impl EmbeddingModel {
         for _ in 0..self.clusters * rank {
             let start = basis.len();
             for _ in 0..self.dim {
-                basis.push(rng.next_gaussian() as f32);
+                basis.push(cast::f32_from_f64(rng.next_gaussian()));
             }
             normalize(&mut basis[start..]);
         }
@@ -145,7 +149,7 @@ impl EmbeddingModel {
         for _ in 0..self.clusters {
             let start = centers.len();
             for _ in 0..self.dim {
-                centers.push(rng.next_gaussian() as f32);
+                centers.push(cast::f32_from_f64(rng.next_gaussian()));
             }
             normalize(&mut centers[start..]);
         }
@@ -155,7 +159,7 @@ impl EmbeddingModel {
     /// Zipf mixture weights (normalized to sum to 1).
     pub fn weights(&self) -> Vec<f64> {
         let raw: Vec<f64> = (1..=self.clusters)
-            .map(|rank| 1.0 / (rank as f64).powf(self.zipf_s))
+            .map(|rank| 1.0 / cast::f64_from_usize(rank).powf(self.zipf_s))
             .collect();
         let total: f64 = raw.iter().sum();
         raw.into_iter().map(|w| w / total).collect()

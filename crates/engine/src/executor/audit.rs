@@ -169,16 +169,13 @@ fn mismatch(a: u128, b: u128) -> f64 {
     ratio(a.abs_diff(b), a.max(b))
 }
 
-/// `num / den` for a report; zero stays exactly zero.
-#[allow(
-    clippy::cast_precision_loss,
-    reason = "a ratio to compare with a tolerance; rounding cannot turn a nonzero gap into zero"
-)]
+/// `num / den` for a report; zero stays exactly zero. A ratio to compare
+/// with a tolerance: rounding cannot turn a nonzero gap into zero.
 fn ratio(num: u128, den: u128) -> f64 {
     if num == 0 {
         return 0.0;
     }
-    (num as f64) / (den.max(1) as f64)
+    sann_core::cast::f64_rounded_from_u128(num) / sann_core::cast::f64_rounded_from_u128(den.max(1))
 }
 
 /// I/O conservation: every byte and every request the block-layer tracer

@@ -36,6 +36,16 @@
 //! assert!((metrics.qps - 20_000.0).abs() / 20_000.0 < 0.05);
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "unit tests build fixtures and expected values with `as`; the non-test build denies these casts"
+    )
+)]
+
 pub mod executor;
 pub mod ledger;
 pub mod metrics;

@@ -2,6 +2,13 @@
 //! exactly one (tag, cache-hit-or-device) cell, and the per-tag totals sum
 //! back to the untyped totals — on clean and on faulty devices alike.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    clippy::cast_sign_loss,
+    reason = "fixtures scale small counts by a ratio"
+)]
+
 use sann_engine::{Executor, FaultConfig, FaultProfile, QueryPlan, RunConfig, Segment};
 use sann_index::IoReq;
 use sann_obs::IoProvenance;

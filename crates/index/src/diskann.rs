@@ -234,7 +234,7 @@ impl FetchedSet {
             },
             LayoutKind::Paged => FetchedSet {
                 kind: LayoutKind::Paged,
-                set: vec![false; ix.paged.n_pages() as usize],
+                set: vec![false; cast::usize_from_u64(ix.paged.n_pages())],
             },
         }
     }
@@ -344,7 +344,7 @@ impl VectorIndex for DiskAnnIndex {
         // Building the ADC table costs ksub sub-distance rows ≈ ksub
         // full-dimension distance evaluations.
         let table = self.pq.distance_table(query);
-        trace.push_compute(self.pq.ksub() as u64, dim as u32);
+        trace.push_compute(self.pq.ksub() as u64, cast::u32_from_usize(dim));
 
         let mut seen = vec![false; self.data.len()];
         let mut cands: Vec<Candidate> = Vec::with_capacity(l + self.graph.r());
@@ -355,7 +355,7 @@ impl VectorIndex for DiskAnnIndex {
             pq_dist: table.distance_at(&self.codes, start as usize),
             visited: false,
         });
-        trace.push_pq_lookup(1, self.pq.m() as u32);
+        trace.push_pq_lookup(1, cast::u32_from_usize(self.pq.m()));
 
         // Exact distances of every fetched (visited) node, for final rerank.
         let mut exact = TopK::new(l.max(k));
@@ -469,11 +469,11 @@ impl VectorIndex for DiskAnnIndex {
                 &[
                     CpuOp::Compute {
                         count: frontier.len() as u64,
-                        dim: dim as u32,
+                        dim: cast::u32_from_usize(dim),
                     },
                     CpuOp::PqLookup {
                         count: pq_lookups,
-                        m: self.pq.m() as u32,
+                        m: cast::u32_from_usize(self.pq.m()),
                     },
                 ],
             );

@@ -2,7 +2,7 @@
 
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
-use sann_core::{Dataset, Metric, Result, TopK};
+use sann_core::{cast, Dataset, Metric, Result, TopK};
 
 /// An exact (non-approximate) index that scans every vector.
 ///
@@ -71,10 +71,13 @@ impl VectorIndex for FlatIndex {
             .distance_rows(query, self.data.as_flat(), &mut dists);
         let mut topk = TopK::new(k);
         for (id, &d) in dists.iter().enumerate() {
-            topk.push(id as u32, d);
+            topk.push(cast::u32_from_usize(id), d);
         }
         let mut trace = QueryTrace::new();
-        trace.push_compute(self.data.len() as u64, self.data.dim() as u32);
+        trace.push_compute(
+            self.data.len() as u64,
+            cast::u32_from_usize(self.data.dim()),
+        );
         Ok(SearchOutput {
             neighbors: topk.into_sorted_vec(),
             trace,

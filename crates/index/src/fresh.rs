@@ -86,7 +86,7 @@ impl FreshDiskAnnIndex {
         let pq = ProductQuantizer::train(data, pq_m, ksub, config.graph.seed ^ 0xF8E5)?;
         let codes = pq.encode_all(data);
         let r = graph.r();
-        let adj = (0..data.len() as u32)
+        let adj = (0..cast::u32_from_usize(data.len()))
             .map(|i| graph.neighbors(i).to_vec())
             .collect();
         let node_bytes = node_record_bytes(data.dim(), r);
@@ -147,7 +147,7 @@ impl FreshDiskAnnIndex {
             visited.extend(fetched.map(|(&id, &d)| Neighbor::new(id, d)));
         })?;
 
-        let id = self.data.len() as u32;
+        let id = cast::u32_from_usize(self.data.len());
         self.data.push(vector)?;
         self.deleted.push(false);
         self.live += 1;
@@ -164,7 +164,10 @@ impl FreshDiskAnnIndex {
             self.r,
             &mut batch,
         );
-        trace.push_compute((out.len() * self.r) as u64, self.data.dim() as u32);
+        trace.push_compute(
+            (out.len() * self.r) as u64,
+            cast::u32_from_usize(self.data.dim()),
+        );
         self.adj.push(out.clone());
 
         // Write the new record plus every dirtied in-neighbor record.
@@ -259,7 +262,7 @@ impl FreshDiskAnnIndex {
             self.adj[p] = robust_prune(
                 &self.data,
                 self.metric,
-                p as u32,
+                cast::u32_from_usize(p),
                 cands,
                 alpha,
                 self.r,
@@ -270,7 +273,7 @@ impl FreshDiskAnnIndex {
         // Make sure the medoid survives.
         if self.deleted[self.medoid as usize] {
             if let Some(alive) = (0..self.deleted.len()).find(|&i| !self.deleted[i]) {
-                self.medoid = alive as u32;
+                self.medoid = cast::u32_from_usize(alive);
             }
         }
         repaired
@@ -368,7 +371,10 @@ impl VectorIndex for FreshDiskAnnIndex {
         crate::check_query(query, self.data.dim(), k)?;
         let l = params.search_list.max(k);
         let w = params.beam_width.max(1);
-        let (dim, m) = (self.data.dim() as u32, self.pq.m() as u32);
+        let (dim, m) = (
+            cast::u32_from_usize(self.data.dim()),
+            cast::u32_from_usize(self.pq.m()),
+        );
         let mut trace = QueryTrace::new();
         let table = self.pq.distance_table(query);
         trace.push_compute(self.pq.ksub() as u64, dim);

@@ -18,7 +18,7 @@ use crate::batch::{best_first, greedy_descend, Batch};
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
 use sann_core::rng::SplitMix64;
-use sann_core::{Dataset, Error, Metric, Neighbor, Result};
+use sann_core::{cast, Dataset, Error, Metric, Neighbor, Result};
 
 /// Build-time configuration for [`HnswIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,12 +424,12 @@ impl HnswIndex {
                 "too many vectors for u32 node ids",
             ));
         };
-        let ml = 1.0 / (config.m as f64).ln();
+        let ml = 1.0 / cast::f64_from_usize(config.m).ln();
         let mut rng = SplitMix64::new(config.seed);
         let levels: Vec<usize> = (0..n)
             .map(|_| {
                 let u = rng.next_f64().max(f64::MIN_POSITIVE);
-                ((-u.ln() * ml) as usize).min(31)
+                cast::usize_from_f64(-u.ln() * ml).min(31)
             })
             .collect();
 
@@ -647,7 +647,7 @@ impl VectorIndex for HnswIndex {
         );
         found.truncate(k);
         let mut trace = QueryTrace::new();
-        trace.push_compute(dists, self.data.dim() as u32);
+        trace.push_compute(dists, cast::u32_from_usize(self.data.dim()));
         Ok(SearchOutput {
             neighbors: found,
             trace,

@@ -11,7 +11,7 @@ use crate::hnsw::{HnswConfig, HnswIndex};
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
 use sann_core::distance::by_fours;
-use sann_core::{Dataset, Error, Metric, Result};
+use sann_core::{cast, Dataset, Error, Metric, Result};
 use sann_quant::ScalarQuantizer;
 
 /// A scalar-quantized HNSW index.
@@ -115,7 +115,7 @@ impl VectorIndex for HnswSqIndex {
         let mut trace = QueryTrace::new();
         // An asymmetric SQ distance costs about the same as a full-precision
         // distance of the same dimensionality (decode + subtract + FMA).
-        trace.push_compute(dists, self.inner.dim() as u32);
+        trace.push_compute(dists, cast::u32_from_usize(self.inner.dim()));
         Ok(SearchOutput {
             neighbors: found,
             trace,

@@ -41,7 +41,7 @@ impl Default for IvfConfig {
 impl IvfConfig {
     /// The faiss guideline the paper uses: `nlist = 4 * sqrt(n)`.
     pub fn nlist_for(n: usize) -> usize {
-        ((4.0 * (n as f64).sqrt()) as usize).max(1)
+        cast::usize_from_f64(4.0 * cast::f64_from_usize(n).sqrt()).max(1)
     }
 
     /// Returns a copy with `nlist` set.
@@ -116,7 +116,7 @@ impl IvfIndex {
 fn lists_from_assignments(assignments: &[u32], nlist: usize) -> Vec<Vec<u32>> {
     let mut lists = vec![Vec::new(); nlist];
     for (id, &c) in assignments.iter().enumerate() {
-        lists[c as usize].push(id as u32);
+        lists[c as usize].push(cast::u32_from_usize(id));
     }
     lists
 }
@@ -150,7 +150,7 @@ impl VectorIndex for IvfIndex {
 
         // Stage 1: rank centroids.
         let probes = self.kmeans.nearest_n(query, nprobe);
-        trace.push_compute(self.nlist() as u64, self.data.dim() as u32);
+        trace.push_compute(self.nlist() as u64, cast::u32_from_usize(self.data.dim()));
 
         // Stage 2: scan the selected posting lists.
         let mut topk = TopK::new(k);
@@ -165,7 +165,7 @@ impl VectorIndex for IvfIndex {
             }
             scanned += list.len() as u64;
         }
-        trace.push_compute(scanned, self.data.dim() as u32);
+        trace.push_compute(scanned, cast::u32_from_usize(self.data.dim()));
         Ok(SearchOutput {
             neighbors: topk.into_sorted_vec(),
             trace,
@@ -324,12 +324,12 @@ impl VectorIndex for IvfPqIndex {
         let mut trace = QueryTrace::new();
 
         let probes = self.kmeans.nearest_n(query, nprobe);
-        trace.push_compute(self.nlist() as u64, self.dim as u32);
+        trace.push_compute(self.nlist() as u64, cast::u32_from_usize(self.dim));
 
         // Building the ADC table costs ksub * m sub-distance evaluations,
         // equivalent to ksub full-dimension distances.
         let table = self.pq.distance_table(query);
-        trace.push_compute(self.pq.ksub() as u64, self.dim as u32);
+        trace.push_compute(self.pq.ksub() as u64, cast::u32_from_usize(self.dim));
 
         let mut topk = TopK::new(k);
         let mut dists = Vec::new();
@@ -343,7 +343,7 @@ impl VectorIndex for IvfPqIndex {
             for (&id, &d) in list.iter().zip(&dists) {
                 topk.push(id, d);
             }
-            trace.push_pq_lookup(list.len() as u64, self.pq.m() as u32);
+            trace.push_pq_lookup(list.len() as u64, cast::u32_from_usize(self.pq.m()));
         }
         Ok(SearchOutput {
             neighbors: topk.into_sorted_vec(),

@@ -33,6 +33,16 @@
 //! # Ok::<(), sann_core::Error>(())
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "unit tests build fixtures and expected values with `as`; the non-test build denies these casts"
+    )
+)]
+
 mod batch;
 pub mod diskann;
 pub mod flat;

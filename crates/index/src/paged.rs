@@ -98,7 +98,7 @@ impl PagedLayout {
                 .filter(|&nb| page_of[nb as usize] == u32::MAX)
                 .collect();
             nbrs.sort_by_key(|&id| (std::cmp::Reverse(graph.neighbors(id).len()), id));
-            for nb in nbrs.into_iter().take(slots as usize) {
+            for nb in nbrs.into_iter().take(cast::usize_from_u64(slots)) {
                 page_of[nb as usize] = page;
             }
         }

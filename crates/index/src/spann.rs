@@ -122,7 +122,7 @@ impl SpannIndex {
             let nearest = dists[0].0;
             for &(d, c) in dists.iter().take(config.max_replicas) {
                 if d <= nearest * slack || c == dists[0].1 {
-                    lists[c].push(id as u32);
+                    lists[c].push(cast::u32_from_usize(id));
                 } else {
                     break;
                 }
@@ -154,7 +154,7 @@ impl SpannIndex {
     /// factor the paper's §II-B warns about).
     pub fn replication_factor(&self) -> f64 {
         let stored: usize = self.lists.iter().map(Vec::len).sum();
-        stored as f64 / self.data.len().max(1) as f64
+        cast::f64_from_usize(stored) / cast::f64_from_usize(self.data.len().max(1))
     }
 
     /// The build configuration.
@@ -227,7 +227,7 @@ impl VectorIndex for SpannIndex {
             }
             scanned += list.len() as u64;
         }
-        trace.push_compute(scanned, self.data.dim() as u32);
+        trace.push_compute(scanned, cast::u32_from_usize(self.data.dim()));
 
         Ok(SearchOutput {
             neighbors: topk.into_sorted_vec(),

@@ -15,7 +15,7 @@
 use crate::batch::{best_first, Batch};
 use sann_core::par;
 use sann_core::rng::SplitMix64;
-use sann_core::{Dataset, Error, Metric, Neighbor, Result};
+use sann_core::{cast, Dataset, Error, Metric, Neighbor, Result};
 
 /// Build-time configuration for [`VamanaGraph`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,7 +83,7 @@ impl VamanaGraph {
             .map(|i| {
                 let mut nbrs = Vec::with_capacity(r);
                 while nbrs.len() < r && n > 1 {
-                    let cand = rng.next_bounded(n as u64) as u32;
+                    let cand = cast::u32_from_u64(rng.next_bounded(n as u64));
                     if cand as usize != i && !nbrs.contains(&cand) {
                         nbrs.push(cand);
                     }
@@ -102,7 +102,7 @@ impl VamanaGraph {
         };
 
         // Random insertion order, shared by both passes.
-        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut order: Vec<u32> = (0..cast::u32_from_usize(n)).collect();
         rng.shuffle(&mut order);
         for alpha in [1.0f32, config.alpha] {
             for &id in &order {
@@ -296,7 +296,7 @@ impl GraphBuilder<'_> {
         let (data, metric, r) = (self.data, self.metric, self.r);
         par::par_chunks_mut(&mut self.adj, 1, threads, |first, lists| {
             let mut batch = Batch::default();
-            for (id, adj) in (first as u32..).zip(lists) {
+            for (id, adj) in (cast::u32_from_usize(first)..).zip(lists) {
                 if adj.len() > r {
                     let cands = batch.neighbors_of(metric, data, id, adj);
                     *adj = robust_prune(data, metric, id, cands, alpha, r, &mut batch);
@@ -362,7 +362,7 @@ fn find_medoid(data: &Dataset) -> u32 {
             *acc += x;
         }
     }
-    let inv = 1.0 / data.len() as f32;
+    let inv = 1.0 / cast::f32_rounded_from_usize(data.len());
     for x in centroid.iter_mut() {
         *x *= inv;
     }
@@ -373,7 +373,7 @@ fn find_medoid(data: &Dataset) -> u32 {
     for (i, &d) in dists.iter().enumerate() {
         if d < best_d {
             best_d = d;
-            best = i as u32;
+            best = cast::u32_from_usize(i);
         }
     }
     best

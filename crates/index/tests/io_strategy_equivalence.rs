@@ -4,6 +4,12 @@
 //! `search_list`/`beam_width`, and every strategy's traces must satisfy
 //! the trace well-formedness invariants.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    reason = "fixtures convert small counts and sizes"
+)]
+
 use sann_datagen::catalog;
 use sann_index::{DiskAnnConfig, DiskAnnIndex, IoStrategy, SearchParams, TraceStep, VectorIndex};
 

@@ -2,6 +2,8 @@
 //! changes: exact search is exact on every catalog dataset, and DiskANN
 //! recall never degrades when the caller pays for a larger search list.
 
+#![allow(clippy::cast_precision_loss, reason = "fixtures convert small counts")]
+
 use sann_datagen::{catalog, GroundTruth};
 use sann_index::{search_ids, DiskAnnConfig, DiskAnnIndex, FlatIndex, SearchParams};
 

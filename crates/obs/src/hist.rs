@@ -122,7 +122,7 @@ impl LogHistogram {
         if self.count == 0 {
             0.0
         } else {
-            self.sum as f64 / self.count as f64
+            cast::f64_from_u64(self.sum) / cast::f64_from_u64(self.count)
         }
     }
 

@@ -56,6 +56,16 @@
 //! trace.validate().unwrap();
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "unit tests build fixtures and expected values with `as`; the non-test build denies these casts"
+    )
+)]
+
 pub mod column;
 pub mod export;
 pub mod hist;

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use sann_core::buf::ByteWriter;
+use sann_core::cast;
 
 use crate::hist::LogHistogram;
 use crate::span::Phase;
@@ -64,7 +65,7 @@ impl PhaseBreakdown {
         if self.queries == 0 {
             0.0
         } else {
-            self.phase_ns(phase) as f64 / self.queries as f64 / 1_000.0
+            cast::f64_from_u64(self.phase_ns(phase)) / cast::f64_from_u64(self.queries) / 1_000.0
         }
     }
 
@@ -76,7 +77,7 @@ impl PhaseBreakdown {
         if total == 0 {
             0.0
         } else {
-            self.phase_ns(phase) as f64 / total as f64
+            cast::f64_from_u64(self.phase_ns(phase)) / cast::f64_from_u64(total)
         }
     }
 
@@ -158,12 +159,12 @@ impl Registry {
 
     /// Exact per-query latencies in completion order, microseconds —
     /// the shape `RunMetrics` historically consumed. The conversion is
-    /// the same `ns as f64 / 1000.0` arithmetic the executor used, so
+    /// the same `ns / 1000.0` f64 arithmetic the executor used, so
     /// metric values are bit-identical to the pre-registry plumbing.
     pub fn latencies_us(&self) -> Vec<f64> {
         self.latencies_ns
             .iter()
-            .map(|&ns| ns as f64 / 1_000.0)
+            .map(|&ns| cast::f64_from_u64(ns) / 1_000.0)
             .collect()
     }
 

@@ -31,12 +31,7 @@ impl Timeline {
         if duration_us <= 0.0 || bucket_us <= 0.0 {
             return None;
         }
-        #[allow(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "positive finite ratio, far below usize::MAX for any simulated run"
-        )]
-        let n = (duration_us / bucket_us).ceil() as usize;
+        let n = sann_core::cast::usize_from_f64((duration_us / bucket_us).ceil());
         let n = n.max(1);
         Some(Timeline {
             duration_us,
@@ -73,13 +68,9 @@ impl Timeline {
     #[deny(clippy::indexing_slicing)]
     pub fn record(&mut self, t_us: f64, value: f64) {
         debug_assert!(t_us >= 0.0, "negative sample time");
-        #[allow(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "non-negative, and the min() clamp bounds the index"
-        )]
+        // Non-negative, and the min() clamp bounds the index.
         let i = if t_us >= 0.0 && self.bucket_us > 0.0 {
-            ((t_us / self.bucket_us) as usize).min(self.n_buckets() - 1)
+            sann_core::cast::usize_from_f64(t_us / self.bucket_us).min(self.n_buckets() - 1)
         } else {
             0
         };

@@ -4,7 +4,7 @@
 
 use sann_core::distance::{cols_from_rows, l2_squared, l2_squared_cols};
 use sann_core::rng::SplitMix64;
-use sann_core::{par, Dataset, Error, Metric, Result};
+use sann_core::{cast, par, Dataset, Error, Metric, Result};
 use std::borrow::Cow;
 
 /// K-means trainer configuration.
@@ -186,7 +186,7 @@ impl KMeansModel {
         Metric::L2.distance_rows(v, self.centroids.as_flat(), &mut dists);
         let mut topk = sann_core::TopK::new(n.max(1).min(self.centroids.len()));
         for (c, &d) in dists.iter().enumerate() {
-            topk.push(c as u32, d);
+            topk.push(cast::u32_from_usize(c), d);
         }
         topk.into_sorted_vec().into_iter().map(|nb| nb.id).collect()
     }
@@ -256,7 +256,7 @@ fn first_smallest(dists: &[f32]) -> Assigned {
     for (c, &d) in dists.iter().enumerate() {
         if d < best.dist {
             best = Assigned {
-                id: c as u32,
+                id: cast::u32_from_usize(c),
                 dist: d,
             };
         }
@@ -286,7 +286,7 @@ fn kmeanspp_init(
     let n = rows.len() / dim;
     let row = |i: usize| &rows[i * dim..(i + 1) * dim];
     let mut centroids = Vec::with_capacity(k * dim);
-    let first = rng.next_bounded(n as u64) as usize;
+    let first = cast::usize_from_u64(rng.next_bounded(n as u64));
     centroids.extend_from_slice(row(first));
 
     let mut min_dist = vec![0.0f32; n];
@@ -298,7 +298,7 @@ fn kmeanspp_init(
         let total: f64 = min_dist.iter().map(|&d| d as f64).sum();
         let next = if total <= 0.0 {
             // All remaining points coincide with a centroid; pick uniformly.
-            rng.next_bounded(n as u64) as usize
+            cast::usize_from_u64(rng.next_bounded(n as u64))
         } else {
             let mut target = rng.next_f64() * total;
             let mut chosen = n - 1;
@@ -498,10 +498,10 @@ fn recompute_centroids(
     for c in 0..k {
         if counts[c] == 0 {
             // Re-seed an empty cluster at a random data point so k survives.
-            let i = rng.next_bounded((rows.len() / dim) as u64) as usize;
+            let i = cast::usize_from_u64(rng.next_bounded((rows.len() / dim) as u64));
             centroids[c * dim..(c + 1) * dim].copy_from_slice(&rows[i * dim..(i + 1) * dim]);
         } else {
-            let inv = 1.0 / counts[c] as f32;
+            let inv = 1.0 / cast::f32_rounded_from_u64(counts[c]);
             for x in centroids[c * dim..(c + 1) * dim].iter_mut() {
                 *x *= inv;
             }
@@ -623,8 +623,8 @@ mod reference {
     }
 }
 
-// The module itself stays private: `sann-xtask analyze` exempts a
-// `#[cfg(test)] mod`, not a `pub(crate)` one.
+// Tests reach the reference fit through this re-export; the module itself
+// stays private.
 #[cfg(test)]
 pub(crate) use reference::fit as fit_reference;
 

@@ -27,6 +27,16 @@
 //! # Ok::<(), sann_core::Error>(())
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "unit tests build fixtures and expected values with `as`; the non-test build denies these casts"
+    )
+)]
+
 pub mod kmeans;
 pub mod pq;
 pub mod sq;

@@ -11,7 +11,7 @@
 
 use crate::kmeans::{nearest_centroid, KMeans};
 use sann_core::distance::{by_fours, cols_from_rows, cols_len, cols_row, l2_squared_cols};
-use sann_core::{par, Dataset, Error, Result};
+use sann_core::{cast, par, Dataset, Error, Result};
 
 /// A trained product quantizer.
 #[derive(Debug, Clone)]
@@ -152,7 +152,7 @@ impl ProductQuantizer {
         assert_eq!(v.len(), self.dim, "encode dimension mismatch");
         for (slot, (sv, book)) in code.iter_mut().zip(self.subspaces(v)) {
             // ksub <= 256, so the nearest sub-centroid's index fits a byte.
-            *slot = nearest_centroid(sv, book, dists) as u8;
+            *slot = cast::u8_from_u32(nearest_centroid(sv, book, dists));
         }
     }
 

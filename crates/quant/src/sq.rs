@@ -4,7 +4,7 @@
 //! setup ("HNSW index with scalar quantization", §III-C). Each dimension is
 //! independently mapped onto `[0, 255]` using the training min/max.
 
-use sann_core::{Dataset, Error, Result};
+use sann_core::{cast, Dataset, Error, Result};
 
 /// A trained scalar quantizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,7 +61,7 @@ impl ScalarQuantizer {
                 if s == 0.0 {
                     0
                 } else {
-                    (((x - mn) / s).round()).clamp(0.0, 255.0) as u8
+                    cast::u8_saturating_from_f32(((x - mn) / s).round())
                 }
             })
             .collect()

@@ -49,7 +49,7 @@ impl Calibrator {
             peak_iops: four_core / (self.duration_us / 1e6),
             seq_bandwidth_gib: (seq * 128.0 * 1024.0)
                 / (self.duration_us / 1e6)
-                / (1u64 << 30) as f64,
+                / f64::from(1u32 << 30),
         }
     }
 

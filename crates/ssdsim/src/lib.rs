@@ -30,6 +30,16 @@
 //! assert!(done > 0.0 && done < 200.0, "a lone 4 KiB read takes tens of µs");
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        reason = "unit tests build fixtures and expected values with `as`; the non-test build denies these casts"
+    )
+)]
+
 pub mod calibrate;
 pub mod faults;
 pub mod model;

@@ -56,7 +56,7 @@ impl<V: Copy + Default> PageMap<V> {
     fn home(&self, page: u64) -> usize {
         let bits = self.cells.len().trailing_zeros();
         // The shift leaves `bits` bits: an index below `cells.len()`.
-        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+        sann_core::cast::usize_from_u64(page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits))
     }
 
     /// The cell holding `page`, or the empty cell where it would go.

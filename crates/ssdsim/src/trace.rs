@@ -225,7 +225,7 @@ impl IoStats {
         if total == 0 {
             return 0.0;
         }
-        *self.size_histogram.get(&len).unwrap_or(&0) as f64 / total as f64
+        cast::f64_from_u64(*self.size_histogram.get(&len).unwrap_or(&0)) / cast::f64_from_u64(total)
     }
 
     /// The exact size→count map folded into the shared log₂ bucketing

@@ -2,6 +2,11 @@
 //! reproducibility, clean-profile transparency, and device conservation
 //! with faulted (including failed) requests.
 
+#![allow(
+    clippy::cast_precision_loss,
+    reason = "assertions compare small request counts as ratios"
+)]
+
 use sann_ssdsim::{DeviceSim, FaultInjector, FaultProfile, IoTracer, SsdModel, HEDGE_TAG};
 
 /// Replays a deterministic pseudo-workload through the injector and

@@ -68,7 +68,6 @@ struct Cell {
 /// Returns a description of the first trace-invariant violation or metric
 /// byte-divergence found.
 pub fn run() -> Result<String, String> {
-    analyzer_self_check()?;
     // Every replay fans out over the pass's worker threads: the output must
     // not depend on how many there are.
     let first = sweep(None, FaultProfile::none(), 1)?;
@@ -96,35 +95,9 @@ pub fn run() -> Result<String, String> {
         return Err("flaky fault profile left every cell untouched".into());
     }
     Ok(format!(
-        "determinism: PASS — {} cells byte-identical across two seeded runs at 1 and 2 threads plus cold/warm artifact-cache replays, a flaky fault-profile sweep replayed byte-for-byte ({audited} metric bytes compared), and the static analyzer's text/baseline outputs byte-stable across a double run",
+        "determinism: PASS — {} cells byte-identical across two seeded runs at 1 and 2 threads plus cold/warm artifact-cache replays, and a flaky fault-profile sweep replayed byte-for-byte ({audited} metric bytes compared)",
         first.len()
     ))
-}
-
-/// Double-runs the static analyzer over the workspace and demands that its
-/// own outputs — the text report and the rendered baseline — are
-/// byte-identical. The tool that audits determinism is held to the same
-/// contract as the code it audits.
-fn analyzer_self_check() -> Result<(), String> {
-    let root = crate::analyze::workspace_root();
-    let first = crate::analyze::run(&root)?;
-    let second = crate::analyze::run(&root)?;
-    for (what, a, b) in [
-        ("text report", first.render_text(), second.render_text()),
-        (
-            "baseline render",
-            crate::baseline::render(&first.counts),
-            crate::baseline::render(&second.counts),
-        ),
-    ] {
-        if a != b {
-            let byte = a.bytes().zip(b.bytes()).position(|(x, y)| x != y);
-            return Err(format!(
-                "analyzer {what} diverged across a double run: first difference at byte {byte:?}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Byte-diffs one pass against the baseline; returns bytes compared.
@@ -207,6 +180,9 @@ fn sweep(
                 .map_err(|e| format!("{} query {qi}: invalid trace: {e}", kind.name()))?;
         }
     }
+    let concurrency = *CONCURRENCIES
+        .last()
+        .ok_or_else(|| "empty concurrency sweep".to_string())?;
     let mut cells = Vec::new();
     for &kind in KINDS {
         // One fully-traced run per setup: both exporters plus the
@@ -214,7 +190,6 @@ fn sweep(
         let plans = ctx
             .plans(&spec, kind)
             .map_err(|e| format!("plans {kind:?}: {e}"))?;
-        let concurrency = *CONCURRENCIES.last().expect("sweep non-empty");
         let point = ctx.point(kind, &plans, concurrency);
         let Ok(traced) = ctx.run_traced(&point, TraceLevel::Io) else {
             continue; // profile rejects this concurrency; fine, both passes skip it

@@ -1,25 +1,12 @@
-//! `sann-xtask` — the workspace invariant checker.
+//! `sann-xtask` — the workspace's runtime determinism audit.
 //!
 //! The simulation stack promises *bit-determinism*: identical inputs produce
 //! identical metrics, byte for byte. The root `clippy.toml` bans the wall
-//! clock and hash containers outright; this crate enforces the rest, from
-//! two directions:
+//! clock and hash containers outright, and the workspace lint table denies
+//! lossy casts and panics; what no lint can see, [`determinism`] checks at
+//! run time: it runs a small end-to-end sweep twice with the same seed and
+//! diffs the canonical metric encodings byte for byte.
 //!
-//! * **statically** — [`analyze`] counts clippy's lossy-cast and panic lints
-//!   per package ([`clippy`]), ratchets them against [`baseline`]-recorded
-//!   counts, and checks the crate manifests against the declared dependency
-//!   DAG ([`layering`]). The result renders as one table. Hot functions
-//!   carry their own `deny` attributes, so a hot-path ban fails the same
-//!   clippy pass;
-//! * **dynamically** — [`determinism`] runs a small end-to-end sweep twice
-//!   with the same seed and diffs the canonical metric encodings byte for
-//!   byte — and double-runs the analyzer itself, demanding byte-stable
-//!   output.
-//!
-//! Run it as `cargo run -p sann-xtask -- analyze` and `-- determinism`.
+//! Run it as `cargo run --release -p sann-xtask -- determinism`.
 
-pub mod analyze;
-pub mod baseline;
-pub mod clippy;
 pub mod determinism;
-pub mod layering;

@@ -4,6 +4,11 @@
 //!
 //! Run with: `cargo run --release --example parameter_tuning`
 
+#![allow(
+    clippy::cast_precision_loss,
+    reason = "printed rates divide small counts"
+)]
+
 use sann::core::Metric;
 use sann::datagen::{EmbeddingModel, GroundTruth};
 use sann::index::{DiskAnnConfig, DiskAnnIndex, HnswConfig, HnswIndex, SearchParams, VectorIndex};

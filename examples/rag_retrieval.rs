@@ -8,6 +8,11 @@
 //!
 //! Run with: `cargo run --release --example rag_retrieval`
 
+#![allow(
+    clippy::cast_precision_loss,
+    reason = "printed rates divide small counts"
+)]
+
 use sann::core::Metric;
 use sann::datagen::EmbeddingModel;
 use sann::index::{DiskAnnConfig, DiskAnnIndex, SearchParams, VectorIndex};

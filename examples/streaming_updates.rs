@@ -5,6 +5,11 @@
 //!
 //! Run with: `cargo run --release --example streaming_updates`
 
+#![allow(
+    clippy::cast_precision_loss,
+    reason = "printed rates divide small counts"
+)]
+
 use sann::core::Metric;
 use sann::datagen::EmbeddingModel;
 use sann::index::{FreshConfig, FreshDiskAnnIndex, SearchParams, VamanaConfig, VectorIndex};

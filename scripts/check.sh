@@ -1,61 +1,79 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, clippy (warnings are errors), the
-# workspace analyzer, and the test suite. CI runs exactly this.
+# The full local gate: formatting, clippy (warnings are errors), docs, the
+# runtime determinism audit, and the test suite. CI runs exactly this.
+# Each step prints its wall time when it ends, and a passing run ends with
+# a table of every step's seconds, so a slower gate says which step grew.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+timings=()
+current=""
+started=0
+# Ends the running step, printing and recording its elapsed seconds.
+end_step() {
+    if [ -n "$current" ]; then
+        local secs=$((SECONDS - started))
+        echo "    ${secs}s"
+        timings+=("$(printf '%-60s %5d' "$current" "$secs")")
+    fi
+}
+# Ends the running step and starts the next one, named "$1".
+step() {
+    end_step
+    current="$1"
+    started=$SECONDS
+    echo "==> $1"
+}
+
+step "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (deny warnings)"
+step "cargo clippy (deny warnings)"
 # Includes the determinism bans: clippy.toml's disallowed-types (the wall
-# clock, hash containers, RandomState), denied here in every target. Also
+# clock, hash containers, RandomState), denied here in every target; the
+# workspace lint table's lossy-cast and panic denials (tests may unwrap,
+# expect and panic; lib crates allow casts in their unit tests only); and
 # the hot-path bans: functions marked with
 # #[deny(clippy::disallowed_methods, clippy::disallowed_macros)] and
 # #[deny(clippy::indexing_slicing)] may not allocate, index, or call
 # partial_cmp.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (deny warnings)"
+step "cargo doc (deny warnings)"
 # A broken intra-doc link, e.g. to an item since deleted, fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
-echo "==> sann-xtask analyze (clippy lint ratchet, manifest layering)"
-# One clippy pass over the lib and bin targets (cached in target/analyze)
-# counts the lossy-cast and panic lints per package. Fails on any count
-# above analyze-baseline.toml, a manifest dependency off the layering DAG,
-# or a clippy error such as a hot function's deny.
-cargo run -q -p sann-xtask -- analyze
-
-echo "==> sann-xtask determinism (runtime double-run audit)"
+step "sann-xtask determinism (runtime double-run audit)"
 # Runs a tiny sweep twice (at 1 and at 2 worker threads), then cold and
 # warm artifact-cache replays and a flaky fault-profile replay, and
-# byte-diffs every metric, trace, report and CSV; also double-runs the
-# analyzer's text report and baseline.
+# byte-diffs every metric, trace, report and CSV.
 cargo run -q --release -p sann-xtask -- determinism
 
-echo "==> cargo test"
+step "cargo test"
 # Includes every golden: the trace exporter and fault histograms
-# (sann-engine) and vdbbench all / iostat / explore (sann-bench).
+# (sann-engine) and vdbbench all / iostat / explore (sann-bench); and
+# crates/bench/tests/workspace.rs: the manifest layering DAG, every
+# member's `[lints] workspace = true`, clippy probes of the lint table and
+# clippy.toml, and where a lint may be allowed.
 cargo test -q --workspace
 
-echo "==> quickstart example"
+step "quickstart example"
 # cargo test only compiles the examples; this runs quickstart's asserts.
 cargo run -q --release --example quickstart
 
-echo "==> benchmark/ against the crates it measures"
+step "benchmark/ against the crates it measures"
 # benchmark/ is a package of its own, outside the workspace, so nothing
 # above compiles it: a deleted public item it uses would pass the gate.
 # --locked fails instead of rewriting its tracked Cargo.lock.
 cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> observability overhead gate (BENCH_obs.json)"
+step "observability overhead gate (BENCH_obs.json)"
 # Asserts provenance tagging costs < 2% over the untagged hot loop, reports
 # the `query` and `io` trace levels, and archives the measured numbers at
 # the workspace root.
 cargo bench -q -p sann-bench --bench obs_overhead
 
-echo "==> vdbbench all, cold then warm, against the golden"
+step "vdbbench all, cold then warm, against the golden"
 # The real binary at the golden's tiny fixed scale: every subcommand, cold
 # (building and caching all prep) and then warm (replaying it), must print
 # and write exactly crates/bench/tests/golden/all/, and the warm run must
@@ -81,4 +99,8 @@ if ! grep -q '^\[cache\] [0-9]* hits, 0 misses' "$tmp/warm.err"; then
 fi
 echo "all matches the golden cold and warm; warm run: $(grep '^\[cache\]' "$tmp/warm.err")"
 
+end_step
+
+echo "==> step wall times (s)"
+printf '%s\n' "${timings[@]}"
 echo "All checks passed."

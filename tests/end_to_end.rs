@@ -2,6 +2,12 @@
 //! trace collection → engine replay, asserting the paper's headline *shapes*
 //! at miniature scale.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test helpers fail the test on a setup error"
+)]
+
 use sann::core::{Metric, Result};
 use sann::datagen::{catalog, GroundTruth};
 use sann::engine::{Executor, RunConfig};

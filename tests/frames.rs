@@ -11,6 +11,11 @@
 //! UPDATE_GOLDEN=1 cargo test --test frames
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers fail the test on a setup error"
+)]
+
 use sann::core::buf::{ByteReader, ByteWriter};
 use sann::core::hash::fnv1a64;
 use sann::core::{Dataset, Metric};

@@ -2,6 +2,12 @@
 //! seeded [`sann::core::check`] harness (deterministic: the same property
 //! always sees the same case stream, so failures reproduce exactly).
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    reason = "generators narrow and convert small sampled values"
+)]
+
 use sann::core::check::{run, Gen};
 use sann::core::{stats, Dataset, Metric, TopK};
 use sann::index::{layout::DiskLayout, IoReq, QueryTrace};
