@@ -3,9 +3,7 @@
 //! Experiments must be reproducible bit-for-bit across crates and runs, so
 //! the workspace seeds everything from [`SplitMix64`] (Steele et al.,
 //! "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014) rather than
-//! threading `rand` generics through every API. The `rand` crate is still
-//! used where distributions are needed; this type is for cheap, portable
-//! stream splitting.
+//! threading `rand` generics through every API.
 
 use crate::cast;
 

@@ -4,25 +4,71 @@
 //! Graph searches score a node's not-yet-seen neighbours together — one
 //! query against four rows per kernel call — instead of one pair at a time.
 //! A [`Batch`] holds the ids picked for such a call and the distances it
-//! returned; a search or build call creates one and reuses it for every
-//! node it expands, so the hot loops stay allocation-free.
+//! returned, and the seen-set ([`Mark`]) and frontier storage of a walk; a
+//! search creates one and reuses it for every node it expands, and a graph
+//! build keeps one for all of its walks and prunes, so the hot loops stay
+//! allocation-free.
 //!
 //! [`best_first`] and [`greedy_descend`] are the only copies of their loops:
 //! HNSW and Vamana, at build time and at query time, full-precision or
 //! quantized, differ in the adjacency they walk (`neighbors`) and in how a
 //! batch of ids is scored (`dist`), never in the walk itself.
 
-use sann_core::{Dataset, Metric, Neighbor, TopK};
+use crate::pairs::RowDistances;
+use sann_core::{Neighbor, TopK};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The ids of one batched distance call and, once scored, their distances.
+/// The ids of one batched distance call and, once scored, their distances,
+/// plus the set and the heap storage a walk reuses from one call to the
+/// next.
 #[derive(Debug, Default)]
 pub(crate) struct Batch {
     /// Ids to score, in the order results are consumed.
     pub ids: Vec<u32>,
     /// One distance per id, filled by the scoring call.
     pub dists: Vec<f32>,
+    /// The nodes a walk has seen (or the ids a prune has taken).
+    pub mark: Mark,
+    /// [`best_first`]'s frontier, empty between calls.
+    frontier: Vec<Reverse<Neighbor>>,
+}
+
+/// A set of node ids that empties in O(1). An id is in the set while its
+/// stamp equals the current epoch, so starting a new set is one increment,
+/// and once in 255 sets, when the epoch wraps, a zero fill. A byte per
+/// node keeps it the size of the `bool` array a one-off search would use.
+#[derive(Debug, Default)]
+pub(crate) struct Mark {
+    stamps: Vec<u8>,
+    epoch: u8,
+}
+
+impl Mark {
+    /// Empties the set and makes room for the ids below `nodes`.
+    pub fn reset(&mut self, nodes: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        if self.stamps.len() < nodes {
+            self.stamps.resize(nodes, 0);
+        }
+    }
+
+    /// Adds `id`; returns whether it was not in the set yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no [`reset`](Mark::reset) has made room for `id`.
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+    #[deny(clippy::indexing_slicing)]
+    pub fn insert(&mut self, id: u32) -> bool {
+        #[allow(clippy::indexing_slicing, reason = "ids are below the reset size")]
+        let stamp = &mut self.stamps[id as usize];
+        std::mem::replace(stamp, self.epoch) != self.epoch
+    }
 }
 
 impl Batch {
@@ -34,23 +80,15 @@ impl Batch {
         self.ids.extend_from_slice(ids);
     }
 
-    /// Replaces the ids with the members of `candidates` not yet marked in
-    /// `seen`, in order, and marks them.
-    pub fn take_unseen(&mut self, candidates: &[u32], seen: &mut [bool]) {
-        self.ids.clear();
-        self.ids.extend(
-            candidates
-                .iter()
-                .copied()
-                .filter(|&id| !std::mem::replace(&mut seen[id as usize], true)),
-        );
-    }
-
-    /// Scores the ids by their exact distance from `query`.
+    /// Replaces the ids with the members of `candidates` not yet in
+    /// [`Batch::mark`], in order, and adds them to it.
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     #[deny(clippy::indexing_slicing)]
-    pub fn score(&mut self, metric: Metric, query: &[f32], data: &Dataset) {
-        metric.distance_gather(query, data, &self.ids, &mut self.dists);
+    pub fn take_unseen(&mut self, candidates: &[u32]) {
+        self.ids.clear();
+        let mark = &mut self.mark;
+        self.ids
+            .extend(candidates.iter().copied().filter(|&id| mark.insert(id)));
     }
 
     /// The scored `(id, distance)` pairs, in id order.
@@ -67,15 +105,9 @@ impl Batch {
 
     /// The out-neighbours `ids` of `node` with their distances from it: the
     /// candidate pool for re-pruning `node`.
-    pub fn neighbors_of(
-        &mut self,
-        metric: Metric,
-        data: &Dataset,
-        node: u32,
-        ids: &[u32],
-    ) -> Vec<Neighbor> {
+    pub fn neighbors_of(&mut self, pairs: &RowDistances, node: u32, ids: &[u32]) -> Vec<Neighbor> {
         self.set(ids);
-        self.score(metric, data.row(node as usize), data);
+        pairs.gather(node, &self.ids, &mut self.dists);
         self.neighbors()
     }
 }
@@ -98,6 +130,8 @@ fn dist_one(dist: &mut impl FnMut(&[u32], &mut Vec<f32>), id: u32, out: &mut Vec
 /// concatenated, are exactly the sequence a one-id-at-a-time search would
 /// ask for. `popped` sees every node the search expands, in expansion
 /// order.
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
+#[deny(clippy::indexing_slicing)]
 pub(crate) fn best_first<'g>(
     nodes: usize,
     entry: u32,
@@ -107,19 +141,21 @@ pub(crate) fn best_first<'g>(
     mut popped: impl FnMut(Neighbor),
     batch: &mut Batch,
 ) -> Vec<Neighbor> {
-    let mut visited = vec![false; nodes];
-    visited[entry as usize] = true;
+    batch.mark.reset(nodes);
+    batch.mark.insert(entry);
     let d0 = dist_one(&mut dist, entry, &mut batch.dists);
     let mut best = TopK::new(ef);
     best.push(entry, d0);
-    // Min-heap of unexpanded candidates via Reverse ordering on Neighbor.
-    let mut frontier = BinaryHeap::from([Reverse(Neighbor::new(entry, d0))]);
+    // Min-heap of unexpanded candidates via Reverse ordering on Neighbor,
+    // in the storage the last call left empty.
+    let mut frontier = BinaryHeap::from(std::mem::take(&mut batch.frontier));
+    frontier.push(Reverse(Neighbor::new(entry, d0)));
     while let Some(Reverse(cand)) = frontier.pop() {
         if cand.dist > best.bound() {
             break;
         }
         popped(cand);
-        batch.take_unseen(neighbors(cand.id), &mut visited);
+        batch.take_unseen(neighbors(cand.id));
         dist(&batch.ids, &mut batch.dists);
         for (n, d) in batch.scored() {
             if d < best.bound() || !best.is_full() {
@@ -128,6 +164,8 @@ pub(crate) fn best_first<'g>(
             }
         }
     }
+    batch.frontier = frontier.into_vec();
+    batch.frontier.clear();
     best.into_sorted_vec()
 }
 
@@ -188,6 +226,11 @@ mod tests {
     /// Runs `best_first` over the hand-built graph, returning the result
     /// ids, the nodes `popped` saw and every id the oracle was asked for.
     fn search(entry: u32, ef: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        search_with(entry, ef, &mut Batch::default())
+    }
+
+    /// [`search`] with the caller's scratch.
+    fn search_with(entry: u32, ef: usize, batch: &mut Batch) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
         let (mut popped, mut asked) = (Vec::new(), Vec::new());
         let found = best_first(
             ADJ.len(),
@@ -200,9 +243,50 @@ mod tests {
                 out.extend(ids.iter().map(|&i| POS[i as usize] * POS[i as usize]));
             },
             |cand| popped.push(cand.id),
-            &mut Batch::default(),
+            batch,
         );
         (found.iter().map(|n| n.id).collect(), popped, asked)
+    }
+
+    #[test]
+    fn a_reused_batch_searches_like_a_fresh_one() {
+        let mut batch = Batch::default();
+        for (entry, ef) in [(0, 2), (0, 7), (2, 3), (6, 3), (0, 1), (1, 4)] {
+            assert_eq!(
+                search_with(entry, ef, &mut batch),
+                search(entry, ef),
+                "entry {entry}, ef {ef}"
+            );
+            assert!(batch.frontier.is_empty());
+        }
+    }
+
+    #[test]
+    fn mark_empties_on_reset_and_grows_with_the_graph() {
+        let mut mark = Mark::default();
+        mark.reset(3);
+        assert!(mark.insert(1));
+        assert!(!mark.insert(1));
+        mark.reset(5);
+        assert!(mark.insert(1));
+        assert!(mark.insert(4));
+        assert!(!mark.insert(4));
+    }
+
+    #[test]
+    fn mark_clears_old_stamps_when_the_epoch_wraps() {
+        let mut mark = Mark::default();
+        mark.reset(3);
+        // Node 0 was stamped in epoch 1, long ago; the current epoch is the
+        // last before the counter wraps.
+        mark.stamps[0] = 1;
+        mark.epoch = u8::MAX - 1;
+        mark.reset(3);
+        assert!(mark.insert(2));
+        mark.reset(3);
+        assert_eq!(mark.epoch, 1);
+        assert!(mark.insert(0), "a stamp from before the wrap still counts");
+        assert!(mark.insert(2));
     }
 
     #[test]

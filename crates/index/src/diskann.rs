@@ -346,10 +346,8 @@ impl VectorIndex for DiskAnnIndex {
         let table = self.pq.distance_table(query);
         trace.push_compute(self.pq.ksub() as u64, cast::u32_from_usize(dim));
 
-        let mut seen = vec![false; self.data.len()];
         let mut cands: Vec<Candidate> = Vec::with_capacity(l + self.graph.r());
         let start = self.graph.medoid();
-        seen[start as usize] = true;
         cands.push(Candidate {
             id: start,
             pq_dist: table.distance_at(&self.codes, start as usize),
@@ -361,6 +359,8 @@ impl VectorIndex for DiskAnnIndex {
         let mut exact = TopK::new(l.max(k));
         let mut exact_dists = Vec::new();
         let mut batch = Batch::default();
+        batch.mark.reset(self.data.len());
+        batch.mark.insert(start);
 
         // What is already in memory from earlier (possibly speculative)
         // fetches. Paged layout tracks whole pages — the co-location win;
@@ -448,7 +448,7 @@ impl VectorIndex for DiskAnnIndex {
                         },
                     );
                 }
-                batch.take_unseen(self.graph.neighbors(id), &mut seen);
+                batch.take_unseen(self.graph.neighbors(id));
                 table.distance_gather(&self.codes, &batch.ids, &mut batch.dists);
                 pq_lookups += batch.ids.len() as u64;
                 for (nb, d) in batch.scored() {

@@ -13,6 +13,7 @@
 use crate::batch::Batch;
 use crate::diskann::{node_record_bytes, pq_shape};
 use crate::layout::DiskLayout;
+use crate::pairs::RowDistances;
 use crate::trace::{IoReq, QueryTrace, SearchOutput};
 use crate::vamana::{robust_prune, VamanaConfig, VamanaGraph};
 use crate::{SearchParams, VectorIndex};
@@ -155,15 +156,8 @@ impl FreshDiskAnnIndex {
 
         let alpha = self.config.graph.alpha;
         let mut batch = Batch::default();
-        let out = robust_prune(
-            &self.data,
-            self.metric,
-            id,
-            visited,
-            alpha,
-            self.r,
-            &mut batch,
-        );
+        let pairs = RowDistances::on_demand(self.metric, &self.data);
+        let out = robust_prune(&pairs, id, visited, alpha, self.r, &mut batch);
         trace.push_compute(
             (out.len() * self.r) as u64,
             cast::u32_from_usize(self.data.dim()),
@@ -179,16 +173,8 @@ impl FreshDiskAnnIndex {
             if !adj.contains(&id) {
                 adj.push(id);
                 if adj.len() > self.r + self.r / 2 {
-                    let cands = batch.neighbors_of(self.metric, &self.data, nb, adj);
-                    self.adj[nb as usize] = robust_prune(
-                        &self.data,
-                        self.metric,
-                        nb,
-                        cands,
-                        alpha,
-                        self.r,
-                        &mut batch,
-                    );
+                    let cands = batch.neighbors_of(&pairs, nb, adj);
+                    *adj = robust_prune(&pairs, nb, cands, alpha, self.r, &mut batch);
                 }
                 writes.extend(layout.node_reqs(nb as u64, sann_obs::IoProvenance::GraphAdjacency)?);
             }
@@ -235,6 +221,7 @@ impl FreshDiskAnnIndex {
     pub fn consolidate(&mut self) -> usize {
         let alpha = self.config.graph.alpha;
         let mut batch = Batch::default();
+        let pairs = RowDistances::on_demand(self.metric, &self.data);
         let mut repaired = 0usize;
         for p in 0..self.adj.len() {
             if self.deleted[p] {
@@ -257,17 +244,10 @@ impl FreshDiskAnnIndex {
                     batch.ids.push(n);
                 }
             }
-            batch.score(self.metric, self.data.row(p), &self.data);
+            let p = cast::u32_from_usize(p);
+            pairs.gather(p, &batch.ids, &mut batch.dists);
             let cands = batch.neighbors();
-            self.adj[p] = robust_prune(
-                &self.data,
-                self.metric,
-                cast::u32_from_usize(p),
-                cands,
-                alpha,
-                self.r,
-                &mut batch,
-            );
+            self.adj[p as usize] = robust_prune(&pairs, p, cands, alpha, self.r, &mut batch);
             repaired += 1;
         }
         // Make sure the medoid survives.
@@ -300,13 +280,13 @@ impl FreshDiskAnnIndex {
         mut hop: impl FnMut(Vec<IoReq>, &[u32], &[f32], u64),
     ) -> Result<()> {
         let layout = self.layout();
-        let mut seen = vec![false; self.adj.len()];
         let start = self.medoid;
-        seen[start as usize] = true;
         let mut cands: Vec<(f32, u32, bool)> =
             vec![(table.distance_at(&self.codes, start as usize), start, false)];
         let mut exact = Vec::new();
         let mut batch = Batch::default();
+        batch.mark.reset(self.adj.len());
+        batch.mark.insert(start);
         loop {
             let mut frontier = Vec::with_capacity(w);
             for c in cands.iter_mut().take(l) {
@@ -329,7 +309,7 @@ impl FreshDiskAnnIndex {
                 .distance_gather(query, &self.data, &frontier, &mut exact);
             let mut lookups = 0u64;
             for &id in &frontier {
-                batch.take_unseen(&self.adj[id as usize], &mut seen);
+                batch.take_unseen(&self.adj[id as usize]);
                 table.distance_gather(&self.codes, &batch.ids, &mut batch.dists);
                 lookups += batch.ids.len() as u64;
                 for (nb, d) in batch.scored() {

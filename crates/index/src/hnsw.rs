@@ -12,9 +12,14 @@
 //!
 //! A build inserts the nodes one after another, in id order, into plain
 //! adjacency lists: a seed fixes the graph on any machine. Parallelism
-//! belongs one level up, across whole builds (DESIGN.md §9).
+//! belongs one level up, across whole builds (DESIGN.md §9). Every
+//! distance a build asks for is between two of its rows and goes through
+//! one build-scoped `RowDistances`, which measures each pair once when the
+//! table of all pairs is no larger than the data (DESIGN.md §14, "Each
+//! pair measured once").
 
 use crate::batch::{best_first, greedy_descend, Batch};
+use crate::pairs::RowDistances;
 use crate::trace::{QueryTrace, SearchOutput};
 use crate::{SearchParams, VectorIndex};
 use sann_core::rng::SplitMix64;
@@ -120,13 +125,12 @@ struct Cand {
     fresh: Option<u32>,
 }
 
-/// The distance from node `from` to every node of `ids`, in order.
-fn distances(metric: Metric, data: &Dataset, from: u32, ids: &[u32], out: &mut Vec<f32>) {
+/// The distance from node `from` to every node of `ids`, in order: the
+/// selection walks' requests, counted under test.
+fn distances(pairs: &RowDistances, from: u32, ids: &[u32], out: &mut Vec<f32>) {
     #[cfg(test)]
     tests::EVALUATED.set(tests::EVALUATED.get() + ids.len());
-    // A u32 id always fits in usize on the 32/64-bit targets supported.
-    let from = usize::try_from(from).unwrap_or(usize::MAX);
-    metric.distance_gather(data.row(from), data, ids, out);
+    pairs.gather(from, ids, out);
 }
 
 /// The first node of `kept` that is closer to the candidate `c` than the
@@ -135,15 +139,9 @@ fn distances(metric: Metric, data: &Dataset, from: u32, ids: &[u32], out: &mut V
 /// dominator is usually among the first kept (the nearest ones).
 #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 #[deny(clippy::indexing_slicing)]
-fn dominator(
-    metric: Metric,
-    data: &Dataset,
-    c: Neighbor,
-    kept: &[u32],
-    dists: &mut Vec<f32>,
-) -> Option<u32> {
+fn dominator(pairs: &RowDistances, c: Neighbor, kept: &[u32], dists: &mut Vec<f32>) -> Option<u32> {
     kept.chunks(4).find_map(|group| {
-        distances(metric, data, c.id, group, dists);
+        distances(pairs, c.id, group, dists);
         group
             .iter()
             .zip(dists.iter())
@@ -163,8 +161,8 @@ fn fill_up(adj: &mut Vec<u32>, known: &mut Vec<Link>, pruned: &[(u32, Link)], ca
 
 /// Mutable graph state during construction.
 struct Builder<'a> {
-    data: &'a Dataset,
-    metric: Metric,
+    /// Every distance the build asks for is between two of its rows.
+    pairs: RowDistances<'a>,
     m: usize,
     ef: usize,
     /// `links[node][level]`, one (initially empty) list per level the node
@@ -192,8 +190,7 @@ impl<'a> Builder<'a> {
     /// at node 0.
     fn new(data: &'a Dataset, metric: Metric, m: usize, ef: usize, levels: &[usize]) -> Self {
         Builder {
-            data,
-            metric,
+            pairs: RowDistances::new(metric, data),
             m,
             ef,
             links: levels.iter().map(|&l| vec![Vec::new(); l + 1]).collect(),
@@ -232,7 +229,7 @@ impl<'a> Builder<'a> {
             if adj.len() >= cap {
                 break;
             }
-            let witness = dominator(self.metric, self.data, c, adj, &mut self.batch.dists);
+            let witness = dominator(&self.pairs, c, adj, &mut self.batch.dists);
             let link = Link {
                 dist: c.dist,
                 verdict: witness.map_or(Verdict::KEPT, Verdict::pruned_by),
@@ -261,8 +258,8 @@ impl<'a> Builder<'a> {
     #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     #[deny(clippy::indexing_slicing)]
     fn reprune(&mut self, adj: &mut Vec<u32>, known: &mut Vec<Link>, cap: usize) {
-        let (data, metric) = (self.data, self.metric);
         let Builder {
+            pairs,
             batch,
             cands,
             kept,
@@ -296,15 +293,7 @@ impl<'a> Builder<'a> {
                     .witness()
                     .filter(|w| !fallen.contains(w))
                     .or(c.fresh)
-                    .or_else(|| {
-                        dominator(
-                            metric,
-                            data,
-                            Neighbor::new(c.id, dist),
-                            kept,
-                            &mut batch.dists,
-                        )
-                    })
+                    .or_else(|| dominator(pairs, Neighbor::new(c.id, dist), kept, &mut batch.dists))
             };
             let link = Link {
                 dist,
@@ -321,7 +310,7 @@ impl<'a> Builder<'a> {
                 } else {
                     batch.ids.clear();
                     batch.ids.extend(later.iter().map(|x| x.id));
-                    distances(metric, data, c.id, &batch.ids, &mut batch.dists);
+                    distances(pairs, c.id, &batch.ids, &mut batch.dists);
                     for (x, &d) in later.iter_mut().zip(batch.dists.iter()) {
                         if d < x.link.dist && x.fresh.is_none() {
                             x.fresh = Some(c.id);
@@ -337,9 +326,7 @@ impl<'a> Builder<'a> {
     }
 
     fn insert(&mut self, id: u32) {
-        let (data, metric) = (self.data, self.metric);
         let me = id as usize;
-        let q = data.row(me);
         let node_level = self.links[me].len() - 1;
         let (mut ep, top) = self.entry;
 
@@ -348,7 +335,7 @@ impl<'a> Builder<'a> {
             ep = greedy_descend(
                 ep,
                 |n| links_at(&self.links, n, l),
-                |ids, out| metric.distance_gather(q, data, ids, out),
+                |ids, out| self.pairs.gather(id, ids, out),
                 &mut self.batch,
             );
         }
@@ -356,11 +343,11 @@ impl<'a> Builder<'a> {
         // Connect on each shared layer.
         for l in (0..=node_level.min(top)).rev() {
             let found = best_first(
-                data.len(),
+                self.links.len(),
                 ep,
                 self.ef,
                 |n| links_at(&self.links, n, l),
-                |ids, out| metric.distance_gather(q, data, ids, out),
+                |ids, out| self.pairs.gather(id, ids, out),
                 |_| {},
                 &mut self.batch,
             );
@@ -762,7 +749,7 @@ mod tests {
         pub(super) fn reprune_from_nothing(&mut self, n: u32, l: usize) {
             let cap = self.max_degree(l);
             let adj = &self.links[n as usize][l];
-            let mut cands = self.batch.neighbors_of(self.metric, self.data, n, adj);
+            let mut cands = self.batch.neighbors_of(&self.pairs, n, adj);
             cands.sort_unstable();
             self.links[n as usize][l] = self.select_from_nothing(&cands, cap);
         }
@@ -775,9 +762,7 @@ mod tests {
                 if kept.len() >= m {
                     break;
                 }
-                let cv = self.data.row(c.id as usize);
-                self.metric
-                    .distance_gather(cv, self.data, &kept, &mut self.batch.dists);
+                self.pairs.gather(c.id, &kept, &mut self.batch.dists);
                 if !self.batch.dists.iter().any(|&d| d < c.dist) {
                     kept.push(c.id);
                 }

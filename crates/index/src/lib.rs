@@ -52,6 +52,7 @@ pub mod hnsw_sq;
 pub mod ivf;
 pub mod layout;
 pub mod paged;
+mod pairs;
 pub mod persist;
 pub mod spann;
 pub mod trace;

@@ -6,6 +6,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 timings=()
 current=""
 started=0
@@ -55,7 +57,16 @@ step "cargo test"
 # crates/bench/tests/workspace.rs: the manifest layering DAG, every
 # member's `[lints] workspace = true`, clippy probes of the lint table and
 # clippy.toml, and where a lint may be allowed.
-cargo test -q --workspace
+# Cargo's own `Running` / `Doc-tests` lines name each test binary and
+# libtest's summary ends `finished in <s>s`; pairing the two gives a table
+# of the binaries, slowest first. Every test still runs.
+cargo test --workspace -- --quiet 2>&1 | tee "$tmp/cargo-test.log"
+echo "    test binary wall times (s), slowest first:"
+awk '
+    /^ +Running / { bin = $NF; sub(/^.*\//, "", bin); sub(/-[0-9a-f]+\)$/, "", bin); name = bin " " $(NF - 1) }
+    /^ +Doc-tests / { name = $2 " doc-tests" }
+    /^test result: .* finished in / { secs = $NF; sub(/s$/, "", secs); printf "    %8.2f  %5d tests  %s\n", secs, $4, name }
+' "$tmp/cargo-test.log" | sort -rn
 
 step "quickstart example"
 # cargo test only compiles the examples; this runs quickstart's asserts.
@@ -81,8 +92,6 @@ step "vdbbench all, cold then warm, against the golden"
 # over 4 workers and the warm pass runs on 1, so the same diff also proves
 # the output does not depend on the thread count.
 cargo build -q --release -p sann-bench
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 golden="crates/bench/tests/golden/all"
 for pass in cold:4 warm:1; do
     threads="${pass#*:}"
