@@ -88,8 +88,8 @@ impl DiskAnnIndex {
     pub fn build(data: &Dataset, metric: Metric, config: DiskAnnConfig) -> Result<DiskAnnIndex> {
         let (pq_m, ksub) = pq_shape(data, config.pq_m, config.pq_ksub)?;
         let graph = VamanaGraph::build(data, metric, config.graph)?;
-        let pq = ProductQuantizer::train(data, pq_m, ksub, config.graph.seed ^ 0xD1)?;
-        let codes = pq.encode_all(data);
+        let (pq, codes) =
+            ProductQuantizer::train_and_encode(data, pq_m, ksub, config.graph.seed ^ 0xD1)?;
         Ok(DiskAnnIndex::assemble(
             data.clone(),
             metric,
@@ -536,6 +536,34 @@ mod tests {
         };
         let index = DiskAnnIndex::build(&base, Metric::L2, config).unwrap();
         (base, queries, gt, index)
+    }
+
+    #[test]
+    fn build_persists_what_training_then_encoding_persists() {
+        // The codes come from the PQ fits' last assignments: the index must
+        // be byte for byte the one `train` then `encode_all` assembles.
+        let data = EmbeddingModel::new(32, 4, 7).generate(300);
+        for (pq_m, pq_ksub) in [(4, 16), (8, 256), (0, 5)] {
+            let config = DiskAnnConfig {
+                graph: VamanaConfig {
+                    r: 16,
+                    l_build: 32,
+                    ..VamanaConfig::default()
+                },
+                pq_m,
+                pq_ksub,
+            };
+            let got = DiskAnnIndex::build(&data, Metric::L2, config).unwrap();
+            let (m, ksub) = pq_shape(&data, pq_m, pq_ksub).unwrap();
+            let graph = VamanaGraph::build(&data, Metric::L2, config.graph).unwrap();
+            let pq = ProductQuantizer::train(&data, m, ksub, config.graph.seed ^ 0xD1).unwrap();
+            let codes = pq.encode_all(&data);
+            let want = DiskAnnIndex::assemble(data.clone(), Metric::L2, graph, pq, codes);
+            assert!(
+                got.persist_encode() == want.persist_encode(),
+                "pq_m={pq_m} pq_ksub={pq_ksub}"
+            );
+        }
     }
 
     fn mean_recall(

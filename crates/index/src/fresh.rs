@@ -84,8 +84,8 @@ impl FreshDiskAnnIndex {
     pub fn build(data: &Dataset, metric: Metric, config: FreshConfig) -> Result<FreshDiskAnnIndex> {
         let (pq_m, ksub) = pq_shape(data, config.pq_m, config.pq_ksub)?;
         let graph = VamanaGraph::build(data, metric, config.graph)?;
-        let pq = ProductQuantizer::train(data, pq_m, ksub, config.graph.seed ^ 0xF8E5)?;
-        let codes = pq.encode_all(data);
+        let (pq, codes) =
+            ProductQuantizer::train_and_encode(data, pq_m, ksub, config.graph.seed ^ 0xF8E5)?;
         let r = graph.r();
         let adj = (0..cast::u32_from_usize(data.len()))
             .map(|i| graph.neighbors(i).to_vec())
@@ -411,6 +411,28 @@ mod tests {
         let queries = model.generate_queries(25);
         let index = FreshDiskAnnIndex::build(&base, Metric::L2, config()).unwrap();
         (base, queries, index)
+    }
+
+    #[test]
+    fn build_holds_the_quantizer_and_codes_of_training_then_encoding() {
+        let base = EmbeddingModel::new(64, 8, 321).generate(300);
+        for pq_ksub in [64, 256] {
+            let config = FreshConfig {
+                pq_ksub,
+                ..config()
+            };
+            let index = FreshDiskAnnIndex::build(&base, Metric::L2, config).unwrap();
+            let (m, ksub) = pq_shape(&base, config.pq_m, pq_ksub).unwrap();
+            let seed = config.graph.seed ^ 0xF8E5;
+            let pq = ProductQuantizer::train(&base, m, ksub, seed).unwrap();
+            let persisted = |pq: &ProductQuantizer| {
+                let mut w = sann_core::buf::ByteWriter::new();
+                pq.encode_into(&mut w);
+                w.into_bytes()
+            };
+            assert!(persisted(&index.pq) == persisted(&pq), "ksub={pq_ksub}");
+            assert!(index.codes == pq.encode_all(&base), "ksub={pq_ksub}");
+        }
     }
 
     /// The search as it was before the batched kernels: one exact distance

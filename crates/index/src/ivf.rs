@@ -230,11 +230,22 @@ impl IvfPqIndex {
             .with_sample_limit(config.train_sample)
             .with_max_iters(config.kmeans_iters)
             .fit(data)?;
-        let pq = ProductQuantizer::train(data, pq_m, pq_ksub, config.seed ^ 0x9AF1)?;
-        let lists = lists_from_assignments(&kmeans.assignments, nlist);
+        let (pq, encoded) =
+            ProductQuantizer::train_and_encode(data, pq_m, pq_ksub, config.seed ^ 0x9AF1)?;
+        Ok(IvfPqIndex::from_codes(data.dim(), kmeans, pq, &encoded))
+    }
+
+    /// Sorts the flat `n × m` code matrix `encoded` into the posting lists
+    /// of `kmeans`' assignments and assembles the index.
+    fn from_codes(
+        dim: usize,
+        kmeans: KMeansModel,
+        pq: ProductQuantizer,
+        encoded: &[u8],
+    ) -> IvfPqIndex {
+        let lists = lists_from_assignments(&kmeans.assignments, kmeans.centroids.len());
         let m = pq.code_bytes();
-        let encoded = pq.encode_all(data);
-        let mut codes = Vec::with_capacity(nlist);
+        let mut codes = Vec::with_capacity(lists.len());
         for list in &lists {
             let mut c = Vec::with_capacity(list.len() * m);
             for &id in list {
@@ -242,7 +253,7 @@ impl IvfPqIndex {
             }
             codes.push(c);
         }
-        Ok(IvfPqIndex::assemble(data.dim(), kmeans, pq, lists, codes))
+        IvfPqIndex::assemble(dim, kmeans, pq, lists, codes)
     }
 
     /// Number of clusters.
@@ -415,6 +426,28 @@ mod tests {
                 trace,
             };
             crate::batch::assert_identical(&got, &want);
+        }
+    }
+
+    #[test]
+    fn ivf_pq_build_persists_what_training_then_encoding_persists() {
+        let base = EmbeddingModel::new(48, 12, 21).generate(600);
+        for (pq_m, pq_ksub) in [(8, 32), (12, 256), (6, 7)] {
+            let config = IvfConfig::default().with_nlist(20);
+            let got = IvfPqIndex::build(&base, config, pq_m, pq_ksub).unwrap();
+            let kmeans = KMeans::new(20)
+                .with_seed(config.seed)
+                .with_sample_limit(config.train_sample)
+                .with_max_iters(config.kmeans_iters)
+                .fit(&base)
+                .unwrap();
+            let pq = ProductQuantizer::train(&base, pq_m, pq_ksub, config.seed ^ 0x9AF1).unwrap();
+            let encoded = pq.encode_all(&base);
+            let want = IvfPqIndex::from_codes(48, kmeans, pq, &encoded);
+            assert!(
+                got.persist_encode() == want.persist_encode(),
+                "pq_m={pq_m} pq_ksub={pq_ksub}"
+            );
         }
     }
 

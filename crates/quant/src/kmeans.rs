@@ -1,6 +1,8 @@
-//! Lloyd's k-means with k-means++ seeding. An iteration re-measures only
-//! the centroids the last one moved (DESIGN.md §14, "what a Lloyd iteration
-//! already knows"); the result is the full scan's, bit for bit.
+//! Lloyd's k-means with k-means++ seeding. The seeding's scans are the
+//! first assignment pass, and an iteration re-measures only the centroids
+//! the last one moved (DESIGN.md §14, "what a Lloyd iteration already
+//! knows" and "a PQ build measures each pair once"); the result is the full
+//! scan's, bit for bit.
 
 use sann_core::distance::{cols_from_rows, l2_squared, l2_squared_cols};
 use sann_core::rng::SplitMix64;
@@ -107,21 +109,32 @@ impl KMeans {
         })
     }
 
-    /// The `k` trained centroids (row-major) of the row-major `rows`, with no
-    /// assignment of the rows to them: what a PQ codebook is. Runs on the
-    /// calling thread — a quantizer trains its sub-spaces side by side — and
-    /// seeds through the column kernel, which is the faster on short rows.
+    /// The `k` trained centroids (row-major) of the row-major `rows`: what a
+    /// PQ codebook is. Unless `codes` is empty, it holds one byte per row
+    /// (`k <= 256`), and a fit that trained on every row (no more than the
+    /// sample limit) writes each row's nearest centroid there: the row's
+    /// code in that sub-space. Runs on the calling thread — a quantizer
+    /// trains its sub-spaces side by side — and seeds through the column
+    /// kernel, which is the faster on short rows.
     ///
     /// The caller has checked what [`KMeans::fit`] checks: at least `k` rows.
-    pub(crate) fn fit_centroids(&self, rows: &[f32], dim: usize) -> Vec<f32> {
+    pub(crate) fn fit_centroids(&self, rows: &[f32], dim: usize, codes: &mut [u8]) -> Vec<f32> {
         debug_assert!(rows.len() / dim >= self.k, "fewer rows than clusters");
         let mut rng = SplitMix64::new(self.seed);
         let train = self.sample(rows, dim, &mut rng);
         let mut cols = Vec::new();
         cols_from_rows(&train, dim, &mut cols);
-        let (lloyd, _) = self.train(&train, dim, &mut rng, 1, |v, out| {
+        let (lloyd, mut assigned) = self.train(&train, dim, &mut rng, 1, |v, out| {
             l2_squared_cols(v, &cols, out);
         });
+        if !codes.is_empty() && matches!(train, Cow::Borrowed(_)) {
+            debug_assert_eq!(codes.len(), assigned.len(), "one code byte per row");
+            // As in `fit`: one more pass, free once the loop has converged.
+            lloyd.assign(&train, &mut assigned, 1);
+            for (code, a) in codes.iter_mut().zip(&assigned) {
+                *code = cast::u8_from_u32(a.id);
+            }
+        }
         lloyd.centroids
     }
 
@@ -150,10 +163,15 @@ impl KMeans {
         threads: usize,
         scan: impl Fn(&[f32], &mut [f32]),
     ) -> (Lloyd, Vec<Assigned>) {
-        let mut lloyd = Lloyd::new(kmeanspp_init(train, dim, self.k, rng, scan), dim);
-        let mut assigned = vec![Assigned::NONE; train.len() / dim];
-        for _ in 0..self.max_iters {
-            let changed = lloyd.assign(train, &mut assigned, threads);
+        // The seeding measured every (row, seed) pair: its assignment is the
+        // first pass, which changes every row it moves off centroid 0.
+        let (seeds, mut assigned) = kmeanspp_init(train, dim, self.k, rng, scan);
+        let mut lloyd = Lloyd::new(seeds, dim);
+        let mut changed = assigned.iter().filter(|a| a.id != 0).count();
+        for pass in 0..self.max_iters {
+            if pass > 0 {
+                changed = lloyd.assign(train, &mut assigned, threads);
+            }
             lloyd.recompute(train, &assigned, rng);
             if changed == 0 {
                 break;
@@ -276,50 +294,53 @@ pub(crate) fn nearest_centroid(v: &[f32], cols: &[f32], dists: &mut [f32]) -> u3
 
 /// k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) over the row-major
 /// `rows`; `scan(v, out)` writes the distances from `v` to every row.
+/// Returns the seeds and each row's first nearest of them: what
+/// [`Lloyd::assign`] from [`Assigned::NONE`] over the seeds would find, bit
+/// for bit, because the seeds' scans measure the same pairs (DESIGN.md §14).
 fn kmeanspp_init(
     rows: &[f32],
     dim: usize,
     k: usize,
     rng: &mut SplitMix64,
     scan: impl Fn(&[f32], &mut [f32]),
-) -> Vec<f32> {
+) -> (Vec<f32>, Vec<Assigned>) {
     let n = rows.len() / dim;
     let row = |i: usize| &rows[i * dim..(i + 1) * dim];
     let mut centroids = Vec::with_capacity(k * dim);
-    let first = cast::usize_from_u64(rng.next_bounded(n as u64));
-    centroids.extend_from_slice(row(first));
-
-    let mut min_dist = vec![0.0f32; n];
-    scan(row(first), &mut min_dist);
+    let mut assigned = vec![Assigned::NONE; n];
     let mut dists = vec![0.0f32; n];
-    for _ in 1..k {
-        // The order of this sum and of the walk below decides which rows
-        // seed: a reassociated f64 sum picks others.
-        let total: f64 = min_dist.iter().map(|&d| d as f64).sum();
-        let next = if total <= 0.0 {
-            // All remaining points coincide with a centroid; pick uniformly.
+    for id in (0u32..).take(k) {
+        let next = if id == 0 {
             cast::usize_from_u64(rng.next_bounded(n as u64))
         } else {
-            let mut target = rng.next_f64() * total;
-            let mut chosen = n - 1;
-            for (i, &d) in min_dist.iter().enumerate() {
-                target -= d as f64;
-                if target <= 0.0 {
-                    chosen = i;
-                    break;
+            // The order of this sum and of the walk below decides which rows
+            // seed: a reassociated f64 sum picks others.
+            let total: f64 = assigned.iter().map(|a| a.dist as f64).sum();
+            if total <= 0.0 {
+                // All remaining points coincide with a centroid; pick uniformly.
+                cast::usize_from_u64(rng.next_bounded(n as u64))
+            } else {
+                let mut target = rng.next_f64() * total;
+                let mut chosen = n - 1;
+                for (i, a) in assigned.iter().enumerate() {
+                    target -= a.dist as f64;
+                    if target <= 0.0 {
+                        chosen = i;
+                        break;
+                    }
                 }
+                chosen
             }
-            chosen
         };
         centroids.extend_from_slice(row(next));
         scan(row(next), &mut dists);
-        for (min, &d) in min_dist.iter_mut().zip(&dists) {
-            if d < *min {
-                *min = d;
+        for (best, &dist) in assigned.iter_mut().zip(&dists) {
+            if dist < best.dist {
+                *best = Assigned { id, dist };
             }
         }
     }
-    centroids
+    (centroids, assigned)
 }
 
 /// Lloyd's loop between two passes: the centroids, and which of them the
@@ -808,7 +829,7 @@ mod tests {
         assert_eq!(got.assignments, want.assignments, "assignments: {what}");
         // The centroids-only entry: the column kernel under k-means++, one
         // thread, no final pass.
-        let centroids = config.fit_centroids(data.as_flat(), data.dim());
+        let centroids = config.fit_centroids(data.as_flat(), data.dim(), &mut []);
         assert_eq!(
             bits(&centroids),
             bits(want.centroids.as_flat()),
@@ -876,11 +897,135 @@ mod tests {
         }
     }
 
+    /// `rows` (row-major, `dim` wide) with each of its first `distinct`
+    /// rows repeated until there are `n`: exact ties, and k-means++'s
+    /// uniform pick once `k > distinct`.
+    fn repeated(rows: &[f32], dim: usize, distinct: usize, n: usize) -> Vec<f32> {
+        let pick = rows.chunks_exact(dim).take(distinct).cycle().take(n);
+        pick.flatten().copied().collect()
+    }
+
+    #[test]
+    fn the_seeded_pass_is_the_full_pass() {
+        for k in [1usize, 2, 7, 32, 256] {
+            let mut sizes = vec![k, k + 1, 500];
+            sizes.retain(|&n| n >= k);
+            sizes.dedup();
+            for n in sizes {
+                for dim in [1usize, 8, 48] {
+                    let data = blobs(n, dim, 17);
+                    // Every row twice ties; three distinct rows leave k > 3
+                    // to the uniform pick.
+                    let shapes = [
+                        ("distinct", data.as_flat().to_vec()),
+                        ("twice", repeated(data.as_flat(), dim, n.div_ceil(2), n)),
+                        ("three", repeated(data.as_flat(), dim, 3, n)),
+                    ];
+                    for (what, rows) in shapes {
+                        let mut cols = Vec::new();
+                        cols_from_rows(&rows, dim, &mut cols);
+                        // Both kernels k-means++ scans with: row-major
+                        // (`fit`) and column (`fit_centroids`).
+                        for column_kernel in [false, true] {
+                            let mut rng = SplitMix64::new(k as u64 + 5);
+                            let (seeds, got) = if column_kernel {
+                                kmeanspp_init(&rows, dim, k, &mut rng, |v, out| {
+                                    l2_squared_cols(v, &cols, out);
+                                })
+                            } else {
+                                kmeanspp_init(&rows, dim, k, &mut rng, |v, out| {
+                                    Metric::L2.distance_rows(v, &rows, out);
+                                })
+                            };
+                            let lloyd = Lloyd::new(seeds, dim);
+                            let mut want = vec![Assigned::NONE; n];
+                            let changed = lloyd.assign(&rows, &mut want, 1);
+                            let what = format!("{what} k={k} n={n} dim={dim} cols={column_kernel}");
+                            let ids = |a: &[Assigned]| a.iter().map(|a| a.id).collect::<Vec<_>>();
+                            let dists = |a: &[Assigned]| {
+                                a.iter().map(|a| a.dist.to_bits()).collect::<Vec<_>>()
+                            };
+                            assert_eq!(ids(&got), ids(&want), "ids: {what}");
+                            assert_eq!(dists(&got), dists(&want), "dists: {what}");
+                            let seeded = got.iter().filter(|a| a.id != 0).count();
+                            assert_eq!(seeded, changed, "changed: {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `fit_centroids` as it trained before k-means++ handed Lloyd its
+    /// assignment: the first pass runs from [`Assigned::NONE`] over every
+    /// centroid. Returns the centroids and the final assignment.
+    fn fit_centroids_from_nothing(
+        config: &KMeans,
+        rows: &[f32],
+        dim: usize,
+    ) -> (Vec<f32>, Vec<u32>) {
+        let mut rng = SplitMix64::new(config.seed);
+        let mut cols = Vec::new();
+        cols_from_rows(rows, dim, &mut cols);
+        let (seeds, _) = kmeanspp_init(rows, dim, config.k, &mut rng, |v, out| {
+            l2_squared_cols(v, &cols, out);
+        });
+        let mut lloyd = Lloyd::new(seeds, dim);
+        let mut assigned = vec![Assigned::NONE; rows.len() / dim];
+        for _ in 0..config.max_iters {
+            let changed = lloyd.assign(rows, &mut assigned, 1);
+            lloyd.recompute(rows, &assigned, &mut rng);
+            if changed == 0 {
+                break;
+            }
+        }
+        lloyd.assign(rows, &mut assigned, 1);
+        (lloyd.centroids, assigned.iter().map(|a| a.id).collect())
+    }
+
+    /// The pairs `Lloyd::assign` measures on this thread while `f` runs.
+    fn pairs_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = PAIRS.with(|pairs| pairs.get());
+        let out = f();
+        (out, PAIRS.with(|pairs| pairs.get()) - before)
+    }
+
+    #[test]
+    fn a_fit_measures_n_k_pairs_fewer_than_one_that_starts_lloyd_from_nothing() {
+        let dim = 8;
+        for k in [1usize, 2, 7, 32, 256] {
+            let twice = repeated(blobs(150, dim, 5).as_flat(), dim, 150, 300.max(2 * k));
+            let shapes = [
+                ("n=k", blobs(k, dim, 4).as_flat().to_vec()),
+                ("blobs", blobs(500, dim, 23).as_flat().to_vec()),
+                ("twice", twice),
+            ];
+            for (what, rows) in shapes {
+                let n = rows.len() / dim;
+                for max_iters in [1, 2, 15] {
+                    let config = KMeans::new(k).with_seed(3).with_max_iters(max_iters);
+                    let mut codes = vec![0u8; n];
+                    let (centroids, pairs) =
+                        pairs_in(|| config.fit_centroids(&rows, dim, &mut codes));
+                    let ((old_centroids, old_ids), old_pairs) =
+                        pairs_in(|| fit_centroids_from_nothing(&config, &rows, dim));
+                    let what = format!("{what} k={k} n={n} iters={max_iters}");
+                    assert_eq!(old_pairs - pairs, n * k, "pairs: {what}");
+                    assert_eq!(bits(&centroids), bits(&old_centroids), "{what}");
+                    let want =
+                        reference::fit(&config, &Dataset::from_flat(rows.clone(), dim).unwrap());
+                    assert_eq!(bits(&centroids), bits(want.centroids.as_flat()), "{what}");
+                    let codes: Vec<u32> = codes.iter().map(|&c| u32::from(c)).collect();
+                    assert_eq!(codes, want.assignments, "codes: {what}");
+                    assert_eq!(old_ids, want.assignments, "{what}");
+                }
+            }
+        }
+    }
+
     /// The pairs `assign` measures over `rows`, with what it returns.
     fn counted_assign(lloyd: &Lloyd, rows: &[f32], assigned: &mut [Assigned]) -> (usize, usize) {
-        let before = PAIRS.with(|pairs| pairs.get());
-        let changed = lloyd.assign(rows, assigned, 1);
-        (changed, PAIRS.with(|pairs| pairs.get()) - before)
+        pairs_in(|| lloyd.assign(rows, assigned, 1))
     }
 
     /// Replaces the centroids the way `recompute` does, by hand.

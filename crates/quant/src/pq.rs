@@ -13,6 +13,12 @@ use crate::kmeans::{nearest_centroid, KMeans};
 use sann_core::distance::{by_fours, cols_from_rows, cols_len, cols_row, l2_squared_cols};
 use sann_core::{cast, par, Dataset, Error, Result};
 
+/// Training rows per sub-space; a larger dataset trains on a sample.
+const SAMPLE_LIMIT: usize = 50_000;
+
+/// Lloyd iterations per sub-space.
+const MAX_ITERS: usize = 15;
+
 /// A trained product quantizer.
 #[derive(Debug, Clone)]
 pub struct ProductQuantizer {
@@ -39,56 +45,85 @@ impl ProductQuantizer {
     /// dimensionality, if `ksub` is 0 or > 256, or if there are fewer
     /// training vectors than `ksub`.
     pub fn train(data: &Dataset, m: usize, ksub: usize, seed: u64) -> Result<ProductQuantizer> {
-        let dim = data.dim();
-        if m == 0 || !dim.is_multiple_of(m) {
-            return Err(Error::invalid_parameter(
-                "m",
-                format!("{m} must be a positive divisor of dim {dim}"),
-            ));
-        }
-        if ksub == 0 || ksub > 256 {
-            return Err(Error::invalid_parameter("ksub", "must be in 1..=256"));
-        }
-        if data.len() < ksub {
-            return Err(Error::invalid_parameter(
-                "ksub",
-                format!("{ksub} sub-centroids need at least that many training vectors"),
-            ));
-        }
-        Ok(Self::train_on(data, m, ksub, seed, par::default_threads()))
+        check_shape(data, m, ksub)?;
+        let threads = par::default_threads();
+        let pq = Self::train_on(data, m, ksub, seed, MAX_ITERS, threads, &mut []);
+        Ok(pq)
     }
 
-    /// [`ProductQuantizer::train`] past its checks, on `threads` workers:
-    /// each takes a run of sub-spaces and trains them one after the other
-    /// on its own thread, so a training opens one thread scope, not one per
-    /// Lloyd iteration. A sub-space's seed is its own, so the split cannot
-    /// show in the codebooks.
+    /// [`ProductQuantizer::train`] and then [`ProductQuantizer::encode_all`]
+    /// of the same `data`, with the same quantizer and the same codes. A
+    /// training on every row (at most 50,000) already knows each row's
+    /// nearest sub-centroids: its codes are the fits' last assignments, and
+    /// no (row, sub-centroid) pair is measured twice. A sampled training
+    /// encodes afterwards.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProductQuantizer::train`].
+    pub fn train_and_encode(
+        data: &Dataset,
+        m: usize,
+        ksub: usize,
+        seed: u64,
+    ) -> Result<(ProductQuantizer, Vec<u8>)> {
+        check_shape(data, m, ksub)?;
+        let n = data.len();
+        // A sampled training's assignments cover only the sample.
+        let mut by_subspace = vec![0u8; if n > SAMPLE_LIMIT { 0 } else { m * n }];
+        let threads = par::default_threads();
+        let pq = Self::train_on(data, m, ksub, seed, MAX_ITERS, threads, &mut by_subspace);
+        let codes = if by_subspace.is_empty() {
+            pq.encode_all(data)
+        } else {
+            row_major(&by_subspace, n, m)
+        };
+        Ok((pq, codes))
+    }
+
+    /// [`ProductQuantizer::train`] past its checks, at most `max_iters`
+    /// Lloyd iterations per sub-space, on `threads` workers: each takes a
+    /// run of sub-spaces and trains them one after the other on its own
+    /// thread, so a training opens one thread scope, not one per Lloyd
+    /// iteration. A sub-space's seed is its own, so the split cannot show in
+    /// the codebooks. Unless `codes` is empty, it is `m` runs of one byte
+    /// per row, and a training on every row writes each sub-space's codes
+    /// to its run.
     fn train_on(
         data: &Dataset,
         m: usize,
         ksub: usize,
         seed: u64,
+        max_iters: usize,
         threads: usize,
+        codes: &mut [u8],
     ) -> ProductQuantizer {
         let dim = data.dim();
         let sub_dim = dim / m;
         let book_len = cols_len(ksub, sub_dim);
         let mut codebooks = vec![0.0; m * book_len];
-        par::par_chunks_mut(&mut codebooks, book_len, threads, |first, books| {
+        // Each sub-space's codebook beside its run of codes, or beside no
+        // codes.
+        let mut runs = codes.chunks_exact_mut(data.len());
+        let mut subspaces: Vec<(&mut [f32], &mut [u8])> = codebooks
+            .chunks_exact_mut(book_len)
+            .map(|book| (book, runs.next().unwrap_or_default()))
+            .collect();
+        par::par_chunks_mut(&mut subspaces, 1, threads, |first, subspaces| {
             // One sub-space of the training rows, and its trained centroids
             // in the column layout; both reused from sub-space to sub-space.
             let mut rows = Vec::with_capacity(data.len() * sub_dim);
             let mut cols = Vec::with_capacity(book_len);
-            for (sub, book) in (first..).zip(books.chunks_exact_mut(book_len)) {
+            for (sub, (book, codes)) in (first..).zip(subspaces) {
                 rows.clear();
                 for row in data.iter() {
                     rows.extend_from_slice(&row[sub * sub_dim..(sub + 1) * sub_dim]);
                 }
                 let centroids = KMeans::new(ksub)
                     .with_seed(seed.wrapping_add(sub as u64))
-                    .with_sample_limit(50_000)
-                    .with_max_iters(15)
-                    .fit_centroids(&rows, sub_dim);
+                    .with_sample_limit(SAMPLE_LIMIT)
+                    .with_max_iters(max_iters)
+                    .fit_centroids(&rows, sub_dim, codes);
                 cols.clear();
                 cols_from_rows(&centroids, sub_dim, &mut cols);
                 book.copy_from_slice(&cols);
@@ -254,6 +289,39 @@ impl ProductQuantizer {
         }
         table
     }
+}
+
+/// What [`ProductQuantizer::train`] checks before it trains.
+fn check_shape(data: &Dataset, m: usize, ksub: usize) -> Result<()> {
+    let dim = data.dim();
+    if m == 0 || !dim.is_multiple_of(m) {
+        return Err(Error::invalid_parameter(
+            "m",
+            format!("{m} must be a positive divisor of dim {dim}"),
+        ));
+    }
+    if ksub == 0 || ksub > 256 {
+        return Err(Error::invalid_parameter("ksub", "must be in 1..=256"));
+    }
+    if data.len() < ksub {
+        return Err(Error::invalid_parameter(
+            "ksub",
+            format!("{ksub} sub-centroids need at least that many training vectors"),
+        ));
+    }
+    Ok(())
+}
+
+/// The flat `n × m` code matrix of codes stored sub-space-major (`m` runs
+/// of `n` bytes).
+fn row_major(by_subspace: &[u8], n: usize, m: usize) -> Vec<u8> {
+    let mut codes = vec![0u8; n * m];
+    for (sub, run) in by_subspace.chunks_exact(n).enumerate() {
+        for (code, &c) in codes.chunks_exact_mut(m).zip(run) {
+            code[sub] = c;
+        }
+    }
+    codes
 }
 
 /// Per-query ADC lookup table produced by
@@ -565,16 +633,12 @@ mod tests {
     #[test]
     fn training_is_byte_identical_to_the_reference_for_every_worker_count() {
         let data = EmbeddingModel::new(192, 6, 21).generate(300);
-        let persisted = |pq: &ProductQuantizer| {
-            let mut w = sann_core::buf::ByteWriter::new();
-            pq.encode_into(&mut w);
-            w.into_bytes()
-        };
         for m in [1, 4, 96] {
             for ksub in [2, 16, 256] {
                 let want = persisted(&train_reference(&data, m, ksub, 7));
                 for threads in [1, 2, 3, 7] {
-                    let got = ProductQuantizer::train_on(&data, m, ksub, 7, threads);
+                    let got =
+                        ProductQuantizer::train_on(&data, m, ksub, 7, MAX_ITERS, threads, &mut []);
                     assert!(
                         persisted(&got) == want,
                         "m={m} ksub={ksub} threads={threads}"
@@ -583,6 +647,68 @@ mod tests {
                 let got = ProductQuantizer::train(&data, m, ksub, 7).unwrap();
                 assert!(persisted(&got) == want, "m={m} ksub={ksub}");
             }
+        }
+    }
+
+    fn persisted(pq: &ProductQuantizer) -> Vec<u8> {
+        let mut w = sann_core::buf::ByteWriter::new();
+        pq.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn codes_from_training_are_encode_alls_codes() {
+        let data = EmbeddingModel::new(32, 4, 11).generate(600);
+        for ksub in [5, 16, 256] {
+            let want = ProductQuantizer::train(&data, 4, ksub, 3).unwrap();
+            let want_codes = want.encode_all(&data);
+            let (got, codes) = ProductQuantizer::train_and_encode(&data, 4, ksub, 3).unwrap();
+            assert!(persisted(&got) == persisted(&want), "ksub={ksub}");
+            assert!(codes == want_codes, "ksub={ksub}");
+            // Capped: the last `recompute` moved centroids the last pass
+            // had not met, and one worker against every core.
+            for max_iters in [0, 1, 2, MAX_ITERS] {
+                for threads in [1, par::default_threads()] {
+                    let what = format!("ksub={ksub} iters={max_iters} threads={threads}");
+                    let mut by_subspace = vec![0u8; 4 * data.len()];
+                    let pq = ProductQuantizer::train_on(
+                        &data,
+                        4,
+                        ksub,
+                        3,
+                        max_iters,
+                        threads,
+                        &mut by_subspace,
+                    );
+                    let codes = row_major(&by_subspace, data.len(), 4);
+                    assert!(codes == pq.encode_all(&data), "{what}");
+                    if max_iters == MAX_ITERS {
+                        assert!(persisted(&pq) == persisted(&want), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_sampled_training_encodes_afterwards() {
+        // One row past the sample limit, at 2-d: the fits train on a sample
+        // and write no codes.
+        let data = EmbeddingModel::new(2, 4, 5).generate(SAMPLE_LIMIT + 1);
+        let mut by_subspace = vec![7u8; 2 * data.len()];
+        let pq = ProductQuantizer::train_on(&data, 2, 4, 9, MAX_ITERS, 1, &mut by_subspace);
+        assert!(by_subspace.iter().all(|&c| c == 7));
+        let (got, codes) = ProductQuantizer::train_and_encode(&data, 2, 4, 9).unwrap();
+        assert!(persisted(&got) == persisted(&pq));
+        assert!(codes == pq.encode_all(&data));
+        assert_eq!(codes.len(), data.len() * 2);
+    }
+
+    #[test]
+    fn train_and_encode_checks_what_train_checks() {
+        let data = EmbeddingModel::new(32, 2, 1).generate(100);
+        for (m, ksub) in [(0, 16), (3, 16), (4, 0), (4, 257), (4, 128)] {
+            assert!(ProductQuantizer::train_and_encode(&data, m, ksub, 1).is_err());
         }
     }
 
