@@ -30,7 +30,7 @@ pub fn run(ctx: &mut BenchContext, _: &SubFlags) -> Result<String> {
         model.device_bw * 1e6 / f64::from(1u32 << 30)
     ));
     out.push_str(&format!(
-        "  Run duration   : {:.0} s simulated per measurement\n\n",
+        "  Run duration   : {} s simulated per measurement\n\n",
         ctx.duration_us / 1e6
     ));
     out.push_str(&report.to_string());
