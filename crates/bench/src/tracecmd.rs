@@ -5,8 +5,8 @@
 //! Chrome/Perfetto `trace.json` (and a JSONL sibling) to `--trace-out`,
 //! and prints the per-phase latency breakdown table. The run is the same
 //! deterministic simulation the figures use, so the exported bytes are
-//! identical across identical-seed invocations — `sann-xtask
-//! determinism` audits exactly that.
+//! identical across identical-seed invocations — `tests/determinism.rs`
+//! checks exactly that.
 
 use crate::cli::SubFlags;
 use crate::context::BenchContext;

@@ -165,8 +165,9 @@ impl RunMetrics {
     /// Two runs are *bit-identical* iff their canonical byte strings are
     /// equal — floats are encoded by their exact bit patterns, so this is
     /// strictly stronger than comparing rounded report values. The
-    /// determinism audit (`sann-xtask determinism`) runs the same
-    /// sweep twice and diffs these strings byte for byte.
+    /// `sann-bench` `determinism` tests run the same sweep at different
+    /// worker counts, cache states and fault replays and diff these strings
+    /// byte for byte.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut buf = ByteWriter::new();
         buf.put_f64_le(self.qps);

@@ -1,8 +1,8 @@
 //! Deterministic trace exporters.
 //!
 //! Two formats, both produced with integer-only timestamp formatting so
-//! identical-seed runs export byte-identical files (the
-//! `sann-xtask determinism` audit diffs them byte for byte):
+//! identical-seed runs export byte-identical files (the `sann-bench`
+//! `determinism` tests diff them byte for byte):
 //!
 //! * [`chrome_trace`] — the Chrome Trace Event JSON array format, loadable
 //!   in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`. Query

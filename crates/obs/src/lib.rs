@@ -26,7 +26,7 @@
 //! * [`export`] — two deterministic exporters: Chrome/Perfetto
 //!   `trace.json` ([`export::chrome_trace`]) and line-oriented JSONL
 //!   ([`export::jsonl`]). Byte-identical across identical-seed runs; the
-//!   `sann-xtask determinism` audit diffs them byte for byte.
+//!   `sann-bench` `determinism` tests diff them byte for byte.
 //! * [`provenance`] — the [`IoProvenance`] tag every index-layer read
 //!   request carries (graph adjacency, vector block, posting list, PQ
 //!   codes, metadata), threaded through the engine and device model so

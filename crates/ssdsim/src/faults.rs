@@ -10,8 +10,9 @@
 //! global order in which I/Os reach the device. Two runs with the same seed
 //! produce byte-identical fault schedules, and a request retried at a
 //! different simulated time still observes the same per-attempt coin flips.
-//! This is what lets the xtask determinism audit byte-diff faulted runs and
-//! what makes deadline/retry sweeps comparable across configurations.
+//! This is what lets the `sann-bench` `determinism` tests byte-diff faulted
+//! runs and what makes deadline/retry sweeps comparable across
+//! configurations.
 
 use sann_core::rng::SplitMix64;
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, clippy (warnings are errors), docs, the
-# runtime determinism audit, and the test suite. CI runs exactly this.
+# test suite, the quickstart example, the benchmark package's tests, the
+# observability overhead gate and `vdbbench all` against its golden. CI runs
+# exactly this.
 # Each step prints its wall time when it ends, and a passing run ends with
 # a table of every step's seconds, so a slower gate says which step grew.
 set -euo pipefail
@@ -45,18 +47,15 @@ step "cargo doc (deny warnings)"
 # A broken intra-doc link, e.g. to an item since deleted, fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
-step "sann-xtask determinism (runtime double-run audit)"
-# Runs a tiny sweep twice (at 1 and at 2 worker threads), then cold and
-# warm artifact-cache replays and a flaky fault-profile replay, and
-# byte-diffs every metric, trace, report and CSV.
-cargo run -q --release -p sann-xtask -- determinism
-
 step "cargo test"
 # Includes every golden: the trace exporter and fault histograms
-# (sann-engine) and vdbbench all / iostat / explore (sann-bench); and
-# crates/bench/tests/workspace.rs: the manifest layering DAG, every
-# member's `[lints] workspace = true`, clippy probes of the lint table and
-# clippy.toml, and where a lint may be allowed.
+# (sann-engine) and vdbbench all / iostat / explore (sann-bench);
+# crates/bench/tests/determinism.rs: trace validation of every setup, and
+# a tiny sweep's metrics, traces, reports and CSVs byte-diffed across
+# worker counts, a flaky fault profile and cold and warm artifact-cache
+# passes; and crates/bench/tests/workspace.rs: the manifest layering DAG,
+# every member's `[lints] workspace = true`, clippy probes of the lint
+# table and clippy.toml, and where a lint may be allowed.
 # Cargo's own `Running` / `Doc-tests` lines name each test binary and
 # libtest's summary ends `finished in <s>s`; pairing the two gives a table
 # of the binaries, slowest first. Every test still runs.

@@ -276,7 +276,8 @@ fn storage_index_reads_are_page_aligned() {
 /// Identically-seeded builds and runs are bit-identical end to end, for
 /// every graph family at its default configuration: the persisted bytes and
 /// the traces match step for step, and the executor's metrics match byte
-/// for byte (the invariant `sann-xtask determinism` audits at scale).
+/// for byte (the invariant `sann-bench`'s `determinism` tests hold across
+/// worker counts, cache states and fault replays).
 #[test]
 fn identically_seeded_runs_are_byte_identical() {
     use sann::core::rng::SplitMix64;
